@@ -103,7 +103,6 @@ class Partition:
 
 def _cells_from_boundaries(boundaries: np.ndarray) -> Partition:
     """Build a Partition from strictly increasing interior boundaries."""
-    edges = np.concatenate(([-np.inf], boundaries, [np.inf]))
     cdf = np.concatenate(([0.0], ndtr(boundaries), [1.0]))
     p = np.diff(cdf)
     pdf = np.concatenate(([0.0], _phi(boundaries), [0.0]))
@@ -111,7 +110,6 @@ def _cells_from_boundaries(boundaries: np.ndarray) -> Partition:
     # Remove the tiny aggregate drift so the law-of-total-expectation
     # identity holds to near machine precision.
     means = means - float(np.dot(p, means))
-    del edges
     return Partition(tuple(p), tuple(means))
 
 
@@ -236,15 +234,12 @@ def piecewise_loss(partition: Partition, mean: float, std_dev: float,
     induced function directly rather than trusting a closed form, and the
     error bound scales the standard-normal e_W by std_dev.
 
-    std_dev = 0 degenerates to the exact deterministic kink at `mean`.
+    std_dev = 0 degenerates to the exact deterministic kink at `mean`: every
+    breakpoint sits at `mean`, so the segment count, and with it the shape
+    of the model rows, stays that of the partition.
     """
     if std_dev < 0:
         raise ValueError(f"negative std_dev {std_dev}")
-    if std_dev == 0.0:
-        return PiecewiseLoss(
-            slopes=(0.0, 1.0), breakpoints=(mean,),
-            anchor_value=max(-mean, 0.0), error_bound=0.0,
-            mean=mean, std_dev=0.0)
     p = np.asarray(partition.probabilities)
     slopes = tuple(np.concatenate(([0.0], np.cumsum(p))))
     # guard against cumulative rounding: the final slope must be exactly 1
@@ -252,10 +247,8 @@ def piecewise_loss(partition: Partition, mean: float, std_dev: float,
     breakpoints = tuple(mean + std_dev * np.asarray(partition.conditional_means))
     e_std = approximation_error(partition) if error is None else error
     scaled = std_dev * e_std
-    pw = PiecewiseLoss(slopes=slopes, breakpoints=breakpoints,
-                       anchor_value=0.0, error_bound=scaled,
-                       mean=mean, std_dev=std_dev)
-    anchor = float(pw.lower(0.0)) + scaled
+    anchor = float(np.maximum(-np.asarray(breakpoints), 0.0)
+                   @ np.diff(np.asarray(slopes))) + scaled
     return PiecewiseLoss(slopes=slopes, breakpoints=breakpoints,
                          anchor_value=anchor, error_bound=scaled,
                          mean=mean, std_dev=std_dev)

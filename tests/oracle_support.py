@@ -1,10 +1,13 @@
-"""Brute-force optimum of the linearized lot-sizing models.
+"""Reference optima of the linearized lot-sizing models.
 
-Independent of the package's pattern/pooling solver: enumerates every order
-pattern and runs a dense-grid dynamic program over the chained cycle
-levels. The grid is a 0.25 lattice augmented with every piecewise
-breakpoint shifted by every partial demand sum, so piecewise-linear optima
-are captured exactly.
+brute_force_submodel is independent of the package's pattern/pooling
+solver: it enumerates every order pattern and runs a dense-grid dynamic
+program over the chained cycle levels. The grid is a 0.25 lattice augmented
+with every piecewise breakpoint and any pinned first level, each shifted by
+every partial demand sum, so piecewise-linear optima are captured exactly.
+
+full_enumeration is the solver's pattern search without its bound: every
+pattern, in lexicographic order, through the engine's own solve_pattern.
 """
 from __future__ import annotations
 
@@ -64,7 +67,9 @@ def brute_force_submodel(instance, segments, first_order: bool,
     shifts = np.array(sorted(partial_sums))
     pieces.append((np.asarray(kinks)[:, None] + shifts[None, :]).ravel())
     if fixed_i0 is not None:
-        pieces.append(np.array([fixed_i0]))
+        # a later level can sit where its order is zero: the pin less the
+        # demand in between
+        pieces.append(fixed_i0 + shifts)
     grid = np.unique(np.concatenate(pieces))
     grid = grid[(grid >= lo) & (grid <= hi)]
 
@@ -106,4 +111,21 @@ def brute_force_submodel(instance, segments, first_order: bool,
             total += c * (total_mean - sum(means[cycles[-1][0] - 1:cycles[-1][1]]))
         if best is None or total < best[0]:
             best = (total, deltas)
+    return best
+
+
+def full_enumeration(engine, pinned_i0=None):
+    """(cost, deltas, y_levels, cycles) | None over all 2^(T-1) patterns of
+    a solver engine, accepting a pattern only when it beats the best so
+    far by more than 1e-12 (ties keep the lexicographically smallest)."""
+    best = None
+    first = 1 if engine.first_order else 0
+    for combo in itertools.product((0, 1), repeat=engine.T - 1):
+        deltas = (first,) + combo
+        solved = engine.solve_pattern(deltas, pinned_i0)
+        if solved is None:
+            continue
+        cost, y_opt, cycles = solved
+        if best is None or cost < best[0] - 1e-12:
+            best = (cost, deltas, y_opt, cycles)
     return best

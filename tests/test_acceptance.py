@@ -5,8 +5,8 @@ Criterion 9 declares the intentionally non-reproducible pieces: published
 wall-clock tables are hardware-specific and are not checked anywhere, and
 25-period benchmark runs require an external MIP solver via LP export, so
 the harness refuses them unless the export-only flag is set. The full
-270-instance gap study is optional (hours); set SSPOLICY_FULL_BENCHMARK=1
-to include it.
+270-instance gap study is optional; set SSPOLICY_FULL_BENCHMARK=1 to
+include it.
 """
 import os
 import statistics
@@ -136,7 +136,7 @@ def test_criterion_4_gap_slices(pattern, published_mean):
 
 
 @pytest.mark.skipif(not os.environ.get("SSPOLICY_FULL_BENCHMARK"),
-                    reason="full 270-instance study is optional (hours); "
+                    reason="full 270-instance study is optional; "
                            "set SSPOLICY_FULL_BENCHMARK=1")
 def test_criterion_4_full_grid_optional():
     config = BenchmarkConfig(methods=("bs",), replications=10000,

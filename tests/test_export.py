@@ -86,3 +86,14 @@ def test_parse_round_trip_structure(example4, segments4):
     assert len(rows) > 0
     assert objective["H_s_1"] == 1.0
     assert objective["B_s_3"] == 10.0
+
+
+@pytest.mark.parametrize("build", [build_minlp_s, build_joint])
+def test_zero_std_period_matches_external_solver(build):
+    """A deterministic period exports with the partition's segment count,
+    and HiGHS agrees with the in-repo optimum."""
+    inst = make_instance(3, K=100, h=1, b=10, c=0, means=[20, 30, 0],
+                         std_devs=[5, 7, 0])
+    model = build(inst, build_segments(inst, segments=6))
+    obj_ext, _ = solve_lp(render_lp(model))
+    assert obj_ext == pytest.approx(solve_exact(model).objective, abs=1e-5)

@@ -181,7 +181,7 @@ class TestPiecewiseLoss:
 
     def test_degenerate_zero_std(self):
         pw = piecewise_loss(make_partition(6), 5.0, 0.0)
-        assert pw.breakpoints == (5.0,)
+        assert pw.breakpoints == (5.0,) * 6
         assert pw.error_bound == 0.0
         assert pw.lower(7.0) == 2.0
         assert pw.lower(3.0) == 0.0

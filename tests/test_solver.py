@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracle_support import brute_force_submodel
+from oracle_support import brute_force_submodel, full_enumeration
 from sspolicy.domain import make_instance
+from sspolicy.heuristics import bs_policy, mp_policy
 from sspolicy.model import (
     build_joint, build_minlp_s, build_minlp_S, build_segments,
 )
 from sspolicy.solver import (
-    ConvexPWL, HorizonTooLargeError, SolverError, import_solution, solve_exact,
+    ConvexPWL, HorizonTooLargeError, SolverError, _SubmodelEngine,
+    import_solution, solve_exact,
 )
 
 
@@ -101,6 +105,77 @@ class TestOracleEquivalence:
             assert res.status == "optimal"
             assert res.objective == pytest.approx(oracle[0], abs=5e-3), \
                 f"trial {trial}: T={T} K={K} h={h} b={b} c={c}"
+
+
+@st.composite
+def _submodel_cases(draw):
+    """Small instances with the search's edge cases: T = 1, K = 0, c > 0,
+    zero-sd periods, and free, pinned (also negative) or forced levels."""
+    T = draw(st.integers(1, 6))
+    K = draw(st.sampled_from([0.0, 40.0, 150.0]))
+    h = draw(st.floats(0.5, 2.0).map(lambda v: round(v, 2)))
+    b = draw(st.floats(2.0, 15.0).map(lambda v: round(v, 2)))
+    c = draw(st.sampled_from([0.0, 0.0, 1.5]))
+    means = draw(st.lists(st.floats(0, 30).map(lambda v: round(v, 1)),
+                          min_size=T, max_size=T))
+    cvs = draw(st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.4]),
+                        min_size=T, max_size=T))
+    inst = make_instance(horizon=T, K=K, h=h, b=b, c=c, means=means,
+                         std_devs=[m * v for m, v in zip(means, cvs)])
+    segs = build_segments(inst, segments=draw(st.integers(3, 7)))
+    kind = draw(st.sampled_from(["free", "pinned", "forced"]))
+    pin = None
+    if kind == "pinned":
+        pin = draw(st.floats(-30, 60).map(lambda v: round(v, 2)))
+    return inst, segs, kind, pin
+
+
+class TestPatternSearch:
+    @settings(max_examples=60, deadline=None)
+    @given(case=_submodel_cases())
+    def test_matches_full_enumeration(self, case):
+        """The bounded search returns exactly the full enumeration's winner,
+        and its cost is the brute-force optimum."""
+        inst, segs, kind, pin = case
+        if kind == "forced":
+            model, label = build_minlp_S(inst, segs), "S"
+        else:
+            model, label = build_minlp_s(inst, segs, initial_inventory=pin), "s"
+        reference = full_enumeration(_SubmodelEngine(model, label), pin)
+        found, nodes = _SubmodelEngine(model, label).enumerate(pin)
+        assert 1 <= nodes <= 2 ** (inst.horizon - 1)
+        assert found[0] == reference[0]
+        assert found[1] == reference[1]
+        assert np.array_equal(found[2], reference[2])
+        oracle = brute_force_submodel(inst, segs, first_order=kind == "forced",
+                                      fixed_i0=pin)
+        assert found[0] == pytest.approx(oracle[0], abs=5e-3)
+
+
+class TestZeroStdDev:
+    """A period with zero demand variance is a valid instance."""
+
+    @pytest.fixture(scope="class")
+    def instance(self):
+        return make_instance(3, K=100, h=1, b=10, c=0, means=[20, 30, 0],
+                             std_devs=[5, 7, 0])
+
+    def test_both_heuristics_solve(self, instance):
+        bs, mp = bs_policy(instance), mp_policy(instance)
+        for policy in (bs, mp):
+            assert policy.horizon == 3
+            assert all(s <= big_s for s, big_s in
+                       zip(policy.reorder_points, policy.order_up_to_levels))
+        # no demand left in period 3: order up to 0, reorder at -K/b
+        assert mp.pair(3) == pytest.approx((-10.0, 0.0), abs=1e-6)
+
+    @pytest.mark.parametrize("pin", [None, -12.5, 35.0])
+    def test_s_model_matches_brute_force(self, instance, pin):
+        segs = build_segments(instance, segments=11)
+        res = solve_exact(build_minlp_s(instance, segs, initial_inventory=pin))
+        oracle = brute_force_submodel(instance, segs, first_order=False,
+                                      fixed_i0=pin)
+        assert res.objective == pytest.approx(oracle[0], abs=5e-3)
 
 
 class TestJointSolve:
