@@ -20,9 +20,8 @@ import math
 from dataclasses import dataclass
 
 from .domain import Instance, PolicyParameters, validate
-from .loss import cached_partition
-from .model import build_joint, build_minlp_s, build_segments
-from .solver import ExactBackend
+from .model import build_joint, build_segments
+from .solver import CycleTable, ExactBackend
 
 
 @dataclass(frozen=True)
@@ -62,9 +61,10 @@ class HeuristicConfig:
         return -float(math.ceil(total_mean + 6.0 * total_sd))
 
 
-def _suffix_segments(instance: Instance, config: HeuristicConfig) -> dict:
-    partition, err = cached_partition(config.cells, config.strategy)
-    return build_segments(instance, partition=partition)
+def _cycle_table(instance: Instance, config: HeuristicConfig) -> CycleTable:
+    """The instance's segments, built once and read by every suffix."""
+    return CycleTable(instance, build_segments(
+        instance, segments=config.cells, strategy=config.strategy))
 
 
 def mp_policy(instance: Instance, config: HeuristicConfig | None = None,
@@ -73,11 +73,11 @@ def mp_policy(instance: Instance, config: HeuristicConfig | None = None,
     validate(instance)
     config = config or HeuristicConfig()
     backend = backend or ExactBackend()
+    table = _cycle_table(instance, config)
     ss, SS, costs = [], [], []
     for k in range(1, instance.horizon + 1):
-        suffix = instance.suffix(k)
-        segments = _suffix_segments(suffix, config)
-        model = build_joint(suffix, segments)
+        view = table.suffix(k)
+        model = build_joint(view.instance, view)
         try:
             result = backend.solve(model)
         except Exception as exc:
@@ -107,14 +107,14 @@ def bs_policy(instance: Instance, config: HeuristicConfig | None = None,
     validate(instance)
     config = config or HeuristicConfig()
     backend = backend or ExactBackend()
+    table = _cycle_table(instance, config)
     ss, SS, costs, flagged = [], [], [], []
     K = instance.costs.fixed
     for k in range(1, instance.horizon + 1):
-        suffix = instance.suffix(k)
-        segments = _suffix_segments(suffix, config)
-        model = build_minlp_s(suffix, segments)
+        view = table.suffix(k)
+        suffix = view.instance
         try:
-            evaluator = backend.evaluator(model)
+            evaluator = backend.evaluator(view)
             cost_up, _, y_levels, _ = evaluator.free_minimum()
         except Exception as exc:
             raise RuntimeError(f"suffix solve failed at k={k}: {exc}") from exc

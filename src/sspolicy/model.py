@@ -27,6 +27,7 @@ later, lower-variance cycle start).
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,6 +116,7 @@ class MilpModel:
     big_m: float = 0.0
     submodels: tuple = ()
     segment_count: int = 0
+    segments: Mapping = field(default_factory=dict)  # (j, t) -> PiecewiseLoss
 
     def add_var(self, name, lb=-math.inf, ub=math.inf, binary=False):
         self.variables[name] = (lb, ub)
@@ -168,6 +170,17 @@ def default_big_m(instance: Instance, fixed_i0: float | None = None) -> float:
     return total_mean + 6.0 * total_sd + extra
 
 
+def level_bounds(instance: Instance, big_m: float) -> tuple[float, float]:
+    """(lower, upper) bound of every inventory level of a submodel.
+
+    The reorder root can sit K/b below zero (the never-order band), and
+    closing levels run a full horizon of demand below the initial one.
+    """
+    costs = instance.costs
+    lower = -(big_m + costs.fixed / costs.penalty + sum(instance.means) + 10.0)
+    return lower, big_m + 10.0
+
+
 def _check_segments(instance: Instance, segments: dict) -> int:
     n_seg = None
     for t in range(1, instance.horizon + 1):
@@ -190,11 +203,7 @@ def _add_submodel(model: MilpModel, label: str, segments: dict,
     inst = model.instance
     T = inst.horizon
     costs = inst.costs
-    M = model.big_m
-    # the reorder root can sit K/b below zero (the never-order band), and
-    # closing levels run a full horizon of demand below the initial one
-    bound_lo = -(M + costs.fixed / costs.penalty + sum(inst.means) + 10.0)
-    bound_hi = M + 10.0
+    bound_lo, bound_hi = level_bounds(inst, model.big_m)
 
     i0 = f"I0_{label}"
     model.add_var(i0, bound_lo, bound_hi)
@@ -312,7 +321,8 @@ def build_minlp_s(instance: Instance, segments: dict,
     model = MilpModel(kind="s", horizon=instance.horizon, offset=1,
                       instance=instance,
                       big_m=default_big_m(instance, initial_inventory),
-                      submodels=("s",), segment_count=n_seg)
+                      submodels=("s",), segment_count=n_seg,
+                      segments=segments)
     _add_submodel(model, "s", segments, first_order=False,
                   fixed_i0=initial_inventory, objective_from=1)
     return model
@@ -325,7 +335,8 @@ def build_minlp_S(instance: Instance, segments: dict) -> MilpModel:
     n_seg = _check_segments(instance, segments)
     model = MilpModel(kind="S", horizon=instance.horizon, offset=1,
                       instance=instance, big_m=default_big_m(instance),
-                      submodels=("S",), segment_count=n_seg)
+                      submodels=("S",), segment_count=n_seg,
+                      segments=segments)
     _add_submodel(model, "S", segments, first_order=True,
                   fixed_i0=None, objective_from=1)
     model.rows.append(LinearRow(
@@ -346,7 +357,8 @@ def build_joint(instance: Instance, segments: dict) -> MilpModel:
     n_seg = _check_segments(instance, segments)
     model = MilpModel(kind="joint", horizon=instance.horizon, offset=1,
                       instance=instance, big_m=default_big_m(instance),
-                      submodels=("S", "s"), segment_count=n_seg)
+                      submodels=("S", "s"), segment_count=n_seg,
+                      segments=segments)
     terms_S = _add_submodel(model, "S", segments, first_order=True,
                             fixed_i0=None, objective_from=1)
     _add_submodel(model, "s", segments, first_order=False,

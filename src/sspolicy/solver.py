@@ -27,16 +27,32 @@ Joint models are solved as: optimize the forced-order side, then find the
 largest root of the no-order side's cost curve equal to that optimum at or
 below the order-up-to level (deterministic replacement for the solver's
 free root choice).
+
+Cycle data lives in a CycleTable, one per instance: its (j, t) segments and,
+built on first use, every cycle (j, e)'s convex cost, mean demand and free
+minimizer. The heuristics solve every suffix k..T, both submodels and every
+root-search step, from the one table through a SuffixView, which maps the
+suffix's local periods to the instance's by the offset k - 1. Sharing is
+exact: suffix k's (j, t) piece is the instance's (j + k - 1, t + k - 1)
+piece, the normal loss of the same demand slice summed in the same order, so
+a cycle's cost is the same function, built by the same operations, whichever
+suffix reads it. The unit cost's level terms depend only on whether the
+cycle opens the suffix and whether it closes the horizon, so they are keyed
+by that too. Level bounds differ per suffix and stay with its engine, which
+clamps the shared free minimizer to them exactly as ConvexPWL.minimize
+does. A model built from a plain segment dict gets a table of its own when
+it is solved.
 """
 from __future__ import annotations
 
 import math
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MilpModel, verify_assignment
+from .model import MilpModel, default_big_m, level_bounds, verify_assignment
 
 MAX_ENUMERATION_HORIZON = 16
 
@@ -92,8 +108,9 @@ class ConvexPWL:
         return ConvexPWL(self.slope, self.const - self.slope * delta,
                          self.kinks + delta, self.deltas)
 
-    def minimize(self, lo: float, hi: float, tol: float = 1e-11):
-        """(argmin, min) over [lo, hi]; flat minima return their midpoint.
+    def argmin(self, tol: float = 1e-11) -> float:
+        """Minimizer over the whole line; flat minima return their midpoint,
+        and f returns inf where it never rises, -inf where it never falls.
 
         Convexity makes the slope sequence nondecreasing, so the minimum
         region is bracketed by the last descending and first ascending
@@ -106,17 +123,109 @@ class ConvexPWL:
         neg = np.nonzero(slopes < -tol)[0]
         pos = np.nonzero(slopes > tol)[0]
         if pos.size == 0:
-            x = hi
-        elif neg.size == 0:
-            x = lo
-        else:
-            last_neg = neg[-1]
-            first_pos = pos[0]
-            left = kinks[last_neg]
-            right = kinks[first_pos - 1]
-            x = left if first_pos == last_neg + 1 else 0.5 * (left + right)
-        x = min(max(x, lo), hi)
+            return math.inf
+        if neg.size == 0:
+            return -math.inf
+        last_neg = neg[-1]
+        first_pos = pos[0]
+        left = kinks[last_neg]
+        right = kinks[first_pos - 1]
+        return left if first_pos == last_neg + 1 else 0.5 * (left + right)
+
+    def minimize(self, lo: float, hi: float, tol: float = 1e-11):
+        """(argmin, min) over [lo, hi]: the free argmin clamped to it."""
+        x = min(max(self.argmin(tol), lo), hi)
         return x, self(x)
+
+
+class CycleTable:
+    """Segment data and cycle costs of one instance, keyed by the instance's
+    own (1-based) periods; see the module docstring."""
+
+    def __init__(self, instance, segments: Mapping):
+        self.instance = instance
+        self.segments = segments  # (j, t) -> PiecewiseLoss
+        self._cycles: dict = {}
+        self._priced: dict = {}
+
+    def cycle(self, j: int, e: int) -> tuple:
+        """(cost, mean demand, largest and smallest demand shift) of cycle
+        j..e, its cost a function of the start-of-cycle level y."""
+        hit = self._cycles.get((j, e))
+        if hit is not None:
+            return hit
+        costs = self.instance.costs
+        b = costs.penalty
+        hb = costs.holding + b
+        total = ConvexPWL()
+        shifts = []
+        for t in range(j, e + 1):
+            pw = self.segments[(j, t)]
+            deltas = np.diff(np.asarray(pw.slopes)) * hb
+            f = ConvexPWL(0.0, hb * pw.error_bound, np.asarray(pw.breakpoints), deltas)
+            # b * B_t = b * (H_t - I_t) = b * (H_t - y + shift)
+            total = total.plus(f.plus_affine(-b, b * pw.mean))
+            shifts.append(pw.mean)
+        hit = (total, shifts[-1], max(shifts), min(shifts))
+        self._cycles[(j, e)] = hit
+        return hit
+
+    def priced(self, j: int, e: int, first: bool) -> tuple:
+        """(cost, argmin, min) of cycle j..e with the unit ordering cost,
+        which telescopes into the levels of a suffix's first cycle (`first`)
+        and of the horizon's last; argmin is ConvexPWL.argmin, and min is
+        the cost there (nan where argmin is infinite)."""
+        key = (j, e, first)
+        hit = self._priced.get(key)
+        if hit is not None:
+            return hit
+        f = self.cycle(j, e)[0]
+        c = self.instance.costs.unit
+        if c:
+            if first:
+                f = f.plus_affine(-c, 0.0)
+            if e == self.instance.horizon:
+                f = f.plus_affine(c, 0.0)
+        x = f.argmin()
+        hit = (f, x, f(x) if math.isfinite(x) else math.nan)
+        self._priced[key] = hit
+        return hit
+
+    def suffix(self, k: int) -> "SuffixView":
+        return SuffixView(self, k)
+
+
+class SuffixView(Mapping):
+    """Periods k..T of a CycleTable in the suffix's local periods 1..T-k+1.
+
+    A Mapping of local (j, t) to segment data, so the model builders take it
+    in place of a segment dict; `cycle` reads the shared cycle costs.
+    """
+
+    def __init__(self, table: CycleTable, k: int):
+        self.table = table
+        self.offset = k - 1
+        self.instance = table.instance if k == 1 else table.instance.suffix(k)
+        self.horizon = self.instance.horizon
+
+    def __getitem__(self, key):
+        j, t = key
+        if not 1 <= j <= t <= self.horizon:
+            raise KeyError(key)
+        return self.table.segments[(j + self.offset, t + self.offset)]
+
+    def __iter__(self):
+        return ((j, t) for t in range(1, self.horizon + 1)
+                for j in range(1, t + 1))
+
+    def __len__(self):
+        return self.horizon * (self.horizon + 1) // 2
+
+    def cycle(self, j: int, e: int) -> tuple:
+        return self.table.cycle(j + self.offset, e + self.offset)
+
+    def priced(self, j: int, e: int) -> tuple:
+        return self.table.priced(j + self.offset, e + self.offset, j == 1)
 
 
 @dataclass
@@ -124,37 +233,35 @@ class _Cycle:
     start: int           # local period j (1-based)
     end: int             # local period e
     orders: bool         # an order is placed at the start
-    cost: ConvexPWL      # cost as a function of the start-of-cycle level y
+    cost: ConvexPWL      # priced cost of the start-of-cycle level y
+    argmin: float        # cost.argmin() and the cost there
+    minimum: float
     mean_demand: float   # cumulative mean over the cycle
     y_lo: float
     y_hi: float
 
 
 class _SubmodelEngine:
-    """Order-pattern search for one submodel's rows of a MilpModel."""
+    """Order-pattern search for one submodel of a suffix.
 
-    def __init__(self, model: MilpModel, label: str):
-        self.model = model
-        self.label = label
-        inst = model.instance
+    `view` gives the suffix's instance and cycles, `bounds` the (lower,
+    upper) bound of every inventory level (model.level_bounds), and
+    `fixed_i0` pins the initial-level variable of a model that fixes it.
+    """
+
+    def __init__(self, view: SuffixView, first_order: bool, bounds: tuple,
+                 fixed_i0: float | None = None):
+        self.view = view
+        inst = view.instance
         self.T = inst.horizon
-        costs = inst.costs
-        self.K, self.c = costs.fixed, costs.unit
-        self.h, self.b = costs.holding, costs.penalty
-        self.means = inst.means
-        lb, ub = model.variables[f"I_{label}_1"]
-        self.inv_lo, self.inv_hi = lb, ub
-        i0lb, i0ub = model.variables[f"I0_{label}"]
-        self.i0_lo, self.i0_hi = i0lb, i0ub
+        self.K, self.c = inst.costs.fixed, inst.costs.unit
+        self.total_mean = sum(inst.means)
+        self.inv_lo, self.inv_hi = bounds
+        self.i0_lo, self.i0_hi = bounds if fixed_i0 is None else (fixed_i0, fixed_i0)
         # lowest pinnable no-order starting level: period 1's closing
         # inventory must stay within bounds for at least one pattern
         self.pin_lower = max(self.inv_lo + inst.means[0], self.i0_lo)
-        d1lb, _ = model.variables[f"delta_{label}_1"]
-        self.first_order = bool(round(d1lb))
-        self.rules = {}
-        for rule in model.piecewise:
-            if rule.selector.startswith(f"P_{label}_"):
-                self.rules[(rule.cycle_start, rule.period)] = rule
+        self.first_order = first_order
         self._cycle_cache: dict = {}
         self._relaxed: dict = {}  # cycle start -> (arc, reach), unpinned
 
@@ -163,23 +270,12 @@ class _SubmodelEngine:
         hit = self._cycle_cache.get(key)
         if hit is not None:
             return hit
-        total = ConvexPWL()
-        y_lo, y_hi = -math.inf, math.inf
-        hb = self.h + self.b
-        for t in range(j, e + 1):
-            rule = self.rules[(j, t)]
-            pw = rule.pieces
-            deltas = np.diff(np.asarray(pw.slopes)) * hb
-            f = ConvexPWL(0.0, hb * pw.error_bound, np.asarray(pw.breakpoints), deltas)
-            # b * B_t = b * (H_t - I_t) = b * (H_t - y + shift)
-            f = f.plus_affine(-self.b, self.b * rule.demand_shift)
-            total = total.plus(f)
-            # inventory bounds: I_t = y - shift within [inv_lo, inv_hi]
-            y_lo = max(y_lo, self.inv_lo + rule.demand_shift)
-            y_hi = min(y_hi, self.inv_hi + rule.demand_shift)
-        mean_d = self.rules[(j, e)].demand_shift
-        cyc = _Cycle(start=j, end=e, orders=orders, cost=total,
-                     mean_demand=mean_d, y_lo=y_lo, y_hi=y_hi)
+        _, mean_d, top_shift, low_shift = self.view.cycle(j, e)
+        cost, argmin, minimum = self.view.priced(j, e)
+        # inventory bounds: every I_t = y - shift within [inv_lo, inv_hi]
+        cyc = _Cycle(start=j, end=e, orders=orders, cost=cost, argmin=argmin,
+                     minimum=minimum, mean_demand=mean_d,
+                     y_lo=self.inv_lo + top_shift, y_hi=self.inv_hi + low_shift)
         self._cycle_cache[key] = cyc
         return cyc
 
@@ -191,17 +287,6 @@ class _SubmodelEngine:
             e = (starts[idx + 1] - 1) if idx + 1 < len(starts) else self.T
             cycles.append(self.cycle(j, e, orders=bool(deltas[j - 1])))
         return cycles
-
-    def _priced(self, cyc: _Cycle) -> ConvexPWL:
-        """Cycle cost plus the unit ordering cost, which telescopes into
-        the first and last cycle levels."""
-        f = cyc.cost
-        if self.c:
-            if cyc.start == 1:
-                f = f.plus_affine(-self.c, 0.0)
-            if cyc.end == self.T:
-                f = f.plus_affine(self.c, 0.0)
-        return f
 
     def solve_pattern(self, deltas: tuple, pinned_i0: float | None):
         """(cost, y-levels) for one order pattern, or None if infeasible.
@@ -216,7 +301,7 @@ class _SubmodelEngine:
         for i in range(1, m):
             offsets[i] = offsets[i - 1] + cycles[i - 1].mean_demand
         # in z = y + cumulative demand
-        funcs = [self._priced(cyc).shifted(offsets[i])
+        funcs = [cyc.cost.shifted(offsets[i])
                  for i, cyc in enumerate(cycles)]
         z_los = np.array([c.y_lo + offsets[i] for i, c in enumerate(cycles)])
         z_his = np.array([c.y_hi + offsets[i] for i, c in enumerate(cycles)])
@@ -268,7 +353,7 @@ class _SubmodelEngine:
         n_orders = sum(1 for c in cycles if c.orders)
         cost += self.K * n_orders
         if self.c:
-            cost += self.c * (sum(self.means) - cycles[-1].mean_demand)
+            cost += self.c * (self.total_mean - cycles[-1].mean_demand)
         return float(cost), y_opt, cycles
 
     def _arc(self, j: int, e: int, pin: float | None) -> float:
@@ -278,22 +363,23 @@ class _SubmodelEngine:
         cost's constant if it is the last cycle. math.inf where
         solve_pattern would find no level for it."""
         cyc = self.cycle(j, e, orders=j > 1 or self.first_order)
-        f = self._priced(cyc)
         lo, hi = cyc.y_lo, cyc.y_hi
         if j == 1:
             lo, hi = max(lo, self.i0_lo), min(hi, self.i0_hi)
         if pin is not None:
             if not (cyc.y_lo - 1e-9 <= pin <= cyc.y_hi + 1e-9):
                 return math.inf
-            value = f(pin)
+            value = cyc.cost(pin)
         elif lo > hi + 1e-9:
             return math.inf
         else:
-            _, value = f.minimize(lo - 1e-9, hi + 1e-9)
+            # ConvexPWL.minimize(lo - 1e-9, hi + 1e-9) from the shared argmin
+            x = min(max(cyc.argmin, lo - 1e-9), hi + 1e-9)
+            value = cyc.minimum if x == cyc.argmin else cyc.cost(x)
         if cyc.orders:
             value += self.K
         if e == self.T and self.c:
-            value += self.c * (sum(self.means) - cyc.mean_demand)
+            value += self.c * (self.total_mean - cyc.mean_demand)
         return value
 
     def _relaxation(self, j: int, pin: float | None = None):
@@ -384,8 +470,8 @@ class _SubmodelEngine:
         visit(2, 1, 0.0)
         return best, nodes
 
-    def assignment_for(self, deltas, y_opt, cycles) -> dict:
-        lab = self.label
+    def assignment_for(self, lab: str, deltas, y_opt, cycles) -> dict:
+        """Values of submodel `lab`'s variables for a solved pattern."""
         out = {}
         for t in range(1, self.T + 1):
             out[f"delta_{lab}_{t}"] = float(deltas[t - 1])
@@ -397,10 +483,10 @@ class _SubmodelEngine:
             if i == 0:
                 i0 = y  # forced-order models pin I0 to the first level
             for t in range(cyc.start, cyc.end + 1):
-                rule = self.rules[(cyc.start, t)]
+                pw = self.view[(cyc.start, t)]
                 out[f"P_{lab}_{cyc.start}_{t}"] = 1.0
-                inv = y - rule.demand_shift
-                h_val = float(rule.pieces.upper(y))
+                inv = y - pw.mean
+                h_val = float(pw.upper(y))
                 out[f"I_{lab}_{t}"] = inv
                 out[f"H_{lab}_{t}"] = h_val
                 out[f"B_{lab}_{t}"] = h_val - inv
@@ -412,10 +498,8 @@ class _SModelEvaluator:
     """Fast repeated evaluation of a no-first-order model's optimal cost as
     a function of the (fixed) initial inventory level."""
 
-    def __init__(self, model: MilpModel):
-        if "s" not in model.submodels:
-            raise SolverError("model has no no-first-order submodel")
-        self.engine = _SubmodelEngine(model, "s")
+    def __init__(self, engine: _SubmodelEngine):
+        self.engine = engine
         self.nodes = 0
 
     def free_minimum(self):
@@ -479,33 +563,44 @@ def _largest_root(g, target: float, hi: float, g_hi: float,
         width = max(width * 1e-4, 1e-9)
 
 
+def _cycle_view(model: MilpModel) -> SuffixView:
+    """The table view a model was built from, or a table of its own."""
+    if isinstance(model.segments, SuffixView):
+        return model.segments
+    return CycleTable(model.instance, model.segments).suffix(1)
+
+
 def solve_exact(model: MilpModel, tolerance: float = 1e-4) -> SolveResult:
     """Global optimum of the linearized model; see the module docstring."""
     start = time.perf_counter()
-    if model.kind in ("s", "S"):
-        engine = _SubmodelEngine(model, model.kind)
-        pinned = None
-        if model.kind == "s" and model.is_fixed("I0_s"):
-            pinned = model.variables["I0_s"][0]
-        best, nodes = engine.enumerate(pinned_i0=pinned)
-        if best is None:
-            return SolveResult(math.nan, {}, "infeasible", nodes,
-                               time.perf_counter() - start)
-        cost, deltas, y_opt, cycles = best
-        assignment = engine.assignment_for(deltas, y_opt, cycles)
-        if model.kind == "s" and pinned is not None:
-            assignment["I0_s"] = pinned
-        obj = model.objective_value(assignment)
-        _self_check(model, assignment, obj, cost)
-        return SolveResult(obj, assignment, "optimal", nodes,
-                           time.perf_counter() - start)
+    if model.kind not in ("s", "S", "joint"):
+        raise SolverError(f"unknown model kind {model.kind!r}")
+    view = _cycle_view(model)
+    bounds = level_bounds(model.instance, model.big_m)
     if model.kind == "joint":
-        return _solve_joint(model, tolerance, start)
-    raise SolverError(f"unknown model kind {model.kind!r}")
+        return _solve_joint(model, view, bounds, tolerance, start)
+    label = model.kind
+    pinned = None
+    if label == "s" and model.is_fixed("I0_s"):
+        pinned = model.variables["I0_s"][0]
+    engine = _SubmodelEngine(view, label == "S", bounds, pinned)
+    best, nodes = engine.enumerate(pinned_i0=pinned)
+    if best is None:
+        return SolveResult(math.nan, {}, "infeasible", nodes,
+                           time.perf_counter() - start)
+    cost, deltas, y_opt, cycles = best
+    assignment = engine.assignment_for(label, deltas, y_opt, cycles)
+    if pinned is not None:
+        assignment["I0_s"] = pinned
+    obj = model.objective_value(assignment)
+    _self_check(model, assignment, obj, cost)
+    return SolveResult(obj, assignment, "optimal", nodes,
+                       time.perf_counter() - start)
 
 
-def _solve_joint(model: MilpModel, tolerance: float, start: float) -> SolveResult:
-    engine_S = _SubmodelEngine(model, "S")
+def _solve_joint(model: MilpModel, view: SuffixView, bounds: tuple,
+                 tolerance: float, start: float) -> SolveResult:
+    engine_S = _SubmodelEngine(view, True, bounds)
     best_S, nodes = engine_S.enumerate(pinned_i0=None)
     if best_S is None:
         return SolveResult(math.nan, {}, "infeasible", nodes,
@@ -513,7 +608,7 @@ def _solve_joint(model: MilpModel, tolerance: float, start: float) -> SolveResul
     cost_S, deltas_S, y_S, cycles_S = best_S
     s_up = float(y_S[0])  # order-up-to level: the pinned I0_S
 
-    evaluator = _SModelEvaluator(model)
+    evaluator = _SModelEvaluator(_SubmodelEngine(view, False, bounds))
     cache: dict = {}
 
     def g(x: float) -> float:
@@ -530,8 +625,8 @@ def _solve_joint(model: MilpModel, tolerance: float, start: float) -> SolveResul
 
     cost_s, deltas_s, y_s, cycles_s = cache[root] if root in cache \
         else evaluator.cost_at(root)
-    assignment = engine_S.assignment_for(deltas_S, y_S, cycles_S)
-    assignment.update(evaluator.engine.assignment_for(deltas_s, y_s, cycles_s))
+    assignment = engine_S.assignment_for("S", deltas_S, y_S, cycles_S)
+    assignment.update(evaluator.engine.assignment_for("s", deltas_s, y_s, cycles_s))
     assignment["I0_s"] = float(root)
     assignment["C_S"] = float(cost_S)
     assignment["G_s"] = float(g_root)
@@ -610,5 +705,8 @@ class ExactBackend:
     def solve(self, model: MilpModel) -> SolveResult:
         return solve_exact(model, tolerance=self.tolerance)
 
-    def evaluator(self, model: MilpModel) -> _SModelEvaluator:
-        return _SModelEvaluator(model)
+    def evaluator(self, view: SuffixView) -> _SModelEvaluator:
+        """The no-first-order model of a suffix, as build_minlp_s would
+        build it with a free initial level, evaluated from the view."""
+        bounds = level_bounds(view.instance, default_big_m(view.instance))
+        return _SModelEvaluator(_SubmodelEngine(view, False, bounds))

@@ -7,12 +7,19 @@ from oracle_support import brute_force_submodel, full_enumeration
 from sspolicy.domain import make_instance
 from sspolicy.heuristics import bs_policy, mp_policy
 from sspolicy.model import (
-    build_joint, build_minlp_s, build_minlp_S, build_segments,
+    build_joint, build_minlp_s, build_minlp_S, build_segments, level_bounds,
 )
 from sspolicy.solver import (
-    ConvexPWL, HorizonTooLargeError, SolverError, _SubmodelEngine,
+    ConvexPWL, CycleTable, HorizonTooLargeError, SolverError, _SubmodelEngine,
     import_solution, solve_exact,
 )
+
+
+def _engine(model, pin=None):
+    """The engine solve_exact searches for a one-submodel model."""
+    return _SubmodelEngine(CycleTable(model.instance, model.segments).suffix(1),
+                           model.kind == "S",
+                           level_bounds(model.instance, model.big_m), pin)
 
 
 @pytest.fixture(scope="module")
@@ -138,11 +145,11 @@ class TestPatternSearch:
         and its cost is the brute-force optimum."""
         inst, segs, kind, pin = case
         if kind == "forced":
-            model, label = build_minlp_S(inst, segs), "S"
+            model = build_minlp_S(inst, segs)
         else:
-            model, label = build_minlp_s(inst, segs, initial_inventory=pin), "s"
-        reference = full_enumeration(_SubmodelEngine(model, label), pin)
-        found, nodes = _SubmodelEngine(model, label).enumerate(pin)
+            model = build_minlp_s(inst, segs, initial_inventory=pin)
+        reference = full_enumeration(_engine(model, pin), pin)
+        found, nodes = _engine(model, pin).enumerate(pin)
         assert 1 <= nodes <= 2 ** (inst.horizon - 1)
         assert found[0] == reference[0]
         assert found[1] == reference[1]
