@@ -86,7 +86,8 @@ def _cmd_solve(args) -> int:
         else bs_policy(instance, config)
     _print_policy(policy)
     if policy.flagged_periods:
-        print(f"# approximate convergence in periods {policy.flagged_periods}")
+        print("# reorder point not bracketed from below (search lower bound "
+              f"too high) in periods {policy.flagged_periods}")
     if args.out:
         write_policy_csv(policy, args.out)
         print(f"policy written to {args.out}")

@@ -88,8 +88,8 @@ class PolicyParameters:
     # Optional per-period cost estimate reported by the method that built the
     # policy (e.g. the linked cost of a suffix model); not used in simulation.
     costs: tuple[float, ...] = ()
-    # Periods where the producing method flagged approximate convergence /
-    # possible multiple roots (1-based indices).
+    # Periods where the producing method flagged an unreliable pair, e.g. a
+    # root its search never bracketed (1-based indices).
     flagged_periods: tuple[int, ...] = ()
 
     def __post_init__(self):

@@ -53,12 +53,19 @@ class HeuristicConfig:
         return 1.0 if suffix_horizon > self.long_horizon_cutoff else 0.1
 
     def lower_bound_for(self, instance: Instance) -> float:
-        """A large negative integer below any reachable pre-order level."""
+        """A negative integer strictly below any reorder point.
+
+        The root can sit K/b below the lowest demand-driven level: with no
+        demand left it is exactly -K/b, where the cost only equals the
+        target, so the bound keeps one more unit below it.
+        """
         if self.bs_lower_bound is not None:
             return self.bs_lower_bound
         total_mean = sum(instance.means)
         total_sd = math.sqrt(sum(s * s for s in instance.std_devs))
-        return -float(math.ceil(total_mean + 6.0 * total_sd))
+        costs = instance.costs
+        reach = total_mean + 6.0 * total_sd + costs.fixed / costs.penalty
+        return -float(math.ceil(reach) + 1)
 
 
 def _cycle_table(instance: Instance, config: HeuristicConfig) -> CycleTable:
@@ -101,8 +108,10 @@ def bs_policy(instance: Instance, config: HeuristicConfig | None = None,
     Per suffix: minimize with a free initial level to get the order-up-to
     level S_k and its cost; then bisect the fixed initial level until the
     cost exceeds the minimum by K within the configured tolerance band.
-    Brackets that empty without hitting the band return their midpoint and
-    flag the period.
+    Brackets that empty without hitting the band return their midpoint, a
+    step from the root. A period is flagged only when no evaluated level
+    cost more than the target, so the lower bound never bracketed the root.
+    No MilpModel is built: the evaluator reads the instance's cycle table.
     """
     validate(instance)
     config = config or HeuristicConfig()
@@ -132,6 +141,7 @@ def bs_policy(instance: Instance, config: HeuristicConfig | None = None,
         low = config.lower_bound_for(suffix)
         high = s_up
         found = None
+        bracketed = False  # some evaluated level costs more than the target
         while low < high:
             span = high - low
             if span >= 2.0:
@@ -147,13 +157,16 @@ def bs_policy(instance: Instance, config: HeuristicConfig | None = None,
                 break
             if gap > tol:
                 low = mid + step
+                bracketed = True
             else:
                 high = mid - step
         if found is None:
-            # bracket emptied without entering the tolerance band: take its
-            # midpoint and surface the approximate convergence
+            # the bracket emptied between two evaluated sides, so the root
+            # lies within a step of its midpoint; without a level above the
+            # target the lower bound never bracketed the root: flag it
             found = 0.5 * (low + high)
-            flagged.append(k)
+            if not bracketed:
+                flagged.append(k)
         ss.append(min(found, s_up))
         SS.append(s_up)
         costs.append(target)

@@ -50,9 +50,14 @@ class TestConfig:
         assert cfg.step_for(8) == 0.1
         assert cfg.step_for(25) == 1.0
 
-    def test_lower_bound_is_negative_integer(self, example4):
+    def test_lower_bound_brackets_never_order_root(self, example4):
+        """A negative integer K/b plus one unit below the demand reach, so
+        it lies below -K/b even with no demand left."""
         low = HeuristicConfig().lower_bound_for(example4)
-        assert low == -float(math.ceil(160 + 6 * math.sqrt(450)))
+        assert low == -float(math.ceil(160 + 6 * math.sqrt(450) + 100 / 10) + 1)
+        empty = make_instance(horizon=1, K=100, h=1, b=10, c=0, means=[0],
+                              std_devs=[0])
+        assert HeuristicConfig().lower_bound_for(empty) < -100 / 10
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -115,11 +120,11 @@ class TestBinarySearchHeuristic:
             assert got == pytest.approx(want, abs=3)
 
     def test_close_to_joint_heuristic(self, bs4, mp4):
-        for t, (a, b) in enumerate(zip(bs4.reorder_points, mp4.reorder_points),
-                                   start=1):
-            if t in bs4.flagged_periods and abs(a - b) > 0.5:
-                continue  # multiple-root periods are exempt
-            assert abs(a - b) <= 0.5
+        """Every root is bracketed, so no period is flagged and the reorder
+        points agree to the 0.01 search step."""
+        assert bs4.flagged_periods == ()
+        for a, b in zip(bs4.reorder_points, mp4.reorder_points):
+            assert abs(a - b) <= 0.01
 
     def test_zero_fixed_cost_immediate(self):
         inst = make_instance(horizon=2, K=0, h=1, b=10, c=0,

@@ -167,14 +167,25 @@ class TestZeroStdDev:
         return make_instance(3, K=100, h=1, b=10, c=0, means=[20, 30, 0],
                              std_devs=[5, 7, 0])
 
-    def test_both_heuristics_solve(self, instance):
-        bs, mp = bs_policy(instance), mp_policy(instance)
+    @pytest.fixture(scope="class")
+    def policies(self, instance):
+        return bs_policy(instance), mp_policy(instance)
+
+    def test_both_heuristics_solve(self, policies):
+        bs, mp = policies
         for policy in (bs, mp):
             assert policy.horizon == 3
             assert all(s <= big_s for s, big_s in
                        zip(policy.reorder_points, policy.order_up_to_levels))
         # no demand left in period 3: order up to 0, reorder at -K/b
         assert mp.pair(3) == pytest.approx((-10.0, 0.0), abs=1e-6)
+
+    def test_binary_search_brackets_never_order_root(self, policies):
+        """The bisection's lower bound sits below -K/b, so bs finds the
+        period-3 root within one 0.1 step instead of stopping at 0."""
+        bs, mp = policies
+        assert abs(bs.reorder_points[2] - mp.reorder_points[2]) <= 0.1
+        assert bs.flagged_periods == ()
 
     @pytest.mark.parametrize("pin", [None, -12.5, 35.0])
     def test_s_model_matches_brute_force(self, instance, pin):
