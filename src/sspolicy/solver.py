@@ -245,19 +245,18 @@ class _SubmodelEngine:
     """Order-pattern search for one submodel of a suffix.
 
     `view` gives the suffix's instance and cycles, `bounds` the (lower,
-    upper) bound of every inventory level (model.level_bounds), and
-    `fixed_i0` pins the initial-level variable of a model that fixes it.
+    upper) bound of every inventory level, the initial one included
+    (model.level_bounds). A fixed initial level is passed to `enumerate`.
     """
 
-    def __init__(self, view: SuffixView, first_order: bool, bounds: tuple,
-                 fixed_i0: float | None = None):
+    def __init__(self, view: SuffixView, first_order: bool, bounds: tuple):
         self.view = view
         inst = view.instance
         self.T = inst.horizon
         self.K, self.c = inst.costs.fixed, inst.costs.unit
         self.total_mean = sum(inst.means)
         self.inv_lo, self.inv_hi = bounds
-        self.i0_lo, self.i0_hi = bounds if fixed_i0 is None else (fixed_i0, fixed_i0)
+        self.i0_lo, self.i0_hi = bounds
         # lowest pinnable no-order starting level: period 1's closing
         # inventory must stay within bounds for at least one pattern
         self.pin_lower = max(self.inv_lo + inst.means[0], self.i0_lo)
@@ -583,7 +582,7 @@ def solve_exact(model: MilpModel, tolerance: float = 1e-4) -> SolveResult:
     pinned = None
     if label == "s" and model.is_fixed("I0_s"):
         pinned = model.variables["I0_s"][0]
-    engine = _SubmodelEngine(view, label == "S", bounds, pinned)
+    engine = _SubmodelEngine(view, label == "S", bounds)
     best, nodes = engine.enumerate(pinned_i0=pinned)
     if best is None:
         return SolveResult(math.nan, {}, "infeasible", nodes,

@@ -5,21 +5,21 @@ from hypothesis import strategies as st
 
 from oracle_support import brute_force_submodel, full_enumeration
 from sspolicy.domain import make_instance
-from sspolicy.heuristics import bs_policy, mp_policy
+from sspolicy.heuristics import HeuristicConfig, bs_policy, mp_policy
 from sspolicy.model import (
     build_joint, build_minlp_s, build_minlp_S, build_segments, level_bounds,
 )
 from sspolicy.solver import (
-    ConvexPWL, CycleTable, HorizonTooLargeError, SolverError, _SubmodelEngine,
-    import_solution, solve_exact,
+    ConvexPWL, CycleTable, ExactBackend, HorizonTooLargeError, SolverError,
+    _SModelEvaluator, _SubmodelEngine, import_solution, solve_exact,
 )
 
 
-def _engine(model, pin=None):
+def _engine(model):
     """The engine solve_exact searches for a one-submodel model."""
     return _SubmodelEngine(CycleTable(model.instance, model.segments).suffix(1),
                            model.kind == "S",
-                           level_bounds(model.instance, model.big_m), pin)
+                           level_bounds(model.instance, model.big_m))
 
 
 @pytest.fixture(scope="module")
@@ -148,8 +148,8 @@ class TestPatternSearch:
             model = build_minlp_S(inst, segs)
         else:
             model = build_minlp_s(inst, segs, initial_inventory=pin)
-        reference = full_enumeration(_engine(model, pin), pin)
-        found, nodes = _engine(model, pin).enumerate(pin)
+        reference = full_enumeration(_engine(model), pin)
+        found, nodes = _engine(model).enumerate(pin)
         assert 1 <= nodes <= 2 ** (inst.horizon - 1)
         assert found[0] == reference[0]
         assert found[1] == reference[1]
@@ -157,6 +157,61 @@ class TestPatternSearch:
         oracle = brute_force_submodel(inst, segs, first_order=kind == "forced",
                                       fixed_i0=pin)
         assert found[0] == pytest.approx(oracle[0], abs=5e-3)
+
+
+@st.composite
+def _policy_cases(draw):
+    """Small instances for the shared cycle table: T = 1-6, K = 0, c > 0,
+    zero-sd periods, zero-mean tails and negative initial inventory."""
+    T = draw(st.integers(1, 6))
+    means = draw(st.lists(st.floats(0, 30).map(lambda v: round(v, 1)),
+                          min_size=T, max_size=T))
+    tail = draw(st.integers(0, min(2, T - 1)))
+    means = means[:T - tail] + [0.0] * tail
+    cvs = draw(st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.4]),
+                        min_size=T, max_size=T))
+    inst = make_instance(
+        horizon=T, K=draw(st.sampled_from([0.0, 40.0, 150.0])),
+        h=draw(st.floats(0.5, 2.0).map(lambda v: round(v, 2))),
+        b=draw(st.floats(2.0, 15.0).map(lambda v: round(v, 2))),
+        c=draw(st.sampled_from([0.0, 1.5])), means=means,
+        std_devs=[m * v for m, v in zip(means, cvs)],
+        initial_inventory=draw(st.sampled_from([0.0, -12.5, 20.0])))
+    return inst, HeuristicConfig(segments=draw(st.integers(3, 7)))
+
+
+def _same_solution(a, b):
+    return a[0] == b[0] and a[1] == b[1] and np.array_equal(a[2], b[2])
+
+
+class TestSharedCycleTable:
+    @settings(max_examples=30, deadline=None)
+    @given(case=_policy_cases())
+    def test_suffixes_match_fresh_models(self, case):
+        """Every suffix solved from the instance's one table gives exactly
+        what a model built from the suffix's own segments gives."""
+        inst, config = case
+        partition = dict(segments=config.cells, strategy=config.strategy)
+        table = CycleTable(inst, build_segments(inst, **partition))
+        mp = mp_policy(inst, config)
+        for k in range(1, inst.horizon + 1):
+            suffix = inst.suffix(k)
+            segs = build_segments(suffix, **partition)
+            view = table.suffix(k)
+            assert dict(view) == segs  # the premise: re-keyed pieces agree
+            shared = ExactBackend().evaluator(view)
+            fresh = _SModelEvaluator(_engine(build_minlp_s(suffix, segs)))
+            best = shared.free_minimum()
+            assert _same_solution(best, fresh.free_minimum())
+            s_up = float(best[2][0])
+            k_over_b = suffix.costs.fixed / suffix.costs.penalty
+            for x in (s_up, s_up - 0.5 * k_over_b, s_up - k_over_b - 1.0,
+                      0.0, -7.25):
+                assert _same_solution(shared.cost_at(x), fresh.cost_at(x))
+            assert shared.nodes == fresh.nodes  # the same bounds pruned
+            res = solve_exact(build_joint(suffix, segs))
+            assert mp.pair(k) == (res.value("I0_s"), res.value("I0_S"))
+            assert mp.costs[k - 1] == res.value("C_S")
 
 
 class TestZeroStdDev:
