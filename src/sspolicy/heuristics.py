@@ -161,9 +161,9 @@ def bs_policy(instance: Instance, config: HeuristicConfig | None = None,
             else:
                 high = mid - step
         if found is None:
-            # the bracket emptied between two evaluated sides, so the root
-            # lies within a step of its midpoint; without a level above the
-            # target the lower bound never bracketed the root: flag it
+            # the bracket emptied without entering the tolerance band: with a
+            # level above the target on its low side, its midpoint is within
+            # a step of the root; without one, the root was never bracketed
             found = 0.5 * (low + high)
             if not bracketed:
                 flagged.append(k)
