@@ -80,7 +80,7 @@ def _cmd_solve(args) -> int:
             path = f"{args.out_dir}/suffix_{k:02d}_{model.kind}.lp"
             export_lp(model, path)
             print(f"wrote {path}")
-        print("export-only mode: no solving performed")
+        print("lp-export mode: no solving performed")
         return EXIT_OK
     policy = mp_policy(instance, config) if args.method == "mp" \
         else bs_policy(instance, config)
@@ -125,7 +125,7 @@ def _cmd_benchmark(args) -> int:
     config = BenchmarkConfig(
         horizon=int(doc.get("horizon", 8)),
         patterns=tuple(doc.get("patterns", BenchmarkConfig.patterns)),
-        fixed_costs=tuple(doc.get("K", BenchmarkConfig.fixed_costs)),
+        fixed_costs=tuple(doc["K"]) if "K" in doc else None,
         penalty_costs=tuple(doc.get("b", BenchmarkConfig.penalty_costs)),
         cvs=tuple(doc.get("cv", BenchmarkConfig.cvs)),
         methods=tuple(doc.get("methods", ("bs",))),
@@ -134,7 +134,6 @@ def _cmd_benchmark(args) -> int:
         bs_step_size=doc.get("bs_step_size"),
         replications=int(doc.get("replications", 10000)),
         seed=int(doc["seed"]),
-        allow_export_only=bool(args.allow_lp_export),
     )
     import os
     os.makedirs(args.out_dir, exist_ok=True)
@@ -201,8 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="restrict the penalty-cost grid")
     p_bench.add_argument("--cv", nargs="+", type=float,
                          help="restrict the coefficient-of-variation grid")
-    p_bench.add_argument("--allow-lp-export", action="store_true",
-                         help="permit 25-period export-only configs")
     p_bench.set_defaults(func=_cmd_benchmark)
     return parser
 
@@ -215,8 +212,7 @@ def main(argv=None) -> int:
     except (ValidationError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (SolverError, GridTooSmallError, NotImplementedError,
-            RuntimeError, ValueError) as exc:
+    except (SolverError, GridTooSmallError, RuntimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

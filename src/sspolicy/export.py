@@ -118,7 +118,7 @@ class _LpWriter:
                 for rule in rules:
                     pw = rule.pieces
                     slope = pw.slopes[i]
-                    icpt = float(pw.segment_intercepts()[i]) + pw.error_bound
+                    icpt = float(pw.segment_intercepts[i]) + pw.error_bound
                     const = slope * rule.demand_shift + icpt
                     coeffs.append((rule.selector, -const))
                     for edge in (ilb, iub):

@@ -23,23 +23,21 @@ from .domain import Instance, PolicyParameters, validate
 from .model import build_joint, build_segments
 from .solver import CycleTable, ExactBackend
 
+BS_TOLERANCE = 1e-4       # equality band of the binary search
+LONG_HORIZON_CUTOFF = 15  # suffixes longer than this search on step 1
+
 
 @dataclass(frozen=True)
 class HeuristicConfig:
     segments: int = 11                 # linear segments = support cells + 1
     strategy: str = "equal-probability"
     bs_step_size: float | None = None  # None: resolved per suffix horizon
-    bs_lower_bound: float | None = None
-    tolerance: float = 1e-4            # equality band of the binary search
-    long_horizon_cutoff: int = 15      # suffixes longer than this use step 1
 
     def __post_init__(self):
         if self.segments < 3:
             raise ValueError("need at least 3 linear segments (2 cells)")
         if self.bs_step_size is not None and self.bs_step_size <= 0:
             raise ValueError("bs_step_size must be positive")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
 
     @property
     def cells(self) -> int:
@@ -50,7 +48,7 @@ class HeuristicConfig:
         short ones accurate."""
         if self.bs_step_size is not None:
             return self.bs_step_size
-        return 1.0 if suffix_horizon > self.long_horizon_cutoff else 0.1
+        return 1.0 if suffix_horizon > LONG_HORIZON_CUTOFF else 0.1
 
     def lower_bound_for(self, instance: Instance) -> float:
         """A negative integer strictly below any reorder point.
@@ -59,8 +57,6 @@ class HeuristicConfig:
         demand left it is exactly -K/b, where the cost only equals the
         target, so the bound keeps one more unit below it.
         """
-        if self.bs_lower_bound is not None:
-            return self.bs_lower_bound
         total_mean = sum(instance.means)
         total_sd = math.sqrt(sum(s * s for s in instance.std_devs))
         costs = instance.costs
@@ -107,7 +103,7 @@ def bs_policy(instance: Instance, config: HeuristicConfig | None = None,
 
     Per suffix: minimize with a free initial level to get the order-up-to
     level S_k and its cost; then bisect the fixed initial level until the
-    cost exceeds the minimum by K within the configured tolerance band.
+    cost exceeds the minimum by K within the BS_TOLERANCE band.
     Brackets that empty without hitting the band return their midpoint, a
     step from the root. A period is flagged only when no evaluated level
     cost more than the target, so the lower bound never bracketed the root.
@@ -130,9 +126,8 @@ def bs_policy(instance: Instance, config: HeuristicConfig | None = None,
         s_up = float(y_levels[0])
         target = cost_up + K
         step = config.step_for(suffix.horizon)
-        tol = config.tolerance
 
-        if K <= tol:
+        if K <= BS_TOLERANCE:
             ss.append(s_up)
             SS.append(s_up)
             costs.append(target)
@@ -152,10 +147,10 @@ def bs_policy(instance: Instance, config: HeuristicConfig | None = None,
                 mid = low + max(1, round(span / (2.0 * step))) * step
             mid = min(max(mid, low), high)
             gap = evaluator.cost_at(mid)[0] - target
-            if abs(gap) <= tol:
+            if abs(gap) <= BS_TOLERANCE:
                 found = mid
                 break
-            if gap > tol:
+            if gap > BS_TOLERANCE:
                 low = mid + step
                 bracketed = True
             else:

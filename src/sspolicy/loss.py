@@ -15,7 +15,7 @@ consume these as segment slopes, breakpoints and an anchor value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import optimize
@@ -200,11 +200,15 @@ class PiecewiseLoss:
     def segment_count(self) -> int:
         return len(self.slopes)
 
+    @cached_property
     def segment_intercepts(self) -> np.ndarray:
-        """Intercepts c_i with lower(x) = max_i(slopes[i] * x + c_i)."""
+        """Intercepts c_i with lower(x) = max_i(slopes[i] * x + c_i),
+        computed once per piece and read-only."""
         p = np.diff(np.asarray(self.slopes))
         x = np.asarray(self.breakpoints)
-        return np.concatenate(([0.0], -np.cumsum(p * x)))
+        out = np.concatenate(([0.0], -np.cumsum(p * x)))
+        out.flags.writeable = False
+        return out
 
     def lower(self, x):
         """Jensen lower bound of complementary_loss(x, mean, std_dev)."""

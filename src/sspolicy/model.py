@@ -293,7 +293,7 @@ def _emit_segment_cuts(model: MilpModel, label: str, t: int, segments: dict):
         pw = segments[(j, t)]
         if pw.segment_count != n_seg:
             raise ValueError(f"segment count mismatch at (j={j}, t={t})")
-        per_j.append((j, np.asarray(pw.slopes), pw.segment_intercepts(),
+        per_j.append((j, np.asarray(pw.slopes), pw.segment_intercepts,
                       pw.mean, pw.error_bound))
     for i in range(n_seg):
         h_coeffs = [(f"H_{label}_{t}", 1.0)]

@@ -54,15 +54,9 @@ import numpy as np
 
 from .model import MilpModel, default_big_m, level_bounds, verify_assignment
 
-MAX_ENUMERATION_HORIZON = 16
-
 
 class SolverError(RuntimeError):
     pass
-
-
-class HorizonTooLargeError(SolverError):
-    """Enumeration bound exceeded; export the model and use an external solver."""
 
 
 @dataclass(frozen=True)
@@ -256,10 +250,9 @@ class _SubmodelEngine:
         self.K, self.c = inst.costs.fixed, inst.costs.unit
         self.total_mean = sum(inst.means)
         self.inv_lo, self.inv_hi = bounds
-        self.i0_lo, self.i0_hi = bounds
         # lowest pinnable no-order starting level: period 1's closing
         # inventory must stay within bounds for at least one pattern
-        self.pin_lower = max(self.inv_lo + inst.means[0], self.i0_lo)
+        self.pin_lower = self.inv_lo + inst.means[0]
         self.first_order = first_order
         self._cycle_cache: dict = {}
         self._relaxed: dict = {}  # cycle start -> (arc, reach), unpinned
@@ -305,8 +298,8 @@ class _SubmodelEngine:
         z_los = np.array([c.y_lo + offsets[i] for i, c in enumerate(cycles)])
         z_his = np.array([c.y_hi + offsets[i] for i, c in enumerate(cycles)])
         # the first level doubles as the initial-inventory variable
-        z_los[0] = max(z_los[0], self.i0_lo)
-        z_his[0] = min(z_his[0], self.i0_hi)
+        z_los[0] = max(z_los[0], self.inv_lo)
+        z_his[0] = min(z_his[0], self.inv_hi)
         pin = None
         if pinned_i0 is not None and not cycles[0].orders:
             pin = pinned_i0
@@ -328,7 +321,7 @@ class _SubmodelEngine:
                 if blocks[i][3] > blocks[i + 1][3] + 1e-9:
                     a, b = blocks[i], blocks[i + 1]
                     f = a[2].plus(b[2])
-                    lo = max(z_los[a[0]:b[1] + 1].max(), -np.inf)
+                    lo = z_los[a[0]:b[1] + 1].max()
                     hi = z_his[a[0]:b[1] + 1].min()
                     if a[4]:
                         z = a[3]
@@ -364,7 +357,7 @@ class _SubmodelEngine:
         cyc = self.cycle(j, e, orders=j > 1 or self.first_order)
         lo, hi = cyc.y_lo, cyc.y_hi
         if j == 1:
-            lo, hi = max(lo, self.i0_lo), min(hi, self.i0_hi)
+            lo, hi = max(lo, self.inv_lo), min(hi, self.inv_hi)
         if pin is not None:
             if not (cyc.y_lo - 1e-9 <= pin <= cyc.y_hi + 1e-9):
                 return math.inf
@@ -413,10 +406,6 @@ class _SubmodelEngine:
         nodes counting the distinct patterns passed to solve_pattern.
         """
         T = self.T
-        if T > MAX_ENUMERATION_HORIZON:
-            raise HorizonTooLargeError(
-                f"horizon {T} exceeds the enumeration bound "
-                f"{MAX_ENUMERATION_HORIZON}; use export_lp and an external solver")
         pin = None if self.first_order else pinned_i0
         first_row = self._relaxation(1, pin)
         if first_row[1][2] == math.inf:

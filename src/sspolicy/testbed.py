@@ -120,7 +120,7 @@ DEFAULT_CV = (0.1, 0.2, 0.3)
 class BenchmarkConfig:
     horizon: int = 8
     patterns: tuple[str, ...] = PATTERNS
-    fixed_costs: tuple[float, ...] = DEFAULT_K[8]
+    fixed_costs: tuple[float, ...] | None = None  # None: DEFAULT_K[horizon]
     penalty_costs: tuple[float, ...] = DEFAULT_B
     cvs: tuple[float, ...] = DEFAULT_CV
     methods: tuple[str, ...] = ("bs",)
@@ -132,11 +132,12 @@ class BenchmarkConfig:
     bs_step_size: float | None = None
     replications: int = 10000
     seed: int = 20240101
-    allow_export_only: bool = False
 
     def __post_init__(self):
         if self.horizon not in (8, 25):
             raise ValueError("horizon must be 8 or 25")
+        if self.fixed_costs is None:
+            object.__setattr__(self, "fixed_costs", DEFAULT_K[self.horizon])
         for p in self.patterns:
             if p not in PATTERNS:
                 raise ValueError(f"unknown pattern {p!r}")
@@ -303,21 +304,8 @@ def write_summary_csv(report: BenchmarkReport, path) -> None:
 
 def run_benchmark(config: BenchmarkConfig, jobs: int = 1,
                   detail_path=None) -> BenchmarkReport:
-    """Run the configured slice of the grid; resumes from detail_path.
-
-    25-period grids have no in-repo oracle or solver path (the enumeration
-    bound stops at 16 periods); they are export-only and rejected unless
-    the config opts in.
-    """
-    if config.horizon == 25 and not config.allow_export_only:
-        raise ValueError(
-            "the 25-period bed needs an external MIP solver via LP export; "
-            "set allow_export_only=True (CLI: --allow-lp-export) to emit "
-            "model files instead of gaps")
-    if config.horizon == 25:
-        raise NotImplementedError(
-            "export-only 25-period runs are driven through the CLI solve "
-            "command with --backend lp-export, one instance at a time")
+    """Run the configured slice of the grid, 8- or 25-period alike;
+    resumes from detail_path."""
     instances = build_instances(config)
     done: dict = {}
     if detail_path is not None and os.path.exists(detail_path):

@@ -1,12 +1,12 @@
 """Acceptance suite: one test per criterion, each printing a PASS line with
 the measured values (run with -s to see them on success).
 
-Criterion 9 declares the intentionally non-reproducible pieces: published
-wall-clock tables are hardware-specific and are not checked anywhere, and
-25-period benchmark runs require an external MIP solver via LP export, so
-the harness refuses them unless the export-only flag is set. The full
-270-instance gap study is optional; set SSPOLICY_FULL_BENCHMARK=1 to
-include it.
+Criterion 9 runs a 25-period instance through the gap study with both
+heuristics, checks that the long-horizon LP export still works, and declares
+the one intentionally non-reproducible piece: published wall-clock tables
+are hardware-specific and are not checked anywhere. The full 270-instance
+gap studies, 8- and 25-period, are optional; set SSPOLICY_FULL_BENCHMARK=1
+to include them.
 """
 import os
 import statistics
@@ -133,18 +133,22 @@ def test_criterion_4_gap_slices(pattern, published_mean):
 
 
 @pytest.mark.skipif(not os.environ.get("SSPOLICY_FULL_BENCHMARK"),
-                    reason="full 270-instance study is optional; "
+                    reason="full 270-instance studies are optional; "
                            "set SSPOLICY_FULL_BENCHMARK=1")
-def test_criterion_4_full_grid_optional():
-    config = BenchmarkConfig(methods=("bs",), replications=10000,
-                             segments=11, strategy="minimax", seed=20240101)
+@pytest.mark.parametrize("horizon,methods", [(8, ("bs",)), (25, ("bs", "mp"))],
+                         ids=["8-period", "25-period"])
+def test_criterion_4_full_grid_optional(horizon, methods):
+    config = BenchmarkConfig(horizon=horizon, methods=methods,
+                             replications=10000, segments=11,
+                             strategy="minimax", seed=20240101)
     report = run_benchmark(config, jobs=os.cpu_count() or 1)
-    gaps = report.ok_gaps("bs")
-    assert len(gaps) == 270
-    mean = statistics.mean(gaps)
-    assert mean <= 1.0
-    print(f"\n[acceptance] criterion 4 (full) PASS: overall mean gap "
-          f"{mean:.3f}% over 270 instances")
+    for method in methods:
+        gaps = report.ok_gaps(method)
+        assert len(gaps) == 270, method
+        mean = statistics.mean(gaps)
+        assert mean <= 1.0, method
+        print(f"\n[acceptance] criterion 4 (full, {horizon} periods) PASS: "
+              f"{method} mean gap {mean:.3f}% over 270 instances")
 
 
 def test_criterion_5_loss_suite():
@@ -232,16 +236,20 @@ def test_criterion_8_k_convexity_sta_slice():
 
 
 def test_criterion_9_declared_limits(tmp_path):
-    """Wall-clock tables are not reproduced anywhere (hardware-specific),
-    and 25-period benchmark runs are gated behind the export-only opt-in."""
-    config = BenchmarkConfig(horizon=25, patterns=("STA",))
-    with pytest.raises(ValueError, match="external MIP solver"):
-        run_benchmark(config)
-    gated = BenchmarkConfig(horizon=25, patterns=("STA",),
-                            allow_export_only=True)
-    with pytest.raises(NotImplementedError, match="export"):
-        run_benchmark(gated)
-    # the export path itself works at the long horizon
+    """25-period instances run through the gap study like 8-period ones;
+    wall-clock tables are not reproduced anywhere (hardware-specific)."""
+    config = BenchmarkConfig(horizon=25, patterns=("STA",),
+                             fixed_costs=(500.0,), penalty_costs=(10.0,),
+                             cvs=(0.1,), methods=("bs", "mp"),
+                             replications=10000, segments=11,
+                             strategy="minimax", seed=20240101)
+    report = run_benchmark(config)
+    assert [(r.method, r.status) for r in report.results] == \
+        [("bs", "ok"), ("mp", "ok")]
+    for row in report.results:
+        se_pct = 100.0 * row.sim_stderr / row.oracle_cost
+        assert -3.0 * se_pct <= row.gap_pct < 1.0, row.method
+    # the export path works at the long horizon too
     from sspolicy.domain import make_instance as mk
     from sspolicy.export import export_lp
     from sspolicy.testbed import demand_means
@@ -251,5 +259,6 @@ def test_criterion_9_declared_limits(tmp_path):
     path = tmp_path / "suffix_01_s.lp"
     export_lp(build_minlp_s(inst, segs), path)
     assert path.stat().st_size > 0
-    print("\n[acceptance] criterion 9 PASS: 25-period runs are export-only "
-          "and gated; wall-clock tables are declared out of scope")
+    gaps = ", ".join(f"{r.method} {r.gap_pct:.3f}%" for r in report.results)
+    print(f"\n[acceptance] criterion 9 PASS: 25-period STA gaps {gaps}; "
+          "LP export works; wall-clock tables are declared out of scope")

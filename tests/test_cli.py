@@ -5,6 +5,7 @@ import pytest
 from sspolicy.cli import main
 from sspolicy.domain import make_instance, write_instance
 from sspolicy.heuristics import read_policy_csv
+from sspolicy.testbed import read_detail_csv
 
 
 @pytest.fixture()
@@ -132,13 +133,20 @@ def test_benchmark_requires_seed(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
-def test_benchmark_25_period_gate(tmp_path, capsys):
+def test_benchmark_25_period_slice(tmp_path, capsys):
+    """A 25-period config runs like an 8-period one."""
     cfg_path = tmp_path / "bench25.json"
-    cfg_path.write_text(json.dumps({"horizon": 25, "patterns": ["STA"],
-                                    "seed": 1}))
-    rc = main(["benchmark", str(cfg_path), "--out-dir", str(tmp_path / "o")])
-    assert rc == 4
-    assert "allow-lp-export" in capsys.readouterr().err.replace("_", "-")
+    cfg_path.write_text(json.dumps({"horizon": 25, "methods": ["bs", "mp"],
+                                    "replications": 2000, "seed": 1}))
+    rc = main(["benchmark", str(cfg_path), "--out-dir", str(tmp_path / "o"),
+               "--patterns", "STA", "--K", "500", "--b", "10", "--cv", "0.1"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "2 rows (0 failures)" in out
+    rows = read_detail_csv(tmp_path / "o" / "detail.csv")
+    assert [(r.instance_id, r.method, r.status) for r in rows] == [
+        ("h25-STA-K500-b10-cv0.1", "bs", "ok"),
+        ("h25-STA-K500-b10-cv0.1", "mp", "ok")]
 
 
 def test_bundled_example_instance(capsys):

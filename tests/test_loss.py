@@ -175,9 +175,12 @@ class TestPiecewiseLoss:
         pw = piecewise_loss(make_partition(6), 25.0, 9.0)
         xs = np.linspace(-20.0, 80.0, 501)
         slopes = np.asarray(pw.slopes)
-        icpt = pw.segment_intercepts()
+        icpt = pw.segment_intercepts
         via_max = np.max(xs[:, None] * slopes + icpt, axis=1)
         assert np.allclose(via_max, pw.lower(xs), atol=1e-10)
+        # computed once per piece, shared read-only by every caller
+        assert pw.segment_intercepts is icpt
+        assert not icpt.flags.writeable
 
     def test_degenerate_zero_std(self):
         pw = piecewise_loss(make_partition(6), 5.0, 0.0)

@@ -3,14 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lp_support import solve_lp
 from oracle_support import brute_force_submodel, full_enumeration
 from sspolicy.domain import make_instance
+from sspolicy.export import render_lp
 from sspolicy.heuristics import HeuristicConfig, bs_policy, mp_policy
 from sspolicy.model import (
     build_joint, build_minlp_s, build_minlp_S, build_segments, level_bounds,
 )
 from sspolicy.solver import (
-    ConvexPWL, CycleTable, ExactBackend, HorizonTooLargeError, SolverError,
+    ConvexPWL, CycleTable, ExactBackend, SolverError,
     _SModelEvaluator, _SubmodelEngine, import_solution, solve_exact,
 )
 
@@ -281,12 +283,16 @@ class TestJointSolve:
 
 
 class TestLimitsAndErrors:
-    def test_horizon_bound(self):
+    def test_17_period_matches_external_solver(self):
+        """No horizon bound: a 17-period model, past what a full enumeration
+        handles quickly, solves to HiGHS's optimum on its exported LP."""
         inst = make_instance(horizon=17, K=10, h=1, b=5, c=0,
                              means=[10] * 17, cv=0.1)
-        segs = build_segments(inst, segments=3)
-        with pytest.raises(HorizonTooLargeError, match="export_lp"):
-            solve_exact(build_minlp_s(inst, segs))
+        model = build_minlp_s(inst, build_segments(inst, segments=3))
+        res = solve_exact(model)
+        assert res.status == "optimal"
+        obj_ext, _ = solve_lp(render_lp(model))
+        assert res.objective == pytest.approx(obj_ext, abs=1e-6)
 
     def test_unknown_kind(self, example4, segments4):
         model = build_minlp_s(example4, segments4)

@@ -33,8 +33,7 @@ class TestDemandPatterns:
             demand_means("STA", 12)
 
     def test_emp_trailing_zeros_have_zero_sd(self):
-        config = BenchmarkConfig(horizon=25, patterns=("EMP2",),
-                                 allow_export_only=True)
+        config = BenchmarkConfig(horizon=25, patterns=("EMP2",))
         inst = build_instances(config)[0]
         assert inst.demands[-1].mean == 0
         assert inst.demands[-1].std_dev == 0
@@ -43,6 +42,12 @@ class TestDemandPatterns:
 class TestInstanceGrid:
     def test_default_grid_size(self):
         assert len(build_instances(BenchmarkConfig())) == 270
+
+    def test_25_period_default_grid(self):
+        instances = build_instances(BenchmarkConfig(horizon=25))
+        assert len(instances) == 270
+        assert {i.costs.fixed for i in instances} == {500.0, 1000.0, 1500.0}
+        assert {i.horizon for i in instances} == {25}
 
     def test_single_pattern_slice(self):
         cfg = BenchmarkConfig(patterns=("STA",))
@@ -139,11 +144,6 @@ class TestBenchmarkRun:
         s = {(r.instance_id, r.method): r.gap_pct for r in serial.results}
         p = {(r.instance_id, r.method): r.gap_pct for r in parallel.results}
         assert s == p
-
-    def test_25_period_gated(self):
-        cfg = BenchmarkConfig(horizon=25, patterns=("STA",))
-        with pytest.raises(ValueError, match="external MIP solver"):
-            run_benchmark(cfg)
 
 
 def test_summary_is_exact_mean_of_detail(small_report):
