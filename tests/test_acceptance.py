@@ -27,7 +27,7 @@ from sspolicy.model import (build_joint, build_minlp_S, build_minlp_s,
 from sspolicy.sdp import check_k_convexity, cost_to_go, solve_sdp
 from sspolicy.simulate import simulate_policy
 from sspolicy.solver import solve_exact
-from sspolicy.testbed import BenchmarkConfig, run_benchmark
+from sspolicy.testbed import BenchmarkConfig, build_instances, run_benchmark
 
 TABLE_S = (15.0008, 29.0161, 58.1089, 29.0161)
 TABLE_BIG_S = (70.2658, 53.9768, 116.5530, 53.9768)
@@ -221,7 +221,6 @@ def test_criterion_7_simulator_consistency(example4, sdp4):
 
 def test_criterion_8_k_convexity_sta_slice():
     config = BenchmarkConfig(patterns=("STA",))
-    from sspolicy.testbed import build_instances
     checked = 0
     for inst in build_instances(config):
         sol = solve_sdp(inst)
@@ -250,11 +249,8 @@ def test_criterion_9_declared_limits(tmp_path):
         se_pct = 100.0 * row.sim_stderr / row.oracle_cost
         assert -3.0 * se_pct <= row.gap_pct < 1.0, row.method
     # the export path works at the long horizon too
-    from sspolicy.domain import make_instance as mk
     from sspolicy.export import export_lp
-    from sspolicy.testbed import demand_means
-    inst = mk(horizon=25, K=500, h=1, b=10, c=0,
-              means=demand_means("STA", 25), cv=0.1)
+    (inst,) = build_instances(config)
     segs = build_segments(inst, segments=4)
     path = tmp_path / "suffix_01_s.lp"
     export_lp(build_minlp_s(inst, segs), path)
