@@ -47,8 +47,10 @@ def _cmd_sdp(args) -> int:
     if args.grid_step != 1.0:
         grid = default_grid(instance, step=args.grid_step)
     solution = solve_sdp(instance, grid=grid, demand_truncation=args.truncation)
+    levels = solution.grid.size
     print(f"# instance {args.instance} horizon {instance.horizon} "
-          f"grid step {solution.grid.step}")
+          f"grid step {solution.grid.step} levels {levels} "
+          f"level-atom cells {levels * sum(solution.demand_atoms)}")
     _print_policy(solution.policy, costs_label="reorder_cost")
     print(f"expected cost from I0={instance.initial_inventory:g}: "
           f"{solution.expected_cost:.4f}")

@@ -7,7 +7,9 @@ Computes, for every period t and grid level y, the cost-to-go after ordering
 and the optimal value C_t(x) = min(G_t(x), K + min_{y >= x} G_t(y)) - c*x,
 then extracts the per-period (s_t, S_t) policy. Demand is discretized to
 grid-step cells with normal CDF mass, truncated at a far quantile and at
-zero, then renormalized.
+zero, then renormalized. Per period, prefix sums over these atoms give the
+stage cost, and one convolution of C_{t+1}, extended below the grid by its
+linear tail, gives the continuation.
 """
 from __future__ import annotations
 
@@ -103,6 +105,7 @@ class SdpSolution:
     policy: PolicyParameters
     expected_cost: float      # C_1 at the instance's initial inventory
     demand_truncation: float
+    demand_atoms: tuple[int, ...]  # discretized demand atoms per period
 
     def g_minimum(self, t: int) -> float:
         return float(self.g_tables[t - 1].min())
@@ -136,35 +139,29 @@ def solve_sdp(instance: Instance, grid: InventoryGrid | None = None,
 
     g_tables = np.empty((T, n))
     c_tables = np.empty((T, n))
-    c_next = np.zeros(n)
+    demand = [discretize_demand(d.mean, d.std_dev, step, demand_truncation)
+              for d in instance.demands]
 
     for t in range(T, 0, -1):
-        d = instance.demands[t - 1]
-        dv, dp = discretize_demand(d.mean, d.std_dev, step, demand_truncation)
-        shifts = np.rint(dv / step).astype(int)
-        # expected one-period holding/penalty at post-order level y
-        diff = levels[:, None] - dv[None, :]
-        stage = (h * np.maximum(diff, 0.0) + b * np.maximum(-diff, 0.0)) @ dp
-        # expected continuation E[C_{t+1}(y - d)]; below-grid states are in
-        # the ordering region where C extends linearly with slope -c
-        cont = np.zeros(n)
+        dv, dp = demand[t - 1]
+        # stage cost via E[(y - d)^+] = y*F[k] - M[k] over the k atoms <= y
+        k = np.searchsorted(dv, levels, "right")
+        F = np.concatenate(([0.0], np.cumsum(dp)))
+        M = np.concatenate(([0.0], np.cumsum(dp * dv)))
+        stage = (h + b) * (levels * F[k] - M[k]) + b * (M[-1] - levels)
+        g = c * levels + stage
         if t < T:
-            idx = np.arange(n)
-            for k, p in zip(shifts, dp):
-                j = idx - k
-                clipped = np.maximum(j, 0)
-                vals = c_next[clipped]
-                under = j < 0
-                if np.any(under):
-                    vals = vals + np.where(under, c * step * (-j), 0.0)
-                cont += p * vals
-        g = c * levels + stage + cont
+            # + E[C_{t+1}(y - d)]; below-grid states are in the ordering
+            # region, where C_{t+1} extends linearly with slope -c
+            shifts = np.rint(dv / step).astype(int)
+            kernel = np.bincount(shifts - shifts[0], weights=dp)
+            tail = c_tables[t][0] + c * step * np.arange(shifts[-1], 0, -1)
+            ext = np.concatenate((tail, c_tables[t]))[:n + kernel.size - 1]
+            g = g + np.convolve(ext, kernel, "valid")
         # suffix minimum from the right: best order-up-to cost from each x
         best_up = np.minimum.accumulate(g[::-1])[::-1]
-        c_now = np.minimum(g, K + best_up) - c * levels
         g_tables[t - 1] = g
-        c_tables[t - 1] = c_now
-        c_next = c_now
+        c_tables[t - 1] = np.minimum(g, K + best_up) - c * levels
 
     policy = _extract_policy_arrays(instance, grid, g_tables)
     i0_idx = grid.index_of(_snap(instance.initial_inventory, grid))
@@ -172,7 +169,8 @@ def solve_sdp(instance: Instance, grid: InventoryGrid | None = None,
     return SdpSolution(instance=instance, grid=grid, g_tables=g_tables,
                        c_tables=c_tables, policy=policy,
                        expected_cost=expected,
-                       demand_truncation=demand_truncation)
+                       demand_truncation=demand_truncation,
+                       demand_atoms=tuple(dv.size for dv, _ in demand))
 
 
 def _snap(y: float, grid: InventoryGrid) -> float:

@@ -197,7 +197,13 @@ def run_instance(config: BenchmarkConfig, instance: Instance) -> list:
     """All requested methods on one instance; failures are recorded rows."""
     results = []
     seed = instance_seed(config.seed, instance.name)
-    oracle = solve_sdp(instance)
+    try:
+        oracle = solve_sdp(instance)
+    except Exception as exc:  # no gap without the oracle: every method fails
+        status = f"failed: oracle: {type(exc).__name__}: {exc}"
+        return [InstanceResult(instance_id=instance.name, method=method,
+                               status=status, seed=seed)
+                for method in config.methods]
     hcfg = config.heuristic_config()
     for method in config.methods:
         try:

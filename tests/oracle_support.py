@@ -8,12 +8,18 @@ every partial demand sum, so piecewise-linear optima are captured exactly.
 
 full_enumeration is the solver's pattern search without its bound: every
 pattern, in lexicographic order, through the engine's own solve_pattern.
+
+dense_sdp_tables is the SDP oracle's backward pass done the direct way: a
+dense levels x atoms stage-cost matrix and one shifted lookup of the next
+period's cost per demand atom.
 """
 from __future__ import annotations
 
 import itertools
 
 import numpy as np
+
+from sspolicy.sdp import discretize_demand
 
 
 def _cycle_cost_fn(instance, segments, j, e):
@@ -129,3 +135,47 @@ def full_enumeration(engine, pinned_i0=None):
         if best is None or cost < best[0] - 1e-12:
             best = (cost, deltas, y_opt, cycles)
     return best
+
+
+def dense_sdp_tables(instance, grid, truncation):
+    """(g_tables, c_tables) of sspolicy.sdp.solve_sdp's backward pass,
+    computed densely over every (level, demand atom) pair."""
+    costs = instance.costs
+    K, c, h, b = costs.fixed, costs.unit, costs.holding, costs.penalty
+    levels = grid.levels()
+    n = levels.size
+    T = instance.horizon
+    step = grid.step
+
+    g_tables = np.empty((T, n))
+    c_tables = np.empty((T, n))
+    c_next = np.zeros(n)
+
+    for t in range(T, 0, -1):
+        d = instance.demands[t - 1]
+        dv, dp = discretize_demand(d.mean, d.std_dev, step, truncation)
+        shifts = np.rint(dv / step).astype(int)
+        # expected one-period holding/penalty at post-order level y
+        diff = levels[:, None] - dv[None, :]
+        stage = (h * np.maximum(diff, 0.0) + b * np.maximum(-diff, 0.0)) @ dp
+        # expected continuation E[C_{t+1}(y - d)]; below-grid states are in
+        # the ordering region where C extends linearly with slope -c
+        cont = np.zeros(n)
+        if t < T:
+            idx = np.arange(n)
+            for k, p in zip(shifts, dp):
+                j = idx - k
+                clipped = np.maximum(j, 0)
+                vals = c_next[clipped]
+                under = j < 0
+                if np.any(under):
+                    vals = vals + np.where(under, c * step * (-j), 0.0)
+                cont += p * vals
+        g = c * levels + stage + cont
+        # suffix minimum from the right: best order-up-to cost from each x
+        best_up = np.minimum.accumulate(g[::-1])[::-1]
+        c_now = np.minimum(g, K + best_up) - c * levels
+        g_tables[t - 1] = g
+        c_tables[t - 1] = c_now
+        c_next = c_now
+    return g_tables, c_tables

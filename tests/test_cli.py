@@ -3,8 +3,9 @@ import json
 import pytest
 
 from sspolicy.cli import main
-from sspolicy.domain import make_instance, write_instance
+from sspolicy.domain import make_instance, read_instance, write_instance
 from sspolicy.heuristics import read_policy_csv
+from sspolicy.sdp import default_grid, discretize_demand
 from sspolicy.testbed import read_detail_csv
 
 
@@ -22,6 +23,13 @@ def test_sdp_command(example4_file, tmp_path, capsys):
     rc = main(["sdp", str(example4_file), "--dump-g", str(g_csv)])
     out = capsys.readouterr().out
     assert rc == 0
+    header = out.splitlines()[0].split()
+    inst = read_instance(example4_file)
+    levels = default_grid(inst).size
+    atoms = sum(discretize_demand(d.mean, d.std_dev, 1.0, 0.9999)[0].size
+                for d in inst.demands)
+    assert header[-5:] == ["levels", str(levels), "level-atom", "cells",
+                           str(levels * atoms)]
     lines = [ln.split() for ln in out.splitlines() if ln.strip()]
     row1 = next(ln for ln in lines if ln[0] == "1")
     assert float(row1[1]) == 14.0

@@ -1,11 +1,18 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracle_support import dense_sdp_tables
 from sspolicy.domain import make_instance
 from sspolicy.sdp import (
-    GridTooSmallError, InventoryGrid, check_k_convexity, default_grid,
-    discretize_demand, extract_policy, cost_to_go, solve_sdp, write_g_curve,
+    GridTooSmallError, InventoryGrid, _extract_policy_arrays,
+    check_k_convexity, default_grid, discretize_demand, extract_policy,
+    cost_to_go, solve_sdp, write_g_curve,
 )
+from sspolicy.testbed import BenchmarkConfig, build_instances
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +97,81 @@ class TestTrivialCases:
         dearer = make_instance(horizon=4, K=150, h=1, b=10, c=0,
                                means=[20, 40, 60, 40], cv=0.25)
         assert solve_sdp(dearer).expected_cost >= base - 1e-9
+
+
+@st.composite
+def _sdp_cases(draw):
+    """Small instances for the backward pass: T = 1-5, K = 0, c > 0,
+    zero-sd and zero-mean periods, negative initial inventory, grid steps
+    1 and 0.5, and explicit grids whose lower bound is off the step."""
+    T = draw(st.integers(1, 5))
+    means = draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(0, 40).map(lambda v: round(v, 1))),
+        min_size=T, max_size=T))
+    cvs = draw(st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.4]),
+                        min_size=T, max_size=T))
+    inst = make_instance(
+        horizon=T, K=draw(st.sampled_from([0.0, 40.0, 150.0])),
+        h=draw(st.floats(0.5, 2.0).map(lambda v: round(v, 2))),
+        b=draw(st.floats(2.0, 15.0).map(lambda v: round(v, 2))),
+        c=draw(st.sampled_from([0.0, 1.5])), means=means,
+        std_devs=[m * v for m, v in zip(means, cvs)],
+        initial_inventory=draw(st.sampled_from([0.0, -12.5, 20.0])))
+    step = draw(st.sampled_from([1.0, 0.5]))
+    grid = default_grid(inst, step=step)
+    if draw(st.booleans()):
+        # off-step bounds, and up to 8 steps cut from below so that some
+        # grids are too small for the policy
+        trim = draw(st.integers(0, 8)) + 0.3
+        grid = InventoryGrid(grid.lower + trim * step,
+                             grid.upper + 0.3 * step, step)
+    return inst, grid
+
+
+def _assert_matches_dense(solution, g_ref, c_ref):
+    """Tables equal up to rounding, policies exactly."""
+    name = solution.instance.name
+    for got, ref in ((solution.g_tables, g_ref), (solution.c_tables, c_ref)):
+        assert np.all(np.abs(got - ref)
+                      <= 1e-12 * np.maximum(1, np.abs(ref))), name
+    policy = _extract_policy_arrays(solution.instance, solution.grid, g_ref)
+    assert solution.policy.reorder_points == policy.reorder_points, name
+    assert (solution.policy.order_up_to_levels
+            == policy.order_up_to_levels), name
+
+
+class TestDensePassReference:
+    @settings(max_examples=80, deadline=None)
+    @given(case=_sdp_cases())
+    def test_matches_dense_pass(self, case):
+        """solve_sdp's tables equal the dense levels x atoms pass up to
+        rounding, and both give the same policy or both find the grid too
+        small."""
+        inst, grid = case
+        g_ref, c_ref = dense_sdp_tables(inst, grid, 0.9999)
+        try:
+            solution = solve_sdp(inst, grid=grid)
+        except GridTooSmallError:
+            with pytest.raises(GridTooSmallError):
+                _extract_policy_arrays(inst, grid, g_ref)
+            return
+        _assert_matches_dense(solution, g_ref, c_ref)
+        assert solution.demand_atoms == tuple(
+            discretize_demand(d.mean, d.std_dev, grid.step, 0.9999)[0].size
+            for d in inst.demands)
+
+
+@pytest.mark.skipif(not os.environ.get("SSPOLICY_FULL_BENCHMARK"),
+                    reason="the dense pass over 270 instances takes minutes; "
+                           "set SSPOLICY_FULL_BENCHMARK=1")
+@pytest.mark.parametrize("horizon", [8, 25], ids=["8-period", "25-period"])
+def test_full_grid_matches_dense_pass(horizon):
+    """Every grid instance of the gap study: same policy as the dense pass,
+    tables (so the expected cost) equal up to rounding."""
+    for inst in build_instances(BenchmarkConfig(horizon=horizon)):
+        solution = solve_sdp(inst)
+        _assert_matches_dense(
+            solution, *dense_sdp_tables(inst, solution.grid, 0.9999))
 
 
 class TestGridAndDemand:
