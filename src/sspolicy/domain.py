@@ -100,6 +100,12 @@ class PolicyParameters:
         if len(self.reorder_points) != len(self.order_up_to_levels):
             raise ValidationError("reorder_points and order_up_to_levels length mismatch")
         for t, (s, big_s) in enumerate(zip(self.reorder_points, self.order_up_to_levels), start=1):
+            # s_t = -inf (never order) is allowed; NaN compares false
+            # everywhere, so a NaN s_t would silently never order
+            if math.isnan(s):
+                raise ValidationError(f"reorder point s_{t} is NaN")
+            if not math.isfinite(big_s):
+                raise ValidationError(f"order-up-to level S_{t} = {big_s} is not finite")
             if s > big_s + 1e-9:
                 raise ValidationError(f"s_{t} = {s} exceeds S_{t} = {big_s}")
 
@@ -128,6 +134,10 @@ def validate(instance: Instance) -> Instance:
         raise ValidationError(f"non-positive holding cost h = {c.holding}")
     if not math.isfinite(c.penalty) or c.penalty <= 0:
         raise ValidationError(f"non-positive penalty cost b = {c.penalty}")
+    if c.unit >= c.penalty:
+        raise ValidationError(
+            f"unit cost c = {c.unit} is not below penalty b = {c.penalty}: "
+            "the last period would never order")
     for t, d in enumerate(instance.demands, start=1):
         if not math.isfinite(d.mean) or d.mean < 0:
             raise ValidationError(f"negative mean demand in period {t}: {d.mean}")

@@ -11,6 +11,14 @@ normals, so one uniform per (replication, period). Results are therefore
 bit-identical however the replications are chunked or distributed.
 Negative demand draws are truncated to zero and the truncation frequency
 is reported.
+
+Replications are priced in blocks of at most chunk_size. Each block's
+demands fill a preallocated period-major (T, chunk_size) array in place,
+so period t's draws are one contiguous row, and the period loop updates
+the block's levels and costs in place with one scratch vector. Transient
+memory is therefore bounded by a few chunk_size × T arrays (the demand
+block, 1.6 MB at the default 8192 and T = 25, and the raw Philox words for
+it), which stay in a core's L2 cache, plus one cost per replication.
 """
 from __future__ import annotations
 
@@ -49,29 +57,15 @@ class GapEstimate:
     oracle_cost: float
 
 
-def _demand_uniforms(seed: int, start: int, count: int, horizon: int) -> np.ndarray:
-    """Uniforms for replications [start, start + count), shape (count, T).
-
-    Each replication owns ceil(T / 4) Philox counter blocks; chunk
-    boundaries therefore never change the draws.
-    """
-    blocks_per_rep = (horizon + 3) // 4
-    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
-    counter = np.zeros(4, dtype=np.uint64)
-    counter[0] = np.uint64(start * blocks_per_rep)
-    bg = np.random.Philox(key=key, counter=counter)
-    raw = bg.random_raw(4 * blocks_per_rep * count)
-    words = raw.reshape(count, 4 * blocks_per_rep)[:, :horizon]
-    return (words >> _U64_11) * _INV_2_53
-
-
 def simulate_policy(instance: Instance, policy: PolicyParameters,
                     replications: int, seed: int,
-                    chunk_size: int = 65536) -> SimulationResult:
+                    chunk_size: int = 8192) -> SimulationResult:
     """Mean total cost and its standard error under the given policy."""
     validate(instance)
     if replications < 1:
         raise ValueError("need at least one replication")
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
     if policy.horizon != instance.horizon:
         raise ValueError(
             f"policy horizon {policy.horizon} does not match instance "
@@ -79,34 +73,66 @@ def simulate_policy(instance: Instance, policy: PolicyParameters,
     T = instance.horizon
     costs = instance.costs
     K, c, h, b = costs.fixed, costs.unit, costs.holding, costs.penalty
-    means = np.asarray(instance.means)
-    sds = np.asarray(instance.std_devs)
-    ss = np.asarray(policy.reorder_points)
-    big_ss = np.asarray(policy.order_up_to_levels)
+    means = np.asarray(instance.means, dtype=float)[:, None]
+    sds = np.asarray(instance.std_devs, dtype=float)[:, None]
+    ss = policy.reorder_points
+    big_ss = policy.order_up_to_levels
+    # each replication owns ceil(T / 4) Philox counter blocks, so chunk
+    # boundaries never change the draws
+    blocks_per_rep = (T + 3) // 4
+    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
 
     # one cost per replication, reduced once at the end so the statistics
     # do not depend on how the work was chunked
     all_costs = np.empty(replications)
+    width = min(chunk_size, replications)
+    demand_block = np.empty((T, width))
+    level_block = np.empty(width)
+    scratch_block = np.empty(width)
+    ordering_block = np.empty(width, dtype=bool)
     truncated = 0
     done = 0
     while done < replications:
         n = min(chunk_size, replications - done)
-        uniforms = _demand_uniforms(seed, done, n, T)
-        z = ndtri(np.maximum(uniforms, _MIN_UNIFORM))
-        demands = means + sds * z
+        counter = np.zeros(4, dtype=np.uint64)
+        counter[0] = np.uint64(done * blocks_per_rep)
+        raw = np.random.Philox(key=key, counter=counter).random_raw(
+            4 * blocks_per_rep * n).reshape(n, 4 * blocks_per_rep)
+        raw >>= _U64_11
+        # period-major demands: row t holds period t's draws
+        demands = demand_block[:, :n]
+        np.multiply(raw[:, :T].T, _INV_2_53, out=demands)
+        np.maximum(demands, _MIN_UNIFORM, out=demands)
+        ndtri(demands, out=demands)
+        demands *= sds
+        demands += means
         truncated += int(np.count_nonzero(demands < 0.0))
         np.maximum(demands, 0.0, out=demands)
 
-        level = np.full(n, float(instance.initial_inventory))
-        cost = np.zeros(n)
+        level = level_block[:n]
+        scratch = scratch_block[:n]
+        ordering = ordering_block[:n]
+        cost = all_costs[done:done + n]
+        level.fill(instance.initial_inventory)
+        cost.fill(0.0)
         for t in range(T):
-            ordering = level <= ss[t]
-            if np.any(ordering):
-                cost += ordering * (K + c * (big_ss[t] - level))
-                level = np.where(ordering, big_ss[t], level)
-            level = level - demands[:, t]
-            cost += h * np.maximum(level, 0.0) + b * np.maximum(-level, 0.0)
-        all_costs[done:done + n] = cost
+            np.less_equal(level, ss[t], out=ordering)
+            if ordering.any():
+                np.subtract(big_ss[t], level, out=scratch)
+                scratch *= c
+                scratch += K
+                np.add(cost, scratch, out=cost, where=ordering)
+                np.copyto(level, big_ss[t], where=ordering)
+            level -= demands[t]
+            # holding, then shortage: one of the two terms is exactly 0, so
+            # adding them one at a time gives the bits of adding their sum
+            np.maximum(level, 0.0, out=scratch)
+            scratch *= h
+            cost += scratch
+            np.negative(level, out=scratch)
+            np.maximum(scratch, 0.0, out=scratch)
+            scratch *= b
+            cost += scratch
         done += n
 
     mean = float(all_costs.mean())

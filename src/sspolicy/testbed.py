@@ -25,7 +25,7 @@ import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .domain import Instance, make_instance, validate
+from .domain import CostParameters, Instance, NormalDemand
 from .heuristics import HeuristicConfig, bs_policy, mp_policy
 from .sdp import solve_sdp
 from .simulate import estimate_gap
@@ -159,20 +159,22 @@ def instance_seed(master_seed: int, iid: str) -> int:
 
 
 def build_instances(config: BenchmarkConfig) -> list[Instance]:
+    """The config's grid, pattern x K x b x cv. Instances are not
+    validated here: run_instance records an invalid one (c >= b, say) as
+    one failed row per method instead of aborting the sweep."""
     out = []
     for pattern in config.patterns:
         means = demand_means(pattern, config.horizon)
         for K in config.fixed_costs:
             for b in config.penalty_costs:
+                costs = CostParameters(fixed=K, unit=config.unit_cost,
+                                       holding=config.holding_cost, penalty=b)
                 for cv in config.cvs:
-                    iid = instance_id(pattern, K, b, cv, config.horizon)
-                    inst = make_instance(
-                        horizon=config.horizon, K=K,
-                        h=config.holding_cost, b=b, c=config.unit_cost,
-                        means=means, cv=cv,
+                    out.append(Instance(
+                        costs=costs,
+                        demands=tuple(NormalDemand(m, cv * m) for m in means),
                         initial_inventory=config.initial_inventory,
-                        name=iid)
-                    out.append(validate(inst))
+                        name=instance_id(pattern, K, b, cv, config.horizon)))
     return out
 
 

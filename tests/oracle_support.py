@@ -12,14 +12,22 @@ pattern, in lexicographic order, through the engine's own solve_pattern.
 dense_sdp_tables is the SDP oracle's backward pass done the direct way: a
 dense levels x atoms stage-cost matrix and one shifted lookup of the next
 period's cost per demand atom.
+
+row_major_simulation is the Monte Carlo pricing loop done the direct way:
+replication-major demand blocks read column by column, with fresh arrays
+for every step of every period.
 """
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
+from scipy.special import ndtri
 
+from sspolicy.domain import validate
 from sspolicy.sdp import discretize_demand
+from sspolicy.simulate import SimulationResult
 
 
 def _cycle_cost_fn(instance, segments, j, e):
@@ -179,3 +187,72 @@ def dense_sdp_tables(instance, grid, truncation):
         c_tables[t - 1] = c_now
         c_next = c_now
     return g_tables, c_tables
+
+
+def _demand_uniforms(seed: int, start: int, count: int, horizon: int) -> np.ndarray:
+    """Uniforms for replications [start, start + count), shape (count, T).
+
+    Each replication owns ceil(T / 4) Philox counter blocks; chunk
+    boundaries therefore never change the draws.
+    """
+    blocks_per_rep = (horizon + 3) // 4
+    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    counter = np.zeros(4, dtype=np.uint64)
+    counter[0] = np.uint64(start * blocks_per_rep)
+    bg = np.random.Philox(key=key, counter=counter)
+    raw = bg.random_raw(4 * blocks_per_rep * count)
+    words = raw.reshape(count, 4 * blocks_per_rep)[:, :horizon]
+    return (words >> np.uint64(11)) * 2.0 ** -53
+
+
+def row_major_simulation(instance, policy, replications, seed, chunk_size):
+    """sspolicy.simulate.simulate_policy's SimulationResult, computed on
+    (replications, T) demand blocks with a new array for every step."""
+    validate(instance)
+    if replications < 1:
+        raise ValueError("need at least one replication")
+    if policy.horizon != instance.horizon:
+        raise ValueError(
+            f"policy horizon {policy.horizon} does not match instance "
+            f"horizon {instance.horizon}")
+    T = instance.horizon
+    costs = instance.costs
+    K, c, h, b = costs.fixed, costs.unit, costs.holding, costs.penalty
+    means = np.asarray(instance.means)
+    sds = np.asarray(instance.std_devs)
+    ss = np.asarray(policy.reorder_points)
+    big_ss = np.asarray(policy.order_up_to_levels)
+
+    # one cost per replication, reduced once at the end so the statistics
+    # do not depend on how the work was chunked
+    all_costs = np.empty(replications)
+    truncated = 0
+    done = 0
+    while done < replications:
+        n = min(chunk_size, replications - done)
+        uniforms = _demand_uniforms(seed, done, n, T)
+        z = ndtri(np.maximum(uniforms, 2.0 ** -53))
+        demands = means + sds * z
+        truncated += int(np.count_nonzero(demands < 0.0))
+        np.maximum(demands, 0.0, out=demands)
+
+        level = np.full(n, float(instance.initial_inventory))
+        cost = np.zeros(n)
+        for t in range(T):
+            ordering = level <= ss[t]
+            if np.any(ordering):
+                cost += ordering * (K + c * (big_ss[t] - level))
+                level = np.where(ordering, big_ss[t], level)
+            level = level - demands[:, t]
+            cost += h * np.maximum(level, 0.0) + b * np.maximum(-level, 0.0)
+        all_costs[done:done + n] = cost
+        done += n
+
+    mean = float(all_costs.mean())
+    if replications > 1:
+        se = float(all_costs.std(ddof=1)) / math.sqrt(replications)
+    else:
+        se = 0.0
+    return SimulationResult(mean=mean, standard_error=se,
+                            replications=replications, seed=seed,
+                            truncation_frequency=truncated / (replications * T))

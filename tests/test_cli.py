@@ -115,6 +115,19 @@ def test_simulate_single_rep_flagged(example4_file, tmp_path, capsys):
     assert "standard error reported as 0" in captured.err
 
 
+def test_simulate_rejects_nan_policy(example4_file, tmp_path, capsys):
+    policy_csv = tmp_path / "policy.csv"
+    policy_csv.write_text("t,s_t,S_t,linked_cost\n"
+                          "1,14.0,70.0,nan\n2,nan,60.0,nan\n"
+                          "3,50.0,110.0,nan\n4,30.0,60.0,nan\n")
+    rc = main(["simulate", str(example4_file), "--policy", str(policy_csv),
+               "--reps", "100", "--seed", "7"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert "reorder point s_2 is NaN" in captured.err
+    assert captured.out == ""
+
+
 def test_benchmark_command_and_resume(tmp_path, capsys):
     config = {"horizon": 8, "patterns": ["STA"], "K": [200], "b": [5],
               "cv": [0.1, 0.2], "methods": ["bs"], "replications": 1000,

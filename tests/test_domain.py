@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -9,6 +10,8 @@ from sspolicy.domain import (
     CostParameters, Instance, NormalDemand, PolicyParameters,
     ValidationError, make_instance, read_instance, validate, write_instance,
 )
+from sspolicy.sdp import solve_sdp
+from sspolicy.testbed import BenchmarkConfig, build_instances
 
 
 def example4() -> Instance:
@@ -52,6 +55,25 @@ def test_cost_invariants(field, value, msg):
         make_instance(**kwargs)
 
 
+def test_unit_cost_at_penalty_rejected():
+    """h8-STA-K200-b20-cv0.1 with c = 20: ordering never pays in the last
+    period, so its reorder point is -inf and no SDP grid can hold it. The
+    instance is rejected by name before any solver runs."""
+    (inst,) = build_instances(BenchmarkConfig(
+        patterns=("STA",), fixed_costs=(200.0,), penalty_costs=(20.0,),
+        cvs=(0.1,), unit_cost=20.0))
+    assert inst.name == "h8-STA-K200-b20-cv0.1"
+    msg = ("unit cost c = 20.0 is not below penalty b = 20.0: "
+           "the last period would never order")
+    with pytest.raises(ValidationError, match=msg):
+        validate(inst)
+    with pytest.raises(ValidationError, match=msg):
+        solve_sdp(inst)
+    below = dataclasses.replace(
+        inst, costs=dataclasses.replace(inst.costs, unit=19.5))
+    assert validate(below) is below
+
+
 def test_validate_idempotent():
     inst = example4()
     assert validate(validate(inst)) == inst
@@ -62,6 +84,26 @@ def test_policy_requires_s_below_S():
         PolicyParameters(reorder_points=(1.0, 5.0), order_up_to_levels=(2.0, 4.0))
     pol = PolicyParameters(reorder_points=(1.0, 3.0), order_up_to_levels=(2.0, 4.0))
     assert pol.pair(2) == (3.0, 4.0)
+
+
+@pytest.mark.parametrize("ss,big_ss,msg", [
+    ((math.nan, 5.0), (20.0, 30.0), "reorder point s_1 is NaN"),
+    ((0.0, 5.0), (20.0, math.nan), "order-up-to level S_2 = nan is not finite"),
+    ((0.0, 5.0), (math.inf, 30.0), "order-up-to level S_1 = inf is not finite"),
+    ((0.0, -math.inf), (20.0, -math.inf),
+     "order-up-to level S_2 = -inf is not finite"),
+], ids=["nan-s", "nan-S", "inf-S", "minus-inf-S"])
+def test_policy_rejects_non_finite(ss, big_ss, msg):
+    """A NaN s_t would never order without a word, and a non-finite S_t
+    makes every simulated cost NaN."""
+    with pytest.raises(ValidationError, match=msg):
+        PolicyParameters(reorder_points=ss, order_up_to_levels=big_ss)
+
+
+def test_policy_allows_never_order():
+    pol = PolicyParameters(reorder_points=(-math.inf, 5.0),
+                           order_up_to_levels=(20.0, 30.0))
+    assert pol.pair(1) == (-math.inf, 20.0)
 
 
 def test_round_trip_worked_example(tmp_path):
@@ -102,15 +144,22 @@ def test_read_reports_parse_line(tmp_path):
 finite = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 
 
+@st.composite
+def _unit_below_penalty(draw):
+    """(c, b) with 0 <= c < b, the range validate() accepts."""
+    b = draw(st.floats(min_value=1e-6, max_value=1e4))
+    return draw(st.floats(min_value=0.0, max_value=b, exclude_max=True)), b
+
+
 @settings(max_examples=60, deadline=None)
 @given(
-    K=finite, c=finite,
+    K=finite, cb=_unit_below_penalty(),
     h=st.floats(min_value=1e-6, max_value=1e4),
-    b=st.floats(min_value=1e-6, max_value=1e4),
     i0=st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
     demands=st.lists(st.tuples(finite, finite), min_size=1, max_size=12),
 )
-def test_round_trip_lossless(tmp_path_factory, K, c, h, b, i0, demands):
+def test_round_trip_lossless(tmp_path_factory, K, cb, h, i0, demands):
+    c, b = cb
     inst = make_instance(horizon=len(demands), K=K, h=h, b=b, c=c,
                          means=[d[0] for d in demands],
                          std_devs=[d[1] for d in demands],

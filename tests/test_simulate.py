@@ -1,8 +1,16 @@
-import pytest
+import dataclasses
+import math
+import os
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracle_support import row_major_simulation
 from sspolicy.domain import PolicyParameters, make_instance
 from sspolicy.sdp import solve_sdp
 from sspolicy.simulate import estimate_gap, simulate_policy
+from sspolicy.testbed import BenchmarkConfig, build_instances, instance_seed
 
 
 @pytest.fixture(scope="module")
@@ -75,12 +83,84 @@ def test_policy_length_mismatch(example4):
         simulate_policy(example4, short, 10, seed=0)
 
 
+def test_chunk_size_must_be_positive(example4, sdp4):
+    with pytest.raises(ValueError, match="chunk_size"):
+        simulate_policy(example4, sdp4.policy, 10, seed=0, chunk_size=0)
+
+
 def test_truncation_frequency_small_for_moderate_cv():
     inst = make_instance(horizon=8, K=200, h=1, b=10, c=0,
                          means=[10] * 8, cv=0.3)
     policy = PolicyParameters((5.0,) * 8, (30.0,) * 8)
     sim = simulate_policy(inst, policy, 50000, seed=9)
     assert sim.truncation_frequency < 0.01
+
+
+@st.composite
+def _simulation_cases(draw):
+    """Small instances with arbitrary policies: T = 1-9, K = 0, c > 0,
+    zero-sd and zero-mean periods, negative and positive initial
+    inventory, never-order periods (s_t = -inf), an opening level equal to
+    s_1, 1-3000 replications (at most 300 in chunks of 1, which price one
+    replication per block) and chunk sizes 1, 7, 997 and the default."""
+    T = draw(st.integers(1, 9))
+    means = draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(0, 40).map(lambda v: round(v, 1))),
+        min_size=T, max_size=T))
+    cvs = draw(st.lists(st.sampled_from([0.0, 0.1, 0.3, 1.0]),
+                        min_size=T, max_size=T))
+    inst = make_instance(
+        horizon=T, K=draw(st.sampled_from([0.0, 40.0, 150.0])),
+        h=draw(st.floats(0.5, 2.0).map(lambda v: round(v, 2))),
+        b=draw(st.floats(2.0, 15.0).map(lambda v: round(v, 2))),
+        c=draw(st.sampled_from([0.0, 1.5])), means=means,
+        std_devs=[m * v for m, v in zip(means, cvs)],
+        initial_inventory=draw(st.sampled_from([0.0, -12.5, 7.25, 60.0])))
+    big_ss = draw(st.lists(st.floats(-20, 90).map(lambda v: round(v, 2)),
+                           min_size=T, max_size=T))
+    gaps = draw(st.lists(st.one_of(st.just(math.inf),
+                                   st.floats(0, 60).map(lambda v: round(v, 2))),
+                         min_size=T, max_size=T))
+    ss = [S - g for S, g in zip(big_ss, gaps)]
+    if draw(st.booleans()):
+        # the opening level sits exactly on s_1: at or below means order
+        ss[0] = inst.initial_inventory
+        big_ss[0] = max(big_ss[0], ss[0])
+    policy = PolicyParameters(tuple(ss), tuple(big_ss))
+    chunk_size = draw(st.sampled_from([1, 7, 997, None]))
+    replications = draw(st.integers(1, 300 if chunk_size == 1 else 3000))
+    return inst, policy, replications, draw(st.integers(0, 2**32)), chunk_size
+
+
+class TestRowMajorReference:
+    @settings(max_examples=80, deadline=None)
+    @given(case=_simulation_cases())
+    def test_matches_row_major_simulation(self, case):
+        """Every field of the result is bit-equal to the replication-major
+        loop's, whatever the chunk size."""
+        inst, policy, reps, seed, chunk_size = case
+        kwargs = {} if chunk_size is None else {"chunk_size": chunk_size}
+        got = simulate_policy(inst, policy, reps, seed, **kwargs)
+        ref = row_major_simulation(inst, policy, reps, seed, 65536)
+        assert dataclasses.astuple(got) == dataclasses.astuple(ref)
+
+
+@pytest.mark.skipif(not os.environ.get("SSPOLICY_FULL_BENCHMARK"),
+                    reason="pricing 270 SDP policies twice at up to 200k "
+                           "replications takes minutes; "
+                           "set SSPOLICY_FULL_BENCHMARK=1")
+@pytest.mark.parametrize("horizon, replications", [(8, 10_000), (25, 200_000)],
+                         ids=["8-period", "25-period"])
+def test_full_grid_matches_reference(horizon, replications):
+    """Every grid instance's SDP policy, priced at the benchmark's
+    replication count, is bit-equal to the replication-major loop."""
+    config = BenchmarkConfig(horizon=horizon)
+    for inst in build_instances(config):
+        policy = solve_sdp(inst).policy
+        seed = instance_seed(config.seed, inst.name)
+        got = simulate_policy(inst, policy, replications, seed)
+        ref = row_major_simulation(inst, policy, replications, seed, 65536)
+        assert dataclasses.astuple(got) == dataclasses.astuple(ref), inst.name
 
 
 class TestGap:

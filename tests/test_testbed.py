@@ -147,15 +147,15 @@ class TestBenchmarkRun:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_oracle_failure_is_recorded(self, jobs):
-        """A unit cost of 20, at or above every penalty, puts a reorder
-        point below the oracle's grid on every instance: the sweep still
-        finishes, with one failed row per instance and method."""
+        """A unit cost of 20, at or above every penalty, makes every
+        instance invalid, which the oracle's validation names: the sweep
+        still finishes, with one failed row per instance and method."""
         cfg = BenchmarkConfig(patterns=("STA",), unit_cost=20.0,
                               methods=("bs", "mp"), replications=200)
         report = run_benchmark(cfg, jobs=jobs)
         assert len(report.results) == 27 * 2
         for r in report.results:
-            assert r.status.startswith("failed: oracle: GridTooSmallError: ")
+            assert r.status.startswith("failed: oracle: ValidationError: ")
         assert not report.ok_gaps("bs") and not report.summary_rows()
 
 
