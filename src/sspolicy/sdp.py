@@ -178,6 +178,9 @@ def _snap(y: float, grid: InventoryGrid) -> float:
     return grid.lower + j * grid.step
 
 
+_TIE_RTOL = 1e-9
+
+
 def _extract_policy_arrays(instance: Instance, grid: InventoryGrid,
                            g_tables: np.ndarray) -> PolicyParameters:
     K = instance.costs.fixed
@@ -186,7 +189,13 @@ def _extract_policy_arrays(instance: Instance, grid: InventoryGrid,
     ss, SS, costs = [], [], []
     for t in range(1, instance.horizon + 1):
         g = g_tables[t - 1]
-        s_idx = int(np.argmin(g))  # ties resolve to the smaller level
+        # Flat stretches of G (zero-demand periods, say) tie up to rounding,
+        # so compare within a relative tolerance far above the rounding of
+        # any one pass: ties resolve to the smaller level for S_t and
+        # against ordering for s_t, whichever pass built the table.
+        g_min = float(g.min())
+        tol = _TIE_RTOL * max(1.0, abs(g_min))
+        s_idx = int(np.argmax(g <= g_min + tol))
         if s_idx in (0, n - 1):
             raise GridTooSmallError(
                 f"order-up-to level for period {t} sits on the grid boundary "
@@ -197,7 +206,7 @@ def _extract_policy_arrays(instance: Instance, grid: InventoryGrid,
             # ordering is free: order whenever below the base stock
             small_s = big_s
         else:
-            above = np.nonzero(g[:s_idx] > threshold)[0]
+            above = np.nonzero(g[:s_idx] > K + g_min + tol)[0]
             if above.size == 0:
                 raise GridTooSmallError(
                     f"reorder point for period {t} lies below the grid lower "
@@ -216,6 +225,7 @@ def extract_policy(solution: SdpSolution) -> PolicyParameters:
 
     S_t minimizes G_t on the grid; s_t is the largest grid level below S_t
     at which ordering is still strictly better, i.e. G_t(y) > K + G_t(S_t).
+    Both comparisons treat values within a relative 1e-9 as ties.
     """
     return _extract_policy_arrays(solution.instance, solution.grid,
                                   solution.g_tables)
