@@ -206,7 +206,7 @@ def _extract_policy_arrays(instance: Instance, grid: InventoryGrid,
             # ordering is free: order whenever below the base stock
             small_s = big_s
         else:
-            above = np.nonzero(g[:s_idx] > K + g_min + tol)[0]
+            above = np.nonzero(g[:s_idx] > threshold + tol)[0]
             if above.size == 0:
                 raise GridTooSmallError(
                     f"reorder point for period {t} lies below the grid lower "

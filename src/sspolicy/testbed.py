@@ -25,7 +25,7 @@ import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .domain import CostParameters, Instance, NormalDemand
+from .domain import CostParameters, Instance, NormalDemand, ValidationError
 from .heuristics import HeuristicConfig, bs_policy, mp_policy
 from .sdp import solve_sdp
 from .simulate import estimate_gap
@@ -144,6 +144,24 @@ class BenchmarkConfig:
         for m in self.methods:
             if m not in ("bs", "mp"):
                 raise ValueError(f"unknown method {m!r}")
+        # checked here, so a malformed config stops before the sweep; c >= b,
+        # a property of one (c, b) pair, is left to run_instance
+        for K in self.fixed_costs:
+            if not math.isfinite(K) or K < 0:
+                raise ValidationError(f"invalid fixed ordering cost K = {K}")
+        for b in self.penalty_costs:
+            if not math.isfinite(b) or b <= 0:
+                raise ValidationError(f"invalid penalty cost b = {b}")
+        for cv in self.cvs:
+            if not math.isfinite(cv) or cv < 0:
+                raise ValidationError(f"invalid coefficient of variation cv = {cv}")
+        if not math.isfinite(self.holding_cost) or self.holding_cost <= 0:
+            raise ValidationError(f"invalid holding cost h = {self.holding_cost}")
+        if not math.isfinite(self.unit_cost) or self.unit_cost < 0:
+            raise ValidationError(f"invalid unit cost c = {self.unit_cost}")
+        if not math.isfinite(self.initial_inventory):
+            raise ValidationError(
+                f"invalid initial inventory {self.initial_inventory}")
 
     def heuristic_config(self) -> HeuristicConfig:
         return HeuristicConfig(segments=self.segments, strategy=self.strategy,
@@ -159,9 +177,10 @@ def instance_seed(master_seed: int, iid: str) -> int:
 
 
 def build_instances(config: BenchmarkConfig) -> list[Instance]:
-    """The config's grid, pattern x K x b x cv. Instances are not
-    validated here: run_instance records an invalid one (c >= b, say) as
-    one failed row per method instead of aborting the sweep."""
+    """The config's grid, pattern x K x b x cv. BenchmarkConfig has checked
+    every value on its own; an instance whose unit cost is not below its
+    penalty is built anyway, so run_instance records it as one failed row
+    per method instead of aborting the sweep."""
     out = []
     for pattern in config.patterns:
         means = demand_means(pattern, config.horizon)

@@ -154,6 +154,19 @@ def test_benchmark_requires_seed(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+def test_benchmark_rejects_negative_penalty(tmp_path, capsys):
+    """A malformed config value is a data error before any row is run."""
+    cfg_path = tmp_path / "bench.json"
+    cfg_path.write_text(json.dumps({"horizon": 8, "patterns": ["STA"],
+                                    "b": [-5], "seed": 1}))
+    out_dir = tmp_path / "o"
+    rc = main(["benchmark", str(cfg_path), "--out-dir", str(out_dir)])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert "invalid penalty cost b = -5" in captured.err
+    assert not out_dir.exists()
+
+
 def test_benchmark_25_period_slice(tmp_path, capsys):
     """A 25-period config runs like an 8-period one."""
     cfg_path = tmp_path / "bench25.json"

@@ -1,8 +1,9 @@
+import re
 import statistics
 
 import pytest
 
-from sspolicy.domain import validate
+from sspolicy.domain import ValidationError, validate
 from sspolicy.testbed import (
     _DEMAND_25_GENERATED, BenchmarkConfig, build_instances, demand_means,
     generate_25, instance_id, instance_seed, read_detail_csv, run_benchmark,
@@ -70,6 +71,22 @@ class TestInstanceGrid:
             BenchmarkConfig(patterns=("XYZ",))
         with pytest.raises(ValueError, match="method"):
             BenchmarkConfig(methods=("greedy",))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("fixed_costs", (200.0, -1.0), "fixed ordering cost K = -1.0"),
+        ("fixed_costs", (float("nan"),), "fixed ordering cost K = nan"),
+        ("penalty_costs", (-5.0,), "penalty cost b = -5.0"),
+        ("penalty_costs", (0.0,), "penalty cost b = 0.0"),
+        ("cvs", (-0.1,), "coefficient of variation cv = -0.1"),
+        ("holding_cost", 0.0, "holding cost h = 0.0"),
+        ("unit_cost", float("inf"), "unit cost c = inf"),
+        ("initial_inventory", float("nan"), "initial inventory nan"),
+    ])
+    def test_config_values_rejected(self, field, value, message):
+        """A malformed grid value stops the config, not one row per
+        instance; c >= b is the only invalid instance the grid builds."""
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            BenchmarkConfig(**{field: value})
 
 
 @pytest.fixture(scope="module")

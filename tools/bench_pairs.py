@@ -8,10 +8,10 @@ Run from anywhere inside the repository:
 The base revision is exported with `git archive` into a temporary
 directory, so nothing is added to the repository's `.git` and an
 interrupted run leaves nothing behind. The change is this checkout's
-working tree, or a second exported revision with --change. Both sides run
-the same, unchanged command, `python3 bench/run.py --workload W --seed N
---seconds S --trace 0`, each from its own root, so each measures its own
-package sources with its own copy of the benchmark.
+working tree. Both sides run the same, unchanged command, `python3
+bench/run.py --workload W --seed N --seconds S --trace 0`, with S the
+run_seconds of BENCHMARK.json, each from its own root, so each measures
+its own package sources with its own copy of the benchmark.
 
 For each workload, pair i uses seed first-seed + i on both sides, and the
 side that runs first alternates from pair to pair. Each --trace-seed adds
@@ -47,14 +47,10 @@ def parse_args(argv):
     p.add_argument("--label", required=True,
                    help="names the output file BENCH_<label>.json")
     p.add_argument("--base", required=True, help="git revision to compare against")
-    p.add_argument("--change", default=None,
-                   help="git revision of the change (default: the working tree)")
     p.add_argument("--workload", action="append", required=True,
                    metavar="NAME[:PAIRS]",
                    help="workload and its number of pairs (default 10)")
     p.add_argument("--first-seed", type=int, required=True)
-    p.add_argument("--seconds", type=float, default=6.0,
-                   help="bench/run.py --seconds (default 6, as BENCHMARK.json)")
     p.add_argument("--trace-seed", type=int, action="append", default=[],
                    help="seed of one traced pair per workload (repeatable)")
     return p.parse_args(argv)
@@ -139,12 +135,12 @@ def summarize(pairs: list, declared: list) -> dict:
     return out
 
 
-def traced_pairs(roots: dict, workload: str, args) -> dict:
+def traced_pairs(roots: dict, workload: str, seconds: float, args) -> dict:
     """One traced run per side and --trace-seed, alternating which side
     goes first, with each side's median per-layer metrics."""
     runs = []
     for i, seed in enumerate(args.trace_seed):
-        command = bench_command(workload, seed, args.seconds, 1)
+        command = bench_command(workload, seed, seconds, 1)
         for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
             report = run_bench(roots[side], command)["report"]
             runs.append({
@@ -158,7 +154,7 @@ def traced_pairs(roots: dict, workload: str, args) -> dict:
         median[side] = {
             k: statistics.median(v[k] for v in layers)
             for k in layers[0] if all(v[k] is not None for v in layers)}
-    return {"command": bench_command(workload, "<seed>", args.seconds, 1),
+    return {"command": bench_command(workload, "<seed>", seconds, 1),
             "seeds": args.trace_seed, "runs": runs, "median": median}
 
 
@@ -180,20 +176,17 @@ def main(argv=None) -> int:
         name, _, count = item.partition(":")
         workloads.append((name, int(count or 10)))
     with open(repo / "BENCHMARK.json", encoding="utf-8") as fh:
-        declared = json.load(fh)["end_to_end"]
+        benchmark = json.load(fh)
+    declared, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
 
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        roots = {"base": Path(tmp) / "base"}
-        revisions = {"base": export(repo, args.base, roots["base"])}
-        if args.change is None:
-            roots["change"] = repo
-            revisions["change"] = {
+        roots = {"base": Path(tmp) / "base", "change": repo}
+        revisions = {
+            "base": export(repo, args.base, roots["base"]),
+            "change": {
                 "rev": "working tree",
                 "commit": git(repo, "rev-parse", "HEAD").decode().strip(),
-                "uncommitted_changes": bool(git(repo, "status", "--porcelain").strip())}
-        else:
-            roots["change"] = Path(tmp) / "change"
-            revisions["change"] = export(repo, args.change, roots["change"])
+                "uncommitted_changes": bool(git(repo, "status", "--porcelain").strip())}}
 
         doc = {"label": args.label,
                "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
@@ -205,7 +198,7 @@ def main(argv=None) -> int:
             pairs = []
             for i in range(count):
                 seed = args.first_seed + i
-                command = bench_command(name, seed, args.seconds, 0)
+                command = bench_command(name, seed, seconds, 0)
                 order = ("base", "change") if i % 2 == 0 else ("change", "base")
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
@@ -216,7 +209,7 @@ def main(argv=None) -> int:
                           f"{pair[side]['metrics']['instances_per_s']:.3f}",
                           file=sys.stderr, flush=True)
                 pairs.append(pair)
-            entry = {"command": bench_command(name, "<seed>", args.seconds, 0),
+            entry = {"command": bench_command(name, "<seed>", seconds, 0),
                      "seeds": [p["seed"] for p in pairs],
                      "pairs": pairs,
                      "summary": summarize(pairs, declared),
@@ -224,7 +217,7 @@ def main(argv=None) -> int:
                                         for s in ("base", "change")),
                      "block_digests_agree": digests_agree(pairs)}
             if args.trace_seed:
-                entry["traced"] = traced_pairs(roots, name, args)
+                entry["traced"] = traced_pairs(roots, name, seconds, args)
             doc["workloads"][name] = entry
 
     path = repo / f"BENCH_{args.label}.json"
