@@ -13,24 +13,28 @@ Exit codes: 0 success, 2 usage, 3 data error, 4 solver failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
 
 from .domain import ValidationError, read_instance
 from .export import export_lp
-from .heuristics import (HeuristicConfig, bs_policy, mp_policy,
+from .heuristics import (STRATEGIES, HeuristicConfig, bs_policy, mp_policy,
                          read_policy_csv, write_policy_csv)
 from .model import build_joint, build_minlp_s, build_segments
 from .sdp import GridTooSmallError, default_grid, solve_sdp, write_g_curve
 from .simulate import simulate_policy
 from .solver import SolverError
-from .testbed import BenchmarkConfig, run_benchmark, write_detail_csv, write_summary_csv
+from .testbed import BenchmarkConfig, run_benchmark, write_summary_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_SOLVER = 4
+
+# benchmark config keys that differ from their BenchmarkConfig field
+_GRID_KEYS = {"K": "fixed_costs", "b": "penalty_costs", "cv": "cvs"}
 
 
 def _print_policy(policy, costs_label="linked_cost"):
@@ -116,34 +120,26 @@ def _cmd_benchmark(args) -> int:
         doc = json.load(fh)
     if "seed" not in doc:
         raise ValidationError(f"{args.config}: benchmark config requires a seed")
-    if args.patterns:
-        doc["patterns"] = args.patterns
-    if args.K:
-        doc["K"] = args.K
-    if args.b:
-        doc["b"] = args.b
-    if args.cv:
-        doc["cv"] = args.cv
-    config = BenchmarkConfig(
-        horizon=int(doc.get("horizon", 8)),
-        patterns=tuple(doc.get("patterns", BenchmarkConfig.patterns)),
-        fixed_costs=tuple(doc["K"]) if "K" in doc else None,
-        penalty_costs=tuple(doc.get("b", BenchmarkConfig.penalty_costs)),
-        cvs=tuple(doc.get("cv", BenchmarkConfig.cvs)),
-        methods=tuple(doc.get("methods", ("bs",))),
-        segments=int(doc.get("segments", 11)),
-        strategy=doc.get("strategy", "minimax"),
-        bs_step_size=doc.get("bs_step_size"),
-        replications=int(doc.get("replications", 10000)),
-        seed=int(doc["seed"]),
-    )
+    for key in ("patterns", "K", "b", "cv"):
+        if getattr(args, key):
+            doc[key] = getattr(args, key)
+    fields = {f.name for f in dataclasses.fields(BenchmarkConfig)}
+    known = (fields - set(_GRID_KEYS.values())) | set(_GRID_KEYS)
+    unknown = sorted(set(doc) - known)
+    if unknown:
+        raise ValidationError(f"{args.config}: unknown benchmark config "
+                              f"key(s) {', '.join(map(repr, unknown))}")
+    config = BenchmarkConfig(**{
+        _GRID_KEYS.get(key, key): tuple(value) if isinstance(value, list) else value
+        for key, value in doc.items()})
+    if not config.methods:
+        raise ValidationError(f"{args.config}: empty methods list")
     import os
     os.makedirs(args.out_dir, exist_ok=True)
     detail_path = os.path.join(args.out_dir, "detail.csv")
     report = run_benchmark(config, jobs=args.jobs, detail_path=detail_path)
     summary_path = os.path.join(args.out_dir, "summary.csv")
     write_summary_csv(report, summary_path)
-    write_detail_csv(report, detail_path)
     n_fail = sum(1 for r in report.results if r.status != "ok")
     print(f"{len(report.results)} rows ({n_fail} failures); "
           f"detail: {detail_path}; summary: {summary_path}")
@@ -174,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--method", choices=("mp", "bs"), required=True)
     p_solve.add_argument("--segments", type=int, default=11)
     p_solve.add_argument("--strategy", default="equal-probability",
-                         choices=("equal-probability", "minimax"))
+                         choices=STRATEGIES)
     p_solve.add_argument("--step", type=float, default=None,
                          help="binary-search step size")
     p_solve.add_argument("--backend", choices=("exact", "lp-export"),

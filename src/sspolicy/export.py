@@ -8,22 +8,27 @@ lowered to big-M rows:
     big M and the variable bounds so no feasible point is cut off);
   * every piecewise rule contributes its segment epigraph rows through the
     cycle-selector-weighted cut rows already on the model;
-  * rules flagged needs_equality additionally get segment-selection
-    binaries z_<label>_<t>_<i> with hypograph rows pinning the holding
-    variable to the active segment, plus the identity B_t = H_t - I_t.
+  * rules flagged `equality` additionally get segment-selection binaries
+    z_<label>_<t>_<i> with hypograph rows pinning the holding variable to
+    the active segment, plus the identity B_t = H_t - I_t; rules of one
+    holding column and period share them.
 
 A constant objective term is carried by the fixed column ONE. Variables
 fixed by their bounds are substituted away, so a model whose binaries are
-all structurally fixed exports as a pure LP. Output is deterministic and
-byte-stable for equal models.
+all structurally fixed exports as a pure LP. The writer reads the model's
+row table (see sspolicy.model): rows are written in kind order (linear
+rows, cuts, lowered indicators, then piecewise equalities), each with its
+terms in emission order. Output is deterministic and byte-stable for equal
+models.
 """
 from __future__ import annotations
 
 import io
 import math
-from collections import OrderedDict
 
-from .model import LinearRow, MilpModel
+import numpy as np
+
+from .model import INDICATOR, MilpModel
 
 
 def _fmt(x: float) -> str:
@@ -39,23 +44,27 @@ def _term_str(coef: float, var: str, first: bool) -> str:
 
 
 class _LpWriter:
+    """Rows are (column, coefficient) lists; columns past the model's own
+    are the export's segment-selection binaries, named in self.names."""
+
     def __init__(self, model: MilpModel):
         self.model = model
-        self.fixed = {name: lb for name, (lb, ub) in model.variables.items()
-                      if lb == ub}
-        self.extra_binaries: list[str] = []
+        self.names = list(model.names)
+        lb = model.lb.tolist()
+        self.fixed = {col: lb[col] for col in np.flatnonzero(model.lb == model.ub).tolist()}
+        self.reach = np.maximum(np.abs(model.lb), np.abs(model.ub)).tolist()
         self.rows_out: list[tuple[str, list, str, float]] = []
         self.need_one = False
 
-    def add_row(self, name: str, coeffs, sense: str, rhs: float):
+    def add_row(self, name: str, terms, sense: str, rhs: float):
         reduced = []
-        for var, coef in coeffs:
+        for col, coef in terms:
             if coef == 0.0:
                 continue
-            if var in self.fixed:
-                rhs -= coef * self.fixed[var]
+            if col in self.fixed:
+                rhs -= coef * self.fixed[col]
             else:
-                reduced.append((var, coef))
+                reduced.append((col, coef))
         if not reduced:
             ok = {"<=": rhs >= -1e-9, ">=": rhs <= 1e-9, "==": abs(rhs) <= 1e-9}
             if not ok[sense]:
@@ -64,102 +73,85 @@ class _LpWriter:
             return
         self.rows_out.append((name, reduced, sense, rhs))
 
-    def lower_indicators(self):
-        for ind in self.model.indicators:
-            row = ind.row
-            binary = ind.binary
-            # activation coefficient: row must relax fully when inactive
-            big = self._row_relaxation(row)
-            if ind.binary in self.fixed:
-                if round(self.fixed[binary]) == ind.active_value:
-                    self.add_row(row.name, list(row.coeffs), row.sense, row.rhs)
-                continue
-            sign = 1.0 if ind.active_value == 0 else -1.0
-            offset = 0.0 if ind.active_value == 0 else big
-            # active_value 0: lhs - rhs <= big * binary (and >= -big * binary)
-            # active_value 1: lhs - rhs <= big * (1 - binary)
-            if row.sense in ("<=", "=="):
-                self.add_row(f"{row.name}_up",
-                             list(row.coeffs) + [(binary, -sign * big)],
-                             "<=", row.rhs + offset)
-            if row.sense in (">=", "=="):
-                self.add_row(f"{row.name}_dn",
-                             list(row.coeffs) + [(binary, sign * big)],
-                             ">=", row.rhs - offset)
-
-    def _row_relaxation(self, row: LinearRow) -> float:
-        """A bound on |lhs - rhs| over the variable box."""
-        span = abs(row.rhs)
-        for var, coef in row.coeffs:
-            lb, ub = self.model.variables[var]
-            span += abs(coef) * max(abs(lb), abs(ub))
-        if not math.isfinite(span):
-            span = 4.0 * self.model.big_m
-        return span + 1.0
+    def lower_indicator(self, name, terms, sense, rhs, binary):
+        """Relax the row fully while `binary` is 1: |lhs - rhs| <= M' * binary."""
+        if binary in self.fixed:
+            if round(self.fixed[binary]) == 0:
+                self.add_row(name, terms, sense, rhs)
+            return
+        span = sum((abs(coef) * self.reach[col] for col, coef in terms), abs(rhs))
+        big = (span if math.isfinite(span) else 4.0 * self.model.big_m) + 1.0
+        if sense in ("<=", "=="):
+            self.add_row(f"{name}_up", terms + [(binary, -big)], "<=", rhs)
+        if sense in (">=", "=="):
+            self.add_row(f"{name}_dn", terms + [(binary, big)], ">=", rhs)
 
     def lower_piecewise_equalities(self):
-        by_target: "OrderedDict[tuple, list]" = OrderedDict()
-        for rule in self.model.piecewise:
-            if rule.needs_equality:
-                key = (rule.holding_var, rule.backorder_var,
-                       rule.inventory_var, rule.period)
-                by_target.setdefault(key, []).append(rule)
-        for (h_var, b_var, i_var, period), rules in by_target.items():
-            label = h_var.split("_")[1]
-            n_seg = rules[0].pieces.segment_count
-            z_names = [f"z_{label}_{period}_{i}" for i in range(n_seg)]
-            self.extra_binaries.extend(z_names)
+        model = self.model
+        pw = model.piecewise
+        groups: dict = {}  # (holding, backorder, inventory, period) -> rules
+        for r in np.flatnonzero(pw.equality).tolist():
+            key = (int(pw.holding[r]), int(pw.backorder[r]),
+                   int(pw.inventory[r]), int(pw.period[r]))
+            groups.setdefault(key, []).append(r)
+        for (h, b, inv, period), rules in groups.items():
+            label = pw.label[rules[0]]
+            pieces = [model.segments[(int(pw.start[r]), period)] for r in rules]
+            z_cols = range(len(self.names), len(self.names) + pieces[0].segment_count)
+            self.names += [f"z_{label}_{period}_{i}" for i in range(len(z_cols))]
             self.add_row(f"z_assign_{label}_{period}",
-                         [(z, 1.0) for z in z_names], "==", 1.0)
-            ilb, iub = self.model.variables[i_var]
-            for i, z in enumerate(z_names):
-                coeffs = [(h_var, 1.0)]
+                         [(z, 1.0) for z in z_cols], "==", 1.0)
+            ilb, iub = model.lb[inv], model.ub[inv]
+            for i, z in enumerate(z_cols):
+                terms = [(h, 1.0)]
                 worst = 0.0
-                for rule in rules:
-                    pw = rule.pieces
-                    slope = pw.slopes[i]
-                    icpt = float(pw.segment_intercepts[i]) + pw.error_bound
-                    const = slope * rule.demand_shift + icpt
-                    coeffs.append((rule.selector, -const))
+                for r, piece in zip(rules, pieces):
+                    slope = piece.slopes[i]
+                    icpt = float(piece.segment_intercepts[i]) + piece.error_bound
+                    const = slope * piece.mean + icpt
+                    terms.append((int(pw.selector[r]), -const))
                     for edge in (ilb, iub):
-                        y = edge + rule.demand_shift
-                        gap = float(pw.upper(y)) - (slope * y + icpt)
+                        y = edge + piece.mean
+                        gap = float(piece.upper(y)) - (slope * y + icpt)
                         worst = max(worst, gap)
                 # single shared slope coefficient on the inventory variable
-                coeffs.append((i_var, -rules[0].pieces.slopes[i]))
+                terms.append((inv, -pieces[0].slopes[i]))
                 big = worst + 1.0
-                coeffs.append((z, big))
-                self.add_row(f"pw_hi_{label}_{period}_{i}", coeffs, "<=", big)
+                terms.append((z, big))
+                self.add_row(f"pw_hi_{label}_{period}_{i}", terms, "<=", big)
             self.add_row(f"pw_identity_{label}_{period}",
-                         [(b_var, 1.0), (h_var, -1.0), (i_var, 1.0)], "==", 0.0)
+                         [(b, 1.0), (h, -1.0), (inv, 1.0)], "==", 0.0)
 
     def render(self) -> str:
         model = self.model
-        for row in model.rows:
-            self.add_row(row.name, list(row.coeffs), row.sense, row.rhs)
-        for row in model.cuts:
-            self.add_row(row.name, list(row.coeffs), row.sense, row.rhs)
-        self.lower_indicators()
+        rows = model.rows
+        indptr = rows.matrix.indptr.tolist()
+        cols, vals = rows.matrix.indices.tolist(), rows.matrix.data.tolist()
+        names, sense, rhs = rows.names.tolist(), rows.sense.tolist(), rows.rhs.tolist()
+        for r in np.argsort(rows.kind, kind="stable").tolist():
+            terms = list(zip(cols[indptr[r]:indptr[r + 1]],
+                             vals[indptr[r]:indptr[r + 1]]))
+            if rows.kind[r] == INDICATOR:
+                self.lower_indicator(names[r], terms, sense[r], rhs[r],
+                                     int(rows.condition[r]))
+            else:
+                self.add_row(names[r], terms, sense[r], rhs[r])
         self.lower_piecewise_equalities()
 
         obj_terms = []
         constant = model.objective_constant
-        coef_by_var: "OrderedDict[str, float]" = OrderedDict()
-        for var, coef in model.objective:
-            if var in self.fixed:
-                constant += coef * self.fixed[var]
-            else:
-                coef_by_var[var] = coef_by_var.get(var, 0.0) + coef
-        for var, coef in coef_by_var.items():
-            if coef != 0.0:
-                obj_terms.append((var, coef))
+        for col, coef in zip(*(a.tolist() for a in model.objective)):
+            if col in self.fixed:
+                constant += coef * self.fixed[col]
+            elif coef != 0.0:
+                obj_terms.append((self.names[col], coef))
         if constant != 0.0:
             self.need_one = True
             obj_terms.append(("ONE", constant))
 
         out = io.StringIO()
-        out.write(f"\\ sspolicy {model.kind} model, horizon {model.horizon}, "
-                  f"segments {model.segment_count}\n")
+        out.write(f"\\ sspolicy {model.kind} model, horizon "
+                  f"{model.instance.horizon}, segments {model.piecewise.slopes.shape[1]}\n")
         out.write("Minimize\n obj: ")
         if not obj_terms:
             out.write("0 ONE ")
@@ -167,17 +159,17 @@ class _LpWriter:
         for idx, (var, coef) in enumerate(obj_terms):
             out.write(_term_str(coef, var, idx == 0))
         out.write("\nSubject To\n")
-        for name, coeffs, sense, rhs in self.rows_out:
+        for name, terms, sense, rhs in self.rows_out:
             out.write(f" {name}: ")
-            for idx, (var, coef) in enumerate(coeffs):
-                out.write(_term_str(coef, var, idx == 0))
+            for idx, (col, coef) in enumerate(terms):
+                out.write(_term_str(coef, self.names[col], idx == 0))
             op = {"<=": "<=", ">=": ">=", "==": "="}[sense]
             out.write(f"{op} {_fmt(rhs)}\n")
         out.write("Bounds\n")
-        for name, (lb, ub) in model.variables.items():
-            if name in self.fixed:
-                continue
-            if name in model.binaries:
+        binary = model.binary.tolist()
+        for col, (name, lb, ub) in enumerate(zip(model.names, model.lb.tolist(),
+                                                 model.ub.tolist())):
+            if col in self.fixed or binary[col]:
                 continue
             if lb == -math.inf and ub == math.inf:
                 out.write(f" {name} free\n")
@@ -189,13 +181,13 @@ class _LpWriter:
                 out.write(f" {_fmt(lb)} <= {name} <= {_fmt(ub)}\n")
         if self.need_one:
             out.write(" ONE = 1\n")
-        free_binaries = [b for b in model.variables
-                         if b in model.binaries and b not in self.fixed]
-        if free_binaries or self.extra_binaries:
+        # the model's unfixed binaries, then the export's segment selectors
+        binaries = [name for col, name in enumerate(model.names)
+                    if binary[col] and col not in self.fixed]
+        binaries += self.names[len(model.names):]
+        if binaries:
             out.write("Binary\n")
-            for b in free_binaries:
-                out.write(f" {b}\n")
-            for b in self.extra_binaries:
+            for b in binaries:
                 out.write(f" {b}\n")
         out.write("End\n")
         return out.getvalue()

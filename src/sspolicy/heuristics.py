@@ -18,13 +18,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
-from .domain import Instance, PolicyParameters, validate
+from .domain import Instance, PolicyParameters, ValidationError, validate
 from .model import build_joint, build_segments
 from .solver import CycleTable, ExactBackend
 
 BS_TOLERANCE = 1e-4       # equality band of the binary search
 LONG_HORIZON_CUTOFF = 15  # suffixes longer than this search on step 1
+STRATEGIES = ("equal-probability", "minimax")  # loss.make_partition's
 
 
 @dataclass(frozen=True)
@@ -34,10 +36,14 @@ class HeuristicConfig:
     bs_step_size: float | None = None  # None: resolved per suffix horizon
 
     def __post_init__(self):
-        if self.segments < 3:
-            raise ValueError("need at least 3 linear segments (2 cells)")
+        if not isinstance(self.segments, Integral) or self.segments < 3:
+            raise ValidationError(
+                f"need at least 3 linear segments (2 cells), got {self.segments!r}")
+        if self.strategy not in STRATEGIES:
+            raise ValidationError(f"unknown partition strategy {self.strategy!r}")
         if self.bs_step_size is not None and self.bs_step_size <= 0:
-            raise ValueError("bs_step_size must be positive")
+            raise ValidationError(
+                f"bs_step_size must be positive, got {self.bs_step_size!r}")
 
     @property
     def cells(self) -> int:
@@ -181,21 +187,26 @@ def write_policy_csv(policy: PolicyParameters, path) -> None:
 
 
 def read_policy_csv(path) -> PolicyParameters:
+    """A write_policy_csv file's policy; ValidationError if malformed."""
     ss, SS, costs = [], [], []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if not header.startswith("t,s_t,S_t"):
-            raise ValueError(f"{path}: unexpected policy CSV header {header!r}")
+            raise ValidationError(f"{path}: unexpected policy CSV header {header!r}")
         for line in fh:
             if not line.strip():
                 continue
             parts = line.strip().split(",")
             if len(parts) < 3:
-                raise ValueError(f"{path}: malformed policy row {line!r}")
-            ss.append(float(parts[1]))
-            SS.append(float(parts[2]))
-            if len(parts) > 3 and parts[3] not in ("", "nan"):
-                costs.append(float(parts[3]))
+                raise ValidationError(f"{path}: malformed policy row {line!r}")
+            try:
+                ss.append(float(parts[1]))
+                SS.append(float(parts[2]))
+                if len(parts) > 3 and parts[3] not in ("", "nan"):
+                    costs.append(float(parts[3]))
+            except ValueError as exc:
+                raise ValidationError(
+                    f"{path}: non-numeric field in policy row {line!r}") from exc
     return PolicyParameters(reorder_points=tuple(ss),
                             order_up_to_levels=tuple(SS),
                             costs=tuple(costs) if len(costs) == len(ss) else ())

@@ -23,119 +23,147 @@ initial level is deterministic, so the j = 1 linkage row uses the constant
 1 rather than delta_1 (with a forced first order they coincide; without
 one, the constant closes a loophole that would let the model pretend a
 later, lower-variance cycle start).
+
+Storage: a MilpModel is one table addressed by column index. Columns have
+names, bounds and a binary mask; the objective is a sparse vector plus a
+constant; every linear, cut and indicator row sits in one CSR matrix
+(RowTable) and the piecewise rules in parallel arrays (PiecewiseRules).
+Terms keep their emission order, which is the LP file's term order.
+verify_assignment checks an assignment against the table with array
+expressions, all rows by one matrix-vector product.
 """
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .domain import Instance, validate
-from .loss import Partition, PiecewiseLoss, cached_partition, piecewise_loss
+from .loss import Partition, cached_partition, piecewise_loss
+
+ROW, CUT, INDICATOR = 0, 1, 2  # row kinds, in the order the LP file lists them
 
 
-@dataclass(frozen=True)
-class LinearRow:
-    name: str
-    coeffs: tuple[tuple[str, float], ...]
-    sense: str  # "<=", ">=", "=="
-    rhs: float
+@dataclass
+class RowTable:
+    """Every row of a model. An indicator row holds only while the binary in
+    column `condition` is 0 (no order placed); `condition` is -1 elsewhere."""
+    matrix: sparse.csr_array
+    names: np.ndarray
+    sense: np.ndarray        # "<=", ">=" or "=="
+    rhs: np.ndarray
+    kind: np.ndarray         # ROW, CUT or INDICATOR
+    condition: np.ndarray
 
-    def evaluate(self, assignment) -> float:
-        return sum(c * assignment[v] for v, c in self.coeffs)
-
-    def violation(self, assignment) -> float:
-        lhs = self.evaluate(assignment)
-        if self.sense == "<=":
-            return max(0.0, lhs - self.rhs)
-        if self.sense == ">=":
-            return max(0.0, self.rhs - lhs)
-        return abs(lhs - self.rhs)
+    def __len__(self) -> int:
+        return len(self.names)
 
 
-@dataclass(frozen=True)
-class IndicatorRow:
-    """binary == active_value implies row holds."""
-    name: str
-    binary: str
-    active_value: int
-    row: LinearRow
+@dataclass
+class PiecewiseRules:
+    """selector = 1 implies holding = upper(inventory + shift) and
+    backorder = holding - inventory, one rule per cycle pair (start, period)
+    of each submodel; upper is the maximum of the lines slopes * y +
+    intercepts (error bound included). equality marks rules whose holding
+    and backorder carry no objective weight, so LP export must encode the
+    equality explicitly instead of relying on minimization."""
+    selector: np.ndarray
+    inventory: np.ndarray
+    holding: np.ndarray
+    backorder: np.ndarray
+    shift: np.ndarray
+    start: np.ndarray
+    period: np.ndarray
+    label: np.ndarray
+    equality: np.ndarray
+    slopes: np.ndarray       # (rule, segment)
+    intercepts: np.ndarray
 
-    def violation(self, assignment) -> float:
-        if round(assignment[self.binary]) != self.active_value:
-            return 0.0
-        return self.row.violation(assignment)
-
-
-@dataclass(frozen=True)
-class PiecewiseRule:
-    """P_jt = 1 implies H_t = pieces.upper(I_t + demand_shift) and
-    B_t = H_t - I_t.
-
-    needs_equality marks rules whose holding/backorder variables carry no
-    objective weight, so LP export must encode the equality explicitly
-    (segment-selection binaries) instead of relying on minimization.
-    """
-    name: str
-    selector: str
-    period: int
-    cycle_start: int
-    inventory_var: str
-    holding_var: str
-    backorder_var: str
-    demand_shift: float
-    pieces: PiecewiseLoss
-    needs_equality: bool
-
-    def violation(self, assignment) -> float:
-        if round(assignment[self.selector]) != 1:
-            return 0.0
-        y = assignment[self.inventory_var] + self.demand_shift
-        h_target = float(self.pieces.upper(y))
-        b_target = h_target - assignment[self.inventory_var]
-        return max(abs(assignment[self.holding_var] - h_target),
-                   abs(assignment[self.backorder_var] - b_target))
+    def __len__(self) -> int:
+        return len(self.selector)
 
 
 @dataclass
 class MilpModel:
     kind: str                  # "s" | "S" | "joint"
-    horizon: int
-    offset: int                # first covered period of the original instance
     instance: Instance
-    variables: dict = field(default_factory=dict)  # name -> (lb, ub)
-    binaries: set = field(default_factory=set)
-    rows: list = field(default_factory=list)
-    indicators: list = field(default_factory=list)
-    piecewise: list = field(default_factory=list)
-    cuts: list = field(default_factory=list)
-    objective: tuple = ()
-    objective_constant: float = 0.0
-    big_m: float = 0.0
-    submodels: tuple = ()
-    segment_count: int = 0
-    segments: Mapping = field(default_factory=dict)  # (j, t) -> PiecewiseLoss
+    big_m: float
+    submodels: tuple
+    segments: Mapping          # (j, t) -> PiecewiseLoss
+    names: list                # column names, in insertion order
+    index: dict                # column name -> column
+    lb: np.ndarray
+    ub: np.ndarray
+    binary: np.ndarray
+    objective: tuple           # (columns, coefficients)
+    objective_constant: float
+    rows: RowTable
+    piecewise: PiecewiseRules
 
-    def add_var(self, name, lb=-math.inf, ub=math.inf, binary=False):
-        self.variables[name] = (lb, ub)
-        if binary:
-            self.binaries.add(name)
-
-    def fix_var(self, name, value):
-        self.variables[name] = (value, value)
-
-    def is_fixed(self, name) -> bool:
-        lb, ub = self.variables[name]
-        return lb == ub
+    def vector(self, assignment) -> np.ndarray:
+        """The assignment's values in column order."""
+        return np.fromiter(map(assignment.__getitem__, self.names), float,
+                           len(self.names))
 
     def objective_value(self, assignment) -> float:
-        return self.objective_constant + sum(
-            c * assignment[v] for v, c in self.objective)
+        cols, coefs = self.objective
+        return self.objective_constant + float(coefs @ self.vector(assignment)[cols])
 
-    def objective_coefficient(self, name) -> float:
-        return sum(c for v, c in self.objective if v == name)
+
+class _Emitter:
+    """A model under construction, by column index; `model` freezes it."""
+
+    def __init__(self):
+        self.names, self.lb, self.ub, self.binary = [], [], [], []
+        self.index = {}
+        self.objective = []      # (column, coefficient)
+        self.constant = 0.0
+        self.cols, self.vals, self.indptr = [], [], [0]
+        self.meta = []           # (name, sense, rhs, kind, condition) per row
+        self.rules = defaultdict(list)  # PiecewiseRules field -> values
+
+    def var(self, name, lb=-math.inf, ub=math.inf, binary=False) -> int:
+        col = self.index[name] = len(self.names)
+        self.names.append(name)
+        self.lb.append(lb)
+        self.ub.append(ub)
+        self.binary.append(binary)
+        return col
+
+    def fix(self, col, value):
+        self.lb[col] = self.ub[col] = value
+
+    def add_row(self, name, cols, vals, sense, rhs, kind=ROW, condition=-1):
+        self.cols += cols
+        self.vals += vals
+        self.indptr.append(len(self.cols))
+        self.meta.append((name, sense, rhs, kind, condition))
+
+    def add_rules(self, **fields):
+        """Piecewise rules, one per entry of every field."""
+        for key, values in fields.items():
+            self.rules[key] += list(values)
+
+    def model(self, kind, instance, big_m, submodels, segments) -> MilpModel:
+        matrix = sparse.csr_array(
+            (np.array(self.vals), np.array(self.cols), np.array(self.indptr)),
+            shape=(len(self.meta), len(self.names)))
+        # meta holds RowTable's fields after the matrix, in order
+        rows = RowTable(matrix, *map(np.array, zip(*self.meta)))
+        rules = PiecewiseRules(**{key: np.array(values)
+                                  for key, values in self.rules.items()})
+        cols, coefs = zip(*self.objective)
+        return MilpModel(
+            kind=kind, instance=instance, big_m=big_m, submodels=submodels,
+            segments=segments,
+            names=self.names, index=self.index, lb=np.array(self.lb, dtype=float),
+            ub=np.array(self.ub, dtype=float), binary=np.array(self.binary),
+            objective=(np.array(cols), np.array(coefs, dtype=float)),
+            objective_constant=self.constant, rows=rows, piecewise=rules)
 
 
 def cumulative_demand(instance: Instance, j: int, t: int) -> tuple[float, float]:
@@ -181,245 +209,204 @@ def level_bounds(instance: Instance, big_m: float) -> tuple[float, float]:
     return lower, big_m + 10.0
 
 
-def _check_segments(instance: Instance, segments: dict) -> int:
-    n_seg = None
+def _period_pieces(instance: Instance, segments: Mapping) -> list:
+    """Segment data of every period t (entry t - 1) as arrays over cycle
+    starts 1..t: slopes, rule-line intercepts (error bound included),
+    demand shifts and cut coefficients slope * mu + intercept + e. Every
+    piece must have the same segment count."""
+    out, n_seg = [], None
     for t in range(1, instance.horizon + 1):
+        pieces = []
         for j in range(1, t + 1):
             if (j, t) not in segments:
                 raise ValueError(f"segments missing for cycle pair (j={j}, t={t})")
-            count = segments[(j, t)].segment_count
-            n_seg = count if n_seg is None else max(n_seg, count)
-    return n_seg or 0
+            pieces.append(segments[(j, t)])
+            n_seg = n_seg or pieces[-1].segment_count
+            if pieces[-1].segment_count != n_seg:
+                raise ValueError(f"segment count mismatch at (j={j}, t={t})")
+        slopes = np.array([pw.slopes for pw in pieces])
+        icpt = np.array([pw.segment_intercepts for pw in pieces])
+        means = np.array([pw.mean for pw in pieces])
+        errs = np.array([pw.error_bound for pw in pieces])[:, None]
+        out.append((slopes, icpt + errs, means,
+                    slopes * means[:, None] + icpt + errs))
+    return out
 
 
-def _add_submodel(model: MilpModel, label: str, segments: dict,
-                  first_order: bool, fixed_i0: float | None,
-                  objective_from: int) -> list:
-    """Emit variables, rows, piecewise rules and cuts for one submodel.
+def _add_submodel(em: _Emitter, instance: Instance, big_m: float, label: str,
+                  periods: list, first_order: bool,
+                  fixed_i0: float | None, objective_from: int) -> tuple:
+    """Emit columns, rows, piecewise rules and cuts for one submodel.
 
     objective_from: first local period whose K/h/b terms enter the model
-    objective (2 for the joint model's no-first-order side).
+    objective (2 for the joint model's no-order side). Returns the
+    submodel's full cost terms, every period's included, and its level
+    columns I0, I_1..I_T.
     """
-    inst = model.instance
-    T = inst.horizon
-    costs = inst.costs
-    bound_lo, bound_hi = level_bounds(inst, model.big_m)
+    T = instance.horizon
+    costs = instance.costs
+    bound_lo, bound_hi = level_bounds(instance, big_m)
 
-    i0 = f"I0_{label}"
-    model.add_var(i0, bound_lo, bound_hi)
+    I = [em.var(f"I0_{label}", bound_lo, bound_hi)]
     if fixed_i0 is not None:
-        model.fix_var(i0, fixed_i0)
+        em.fix(I[0], fixed_i0)
+    cost, deltas = [], []
     for t in range(1, T + 1):
-        model.add_var(f"I_{label}_{t}", bound_lo, bound_hi)
-        model.add_var(f"H_{label}_{t}", 0.0)
-        model.add_var(f"B_{label}_{t}", 0.0)
-        model.add_var(f"delta_{label}_{t}", 0.0, 1.0, binary=True)
-        for j in range(1, t + 1):
-            model.add_var(f"P_{label}_{j}_{t}", 0.0, 1.0, binary=True)
-    model.fix_var(f"delta_{label}_1", 1.0 if first_order else 0.0)
-    model.fix_var(f"P_{label}_1_1", 1.0)
-
-    obj_terms = []
-    for t in range(1, T + 1):
-        prev = i0 if t == 1 else f"I_{label}_{t-1}"
-        mean_t = inst.means[t - 1]
+        I.append(em.var(f"I_{label}_{t}", bound_lo, bound_hi))
+        hold = em.var(f"H_{label}_{t}", 0.0)
+        back = em.var(f"B_{label}_{t}", 0.0)
+        delta = em.var(f"delta_{label}_{t}", 0.0, 1.0, binary=True)
+        P = [em.var(f"P_{label}_{j}_{t}", 0.0, 1.0, binary=True)
+             for j in range(1, t + 1)]
+        if t == 1:
+            em.fix(delta, 1.0 if first_order else 0.0)
+            em.fix(P[0], 1.0)
+        deltas.append(delta)
+        mean_t = instance.means[t - 1]
         # expected order quantity: nonnegative, and zero without an order
-        model.rows.append(LinearRow(
-            name=f"order_nonneg_{label}_{t}",
-            coeffs=((f"I_{label}_{t}", 1.0), (prev, -1.0)),
-            sense=">=", rhs=-mean_t))
-        model.indicators.append(IndicatorRow(
-            name=f"no_order_balance_{label}_{t}",
-            binary=f"delta_{label}_{t}", active_value=0,
-            row=LinearRow(
-                name=f"no_order_balance_{label}_{t}_row",
-                coeffs=((f"I_{label}_{t}", 1.0), (prev, -1.0)),
-                sense="==", rhs=-mean_t)))
+        em.add_row(f"order_nonneg_{label}_{t}", [I[t], I[t - 1]], [1.0, -1.0],
+                   ">=", -mean_t)
+        em.add_row(f"no_order_balance_{label}_{t}_row", [I[t], I[t - 1]],
+                   [1.0, -1.0], "==", -mean_t, kind=INDICATOR, condition=delta)
         # exactly one cycle start covers t
-        model.rows.append(LinearRow(
-            name=f"cycle_assign_{label}_{t}",
-            coeffs=tuple((f"P_{label}_{j}_{t}", 1.0) for j in range(1, t + 1)),
-            sense="==", rhs=1.0))
+        em.add_row(f"cycle_assign_{label}_{t}", P, [1.0] * t, "==", 1.0)
         # the most recent cycle start is identified uniquely; period 1
         # counts as a start whether or not an order is placed there
-        for j in range(1, t + 1):
-            coeffs = [(f"P_{label}_{j}_{t}", 1.0)]
-            rhs = 0.0
-            if j == 1:
-                rhs = 1.0
-            else:
-                coeffs.append((f"delta_{label}_{j}", -1.0))
-            for k in range(j + 1, t + 1):
-                coeffs.append((f"delta_{label}_{k}", 1.0))
-            model.rows.append(LinearRow(
-                name=f"cycle_link_{label}_{j}_{t}",
-                coeffs=tuple(coeffs), sense=">=", rhs=rhs))
+        em.add_row(f"cycle_link_{label}_1_{t}", [P[0]] + deltas[1:],
+                   [1.0] * t, ">=", 1.0)
+        for j in range(2, t + 1):
+            em.add_row(f"cycle_link_{label}_{j}_{t}", [P[j - 1]] + deltas[j - 1:],
+                       [1.0, -1.0] + [1.0] * (t - j), ">=", 0.0)
 
-        in_objective = t >= objective_from
-        if in_objective:
-            obj_terms.append((f"delta_{label}_{t}", costs.fixed))
-            obj_terms.append((f"H_{label}_{t}", costs.holding))
-            obj_terms.append((f"B_{label}_{t}", costs.penalty))
-        for j in range(1, t + 1):
-            pw = segments[(j, t)]
-            model.piecewise.append(PiecewiseRule(
-                name=f"loss_{label}_{j}_{t}",
-                selector=f"P_{label}_{j}_{t}",
-                period=t, cycle_start=j,
-                inventory_var=f"I_{label}_{t}",
-                holding_var=f"H_{label}_{t}",
-                backorder_var=f"B_{label}_{t}",
-                demand_shift=pw.mean,
-                pieces=pw,
-                needs_equality=not in_objective))
-        _emit_segment_cuts(model, label, t, segments)
+        terms = [(delta, costs.fixed), (hold, costs.holding), (back, costs.penalty)]
+        cost += terms
+        if t >= objective_from:
+            em.objective += terms
+        _emit_pieces(em, label, t, periods[t - 1], I[t], hold, back, P,
+                     equality=t < objective_from)
 
     if costs.unit:
-        obj_terms.append((i0, -costs.unit))
-        obj_terms.append((f"I_{label}_{T}", costs.unit))
-        model.objective_constant += costs.unit * sum(inst.means)
-    model.objective = tuple(model.objective) + tuple(obj_terms)
-    return obj_terms
+        unit_terms = [(I[0], -costs.unit), (I[T], costs.unit)]
+        cost += unit_terms
+        em.objective += unit_terms
+        em.constant += costs.unit * sum(instance.means)
+    return cost, I
 
 
-def _emit_segment_cuts(model: MilpModel, label: str, t: int, segments: dict):
-    """Valid lower-bounding rows: for every segment i,
+def _emit_pieces(em: _Emitter, label: str, t: int, pieces: tuple,
+                 inv: int, hold: int, back: int, selectors: list,
+                 equality: bool):
+    """Period t's piecewise rules, one per cycle start j, and its valid
+    lower-bounding cut rows: for every segment i,
     H_t >= slope_i * I_t + sum_j (slope_i * mu_jt + intercept_i^jt + e_jt) P_jt
     and the same shifted by -I_t for B_t."""
-    slopes = np.asarray(segments[(1, t)].slopes)
-    n_seg = slopes.size
-    per_j = []
-    for j in range(1, t + 1):
-        pw = segments[(j, t)]
-        if pw.segment_count != n_seg:
-            raise ValueError(f"segment count mismatch at (j={j}, t={t})")
-        per_j.append((j, np.asarray(pw.slopes), pw.segment_intercepts,
-                      pw.mean, pw.error_bound))
-    for i in range(n_seg):
-        h_coeffs = [(f"H_{label}_{t}", 1.0)]
-        b_coeffs = [(f"B_{label}_{t}", 1.0)]
-        slope_i = per_j[0][1][i]
-        h_coeffs.append((f"I_{label}_{t}", -slope_i))
-        b_coeffs.append((f"I_{label}_{t}", -(slope_i - 1.0)))
-        for j, sl, icpt, mu, err in per_j:
-            const = sl[i] * mu + icpt[i] + err
-            h_coeffs.append((f"P_{label}_{j}_{t}", -const))
-            b_coeffs.append((f"P_{label}_{j}_{t}", -const))
-        model.cuts.append(LinearRow(
-            name=f"cut_H_{label}_{t}_{i}", coeffs=tuple(h_coeffs),
-            sense=">=", rhs=0.0))
-        model.cuts.append(LinearRow(
-            name=f"cut_B_{label}_{t}_{i}", coeffs=tuple(b_coeffs),
-            sense=">=", rhs=0.0))
+    slopes, lines, means, const = pieces
+    em.add_rules(selector=selectors, inventory=[inv] * t, holding=[hold] * t,
+                 backorder=[back] * t, shift=means, start=range(1, t + 1),
+                 period=[t] * t, label=[label] * t, equality=[equality] * t,
+                 slopes=slopes, intercepts=lines)
+    n_seg = slopes.shape[1]
+    cols = np.empty((2 * n_seg, t + 2), dtype=np.intp)
+    cols[0::2, 0], cols[1::2, 0], cols[:, 1], cols[:, 2:] = hold, back, inv, selectors
+    vals = np.empty(cols.shape)
+    vals[:, 0] = 1.0
+    vals[0::2, 1] = -slopes[0]
+    vals[1::2, 1] = -(slopes[0] - 1.0)
+    vals[0::2, 2:] = vals[1::2, 2:] = -const.T
+    names = (f"cut_{q}_{label}_{t}_{i}" for i in range(n_seg) for q in "HB")
+    for name, row_cols, row_vals in zip(names, cols.tolist(), vals.tolist()):
+        em.add_row(name, row_cols, row_vals, ">=", 0.0, CUT)
 
 
-def build_minlp_s(instance: Instance, segments: dict,
+def build_minlp_s(instance: Instance, segments: Mapping,
                   initial_inventory: float | None = None) -> MilpModel:
     """No-order-in-period-1 model; free initial level unless fixed."""
     validate(instance)
-    n_seg = _check_segments(instance, segments)
-    model = MilpModel(kind="s", horizon=instance.horizon, offset=1,
-                      instance=instance,
-                      big_m=default_big_m(instance, initial_inventory),
-                      submodels=("s",), segment_count=n_seg,
-                      segments=segments)
-    _add_submodel(model, "s", segments, first_order=False,
+    periods = _period_pieces(instance, segments)
+    big_m = default_big_m(instance, initial_inventory)
+    em = _Emitter()
+    _add_submodel(em, instance, big_m, "s", periods, first_order=False,
                   fixed_i0=initial_inventory, objective_from=1)
-    return model
+    return em.model("s", instance, big_m, ("s",), segments)
 
 
-def build_minlp_S(instance: Instance, segments: dict) -> MilpModel:
+def build_minlp_S(instance: Instance, segments: Mapping) -> MilpModel:
     """Forced-order-in-period-1 model; the free initial level doubles as the
     period-1 order-up-to level via the pin row I0_S = I_S_1 + mean_1."""
     validate(instance)
-    n_seg = _check_segments(instance, segments)
-    model = MilpModel(kind="S", horizon=instance.horizon, offset=1,
-                      instance=instance, big_m=default_big_m(instance),
-                      submodels=("S",), segment_count=n_seg,
-                      segments=segments)
-    _add_submodel(model, "S", segments, first_order=True,
-                  fixed_i0=None, objective_from=1)
-    model.rows.append(LinearRow(
-        name="pin_I0_S",
-        coeffs=(("I0_S", 1.0), ("I_S_1", -1.0)),
-        sense="==", rhs=instance.means[0]))
-    return model
+    periods = _period_pieces(instance, segments)
+    big_m = default_big_m(instance)
+    em = _Emitter()
+    _, I = _add_submodel(em, instance, big_m, "S", periods, first_order=True,
+                         fixed_i0=None, objective_from=1)
+    em.add_row("pin_I0_S", I[:2], [1.0, -1.0], "==", instance.means[0])
+    return em.model("S", instance, big_m, ("S",), segments)
 
 
-def build_joint(instance: Instance, segments: dict) -> MilpModel:
+def build_joint(instance: Instance, segments: Mapping) -> MilpModel:
     """Both submodels, the cost-equality link and the ordering I0_s <= I0_S.
 
     The objective takes the forced-order side over all periods plus the
     no-order side from period 2; the no-order side's period-1 terms live
-    only inside the linked cost expression.
+    only inside the linked cost expression G_s.
     """
     validate(instance)
-    n_seg = _check_segments(instance, segments)
-    model = MilpModel(kind="joint", horizon=instance.horizon, offset=1,
-                      instance=instance, big_m=default_big_m(instance),
-                      submodels=("S", "s"), segment_count=n_seg,
-                      segments=segments)
-    terms_S = _add_submodel(model, "S", segments, first_order=True,
-                            fixed_i0=None, objective_from=1)
-    _add_submodel(model, "s", segments, first_order=False,
-                  fixed_i0=None, objective_from=2)
-    model.rows.append(LinearRow(
-        name="pin_I0_S",
-        coeffs=(("I0_S", 1.0), ("I_S_1", -1.0)),
-        sense="==", rhs=instance.means[0]))
-
-    costs = instance.costs
-    model.add_var("C_S")
-    model.add_var("G_s")
-    # terms_S already carries the unit-cost terms of the forced-order side
-    def_cs = [("C_S", 1.0)] + [(v, -c) for v, c in terms_S]
-    model.rows.append(LinearRow(
-        name="def_C_S", coeffs=tuple(def_cs), sense="==",
-        rhs=costs.unit * sum(instance.means)))
-    # the linked cost keeps the no-order side's period-1 holding/backorder
-    def_gs = [("G_s", 1.0), ("H_s_1", -costs.holding), ("B_s_1", -costs.penalty)]
-    for t in range(2, instance.horizon + 1):
-        def_gs += [(f"delta_s_{t}", -costs.fixed),
-                   (f"H_s_{t}", -costs.holding), (f"B_s_{t}", -costs.penalty)]
-    if costs.unit:
-        def_gs += [("I0_s", costs.unit), (f"I_s_{instance.horizon}", -costs.unit)]
-    model.rows.append(LinearRow(
-        name="def_G_s", coeffs=tuple(def_gs), sense="==",
-        rhs=costs.unit * sum(instance.means)))
-    model.rows.append(LinearRow(
-        name="link_cost", coeffs=(("G_s", 1.0), ("C_S", -1.0)),
-        sense="==", rhs=0.0))
-    model.rows.append(LinearRow(
-        name="link_order", coeffs=(("I0_s", 1.0), ("I0_S", -1.0)),
-        sense="<=", rhs=0.0))
-    return model
+    periods = _period_pieces(instance, segments)
+    big_m = default_big_m(instance)
+    em = _Emitter()
+    cost_S, I_S = _add_submodel(em, instance, big_m, "S", periods,
+                                first_order=True, fixed_i0=None, objective_from=1)
+    cost_s, I_s = _add_submodel(em, instance, big_m, "s", periods,
+                                first_order=False, fixed_i0=None, objective_from=2)
+    em.add_row("pin_I0_S", I_S[:2], [1.0, -1.0], "==", instance.means[0])
+    # each linked cost is its side's full cost expression
+    unit_total = instance.costs.unit * sum(instance.means)
+    linked = []
+    for name, cost in (("C_S", cost_S), ("G_s", cost_s)):
+        linked.append(em.var(name))
+        em.add_row(f"def_{name}", [linked[-1]] + [col for col, _ in cost],
+                   [1.0] + [-coef for _, coef in cost], "==", unit_total)
+    em.add_row("link_cost", linked[::-1], [1.0, -1.0], "==", 0.0)
+    em.add_row("link_order", [I_s[0], I_S[0]], [1.0, -1.0], "<=", 0.0)
+    return em.model("joint", instance, big_m, ("S", "s"), segments)
 
 
 def verify_assignment(model: MilpModel, assignment: dict,
                       tol: float = 1e-6) -> list:
-    """All violations beyond tol as (name, amount), worst first."""
+    """All violations beyond tol as (name, amount), worst first.
+
+    Checks bounds, integrality of unfixed binaries, every row by one
+    matrix-vector product (an indicator row only while its condition is
+    0) and each selected piecewise rule against its upper envelope.
+    """
+    x = model.vector(assignment)
     bad = []
-    for name, (lb, ub) in model.variables.items():
-        v = assignment[name]
-        over = max(lb - v, v - ub, 0.0)
-        if over > tol:
-            bad.append((f"bound_{name}", over))
-    for name in model.binaries:
-        if not model.is_fixed(name):
-            frac = abs(assignment[name] - round(assignment[name]))
-            if frac > tol:
-                bad.append((f"integrality_{name}", frac))
-    for row in model.rows + model.cuts:
-        v = row.violation(assignment)
-        if v > tol:
-            bad.append((row.name, v))
-    for ind in model.indicators:
-        v = ind.violation(assignment)
-        if v > tol:
-            bad.append((ind.name, v))
-    for rule in model.piecewise:
-        v = rule.violation(assignment)
-        if v > tol:
-            bad.append((rule.name, v))
+
+    def report(amounts, name):
+        bad.extend((name(i), float(amounts[i]))
+                   for i in np.flatnonzero(amounts > tol))
+
+    names = model.names
+    report(np.maximum(model.lb - x, x - model.ub),
+           lambda i: f"bound_{names[i]}")
+    free = model.binary & (model.lb != model.ub)
+    report(np.where(free, np.abs(x - np.round(x)), 0.0),
+           lambda i: f"integrality_{names[i]}")
+
+    rows = model.rows
+    lhs = rows.matrix @ x
+    over = np.where(rows.sense == "<=", lhs - rows.rhs,
+                    np.where(rows.sense == ">=", rows.rhs - lhs,
+                             np.abs(lhs - rows.rhs)))
+    idle = (rows.kind == INDICATOR) & (np.round(x[rows.condition]) != 0)
+    report(np.where(idle, 0.0, over), lambda i: str(rows.names[i]))
+
+    pw = model.piecewise
+    level = x[pw.inventory]
+    upper = ((level + pw.shift)[:, None] * pw.slopes + pw.intercepts).max(axis=1)
+    miss = np.maximum(np.abs(x[pw.holding] - upper),
+                      np.abs(x[pw.backorder] - (upper - level)))
+    report(np.where(np.round(x[pw.selector]) == 1, miss, 0.0),
+           lambda i: f"loss_{pw.label[i]}_{pw.start[i]}_{pw.period[i]}")
     bad.sort(key=lambda kv: -kv[1])
     return bad

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .domain import Instance, PolicyParameters, validate
+from .domain import Instance, PolicyParameters, ValidationError, validate
 
 _U64_11 = np.uint64(11)
 _INV_2_53 = 2.0 ** -53
@@ -67,7 +67,7 @@ def simulate_policy(instance: Instance, policy: PolicyParameters,
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
     if policy.horizon != instance.horizon:
-        raise ValueError(
+        raise ValidationError(
             f"policy horizon {policy.horizon} does not match instance "
             f"horizon {instance.horizon}")
     T = instance.horizon

@@ -569,8 +569,9 @@ def solve_exact(model: MilpModel, tolerance: float = 1e-4) -> SolveResult:
         return _solve_joint(model, view, bounds, tolerance, start)
     label = model.kind
     pinned = None
-    if label == "s" and model.is_fixed("I0_s"):
-        pinned = model.variables["I0_s"][0]
+    i0 = model.index[f"I0_{label}"]
+    if label == "s" and model.lb[i0] == model.ub[i0]:
+        pinned = float(model.lb[i0])
     engine = _SubmodelEngine(view, label == "S", bounds)
     best, nodes = engine.enumerate(pinned_i0=pinned)
     if best is None:
@@ -652,7 +653,7 @@ def import_solution(model: MilpModel, path) -> SolveResult:
         if len(parts) != 2:
             raise SolverError(f"{path}: parse error on line {ln!r}")
         name, value = parts
-        if name not in model.variables:
+        if name not in model.index:
             if name == "ONE" or name.startswith("z_"):
                 continue
             raise SolverError(f"{path}: name mismatch: unknown variable {name!r}")
@@ -660,12 +661,11 @@ def import_solution(model: MilpModel, path) -> SolveResult:
             assignment[name] = float(value)
         except ValueError as exc:
             raise SolverError(f"{path}: bad value for {name}: {value!r}") from exc
-    for name, (lb, ub) in model.variables.items():
+    for col, name in enumerate(model.names):
         if name not in assignment:
-            if lb == ub:
-                assignment[name] = lb
-            else:
+            if model.lb[col] != model.ub[col]:
                 raise SolverError(f"{path}: name mismatch: missing variable {name!r}")
+            assignment[name] = float(model.lb[col])
     bad = verify_assignment(model, assignment, tol=1e-6)
     if bad:
         name, amount = bad[0]

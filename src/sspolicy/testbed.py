@@ -24,6 +24,7 @@ import os
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from numbers import Integral
 
 from .domain import CostParameters, Instance, NormalDemand, ValidationError
 from .heuristics import HeuristicConfig, bs_policy, mp_policy
@@ -135,15 +136,19 @@ class BenchmarkConfig:
 
     def __post_init__(self):
         if self.horizon not in (8, 25):
-            raise ValueError("horizon must be 8 or 25")
+            raise ValidationError("horizon must be 8 or 25")
         if self.fixed_costs is None:
             object.__setattr__(self, "fixed_costs", DEFAULT_K[self.horizon])
+        # methods may be empty: an oracle-only sweep
+        for name in ("patterns", "fixed_costs", "penalty_costs", "cvs"):
+            if not getattr(self, name):
+                raise ValidationError(f"empty {name} list")
         for p in self.patterns:
             if p not in PATTERNS:
-                raise ValueError(f"unknown pattern {p!r}")
+                raise ValidationError(f"unknown pattern {p!r}")
         for m in self.methods:
             if m not in ("bs", "mp"):
-                raise ValueError(f"unknown method {m!r}")
+                raise ValidationError(f"unknown method {m!r}")
         # checked here, so a malformed config stops before the sweep; c >= b,
         # a property of one (c, b) pair, is left to run_instance
         for K in self.fixed_costs:
@@ -162,6 +167,10 @@ class BenchmarkConfig:
         if not math.isfinite(self.initial_inventory):
             raise ValidationError(
                 f"invalid initial inventory {self.initial_inventory}")
+        if not isinstance(self.replications, Integral) or self.replications < 1:
+            raise ValidationError(
+                f"replications must be a positive integer, got {self.replications!r}")
+        self.heuristic_config()  # checks segments, strategy and bs_step_size
 
     def heuristic_config(self) -> HeuristicConfig:
         return HeuristicConfig(segments=self.segments, strategy=self.strategy,

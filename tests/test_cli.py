@@ -128,6 +128,23 @@ def test_simulate_rejects_nan_policy(example4_file, tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("content, message", [
+    ("x,y\n1,2\n", "unexpected policy CSV header"),
+    ("t,s_t,S_t,linked_cost\n1,2\n", "malformed policy row"),
+    ("t,s_t,S_t,linked_cost\n1,abc,70.0,nan\n", "non-numeric field"),
+    ("t,s_t,S_t,linked_cost\n1,14.0,70.0,nan\n",
+     "policy horizon 1 does not match instance horizon 4"),
+])
+def test_simulate_malformed_policy_is_data_error(example4_file, tmp_path,
+                                                 capsys, content, message):
+    policy_csv = tmp_path / "policy.csv"
+    policy_csv.write_text(content)
+    rc = main(["simulate", str(example4_file), "--policy", str(policy_csv),
+               "--reps", "100", "--seed", "7"])
+    assert rc == 3
+    assert message in capsys.readouterr().err
+
+
 def test_benchmark_command_and_resume(tmp_path, capsys):
     config = {"horizon": 8, "patterns": ["STA"], "K": [200], "b": [5],
               "cv": [0.1, 0.2], "methods": ["bs"], "replications": 1000,
@@ -164,6 +181,24 @@ def test_benchmark_rejects_negative_penalty(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 3
     assert "invalid penalty cost b = -5" in captured.err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("extra, message", [
+    ({"replication": 5}, "unknown benchmark config key(s) 'replication'"),
+    ({"fixed_costs": [200]}, "unknown benchmark config key(s) 'fixed_costs'"),
+    ({"methods": []}, "empty methods list"),
+])
+def test_benchmark_rejects_config_keys(tmp_path, capsys, extra, message):
+    """A misspelt key or an empty method list stops the run before any
+    output directory exists."""
+    cfg_path = tmp_path / "bench.json"
+    cfg_path.write_text(json.dumps({"horizon": 8, "patterns": ["STA"],
+                                    "seed": 1, **extra}))
+    out_dir = tmp_path / "o"
+    rc = main(["benchmark", str(cfg_path), "--out-dir", str(out_dir)])
+    assert rc == 3
+    assert message in capsys.readouterr().err
     assert not out_dir.exists()
 
 

@@ -1,11 +1,13 @@
 import math
+from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from sspolicy.domain import make_instance
 from sspolicy.model import (
-    build_joint, build_minlp_s, build_minlp_S, build_segments,
-    cumulative_demand, default_big_m, verify_assignment,
+    CUT, INDICATOR, RowTable, build_joint, build_minlp_s, build_minlp_S,
+    build_segments, cumulative_demand, default_big_m, verify_assignment,
 )
 from sspolicy.solver import solve_exact
 
@@ -49,36 +51,45 @@ class TestSegments:
 class TestStructure:
     def test_delta1_fixed(self, example4, segments4):
         m_s = build_minlp_s(example4, segments4)
-        assert m_s.variables["delta_s_1"] == (0.0, 0.0)
+        col = m_s.index["delta_s_1"]
+        assert (m_s.lb[col], m_s.ub[col]) == (0.0, 0.0)
         m_S = build_minlp_S(example4, segments4)
-        assert m_S.variables["delta_S_1"] == (1.0, 1.0)
+        col = m_S.index["delta_S_1"]
+        assert (m_S.lb[col], m_S.ub[col]) == (1.0, 1.0)
 
     def test_every_period_has_assignment_row(self, example4, segments4):
         m = build_minlp_s(example4, segments4)
-        names = {row.name for row in m.rows}
+        names = set(m.rows.names)
         for t in range(1, 5):
             assert f"cycle_assign_s_{t}" in names
 
     def test_joint_has_link_rows(self, example4, segments4):
         m = build_joint(example4, segments4)
-        names = {row.name for row in m.rows}
+        names = set(m.rows.names)
         assert {"link_cost", "link_order", "def_C_S", "def_G_s",
                 "pin_I0_S"} <= names
         assert m.submodels == ("S", "s")
 
     def test_joint_objective_drops_noorder_period1(self, example4, segments4):
         m = build_joint(example4, segments4)
-        assert m.objective_coefficient("H_s_1") == 0.0
-        assert m.objective_coefficient("B_s_1") == 0.0
-        assert m.objective_coefficient("H_S_1") == 1.0
-        assert m.objective_coefficient("B_s_2") == 10.0
+        cols, coefs = m.objective
+
+        def weight(name):
+            return coefs[cols == m.index[name]].sum()
+
+        assert weight("H_s_1") == 0.0
+        assert weight("B_s_1") == 0.0
+        assert weight("H_S_1") == 1.0
+        assert weight("B_s_2") == 10.0
 
     def test_equality_flag_only_where_unpressured(self, example4, segments4):
         m = build_joint(example4, segments4)
-        needing = {(r.selector, r.period) for r in m.piecewise if r.needs_equality}
+        pw = m.piecewise
+        needing = {(m.names[c], t) for c, t in zip(pw.selector[pw.equality].tolist(),
+                                                    pw.period[pw.equality].tolist())}
         assert needing == {("P_s_1_1", 1)}
         m_s = build_minlp_s(example4, segments4)
-        assert not any(r.needs_equality for r in m_s.piecewise)
+        assert not m_s.piecewise.equality.any()
 
     def test_big_m_formula(self, example4):
         expect = 160 + 6 * math.sqrt(25 + 100 + 225 + 100)
@@ -183,7 +194,10 @@ class TestSemantics:
         """Dropping the segment cut rows leaves the optimum unchanged."""
         model = build_minlp_s(example4, segments4)
         res_with = solve_exact(model)
-        model.cuts = []
+        rows = model.rows
+        keep = rows.kind != CUT
+        assert not keep.all()
+        model.rows = RowTable(*(getattr(rows, f.name)[keep] for f in fields(RowTable)))
         res_without = solve_exact(model)
         assert res_with.objective == pytest.approx(res_without.objective, abs=1e-9)
 
@@ -195,3 +209,56 @@ class TestSemantics:
         broken["H_s_2"] += 0.5
         names = [n for n, _ in verify_assignment(model, broken)]
         assert any("loss_s" in n or "cut" in n for n in names)
+
+
+def _loop_violations(model, a, tol=1e-6):
+    """verify_assignment's checks one column, row and rule at a time, with
+    each rule's envelope from its PiecewiseLoss."""
+    names, bad = model.names, {}
+    for col, name in enumerate(names):
+        lb, ub = model.lb[col], model.ub[col]
+        bad[f"bound_{name}"] = max(lb - a[name], a[name] - ub, 0.0)
+        if model.binary[col] and lb != ub:
+            bad[f"integrality_{name}"] = abs(a[name] - round(a[name]))
+    rows, m = model.rows, model.rows.matrix
+    for r in range(len(rows)):
+        terms = zip(m.indices[m.indptr[r]:m.indptr[r + 1]],
+                    m.data[m.indptr[r]:m.indptr[r + 1]])
+        lhs = sum(coef * a[names[col]] for col, coef in terms)
+        if rows.kind[r] == INDICATOR and round(a[names[rows.condition[r]]]) != 0:
+            continue
+        rhs = rows.rhs[r]
+        bad[rows.names[r]] = {"<=": lhs - rhs, ">=": rhs - lhs,
+                              "==": abs(lhs - rhs)}[rows.sense[r]]
+    pw = model.piecewise
+    for r in range(len(pw)):
+        if round(a[names[pw.selector[r]]]) != 1:
+            continue
+        piece = model.segments[(pw.start[r], pw.period[r])]
+        level = a[names[pw.inventory[r]]]
+        upper = float(piece.upper(level + piece.mean))
+        bad[f"loss_{pw.label[r]}_{pw.start[r]}_{pw.period[r]}"] = max(
+            abs(a[names[pw.holding[r]]] - upper),
+            abs(a[names[pw.backorder[r]]] - (upper - level)))
+    return {name: v for name, v in bad.items() if v > tol}
+
+
+@pytest.mark.parametrize("build", [build_minlp_s, build_joint])
+def test_verify_assignment_matches_loop(example4, segments4, build):
+    """Perturbed optima are judged alike by the array checks and by a loop
+    over the same rows and the rules' own piecewise functions."""
+    model = build(example4, segments4)
+    optimum = solve_exact(model).assignment
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        a = dict(optimum)
+        for col in rng.choice(len(model.names), size=4, replace=False):
+            name = model.names[col]
+            a[name] = float(1 - round(a[name]) if model.binary[col]
+                            else a[name] + rng.normal(0.0, 5.0))
+        got = verify_assignment(model, a)
+        assert [v for _, v in got] == sorted((v for _, v in got), reverse=True)
+        expected = _loop_violations(model, a)
+        assert {name for name, _ in got} == set(expected)
+        for name, amount in got:
+            assert amount == pytest.approx(expected[name], rel=1e-9, abs=1e-9)

@@ -76,9 +76,10 @@ class TestDeterminism:
         model = build_minlp_s(example4, segments4)
         base = solve_exact(model).objective
         relaxed = build_minlp_s(example4, segments4)
-        for name, (lb, ub) in list(relaxed.variables.items()):
-            if name.startswith("I_") and lb != ub:
-                relaxed.variables[name] = (lb - 100, ub + 100)
+        for col, name in enumerate(relaxed.names):
+            if name.startswith("I_") and relaxed.lb[col] != relaxed.ub[col]:
+                relaxed.lb[col] -= 100
+                relaxed.ub[col] += 100
         assert solve_exact(relaxed).objective <= base + 1e-9
 
 

@@ -81,6 +81,16 @@ class TestInstanceGrid:
         ("holding_cost", 0.0, "holding cost h = 0.0"),
         ("unit_cost", float("inf"), "unit cost c = inf"),
         ("initial_inventory", float("nan"), "initial inventory nan"),
+        ("segments", 2, "need at least 3 linear segments (2 cells), got 2"),
+        ("strategy", "bogus", "unknown partition strategy 'bogus'"),
+        ("bs_step_size", -1, "bs_step_size must be positive, got -1"),
+        ("bs_step_size", 0.0, "bs_step_size must be positive, got 0.0"),
+        ("replications", 0, "replications must be a positive integer, got 0"),
+        ("replications", 2.5, "replications must be a positive integer, got 2.5"),
+        ("patterns", (), "empty patterns list"),
+        ("fixed_costs", (), "empty fixed_costs list"),
+        ("penalty_costs", (), "empty penalty_costs list"),
+        ("cvs", (), "empty cvs list"),
     ])
     def test_config_values_rejected(self, field, value, message):
         """A malformed grid value stops the config, not one row per

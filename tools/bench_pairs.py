@@ -42,13 +42,26 @@ import tempfile
 from pathlib import Path
 
 
+def workload_arg(item: str) -> tuple:
+    """NAME[:PAIRS] as (name, pairs); PAIRS is an integer >= 1, default 10."""
+    name, _, count = item.partition(":")
+    try:
+        pairs = int(count or 10)
+    except ValueError:
+        pairs = 0
+    if pairs < 1:
+        raise argparse.ArgumentTypeError(
+            f"{item!r}: the pair count must be an integer >= 1")
+    return name, pairs
+
+
 def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--label", required=True,
                    help="names the output file BENCH_<label>.json")
     p.add_argument("--base", required=True, help="git revision to compare against")
     p.add_argument("--workload", action="append", required=True,
-                   metavar="NAME[:PAIRS]",
+                   type=workload_arg, metavar="NAME[:PAIRS]",
                    help="workload and its number of pairs (default 10)")
     p.add_argument("--first-seed", type=int, required=True)
     p.add_argument("--trace-seed", type=int, action="append", default=[],
@@ -171,10 +184,6 @@ def digests_agree(pairs: list) -> bool:
 def main(argv=None) -> int:
     args = parse_args(argv)
     repo = Path(git(Path.cwd(), "rev-parse", "--show-toplevel").decode().strip())
-    workloads = []
-    for item in args.workload:
-        name, _, count = item.partition(":")
-        workloads.append((name, int(count or 10)))
     with open(repo / "BENCHMARK.json", encoding="utf-8") as fh:
         benchmark = json.load(fh)
     declared, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
@@ -194,7 +203,7 @@ def main(argv=None) -> int:
                "commands": {"tool": ["python3", "tools/bench_pairs.py",
                                      *(argv if argv is not None else sys.argv[1:])]},
                "machine": {}, "workloads": {}}
-        for name, count in workloads:
+        for name, count in args.workload:
             pairs = []
             for i in range(count):
                 seed = args.first_seed + i
