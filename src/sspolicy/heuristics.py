@@ -11,6 +11,9 @@ Both heuristics walk the suffix horizons k..T and extract the period-k
     level then finds where the no-order cost exceeds that minimum by
     exactly K.
 
+The solver takes the forced-order side from the no-order free minimum, so
+both heuristics get the same S_k and linked cost.
+
 `segments` counts the linear pieces of each piecewise loss, so the
 underlying support partition has segments - 1 cells.
 """

@@ -7,7 +7,8 @@ Three related models are built over a T-period instance:
     cost-to-go curve whose root search yields reorder points;
   * the forced-first-order model ("S"): the first-period order is forced and
     the initial level is free, so the optimizer returns the order-up-to
-    level; its optimum exceeds the free "s" optimum by exactly K;
+    level; its optimum is the free "s" optimum plus K at the same levels,
+    which is how the solver obtains it;
   * the joint model: both submodels plus an equality linking their cost
     expressions and the ordering I0_s <= I0_S, which pins the reorder point
     and order-up-to level simultaneously.
@@ -43,7 +44,7 @@ import numpy as np
 from scipy import sparse
 
 from .domain import Instance, validate
-from .loss import Partition, cached_partition, piecewise_loss
+from .loss import cached_partition, piecewise_loss
 
 ROW, CUT, INDICATOR = 0, 1, 2  # row kinds, in the order the LP file lists them
 
@@ -174,15 +175,10 @@ def cumulative_demand(instance: Instance, j: int, t: int) -> tuple[float, float]
 
 
 def build_segments(instance: Instance, segments: int = 11,
-                   strategy: str = "equal-probability",
-                   partition: Partition | None = None) -> dict:
+                   strategy: str = "equal-probability") -> dict:
     """PiecewiseLoss per (j, t) pair, j <= t, for the convolved demands."""
     validate(instance)
-    if partition is None:
-        partition, err = cached_partition(segments, strategy)
-    else:
-        from .loss import approximation_error
-        err = approximation_error(partition)
+    partition, err = cached_partition(segments, strategy)
     out = {}
     for t in range(1, instance.horizon + 1):
         for j in range(1, t + 1):

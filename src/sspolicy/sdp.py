@@ -19,11 +19,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .domain import Instance, PolicyParameters, validate
+from .domain import Instance, PolicyParameters, ValidationError, validate
 
 
 class GridTooSmallError(RuntimeError):
     """The optimal action hit the grid boundary; widen the grid."""
+
+
+def _check_step(step: float) -> None:
+    if not (math.isfinite(step) and step > 0):
+        raise ValidationError(
+            f"grid step must be positive and finite, got {step}")
 
 
 @dataclass(frozen=True)
@@ -33,13 +39,12 @@ class InventoryGrid:
     step: float = 1.0
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError(f"grid step must be positive, got {self.step}")
-        if self.lower >= self.upper:
-            raise ValueError("grid lower bound must be below upper bound")
+        _check_step(self.step)
+        if not self.lower < self.upper:
+            raise ValidationError("grid lower bound must be below upper bound")
         n = (self.upper - self.lower) / self.step
         if abs(n - round(n)) > 1e-9:
-            raise ValueError("grid span must be an integer number of steps")
+            raise ValidationError("grid span must be an integer number of steps")
 
     @property
     def size(self) -> int:
@@ -63,6 +68,7 @@ def default_grid(instance: Instance, step: float = 1.0) -> InventoryGrid:
     (roughly K/b deep); the upper bound covers any plausible order-up-to
     level. Boundary hits are still checked after the solve.
     """
+    _check_step(step)
     total_mean = sum(instance.means)
     total_sd = math.sqrt(sum(s * s for s in instance.std_devs))
     i0 = instance.initial_inventory
@@ -127,7 +133,7 @@ def solve_sdp(instance: Instance, grid: InventoryGrid | None = None,
     """Backward-induction solve; returns tables, policy and C_1(I_0)."""
     validate(instance)
     if not 0.99 < demand_truncation < 1.0:
-        raise ValueError("demand_truncation must lie in (0.99, 1)")
+        raise ValidationError("demand_truncation must lie in (0.99, 1)")
     if grid is None:
         grid = default_grid(instance)
     costs = instance.costs

@@ -63,7 +63,8 @@ def simulate_policy(instance: Instance, policy: PolicyParameters,
     """Mean total cost and its standard error under the given policy."""
     validate(instance)
     if replications < 1:
-        raise ValueError("need at least one replication")
+        raise ValidationError(
+            f"need at least one replication, got {replications}")
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
     if policy.horizon != instance.horizon:

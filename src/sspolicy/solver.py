@@ -23,25 +23,29 @@ order and with the same acceptance rule as a full enumeration, and those
 are the only patterns that can decide the winner: the winning pattern, its
 cost and its levels equal the full enumeration's.
 
-Joint models are solved as: optimize the forced-order side, then find the
-largest root of the no-order side's cost curve equal to that optimum at or
-below the order-up-to level (deterministic replacement for the solver's
-free root choice).
+Only the no-order submodel is searched. The forced-order model differs
+from it by the period-1 order alone, which adds K to every pattern and
+leaves the levels free, so its optimum is the no-order free optimum plus K
+at the same levels, with delta_1 = 1. Joint models are solved by one
+no-order engine: its free minimum gives the order-up-to level and, plus K,
+the linked cost; the reorder point is the largest root of its pinned cost
+curve equal to that cost at or below the order-up-to level (deterministic
+replacement for the solver's free root choice).
 
 Cycle data lives in a CycleTable, one per instance: its (j, t) segments and,
 built on first use, every cycle (j, e)'s convex cost, mean demand and free
-minimizer. The heuristics solve every suffix k..T, both submodels and every
-root-search step, from the one table through a SuffixView, which maps the
-suffix's local periods to the instance's by the offset k - 1. Sharing is
-exact: suffix k's (j, t) piece is the instance's (j + k - 1, t + k - 1)
-piece, the normal loss of the same demand slice summed in the same order, so
-a cycle's cost is the same function, built by the same operations, whichever
-suffix reads it. The unit cost's level terms depend only on whether the
-cycle opens the suffix and whether it closes the horizon, so they are keyed
-by that too. Level bounds differ per suffix and stay with its engine, which
-clamps the shared free minimizer to them exactly as ConvexPWL.minimize
-does. A model built from a plain segment dict gets a table of its own when
-it is solved.
+minimizer. The heuristics solve every suffix k..T, its free minimum and
+every root-search step, from the one table through a SuffixView, which
+maps the suffix's local periods to the instance's by the offset k - 1.
+Sharing is exact: suffix k's (j, t) piece is the instance's
+(j + k - 1, t + k - 1) piece, the normal loss of the same demand slice
+summed in the same order, so a cycle's cost is the same function, built by
+the same operations, whichever suffix reads it. The unit cost's level
+terms depend only on whether the cycle opens the suffix and whether it
+closes the horizon, so they are keyed by that too. Level bounds differ per
+suffix and stay with its engine, which clamps the shared free minimizer to
+them exactly as ConvexPWL.minimize does. A model built from a plain
+segment dict gets a table of its own when it is solved.
 """
 from __future__ import annotations
 
@@ -53,6 +57,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import MilpModel, default_big_m, level_bounds, verify_assignment
+
+ROOT_TOLERANCE = 1e-4  # bracket width of the joint model's root bisection
 
 
 class SolverError(RuntimeError):
@@ -224,9 +230,8 @@ class SuffixView(Mapping):
 
 @dataclass
 class _Cycle:
-    start: int           # local period j (1-based)
+    start: int           # local period j (1-based); orders unless j == 1
     end: int             # local period e
-    orders: bool         # an order is placed at the start
     cost: ConvexPWL      # priced cost of the start-of-cycle level y
     argmin: float        # cost.argmin() and the cost there
     minimum: float
@@ -236,14 +241,16 @@ class _Cycle:
 
 
 class _SubmodelEngine:
-    """Order-pattern search for one submodel of a suffix.
+    """Order-pattern search for the no-order submodel of a suffix.
 
     `view` gives the suffix's instance and cycles, `bounds` the (lower,
     upper) bound of every inventory level, the initial one included
     (model.level_bounds). A fixed initial level is passed to `enumerate`.
+    `free_minimum` and `cost_at` are its optimum with a free and a fixed
+    initial level; `nodes` counts the patterns they solved.
     """
 
-    def __init__(self, view: SuffixView, first_order: bool, bounds: tuple):
+    def __init__(self, view: SuffixView, bounds: tuple):
         self.view = view
         inst = view.instance
         self.T = inst.horizon
@@ -253,39 +260,37 @@ class _SubmodelEngine:
         # lowest pinnable no-order starting level: period 1's closing
         # inventory must stay within bounds for at least one pattern
         self.pin_lower = self.inv_lo + inst.means[0]
-        self.first_order = first_order
+        self.nodes = 0
         self._cycle_cache: dict = {}
         self._relaxed: dict = {}  # cycle start -> (arc, reach), unpinned
 
-    def cycle(self, j: int, e: int, orders: bool) -> _Cycle:
-        key = (j, e, orders)
+    def cycle(self, j: int, e: int) -> _Cycle:
+        key = (j, e)
         hit = self._cycle_cache.get(key)
         if hit is not None:
             return hit
         _, mean_d, top_shift, low_shift = self.view.cycle(j, e)
         cost, argmin, minimum = self.view.priced(j, e)
         # inventory bounds: every I_t = y - shift within [inv_lo, inv_hi]
-        cyc = _Cycle(start=j, end=e, orders=orders, cost=cost, argmin=argmin,
+        cyc = _Cycle(start=j, end=e, cost=cost, argmin=argmin,
                      minimum=minimum, mean_demand=mean_d,
                      y_lo=self.inv_lo + top_shift, y_hi=self.inv_hi + low_shift)
         self._cycle_cache[key] = cyc
         return cyc
 
     def pattern_cycles(self, deltas: tuple) -> list:
-        """deltas[t-1] for t = 1..T; cycles split at ordering periods."""
+        """Cycles of a pattern, deltas[t-1] being delta_t: the first opens
+        at period 1 without an order, every later one at an order."""
         starts = [1] + [t for t in range(2, self.T + 1) if deltas[t - 1]]
-        cycles = []
-        for idx, j in enumerate(starts):
-            e = (starts[idx + 1] - 1) if idx + 1 < len(starts) else self.T
-            cycles.append(self.cycle(j, e, orders=bool(deltas[j - 1])))
-        return cycles
+        ends = [j - 1 for j in starts[1:]] + [self.T]
+        return [self.cycle(j, e) for j, e in zip(starts, ends)]
 
     def solve_pattern(self, deltas: tuple, pinned_i0: float | None):
         """(cost, y-levels) for one order pattern, or None if infeasible.
 
         Pool-adjacent pass over the chain y_c >= y_{c-1} - D_{c-1}; a pinned
-        first level (no-order first cycle with fixed initial inventory)
-        propagates as a hard lower bound through any merge containing it.
+        first level (fixed initial inventory) propagates as a hard lower
+        bound through any merge containing it.
         """
         cycles = self.pattern_cycles(deltas)
         m = len(cycles)
@@ -300,11 +305,10 @@ class _SubmodelEngine:
         # the first level doubles as the initial-inventory variable
         z_los[0] = max(z_los[0], self.inv_lo)
         z_his[0] = min(z_his[0], self.inv_hi)
-        pin = None
-        if pinned_i0 is not None and not cycles[0].orders:
-            pin = pinned_i0
-            if not (cycles[0].y_lo - 1e-9 <= pin <= cycles[0].y_hi + 1e-9):
-                return None
+        pin = pinned_i0
+        if pin is not None and not (
+                cycles[0].y_lo - 1e-9 <= pin <= cycles[0].y_hi + 1e-9):
+            return None
 
         blocks = []  # [first, last, func, z, pinned]
         for i, f in enumerate(funcs):
@@ -342,19 +346,18 @@ class _SubmodelEngine:
             z_opt[first:last + 1] = z
             cost += f(z)
         y_opt = z_opt - offsets
-        n_orders = sum(1 for c in cycles if c.orders)
-        cost += self.K * n_orders
+        cost += self.K * (m - 1)
         if self.c:
             cost += self.c * (self.total_mean - cycles[-1].mean_demand)
         return float(cost), y_opt, cycles
 
     def _arc(self, j: int, e: int, pin: float | None) -> float:
-        """Relaxed cost of cycle j..e alone: K if it orders, plus its priced
-        cost at `pin` for a pinned first cycle, otherwise minimized over its
-        level bounds widened by solve_pattern's 1e-9 slack, plus the unit
-        cost's constant if it is the last cycle. math.inf where
-        solve_pattern would find no level for it."""
-        cyc = self.cycle(j, e, orders=j > 1 or self.first_order)
+        """Relaxed cost of cycle j..e alone: K if it orders (j > 1), plus
+        its priced cost at `pin` for a pinned first cycle, otherwise
+        minimized over its level bounds widened by solve_pattern's 1e-9
+        slack, plus the unit cost's constant if it is the last cycle.
+        math.inf where solve_pattern would find no level for it."""
+        cyc = self.cycle(j, e)
         lo, hi = cyc.y_lo, cyc.y_hi
         if j == 1:
             lo, hi = max(lo, self.inv_lo), min(hi, self.inv_hi)
@@ -368,7 +371,7 @@ class _SubmodelEngine:
             # ConvexPWL.minimize(lo - 1e-9, hi + 1e-9) from the shared argmin
             x = min(max(cyc.argmin, lo - 1e-9), hi + 1e-9)
             value = cyc.minimum if x == cyc.argmin else cyc.cost(x)
-        if cyc.orders:
+        if j > 1:
             value += self.K
         if e == self.T and self.c:
             value += self.c * (self.total_mean - cyc.mean_demand)
@@ -406,8 +409,7 @@ class _SubmodelEngine:
         nodes counting the distinct patterns passed to solve_pattern.
         """
         T = self.T
-        pin = None if self.first_order else pinned_i0
-        first_row = self._relaxation(1, pin)
+        first_row = self._relaxation(1, pinned_i0)
         if first_row[1][2] == math.inf:
             return None, 0  # every pattern holds a cycle with no feasible level
 
@@ -415,7 +417,7 @@ class _SubmodelEngine:
             return first_row if j == 1 else self._relaxation(j)
 
         # the relaxed shortest path's pattern seeds the incumbent
-        deltas = [1 if self.first_order else 0] + [0] * (T - 1)
+        deltas = [0] * T
         j = 1
         while True:
             arc = row(j)[0]
@@ -429,7 +431,7 @@ class _SubmodelEngine:
         seed_cost = math.inf if seed is None else seed[0]
         nodes = 1
         best = None
-        deltas = [deltas[0]] + [0] * (T - 1)
+        deltas = [0] * T
 
         def visit(t: int, j: int, closed: float) -> None:
             # periods j..t-1 form the open cycle; delta_t is decided next
@@ -458,6 +460,20 @@ class _SubmodelEngine:
         visit(2, 1, 0.0)
         return best, nodes
 
+    def free_minimum(self):
+        best, nodes = self.enumerate(pinned_i0=None)
+        self.nodes += nodes
+        if best is None:
+            raise SolverError("no feasible order pattern")
+        return best
+
+    def cost_at(self, x: float):
+        best, nodes = self.enumerate(pinned_i0=x)
+        self.nodes += nodes
+        if best is None:
+            raise SolverError(f"no feasible pattern at initial level {x}")
+        return best
+
     def assignment_for(self, lab: str, deltas, y_opt, cycles) -> dict:
         """Values of submodel `lab`'s variables for a solved pattern."""
         out = {}
@@ -469,7 +485,7 @@ class _SubmodelEngine:
         for i, cyc in enumerate(cycles):
             y = float(y_opt[i])
             if i == 0:
-                i0 = y  # forced-order models pin I0 to the first level
+                i0 = y  # the first level doubles as the initial one
             for t in range(cyc.start, cyc.end + 1):
                 pw = self.view[(cyc.start, t)]
                 out[f"P_{lab}_{cyc.start}_{t}"] = 1.0
@@ -482,34 +498,10 @@ class _SubmodelEngine:
         return out
 
 
-class _SModelEvaluator:
-    """Fast repeated evaluation of a no-first-order model's optimal cost as
-    a function of the (fixed) initial inventory level."""
-
-    def __init__(self, engine: _SubmodelEngine):
-        self.engine = engine
-        self.nodes = 0
-
-    def free_minimum(self):
-        best, nodes = self.engine.enumerate(pinned_i0=None)
-        self.nodes += nodes
-        if best is None:
-            raise SolverError("no feasible order pattern")
-        return best
-
-    def cost_at(self, x: float):
-        best, nodes = self.engine.enumerate(pinned_i0=x)
-        self.nodes += nodes
-        if best is None:
-            raise SolverError(f"no feasible pattern at initial level {x}")
-        return best
-
-
-def _largest_root(g, target: float, hi: float, g_hi: float,
-                  lo_limit: float, tolerance: float):
+def _largest_root(g, target: float, hi: float, g_hi: float, lo_limit: float):
     """Largest x <= hi with g(x) = target for a continuous piecewise-linear
     g that exceeds target far to the left. Expands a bracket leftward from
-    hi, bisects to `tolerance`, then polishes on the final linear piece."""
+    hi, bisects to ROOT_TOLERANCE, then polishes on the final linear piece."""
     if abs(g_hi - target) <= 1e-9:
         return hi, g_hi
     if g_hi > target:
@@ -530,7 +522,7 @@ def _largest_root(g, target: float, hi: float, g_hi: float,
                 f"[{left}, {right}] has costs [{g_left}, {g_right}]")
     lo, g_lo = left, g_left
     hi_b, g_hi_b = right, g_right
-    width = max(tolerance, 1e-9)
+    width = ROOT_TOLERANCE
     while True:
         while hi_b - lo > width:
             mid = 0.5 * (lo + hi_b)
@@ -558,25 +550,26 @@ def _cycle_view(model: MilpModel) -> SuffixView:
     return CycleTable(model.instance, model.segments).suffix(1)
 
 
-def solve_exact(model: MilpModel, tolerance: float = 1e-4) -> SolveResult:
+def solve_exact(model: MilpModel) -> SolveResult:
     """Global optimum of the linearized model; see the module docstring."""
     start = time.perf_counter()
     if model.kind not in ("s", "S", "joint"):
         raise SolverError(f"unknown model kind {model.kind!r}")
-    view = _cycle_view(model)
-    bounds = level_bounds(model.instance, model.big_m)
+    engine = _SubmodelEngine(_cycle_view(model),
+                             level_bounds(model.instance, model.big_m))
     if model.kind == "joint":
-        return _solve_joint(model, view, bounds, tolerance, start)
+        return _solve_joint(model, engine, start)
     label = model.kind
     pinned = None
     i0 = model.index[f"I0_{label}"]
     if label == "s" and model.lb[i0] == model.ub[i0]:
         pinned = float(model.lb[i0])
-    engine = _SubmodelEngine(view, label == "S", bounds)
     best, nodes = engine.enumerate(pinned_i0=pinned)
     if best is None:
         return SolveResult(math.nan, {}, "infeasible", nodes,
                            time.perf_counter() - start)
+    if label == "S":
+        best = _forced(engine, best)
     cost, deltas, y_opt, cycles = best
     assignment = engine.assignment_for(label, deltas, y_opt, cycles)
     if pinned is not None:
@@ -587,35 +580,35 @@ def solve_exact(model: MilpModel, tolerance: float = 1e-4) -> SolveResult:
                        time.perf_counter() - start)
 
 
-def _solve_joint(model: MilpModel, view: SuffixView, bounds: tuple,
-                 tolerance: float, start: float) -> SolveResult:
-    engine_S = _SubmodelEngine(view, True, bounds)
-    best_S, nodes = engine_S.enumerate(pinned_i0=None)
-    if best_S is None:
+def _forced(engine: _SubmodelEngine, free: tuple) -> tuple:
+    """The forced-order optimum from the no-order free one: the period-1
+    order adds K, and the levels stay."""
+    cost, deltas, y_opt, cycles = free
+    return cost + engine.K, (1,) + deltas[1:], y_opt, cycles
+
+
+def _solve_joint(model: MilpModel, engine: _SubmodelEngine,
+                 start: float) -> SolveResult:
+    best, nodes = engine.enumerate(pinned_i0=None)
+    if best is None:
         return SolveResult(math.nan, {}, "infeasible", nodes,
                            time.perf_counter() - start)
-    cost_S, deltas_S, y_S, cycles_S = best_S
+    cost_S, deltas_S, y_S, cycles_S = _forced(engine, best)
     s_up = float(y_S[0])  # order-up-to level: the pinned I0_S
-
-    evaluator = _SModelEvaluator(_SubmodelEngine(view, False, bounds))
     cache: dict = {}
 
     def g(x: float) -> float:
         hit = cache.get(x)
         if hit is None:
-            hit = evaluator.cost_at(x)
-            cache[x] = hit
+            hit = cache[x] = engine.cost_at(x)
         return hit[0]
 
-    target = cost_S
-    lo_limit = evaluator.engine.pin_lower
-    root, g_root = _largest_root(g, target, s_up, g(s_up), lo_limit, tolerance)
-    nodes += evaluator.nodes
-
+    root, g_root = _largest_root(g, cost_S, s_up, g(s_up), engine.pin_lower)
+    nodes += engine.nodes
     cost_s, deltas_s, y_s, cycles_s = cache[root] if root in cache \
-        else evaluator.cost_at(root)
-    assignment = engine_S.assignment_for("S", deltas_S, y_S, cycles_S)
-    assignment.update(evaluator.engine.assignment_for("s", deltas_s, y_s, cycles_s))
+        else engine.cost_at(root)
+    assignment = engine.assignment_for("S", deltas_S, y_S, cycles_S)
+    assignment.update(engine.assignment_for("s", deltas_s, y_s, cycles_s))
     assignment["I0_s"] = float(root)
     assignment["C_S"] = float(cost_S)
     assignment["G_s"] = float(g_root)
@@ -687,14 +680,11 @@ class ExactBackend:
     enumeration of the 2^(T-1) patterns.
     """
 
-    def __init__(self, tolerance: float = 1e-4):
-        self.tolerance = tolerance
-
     def solve(self, model: MilpModel) -> SolveResult:
-        return solve_exact(model, tolerance=self.tolerance)
+        return solve_exact(model)
 
-    def evaluator(self, view: SuffixView) -> _SModelEvaluator:
+    def evaluator(self, view: SuffixView) -> _SubmodelEngine:
         """The no-first-order model of a suffix, as build_minlp_s would
-        build it with a free initial level, evaluated from the view."""
-        bounds = level_bounds(view.instance, default_big_m(view.instance))
-        return _SModelEvaluator(_SubmodelEngine(view, False, bounds))
+        build it with a free initial level, searched from the view."""
+        return _SubmodelEngine(
+            view, level_bounds(view.instance, default_big_m(view.instance)))

@@ -133,9 +133,8 @@ def full_enumeration(engine, pinned_i0=None):
     a solver engine, accepting a pattern only when it beats the best so
     far by more than 1e-12 (ties keep the lexicographically smallest)."""
     best = None
-    first = 1 if engine.first_order else 0
     for combo in itertools.product((0, 1), repeat=engine.T - 1):
-        deltas = (first,) + combo
+        deltas = (0,) + combo
         solved = engine.solve_pattern(deltas, pinned_i0)
         if solved is None:
             continue

@@ -145,6 +145,31 @@ def test_simulate_malformed_policy_is_data_error(example4_file, tmp_path,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, message", [
+    (["sdp", "--grid-step", "0"],
+     "grid step must be positive and finite, got 0.0"),
+    (["sdp", "--grid-step", "-1"],
+     "grid step must be positive and finite, got -1.0"),
+    (["sdp", "--truncation", "2"], "demand_truncation must lie in (0.99, 1)"),
+    (["simulate", "--reps", "0", "--seed", "7"],
+     "need at least one replication, got 0"),
+], ids=["sdp-step-0", "sdp-step-negative", "sdp-truncation", "simulate-reps-0"])
+def test_bad_numeric_arguments_are_data_errors(example4_file, tmp_path, capsys,
+                                               args, message):
+    command, *options = args
+    if command == "simulate":
+        policy_csv = tmp_path / "policy.csv"
+        policy_csv.write_text("t,s_t,S_t,linked_cost\n"
+                              "1,14.0,70.0,nan\n2,30.0,60.0,nan\n"
+                              "3,50.0,110.0,nan\n4,30.0,60.0,nan\n")
+        options += ["--policy", str(policy_csv)]
+    rc = main([command, str(example4_file), *options])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_benchmark_command_and_resume(tmp_path, capsys):
     config = {"horizon": 8, "patterns": ["STA"], "K": [200], "b": [5],
               "cv": [0.1, 0.2], "methods": ["bs"], "replications": 1000,

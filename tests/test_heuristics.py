@@ -1,4 +1,5 @@
 import math
+import os
 
 import pytest
 
@@ -9,6 +10,7 @@ from sspolicy.heuristics import (
 from sspolicy.sdp import solve_sdp
 from sspolicy.simulate import simulate_policy
 from sspolicy.solver import ExactBackend
+from sspolicy.testbed import BenchmarkConfig, build_instances
 
 TABLE_MP = {  # joint-model heuristic on the worked example
     "s": (15.0008, 29.0161, 58.1089, 29.0161),
@@ -209,3 +211,33 @@ def test_refining_segments_tightens_linearization(example4):
 
     gaps = [linearization_gap(n) for n in (4, 8, 16)]
     assert gaps[0] >= gaps[1] >= gaps[2] >= -1e-9
+
+
+def test_order_up_to_levels_agree_on_tied_patterns():
+    """Both heuristics read S_k from the same free minimum, so they agree
+    even where order patterns tie exactly (here in period 4)."""
+    config = BenchmarkConfig(horizon=25, patterns=("STA",), fixed_costs=(1000.0,),
+                             penalty_costs=(5.0,), cvs=(0.1,))
+    (instance,) = build_instances(config)
+    assert instance.name == "h25-STA-K1000-b5-cv0.1"
+    bs = bs_policy(instance, config.heuristic_config())
+    mp = mp_policy(instance, config.heuristic_config())
+    assert bs.order_up_to_levels == mp.order_up_to_levels
+    assert bs.costs == mp.costs
+
+
+@pytest.mark.skipif(not os.environ.get("SSPOLICY_FULL_BENCHMARK"),
+                    reason="full 270-instance grids are optional; "
+                           "set SSPOLICY_FULL_BENCHMARK=1")
+@pytest.mark.parametrize("horizon", [8, 25], ids=["8-period", "25-period"])
+def test_full_grid_order_up_to_levels_agree(horizon):
+    config = BenchmarkConfig(horizon=horizon)
+    hc = config.heuristic_config()
+    instances = build_instances(config)
+    for instance in instances:
+        bs = bs_policy(instance, hc)
+        mp = mp_policy(instance, hc)
+        assert bs.order_up_to_levels == mp.order_up_to_levels, instance.name
+        assert bs.costs == mp.costs, instance.name
+    print(f"\n[heuristics] {horizon} periods: bs and mp order-up-to levels "
+          f"and linked costs equal on {len(instances)} instances")

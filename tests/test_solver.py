@@ -13,14 +13,13 @@ from sspolicy.model import (
 )
 from sspolicy.solver import (
     ConvexPWL, CycleTable, ExactBackend, SolverError,
-    _SModelEvaluator, _SubmodelEngine, import_solution, solve_exact,
+    _SubmodelEngine, import_solution, solve_exact,
 )
 
 
 def _engine(model):
-    """The engine solve_exact searches for a one-submodel model."""
+    """The no-order engine solve_exact searches for a model."""
     return _SubmodelEngine(CycleTable(model.instance, model.segments).suffix(1),
-                           model.kind == "S",
                            level_bounds(model.instance, model.big_m))
 
 
@@ -145,21 +144,26 @@ class TestPatternSearch:
     @given(case=_submodel_cases())
     def test_matches_full_enumeration(self, case):
         """The bounded search returns exactly the full enumeration's winner,
-        and its cost is the brute-force optimum."""
+        and its cost is the brute-force optimum; the forced-order model's
+        optimum is the free one plus K at the same levels."""
         inst, segs, kind, pin = case
-        if kind == "forced":
-            model = build_minlp_S(inst, segs)
-        else:
-            model = build_minlp_s(inst, segs, initial_inventory=pin)
+        model = build_minlp_s(inst, segs, initial_inventory=pin)
         reference = full_enumeration(_engine(model), pin)
         found, nodes = _engine(model).enumerate(pin)
         assert 1 <= nodes <= 2 ** (inst.horizon - 1)
         assert found[0] == reference[0]
         assert found[1] == reference[1]
         assert np.array_equal(found[2], reference[2])
-        oracle = brute_force_submodel(inst, segs, first_order=kind == "forced",
+        forced = kind == "forced"
+        oracle = brute_force_submodel(inst, segs, first_order=forced,
                                       fixed_i0=pin)
-        assert found[0] == pytest.approx(oracle[0], abs=5e-3)
+        cost = found[0] + inst.costs.fixed if forced else found[0]
+        assert cost == pytest.approx(oracle[0], abs=5e-3)
+        if forced:
+            res = solve_exact(build_minlp_S(inst, segs))
+            assert res.objective == pytest.approx(cost, abs=1e-6)
+            assert res.value("I0_S") == found[2][0]
+            assert res.value("delta_S_1") == 1.0
 
 
 @st.composite
@@ -203,7 +207,7 @@ class TestSharedCycleTable:
             view = table.suffix(k)
             assert dict(view) == segs  # the premise: re-keyed pieces agree
             shared = ExactBackend().evaluator(view)
-            fresh = _SModelEvaluator(_engine(build_minlp_s(suffix, segs)))
+            fresh = _engine(build_minlp_s(suffix, segs))
             best = shared.free_minimum()
             assert _same_solution(best, fresh.free_minimum())
             s_up = float(best[2][0])
