@@ -44,6 +44,9 @@ class HeuristicConfig:
                 f"need at least 3 linear segments (2 cells), got {self.segments!r}")
         if self.strategy not in STRATEGIES:
             raise ValidationError(f"unknown partition strategy {self.strategy!r}")
+        if self.bs_step_size is not None and not math.isfinite(self.bs_step_size):
+            raise ValidationError(
+                f"bs_step_size must be finite, got {self.bs_step_size!r}")
         if self.bs_step_size is not None and self.bs_step_size <= 0:
             raise ValidationError(
                 f"bs_step_size must be positive, got {self.bs_step_size!r}")

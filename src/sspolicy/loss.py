@@ -22,6 +22,7 @@ from scipy import optimize
 from scipy.special import ndtr, ndtri
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
+JENSEN_BLOCK = 1 << 22  # elements per row block of Partition.jensen_values
 
 
 def _phi(z):
@@ -94,11 +95,24 @@ class Partition:
         return len(self.probabilities)
 
     def jensen_values(self, x):
-        """Jensen lower bound of the standard complementary loss at x."""
+        """Jensen lower bound of the standard complementary loss at x.
+
+        Each value is one row of max(x - m, 0) @ p; the rows are formed in
+        blocks of at most JENSEN_BLOCK elements, so memory stays bounded
+        however many cells the partition has.
+        """
         p = np.asarray(self.probabilities)
         m = np.asarray(self.conditional_means)
         x = np.asarray(x, dtype=float)
-        return np.maximum(x[..., None] - m, 0.0) @ p
+        rows = max(1, JENSEN_BLOCK // m.size)
+        if x.size <= rows:
+            return np.maximum(x[..., None] - m, 0.0) @ p
+        flat = x.ravel()
+        out = np.empty(flat.size)
+        for start in range(0, flat.size, rows):
+            block = flat[start:start + rows]
+            out[start:start + rows] = np.maximum(block[:, None] - m, 0.0) @ p
+        return out.reshape(x.shape)
 
 
 def _cells_from_boundaries(boundaries: np.ndarray) -> Partition:

@@ -32,6 +32,25 @@ the linked cost; the reorder point is the largest root of its pinned cost
 curve equal to that cost at or below the order-up-to level (deterministic
 replacement for the solver's free root choice).
 
+The pinned cost g(x), the no-order optimum with the first level fixed at
+x, is bounded below by an envelope R(x) = min_e F_e(x): F_e is the priced
+first cycle 1..e at x plus the relaxed cost-to-go V(e + 1) (plus the unit
+cost's constant when e = T), a convex piecewise-linear function. The
+engine builds these pieces once, on first use. Piece e carries a
+certificate limit U_e = y*_{e+1} + D(1..e), where y*_{e+1} is the first
+level of the relaxed shortest path from e + 1 and D(1..e) the first
+cycle's mean demand (U_T = +inf). If that path keeps its own order chain
+and clamps no level to a bound, the pattern "cycle 1..e, then that path"
+needs no merge in solve_pattern for x <= U_e and costs exactly F_e(x).
+Where the piece attaining R(x) is certified, g(x) = R(x), and cost_at
+returns that pattern without a search. The reorder root walks the
+certified sublevel set {x <= U_e : F_e(x) < target} leftward from the
+order-up-to level to the end x_C of its component, solving each piece's
+crossing in closed form. Since g < target on (x_C, S], x_C is the largest
+root when g(x_C) meets the target. Otherwise the root falls back to a
+bisection below x_C; the engine counts such fallbacks and logs each at
+DEBUG level.
+
 Cycle data lives in a CycleTable, one per instance: its (j, t) segments and,
 built on first use, every cycle (j, e)'s convex cost, mean demand and free
 minimizer. The heuristics solve every suffix k..T, its free minimum and
@@ -49,6 +68,7 @@ segment dict gets a table of its own when it is solved.
 """
 from __future__ import annotations
 
+import logging
 import math
 import time
 from collections.abc import Mapping
@@ -58,7 +78,10 @@ import numpy as np
 
 from .model import MilpModel, default_big_m, level_bounds, verify_assignment
 
-ROOT_TOLERANCE = 1e-4  # bracket width of the joint model's root bisection
+ROOT_TOLERANCE = 1e-4  # bracket width of the fallback root bisection
+ROOT_MATCH = 1e-7      # |g - target| that accepts a reorder root
+
+log = logging.getLogger(__name__)
 
 
 class SolverError(RuntimeError):
@@ -136,6 +159,34 @@ class ConvexPWL:
         """(argmin, min) over [lo, hi]: the free argmin clamped to it."""
         x = min(max(self.argmin(tol), lo), hi)
         return x, self(x)
+
+    def left_crossing(self, level: float, x: float, fx: float) -> float:
+        """Left end a of f's sublevel interval {f < level} that holds x,
+        given fx = f(x) < level: f < level on (a, x], and a = -inf where f
+        stays below level to the left.
+
+        Kink values left of x come from fx by the slopes; the crossing
+        itself is solved on its linear piece from an exact evaluation of
+        the piece's right end.
+        """
+        order = np.argsort(self.kinks, kind="stable")
+        kinks = self.kinks[order]
+        slopes = self.slope + np.concatenate(([0.0], np.cumsum(self.deltas[order])))
+        n = int(np.searchsorted(kinks, x, side="right"))
+        points = np.append(kinks[:n], x)
+        # f at the kinks left of x, from the rise over each piece up to x
+        rise = slopes[1:n + 1] * np.diff(points)
+        values = fx - np.cumsum(rise[::-1])[::-1]
+        above = np.nonzero(values >= level)[0]
+        if above.size:
+            i = int(above[-1])
+            left, right, slope = points[i], points[i + 1], slopes[i + 1]
+        else:
+            left, right, slope = -math.inf, points[0], slopes[0]
+        if slope >= 0.0:
+            return left
+        f_right = fx if right == x else self(right)
+        return min(max(right + (level - f_right) / slope, left), right)
 
 
 class CycleTable:
@@ -240,6 +291,24 @@ class _Cycle:
     y_hi: float
 
 
+@dataclass
+class _Piece:
+    """Piece e of the pinned-first-cycle envelope: the pattern that closes
+    the pinned first cycle at e and completes the horizon on the relaxed
+    shortest path from e + 1."""
+    cost: ConvexPWL      # priced cycle 1..e of the pinned level
+    const: float         # V(e + 1), plus the unit-cost term when e = T
+    lo: float            # pin domain, with solve_pattern's 1e-9 slack
+    hi: float
+    limit: float         # certificate limit U_e; -inf where there is none
+    deltas: tuple        # the pattern
+    levels: list         # the relaxed tail's levels
+    cycles: list         # the pattern's cycles
+
+    def value(self, x: float) -> float:
+        return self.cost(x) + self.const if self.lo <= x <= self.hi else math.inf
+
+
 class _SubmodelEngine:
     """Order-pattern search for the no-order submodel of a suffix.
 
@@ -247,7 +316,10 @@ class _SubmodelEngine:
     upper) bound of every inventory level, the initial one included
     (model.level_bounds). A fixed initial level is passed to `enumerate`.
     `free_minimum` and `cost_at` are its optimum with a free and a fixed
-    initial level; `nodes` counts the patterns they solved.
+    initial level, `reorder_root` the largest level at which the latter
+    reaches a target; `nodes` counts the patterns they solved, `certified`
+    the `cost_at` answers read from the envelope and `fallbacks` the roots
+    that needed `_largest_root`.
     """
 
     def __init__(self, view: SuffixView, bounds: tuple):
@@ -261,8 +333,11 @@ class _SubmodelEngine:
         # inventory must stay within bounds for at least one pattern
         self.pin_lower = self.inv_lo + inst.means[0]
         self.nodes = 0
+        self.certified = 0
+        self.fallbacks = 0
         self._cycle_cache: dict = {}
         self._relaxed: dict = {}  # cycle start -> (arc, reach), unpinned
+        self._pieces: list | None = None  # the envelope, built on first use
 
     def cycle(self, j: int, e: int) -> _Cycle:
         key = (j, e)
@@ -468,11 +543,119 @@ class _SubmodelEngine:
         return best
 
     def cost_at(self, x: float):
+        """The optimum with the initial level pinned at x: read from the
+        envelope where its minimizing piece is certified, else searched."""
+        best = self._certified_at(x)
+        if best is not None:
+            self.certified += 1
+            return best
         best, nodes = self.enumerate(pinned_i0=x)
         self.nodes += nodes
         if best is None:
             raise SolverError(f"no feasible pattern at initial level {x}")
         return best
+
+    def envelope(self) -> list:
+        """The pieces e = 1..T of R(x) = min_e F_e(x), each the priced
+        cycle 1..e at x plus the relaxed cost-to-go V(e + 1); see the
+        module docstring. Pieces with no finite cost-to-go are left out."""
+        if self._pieces is None:
+            self._pieces = []
+            tails = self._relaxed_tails()
+            for e in range(1, self.T + 1):
+                cyc = self.cycle(1, e)
+                if e == self.T:
+                    const = self.c * (self.total_mean - cyc.mean_demand) if self.c else 0.0
+                    limit, levels, cycles = math.inf, [], []
+                else:
+                    const = self._cost_to_go(e + 1)
+                    if const == math.inf:
+                        continue
+                    levels, cycles, chained = tails[e + 1]
+                    limit = levels[0] + cyc.mean_demand if chained else -math.inf
+                deltas = [0] * self.T
+                for tail in cycles:
+                    deltas[tail.start - 1] = 1
+                self._pieces.append(_Piece(
+                    cyc.cost, const, cyc.y_lo - 1e-9, cyc.y_hi + 1e-9, limit,
+                    tuple(deltas), levels, [cyc] + cycles))
+        return self._pieces
+
+    def _relaxed_tails(self) -> dict:
+        """Cycle start j >= 2 -> (levels, cycles, chained) of the relaxed
+        shortest path from j. `chained` holds where every level is its
+        cycle's own minimizer within the level bounds and the
+        levels keep the order chain y_next >= y - D, so solve_pattern gives
+        the path's pattern exactly these levels and the relaxed cost."""
+        T = self.T
+        tails = {T + 1: ([], [], True)}
+        for j in range(T, 1, -1):
+            arc = self._relaxation(j)[0]
+            e = min(range(j, T + 1), key=lambda e: arc[e] + self._cost_to_go(e + 1))
+            cyc = self.cycle(j, e)
+            levels, cycles, chained = tails[e + 1]
+            y = cyc.argmin
+            chained = (chained and cyc.y_lo <= y <= cyc.y_hi
+                       and (not levels or levels[0] >= y - cyc.mean_demand))
+            tails[j] = ([y] + levels, [cyc] + cycles, chained)
+        return tails
+
+    def _certified_at(self, x: float):
+        """cost_at(x) from the envelope, or None where no certified piece
+        attains R(x). A piece is certified at x <= U_e: its pattern then
+        costs F_e(x) in solve_pattern, so g(x) <= F_e(x) = R(x) <= g(x)."""
+        lowest = best = math.inf
+        chosen = None
+        for piece in self.envelope():
+            value = piece.value(x)
+            lowest = min(lowest, value)
+            if x <= piece.limit and value < best:
+                best, chosen = value, piece
+        if chosen is None or best > lowest:
+            return None
+        levels = np.array([x] + chosen.levels)
+        return float(best), chosen.deltas, levels, chosen.cycles
+
+    def reorder_root(self, target: float, hi: float):
+        """(x, cost_at(x)) for the largest x <= hi with cost_at(x) = target,
+        the pinned cost exceeding target far to the left.
+
+        Walks the certified sublevel set {x <= U_e : F_e(x) < target} from
+        hi leftward to the end x_C of its component; g < target on
+        (x_C, hi], so x_C is the root if g(x_C) = target within ROOT_MATCH.
+        Otherwise _largest_root searches below x_C.
+        """
+        best = self.cost_at(hi)
+        if abs(best[0] - target) <= 1e-9:
+            return hi, best  # K = 0: the order-up-to level is the root
+        x = hi
+        moved = True
+        while moved:
+            moved = False
+            for piece in self.envelope():
+                value = piece.value(x)
+                if x <= piece.limit and value < target:
+                    left = max(piece.cost.left_crossing(
+                        target - piece.const, x, value - piece.const), piece.lo)
+                    if left < x:
+                        x, moved = left, True
+        if x < hi:
+            best = self.cost_at(x)
+        if abs(best[0] - target) <= ROOT_MATCH:
+            return x, best
+        self.fallbacks += 1
+        log.debug("reorder root of a %d-period suffix not certified; "
+                  "bisecting below %r", self.T, x)
+        cache = {x: best}
+
+        def g(v: float) -> float:
+            hit = cache.get(v)
+            if hit is None:
+                hit = cache[v] = self.cost_at(v)
+            return hit[0]
+
+        root, _ = _largest_root(g, target, x, best[0], self.pin_lower)
+        return root, cache[root] if root in cache else self.cost_at(root)
 
     def assignment_for(self, lab: str, deltas, y_opt, cycles) -> dict:
         """Values of submodel `lab`'s variables for a solved pattern."""
@@ -595,23 +778,13 @@ def _solve_joint(model: MilpModel, engine: _SubmodelEngine,
                            time.perf_counter() - start)
     cost_S, deltas_S, y_S, cycles_S = _forced(engine, best)
     s_up = float(y_S[0])  # order-up-to level: the pinned I0_S
-    cache: dict = {}
-
-    def g(x: float) -> float:
-        hit = cache.get(x)
-        if hit is None:
-            hit = cache[x] = engine.cost_at(x)
-        return hit[0]
-
-    root, g_root = _largest_root(g, cost_S, s_up, g(s_up), engine.pin_lower)
+    root, (cost_s, deltas_s, y_s, cycles_s) = engine.reorder_root(cost_S, s_up)
     nodes += engine.nodes
-    cost_s, deltas_s, y_s, cycles_s = cache[root] if root in cache \
-        else engine.cost_at(root)
     assignment = engine.assignment_for("S", deltas_S, y_S, cycles_S)
     assignment.update(engine.assignment_for("s", deltas_s, y_s, cycles_s))
     assignment["I0_s"] = float(root)
     assignment["C_S"] = float(cost_S)
-    assignment["G_s"] = float(g_root)
+    assignment["G_s"] = float(cost_s)
     obj = model.objective_value(assignment)
     _self_check(model, assignment, obj, None)
     return SolveResult(obj, assignment, "optimal", nodes,

@@ -8,6 +8,8 @@ every partial demand sum, so piecewise-linear optima are captured exactly.
 
 full_enumeration is the solver's pattern search without its bound: every
 pattern, in lexicographic order, through the engine's own solve_pattern.
+EnumerationEngine is the solver engine without its envelope: pinned costs
+come from the pattern search alone and reorder roots from bisection.
 
 dense_sdp_tables is the SDP oracle's backward pass done the direct way: a
 dense levels x atoms stage-cost matrix and one shifted lookup of the next
@@ -16,6 +18,9 @@ period's cost per demand atom.
 row_major_simulation is the Monte Carlo pricing loop done the direct way:
 replication-major demand blocks read column by column, with fresh arrays
 for every step of every period.
+
+one_shot_jensen_values is a partition's Jensen bound as one dense product
+over all points and cells, without Partition.jensen_values' row blocks.
 """
 from __future__ import annotations
 
@@ -28,6 +33,7 @@ from scipy.special import ndtri
 from sspolicy.domain import validate
 from sspolicy.sdp import discretize_demand
 from sspolicy.simulate import SimulationResult
+from sspolicy.solver import _largest_root, _SubmodelEngine
 
 
 def _cycle_cost_fn(instance, segments, j, e):
@@ -144,6 +150,26 @@ def full_enumeration(engine, pinned_i0=None):
     return best
 
 
+class EnumerationEngine(_SubmodelEngine):
+    """The solver engine without its envelope: every cost_at is a pattern
+    search, and every reorder root bisects that search's cost curve."""
+
+    def _certified_at(self, x):
+        return None
+
+    def reorder_root(self, target, hi):
+        cache = {}
+
+        def g(x):
+            hit = cache.get(x)
+            if hit is None:
+                hit = cache[x] = self.cost_at(x)
+            return hit[0]
+
+        root, _ = _largest_root(g, target, hi, g(hi), self.pin_lower)
+        return root, cache[root] if root in cache else self.cost_at(root)
+
+
 def dense_sdp_tables(instance, grid, truncation):
     """(g_tables, c_tables) of sspolicy.sdp.solve_sdp's backward pass,
     computed densely over every (level, demand atom) pair."""
@@ -255,3 +281,11 @@ def row_major_simulation(instance, policy, replications, seed, chunk_size):
     return SimulationResult(mean=mean, standard_error=se,
                             replications=replications, seed=seed,
                             truncation_frequency=truncated / (replications * T))
+
+
+def one_shot_jensen_values(partition, x):
+    """Partition.jensen_values as one dense (len(x), N) product."""
+    p = np.asarray(partition.probabilities)
+    m = np.asarray(partition.conditional_means)
+    x = np.asarray(x, dtype=float)
+    return np.maximum(x[..., None] - m, 0.0) @ p

@@ -153,7 +153,12 @@ def test_simulate_malformed_policy_is_data_error(example4_file, tmp_path,
     (["sdp", "--truncation", "2"], "demand_truncation must lie in (0.99, 1)"),
     (["simulate", "--reps", "0", "--seed", "7"],
      "need at least one replication, got 0"),
-], ids=["sdp-step-0", "sdp-step-negative", "sdp-truncation", "simulate-reps-0"])
+    (["solve", "--method", "bs", "--step", "inf"],
+     "bs_step_size must be finite, got inf"),
+    (["solve", "--method", "bs", "--step", "nan"],
+     "bs_step_size must be finite, got nan"),
+], ids=["sdp-step-0", "sdp-step-negative", "sdp-truncation", "simulate-reps-0",
+        "solve-step-inf", "solve-step-nan"])
 def test_bad_numeric_arguments_are_data_errors(example4_file, tmp_path, capsys,
                                                args, message):
     command, *options = args

@@ -1,8 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle_support import one_shot_jensen_values
 from sspolicy.loss import (
     Partition, approximation_error, cached_partition, complementary_loss,
     loss, make_partition, piecewise_loss,
@@ -113,6 +116,33 @@ class TestApproximationError:
             _, e_eq = cached_partition(n, "equal-probability")
             _, e_mm = cached_partition(n, "minimax")
             assert e_mm < e_eq
+
+
+@pytest.mark.parametrize("strategy", ["equal-probability", "minimax"])
+def test_row_blocks_match_one_shot(monkeypatch, strategy):
+    """Partitions and e_W are bit-equal whether the Jensen bound is formed
+    in small row blocks or in one dense product (the reference)."""
+    loss_module = sys.modules[Partition.__module__]
+    for n in range(2, 22):
+        with monkeypatch.context() as patch:
+            patch.setattr(loss_module, "JENSEN_BLOCK", 4096)  # >= 2 blocks
+            blocked = make_partition(n, strategy)
+            blocked_error = approximation_error(blocked)
+        with monkeypatch.context() as patch:
+            patch.setattr(Partition, "jensen_values", one_shot_jensen_values)
+            reference = make_partition(n, strategy)
+            reference_error = approximation_error(reference)
+        assert blocked == reference, n
+        assert blocked_error == reference_error, n
+
+
+def test_row_blocks_keep_shape():
+    part = make_partition(7)
+    x = np.linspace(-3.0, 3.0, 24).reshape(2, 3, 4)
+    values = part.jensen_values(x)
+    assert values.shape == x.shape
+    assert np.array_equal(values.ravel(), one_shot_jensen_values(part, x.ravel()))
+    assert part.jensen_values(0.5) == one_shot_jensen_values(part, 0.5)
 
 
 class TestPiecewiseLoss:

@@ -1,10 +1,17 @@
+import logging
+import math
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sspolicy.solver as solver_module
 from lp_support import solve_lp
-from oracle_support import brute_force_submodel, full_enumeration
+from oracle_support import (
+    EnumerationEngine, brute_force_submodel, full_enumeration,
+)
 from sspolicy.domain import make_instance
 from sspolicy.export import render_lp
 from sspolicy.heuristics import HeuristicConfig, bs_policy, mp_policy
@@ -15,6 +22,7 @@ from sspolicy.solver import (
     ConvexPWL, CycleTable, ExactBackend, SolverError,
     _SubmodelEngine, import_solution, solve_exact,
 )
+from sspolicy.testbed import BenchmarkConfig, build_instances
 
 
 def _engine(model):
@@ -285,6 +293,153 @@ class TestJointSolve:
                                        np.asarray(pw.breakpoints))))
         cost = 100 + 1 * pw.upper(ys) + 10 * (pw.upper(ys) - (ys - 40.0))
         assert res.objective == pytest.approx(cost.min(), abs=1e-6)
+
+
+def _reorder_root(engine, suffix):
+    """The engine's reorder root for a suffix's free optimum plus K."""
+    free = engine.free_minimum()
+    s_up = float(free[2][0])
+    target = free[0] + suffix.costs.fixed
+    return engine.reorder_root(target, s_up), target, s_up
+
+
+def _assert_same_root(engine, target, root, bisected):
+    """`root` is the bisection's root within 1e-9, or the pattern search's
+    cost stays within 1e-7 of the target all the way between the two. The
+    bisection accepts a secant point whose cost is within 1e-7 of the
+    target, which can sit past 1e-9 from a root at a kink, and where the
+    cost meets the target along a whole stretch, either end is a root up
+    to rounding."""
+    x = bisected[0]
+    if abs(root - x) <= 1e-9:
+        return
+    for v in np.linspace(root, x, 5):
+        assert abs(engine.enumerate(v)[0][0] - target) <= 1e-7
+
+
+class TestEnvelope:
+    """The pinned-first-cycle envelope against the pattern search."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=_policy_cases())
+    def test_certified_answers_match_search(self, case):
+        """Where a piece is certified, its cost is enumerate's optimum and
+        solve_pattern's cost and levels for its pattern; the reorder root
+        is the bisection root over enumerate alone, with or without the
+        certificates."""
+        inst, config = case
+        table = CycleTable(inst, build_segments(
+            inst, segments=config.cells, strategy=config.strategy))
+        for k in range(1, inst.horizon + 1):
+            view = table.suffix(k)
+            engine = ExactBackend().evaluator(view)
+            (root, best), target, s_up = _reorder_root(engine, view.instance)
+            assert best[0] == pytest.approx(target, abs=1e-7)
+            pins = {s_up, root, root - 1.0, 0.0}
+            for piece in engine.envelope():
+                if math.isfinite(piece.limit):  # both sides of U_e
+                    pins.update((piece.limit - 0.5, piece.limit,
+                                 piece.limit + 0.5))
+            for x in sorted(pins):
+                certified = engine._certified_at(x)
+                if certified is None:
+                    continue
+                searched, _ = engine.enumerate(x)
+                assert certified[0] == pytest.approx(searched[0], rel=1e-9)
+                cost, levels, _ = engine.solve_pattern(certified[1], x)
+                assert cost == pytest.approx(certified[0], rel=1e-9)
+                assert np.allclose(levels, certified[2], rtol=0, atol=1e-9)
+            for x in np.linspace(root, s_up, 6)[1:]:  # nothing larger
+                assert engine.enumerate(x)[0][0] < target + 1e-9
+            bounds = (engine.inv_lo, engine.inv_hi)
+            reference = _reorder_root(EnumerationEngine(view, bounds),
+                                      view.instance)[0]
+            _assert_same_root(engine, target, root, reference)
+            emptied = ExactBackend().evaluator(view)
+            for piece in emptied.envelope():
+                piece.limit = -math.inf
+            fallback = _reorder_root(emptied, view.instance)[0]
+            assert emptied.certified == 0
+            _assert_same_root(engine, target, root, fallback)
+
+    def test_forced_fallback_is_counted_and_logged(self, example4, segments4,
+                                                   caplog):
+        engine = _engine(build_joint(example4, segments4))
+        (root, _), _, _ = _reorder_root(engine, example4)
+        assert (engine.certified, engine.fallbacks) == (2, 0)
+        forced = _engine(build_joint(example4, segments4))
+        for piece in forced.envelope():
+            piece.limit = -math.inf
+        with caplog.at_level(logging.DEBUG, logger="sspolicy.solver"):
+            (again, _), _, _ = _reorder_root(forced, example4)
+        assert (forced.certified, forced.fallbacks) == (0, 1)
+        assert again == pytest.approx(root, abs=1e-9)
+        records = [r for r in caplog.records if r.name == "sspolicy.solver"]
+        assert len(records) == 1
+        assert "4-period suffix" in records[0].getMessage()
+
+    def test_gap8_instance_certifies_every_suffix(self, caplog):
+        """On an 8-period grid instance every reorder root and every bs
+        bisection step is answered from the envelope."""
+        config = BenchmarkConfig(horizon=8)
+        hc = config.heuristic_config()
+        instance = build_instances(config)[0]
+        table = CycleTable(instance, build_segments(
+            instance, segments=hc.cells, strategy=hc.strategy))
+        for k in range(1, 9):
+            view = table.suffix(k)
+            engine = ExactBackend().evaluator(view)
+            _reorder_root(engine, view.instance)
+            assert (engine.certified, engine.fallbacks) == (2, 0), k
+        calls = []
+
+        class Counting(ExactBackend):
+            def evaluator(self, view):
+                engine = super().evaluator(view)
+                search = engine.cost_at
+
+                def cost_at(x):
+                    calls.append(engine)
+                    return search(x)
+
+                engine.cost_at = cost_at
+                return engine
+
+        bs_policy(instance, hc, backend=Counting())
+        engines = set(calls)
+        assert len(engines) == 8
+        assert sum(engine.certified for engine in engines) == len(calls)
+        with caplog.at_level(logging.DEBUG, logger="sspolicy.solver"):
+            mp_policy(instance, hc)
+        assert not [r for r in caplog.records if r.name == "sspolicy.solver"]
+
+
+@pytest.mark.skipif(not os.environ.get("SSPOLICY_FULL_BENCHMARK"),
+                    reason="full 270-instance grids are optional; "
+                           "set SSPOLICY_FULL_BENCHMARK=1")
+@pytest.mark.parametrize("horizon", [8, 25], ids=["8-period", "25-period"])
+def test_full_grid_envelope_matches_enumeration(horizon, monkeypatch):
+    """bs policies are repr-equal to an enumerate-only engine's; mp S_k and
+    linked costs are bit-equal and its s_k within 1e-9."""
+    config = BenchmarkConfig(horizon=horizon)
+    hc = config.heuristic_config()
+    instances = build_instances(config)
+    worst = 0.0
+    for instance in instances:
+        bs, mp = bs_policy(instance, hc), mp_policy(instance, hc)
+        with monkeypatch.context() as patch:
+            patch.setattr(solver_module, "_SubmodelEngine", EnumerationEngine)
+            bs_ref, mp_ref = bs_policy(instance, hc), mp_policy(instance, hc)
+        assert repr(bs) == repr(bs_ref), instance.name
+        assert mp.order_up_to_levels == mp_ref.order_up_to_levels, instance.name
+        assert mp.costs == mp_ref.costs, instance.name
+        shift = max(abs(a - b) for a, b in
+                    zip(mp.reorder_points, mp_ref.reorder_points))
+        assert shift <= 1e-9, instance.name
+        worst = max(worst, shift)
+    print(f"\n[solver] {horizon} periods: bs equal and mp within "
+          f"{worst:.2e} of the enumerate-only engine on {len(instances)} "
+          f"instances")
 
 
 class TestLimitsAndErrors:
