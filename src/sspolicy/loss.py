@@ -105,8 +105,6 @@ class Partition:
         m = np.asarray(self.conditional_means)
         x = np.asarray(x, dtype=float)
         rows = max(1, JENSEN_BLOCK // m.size)
-        if x.size <= rows:
-            return np.maximum(x[..., None] - m, 0.0) @ p
         flat = x.ravel()
         out = np.empty(flat.size)
         for start in range(0, flat.size, rows):

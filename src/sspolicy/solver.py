@@ -337,6 +337,7 @@ class _SubmodelEngine:
         self.fallbacks = 0
         self._cycle_cache: dict = {}
         self._relaxed: dict = {}  # cycle start -> (arc, reach), unpinned
+        self._tails: dict | None = None   # relaxed paths, built on first use
         self._pieces: list | None = None  # the envelope, built on first use
 
     def cycle(self, j: int, e: int) -> _Cycle:
@@ -491,16 +492,13 @@ class _SubmodelEngine:
         def row(j):
             return first_row if j == 1 else self._relaxation(j)
 
-        # the relaxed shortest path's pattern seeds the incumbent
+        # the relaxed shortest path's pattern seeds the incumbent: the first
+        # cycle's end from the (pinned) first row, then the cached tail
+        arc = first_row[0]
+        e = min(range(1, T + 1), key=lambda e: arc[e] + self._cost_to_go(e + 1))
         deltas = [0] * T
-        j = 1
-        while True:
-            arc = row(j)[0]
-            e = min(range(j, T + 1), key=lambda e: arc[e] + self._cost_to_go(e + 1))
-            if e == T:
-                break
-            deltas[e] = 1
-            j = e + 1
+        for cyc in self._relaxed_tails()[e + 1][1]:
+            deltas[cyc.start - 1] = 1
         seed_pattern = tuple(deltas)
         seed = self.solve_pattern(seed_pattern, pinned_i0)
         seed_cost = math.inf if seed is None else seed[0]
@@ -583,12 +581,15 @@ class _SubmodelEngine:
 
     def _relaxed_tails(self) -> dict:
         """Cycle start j >= 2 -> (levels, cycles, chained) of the relaxed
-        shortest path from j. `chained` holds where every level is its
-        cycle's own minimizer within the level bounds and the
-        levels keep the order chain y_next >= y - D, so solve_pattern gives
-        the path's pattern exactly these levels and the relaxed cost."""
+        shortest path from j, built on first use. `chained` holds where
+        every level is its cycle's own minimizer within the level bounds
+        and the levels keep the order chain y_next >= y - D, so
+        solve_pattern gives the path's pattern exactly these levels and the
+        relaxed cost."""
+        if self._tails is not None:
+            return self._tails
         T = self.T
-        tails = {T + 1: ([], [], True)}
+        tails = self._tails = {T + 1: ([], [], True)}
         for j in range(T, 1, -1):
             arc = self._relaxation(j)[0]
             e = min(range(j, T + 1), key=lambda e: arc[e] + self._cost_to_go(e + 1))

@@ -1,3 +1,4 @@
+import os
 import sys
 
 import numpy as np
@@ -118,22 +119,35 @@ class TestApproximationError:
             assert e_mm < e_eq
 
 
-@pytest.mark.parametrize("strategy", ["equal-probability", "minimax"])
-def test_row_blocks_match_one_shot(monkeypatch, strategy):
+def assert_row_blocks_match_one_shot(monkeypatch, strategy, n):
     """Partitions and e_W are bit-equal whether the Jensen bound is formed
     in small row blocks or in one dense product (the reference)."""
     loss_module = sys.modules[Partition.__module__]
+    with monkeypatch.context() as patch:
+        patch.setattr(loss_module, "JENSEN_BLOCK", 4096)  # >= 2 blocks
+        blocked = make_partition(n, strategy)
+        blocked_error = approximation_error(blocked)
+    with monkeypatch.context() as patch:
+        patch.setattr(Partition, "jensen_values", one_shot_jensen_values)
+        reference = make_partition(n, strategy)
+        reference_error = approximation_error(reference)
+    assert blocked == reference
+    assert blocked_error == reference_error
+
+
+@pytest.mark.parametrize("strategy", ["equal-probability", "minimax"])
+@pytest.mark.parametrize("n", [2, 3, 7, 11, 21])
+def test_row_blocks_match_one_shot(monkeypatch, strategy, n):
+    assert_row_blocks_match_one_shot(monkeypatch, strategy, n)
+
+
+@pytest.mark.skipif(not os.environ.get("SSPOLICY_FULL_BENCHMARK"),
+                    reason="every partition size 2..21 (seconds); "
+                           "set SSPOLICY_FULL_BENCHMARK=1")
+@pytest.mark.parametrize("strategy", ["equal-probability", "minimax"])
+def test_full_grid_row_blocks_match_one_shot(monkeypatch, strategy):
     for n in range(2, 22):
-        with monkeypatch.context() as patch:
-            patch.setattr(loss_module, "JENSEN_BLOCK", 4096)  # >= 2 blocks
-            blocked = make_partition(n, strategy)
-            blocked_error = approximation_error(blocked)
-        with monkeypatch.context() as patch:
-            patch.setattr(Partition, "jensen_values", one_shot_jensen_values)
-            reference = make_partition(n, strategy)
-            reference_error = approximation_error(reference)
-        assert blocked == reference, n
-        assert blocked_error == reference_error, n
+        assert_row_blocks_match_one_shot(monkeypatch, strategy, n)
 
 
 def test_row_blocks_keep_shape():
