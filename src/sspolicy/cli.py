@@ -20,9 +20,9 @@ import sys
 
 from .domain import ValidationError, read_instance
 from .export import export_lp
-from .heuristics import (STRATEGIES, HeuristicConfig, bs_policy, mp_policy,
-                         read_policy_csv, write_policy_csv)
-from .model import build_joint, build_minlp_s, build_segments
+from .heuristics import (STRATEGIES, HeuristicConfig, bs_policy, cycle_table,
+                         mp_policy, read_policy_csv, write_policy_csv)
+from .model import build_joint, build_minlp_s
 from .sdp import GridTooSmallError, default_grid, solve_sdp, write_g_curve
 from .simulate import simulate_policy
 from .solver import SolverError
@@ -77,12 +77,11 @@ def _cmd_solve(args) -> int:
             return EXIT_USAGE
         import os
         os.makedirs(args.out_dir, exist_ok=True)
-        partition_kw = dict(segments=config.cells, strategy=config.strategy)
+        build = build_joint if args.method == "mp" else build_minlp_s
+        table = cycle_table(instance, config)
         for k in range(1, instance.horizon + 1):
-            suffix = instance.suffix(k)
-            segments = build_segments(suffix, **partition_kw)
-            model = build_joint(suffix, segments) if args.method == "mp" \
-                else build_minlp_s(suffix, segments)
+            view = table.suffix(k)
+            model = build(view.instance, view)
             path = f"{args.out_dir}/suffix_{k:02d}_{model.kind}.lp"
             export_lp(model, path)
             print(f"wrote {path}")

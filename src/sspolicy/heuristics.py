@@ -76,7 +76,7 @@ class HeuristicConfig:
         return -float(math.ceil(reach) + 1)
 
 
-def _cycle_table(instance: Instance, config: HeuristicConfig) -> CycleTable:
+def cycle_table(instance: Instance, config: HeuristicConfig) -> CycleTable:
     """The instance's segments, built once and read by every suffix."""
     return CycleTable(instance, build_segments(
         instance, segments=config.cells, strategy=config.strategy))
@@ -88,7 +88,7 @@ def mp_policy(instance: Instance, config: HeuristicConfig | None = None,
     validate(instance)
     config = config or HeuristicConfig()
     backend = backend or ExactBackend()
-    table = _cycle_table(instance, config)
+    table = cycle_table(instance, config)
     ss, SS, costs = [], [], []
     for k in range(1, instance.horizon + 1):
         view = table.suffix(k)
@@ -124,7 +124,7 @@ def bs_policy(instance: Instance, config: HeuristicConfig | None = None,
     validate(instance)
     config = config or HeuristicConfig()
     backend = backend or ExactBackend()
-    table = _cycle_table(instance, config)
+    table = cycle_table(instance, config)
     ss, SS, costs, flagged = [], [], [], []
     K = instance.costs.fixed
     for k in range(1, instance.horizon + 1):

@@ -216,9 +216,7 @@ class PiecewiseLoss:
     def segment_intercepts(self) -> np.ndarray:
         """Intercepts c_i with lower(x) = max_i(slopes[i] * x + c_i),
         computed once per piece and read-only."""
-        p = np.diff(np.asarray(self.slopes))
-        x = np.asarray(self.breakpoints)
-        out = np.concatenate(([0.0], -np.cumsum(p * x)))
+        out = segment_intercepts(np.asarray(self.slopes), np.asarray(self.breakpoints))
         out.flags.writeable = False
         return out
 
@@ -239,6 +237,13 @@ class PiecewiseLoss:
 
     def penalty_upper(self, x):
         return self.penalty_lower(x) + self.error_bound
+
+
+def segment_intercepts(slopes: np.ndarray, breakpoints: np.ndarray) -> np.ndarray:
+    """PiecewiseLoss.segment_intercepts of the pieces along the leading
+    axes, their slopes and breakpoints along the last."""
+    steps = -np.cumsum(np.diff(slopes) * breakpoints, axis=-1)
+    return np.concatenate((np.zeros(steps.shape[:-1] + (1,)), steps), axis=-1)
 
 
 def piecewise_loss(partition: Partition, mean: float, std_dev: float,

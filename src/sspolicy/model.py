@@ -32,19 +32,32 @@ constant; every linear, cut and indicator row sits in one CSR matrix
 Terms keep their emission order, which is the LP file's term order.
 verify_assignment checks an assignment against the table with array
 expressions, all rows by one matrix-vector product.
+
+The joint model's structure depends only on the horizon, the segment count
+and whether the unit cost is nonzero. _emit_joint, the emitter below, is
+its only definition. build_joint emits it once per such key into a
+skeleton that records where the instance numbers go (level bounds, the
+-mean_t and pin right-hand sides, the cost rows and objective weights, the
+cut blocks and the piecewise data), then fills a copy of the numeric
+arrays per call. Its models share the structural arrays (names, index,
+binary mask, row names, senses, kinds, conditions, CSR indices and
+indptr, rule index arrays) read-only.
 """
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 from collections import defaultdict
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 from scipy import sparse
 
-from .domain import Instance, validate
-from .loss import cached_partition, piecewise_loss
+from .domain import CostParameters, Instance, NormalDemand, validate
+from .loss import cached_partition, piecewise_loss, segment_intercepts
 
 ROW, CUT, INDICATOR = 0, 1, 2  # row kinds, in the order the LP file lists them
 
@@ -95,8 +108,8 @@ class MilpModel:
     big_m: float
     submodels: tuple
     segments: Mapping          # (j, t) -> PiecewiseLoss
-    names: list                # column names, in insertion order
-    index: dict                # column name -> column
+    names: Sequence            # column names, in insertion order
+    index: Mapping             # column name -> column
     lb: np.ndarray
     ub: np.ndarray
     binary: np.ndarray
@@ -205,28 +218,30 @@ def level_bounds(instance: Instance, big_m: float) -> tuple[float, float]:
     return lower, big_m + 10.0
 
 
-def _period_pieces(instance: Instance, segments: Mapping) -> list:
+def period_pieces(instance: Instance, segments: Mapping) -> list:
     """Segment data of every period t (entry t - 1) as arrays over cycle
     starts 1..t: slopes, rule-line intercepts (error bound included),
     demand shifts and cut coefficients slope * mu + intercept + e. Every
-    piece must have the same segment count."""
-    out, n_seg = [], None
+    piece must have the same segment count. A segment source with its own
+    arrays (solver.SuffixView, cut from its table's) hands those over."""
+    if hasattr(segments, "period_pieces"):
+        return segments.period_pieces()
+    pieces = []
     for t in range(1, instance.horizon + 1):
-        pieces = []
         for j in range(1, t + 1):
             if (j, t) not in segments:
                 raise ValueError(f"segments missing for cycle pair (j={j}, t={t})")
             pieces.append(segments[(j, t)])
-            n_seg = n_seg or pieces[-1].segment_count
-            if pieces[-1].segment_count != n_seg:
+            if pieces[-1].segment_count != pieces[0].segment_count:
                 raise ValueError(f"segment count mismatch at (j={j}, t={t})")
-        slopes = np.array([pw.slopes for pw in pieces])
-        icpt = np.array([pw.segment_intercepts for pw in pieces])
-        means = np.array([pw.mean for pw in pieces])
-        errs = np.array([pw.error_bound for pw in pieces])[:, None]
-        out.append((slopes, icpt + errs, means,
-                    slopes * means[:, None] + icpt + errs))
-    return out
+    slopes = np.array([pw.slopes for pw in pieces])
+    icpt = segment_intercepts(slopes, np.array([pw.breakpoints for pw in pieces]))
+    means = np.array([pw.mean for pw in pieces])
+    errs = np.array([pw.error_bound for pw in pieces])[:, None]
+    arrays = (slopes, icpt + errs, means, slopes * means[:, None] + icpt + errs)
+    # period t's pieces start at t(t - 1)/2
+    starts = np.cumsum(np.arange(1, instance.horizon))
+    return list(zip(*(np.split(a, starts) for a in arrays)))
 
 
 def _add_submodel(em: _Emitter, instance: Instance, big_m: float, label: str,
@@ -318,7 +333,7 @@ def build_minlp_s(instance: Instance, segments: Mapping,
                   initial_inventory: float | None = None) -> MilpModel:
     """No-order-in-period-1 model; free initial level unless fixed."""
     validate(instance)
-    periods = _period_pieces(instance, segments)
+    periods = period_pieces(instance, segments)
     big_m = default_big_m(instance, initial_inventory)
     em = _Emitter()
     _add_submodel(em, instance, big_m, "s", periods, first_order=False,
@@ -330,7 +345,7 @@ def build_minlp_S(instance: Instance, segments: Mapping) -> MilpModel:
     """Forced-order-in-period-1 model; the free initial level doubles as the
     period-1 order-up-to level via the pin row I0_S = I_S_1 + mean_1."""
     validate(instance)
-    periods = _period_pieces(instance, segments)
+    periods = period_pieces(instance, segments)
     big_m = default_big_m(instance)
     em = _Emitter()
     _, I = _add_submodel(em, instance, big_m, "S", periods, first_order=True,
@@ -339,15 +354,14 @@ def build_minlp_S(instance: Instance, segments: Mapping) -> MilpModel:
     return em.model("S", instance, big_m, ("S",), segments)
 
 
-def build_joint(instance: Instance, segments: Mapping) -> MilpModel:
-    """Both submodels, the cost-equality link and the ordering I0_s <= I0_S.
+def _emit_joint(instance: Instance, periods: list, segments) -> MilpModel:
+    """The joint model, row by row: both submodels, the cost-equality link
+    and the ordering I0_s <= I0_S. build_joint fills copies of it.
 
     The objective takes the forced-order side over all periods plus the
     no-order side from period 2; the no-order side's period-1 terms live
     only inside the linked cost expression G_s.
     """
-    validate(instance)
-    periods = _period_pieces(instance, segments)
     big_m = default_big_m(instance)
     em = _Emitter()
     cost_S, I_S = _add_submodel(em, instance, big_m, "S", periods,
@@ -365,6 +379,141 @@ def build_joint(instance: Instance, segments: Mapping) -> MilpModel:
     em.add_row("link_cost", linked[::-1], [1.0, -1.0], "==", 0.0)
     em.add_row("link_order", [I_s[0], I_S[0]], [1.0, -1.0], "<=", 0.0)
     return em.model("joint", instance, big_m, ("S", "s"), segments)
+
+
+# the cost weight each objective or cost-row column carries, by the
+# column's name prefix, as an index into _Skeleton.fill's weight vector
+_WEIGHT = {"delta": 0, "H": 1, "B": 2, "I0": 3, "I": 4}  # K, h, b, -c, c
+
+
+@dataclass(frozen=True)
+class _Skeleton:
+    """The joint model of one (horizon, segment count, c != 0) key, emitted
+    once with zero numbers, and the slots that hold instance numbers.
+    Every array of `model` is read-only: fill copies the numeric ones."""
+    model: MilpModel
+    levels: np.ndarray       # level columns, bounded by level_bounds
+    mean_rows: np.ndarray    # rows whose rhs is -mean_t ...
+    mean_period: np.ndarray  # ... and their t - 1
+    pin_row: int             # rhs mean_1
+    def_rows: np.ndarray     # rhs c * sum of means
+    def_slots: np.ndarray    # data of the def rows' cost terms ...
+    def_weight: np.ndarray   # ... and their _WEIGHT
+    objective_weight: np.ndarray
+    slope_slots: np.ndarray  # cut data: -slope_i (H rows) ...
+    less_one_slots: np.ndarray  # ... and -(slope_i - 1) (B rows) of start 1 ...
+    slope_source: np.ndarray    # ... at these entries of a side's flat slopes
+    const_slots: np.ndarray  # cut data: -const of each start ...
+    const_source: np.ndarray  # ... at these entries of a side's flat consts
+
+    @staticmethod
+    @functools.cache
+    def of(T: int, n_seg: int, unit: bool) -> "_Skeleton":
+        """The skeleton of a key, emitted on its first use."""
+        probe = Instance(CostParameters(fixed=0.0, unit=float(unit)),
+                         (NormalDemand(0.0, 0.0),) * T)
+        periods = [(np.zeros((t, n_seg)),) * 2 + (np.zeros(t), np.zeros((t, n_seg)))
+                   for t in range(1, T + 1)]
+        model = _emit_joint(probe, periods, None)
+        rows = {name: r for r, name in enumerate(model.rows.names.tolist())}
+        indptr, indices = model.rows.matrix.indptr, model.rows.matrix.indices
+        names, index = model.names, model.index
+
+        def weight(cols):
+            return np.array([_WEIGHT[names[c].split("_")[0]] for c in cols])
+
+        def_rows = [rows["def_C_S"], rows["def_G_s"]]
+        # each def row's first term is its linked cost column
+        def_slots = np.concatenate([np.arange(indptr[r] + 1, indptr[r + 1])
+                                    for r in def_rows])
+        slope, less_one, slope_src, const, const_src = [], [], [], [], []
+        for lab in "Ss":
+            for t in range(1, T + 1):
+                # _emit_pieces' block: rows H_0, B_0, H_1, ..., each with
+                # the terms holding or backorder, inventory, P_1..P_t
+                first = (t - 1) * t // 2 * n_seg  # period t's first rule
+                at = indptr[rows[f"cut_H_{lab}_{t}_0"]] + np.arange(
+                    2 * n_seg * (t + 2)).reshape(2 * n_seg, t + 2)
+                slope.append(at[0::2, 1])
+                less_one.append(at[1::2, 1])
+                slope_src.append(first + np.arange(n_seg))
+                const.append(at[:, 2:].ravel())
+                const_src.append((first + np.arange(t) * n_seg
+                                  + np.arange(2 * n_seg)[:, None] // 2).ravel())
+        shared = [model.lb, model.ub, model.binary, *model.objective, indptr,
+                  indices, model.rows.matrix.data, *vars(model.piecewise).values()]
+        shared += [v for v in vars(model.rows).values() if isinstance(v, np.ndarray)]
+        for arr in shared:
+            arr.flags.writeable = False
+        return _Skeleton(
+            model=dataclasses.replace(model, names=tuple(names),
+                                      index=MappingProxyType(index)),
+            levels=np.array([index[f"I0_{lab}"] for lab in "Ss"]
+                            + [index[f"I_{lab}_{t}"] for lab in "Ss"
+                               for t in range(1, T + 1)]),
+            mean_rows=np.array([rows[f"{name}_{lab}_{t}{end}"] for lab in "Ss"
+                                for t in range(1, T + 1)
+                                for name, end in (("order_nonneg", ""),
+                                                  ("no_order_balance", "_row"))]),
+            mean_period=np.tile(np.repeat(np.arange(T), 2), 2),
+            pin_row=rows["pin_I0_S"], def_rows=np.array(def_rows),
+            def_slots=def_slots, def_weight=weight(indices[def_slots]),
+            objective_weight=weight(model.objective[0]),
+            slope_slots=np.concatenate(slope), less_one_slots=np.concatenate(less_one),
+            slope_source=np.concatenate(slope_src),
+            const_slots=np.concatenate(const), const_source=np.concatenate(const_src))
+
+    def fill(self, instance: Instance, periods: list, segments) -> MilpModel:
+        """The model _emit_joint(instance, periods, segments) emits."""
+        model = self.model
+        big_m = default_big_m(instance)
+        costs = instance.costs
+        # Python scalars negated as the emitter negates them, zeros' signs too
+        weights = (costs.fixed, costs.holding, costs.penalty, -costs.unit, costs.unit)
+        unit_total = costs.unit * sum(instance.means)
+
+        lb, ub = model.lb.copy(), model.ub.copy()
+        lb[self.levels], ub[self.levels] = level_bounds(instance, big_m)
+
+        rhs = model.rows.rhs.copy()
+        rhs[self.mean_rows] = np.array([-m for m in instance.means])[self.mean_period]
+        rhs[self.pin_row] = instance.means[0]
+        rhs[self.def_rows] = unit_total
+
+        slopes, lines, shift, const = (np.concatenate(a) for a in zip(*periods))
+        slope_at = slopes.ravel()[self.slope_source]
+        data = model.rows.matrix.data.copy()
+        data[self.slope_slots] = -slope_at
+        data[self.less_one_slots] = -(slope_at - 1.0)
+        data[self.const_slots] = -const.ravel()[self.const_source]
+        data[self.def_slots] = np.array([-w for w in weights], dtype=float)[self.def_weight]
+        matrix = model.rows.matrix
+        rows = dataclasses.replace(model.rows, rhs=rhs, matrix=sparse.csr_array(
+            (data, matrix.indices, matrix.indptr), shape=matrix.shape))
+
+        # both sides read the same pieces
+        piecewise = dataclasses.replace(
+            model.piecewise, shift=np.concatenate([shift, shift]),
+            slopes=np.concatenate([slopes, slopes]),
+            intercepts=np.concatenate([lines, lines]))
+        return dataclasses.replace(
+            model, instance=instance, big_m=big_m, segments=segments,
+            lb=lb, ub=ub,
+            objective=(model.objective[0],
+                       np.array(weights, dtype=float)[self.objective_weight]),
+            objective_constant=unit_total + unit_total if costs.unit else 0.0,
+            rows=rows, piecewise=piecewise)
+
+
+def build_joint(instance: Instance, segments: Mapping) -> MilpModel:
+    """Both submodels, the cost-equality link and the ordering I0_s <= I0_S,
+    filled from the skeleton of the instance's key (see the module
+    docstring); equal, array for array, to what _emit_joint emits."""
+    validate(instance)
+    periods = period_pieces(instance, segments)
+    skeleton = _Skeleton.of(instance.horizon, periods[0][0].shape[1],
+                            bool(instance.costs.unit))
+    return skeleton.fill(instance, periods, segments)
 
 
 def verify_assignment(model: MilpModel, assignment: dict,

@@ -76,7 +76,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MilpModel, default_big_m, level_bounds, verify_assignment
+from .model import (MilpModel, default_big_m, level_bounds, period_pieces,
+                    verify_assignment)
 
 ROOT_TOLERANCE = 1e-4  # bracket width of the fallback root bisection
 ROOT_MATCH = 1e-7      # |g - target| that accepts a reorder root
@@ -198,6 +199,7 @@ class CycleTable:
         self.segments = segments  # (j, t) -> PiecewiseLoss
         self._cycles: dict = {}
         self._priced: dict = {}
+        self._pieces: list | None = None
 
     def cycle(self, j: int, e: int) -> tuple:
         """(cost, mean demand, largest and smallest demand shift) of cycle
@@ -242,6 +244,16 @@ class CycleTable:
         self._priced[key] = hit
         return hit
 
+    def period_pieces(self) -> list:
+        """model.period_pieces of the whole instance, built on first use;
+        its arrays are read-only, and suffix views slice them."""
+        if self._pieces is None:
+            self._pieces = period_pieces(self.instance, self.segments)
+            for arrays in self._pieces:
+                for a in arrays:
+                    a.flags.writeable = False
+        return self._pieces
+
     def suffix(self, k: int) -> "SuffixView":
         return SuffixView(self, k)
 
@@ -271,6 +283,13 @@ class SuffixView(Mapping):
 
     def __len__(self):
         return self.horizon * (self.horizon + 1) // 2
+
+    def period_pieces(self) -> list:
+        """model.period_pieces of the suffix: each of its periods' arrays
+        in the table, cut to the starts k..t."""
+        o = self.offset
+        return [tuple(a[o:] for a in arrays)
+                for arrays in self.table.period_pieces()[o:]]
 
     def cycle(self, j: int, e: int) -> tuple:
         return self.table.cycle(j + self.offset, e + self.offset)

@@ -232,7 +232,8 @@ def run_instance(config: BenchmarkConfig, instance: Instance) -> list:
     except Exception as exc:  # no gap without the oracle: every method fails
         status = f"failed: oracle: {type(exc).__name__}: {exc}"
         return [InstanceResult(instance_id=instance.name, method=method,
-                               status=status, seed=seed)
+                               status=status, replications=config.replications,
+                               seed=seed)
                 for method in config.methods]
     hcfg = config.heuristic_config()
     for method in config.methods:
@@ -250,7 +251,8 @@ def run_instance(config: BenchmarkConfig, instance: Instance) -> list:
         except Exception as exc:  # recorded, not fatal to the sweep
             results.append(InstanceResult(
                 instance_id=instance.name, method=method,
-                status=f"failed: {exc}", seed=seed))
+                status=f"failed: {exc}", replications=config.replications,
+                seed=seed))
     return results
 
 
@@ -341,15 +343,27 @@ def write_summary_csv(report: BenchmarkReport, path) -> None:
 def run_benchmark(config: BenchmarkConfig, jobs: int = 1,
                   detail_path=None) -> BenchmarkReport:
     """Run the configured slice of the grid, 8- or 25-period alike;
-    resumes from detail_path."""
+    resumes from detail_path.
+
+    A row of an existing detail file counts as done only if its instance
+    and method are in the config and its seed and replication count are the
+    config's; a stale one is run again and replaced. Rows of instances or
+    methods outside the config stay in the file but not in the report.
+    """
     instances = build_instances(config)
-    done: dict = {}
+    wanted = {(inst.name, m): instance_seed(config.seed, inst.name)
+              for inst in instances for m in config.methods}
+    done, foreign = {}, []
     if detail_path is not None and os.path.exists(detail_path):
         for row in read_detail_csv(detail_path):
-            done[(row.instance_id, row.method)] = row
+            key = (row.instance_id, row.method)
+            if key not in wanted:
+                foreign.append(row)
+            elif (row.seed, row.replications) == (wanted[key], config.replications):
+                done[key] = row
     pending = [inst for inst in instances
                if any((inst.name, m) not in done for m in config.methods)]
-    results = [row for row in done.values()]
+    results = list(done.values())
     if jobs > 1 and len(pending) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for rows in pool.map(_run_instance_star,
@@ -363,5 +377,5 @@ def run_benchmark(config: BenchmarkConfig, jobs: int = 1,
                            if (r.instance_id, r.method) not in done)
     report = BenchmarkReport(config=config, results=results)
     if detail_path is not None:
-        write_detail_csv(report, detail_path)
+        write_detail_csv(BenchmarkReport(config, results + foreign), detail_path)
     return report

@@ -87,3 +87,32 @@ def test_bad_pair_count_rejected(workload):
 def test_pair_count_parsed():
     assert bench_pairs.parse_args(_args("gap8:3")).workload == [("gap8", 3)]
     assert bench_pairs.parse_args(_args("oracle25")).workload == [("oracle25", 10)]
+
+
+def test_traced_runs_share_an_instance_count(monkeypatch):
+    """Both sides' traced runs stop at the fewest instances any untraced
+    run reached, whichever side ran more blocks, and the file records it."""
+    pairs = [{"base": {"instances_run": 60}, "change": {"instances_run": 90}},
+             {"base": {"instances_run": 90}, "change": {"instances_run": 120}}]
+    limit = bench_pairs.trace_limit(pairs)
+    assert limit == 60
+    calls = []
+
+    def fake_run(root, command):
+        calls.append((root, command))
+        n = int(command[command.index("--max-instances") + 1])
+        return {"report": {"settings": {"instances_run": n},
+                           "per_layer": {"x.self_s": {"value": 1.0}},
+                           "accounting": {}, "missing_layers": []}}
+
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
+    args = bench_pairs.parse_args(_args("gap8") + ["--trace-seed", "5",
+                                                   "--trace-seed", "6"])
+    traced = bench_pairs.traced_pairs({"base": "b", "change": "c"}, "gap8",
+                                      limit, args)
+    assert [root for root, _ in calls] == ["b", "c", "c", "b"]
+    for _, command in calls:
+        assert command[command.index("--max-instances") + 1] == "60"
+        assert float(command[command.index("--seconds") + 1]) >= 1e9
+    assert traced["max_instances"] == 60
+    assert {r["instances_run"] for r in traced["runs"]} == {60}

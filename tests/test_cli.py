@@ -4,7 +4,9 @@ import pytest
 
 from sspolicy.cli import main
 from sspolicy.domain import make_instance, read_instance, write_instance
+from sspolicy.export import render_lp
 from sspolicy.heuristics import read_policy_csv
+from sspolicy.model import build_joint, build_minlp_s, build_segments
 from sspolicy.sdp import default_grid, discretize_demand
 from sspolicy.testbed import read_detail_csv
 
@@ -78,6 +80,26 @@ def test_solve_lp_export_mode(example4_file, tmp_path, capsys):
     assert "no solving performed" in out
     files = sorted(p.name for p in out_dir.iterdir())
     assert files == [f"suffix_{k:02d}_joint.lp" for k in range(1, 5)]
+
+
+@pytest.mark.parametrize("method, kind", [("mp", "joint"), ("bs", "s")])
+def test_lp_export_matches_per_suffix_segments(example4_file, tmp_path, capsys,
+                                               method, kind):
+    """The exported files, built from one cycle table, are byte-equal to
+    models built from each suffix's own segments."""
+    out_dir = tmp_path / "lp"
+    rc = main(["solve", str(example4_file), "--method", method, "--segments", "7",
+               "--strategy", "minimax", "--backend", "lp-export",
+               "--out-dir", str(out_dir)])
+    capsys.readouterr()
+    assert rc == 0
+    instance = read_instance(example4_file)
+    build = build_joint if method == "mp" else build_minlp_s
+    for k in range(1, instance.horizon + 1):
+        suffix = instance.suffix(k)
+        segments = build_segments(suffix, segments=6, strategy="minimax")
+        expected = render_lp(build(suffix, segments)).encode()
+        assert (out_dir / f"suffix_{k:02d}_{kind}.lp").read_bytes() == expected
 
 
 def test_simulate_round_trip(example4_file, tmp_path, capsys):

@@ -1,15 +1,21 @@
 import math
+import os
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sspolicy.domain import make_instance
+from sspolicy.export import render_lp
 from sspolicy.model import (
-    CUT, INDICATOR, RowTable, build_joint, build_minlp_s, build_minlp_S,
-    build_segments, cumulative_demand, default_big_m, verify_assignment,
+    CUT, INDICATOR, PiecewiseRules, RowTable, _emit_joint, build_joint,
+    build_minlp_s, build_minlp_S, build_segments, cumulative_demand,
+    default_big_m, period_pieces, verify_assignment,
 )
-from sspolicy.solver import solve_exact
+from sspolicy.solver import CycleTable, solve_exact
+from sspolicy.testbed import BenchmarkConfig, build_instances
 
 
 @pytest.fixture(scope="module")
@@ -262,3 +268,120 @@ def test_verify_assignment_matches_loop(example4, segments4, build):
         assert {name for name, _ in got} == set(expected)
         for name, amount in got:
             assert amount == pytest.approx(expected[name], rel=1e-9, abs=1e-9)
+
+
+def _assert_same_array(got, ref, what):
+    assert (got.dtype, got.shape) == (ref.dtype, ref.shape), what
+    assert got.tobytes() == ref.tobytes(), what  # zeros' signs included
+
+
+def _assert_emitted(instance, segments):
+    """build_joint's model equals the emitter's, array for array and in LP
+    bytes; a suffix view's emitter reference reads the suffix's own pieces
+    as a plain dict, not the table's slices."""
+    got = build_joint(instance, segments)
+    ref = _emit_joint(instance, period_pieces(instance, dict(segments)), segments)
+    assert (got.kind, got.instance, got.big_m, got.submodels, got.segments) == \
+        (ref.kind, ref.instance, ref.big_m, ref.submodels, ref.segments)
+    assert list(got.names) == ref.names and dict(got.index) == ref.index
+    assert got.objective_constant == ref.objective_constant
+    arrays = [("lb", got.lb, ref.lb), ("ub", got.ub, ref.ub),
+              ("binary", got.binary, ref.binary)]
+    arrays += [(f"objective {i}", a, b)
+               for i, (a, b) in enumerate(zip(got.objective, ref.objective))]
+    arrays += [(f"matrix.{f}", getattr(got.rows.matrix, f), getattr(ref.rows.matrix, f))
+               for f in ("data", "indices", "indptr")]
+    arrays += [(f"rows.{f.name}", getattr(got.rows, f.name), getattr(ref.rows, f.name))
+               for f in fields(RowTable) if f.name != "matrix"]
+    arrays += [(f"piecewise.{f.name}", getattr(got.piecewise, f.name),
+                getattr(ref.piecewise, f.name)) for f in fields(PiecewiseRules)]
+    for what, a, b in arrays:
+        _assert_same_array(a, b, what)
+    assert render_lp(got) == render_lp(ref)
+
+
+def _assert_suffixes_emitted(instance, segments):
+    table = CycleTable(instance, segments)
+    for k in range(1, instance.horizon + 1):
+        view = table.suffix(k)
+        _assert_emitted(view.instance, view)
+
+
+def test_joint_skeleton_matches_emitter_on_grid():
+    """Every suffix of every 9th 8-period grid instance, from one table."""
+    config = BenchmarkConfig(horizon=8)
+    hcfg = config.heuristic_config()
+    for inst in build_instances(config)[::9]:
+        _assert_suffixes_emitted(inst, build_segments(
+            inst, segments=hcfg.cells, strategy=hcfg.strategy))
+
+
+@settings(max_examples=25, deadline=None)
+@given(T=st.integers(1, 8), K=st.sampled_from([0.0, 40.0, 150.0]),
+       c=st.sampled_from([0.0, 1.5]), n_seg=st.integers(3, 21),
+       strategy=st.sampled_from(["equal-probability", "minimax"]),
+       data=st.data())
+def test_joint_skeleton_matches_emitter(T, K, c, n_seg, strategy, data):
+    """K = 0, c > 0, zero-sd periods and 3..21 linear segments, from a
+    plain segment dict and from every suffix view of its table."""
+    means = data.draw(st.lists(st.floats(0, 30).map(lambda v: round(v, 1)),
+                               min_size=T, max_size=T))
+    cvs = data.draw(st.lists(st.sampled_from([0.0, 0.1, 0.3]), min_size=T, max_size=T))
+    inst = make_instance(T, K=K, h=1.3, b=9.0, c=c, means=means,
+                         std_devs=[m * v for m, v in zip(means, cvs)])
+    segs = build_segments(inst, segments=n_seg - 1, strategy=strategy)
+    _assert_emitted(inst, segs)
+    _assert_suffixes_emitted(inst, segs)
+
+
+def test_joint_skeleton_shares_structure_read_only(example4, segments4):
+    """Models of one key share their structural arrays, which refuse
+    writes; each owns its numeric arrays."""
+    a = build_joint(example4, segments4)
+    b = build_joint(example4.suffix(1), build_segments(example4, segments=10))
+    shared = [(a.rows.matrix.indices, b.rows.matrix.indices),
+              (a.rows.matrix.indptr, b.rows.matrix.indptr),
+              (a.rows.names, b.rows.names), (a.rows.sense, b.rows.sense),
+              (a.rows.kind, b.rows.kind), (a.rows.condition, b.rows.condition),
+              (a.binary, b.binary), (a.objective[0], b.objective[0])]
+    shared += [(getattr(a.piecewise, f), getattr(b.piecewise, f))
+               for f in ("selector", "inventory", "holding", "backorder",
+                         "start", "period", "label", "equality")]
+    for x, y in shared:
+        assert np.shares_memory(x, y)
+        with pytest.raises(ValueError, match="read-only"):
+            x[0] = x[1]
+    assert a.names is b.names and a.index is b.index
+    with pytest.raises(TypeError):
+        a.names[0] = "renamed"
+    with pytest.raises(TypeError):
+        a.index["renamed"] = 0
+    owned = [(a.lb, b.lb), (a.ub, b.ub), (a.objective[1], b.objective[1]),
+             (a.rows.rhs, b.rows.rhs), (a.rows.matrix.data, b.rows.matrix.data),
+             (a.piecewise.shift, b.piecewise.shift),
+             (a.piecewise.slopes, b.piecewise.slopes),
+             (a.piecewise.intercepts, b.piecewise.intercepts)]
+    for x, y in owned:
+        assert x.flags.writeable and not np.shares_memory(x, y)
+
+
+def test_joint_skeleton_keeps_plain_dict_errors(example4):
+    segs = build_segments(example4, segments=6)
+    del segs[(2, 3)]
+    with pytest.raises(ValueError, match=r"segments missing .*\(j=2, t=3\)"):
+        build_joint(example4, segs)
+    segs[(2, 3)] = build_segments(example4, segments=8)[(2, 3)]
+    with pytest.raises(ValueError, match=r"segment count mismatch at \(j=2, t=3\)"):
+        build_joint(example4, segs)
+
+
+@pytest.mark.skipif(not os.environ.get("SSPOLICY_FULL_BENCHMARK"),
+                    reason="every suffix of both 270-instance grids (minutes); "
+                           "set SSPOLICY_FULL_BENCHMARK=1")
+@pytest.mark.parametrize("horizon", [8, 25], ids=["8-period", "25-period"])
+def test_full_grid_joint_skeleton(horizon):
+    config = BenchmarkConfig(horizon=horizon)
+    hcfg = config.heuristic_config()
+    for inst in build_instances(config):
+        _assert_suffixes_emitted(inst, build_segments(
+            inst, segments=hcfg.cells, strategy=hcfg.strategy))

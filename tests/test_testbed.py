@@ -5,7 +5,7 @@ import pytest
 
 from sspolicy.domain import ValidationError, validate
 from sspolicy.testbed import (
-    _DEMAND_25_GENERATED, BenchmarkConfig, build_instances, demand_means,
+    _DEMAND_25_GENERATED, BenchmarkConfig, BenchmarkReport, build_instances, demand_means,
     generate_25, instance_id, instance_seed, read_detail_csv, run_benchmark,
     write_detail_csv, write_summary_csv,
 )
@@ -161,6 +161,40 @@ class TestBenchmarkRun:
         for r in resumed.results:
             assert r.gap_pct == pytest.approx(
                 fresh_map[(r.instance_id, r.method)], abs=1e-9)
+
+    def test_resume_leaves_foreign_rows_out_of_the_report(self, tmp_path):
+        """An STA sweep, then a RAND sweep into the same file: the second
+        report holds only RAND rows, and the file keeps both."""
+        path = tmp_path / "detail.csv"
+        grid = dict(fixed_costs=(200.0,), penalty_costs=(10.0,), cvs=(0.1, 0.2),
+                    replications=500)
+        sta = run_benchmark(BenchmarkConfig(patterns=("STA",), **grid),
+                            detail_path=path)
+        rand = run_benchmark(BenchmarkConfig(patterns=("RAND",), **grid),
+                             detail_path=path)
+        assert {r.pattern for r in rand.results} == {"RAND"}
+        gaps = rand.ok_gaps("bs")
+        assert len(gaps) == 2
+        overall = next(r[3] for r in rand.summary_rows() if r[0] == "overall")
+        assert overall == sum(gaps) / len(gaps)
+        on_file = {(r.instance_id, r.gap_pct) for r in read_detail_csv(path)}
+        assert on_file == {(r.instance_id, r.gap_pct)
+                           for r in sta.results + rand.results}
+
+    @pytest.mark.parametrize("change", [{"seed": 7}, {"replications": 300}])
+    def test_resume_reruns_rows_of_another_seed_or_count(self, tmp_path, change):
+        path = tmp_path / "detail.csv"
+        grid = dict(patterns=("STA",), fixed_costs=(200.0,), penalty_costs=(10.0,),
+                    cvs=(0.1,), replications=500)
+        run_benchmark(BenchmarkConfig(**grid), detail_path=path)
+        cfg = BenchmarkConfig(**{**grid, **change})
+        resumed = run_benchmark(cfg, detail_path=path)
+        fresh = run_benchmark(cfg)
+        for report in (resumed, BenchmarkReport(cfg, read_detail_csv(path))):
+            assert [(r.instance_id, r.seed, r.replications, r.gap_pct)
+                    for r in report.results] == \
+                [(r.instance_id, r.seed, r.replications, r.gap_pct)
+                 for r in fresh.results]
 
     def test_parallel_equals_serial(self):
         cfg = BenchmarkConfig(patterns=("RAND",), fixed_costs=(300.0,),

@@ -18,6 +18,11 @@ side that runs first alternates from pair to pair. Each --trace-seed adds
 one traced pair per workload (`--trace 1`), again alternating, for the
 per-layer metrics; a traced run's self times are wall seconds, not scaled
 to the machine's idle speed, so the file keeps each side's median too.
+Traced runs are bounded by an instance count alone (`--max-instances N
+--seconds 1e+09`), N being the fewest instances any untraced run of the
+workload reached, so both sides trace the same instances even when one
+side runs more blocks in the run length; a run finishes every block it
+starts, so N is a whole number of blocks. The file records N.
 
 Writes BENCH_<label>.json in the repository root: every run's end-to-end
 metrics and block digests, per metric each side's median and quartiles,
@@ -40,6 +45,11 @@ import sys
 import tarfile
 import tempfile
 from pathlib import Path
+
+
+# run length of a traced run, which its instance count ends first; finite,
+# so the run's report stays standard JSON
+UNBOUNDED_S = 1e9
 
 
 def workload_arg(item: str) -> tuple:
@@ -82,9 +92,13 @@ def export(repo: Path, rev: str, dest: Path) -> dict:
     return {"rev": rev, "commit": commit}
 
 
-def bench_command(workload: str, seed: int, seconds: float, trace: int) -> list:
-    return ["python3", "bench/run.py", "--workload", workload, "--seed",
-            str(seed), "--seconds", f"{seconds:g}", "--trace", str(trace)]
+def bench_command(workload: str, seed: int, seconds: float, trace: int,
+                  max_instances: int = 0) -> list:
+    command = ["python3", "bench/run.py", "--workload", workload, "--seed",
+               str(seed), "--seconds", f"{seconds:g}", "--trace", str(trace)]
+    if max_instances:
+        command += ["--max-instances", str(max_instances)]
+    return command
 
 
 def run_bench(root: Path, command: list) -> dict:
@@ -148,16 +162,23 @@ def summarize(pairs: list, declared: list) -> dict:
     return out
 
 
-def traced_pairs(roots: dict, workload: str, seconds: float, args) -> dict:
-    """One traced run per side and --trace-seed, alternating which side
-    goes first, with each side's median per-layer metrics."""
+def trace_limit(pairs: list) -> int:
+    """The fewest instances any untraced run of the pairs reached."""
+    return min(p[side]["instances_run"] for p in pairs for side in ("base", "change"))
+
+
+def traced_pairs(roots: dict, workload: str, max_instances: int, args) -> dict:
+    """One traced run per side and --trace-seed over the same first
+    `max_instances` instances, alternating which side goes first, with
+    each side's median per-layer metrics."""
     runs = []
     for i, seed in enumerate(args.trace_seed):
-        command = bench_command(workload, seed, seconds, 1)
+        command = bench_command(workload, seed, UNBOUNDED_S, 1, max_instances)
         for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
             report = run_bench(roots[side], command)["report"]
             runs.append({
                 "side": side, "seed": seed,
+                "instances_run": report["settings"]["instances_run"],
                 "per_layer": {k: v["value"] for k, v in report["per_layer"].items()},
                 "accounting": report["accounting"],
                 "missing_layers": report["missing_layers"]})
@@ -167,8 +188,9 @@ def traced_pairs(roots: dict, workload: str, seconds: float, args) -> dict:
         median[side] = {
             k: statistics.median(v[k] for v in layers)
             for k in layers[0] if all(v[k] is not None for v in layers)}
-    return {"command": bench_command(workload, "<seed>", seconds, 1),
-            "seeds": args.trace_seed, "runs": runs, "median": median}
+    return {"command": bench_command(workload, "<seed>", UNBOUNDED_S, 1, max_instances),
+            "seeds": args.trace_seed, "max_instances": max_instances,
+            "runs": runs, "median": median}
 
 
 def digests_agree(pairs: list) -> bool:
@@ -226,7 +248,7 @@ def main(argv=None) -> int:
                                         for s in ("base", "change")),
                      "block_digests_agree": digests_agree(pairs)}
             if args.trace_seed:
-                entry["traced"] = traced_pairs(roots, name, seconds, args)
+                entry["traced"] = traced_pairs(roots, name, trace_limit(pairs), args)
             doc["workloads"][name] = entry
 
     path = repo / f"BENCH_{args.label}.json"
