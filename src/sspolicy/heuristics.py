@@ -14,11 +14,22 @@ Both heuristics walk the suffix horizons k..T and extract the period-k
 The solver takes the forced-order side from the no-order free minimum, so
 both heuristics get the same S_k and linked cost.
 
+Each heuristic reads the instance's segments and cycle costs from one
+CycleTable (`cycle_table`). It builds its own unless given one by `table=`.
+A caller that runs both heuristics on an instance passes them the same
+table, so the segments, cycle costs and per-suffix engines (free minima,
+envelopes) are built once; the answers are the same either way. A table
+of another instance or partition is rejected. Each policy logs one DEBUG
+record on the `sspolicy.heuristics` logger with the patterns solved,
+certified cost_at answers and root fallbacks it added to its table's
+engines.
+
 `segments` counts the linear pieces of each piecewise loss, so the
 underlying support partition has segments - 1 cells.
 """
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from numbers import Integral
@@ -30,6 +41,8 @@ from .solver import CycleTable, ExactBackend
 BS_TOLERANCE = 1e-4       # equality band of the binary search
 LONG_HORIZON_CUTOFF = 15  # suffixes longer than this search on step 1
 STRATEGIES = ("equal-probability", "minimax")  # loss.make_partition's
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -79,16 +92,45 @@ class HeuristicConfig:
 def cycle_table(instance: Instance, config: HeuristicConfig) -> CycleTable:
     """The instance's segments, built once and read by every suffix."""
     return CycleTable(instance, build_segments(
-        instance, segments=config.cells, strategy=config.strategy))
+        instance, segments=config.cells, strategy=config.strategy),
+        partition=(config.cells, config.strategy))
+
+
+def _table_for(instance: Instance, config: HeuristicConfig,
+               table: CycleTable | None) -> CycleTable:
+    """`table`, checked against the call, or a new one."""
+    if table is None:
+        return cycle_table(instance, config)
+    if table.instance != instance:
+        raise ValidationError(
+            f"cycle table of instance {table.instance.name!r} does not match "
+            f"instance {instance.name!r}")
+    partition = (config.cells, config.strategy)
+    if table.partition != partition:
+        raise ValidationError(
+            f"cycle table partition {table.partition!r} (cells, strategy) does "
+            f"not match the config's {partition!r}")
+    return table
+
+
+def _log_work(method: str, instance: Instance, table: CycleTable,
+              before: tuple | None) -> None:
+    if before is not None:
+        nodes, certified, fallbacks = (
+            a - b for a, b in zip(table.work(), before))
+        log.debug("%s policy of %r: %d patterns solved, %d cost_at answers "
+                  "certified, %d root fallbacks", method, instance.name,
+                  nodes, certified, fallbacks)
 
 
 def mp_policy(instance: Instance, config: HeuristicConfig | None = None,
-              backend=None) -> PolicyParameters:
+              backend=None, table: CycleTable | None = None) -> PolicyParameters:
     """Joint-model heuristic: solve the joint model on every suffix k..T."""
     validate(instance)
     config = config or HeuristicConfig()
     backend = backend or ExactBackend()
-    table = cycle_table(instance, config)
+    table = _table_for(instance, config, table)
+    before = table.work() if log.isEnabledFor(logging.DEBUG) else None
     ss, SS, costs = [], [], []
     for k in range(1, instance.horizon + 1):
         view = table.suffix(k)
@@ -100,6 +142,7 @@ def mp_policy(instance: Instance, config: HeuristicConfig | None = None,
         ss.append(result.value("I0_s"))
         SS.append(result.value("I0_S"))
         costs.append(result.value("C_S"))
+    _log_work("mp", instance, table, before)
     return PolicyParameters(reorder_points=tuple(ss),
                             order_up_to_levels=tuple(SS),
                             costs=tuple(costs))
@@ -110,7 +153,7 @@ def _round_half_up(x: float) -> float:
 
 
 def bs_policy(instance: Instance, config: HeuristicConfig | None = None,
-              backend=None) -> PolicyParameters:
+              backend=None, table: CycleTable | None = None) -> PolicyParameters:
     """Binary-search heuristic over no-first-order models.
 
     Per suffix: minimize with a free initial level to get the order-up-to
@@ -124,7 +167,8 @@ def bs_policy(instance: Instance, config: HeuristicConfig | None = None,
     validate(instance)
     config = config or HeuristicConfig()
     backend = backend or ExactBackend()
-    table = cycle_table(instance, config)
+    table = _table_for(instance, config, table)
+    before = table.work() if log.isEnabledFor(logging.DEBUG) else None
     ss, SS, costs, flagged = [], [], [], []
     K = instance.costs.fixed
     for k in range(1, instance.horizon + 1):
@@ -177,6 +221,7 @@ def bs_policy(instance: Instance, config: HeuristicConfig | None = None,
         ss.append(min(found, s_up))
         SS.append(s_up)
         costs.append(target)
+    _log_work("bs", instance, table, before)
     return PolicyParameters(reorder_points=tuple(ss),
                             order_up_to_levels=tuple(SS),
                             costs=tuple(costs),

@@ -19,11 +19,18 @@ the block's levels and costs in place with one scratch vector. Transient
 memory is therefore bounded by a few chunk_size × T arrays (the demand
 block, 1.6 MB at the default 8192 and T = 25, and the raw Philox words for
 it), which stay in a core's L2 cache, plus one cost per replication.
+
+simulate_policies prices several policies of one instance on the same
+seed: each block's demands are drawn once and every policy's period loop
+reads them, so each result is bit-equal to pricing that policy alone
+(simulate_policy is the one-policy case), and the draws cost what one
+policy's do.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 from scipy.special import ndtri
@@ -57,35 +64,56 @@ class GapEstimate:
     oracle_cost: float
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 def simulate_policy(instance: Instance, policy: PolicyParameters,
                     replications: int, seed: int,
                     chunk_size: int = 8192) -> SimulationResult:
     """Mean total cost and its standard error under the given policy."""
+    return simulate_policies(instance, [policy], replications, seed,
+                             chunk_size)[0]
+
+
+def simulate_policies(instance: Instance, policies, replications: int,
+                      seed: int, chunk_size: int = 8192) -> list:
+    """simulate_policy of every policy, in order, from one draw of each
+    demand block."""
     validate(instance)
+    if not _is_count(replications):
+        raise ValidationError(
+            f"replications must be an integer, got {replications!r}")
     if replications < 1:
         raise ValidationError(
             f"need at least one replication, got {replications}")
+    if not _is_count(chunk_size):
+        raise ValueError(f"chunk_size must be an integer, got {chunk_size!r}")
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
-    if policy.horizon != instance.horizon:
-        raise ValidationError(
-            f"policy horizon {policy.horizon} does not match instance "
-            f"horizon {instance.horizon}")
+    replications, chunk_size = int(replications), int(chunk_size)
+    policies = list(policies)
+    if not policies:
+        raise ValidationError("need at least one policy to price")
+    for i, policy in enumerate(policies):
+        if policy.horizon != instance.horizon:
+            which = f" (policy {i})" if len(policies) > 1 else ""
+            raise ValidationError(
+                f"policy horizon {policy.horizon} does not match instance "
+                f"horizon {instance.horizon}{which}")
     T = instance.horizon
     costs = instance.costs
     K, c, h, b = costs.fixed, costs.unit, costs.holding, costs.penalty
     means = np.asarray(instance.means, dtype=float)[:, None]
     sds = np.asarray(instance.std_devs, dtype=float)[:, None]
-    ss = policy.reorder_points
-    big_ss = policy.order_up_to_levels
     # each replication owns ceil(T / 4) Philox counter blocks, so chunk
     # boundaries never change the draws
     blocks_per_rep = (T + 3) // 4
     key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
 
-    # one cost per replication, reduced once at the end so the statistics
-    # do not depend on how the work was chunked
-    all_costs = np.empty(replications)
+    # one cost per policy and replication, reduced once at the end so the
+    # statistics do not depend on how the work was chunked
+    all_costs = np.empty((len(policies), replications))
     width = min(chunk_size, replications)
     demand_block = np.empty((T, width))
     level_block = np.empty(width)
@@ -113,46 +141,62 @@ def simulate_policy(instance: Instance, policy: PolicyParameters,
         level = level_block[:n]
         scratch = scratch_block[:n]
         ordering = ordering_block[:n]
-        cost = all_costs[done:done + n]
-        level.fill(instance.initial_inventory)
-        cost.fill(0.0)
-        for t in range(T):
-            np.less_equal(level, ss[t], out=ordering)
-            if ordering.any():
-                np.subtract(big_ss[t], level, out=scratch)
-                scratch *= c
-                scratch += K
-                np.add(cost, scratch, out=cost, where=ordering)
-                np.copyto(level, big_ss[t], where=ordering)
-            level -= demands[t]
-            # holding, then shortage: one of the two terms is exactly 0, so
-            # adding them one at a time gives the bits of adding their sum
-            np.maximum(level, 0.0, out=scratch)
-            scratch *= h
-            cost += scratch
-            np.negative(level, out=scratch)
-            np.maximum(scratch, 0.0, out=scratch)
-            scratch *= b
-            cost += scratch
+        for policy, policy_costs in zip(policies, all_costs):
+            ss = policy.reorder_points
+            big_ss = policy.order_up_to_levels
+            cost = policy_costs[done:done + n]
+            level.fill(instance.initial_inventory)
+            cost.fill(0.0)
+            for t in range(T):
+                np.less_equal(level, ss[t], out=ordering)
+                if ordering.any():
+                    np.subtract(big_ss[t], level, out=scratch)
+                    scratch *= c
+                    scratch += K
+                    np.add(cost, scratch, out=cost, where=ordering)
+                    np.copyto(level, big_ss[t], where=ordering)
+                level -= demands[t]
+                # holding, then shortage: one of the two terms is exactly 0,
+                # so adding them one at a time gives the bits of adding
+                # their sum
+                np.maximum(level, 0.0, out=scratch)
+                scratch *= h
+                cost += scratch
+                np.negative(level, out=scratch)
+                np.maximum(scratch, 0.0, out=scratch)
+                scratch *= b
+                cost += scratch
         done += n
 
-    mean = float(all_costs.mean())
+    frequency = truncated / (replications * T)
+    return [_result(policy_costs, seed, frequency) for policy_costs in all_costs]
+
+
+def _result(costs: np.ndarray, seed: int, truncation: float) -> SimulationResult:
+    """The statistics of one policy's replication costs."""
+    replications = costs.size
+    mean = float(costs.mean())
     if replications > 1:
-        se = float(all_costs.std(ddof=1)) / math.sqrt(replications)
+        se = float(costs.std(ddof=1)) / math.sqrt(replications)
     else:
         se = 0.0
     return SimulationResult(mean=mean, standard_error=se,
                             replications=replications, seed=seed,
-                            truncation_frequency=truncated / (replications * T))
+                            truncation_frequency=truncation)
 
 
 def estimate_gap(instance: Instance, policy: PolicyParameters,
                  oracle_cost: float, replications: int, seed: int) -> GapEstimate:
     """Percentage excess of the simulated policy cost over the oracle cost."""
+    return estimate_gaps(instance, [policy], oracle_cost, replications, seed)[0]
+
+
+def estimate_gaps(instance: Instance, policies, oracle_cost: float,
+                  replications: int, seed: int) -> list:
+    """estimate_gap of every policy, in order, priced by simulate_policies."""
     if oracle_cost <= 0:
         raise ValueError(f"oracle cost must be positive, got {oracle_cost}")
-    sim = simulate_policy(instance, policy, replications, seed)
-    gap = 100.0 * (sim.mean - oracle_cost) / oracle_cost
-    se = 100.0 * sim.standard_error / oracle_cost
-    return GapEstimate(gap_pct=gap, se_pct=se, simulation=sim,
-                       oracle_cost=oracle_cost)
+    return [GapEstimate(gap_pct=100.0 * (sim.mean - oracle_cost) / oracle_cost,
+                        se_pct=100.0 * sim.standard_error / oracle_cost,
+                        simulation=sim, oracle_cost=oracle_cost)
+            for sim in simulate_policies(instance, policies, replications, seed)]

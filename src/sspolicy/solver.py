@@ -63,8 +63,18 @@ the same operations, whichever suffix reads it. The unit cost's level
 terms depend only on whether the cycle opens the suffix and whether it
 closes the horizon, so they are keyed by that too. Level bounds differ per
 suffix and stay with its engine, which clamps the shared free minimizer to
-them exactly as ConvexPWL.minimize does. A model built from a plain
-segment dict gets a table of its own when it is solved.
+them exactly as ConvexPWL.minimize does.
+
+The table also owns one no-order engine per suffix, built on first use at
+the suffix's default level bounds (those of build_minlp_s with a free
+initial level, which build_joint shares). ExactBackend.evaluator and
+solve_exact on a model built from a table view read that engine, so the
+heuristics that run on one table search each suffix once: the engine
+memoizes its free minimum, and its envelope, relaxation rows and cycles
+are built once. Every engine cache is a pure function of the suffix and
+its bounds, so an answer does not depend on which caller filled it. A
+model built from a plain segment dict, or with other bounds (a pinned
+initial level widens them), is solved by a private engine.
 """
 from __future__ import annotations
 
@@ -194,12 +204,14 @@ class CycleTable:
     """Segment data and cycle costs of one instance, keyed by the instance's
     own (1-based) periods; see the module docstring."""
 
-    def __init__(self, instance, segments: Mapping):
+    def __init__(self, instance, segments: Mapping, partition=None):
         self.instance = instance
         self.segments = segments  # (j, t) -> PiecewiseLoss
+        self.partition = partition  # (cells, strategy) the segments used
         self._cycles: dict = {}
         self._priced: dict = {}
         self._pieces: list | None = None
+        self._engines: dict = {}  # suffix k -> its no-order engine
 
     def cycle(self, j: int, e: int) -> tuple:
         """(cost, mean demand, largest and smallest demand shift) of cycle
@@ -256,6 +268,23 @@ class CycleTable:
 
     def suffix(self, k: int) -> "SuffixView":
         return SuffixView(self, k)
+
+    def engine(self, k: int) -> "_SubmodelEngine":
+        """Suffix k's no-order engine at its default level bounds, built on
+        first use and shared by every caller."""
+        hit = self._engines.get(k)
+        if hit is None:
+            view = self.suffix(k)
+            hit = _SubmodelEngine(view, default_bounds(view.instance))
+            self._engines[k] = hit
+        return hit
+
+    def work(self) -> tuple:
+        """(patterns solved, certified cost_at answers, root fallbacks),
+        summed over the engines built so far."""
+        engines = self._engines.values()
+        return (sum(e.nodes for e in engines), sum(e.certified for e in engines),
+                sum(e.fallbacks for e in engines))
 
 
 class SuffixView(Mapping):
@@ -338,7 +367,8 @@ class _SubmodelEngine:
     initial level, `reorder_root` the largest level at which the latter
     reaches a target; `nodes` counts the patterns they solved, `certified`
     the `cost_at` answers read from the envelope and `fallbacks` the roots
-    that needed `_largest_root`.
+    that needed `_largest_root`. The free minimum is searched once and
+    memoized, its levels read-only.
     """
 
     def __init__(self, view: SuffixView, bounds: tuple):
@@ -358,6 +388,7 @@ class _SubmodelEngine:
         self._relaxed: dict = {}  # cycle start -> (arc, reach), unpinned
         self._tails: dict | None = None   # relaxed paths, built on first use
         self._pieces: list | None = None  # the envelope, built on first use
+        self._free: tuple | None = None   # (free optimum or None,), memoized
 
     def cycle(self, j: int, e: int) -> _Cycle:
         key = (j, e)
@@ -552,9 +583,19 @@ class _SubmodelEngine:
         visit(2, 1, 0.0)
         return best, nodes
 
+    def free_optimum(self):
+        """The free minimum (cost, deltas, y_levels, cycles), or None where
+        no pattern is feasible; searched on the first call only."""
+        if self._free is None:
+            best, nodes = self.enumerate(pinned_i0=None)
+            self.nodes += nodes
+            if best is not None:
+                best[2].flags.writeable = False
+            self._free = (best,)
+        return self._free[0]
+
     def free_minimum(self):
-        best, nodes = self.enumerate(pinned_i0=None)
-        self.nodes += nodes
+        best = self.free_optimum()
         if best is None:
             raise SolverError("no feasible order pattern")
         return best
@@ -577,7 +618,7 @@ class _SubmodelEngine:
         cycle 1..e at x plus the relaxed cost-to-go V(e + 1); see the
         module docstring. Pieces with no finite cost-to-go are left out."""
         if self._pieces is None:
-            self._pieces = []
+            pieces = []
             tails = self._relaxed_tails()
             for e in range(1, self.T + 1):
                 cyc = self.cycle(1, e)
@@ -593,9 +634,10 @@ class _SubmodelEngine:
                 deltas = [0] * self.T
                 for tail in cycles:
                     deltas[tail.start - 1] = 1
-                self._pieces.append(_Piece(
+                pieces.append(_Piece(
                     cyc.cost, const, cyc.y_lo - 1e-9, cyc.y_hi + 1e-9, limit,
                     tuple(deltas), levels, [cyc] + cycles))
+            self._pieces = pieces  # only whole: the engine may be shared
         return self._pieces
 
     def _relaxed_tails(self) -> dict:
@@ -608,7 +650,7 @@ class _SubmodelEngine:
         if self._tails is not None:
             return self._tails
         T = self.T
-        tails = self._tails = {T + 1: ([], [], True)}
+        tails = {T + 1: ([], [], True)}
         for j in range(T, 1, -1):
             arc = self._relaxation(j)[0]
             e = min(range(j, T + 1), key=lambda e: arc[e] + self._cost_to_go(e + 1))
@@ -618,6 +660,7 @@ class _SubmodelEngine:
             chained = (chained and cyc.y_lo <= y <= cyc.y_hi
                        and (not levels or levels[0] >= y - cyc.mean_demand))
             tails[j] = ([y] + levels, [cyc] + cycles, chained)
+        self._tails = tails
         return tails
 
     def _certified_at(self, x: float):
@@ -746,20 +789,32 @@ def _largest_root(g, target: float, hi: float, g_hi: float, lo_limit: float):
         width = max(width * 1e-4, 1e-9)
 
 
-def _cycle_view(model: MilpModel) -> SuffixView:
-    """The table view a model was built from, or a table of its own."""
-    if isinstance(model.segments, SuffixView):
-        return model.segments
-    return CycleTable(model.instance, model.segments).suffix(1)
+def default_bounds(instance) -> tuple:
+    """model.level_bounds at model.default_big_m: the level bounds of
+    build_minlp_s with a free initial level and of build_joint."""
+    return level_bounds(instance, default_big_m(instance))
+
+
+def _engine_for(model: MilpModel) -> _SubmodelEngine:
+    """The table's engine of the view a model was built from, where the
+    model has the view's default bounds; else a private engine."""
+    bounds = level_bounds(model.instance, model.big_m)
+    view = model.segments
+    if not isinstance(view, SuffixView):
+        view = CycleTable(model.instance, view).suffix(1)
+    elif bounds == default_bounds(view.instance):
+        return view.table.engine(view.offset + 1)
+    return _SubmodelEngine(view, bounds)
 
 
 def solve_exact(model: MilpModel) -> SolveResult:
-    """Global optimum of the linearized model; see the module docstring."""
+    """Global optimum of the linearized model; see the module docstring.
+    The node count is the patterns this solve added to its engine, so a
+    free minimum another caller already searched counts none."""
     start = time.perf_counter()
     if model.kind not in ("s", "S", "joint"):
         raise SolverError(f"unknown model kind {model.kind!r}")
-    engine = _SubmodelEngine(_cycle_view(model),
-                             level_bounds(model.instance, model.big_m))
+    engine = _engine_for(model)
     if model.kind == "joint":
         return _solve_joint(model, engine, start)
     label = model.kind
@@ -767,7 +822,12 @@ def solve_exact(model: MilpModel) -> SolveResult:
     i0 = model.index[f"I0_{label}"]
     if label == "s" and model.lb[i0] == model.ub[i0]:
         pinned = float(model.lb[i0])
-    best, nodes = engine.enumerate(pinned_i0=pinned)
+    if pinned is None:
+        before = engine.nodes
+        best = engine.free_optimum()
+        nodes = engine.nodes - before
+    else:
+        best, nodes = engine.enumerate(pinned_i0=pinned)
     if best is None:
         return SolveResult(math.nan, {}, "infeasible", nodes,
                            time.perf_counter() - start)
@@ -792,14 +852,15 @@ def _forced(engine: _SubmodelEngine, free: tuple) -> tuple:
 
 def _solve_joint(model: MilpModel, engine: _SubmodelEngine,
                  start: float) -> SolveResult:
-    best, nodes = engine.enumerate(pinned_i0=None)
+    before = engine.nodes
+    best = engine.free_optimum()
     if best is None:
-        return SolveResult(math.nan, {}, "infeasible", nodes,
+        return SolveResult(math.nan, {}, "infeasible", engine.nodes - before,
                            time.perf_counter() - start)
     cost_S, deltas_S, y_S, cycles_S = _forced(engine, best)
     s_up = float(y_S[0])  # order-up-to level: the pinned I0_S
     root, (cost_s, deltas_s, y_s, cycles_s) = engine.reorder_root(cost_S, s_up)
-    nodes += engine.nodes
+    nodes = engine.nodes - before
     assignment = engine.assignment_for("S", deltas_S, y_S, cycles_S)
     assignment.update(engine.assignment_for("s", deltas_s, y_s, cycles_s))
     assignment["I0_s"] = float(root)
@@ -878,6 +939,5 @@ class ExactBackend:
 
     def evaluator(self, view: SuffixView) -> _SubmodelEngine:
         """The no-first-order model of a suffix, as build_minlp_s would
-        build it with a free initial level, searched from the view."""
-        return _SubmodelEngine(
-            view, level_bounds(view.instance, default_big_m(view.instance)))
+        build it with a free initial level: its table's shared engine."""
+        return view.table.engine(view.offset + 1)

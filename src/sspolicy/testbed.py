@@ -10,7 +10,9 @@ The gap study crosses pattern x K x b x cv (10 x 3 x 3 x 3 = 270
 instances per horizon), solves each with the requested heuristics, prices
 the resulting policies by simulation and reports optimality gaps against
 the dynamic-programming benchmark, grouped the way the published summary
-tables group them.
+tables group them. Per instance, the heuristics share one cycle table and
+their policies are priced on one set of demand blocks; each row is what
+its method alone would give.
 
 The source grids leave the holding and unit costs unstated; h = 1 and
 c = 0 are fixed here (matching the worked example) and recorded in every
@@ -27,9 +29,9 @@ from dataclasses import dataclass
 from numbers import Integral
 
 from .domain import CostParameters, Instance, NormalDemand, ValidationError
-from .heuristics import HeuristicConfig, bs_policy, mp_policy
+from .heuristics import HeuristicConfig, bs_policy, cycle_table, mp_policy
 from .sdp import solve_sdp
-from .simulate import estimate_gap
+from .simulate import estimate_gaps
 
 PATTERNS = ("LCY1", "LCY2", "SIN1", "SIN2", "STA", "RAND",
             "EMP1", "EMP2", "EMP3", "EMP4")
@@ -167,7 +169,9 @@ class BenchmarkConfig:
         if not math.isfinite(self.initial_inventory):
             raise ValidationError(
                 f"invalid initial inventory {self.initial_inventory}")
-        if not isinstance(self.replications, Integral) or self.replications < 1:
+        if (isinstance(self.replications, bool)
+                or not isinstance(self.replications, Integral)
+                or self.replications < 1):
             raise ValidationError(
                 f"replications must be a positive integer, got {self.replications!r}")
         self.heuristic_config()  # checks segments, strategy and bs_step_size
@@ -224,36 +228,49 @@ class InstanceResult:
 
 
 def run_instance(config: BenchmarkConfig, instance: Instance) -> list:
-    """All requested methods on one instance; failures are recorded rows."""
-    results = []
+    """All requested methods on one instance, in config.methods order;
+    failures are recorded rows.
+
+    The per-instance work is done once: both heuristics read one cycle
+    table (segments, cycle costs and suffix engines), and every policy that
+    solved is priced on the same demand blocks (simulate.estimate_gaps).
+    Each row is what running its method alone gives.
+    """
     seed = instance_seed(config.seed, instance.name)
+
+    def row(method, status, gap=None):
+        priced = {} if gap is None else dict(
+            gap_pct=gap.gap_pct, sim_mean=gap.simulation.mean,
+            sim_stderr=gap.simulation.standard_error, oracle_cost=gap.oracle_cost)
+        return InstanceResult(instance_id=instance.name, method=method,
+                              status=status, replications=config.replications,
+                              seed=seed, **priced)
+
     try:
         oracle = solve_sdp(instance)
     except Exception as exc:  # no gap without the oracle: every method fails
         status = f"failed: oracle: {type(exc).__name__}: {exc}"
-        return [InstanceResult(instance_id=instance.name, method=method,
-                               status=status, replications=config.replications,
-                               seed=seed)
-                for method in config.methods]
+        return [row(method, status) for method in config.methods]
     hcfg = config.heuristic_config()
+    table = None
+    rows, policies = {}, {}
     for method in config.methods:
         try:
-            policy = bs_policy(instance, hcfg) if method == "bs" \
-                else mp_policy(instance, hcfg)
-            gap = estimate_gap(instance, policy, oracle.expected_cost,
-                               config.replications, seed)
-            results.append(InstanceResult(
-                instance_id=instance.name, method=method, status="ok",
-                gap_pct=gap.gap_pct, sim_mean=gap.simulation.mean,
-                sim_stderr=gap.simulation.standard_error,
-                oracle_cost=oracle.expected_cost,
-                replications=config.replications, seed=seed))
+            if table is None:
+                table = cycle_table(instance, hcfg)
+            heuristic = bs_policy if method == "bs" else mp_policy
+            policies[method] = heuristic(instance, hcfg, table=table)
         except Exception as exc:  # recorded, not fatal to the sweep
-            results.append(InstanceResult(
-                instance_id=instance.name, method=method,
-                status=f"failed: {exc}", replications=config.replications,
-                seed=seed))
-    return results
+            rows[method] = row(method, f"failed: {exc}")
+    if policies:
+        try:
+            gaps = estimate_gaps(instance, list(policies.values()),
+                                 oracle.expected_cost, config.replications, seed)
+        except Exception as exc:
+            rows.update((m, row(m, f"failed: {exc}")) for m in policies)
+        else:
+            rows.update((m, row(m, "ok", gap)) for m, gap in zip(policies, gaps))
+    return [rows[method] for method in config.methods]
 
 
 def _run_instance_star(args):

@@ -1,11 +1,14 @@
+import logging
 import math
 import os
+import re
 
 import pytest
 
-from sspolicy.domain import make_instance
+from sspolicy.domain import ValidationError, make_instance
 from sspolicy.heuristics import (
-    HeuristicConfig, bs_policy, mp_policy, read_policy_csv, write_policy_csv,
+    HeuristicConfig, bs_policy, cycle_table, mp_policy, read_policy_csv,
+    write_policy_csv,
 )
 from sspolicy.sdp import solve_sdp
 from sspolicy.simulate import simulate_policy
@@ -175,6 +178,69 @@ class TestBinarySearchHeuristic:
             assert pol.order_up_to_levels[0] == pytest.approx(S_star, abs=1.5)
             sim = simulate_policy(example4, pol, replications=200000, seed=17)
             assert abs(sim.mean - sdp.expected_cost) / sdp.expected_cost < 0.02
+
+
+class TestSharedTable:
+    """Both heuristics on one cycle table, as testbed.run_instance runs
+    them, give the policies of their own tables."""
+
+    @pytest.mark.parametrize("order", [("bs", "mp"), ("mp", "bs")])
+    @pytest.mark.parametrize("costs", [dict(K=100, c=0), dict(K=0, c=1.5)],
+                             ids=["K100-c0", "K0-c1.5"])
+    def test_policies_equal_own_tables(self, table_config, order, costs):
+        inst = make_instance(horizon=4, h=1, b=10, means=[20, 40, 0, 40],
+                             std_devs=[5, 10, 0, 10], initial_inventory=-7.5,
+                             **costs)
+        heuristics = {"bs": bs_policy, "mp": mp_policy}
+        table = cycle_table(inst, table_config)
+        for method in order:
+            shared = heuristics[method](inst, table_config, table=table)
+            assert repr(shared) == repr(heuristics[method](inst, table_config))
+
+    @pytest.mark.parametrize("heuristic", [bs_policy, mp_policy],
+                             ids=["bs", "mp"])
+    @pytest.mark.parametrize("other, message", [
+        (None, "does not match instance"),
+        (dict(segments=9), "partition (10, 'minimax') (cells, strategy)"),
+        (dict(strategy="equal-probability"),
+         "partition (10, 'minimax') (cells, strategy)"),
+    ], ids=["instance", "cells", "strategy"])
+    def test_mismatched_table_rejected(self, example4, table_config,
+                                       heuristic, other, message):
+        if other is None:  # a table of another instance
+            table = cycle_table(example4.suffix(2), table_config)
+        else:
+            table = cycle_table(example4, table_config)
+            table_config = HeuristicConfig(**{
+                "segments": table_config.segments,
+                "strategy": table_config.strategy, **other})
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            heuristic(example4, table_config, table=table)
+
+    def test_work_logged_per_policy(self, example4, table_config, caplog):
+        """One DEBUG record per policy, with the patterns, certified
+        answers and root fallbacks it added to its table's engines; mp on
+        bs's table searches no free minimum again."""
+        assert logging.getLogger("sspolicy.heuristics").handlers == []
+        pattern = re.compile(r"(\w+) policy of .*: (\d+) patterns solved, "
+                             r"(\d+) cost_at answers certified, "
+                             r"(\d+) root fallbacks")
+        table = cycle_table(example4, table_config)
+        work = [table.work()]
+        with caplog.at_level(logging.DEBUG, logger="sspolicy.heuristics"):
+            bs_policy(example4, table_config, table=table)
+            work.append(table.work())
+            mp_policy(example4, table_config, table=table)
+            work.append(table.work())
+            mp_policy(example4, table_config)
+        records = [pattern.fullmatch(r.getMessage()) for r in caplog.records
+                   if r.name == "sspolicy.heuristics"]
+        assert [m.group(1) for m in records] == ["bs", "mp", "mp"]
+        logged = [tuple(int(m.group(i)) for i in (2, 3, 4)) for m in records]
+        for i in range(2):
+            assert logged[i] == tuple(a - b for a, b in zip(work[i + 1], work[i]))
+        assert logged[0][0] > 0 and logged[0][1] > 0
+        assert logged[1][0] < logged[2][0]  # free minima were bs's
 
 
 def test_policy_csv_round_trip(tmp_path, bs4):

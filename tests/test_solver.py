@@ -20,7 +20,7 @@ from sspolicy.model import (
 )
 from sspolicy.solver import (
     ConvexPWL, CycleTable, ExactBackend, SolverError,
-    _SubmodelEngine, import_solution, solve_exact,
+    _SubmodelEngine, default_bounds, import_solution, solve_exact,
 )
 from sspolicy.testbed import BenchmarkConfig, build_instances
 
@@ -281,6 +281,28 @@ class TestJointSolve:
         res = solve_exact(build_joint(inst, segs))
         assert res.value("I0_s") == pytest.approx(res.value("I0_S"), abs=1e-9)
 
+    def test_shared_engine_counts_only_added_patterns(self, example4,
+                                                     segments4):
+        """A joint solve on a table view reads the table's engine: its node
+        count is what it added, and a free minimum searched before is not
+        searched again. A pinned model keeps a private engine."""
+        fresh = solve_exact(build_joint(example4, segments4))
+        table = CycleTable(example4, segments4)
+        view = table.suffix(1)
+        engine = ExactBackend().evaluator(view)
+        assert ExactBackend().evaluator(table.suffix(1)) is engine
+        free = engine.free_minimum()
+        assert engine.free_minimum() is free
+        searched = engine.nodes
+        assert searched > 0
+        shared = solve_exact(build_joint(view.instance, view))
+        assert shared.node_count == fresh.node_count - searched
+        assert shared.node_count == engine.nodes - searched
+        assert shared.assignment == fresh.assignment
+        work = table.work()
+        solve_exact(build_minlp_s(view.instance, view, initial_inventory=35.0))
+        assert table.work() == work
+
     def test_single_pattern_matches_subproblem(self, example4, segments4):
         """T=1 forced-order model has one pattern: the convex subproblem."""
         inst = example4.suffix(4)
@@ -355,7 +377,7 @@ class TestEnvelope:
             reference = _reorder_root(EnumerationEngine(view, bounds),
                                       view.instance)[0]
             _assert_same_root(engine, target, root, reference)
-            emptied = ExactBackend().evaluator(view)
+            emptied = _SubmodelEngine(view, bounds)  # private: limits cut
             for piece in emptied.envelope():
                 piece.limit = -math.inf
             fallback = _reorder_root(emptied, view.instance)[0]
@@ -388,7 +410,7 @@ class TestEnvelope:
             instance, segments=hc.cells, strategy=hc.strategy))
         for k in range(1, 9):
             view = table.suffix(k)
-            engine = ExactBackend().evaluator(view)
+            engine = _SubmodelEngine(view, default_bounds(view.instance))
             _reorder_root(engine, view.instance)
             assert (engine.certified, engine.fallbacks) == (2, 0), k
         calls = []

@@ -1,13 +1,20 @@
+import dataclasses
+import os
 import re
 import statistics
 
 import pytest
 
+import sspolicy.testbed as testbed_module
 from sspolicy.domain import ValidationError, validate
+from sspolicy.heuristics import bs_policy, mp_policy
+from sspolicy.sdp import solve_sdp
+from sspolicy.simulate import estimate_gap
 from sspolicy.testbed import (
-    _DEMAND_25_GENERATED, BenchmarkConfig, BenchmarkReport, build_instances, demand_means,
-    generate_25, instance_id, instance_seed, read_detail_csv, run_benchmark,
-    write_detail_csv, write_summary_csv,
+    _DEMAND_25_GENERATED, BenchmarkConfig, BenchmarkReport, InstanceResult,
+    build_instances, demand_means, generate_25, instance_id, instance_seed,
+    read_detail_csv, run_benchmark, run_instance, write_detail_csv,
+    write_summary_csv,
 )
 
 
@@ -87,6 +94,7 @@ class TestInstanceGrid:
         ("bs_step_size", 0.0, "bs_step_size must be positive, got 0.0"),
         ("replications", 0, "replications must be a positive integer, got 0"),
         ("replications", 2.5, "replications must be a positive integer, got 2.5"),
+        ("replications", True, "replications must be a positive integer, got True"),
         ("patterns", (), "empty patterns list"),
         ("fixed_costs", (), "empty fixed_costs list"),
         ("penalty_costs", (), "empty penalty_costs list"),
@@ -228,3 +236,90 @@ def test_summary_is_exact_mean_of_detail(small_report):
     overall = next(r[3] for r in rows if r[0] == "overall" and r[2] == "bs")
     gaps = report.ok_gaps("bs")
     assert overall == sum(gaps) / len(gaps)
+
+
+def _reference_rows(config, instance):
+    """run_instance's rows composed method by method: each heuristic on a
+    table of its own, priced by estimate_gap alone."""
+    oracle = solve_sdp(instance)
+    seed = instance_seed(config.seed, instance.name)
+    rows = []
+    for method in config.methods:
+        heuristic = bs_policy if method == "bs" else mp_policy
+        policy = heuristic(instance, config.heuristic_config())
+        gap = estimate_gap(instance, policy, oracle.expected_cost,
+                           config.replications, seed)
+        rows.append(InstanceResult(
+            instance_id=instance.name, method=method, status="ok",
+            gap_pct=gap.gap_pct, sim_mean=gap.simulation.mean,
+            sim_stderr=gap.simulation.standard_error,
+            oracle_cost=oracle.expected_cost,
+            replications=config.replications, seed=seed))
+    return rows
+
+
+def _as_tuples(rows):
+    return [dataclasses.astuple(r) for r in rows]
+
+
+class TestRunInstance:
+    """One cycle table and one demand block per instance change no row."""
+
+    CONFIG = BenchmarkConfig(methods=("bs", "mp"), replications=3000)
+
+    @pytest.fixture(scope="class")
+    def instances(self):
+        return build_instances(self.CONFIG)[::45]
+
+    def test_rows_match_method_by_method(self, instances):
+        for instance in instances:
+            assert _as_tuples(run_instance(self.CONFIG, instance)) == \
+                _as_tuples(_reference_rows(self.CONFIG, instance)), instance.name
+
+    def test_rows_follow_methods_order(self, instances):
+        config = dataclasses.replace(self.CONFIG, methods=("mp", "bs"))
+        rows = run_instance(config, instances[0])
+        assert [r.method for r in rows] == ["mp", "bs"]
+        forward = run_instance(self.CONFIG, instances[0])
+        assert _as_tuples(rows) == _as_tuples(forward[::-1])
+
+    def test_failed_method_is_its_own_row(self, instances, monkeypatch):
+        """A heuristic that raises fails its row alone; the other method's
+        row is bit-equal to a run of that method by itself."""
+        instance = instances[1]
+        alone = run_instance(dataclasses.replace(self.CONFIG, methods=("bs",)),
+                             instance)
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("joint solve failed at suffix k=3: boom")
+
+        monkeypatch.setattr(testbed_module, "mp_policy", broken)
+        bs_row, mp_row = run_instance(self.CONFIG, instance)
+        assert _as_tuples([bs_row]) == _as_tuples(alone)
+        assert mp_row.status == "failed: joint solve failed at suffix k=3: boom"
+        assert (mp_row.method, mp_row.seed, mp_row.replications) == \
+            ("mp", bs_row.seed, bs_row.replications)
+        assert mp_row.gap_pct != mp_row.gap_pct  # nan
+
+    def test_heuristics_share_one_table(self, instances, monkeypatch):
+        tables = []
+        for name, fn in (("bs_policy", bs_policy), ("mp_policy", mp_policy)):
+            def spy(*args, fn=fn, **kwargs):
+                tables.append(kwargs["table"])
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(testbed_module, name, spy)
+        run_instance(self.CONFIG, instances[0])
+        assert len(tables) == 2 and tables[0] is tables[1]
+
+
+@pytest.mark.skipif(not os.environ.get("SSPOLICY_FULL_BENCHMARK"),
+                    reason="the full grids method by method take minutes; "
+                           "set SSPOLICY_FULL_BENCHMARK=1")
+@pytest.mark.parametrize("horizon", [8, 25], ids=["8-period", "25-period"])
+def test_full_grid_shared_instance_rows_match_reference(horizon):
+    """Every grid instance's bs and mp rows equal the per-method
+    composition: each heuristic on its own table, priced alone."""
+    config = BenchmarkConfig(horizon=horizon, methods=("bs", "mp"))
+    for instance in build_instances(config):
+        assert _as_tuples(run_instance(config, instance)) == \
+            _as_tuples(_reference_rows(config, instance)), instance.name
