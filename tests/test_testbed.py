@@ -94,11 +94,11 @@ class TestInstanceGrid:
         ("bs_step_size", 0.0, "bs_step_size must be positive, got 0.0"),
         ("replications", 0, "replications must be a positive integer, got 0"),
         ("replications", 2.5, "replications must be a positive integer, got 2.5"),
-        ("replications", True, "replications must be a positive integer, got True"),
         ("patterns", (), "empty patterns list"),
         ("fixed_costs", (), "empty fixed_costs list"),
         ("penalty_costs", (), "empty penalty_costs list"),
         ("cvs", (), "empty cvs list"),
+        ("replications", True, "replications must be a positive integer, got True"),
     ])
     def test_config_values_rejected(self, field, value, message):
         """A malformed grid value stops the config, not one row per
