@@ -259,17 +259,32 @@ def piecewise_loss(partition: Partition, mean: float, std_dev: float,
     breakpoint sits at `mean`, so the segment count, and with it the shape
     of the model rows, stays that of the partition.
     """
-    if std_dev < 0:
-        raise ValueError(f"negative std_dev {std_dev}")
+    return piecewise_losses(partition, (mean,), (std_dev,), error)[0]
+
+
+def piecewise_losses(partition: Partition, means, std_devs,
+                     error: float | None = None) -> list:
+    """piecewise_loss of each (mean, std_dev) pair, all breakpoints in one
+    broadcast. The pieces share one slopes tuple and keep the given mean
+    and std_dev objects as fields."""
+    sds = np.asarray(std_devs, dtype=float)
+    if np.any(sds < 0):
+        raise ValueError(f"negative std_dev {sds.min()}")
     p = np.asarray(partition.probabilities)
     slopes = tuple(np.concatenate(([0.0], np.cumsum(p))))
     # guard against cumulative rounding: the final slope must be exactly 1
     slopes = slopes[:-1] + (1.0,)
-    breakpoints = tuple(mean + std_dev * np.asarray(partition.conditional_means))
+    steps = np.diff(np.asarray(slopes))
+    breakpoints = (np.asarray(means, dtype=float)[:, None]
+                   + sds[:, None] * np.asarray(partition.conditional_means))
+    below = np.maximum(-breakpoints, 0.0)
     e_std = approximation_error(partition) if error is None else error
-    scaled = std_dev * e_std
-    anchor = float(np.maximum(-np.asarray(breakpoints), 0.0)
-                   @ np.diff(np.asarray(slopes))) + scaled
-    return PiecewiseLoss(slopes=slopes, breakpoints=breakpoints,
-                         anchor_value=anchor, error_bound=scaled,
-                         mean=mean, std_dev=std_dev)
+    out = []
+    for mean, std_dev, row, neg in zip(means, std_devs, breakpoints, below):
+        scaled = std_dev * e_std
+        # one dot per piece: a matrix-vector product may sum in another order
+        anchor = float(neg @ steps) + scaled
+        out.append(PiecewiseLoss(slopes=slopes, breakpoints=tuple(row),
+                                 anchor_value=anchor, error_bound=scaled,
+                                 mean=mean, std_dev=std_dev))
+    return out

@@ -57,7 +57,9 @@ import numpy as np
 from scipy import sparse
 
 from .domain import CostParameters, Instance, NormalDemand, validate
-from .loss import cached_partition, piecewise_loss, segment_intercepts
+# piecewise_loss stays importable here: bench/tracing.py patches this name
+from .loss import (cached_partition, piecewise_loss,  # noqa: F401
+                   piecewise_losses, segment_intercepts)
 
 ROW, CUT, INDICATOR = 0, 1, 2  # row kinds, in the order the LP file lists them
 
@@ -180,24 +182,39 @@ class _Emitter:
             objective_constant=self.constant, rows=rows, piecewise=rules)
 
 
+def convolved_demand(instance: Instance) -> tuple:
+    """(means, std devs) of demand convolved over periods j..t, at row
+    j - 1 and column t - 1 of two T x T arrays (zero below the diagonal).
+    Each sum runs left to right from 0.0, one row cumsum per start,
+    whatever the interpreter's sum() would do."""
+    T = instance.horizon
+    demand = np.array([instance.means, instance.std_devs], dtype=float)
+    demand[1] *= demand[1]
+    terms = np.zeros((2, T, T + 1))  # column 0 is the 0.0 the sums start from
+    terms[:, :, 1:] = np.where(np.triu(np.ones((T, T), dtype=bool)),
+                               demand[:, None, :], 0.0)
+    means, variances = np.cumsum(terms, axis=2)[:, :, 1:]
+    return means, np.sqrt(variances)
+
+
 def cumulative_demand(instance: Instance, j: int, t: int) -> tuple[float, float]:
     """Mean and std dev of demand convolved over periods j..t (1-based)."""
-    means = instance.means[j - 1:t]
-    sds = instance.std_devs[j - 1:t]
-    return float(sum(means)), math.sqrt(float(sum(s * s for s in sds)))
+    means, sds = convolved_demand(instance)
+    return float(means[j - 1, t - 1]), float(sds[j - 1, t - 1])
 
 
 def build_segments(instance: Instance, segments: int = 11,
                    strategy: str = "equal-probability") -> dict:
-    """PiecewiseLoss per (j, t) pair, j <= t, for the convolved demands."""
+    """PiecewiseLoss per (j, t) pair, j <= t, for the convolved demands,
+    all built in one array pass (loss.piecewise_losses)."""
     validate(instance)
     partition, err = cached_partition(segments, strategy)
-    out = {}
-    for t in range(1, instance.horizon + 1):
-        for j in range(1, t + 1):
-            mu, sd = cumulative_demand(instance, j, t)
-            out[(j, t)] = piecewise_loss(partition, mu, sd, error=err)
-    return out
+    T = instance.horizon
+    keys = [(j, t) for t in range(1, T + 1) for j in range(1, t + 1)]
+    by_end = np.tri(T, dtype=bool)  # row t - 1, column j - 1: keys' order
+    means, sds = convolved_demand(instance)
+    return dict(zip(keys, piecewise_losses(
+        partition, means.T[by_end].tolist(), sds.T[by_end].tolist(), error=err)))
 
 
 def default_big_m(instance: Instance, fixed_i0: float | None = None) -> float:

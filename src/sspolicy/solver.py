@@ -53,17 +53,23 @@ DEBUG level.
 
 Cycle data lives in a CycleTable, one per instance: its (j, t) segments and,
 built on first use, every cycle (j, e)'s convex cost, mean demand and free
-minimizer. The heuristics solve every suffix k..T, its free minimum and
-every root-search step, from the one table through a SuffixView, which
-maps the suffix's local periods to the instance's by the offset k - 1.
-Sharing is exact: suffix k's (j, t) piece is the instance's
-(j + k - 1, t + k - 1) piece, the normal loss of the same demand slice
-summed in the same order, so a cycle's cost is the same function, built by
-the same operations, whichever suffix reads it. The unit cost's level
-terms depend only on whether the cycle opens the suffix and whether it
-closes the horizon, so they are keyed by that too. Level bounds differ per
-suffix and stay with its engine, which clamps the shared free minimizer to
-them exactly as ConvexPWL.minimize does.
+minimizer. The cycles of one start j come from one array pass: the kinks
+and deltas of pieces (j, j..T) are concatenated once, cycle (j, e) is a
+ConvexPWL over a read-only prefix of them, and one stable argsort of the
+start's kinks gives every cycle's minimizer. The result is bit-equal to
+adding the pieces one at a time with ConvexPWL.plus and sorting each sum
+(CycleTable._build_start says why). The heuristics solve every suffix
+k..T, its free minimum and every root-search step, from the one table
+through a SuffixView, which maps the suffix's local periods to the
+instance's by the offset k - 1. Sharing is exact: suffix k's (j, t) piece
+is the instance's (j + k - 1, t + k - 1) piece, the normal loss of the
+same demand slice summed in the same order, so a cycle's cost is the same
+function, built by the same operations, whichever suffix reads it. The
+unit cost's level terms depend only on whether the cycle opens the suffix
+and whether it closes the horizon, so they are keyed by that too; without
+a unit cost both keys are one entry. Level bounds differ per suffix and
+stay with its engine, which clamps the shared free minimizer to them
+exactly as ConvexPWL.minimize does.
 
 The table also owns one no-order engine per suffix, built on first use at
 the suffix's default level bounds (those of build_minlp_s with a free
@@ -83,6 +89,8 @@ import math
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -200,6 +208,33 @@ class ConvexPWL:
         return min(max(right + (level - f_right) / slope, left), right)
 
 
+def _prefix_argmins(slopes, ends, sorted_kinks, inside, rises, rank,
+                    tol: float = 1e-11) -> list:
+    """ConvexPWL.argmin of the cycles of one start, a row each: row i has
+    slope slopes[i] and the ends[i] kinks where `inside` holds among the
+    start's stably sorted kinks; rank counts them and rises sums their
+    deltas. Its slopes never fall, so counting the descending and the
+    ascending segments finds the last descending and first ascending one."""
+    after = slopes[:, None] + rises  # the slope right of each kink
+    neg = (slopes < -tol) + ((after < -tol) & inside).sum(axis=1)
+    pos = (slopes > tol) + ((after > tol) & inside).sum(axis=1)
+    last_neg, first_pos = neg - 1, ends + 1 - pos
+    top = len(sorted_kinks) - 1
+    left = sorted_kinks[np.minimum((rank <= last_neg[:, None]).sum(axis=1), top)]
+    right = sorted_kinks[np.minimum((rank < first_pos[:, None]).sum(axis=1), top)]
+    xs = np.where(first_pos == last_neg + 1, left, 0.5 * (left + right))
+    return [math.inf if p == 0 else -math.inf if n == 0 else x
+            for n, p, x in zip(neg, pos, xs)]
+
+
+@lru_cache(maxsize=64)
+def _steps(slopes: tuple) -> np.ndarray:
+    """np.diff of a piece's slopes; the pieces of one partition share it."""
+    out = np.diff(slopes)
+    out.flags.writeable = False
+    return out
+
+
 class CycleTable:
     """Segment data and cycle costs of one instance, keyed by the instance's
     own (1-based) periods; see the module docstring."""
@@ -215,46 +250,81 @@ class CycleTable:
 
     def cycle(self, j: int, e: int) -> tuple:
         """(cost, mean demand, largest and smallest demand shift) of cycle
-        j..e, its cost a function of the start-of-cycle level y."""
-        hit = self._cycles.get((j, e))
-        if hit is not None:
-            return hit
-        costs = self.instance.costs
-        b = costs.penalty
-        hb = costs.holding + b
-        total = ConvexPWL()
-        shifts = []
-        for t in range(j, e + 1):
-            pw = self.segments[(j, t)]
-            deltas = np.diff(np.asarray(pw.slopes)) * hb
-            f = ConvexPWL(0.0, hb * pw.error_bound, np.asarray(pw.breakpoints), deltas)
-            # b * B_t = b * (H_t - I_t) = b * (H_t - y + shift)
-            total = total.plus(f.plus_affine(-b, b * pw.mean))
-            shifts.append(pw.mean)
-        hit = (total, shifts[-1], max(shifts), min(shifts))
-        self._cycles[(j, e)] = hit
-        return hit
+        j..e, its cost a function of the start-of-cycle level y: a
+        ConvexPWL over read-only prefixes of start j's kink arrays."""
+        if (j, e) not in self._cycles:
+            self._build_start(j)
+        return self._cycles[(j, e)]
 
     def priced(self, j: int, e: int, first: bool) -> tuple:
         """(cost, argmin, min) of cycle j..e with the unit ordering cost,
         which telescopes into the levels of a suffix's first cycle (`first`)
-        and of the horizon's last; argmin is ConvexPWL.argmin, and min is
-        the cost there (nan where argmin is infinite)."""
-        key = (j, e, first)
-        hit = self._priced.get(key)
-        if hit is not None:
-            return hit
-        f = self.cycle(j, e)[0]
-        c = self.instance.costs.unit
-        if c:
-            if first:
-                f = f.plus_affine(-c, 0.0)
-            if e == self.instance.horizon:
-                f = f.plus_affine(c, 0.0)
-        x = f.argmin()
-        hit = (f, x, f(x) if math.isfinite(x) else math.nan)
-        self._priced[key] = hit
-        return hit
+        and of the horizon's last; argmin is ConvexPWL.argmin's, and min is
+        the cost there (nan where argmin is infinite). With no unit cost
+        both `first` values are one entry."""
+        if (j, e, first) not in self._priced:
+            self._build_start(j)
+        return self._priced[(j, e, first)]
+
+    def _build_start(self, j: int) -> None:
+        """Every cycle (j, e) and its priced variants, in one array pass.
+
+        Cycle (j, e) sums pieces (j, j..e): its kinks and deltas are a
+        prefix of the pieces' concatenation, and its slope and constant
+        are running sums from 0.0, so the result is bit-equal to adding the
+        pieces one at a time with ConvexPWL.plus. One stable argsort of
+        the start's kinks, filtered to each prefix, is each cycle's own
+        stable order; a cumulative sum of the sorted deltas with the
+        other cycles' deltas masked to 0.0 gives each cycle's slopes
+        bit-equal, as adding 0.0 leaves a partial sum unchanged.
+        """
+        T = self.instance.horizon
+        costs = self.instance.costs
+        b, c = costs.penalty, costs.unit
+        hb = costs.holding + b
+        pieces = [self.segments[(j, t)] for t in range(j, T + 1)]
+        sizes = [len(pw.breakpoints) for pw in pieces]
+        ends = np.cumsum(sizes)
+        kinks = np.concatenate([pw.breakpoints for pw in pieces])
+        deltas = np.concatenate([_steps(pw.slopes) for pw in pieces]) * hb
+        kinks.flags.writeable = deltas.flags.writeable = False
+        # b * B_t = b * (H_t - I_t) = b * (H_t - y + shift)
+        slopes = list(accumulate([0.0 - b] * len(pieces), initial=0.0))[1:]
+        consts = list(accumulate([hb * pw.error_bound + b * pw.mean
+                                  for pw in pieces], initial=0.0))[1:]
+        shifts = [pw.mean for pw in pieces]
+        cycles = [ConvexPWL(slope, const, kinks[:n], deltas[:n])
+                  for slope, const, n in zip(slopes, consts, ends)]
+        for e, f, top, low in zip(range(j, T + 1), cycles,
+                                  accumulate(shifts, max), accumulate(shifts, min)):
+            self._cycles[(j, e)] = (f, shifts[e - j], top, low)
+
+        order = np.argsort(kinks, kind="stable")
+        # row i: which sorted kinks cycle (j, j + i) holds, its deltas' running
+        # sum with the others masked to 0.0, and its count of kinks so far
+        inside = np.repeat(np.arange(len(pieces)), sizes)[order] \
+            <= np.arange(len(pieces))[:, None]
+        rises = np.cumsum(np.where(inside, deltas[order], 0.0), axis=1)
+        rank = np.cumsum(inside, axis=1)
+        sorted_kinks = kinks[order]
+
+        def priced(funcs: list) -> list:
+            xs = _prefix_argmins(np.array([f.slope for f in funcs]), ends,
+                                 sorted_kinks, inside, rises, rank)
+            return [(f, x, f(x) if math.isfinite(x) else math.nan)
+                    for f, x in zip(funcs, xs)]
+
+        if not c:
+            for e, hit in zip(range(j, T + 1), priced(cycles)):
+                self._priced[(j, e, True)] = self._priced[(j, e, False)] = hit
+            return
+        # -c y for the suffix's first cycle, +c y for the horizon's last
+        firsts = [f.plus_affine(-c, 0.0) for f in cycles]
+        firsts[-1] = firsts[-1].plus_affine(c, 0.0)
+        later = cycles[:-1] + [cycles[-1].plus_affine(c, 0.0)]
+        for first, funcs in ((True, firsts), (False, later)):
+            for e, hit in zip(range(j, T + 1), priced(funcs)):
+                self._priced[(j, e, first)] = hit
 
     def period_pieces(self) -> list:
         """model.period_pieces of the whole instance, built on first use;

@@ -366,7 +366,11 @@ def run_benchmark(config: BenchmarkConfig, jobs: int = 1,
     and method are in the config and its seed and replication count are the
     config's; a stale one is run again and replaced. Rows of instances or
     methods outside the config stay in the file but not in the report.
+    `jobs` worker processes run the pending instances, never more workers
+    than there are instances.
     """
+    if isinstance(jobs, bool) or not isinstance(jobs, Integral) or jobs < 1:
+        raise ValidationError(f"jobs must be a positive integer, got {jobs!r}")
     instances = build_instances(config)
     wanted = {(inst.name, m): instance_seed(config.seed, inst.name)
               for inst in instances for m in config.methods}
@@ -382,7 +386,7 @@ def run_benchmark(config: BenchmarkConfig, jobs: int = 1,
                if any((inst.name, m) not in done for m in config.methods)]
     results = list(done.values())
     if jobs > 1 and len(pending) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
             for rows in pool.map(_run_instance_star,
                                  [(config, inst) for inst in pending]):
                 results.extend(r for r in rows

@@ -21,6 +21,13 @@ for every step of every period.
 
 one_shot_jensen_values is a partition's Jensen bound as one dense product
 over all points and cells, without Partition.jensen_values' row blocks.
+
+reference_segments is build_segments done piece by piece: each (j, t)
+pair's convolved mean and variance summed in a Python loop and its own
+scalar piecewise-loss formula. reference_cycle and reference_priced are
+CycleTable.cycle and CycleTable.priced done the direct way: the cycle's
+pieces added one at a time with ConvexPWL.plus, then ConvexPWL.argmin's
+own sort.
 """
 from __future__ import annotations
 
@@ -31,9 +38,10 @@ import numpy as np
 from scipy.special import ndtri
 
 from sspolicy.domain import validate
+from sspolicy.loss import PiecewiseLoss, cached_partition
 from sspolicy.sdp import discretize_demand
 from sspolicy.simulate import SimulationResult
-from sspolicy.solver import _largest_root, _SubmodelEngine
+from sspolicy.solver import ConvexPWL, _largest_root, _SubmodelEngine
 
 
 def _cycle_cost_fn(instance, segments, j, e):
@@ -289,3 +297,62 @@ def one_shot_jensen_values(partition, x):
     m = np.asarray(partition.conditional_means)
     x = np.asarray(x, dtype=float)
     return np.maximum(x[..., None] - m, 0.0) @ p
+
+
+def reference_piecewise_loss(partition, mean, std_dev, error):
+    """loss.piecewise_loss of one normal, by the scalar formulas."""
+    p = np.asarray(partition.probabilities)
+    slopes = tuple(np.concatenate(([0.0], np.cumsum(p))))
+    slopes = slopes[:-1] + (1.0,)
+    breakpoints = tuple(mean + std_dev * np.asarray(partition.conditional_means))
+    scaled = std_dev * error
+    anchor = float(np.maximum(-np.asarray(breakpoints), 0.0)
+                   @ np.diff(np.asarray(slopes))) + scaled
+    return PiecewiseLoss(slopes=slopes, breakpoints=breakpoints,
+                         anchor_value=anchor, error_bound=scaled,
+                         mean=mean, std_dev=std_dev)
+
+
+def reference_segments(instance, segments, strategy):
+    """build_segments(instance, segments, strategy), one piece at a time."""
+    validate(instance)
+    partition, err = cached_partition(segments, strategy)
+    out = {}
+    for t in range(1, instance.horizon + 1):
+        for j in range(1, t + 1):
+            mean = variance = 0.0
+            for d in instance.demands[j - 1:t]:
+                mean += d.mean
+                variance += d.std_dev * d.std_dev
+            out[(j, t)] = reference_piecewise_loss(
+                partition, mean, math.sqrt(variance), err)
+    return out
+
+
+def reference_cycle(instance, segments, j, e):
+    """CycleTable.cycle(j, e) of a segment dict: (cost, mean demand,
+    largest and smallest demand shift), the pieces added one at a time."""
+    b = instance.costs.penalty
+    hb = instance.costs.holding + b
+    total = ConvexPWL()
+    shifts = []
+    for t in range(j, e + 1):
+        pw = segments[(j, t)]
+        deltas = np.diff(np.asarray(pw.slopes)) * hb
+        f = ConvexPWL(0.0, hb * pw.error_bound, np.asarray(pw.breakpoints), deltas)
+        total = total.plus(f.plus_affine(-b, b * pw.mean))
+        shifts.append(pw.mean)
+    return total, shifts[-1], max(shifts), min(shifts)
+
+
+def reference_priced(instance, segments, j, e, first):
+    """CycleTable.priced(j, e, first) of a segment dict."""
+    f = reference_cycle(instance, segments, j, e)[0]
+    c = instance.costs.unit
+    if c:
+        if first:
+            f = f.plus_affine(-c, 0.0)
+        if e == instance.horizon:
+            f = f.plus_affine(c, 0.0)
+    x = f.argmin()
+    return f, x, f(x) if math.isfinite(x) else math.nan

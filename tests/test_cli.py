@@ -179,18 +179,28 @@ def test_simulate_malformed_policy_is_data_error(example4_file, tmp_path,
      "bs_step_size must be finite, got inf"),
     (["solve", "--method", "bs", "--step", "nan"],
      "bs_step_size must be finite, got nan"),
+    (["benchmark", "--jobs", "0"], "jobs must be a positive integer, got 0"),
+    (["benchmark", "--jobs", "-2"], "jobs must be a positive integer, got -2"),
 ], ids=["sdp-step-0", "sdp-step-negative", "sdp-truncation", "simulate-reps-0",
-        "solve-step-inf", "solve-step-nan"])
+        "solve-step-inf", "solve-step-nan", "benchmark-jobs-0",
+        "benchmark-jobs-negative"])
 def test_bad_numeric_arguments_are_data_errors(example4_file, tmp_path, capsys,
                                                args, message):
     command, *options = args
+    data_file = example4_file
     if command == "simulate":
         policy_csv = tmp_path / "policy.csv"
         policy_csv.write_text("t,s_t,S_t,linked_cost\n"
                               "1,14.0,70.0,nan\n2,30.0,60.0,nan\n"
                               "3,50.0,110.0,nan\n4,30.0,60.0,nan\n")
         options += ["--policy", str(policy_csv)]
-    rc = main([command, str(example4_file), *options])
+    if command == "benchmark":
+        data_file = tmp_path / "bench.json"
+        data_file.write_text(json.dumps(
+            {"horizon": 8, "patterns": ["STA"], "K": [200], "b": [5],
+             "cv": [0.1], "methods": ["bs"], "replications": 100, "seed": 1}))
+        options += ["--out-dir", str(tmp_path / "out")]
+    rc = main([command, str(data_file), *options])
     err = capsys.readouterr().err
     assert rc == 3
     assert message in err

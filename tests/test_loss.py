@@ -226,6 +226,10 @@ class TestPiecewiseLoss:
         assert pw.segment_intercepts is icpt
         assert not icpt.flags.writeable
 
+    def test_negative_std_rejected(self):
+        with pytest.raises(ValueError, match="negative std_dev -1.0"):
+            piecewise_loss(make_partition(6), 5.0, -1.0)
+
     def test_degenerate_zero_std(self):
         pw = piecewise_loss(make_partition(6), 5.0, 0.0)
         assert pw.breakpoints == (5.0,) * 6

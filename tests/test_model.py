@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle_support import reference_segments
 from sspolicy.domain import make_instance
 from sspolicy.export import render_lp
 from sspolicy.model import (
@@ -30,6 +31,20 @@ def segments4(example4):
     return build_segments(example4, segments=10, strategy="minimax")
 
 
+def _assert_segments_match_reference(instance, cells, strategy):
+    got = build_segments(instance, segments=cells, strategy=strategy)
+    ref = reference_segments(instance, cells, strategy)
+    assert list(got) == list(ref)  # keys in the same order
+    for key, pw in got.items():
+        want = ref[key]
+        assert repr(pw) == repr(want), key
+        for field in fields(pw):
+            a, b = getattr(pw, field.name), getattr(want, field.name)
+            a, b = (a, b) if isinstance(a, tuple) else ((a,), (b,))
+            assert [float(v).hex() for v in a] == [float(v).hex() for v in b], \
+                (key, field.name)
+
+
 class TestSegments:
     def test_convolution(self, example4):
         mu, sd = cumulative_demand(example4, 1, 2)
@@ -46,6 +61,31 @@ class TestSegments:
         del segs[(2, 3)]
         with pytest.raises(ValueError, match=r"\(j=2, t=3\)"):
             build_minlp_s(example4, segs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(T=st.integers(1, 9), n_seg=st.integers(3, 21),
+           strategy=st.sampled_from(["equal-probability", "minimax"]),
+           data=st.data())
+    def test_matches_per_piece_reference(self, T, n_seg, strategy, data):
+        """Every field of every piece, in float hex and repr (so in type
+        too), against summing each pair in a loop and the scalar piece
+        formulas; with zero-sd and zero-mean periods, and cv = 1.5 for
+        negative breakpoints."""
+        means = data.draw(st.lists(
+            st.just(0.0) | st.floats(0, 300).map(lambda v: round(v, 2)),
+            min_size=T, max_size=T))
+        cvs = data.draw(st.lists(st.sampled_from([0.0, 0.1, 0.3, 1.5]),
+                                 min_size=T, max_size=T))
+        inst = make_instance(T, K=50.0, h=1.0, b=10.0, c=0.0, means=means,
+                             std_devs=[m * v for m, v in zip(means, cvs)])
+        _assert_segments_match_reference(inst, n_seg - 1, strategy)
+
+    def test_worked_example_matches_reference(self, example4):
+        """So does cumulative_demand, which sums in the same order."""
+        _assert_segments_match_reference(example4, 10, "minimax")
+        for (j, t), pw in reference_segments(example4, 10, "minimax").items():
+            assert repr(cumulative_demand(example4, j, t)) == \
+                repr((pw.mean, pw.std_dev))
 
     def test_zero_horizon_rejected(self):
         from sspolicy.domain import CostParameters, Instance
@@ -373,6 +413,18 @@ def test_joint_skeleton_keeps_plain_dict_errors(example4):
     segs[(2, 3)] = build_segments(example4, segments=8)[(2, 3)]
     with pytest.raises(ValueError, match=r"segment count mismatch at \(j=2, t=3\)"):
         build_joint(example4, segs)
+
+
+@pytest.mark.skipif(not os.environ.get("SSPOLICY_FULL_BENCHMARK"),
+                    reason="every piece of both 270-instance grids in three "
+                           "partitions; set SSPOLICY_FULL_BENCHMARK=1")
+@pytest.mark.parametrize("cells, strategy", [
+    (10, "minimax"), (10, "equal-probability"), (20, "minimax")],
+    ids=["10-minimax", "10-equal-probability", "20-minimax"])
+@pytest.mark.parametrize("horizon", [8, 25], ids=["8-period", "25-period"])
+def test_full_grid_segments_match_reference(horizon, cells, strategy):
+    for inst in build_instances(BenchmarkConfig(horizon=horizon)):
+        _assert_segments_match_reference(inst, cells, strategy)
 
 
 @pytest.mark.skipif(not os.environ.get("SSPOLICY_FULL_BENCHMARK"),

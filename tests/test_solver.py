@@ -11,6 +11,7 @@ import sspolicy.solver as solver_module
 from lp_support import solve_lp
 from oracle_support import (
     EnumerationEngine, brute_force_submodel, full_enumeration,
+    reference_cycle, reference_priced,
 )
 from sspolicy.domain import make_instance
 from sspolicy.export import render_lp
@@ -227,6 +228,86 @@ class TestSharedCycleTable:
             res = solve_exact(build_joint(suffix, segs))
             assert mp.pair(k) == (res.value("I0_s"), res.value("I0_S"))
             assert mp.costs[k - 1] == res.value("C_S")
+
+
+def _same_float(got, ref):
+    """Equal bits and equal type (a numpy scalar's repr names its type)."""
+    return float(got).hex() == float(ref).hex() and repr(got) == repr(ref)
+
+
+def _assert_same_pwl(got, ref, where):
+    assert _same_float(got.slope, ref.slope), where
+    assert _same_float(got.const, ref.const), where
+    for a, b in ((got.kinks, ref.kinks), (got.deltas, ref.deltas)):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), where
+        assert a.tobytes() == b.tobytes(), where  # zeros' signs included
+
+
+def _assert_table_matches_reference(instance, segments):
+    """Every cycle and priced variant of the table, against adding the
+    cycle's pieces one at a time and ConvexPWL.argmin's own sort; the
+    shared arrays refuse writes."""
+    table = CycleTable(instance, segments)
+    T = instance.horizon
+    for j in range(1, T + 1):
+        for e in range(j, T + 1):
+            got = table.cycle(j, e)
+            ref = reference_cycle(instance, segments, j, e)
+            _assert_same_pwl(got[0], ref[0], (j, e))
+            assert not (got[0].kinks.flags.writeable or got[0].deltas.flags.writeable)
+            assert all(_same_float(a, b) for a, b in zip(got[1:], ref[1:])), (j, e)
+            for first in (True, False):
+                got = table.priced(j, e, first)
+                ref = reference_priced(instance, segments, j, e, first)
+                _assert_same_pwl(got[0], ref[0], (j, e, first))
+                assert _same_float(got[1], ref[1]), (j, e, first)  # argmin
+                assert _same_float(got[2], ref[2]), (j, e, first)  # min
+
+
+class TestCycleTableArrays:
+    @settings(max_examples=40, deadline=None)
+    @given(T=st.integers(1, 9), K=st.sampled_from([0.0, 40.0]),
+           c=st.sampled_from([0.0, 1.5]), n_seg=st.integers(3, 21),
+           strategy=st.sampled_from(["equal-probability", "minimax"]),
+           data=st.data())
+    def test_matches_reference(self, T, K, c, n_seg, strategy, data):
+        """K = 0, c > 0, zero-sd and zero-mean periods, 3..21 linear
+        segments, and dicts whose pieces differ in segment count."""
+        means = data.draw(st.lists(
+            st.just(0.0) | st.floats(0, 30).map(lambda v: round(v, 1)),
+            min_size=T, max_size=T))
+        cvs = data.draw(st.lists(st.sampled_from([0.0, 0.1, 0.3]),
+                                 min_size=T, max_size=T))
+        h = data.draw(st.floats(0.5, 2.0).map(lambda v: round(v, 2)))
+        b = data.draw(st.floats(2.0, 15.0).map(lambda v: round(v, 2)))
+        inst = make_instance(T, K=K, h=h, b=b, c=c, means=means,
+                             std_devs=[m * v for m, v in zip(means, cvs)])
+        segs = build_segments(inst, segments=n_seg - 1, strategy=strategy)
+        if data.draw(st.booleans()):
+            other = build_segments(inst, segments=data.draw(st.integers(2, 20)),
+                                   strategy=strategy)
+            for key in data.draw(st.sets(st.sampled_from(sorted(segs)))):
+                segs[key] = other[key]
+        _assert_table_matches_reference(inst, segs)
+
+    def test_no_unit_cost_prices_once(self, example4, segments4):
+        """With c = 0 both `first` values are one entry on the cycle's cost."""
+        assert example4.costs.unit == 0.0
+        table = CycleTable(example4, segments4)
+        assert table.priced(2, 3, True) is table.priced(2, 3, False)
+        assert table.priced(1, 4, True)[0] is table.cycle(1, 4)[0]
+
+
+@pytest.mark.skipif(not os.environ.get("SSPOLICY_FULL_BENCHMARK"),
+                    reason="every cycle of both 270-instance grids (minutes); "
+                           "set SSPOLICY_FULL_BENCHMARK=1")
+@pytest.mark.parametrize("horizon", [8, 25], ids=["8-period", "25-period"])
+def test_full_grid_cycle_table_matches_reference(horizon):
+    config = BenchmarkConfig(horizon=horizon)
+    hc = config.heuristic_config()
+    for inst in build_instances(config):
+        _assert_table_matches_reference(inst, build_segments(
+            inst, segments=hc.cells, strategy=hc.strategy))
 
 
 class TestZeroStdDev:

@@ -214,6 +214,41 @@ class TestBenchmarkRun:
         p = {(r.instance_id, r.method): r.gap_pct for r in parallel.results}
         assert s == p
 
+    @pytest.mark.parametrize("jobs", [0, -2, True, 2.0, "2"])
+    def test_bad_jobs_rejected(self, jobs):
+        cfg = BenchmarkConfig(patterns=("STA",), fixed_costs=(200.0,),
+                              penalty_costs=(10.0,), cvs=(0.1,))
+        with pytest.raises(ValidationError,
+                           match=f"jobs must be a positive integer, got {jobs!r}"):
+            run_benchmark(cfg, jobs=jobs)
+
+    def test_pool_starts_one_worker_per_pending_instance(self, monkeypatch):
+        """A large `jobs` starts no more workers than there are instances;
+        the pool is a stand-in that records its size and maps in-process."""
+        sizes = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(testbed_module, "ProcessPoolExecutor", Pool)
+        cfg = BenchmarkConfig(patterns=("STA",), fixed_costs=(200.0,),
+                              penalty_costs=(10.0,), cvs=(0.1, 0.2),
+                              replications=200)
+        report = run_benchmark(cfg, jobs=1000)
+        assert sizes == [2]
+        assert [r.gap_pct for r in report.results] == \
+            [r.gap_pct for r in run_benchmark(cfg).results]
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_oracle_failure_is_recorded(self, jobs):
         """A unit cost of 20, at or above every penalty, makes every
