@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 
 SCHEMA_VERSION = 1
 
@@ -65,6 +67,14 @@ class Instance:
     def std_devs(self) -> tuple[float, ...]:
         return tuple(d.std_dev for d in self.demands)
 
+    @cached_property
+    def demand_totals(self) -> tuple[float, float]:
+        """(mean, variance) of the demand over the whole horizon, each
+        summed by running_sums: the (1, T) entry of
+        model.convolved_demand, its std dev squared."""
+        return (running_sums(self.means)[-1],
+                running_sums([s * s for s in self.std_devs])[-1])
+
     def suffix(self, k: int) -> "Instance":
         """Sub-instance over periods k..T (1-based k). Initial inventory is
         kept but is typically irrelevant for suffix solves."""
@@ -116,6 +126,15 @@ class PolicyParameters:
     def pair(self, t: int) -> tuple[float, float]:
         """(s_t, S_t) for 1-based period t."""
         return self.reorder_points[t - 1], self.order_up_to_levels[t - 1]
+
+
+def running_sums(values) -> list:
+    """Prefix sums: entry i adds the first i values left to right from 0.0
+    (entry 0 is 0.0, the last the total). Every demand total of the package
+    is summed this way. Python's sum() of floats did the same before 3.12
+    and compensates from 3.12 on, so sum() would make segment data, level
+    bounds and LP bytes depend on the interpreter."""
+    return list(accumulate(values, initial=0.0))
 
 
 def validate(instance: Instance) -> Instance:

@@ -28,6 +28,7 @@ import math
 
 import numpy as np
 
+from .domain import running_sums
 from .model import INDICATOR, MilpModel
 
 
@@ -79,7 +80,8 @@ class _LpWriter:
             if round(self.fixed[binary]) == 0:
                 self.add_row(name, terms, sense, rhs)
             return
-        span = sum((abs(coef) * self.reach[col] for col, coef in terms), abs(rhs))
+        span = running_sums([abs(rhs)] + [abs(coef) * self.reach[col]
+                                          for col, coef in terms])[-1]
         big = (span if math.isfinite(span) else 4.0 * self.model.big_m) + 1.0
         if sense in ("<=", "=="):
             self.add_row(f"{name}_up", terms + [(binary, -big)], "<=", rhs)

@@ -82,8 +82,8 @@ class HeuristicConfig:
         demand left it is exactly -K/b, where the cost only equals the
         target, so the bound keeps one more unit below it.
         """
-        total_mean = sum(instance.means)
-        total_sd = math.sqrt(sum(s * s for s in instance.std_devs))
+        total_mean, total_var = instance.demand_totals
+        total_sd = math.sqrt(total_var)
         costs = instance.costs
         reach = total_mean + 6.0 * total_sd + costs.fixed / costs.penalty
         return -float(math.ceil(reach) + 1)

@@ -220,12 +220,21 @@ class PiecewiseLoss:
         out.flags.writeable = False
         return out
 
+    @cached_property
+    def hinges(self) -> tuple:
+        """(breakpoints, np.diff(slopes)) as arrays, built once per piece
+        and read-only: lower(x) = max(x - breakpoints, 0) @ steps."""
+        out = (np.array(self.breakpoints, dtype=float),
+               np.diff(np.asarray(self.slopes, dtype=float)))
+        for a in out:
+            a.flags.writeable = False
+        return out
+
     def lower(self, x):
         """Jensen lower bound of complementary_loss(x, mean, std_dev)."""
         x = np.asarray(x, dtype=float)
-        p = np.diff(np.asarray(self.slopes))
-        bp = np.asarray(self.breakpoints)
-        return (np.maximum(x[..., None] - bp, 0.0) @ p)[()]
+        breakpoints, steps = self.hinges
+        return (np.maximum(x[..., None] - breakpoints, 0.0) @ steps)[()]
 
     def upper(self, x):
         """Shifted approximation: lower(x) + error_bound (>= true loss)."""

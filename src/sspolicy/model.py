@@ -29,9 +29,18 @@ Storage: a MilpModel is one table addressed by column index. Columns have
 names, bounds and a binary mask; the objective is a sparse vector plus a
 constant; every linear, cut and indicator row sits in one CSR matrix
 (RowTable) and the piecewise rules in parallel arrays (PiecewiseRules).
-Terms keep their emission order, which is the LP file's term order.
-verify_assignment checks an assignment against the table with array
-expressions, all rows by one matrix-vector product.
+Terms keep their emission order, which is the LP file's term order. Each
+submodel's column layout (Columns: I0, and per period I_t, H_t, B_t,
+delta_t and its first piecewise rule, whose selectors are the P_jt) is
+recorded at emission, so a solver writes its answer as a column vector
+without names. verify_assignment checks an assignment, a dict or such a
+vector, against the table with array expressions, all rows by one
+matrix-vector product; the sense codes and indicator rows
+(RowTable.checks) and the free binaries are derived once per table.
+
+Demand totals (big-M, level bounds, the unit-cost constants) are summed
+left to right from 0.0 by domain.running_sums, as the convolved demands
+are, so no bit depends on the interpreter's sum().
 
 The joint model's structure depends only on the horizon, the segment count
 and whether the unit cost is nonzero. _emit_joint, the emitter below, is
@@ -41,7 +50,8 @@ skeleton that records where the instance numbers go (level bounds, the
 cut blocks and the piecewise data), then fills a copy of the numeric
 arrays per call. Its models share the structural arrays (names, index,
 binary mask, row names, senses, kinds, conditions, CSR indices and
-indptr, rule index arrays) read-only.
+indptr, rule index arrays, column layouts) read-only, and the checks
+derived from them.
 """
 from __future__ import annotations
 
@@ -51,12 +61,14 @@ import math
 from collections import defaultdict
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
 from scipy import sparse
 
-from .domain import CostParameters, Instance, NormalDemand, validate
+from .domain import (CostParameters, Instance, NormalDemand, running_sums,
+                     validate)
 # piecewise_loss stays importable here: bench/tracing.py patches this name
 from .loss import (cached_partition, piecewise_loss,  # noqa: F401
                    piecewise_losses, segment_intercepts)
@@ -77,6 +89,35 @@ class RowTable:
 
     def __len__(self) -> int:
         return len(self.names)
+
+    @cached_property
+    def checks(self) -> "RowChecks":
+        """What verify_assignment reads of the rows' structure, derived on
+        first use; refill shares it."""
+        sign = np.select([self.sense == "<=", self.sense == ">="], [1.0, -1.0], 0.0)
+        indicators = np.flatnonzero(self.kind == INDICATOR)
+        out = RowChecks(sign, sign == 0.0, indicators, self.condition[indicators])
+        for a in vars(out).values():
+            a.flags.writeable = False
+        return out
+
+    def refill(self, rhs: np.ndarray, matrix: sparse.csr_array) -> "RowTable":
+        """The same rows with other numbers (right-hand sides and matrix
+        data on the same sparsity pattern); the structural arrays and their
+        checks are shared."""
+        out = dataclasses.replace(self, rhs=rhs, matrix=matrix)
+        out.__dict__["checks"] = self.checks
+        return out
+
+
+@dataclass(frozen=True)
+class RowChecks:
+    """A row's violation is sign * (lhs - rhs), or |lhs - rhs| for an
+    equality (sign 0); the indicator rows and their condition columns."""
+    sign: np.ndarray
+    equality: np.ndarray
+    indicators: np.ndarray
+    conditions: np.ndarray
 
 
 @dataclass
@@ -103,6 +144,21 @@ class PiecewiseRules:
         return len(self.selector)
 
 
+@dataclass(frozen=True)
+class Columns:
+    """Where one submodel's variables sit, recorded at emission: the initial
+    level I0 and, at entry t - 1, period t's level I_t, holding H_t,
+    backorder B_t, order binary delta_t and the piecewise rule of cycle
+    pair (1, t). The rule of pair (j, t) is rules[t - 1] + j - 1, and its
+    selector column is P_jt."""
+    initial: int
+    inventory: np.ndarray
+    holding: np.ndarray
+    backorder: np.ndarray
+    order: np.ndarray
+    rules: np.ndarray
+
+
 @dataclass
 class MilpModel:
     kind: str                  # "s" | "S" | "joint"
@@ -119,15 +175,28 @@ class MilpModel:
     objective_constant: float
     rows: RowTable
     piecewise: PiecewiseRules
+    columns: Mapping           # submodel label -> its Columns
 
     def vector(self, assignment) -> np.ndarray:
-        """The assignment's values in column order."""
+        """The assignment's values in column order; a vector is returned
+        as it is."""
+        if isinstance(assignment, np.ndarray):
+            return assignment
         return np.fromiter(map(assignment.__getitem__, self.names), float,
                            len(self.names))
 
     def objective_value(self, assignment) -> float:
+        """The objective at a name -> value dict or a column vector."""
         cols, coefs = self.objective
         return self.objective_constant + float(coefs @ self.vector(assignment)[cols])
+
+    @cached_property
+    def free_binaries(self) -> np.ndarray:
+        """Columns of the binaries that the bounds leave free, derived on
+        first use (from structural bounds: a skeleton's fills share it)."""
+        out = np.flatnonzero(self.binary & (self.lb != self.ub))
+        out.flags.writeable = False
+        return out
 
 
 class _Emitter:
@@ -141,6 +210,7 @@ class _Emitter:
         self.cols, self.vals, self.indptr = [], [], [0]
         self.meta = []           # (name, sense, rhs, kind, condition) per row
         self.rules = defaultdict(list)  # PiecewiseRules field -> values
+        self.columns = {}        # submodel label -> Columns
 
     def var(self, name, lb=-math.inf, ub=math.inf, binary=False) -> int:
         col = self.index[name] = len(self.names)
@@ -179,21 +249,20 @@ class _Emitter:
             names=self.names, index=self.index, lb=np.array(self.lb, dtype=float),
             ub=np.array(self.ub, dtype=float), binary=np.array(self.binary),
             objective=(np.array(cols), np.array(coefs, dtype=float)),
-            objective_constant=self.constant, rows=rows, piecewise=rules)
+            objective_constant=self.constant, rows=rows, piecewise=rules,
+            columns=MappingProxyType(self.columns))
 
 
 def convolved_demand(instance: Instance) -> tuple:
     """(means, std devs) of demand convolved over periods j..t, at row
-    j - 1 and column t - 1 of two T x T arrays (zero below the diagonal).
-    Each sum runs left to right from 0.0, one row cumsum per start,
-    whatever the interpreter's sum() would do."""
+    j - 1 and column t - 1 of two T x T arrays (zero below the diagonal),
+    each start's sums by domain.running_sums."""
     T = instance.horizon
-    demand = np.array([instance.means, instance.std_devs], dtype=float)
-    demand[1] *= demand[1]
-    terms = np.zeros((2, T, T + 1))  # column 0 is the 0.0 the sums start from
-    terms[:, :, 1:] = np.where(np.triu(np.ones((T, T), dtype=bool)),
-                               demand[:, None, :], 0.0)
-    means, variances = np.cumsum(terms, axis=2)[:, :, 1:]
+    mean, var = instance.means, [s * s for s in instance.std_devs]
+    means, variances = np.zeros((T, T)), np.zeros((T, T))
+    for j in range(T):
+        means[j, j:] = running_sums(mean[j:])[1:]
+        variances[j, j:] = running_sums(var[j:])[1:]
     return means, np.sqrt(variances)
 
 
@@ -218,8 +287,8 @@ def build_segments(instance: Instance, segments: int = 11,
 
 
 def default_big_m(instance: Instance, fixed_i0: float | None = None) -> float:
-    total_mean = sum(instance.means)
-    total_sd = math.sqrt(sum(s * s for s in instance.std_devs))
+    total_mean, total_var = instance.demand_totals
+    total_sd = math.sqrt(total_var)
     extra = abs(fixed_i0) if fixed_i0 is not None else 0.0
     return total_mean + 6.0 * total_sd + extra
 
@@ -231,7 +300,8 @@ def level_bounds(instance: Instance, big_m: float) -> tuple[float, float]:
     closing levels run a full horizon of demand below the initial one.
     """
     costs = instance.costs
-    lower = -(big_m + costs.fixed / costs.penalty + sum(instance.means) + 10.0)
+    total_mean = instance.demand_totals[0]
+    lower = -(big_m + costs.fixed / costs.penalty + total_mean + 10.0)
     return lower, big_m + 10.0
 
 
@@ -278,12 +348,15 @@ def _add_submodel(em: _Emitter, instance: Instance, big_m: float, label: str,
     I = [em.var(f"I0_{label}", bound_lo, bound_hi)]
     if fixed_i0 is not None:
         em.fix(I[0], fixed_i0)
-    cost, deltas = [], []
+    cost, deltas, holds, backs, rules = [], [], [], [], []
     for t in range(1, T + 1):
         I.append(em.var(f"I_{label}_{t}", bound_lo, bound_hi))
         hold = em.var(f"H_{label}_{t}", 0.0)
         back = em.var(f"B_{label}_{t}", 0.0)
         delta = em.var(f"delta_{label}_{t}", 0.0, 1.0, binary=True)
+        holds.append(hold)
+        backs.append(back)
+        rules.append(len(em.rules["selector"]))
         P = [em.var(f"P_{label}_{j}_{t}", 0.0, 1.0, binary=True)
              for j in range(1, t + 1)]
         if t == 1:
@@ -317,7 +390,11 @@ def _add_submodel(em: _Emitter, instance: Instance, big_m: float, label: str,
         unit_terms = [(I[0], -costs.unit), (I[T], costs.unit)]
         cost += unit_terms
         em.objective += unit_terms
-        em.constant += costs.unit * sum(instance.means)
+        em.constant += costs.unit * instance.demand_totals[0]
+    arrays = [np.array(a, dtype=np.intp) for a in (I[1:], holds, backs, deltas, rules)]
+    for a in arrays:
+        a.flags.writeable = False
+    em.columns[label] = Columns(I[0], *arrays)
     return cost, I
 
 
@@ -387,7 +464,7 @@ def _emit_joint(instance: Instance, periods: list, segments) -> MilpModel:
                                 first_order=False, fixed_i0=None, objective_from=2)
     em.add_row("pin_I0_S", I_S[:2], [1.0, -1.0], "==", instance.means[0])
     # each linked cost is its side's full cost expression
-    unit_total = instance.costs.unit * sum(instance.means)
+    unit_total = instance.costs.unit * instance.demand_totals[0]
     linked = []
     for name, cost in (("C_S", cost_S), ("G_s", cost_s)):
         linked.append(em.var(name))
@@ -487,7 +564,7 @@ class _Skeleton:
         costs = instance.costs
         # Python scalars negated as the emitter negates them, zeros' signs too
         weights = (costs.fixed, costs.holding, costs.penalty, -costs.unit, costs.unit)
-        unit_total = costs.unit * sum(instance.means)
+        unit_total = costs.unit * instance.demand_totals[0]
 
         lb, ub = model.lb.copy(), model.ub.copy()
         lb[self.levels], ub[self.levels] = level_bounds(instance, big_m)
@@ -505,7 +582,7 @@ class _Skeleton:
         data[self.const_slots] = -const.ravel()[self.const_source]
         data[self.def_slots] = np.array([-w for w in weights], dtype=float)[self.def_weight]
         matrix = model.rows.matrix
-        rows = dataclasses.replace(model.rows, rhs=rhs, matrix=sparse.csr_array(
+        rows = model.rows.refill(rhs, sparse.csr_array(
             (data, matrix.indices, matrix.indptr), shape=matrix.shape))
 
         # both sides read the same pieces
@@ -513,13 +590,16 @@ class _Skeleton:
             model.piecewise, shift=np.concatenate([shift, shift]),
             slopes=np.concatenate([slopes, slopes]),
             intercepts=np.concatenate([lines, lines]))
-        return dataclasses.replace(
+        filled = dataclasses.replace(
             model, instance=instance, big_m=big_m, segments=segments,
             lb=lb, ub=ub,
             objective=(model.objective[0],
                        np.array(weights, dtype=float)[self.objective_weight]),
             objective_constant=unit_total + unit_total if costs.unit else 0.0,
             rows=rows, piecewise=piecewise)
+        # the binaries' bounds are structural: fill changes level bounds only
+        filled.__dict__["free_binaries"] = model.free_binaries
+        return filled
 
 
 def build_joint(instance: Instance, segments: Mapping) -> MilpModel:
@@ -533,42 +613,50 @@ def build_joint(instance: Instance, segments: Mapping) -> MilpModel:
     return skeleton.fill(instance, periods, segments)
 
 
-def verify_assignment(model: MilpModel, assignment: dict,
-                      tol: float = 1e-6) -> list:
+def verify_assignment(model: MilpModel, assignment, tol: float = 1e-6) -> list:
     """All violations beyond tol as (name, amount), worst first.
 
-    Checks bounds, integrality of unfixed binaries, every row by one
-    matrix-vector product (an indicator row only while its condition is
-    0) and each selected piecewise rule against its upper envelope.
+    `assignment` is a name -> value dict or a vector in column order (a
+    solver's own answer is checked as its vector). Checks bounds,
+    integrality of unfixed binaries, every row by one matrix-vector
+    product (an indicator row only while its condition is 0) and each
+    selected piecewise rule against its upper envelope, the maximum of its
+    lines. The sense codes, indicator rows and free binaries come
+    precomputed (RowTable.checks, MilpModel.free_binaries); names are
+    built only for the violations found.
     """
     x = model.vector(assignment)
-    bad = []
-
-    def report(amounts, name):
-        bad.extend((name(i), float(amounts[i]))
-                   for i in np.flatnonzero(amounts > tol))
-
-    names = model.names
-    report(np.maximum(model.lb - x, x - model.ub),
-           lambda i: f"bound_{names[i]}")
-    free = model.binary & (model.lb != model.ub)
-    report(np.where(free, np.abs(x - np.round(x)), 0.0),
-           lambda i: f"integrality_{names[i]}")
+    bound = np.maximum(model.lb - x, x - model.ub)
+    free = model.free_binaries
+    fraction = np.abs(x[free] - np.round(x[free]))
 
     rows = model.rows
-    lhs = rows.matrix @ x
-    over = np.where(rows.sense == "<=", lhs - rows.rhs,
-                    np.where(rows.sense == ">=", rows.rhs - lhs,
-                             np.abs(lhs - rows.rhs)))
-    idle = (rows.kind == INDICATOR) & (np.round(x[rows.condition]) != 0)
-    report(np.where(idle, 0.0, over), lambda i: str(rows.names[i]))
+    checks = rows.checks
+    gap = rows.matrix @ x - rows.rhs
+    over = np.where(checks.equality, np.abs(gap), checks.sign * gap)
+    over[checks.indicators[np.round(x[checks.conditions]) != 0]] = 0.0
 
     pw = model.piecewise
-    level = x[pw.inventory]
-    upper = ((level + pw.shift)[:, None] * pw.slopes + pw.intercepts).max(axis=1)
-    miss = np.maximum(np.abs(x[pw.holding] - upper),
-                      np.abs(x[pw.backorder] - (upper - level)))
-    report(np.where(np.round(x[pw.selector]) == 1, miss, 0.0),
-           lambda i: f"loss_{pw.label[i]}_{pw.start[i]}_{pw.period[i]}")
+    chosen = np.flatnonzero(np.round(x[pw.selector]) == 1)
+    level = x[pw.inventory[chosen]]
+    upper = ((level + pw.shift[chosen])[:, None] * pw.slopes[chosen]
+             + pw.intercepts[chosen]).max(axis=1)
+    miss = np.maximum(np.abs(x[pw.holding[chosen]] - upper),
+                      np.abs(x[pw.backorder[chosen]] - (upper - level)))
+    checked = (bound, fraction, over, miss)
+    if not any((amounts > tol).any() for amounts in checked):
+        return []
+
+    names = model.names
+    bad = []
+    for amounts, at, name in (
+            (bound, None, lambda i: f"bound_{names[i]}"),
+            (fraction, free, lambda i: f"integrality_{names[i]}"),
+            (over, None, lambda i: str(rows.names[i])),
+            (miss, chosen,
+             lambda i: f"loss_{pw.label[i]}_{pw.start[i]}_{pw.period[i]}")):
+        hits = np.flatnonzero(amounts > tol)
+        where = hits if at is None else at[hits]
+        bad.extend((name(i), float(a)) for i, a in zip(where, amounts[hits]))
     bad.sort(key=lambda kv: -kv[1])
     return bad

@@ -69,8 +69,8 @@ def default_grid(instance: Instance, step: float = 1.0) -> InventoryGrid:
     level. Boundary hits are still checked after the solve.
     """
     _check_step(step)
-    total_mean = sum(instance.means)
-    total_sd = math.sqrt(sum(s * s for s in instance.std_devs))
+    total_mean, total_var = instance.demand_totals
+    total_sd = math.sqrt(total_var)
     i0 = instance.initial_inventory
     c = instance.costs
     slack = c.fixed / c.penalty + 10.0 * step

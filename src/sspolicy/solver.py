@@ -49,7 +49,21 @@ order-up-to level to the end x_C of its component, solving each piece's
 crossing in closed form. Since g < target on (x_C, S], x_C is the largest
 root when g(x_C) meets the target. Otherwise the root falls back to a
 bisection below x_C; the engine counts such fallbacks and logs each at
-DEBUG level.
+DEBUG level. Every piece's cost is a cycle of the suffix's first start,
+so its kinks are a prefix of the last piece's (see CycleTable below).
+Each read of the envelope, a cost_at answer or a step of the walk, forms
+the hinge max(x - kink, 0) once over those kinks, and each piece dots its
+prefix of the hinge with its deltas: the same numbers summed in the same
+order as evaluating the piece alone.
+
+A solve writes its answer into one float vector in the model's column
+order. The model records where each submodel's variables sit
+(model.Columns), so the pattern, the levels and the selected cycle pairs
+go straight to their columns; H_t comes from the selected piecewise
+rule's lines, the max-of-lines form verify_assignment checks, and B_t =
+H_t - I_t. _self_check verifies that vector against the model on every
+solve, and names are built only for a failure. SolveResult keeps the
+vector with the model's name -> column index.
 
 Cycle data lives in a CycleTable, one per instance: its (j, t) segments and,
 built on first use, every cycle (j, e)'s convex cost, mean demand and free
@@ -89,7 +103,7 @@ import math
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -107,16 +121,26 @@ class SolverError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolveResult:
+    """A solve's answer as one float per model column: `vector` in column
+    order, `index` the model's column name -> entry map (both empty when
+    infeasible). value() reads one entry; `assignment`, the name -> value
+    dict, is built on first use."""
     objective: float
-    assignment: dict
+    vector: np.ndarray
+    index: Mapping
     status: str              # "optimal" | "infeasible"
     node_count: int
     wall_time: float
 
     def value(self, name: str) -> float:
-        return self.assignment[name]
+        return float(self.vector[self.index[name]])
+
+    @cached_property
+    def assignment(self) -> dict:
+        values = self.vector.tolist()
+        return {name: values[col] for name, col in self.index.items()}
 
 
 class ConvexPWL:
@@ -423,8 +447,16 @@ class _Piece:
     levels: list         # the relaxed tail's levels
     cycles: list         # the pattern's cycles
 
-    def value(self, x: float) -> float:
-        return self.cost(x) + self.const if self.lo <= x <= self.hi else math.inf
+
+def _piece_value(piece: _Piece, x: float, hinge: np.ndarray) -> float:
+    """piece.cost(x) + piece.const, inf outside the pin domain, from the
+    envelope's hinge max(x - kinks, 0): the piece's kinks are its prefix,
+    so the sum runs over the same numbers in the same order."""
+    if not piece.lo <= x <= piece.hi:
+        return math.inf
+    f = piece.cost
+    return (f.slope * x + f.const + float(hinge[:len(f.deltas)] @ f.deltas)
+            + piece.const)
 
 
 class _SubmodelEngine:
@@ -446,7 +478,7 @@ class _SubmodelEngine:
         inst = view.instance
         self.T = inst.horizon
         self.K, self.c = inst.costs.fixed, inst.costs.unit
-        self.total_mean = sum(inst.means)
+        self.total_mean = inst.demand_totals[0]
         self.inv_lo, self.inv_hi = bounds
         # lowest pinnable no-order starting level: period 1's closing
         # inventory must stay within bounds for at least one pattern
@@ -458,6 +490,7 @@ class _SubmodelEngine:
         self._relaxed: dict = {}  # cycle start -> (arc, reach), unpinned
         self._tails: dict | None = None   # relaxed paths, built on first use
         self._pieces: list | None = None  # the envelope, built on first use
+        self._kinks: np.ndarray | None = None  # its last piece's kinks
         self._free: tuple | None = None   # (free optimum or None,), memoized
 
     def cycle(self, j: int, e: int) -> _Cycle:
@@ -686,7 +719,9 @@ class _SubmodelEngine:
     def envelope(self) -> list:
         """The pieces e = 1..T of R(x) = min_e F_e(x), each the priced
         cycle 1..e at x plus the relaxed cost-to-go V(e + 1); see the
-        module docstring. Pieces with no finite cost-to-go are left out."""
+        module docstring. Pieces with no finite cost-to-go are left out;
+        piece T never is. Every piece's cost is a cycle of the suffix's
+        first start, so its kinks are a prefix of piece T's (CycleTable)."""
         if self._pieces is None:
             pieces = []
             tails = self._relaxed_tails()
@@ -707,8 +742,13 @@ class _SubmodelEngine:
                 pieces.append(_Piece(
                     cyc.cost, const, cyc.y_lo - 1e-9, cyc.y_hi + 1e-9, limit,
                     tuple(deltas), levels, [cyc] + cycles))
+            self._kinks = pieces[-1].cost.kinks
             self._pieces = pieces  # only whole: the engine may be shared
         return self._pieces
+
+    def _hinge(self, x: float) -> np.ndarray:
+        """max(x - kink, 0) over the envelope's kinks, once per read."""
+        return np.maximum(x - self._kinks, 0.0)
 
     def _relaxed_tails(self) -> dict:
         """Cycle start j >= 2 -> (levels, cycles, chained) of the relaxed
@@ -739,8 +779,10 @@ class _SubmodelEngine:
         costs F_e(x) in solve_pattern, so g(x) <= F_e(x) = R(x) <= g(x)."""
         lowest = best = math.inf
         chosen = None
-        for piece in self.envelope():
-            value = piece.value(x)
+        pieces = self.envelope()
+        hinge = self._hinge(x)
+        for piece in pieces:
+            value = _piece_value(piece, x, hinge)
             lowest = min(lowest, value)
             if x <= piece.limit and value < best:
                 best, chosen = value, piece
@@ -762,16 +804,21 @@ class _SubmodelEngine:
         if abs(best[0] - target) <= 1e-9:
             return hi, best  # K = 0: the order-up-to level is the root
         x = hi
+        pieces = self.envelope()
+        hinge = self._hinge(x)
         moved = True
         while moved:
             moved = False
-            for piece in self.envelope():
-                value = piece.value(x)
-                if x <= piece.limit and value < target:
+            for piece in pieces:
+                if x > piece.limit:
+                    continue
+                value = _piece_value(piece, x, hinge)
+                if value < target:
                     left = max(piece.cost.left_crossing(
                         target - piece.const, x, value - piece.const), piece.lo)
                     if left < x:
                         x, moved = left, True
+                        hinge = self._hinge(x)
         if x < hi:
             best = self.cost_at(x)
         if abs(best[0] - target) <= ROOT_MATCH:
@@ -789,29 +836,6 @@ class _SubmodelEngine:
 
         root, _ = _largest_root(g, target, x, best[0], self.pin_lower)
         return root, cache[root] if root in cache else self.cost_at(root)
-
-    def assignment_for(self, lab: str, deltas, y_opt, cycles) -> dict:
-        """Values of submodel `lab`'s variables for a solved pattern."""
-        out = {}
-        for t in range(1, self.T + 1):
-            out[f"delta_{lab}_{t}"] = float(deltas[t - 1])
-            for j in range(1, t + 1):
-                out[f"P_{lab}_{j}_{t}"] = 0.0
-        i0 = None
-        for i, cyc in enumerate(cycles):
-            y = float(y_opt[i])
-            if i == 0:
-                i0 = y  # the first level doubles as the initial one
-            for t in range(cyc.start, cyc.end + 1):
-                pw = self.view[(cyc.start, t)]
-                out[f"P_{lab}_{cyc.start}_{t}"] = 1.0
-                inv = y - pw.mean
-                h_val = float(pw.upper(y))
-                out[f"I_{lab}_{t}"] = inv
-                out[f"H_{lab}_{t}"] = h_val
-                out[f"B_{lab}_{t}"] = h_val - inv
-        out[f"I0_{lab}"] = float(i0)
-        return out
 
 
 def _largest_root(g, target: float, hi: float, g_hi: float, lo_limit: float):
@@ -889,7 +913,7 @@ def solve_exact(model: MilpModel) -> SolveResult:
         return _solve_joint(model, engine, start)
     label = model.kind
     pinned = None
-    i0 = model.index[f"I0_{label}"]
+    i0 = model.columns[label].initial
     if label == "s" and model.lb[i0] == model.ub[i0]:
         pinned = float(model.lb[i0])
     if pinned is None:
@@ -899,18 +923,46 @@ def solve_exact(model: MilpModel) -> SolveResult:
     else:
         best, nodes = engine.enumerate(pinned_i0=pinned)
     if best is None:
-        return SolveResult(math.nan, {}, "infeasible", nodes,
-                           time.perf_counter() - start)
+        return _infeasible(nodes, start)
     if label == "S":
         best = _forced(engine, best)
     cost, deltas, y_opt, cycles = best
-    assignment = engine.assignment_for(label, deltas, y_opt, cycles)
+    x = np.zeros(len(model.names))
+    _put_side(x, model, label, deltas, y_opt, cycles)
     if pinned is not None:
-        assignment["I0_s"] = pinned
-    obj = model.objective_value(assignment)
-    _self_check(model, assignment, obj, cost)
-    return SolveResult(obj, assignment, "optimal", nodes,
+        x[i0] = pinned
+    obj = model.objective_value(x)
+    _self_check(model, x, obj, cost)
+    return SolveResult(obj, x, model.index, "optimal", nodes,
                        time.perf_counter() - start)
+
+
+def _infeasible(nodes: int, start: float) -> SolveResult:
+    return SolveResult(math.nan, np.empty(0), {}, "infeasible", nodes,
+                       time.perf_counter() - start)
+
+
+def _put_side(x: np.ndarray, model: MilpModel, label: str, deltas, y_opt,
+              cycles) -> None:
+    """Write submodel `label`'s solved pattern into the column vector x:
+    delta_t, the selector P_jt of each period's cycle (its other P stay
+    0), I0 and I_t = y - mean_t at its cycle's level y, and H_t and B_t =
+    H_t - I_t from the selected rule's lines, the max-of-lines form that
+    verify_assignment checks."""
+    cols = model.columns[label]
+    pw = model.piecewise
+    spans = [cyc.end - cyc.start + 1 for cyc in cycles]
+    rules = cols.rules + np.repeat([cyc.start - 1 for cyc in cycles], spans)
+    shift = pw.shift[rules]
+    inv = np.repeat(y_opt, spans) - shift
+    hold = ((inv + shift)[:, None] * pw.slopes[rules]
+            + pw.intercepts[rules]).max(axis=1)
+    x[cols.order] = deltas
+    x[pw.selector[rules]] = 1.0
+    x[cols.initial] = y_opt[0]  # the first level doubles as the initial one
+    x[cols.inventory] = inv
+    x[cols.holding] = hold
+    x[cols.backorder] = hold - inv
 
 
 def _forced(engine: _SubmodelEngine, free: tuple) -> tuple:
@@ -925,26 +977,29 @@ def _solve_joint(model: MilpModel, engine: _SubmodelEngine,
     before = engine.nodes
     best = engine.free_optimum()
     if best is None:
-        return SolveResult(math.nan, {}, "infeasible", engine.nodes - before,
-                           time.perf_counter() - start)
+        return _infeasible(engine.nodes - before, start)
     cost_S, deltas_S, y_S, cycles_S = _forced(engine, best)
     s_up = float(y_S[0])  # order-up-to level: the pinned I0_S
     root, (cost_s, deltas_s, y_s, cycles_s) = engine.reorder_root(cost_S, s_up)
     nodes = engine.nodes - before
-    assignment = engine.assignment_for("S", deltas_S, y_S, cycles_S)
-    assignment.update(engine.assignment_for("s", deltas_s, y_s, cycles_s))
-    assignment["I0_s"] = float(root)
-    assignment["C_S"] = float(cost_S)
-    assignment["G_s"] = float(cost_s)
-    obj = model.objective_value(assignment)
-    _self_check(model, assignment, obj, None)
-    return SolveResult(obj, assignment, "optimal", nodes,
+    x = np.zeros(len(model.names))
+    _put_side(x, model, "S", deltas_S, y_S, cycles_S)
+    _put_side(x, model, "s", deltas_s, y_s, cycles_s)
+    index = model.index
+    x[model.columns["s"].initial] = root
+    x[index["C_S"]] = cost_S
+    x[index["G_s"]] = cost_s
+    obj = model.objective_value(x)
+    _self_check(model, x, obj, None)
+    return SolveResult(obj, x, index, "optimal", nodes,
                        time.perf_counter() - start)
 
 
-def _self_check(model: MilpModel, assignment: dict, obj: float,
+def _self_check(model: MilpModel, x: np.ndarray, obj: float,
                 engine_cost: float | None) -> None:
-    bad = verify_assignment(model, assignment, tol=1e-6)
+    """Verify a solve's own column vector against the model; names are
+    built only for a failure."""
+    bad = verify_assignment(model, x, tol=1e-6)
     if bad:
         raise SolverError(f"internal solution fails verification: {bad[:3]}")
     if engine_cost is not None and abs(obj - engine_cost) > 1e-6 * max(1, abs(obj)):
@@ -989,8 +1044,9 @@ def import_solution(model: MilpModel, path) -> SolveResult:
         raise SolverError(
             f"imported solution violates {name} by {amount:.3e} "
             f"({len(bad)} rows beyond tolerance)")
-    obj = model.objective_value(assignment)
-    return SolveResult(obj, assignment, "optimal", 0,
+    x = model.vector(assignment)
+    obj = model.objective_value(x)
+    return SolveResult(obj, x, model.index, "optimal", 0,
                        time.perf_counter() - start)
 
 

@@ -28,6 +28,17 @@ scalar piecewise-loss formula. reference_cycle and reference_priced are
 CycleTable.cycle and CycleTable.priced done the direct way: the cycle's
 pieces added one at a time with ConvexPWL.plus, then ConvexPWL.argmin's
 own sort.
+
+PerPieceEngine is the solver engine reading its envelope one piece at a
+time: every piece forms its own max(x - kink, 0) for each cost_at read and
+each step of the reorder-root walk, as ConvexPWL.__call__ does.
+
+reference_solution is solve_exact's answer built by name: each side's
+variables from the solved pattern (reference_assignment, H_t from the
+piece's own PiecewiseLoss.upper), as a name -> value dict.
+reference_verify_assignment is model.verify_assignment on that dict, every
+check over every column, row and rule, with the row senses compared as
+strings.
 """
 from __future__ import annotations
 
@@ -39,9 +50,11 @@ from scipy.special import ndtri
 
 from sspolicy.domain import validate
 from sspolicy.loss import PiecewiseLoss, cached_partition
+from sspolicy.model import INDICATOR
 from sspolicy.sdp import discretize_demand
 from sspolicy.simulate import SimulationResult
-from sspolicy.solver import ConvexPWL, _largest_root, _SubmodelEngine
+from sspolicy.solver import (ConvexPWL, _engine_for, _forced, _largest_root,
+                             _SubmodelEngine)
 
 
 def _cycle_cost_fn(instance, segments, j, e):
@@ -176,6 +189,151 @@ class EnumerationEngine(_SubmodelEngine):
 
         root, _ = _largest_root(g, target, hi, g(hi), self.pin_lower)
         return root, cache[root] if root in cache else self.cost_at(root)
+
+
+class PerPieceEngine(_SubmodelEngine):
+    """The solver engine with each envelope piece evaluated on its own."""
+
+    @staticmethod
+    def _value(piece, x):
+        return piece.cost(x) + piece.const if piece.lo <= x <= piece.hi else math.inf
+
+    def _certified_at(self, x):
+        lowest = best = math.inf
+        chosen = None
+        for piece in self.envelope():
+            value = self._value(piece, x)
+            lowest = min(lowest, value)
+            if x <= piece.limit and value < best:
+                best, chosen = value, piece
+        if chosen is None or best > lowest:
+            return None
+        levels = np.array([x] + chosen.levels)
+        return float(best), chosen.deltas, levels, chosen.cycles
+
+    def reorder_root(self, target, hi):
+        best = self.cost_at(hi)
+        if abs(best[0] - target) <= 1e-9:
+            return hi, best
+        x = hi
+        moved = True
+        while moved:
+            moved = False
+            for piece in self.envelope():
+                value = self._value(piece, x)
+                if x <= piece.limit and value < target:
+                    left = max(piece.cost.left_crossing(
+                        target - piece.const, x, value - piece.const), piece.lo)
+                    if left < x:
+                        x, moved = left, True
+        if x < hi:
+            best = self.cost_at(x)
+        if abs(best[0] - target) <= 1e-7:
+            return x, best
+        self.fallbacks += 1
+        cache = {x: best}
+
+        def g(v):
+            hit = cache.get(v)
+            if hit is None:
+                hit = cache[v] = self.cost_at(v)
+            return hit[0]
+
+        root, _ = _largest_root(g, target, x, best[0], self.pin_lower)
+        return root, cache[root] if root in cache else self.cost_at(root)
+
+
+def reference_assignment(engine, lab, deltas, y_opt, cycles):
+    """Values of submodel `lab`'s variables for a solved pattern, by name."""
+    out = {}
+    for t in range(1, engine.T + 1):
+        out[f"delta_{lab}_{t}"] = float(deltas[t - 1])
+        for j in range(1, t + 1):
+            out[f"P_{lab}_{j}_{t}"] = 0.0
+    i0 = None
+    for i, cyc in enumerate(cycles):
+        y = float(y_opt[i])
+        if i == 0:
+            i0 = y  # the first level doubles as the initial one
+        for t in range(cyc.start, cyc.end + 1):
+            pw = engine.view[(cyc.start, t)]
+            out[f"P_{lab}_{cyc.start}_{t}"] = 1.0
+            inv = y - pw.mean
+            h_val = float(pw.upper(y))
+            out[f"I_{lab}_{t}"] = inv
+            out[f"H_{lab}_{t}"] = h_val
+            out[f"B_{lab}_{t}"] = h_val - inv
+    out[f"I0_{lab}"] = float(i0)
+    return out
+
+
+def reference_solution(model):
+    """solve_exact(model)'s values as a name -> value dict, built name by
+    name from the engine's answer; None where no pattern is feasible."""
+    engine = _engine_for(model)
+    label = model.kind
+    col = model.index["I0_S" if label == "S" else "I0_s"]
+    pinned = None
+    if label == "s" and model.lb[col] == model.ub[col]:
+        pinned = float(model.lb[col])
+        best = engine.enumerate(pinned_i0=pinned)[0]
+    else:
+        best = engine.free_optimum()
+    if best is None:
+        return None
+    if label != "joint":
+        if label == "S":
+            best = _forced(engine, best)
+        out = reference_assignment(engine, label, *best[1:])
+        if pinned is not None:
+            out["I0_s"] = pinned
+        return out
+    cost_S, deltas_S, y_S, cycles_S = _forced(engine, best)
+    root, (cost_s, deltas_s, y_s, cycles_s) = engine.reorder_root(
+        cost_S, float(y_S[0]))
+    out = reference_assignment(engine, "S", deltas_S, y_S, cycles_S)
+    out.update(reference_assignment(engine, "s", deltas_s, y_s, cycles_s))
+    out["I0_s"] = float(root)
+    out["C_S"] = float(cost_S)
+    out["G_s"] = float(cost_s)
+    return out
+
+
+def reference_verify_assignment(model, assignment, tol=1e-6):
+    """model.verify_assignment of a name -> value dict, every column, row
+    and rule checked and the senses compared as strings."""
+    x = np.fromiter(map(assignment.__getitem__, model.names), float,
+                    len(model.names))
+    bad = []
+
+    def report(amounts, name):
+        bad.extend((name(i), float(amounts[i]))
+                   for i in np.flatnonzero(amounts > tol))
+
+    names = model.names
+    report(np.maximum(model.lb - x, x - model.ub),
+           lambda i: f"bound_{names[i]}")
+    free = model.binary & (model.lb != model.ub)
+    report(np.where(free, np.abs(x - np.round(x)), 0.0),
+           lambda i: f"integrality_{names[i]}")
+
+    rows = model.rows
+    lhs = rows.matrix @ x
+    over = np.where(rows.sense == "<=", lhs - rows.rhs,
+                    np.where(rows.sense == ">=", rows.rhs - lhs,
+                             np.abs(lhs - rows.rhs)))
+    idle = (rows.kind == INDICATOR) & (np.round(x[rows.condition]) != 0)
+    report(np.where(idle, 0.0, over), lambda i: str(rows.names[i]))
+
+    pw = model.piecewise
+    level = x[pw.inventory]
+    upper = ((level + pw.shift)[:, None] * pw.slopes + pw.intercepts).max(axis=1)
+    miss = np.maximum(np.abs(x[pw.holding] - upper),
+                      np.abs(x[pw.backorder] - (upper - level)))
+    report(np.where(np.round(x[pw.selector]) == 1, miss, 0.0),
+           lambda i: f"loss_{pw.label[i]}_{pw.start[i]}_{pw.period[i]}")
+    bad.sort(key=lambda kv: -kv[1])
+    return bad
 
 
 def dense_sdp_tables(instance, grid, truncation):

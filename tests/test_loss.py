@@ -243,3 +243,27 @@ class TestPiecewiseLoss:
         vals = pw.lower(xs)
         second = np.diff(vals, 2)
         assert np.all(second >= -1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 20), mean=st.floats(0, 300),
+           cv=st.sampled_from([0.0, 0.1, 1.5]),
+           xs=st.lists(st.floats(-500, 800), min_size=1, max_size=12))
+    def test_cached_hinges_match_the_formula(self, n, mean, cv, xs):
+        """lower and upper read one cached, read-only pair of arrays and
+        stay hex-equal to rebuilding them from the tuples on every call,
+        for scalars, vectors and matrices."""
+        pw = piecewise_loss(make_partition(n), mean, mean * cv)
+        breakpoints, steps = pw.hinges
+        assert pw.hinges[0] is breakpoints and pw.hinges[1] is steps
+        assert not (breakpoints.flags.writeable or steps.flags.writeable)
+
+        def formula(x):
+            x = np.asarray(x, dtype=float)
+            p = np.diff(np.asarray(pw.slopes))
+            return (np.maximum(x[..., None] - np.asarray(pw.breakpoints), 0.0) @ p)[()]
+
+        for x in (xs[0], xs, np.resize(xs, (3, len(xs)))):
+            want = formula(x)
+            for got, ref in ((pw.lower(x), want), (pw.upper(x), want + pw.error_bound)):
+                assert np.shape(got) == np.shape(ref)
+                assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()

@@ -1,3 +1,4 @@
+import builtins
 import math
 import os
 from dataclasses import fields
@@ -10,11 +11,13 @@ from hypothesis import strategies as st
 from oracle_support import reference_segments
 from sspolicy.domain import make_instance
 from sspolicy.export import render_lp
+from sspolicy.heuristics import HeuristicConfig
 from sspolicy.model import (
     CUT, INDICATOR, PiecewiseRules, RowTable, _emit_joint, build_joint,
     build_minlp_s, build_minlp_S, build_segments, cumulative_demand,
-    default_big_m, period_pieces, verify_assignment,
+    default_big_m, level_bounds, period_pieces, verify_assignment,
 )
+from sspolicy.sdp import default_grid
 from sspolicy.solver import CycleTable, solve_exact
 from sspolicy.testbed import BenchmarkConfig, build_instances
 
@@ -43,6 +46,17 @@ def _assert_segments_match_reference(instance, cells, strategy):
             a, b = (a, b) if isinstance(a, tuple) else ((a,), (b,))
             assert [float(v).hex() for v in a] == [float(v).hex() for v in b], \
                 (key, field.name)
+
+
+def _compensated_sum(iterable, /, start=0):
+    """sum() as Python 3.12 and later add floats: Neumaier's compensated
+    summation."""
+    total, carry = start, 0.0
+    for v in iterable:
+        t = total + v
+        carry += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
+        total = t
+    return total + carry if carry else total
 
 
 class TestSegments:
@@ -86,6 +100,33 @@ class TestSegments:
         for (j, t), pw in reference_segments(example4, 10, "minimax").items():
             assert repr(cumulative_demand(example4, j, t)) == \
                 repr((pw.mean, pw.std_dev))
+
+    def test_totals_do_not_follow_a_compensated_sum(self, monkeypatch):
+        """Demand totals add left to right from 0.0: big-M, level bounds,
+        the unit-cost constants in LP bytes, the SDP grid, the bs lower
+        bound and the engine's total mean stay the same when sum()
+        compensates, as it does from Python 3.12 on."""
+        means = [0.1, 0.7, 12.3, 0.2, 3.3, 0.6]
+        # the premise: the two orders disagree on these means
+        assert _compensated_sum(means) != sum(means)
+
+        def snapshot():
+            # a new instance each time: an instance caches its totals
+            inst = make_instance(6, K=80.0, h=1.0, b=9.0, c=1.5, means=means,
+                                 std_devs=[0.3, 0.17, 2.9, 0.11, 0.7, 0.13])
+            segs = build_segments(inst, segments=4)
+            big_m = default_big_m(inst)
+            grid = default_grid(inst, step=0.001)
+            return (big_m, default_big_m(inst, -3.7), level_bounds(inst, big_m),
+                    render_lp(build_joint(inst, segs)),
+                    render_lp(build_minlp_s(inst, segs, initial_inventory=-3.7)),
+                    render_lp(build_minlp_S(inst, segs)),
+                    grid.lower, grid.upper, HeuristicConfig().lower_bound_for(inst),
+                    CycleTable(inst, segs).engine(1).total_mean)
+
+        plain = snapshot()
+        monkeypatch.setattr(builtins, "sum", _compensated_sum)
+        assert repr(snapshot()) == repr(plain)
 
     def test_zero_horizon_rejected(self):
         from sspolicy.domain import CostParameters, Instance

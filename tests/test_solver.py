@@ -10,14 +10,18 @@ from hypothesis import strategies as st
 import sspolicy.solver as solver_module
 from lp_support import solve_lp
 from oracle_support import (
-    EnumerationEngine, brute_force_submodel, full_enumeration,
-    reference_cycle, reference_priced,
+    EnumerationEngine, PerPieceEngine, brute_force_submodel, full_enumeration,
+    reference_cycle, reference_priced, reference_solution,
+    reference_verify_assignment,
 )
 from sspolicy.domain import make_instance
 from sspolicy.export import render_lp
-from sspolicy.heuristics import HeuristicConfig, bs_policy, mp_policy
+from sspolicy.heuristics import (
+    HeuristicConfig, bs_policy, cycle_table, mp_policy,
+)
 from sspolicy.model import (
     build_joint, build_minlp_s, build_minlp_S, build_segments, level_bounds,
+    verify_assignment,
 )
 from sspolicy.solver import (
     ConvexPWL, CycleTable, ExactBackend, SolverError,
@@ -543,6 +547,230 @@ def test_full_grid_envelope_matches_enumeration(horizon, monkeypatch):
     print(f"\n[solver] {horizon} periods: bs equal and mp within "
           f"{worst:.2e} of the enumerate-only engine on {len(instances)} "
           f"instances")
+
+
+@st.composite
+def _envelope_cases(draw):
+    """Instances for the envelope reads: T = 1-8, K = 0, c > 0 and zero-sd
+    periods."""
+    T = draw(st.integers(1, 8))
+    means = draw(st.lists(st.floats(0, 30).map(lambda v: round(v, 1)),
+                          min_size=T, max_size=T))
+    cvs = draw(st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.4]),
+                        min_size=T, max_size=T))
+    inst = make_instance(
+        horizon=T, K=draw(st.sampled_from([0.0, 40.0, 150.0])),
+        h=draw(st.floats(0.5, 2.0).map(lambda v: round(v, 2))),
+        b=draw(st.floats(2.0, 15.0).map(lambda v: round(v, 2))),
+        c=draw(st.sampled_from([0.0, 1.5])), means=means,
+        std_devs=[m * v for m, v in zip(means, cvs)])
+    return inst, HeuristicConfig(segments=draw(st.integers(3, 12)))
+
+
+def _same_answer(got, ref) -> bool:
+    """Two cost_at answers (or None) with equal bits: cost, pattern,
+    levels and cycles."""
+    if ref is None or got is None:
+        return got is ref
+    return (_same_float(got[0], ref[0]) and got[1] == ref[1]
+            and got[2].dtype == ref[2].dtype
+            and got[2].tobytes() == ref[2].tobytes() and got[3] == ref[3])
+
+
+def _assert_reads_match(view, extra=()):
+    """The engine's certified reads and reorder root are hex-equal to
+    PerPieceEngine's, at the suffix's order-up-to level, around every
+    certificate limit and pin-domain end, at negative levels and at
+    `extra`; the counters agree."""
+    bounds = default_bounds(view.instance)
+    fast, slow = _SubmodelEngine(view, bounds), PerPieceEngine(view, bounds)
+    best = fast.free_minimum()
+    assert _same_answer(best, slow.free_minimum())
+    s_up = float(best[2][0])
+    target = best[0] + view.instance.costs.fixed
+    pins = {s_up, s_up - 1.0, 0.0, -7.25, -s_up - 40.0, *extra}
+    pieces = fast.envelope()
+    kinks = fast._kinks
+    for piece in pieces:
+        # every piece's kinks are a prefix of the hinge's
+        assert np.shares_memory(piece.cost.kinks, kinks)
+        assert piece.cost.kinks.tobytes() == kinks[:len(piece.cost.kinks)].tobytes()
+        for v in (piece.limit, piece.lo, piece.hi):
+            if math.isfinite(v):
+                pins.update((v - 0.5, v, v + 0.5))
+    for x in sorted(pins):
+        assert _same_answer(fast._certified_at(x), slow._certified_at(x)), x
+    root, answer = fast.reorder_root(target, s_up)
+    root_ref, answer_ref = slow.reorder_root(target, s_up)
+    assert _same_float(root, root_ref)
+    assert _same_answer(answer, answer_ref)
+    assert (fast.nodes, fast.certified, fast.fallbacks) == \
+        (slow.nodes, slow.certified, slow.fallbacks)
+
+
+class TestEnvelopeReads:
+    """One hinge per envelope read against each piece's own evaluation."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=_envelope_cases())
+    def test_reads_match_per_piece(self, case):
+        inst, config = case
+        table = cycle_table(inst, config)
+        for k in range(1, inst.horizon + 1):
+            _assert_reads_match(table.suffix(k))
+
+    def test_grid_reads_match_per_piece(self, monkeypatch):
+        """Every 9th 8-period grid instance: every suffix's reads, and the
+        bs and mp policies, equal to the per-piece engine's."""
+        config = BenchmarkConfig(horizon=8)
+        hc = config.heuristic_config()
+        for instance in build_instances(config)[::9]:
+            table = cycle_table(instance, hc)
+            for k in range(1, instance.horizon + 1):
+                view = table.suffix(k)
+                _assert_reads_match(view, extra=(
+                    hc.lower_bound_for(view.instance),))
+            policies = bs_policy(instance, hc), mp_policy(instance, hc)
+            with monkeypatch.context() as patch:
+                patch.setattr(solver_module, "_SubmodelEngine", PerPieceEngine)
+                reference = bs_policy(instance, hc), mp_policy(instance, hc)
+            assert repr(policies) == repr(reference), instance.name
+
+
+def _assert_column_space(model):
+    """solve_exact's column vector against the name-by-name reference: the
+    levels I0, the linked costs, delta and P bit-equal, I, H and B within
+    1e-9; the vector verifies clean, as the reference dict does."""
+    res = solve_exact(model)
+    ref = reference_solution(model)
+    got = res.assignment
+    assert list(got) == list(model.names) and set(ref) == set(got)
+    for name, value in ref.items():
+        if name.split("_")[0] in ("I", "H", "B"):
+            assert abs(got[name] - value) <= 1e-9, name
+        else:
+            assert _same_float(got[name], value), name
+    assert verify_assignment(model, res.vector) == []
+    assert reference_verify_assignment(model, ref) == []
+    return res
+
+
+def _corruptions(model, x) -> dict:
+    """One broken copy of x per check of verify_assignment, and a name that
+    it must report: a bound, an integrality, a row, an indicator and a
+    piecewise rule entry."""
+    index = model.index
+
+    def broken(name, value):
+        y = x.copy()
+        y[index[name]] = value
+        return y
+
+    T = model.instance.horizon
+    side = "s" if model.kind == "joint" else model.kind
+    last = f"I_{side}_{T}"
+    out = {
+        f"bound_{last}": broken(last, model.ub[index[last]] + 1.0),
+        f"order_nonneg_{side}_1": broken(f"I_{side}_1", x[index[f"I0_{side}"]]
+                                         - model.instance.means[0] - 3.0),
+    }
+    if len(model.free_binaries):  # T = 1 fixes every binary
+        free = model.names[model.free_binaries[0]]
+        out[f"integrality_{free}"] = broken(free, 0.5)
+    idle = [t for t in range(2, T + 1) if x[index[f"delta_{side}_{t}"]] == 0.0]
+    if idle:
+        t = idle[0]
+        out[f"no_order_balance_{side}_{t}_row"] = broken(
+            f"I_{side}_{t}", x[index[f"I_{side}_{t}"]] + 2.0)
+    j = next(j for j in range(1, T + 1) if x[index[f"P_{side}_{j}_{T}"]] == 1.0)
+    hold = f"H_{side}_{T}"
+    out[f"loss_{side}_{j}_{T}"] = broken(hold, x[index[hold]] + 0.5)
+    return out
+
+
+def _assert_corruptions_named(model, x):
+    """verify_assignment of each broken vector is the reference dict
+    path's named list, exactly, and names the broken entry."""
+    for name, y in _corruptions(model, x).items():
+        got = verify_assignment(model, y)
+        as_dict = dict(zip(model.names, y.tolist()))
+        assert got == reference_verify_assignment(model, as_dict), name
+        assert got == verify_assignment(model, as_dict), name
+        assert name in [n for n, _ in got], name
+
+
+class TestColumnSpace:
+    """Solves fill one column vector from the pattern and levels."""
+
+    @pytest.mark.parametrize("kind", ["joint", "s", "S", "pinned"])
+    def test_matches_reference(self, example4, segments4, kind):
+        model = {"joint": lambda: build_joint(example4, segments4),
+                 "s": lambda: build_minlp_s(example4, segments4),
+                 "S": lambda: build_minlp_S(example4, segments4),
+                 "pinned": lambda: build_minlp_s(example4, segments4, 35.0)}[kind]()
+        res = _assert_column_space(model)
+        assert res.value("I0_S" if kind == "S" else "I0_s") == \
+            res.vector[model.columns["S" if kind == "S" else "s"].initial]
+        _assert_corruptions_named(model, res.vector)
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=_policy_cases())
+    def test_suffixes_match_reference(self, case):
+        inst, config = case
+        table = cycle_table(inst, config)
+        for k in range(1, inst.horizon + 1):
+            view = table.suffix(k)
+            model = build_joint(view.instance, view)
+            _assert_corruptions_named(model, _assert_column_space(model).vector)
+
+    def test_result_reads_its_vector(self, example4, segments4):
+        model = build_joint(example4, segments4)
+        res = solve_exact(model)
+        assert res.index is model.index
+        assert res.assignment is res.assignment  # built once
+        assert all(type(v) is float for v in res.assignment.values())
+        assert res.value("C_S") == res.assignment["C_S"]
+        assert type(res.value("I0_s")) is float
+
+    def test_self_check_still_raises(self, example4, segments4, monkeypatch):
+        model = build_joint(example4, segments4)
+        x = solve_exact(model).vector.copy()
+        x[model.index["C_S"]] += 1.0
+        with pytest.raises(SolverError, match="fails verification"):
+            solver_module._self_check(model, x, model.objective_value(x), None)
+        s_model = build_minlp_s(example4, segments4)
+        res = solve_exact(s_model)
+        with pytest.raises(SolverError, match="objective mismatch"):
+            solver_module._self_check(s_model, res.vector, res.objective,
+                                      res.objective + 1.0)
+        # a reorder root one unit low breaks the cost link
+        original = _SubmodelEngine.reorder_root
+
+        def low(self, target, hi):
+            root, _ = original(self, target, hi)
+            return root - 1.0, self.cost_at(root - 1.0)
+
+        monkeypatch.setattr(_SubmodelEngine, "reorder_root", low)
+        with pytest.raises(SolverError, match="link_cost"):
+            solve_exact(build_joint(example4, segments4))
+
+
+@pytest.mark.skipif(not os.environ.get("SSPOLICY_FULL_BENCHMARK"),
+                    reason="every suffix of both 270-instance grids (minutes); "
+                           "set SSPOLICY_FULL_BENCHMARK=1")
+@pytest.mark.parametrize("horizon", [8, 25], ids=["8-period", "25-period"])
+def test_full_grid_column_space_matches_reference(horizon):
+    """Every suffix's joint solve: its column vector against the name-by-name
+    reference, and the vector checks of broken copies against the dict
+    path's named lists."""
+    config = BenchmarkConfig(horizon=horizon)
+    hc = config.heuristic_config()
+    for instance in build_instances(config):
+        table = cycle_table(instance, hc)
+        for k in range(1, instance.horizon + 1):
+            view = table.suffix(k)
+            model = build_joint(view.instance, view)
+            _assert_corruptions_named(model, _assert_column_space(model).vector)
 
 
 class TestLimitsAndErrors:
