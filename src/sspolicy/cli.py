@@ -18,7 +18,7 @@ import json
 import math
 import sys
 
-from .domain import ValidationError, read_instance
+from .domain import ValidationError, read_instance, running_sums
 from .export import export_lp
 from .heuristics import (STRATEGIES, HeuristicConfig, bs_policy, cycle_table,
                          mp_policy, read_policy_csv, write_policy_csv)
@@ -145,8 +145,8 @@ def _cmd_benchmark(args) -> int:
     for method in config.methods:
         gaps = report.ok_gaps(method)
         if gaps:
-            print(f"{method}: mean gap {sum(gaps)/len(gaps):.3f}% over "
-                  f"{len(gaps)} instances")
+            mean = running_sums(gaps)[-1] / len(gaps)
+            print(f"{method}: mean gap {mean:.3f}% over {len(gaps)} instances")
     return EXIT_OK
 
 

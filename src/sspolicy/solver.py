@@ -35,24 +35,23 @@ replacement for the solver's free root choice).
 The pinned cost g(x), the no-order optimum with the first level fixed at
 x, is bounded below by an envelope R(x) = min_e F_e(x): F_e is the priced
 first cycle 1..e at x plus the relaxed cost-to-go V(e + 1) (plus the unit
-cost's constant when e = T), a convex piecewise-linear function. The
-engine builds these pieces once, on first use. Piece e carries a
-certificate limit U_e = y*_{e+1} + D(1..e), where y*_{e+1} is the first
-level of the relaxed shortest path from e + 1 and D(1..e) the first
-cycle's mean demand (U_T = +inf). If that path keeps its own order chain
-and clamps no level to a bound, the pattern "cycle 1..e, then that path"
-needs no merge in solve_pattern for x <= U_e and costs exactly F_e(x).
-Where the piece attaining R(x) is certified, g(x) = R(x), and cost_at
-returns that pattern without a search. The reorder root walks the
+cost's constant when e = T), a convex piecewise-linear function. Piece e
+carries a certificate limit U_e = y*_{e+1} + D(1..e), where y*_{e+1} is
+the first level of the relaxed shortest path from e + 1 and D(1..e) the
+first cycle's mean demand (U_T = +inf). If that path keeps its own order
+chain and clamps no level to a bound, the pattern "cycle 1..e, then that
+path" needs no merge in solve_pattern for x <= U_e and costs exactly
+F_e(x). Where the piece attaining R(x) is certified, g(x) = R(x), and
+cost_at returns that pattern without a search. The reorder root walks the
 certified sublevel set {x <= U_e : F_e(x) < target} leftward from the
 order-up-to level to the end x_C of its component, solving each piece's
 crossing in closed form. Since g < target on (x_C, S], x_C is the largest
 root when g(x_C) meets the target. Otherwise the root falls back to a
 bisection below x_C; the engine counts such fallbacks and logs each at
-DEBUG level. Every piece's cost is a cycle of the suffix's first start,
-so its kinks are a prefix of the last piece's (see CycleTable below).
-Each read of the envelope, a cost_at answer or a step of the walk, forms
-the hinge max(x - kink, 0) once over those kinks, and each piece dots its
+DEBUG level. Every piece's cost is a cycle of the suffix's first start, so
+its kinks are a prefix of the last piece's (see CycleTable below). Each
+read of the envelope, a cost_at answer or a step of the walk, forms the
+hinge max(x - kink, 0) once over those kinks, and each piece dots its
 prefix of the hinge with its deltas: the same numbers summed in the same
 order as evaluating the piece alone.
 
@@ -65,10 +64,11 @@ H_t - I_t. _self_check verifies that vector against the model on every
 solve, and names are built only for a failure. SolveResult keeps the
 vector with the model's name -> column index.
 
-Cycle data lives in a CycleTable, one per instance: its (j, t) segments and,
-built on first use, every cycle (j, e)'s convex cost, mean demand and free
-minimizer. The cycles of one start j come from one array pass: the kinks
-and deltas of pieces (j, j..T) are concatenated once, cycle (j, e) is a
+Cycle data lives in a CycleTable, one per instance: its (j, t) segments
+and, built on first use, one record per cycle (j, e) and `first` flag: its
+priced convex cost, free minimizer and minimum, mean demand and demand
+shifts. The cycles of one start j come from one array pass: the kinks and
+deltas of pieces (j, j..T) are concatenated once, cycle (j, e) is a
 ConvexPWL over a read-only prefix of them, and one stable argsort of the
 start's kinks gives every cycle's minimizer. The result is bit-equal to
 adding the pieces one at a time with ConvexPWL.plus and sorting each sum
@@ -80,21 +80,23 @@ is the instance's (j + k - 1, t + k - 1) piece, the normal loss of the
 same demand slice summed in the same order, so a cycle's cost is the same
 function, built by the same operations, whichever suffix reads it. The
 unit cost's level terms depend only on whether the cycle opens the suffix
-and whether it closes the horizon, so they are keyed by that too; without
-a unit cost both keys are one entry. Level bounds differ per suffix and
-stay with its engine, which clamps the shared free minimizer to them
-exactly as ConvexPWL.minimize does.
+(`first`) and whether it closes the horizon; without a unit cost both
+`first` keys hold one record. Level bounds differ per suffix and stay with
+its engine, which clamps the shared free minimizer to them exactly as
+ConvexPWL.minimize does.
 
 The table also owns one no-order engine per suffix, built on first use at
 the suffix's default level bounds (those of build_minlp_s with a free
 initial level, which build_joint shares). ExactBackend.evaluator and
 solve_exact on a model built from a table view read that engine, so the
 heuristics that run on one table search each suffix once: the engine
-memoizes its free minimum, and its envelope, relaxation rows and cycles
-are built once. Every engine cache is a pure function of the suffix and
-its bounds, so an answer does not depend on which caller filled it. A
-model built from a plain segment dict, or with other bounds (a pinned
-initial level widens them), is solved by a private engine.
+memoizes its free minimum, and builds its relaxation whole on first use,
+in one backward pass over the cycle starts: the suffix's cycles, every
+start's relaxation row, cost-to-go and relaxed path, then the envelope.
+Both are pure functions of the suffix and its bounds, so an answer does
+not depend on which caller filled them, and a build that raises stores
+nothing. A model built from a plain segment dict, or with other bounds (a
+pinned initial level widens them), is solved by a private engine.
 """
 from __future__ import annotations
 
@@ -267,31 +269,26 @@ class CycleTable:
         self.instance = instance
         self.segments = segments  # (j, t) -> PiecewiseLoss
         self.partition = partition  # (cells, strategy) the segments used
-        self._cycles: dict = {}
-        self._priced: dict = {}
-        self._pieces: list | None = None
+        self._cycles: dict = {}  # (j, e, first) -> cycle record
+        self._periods: list | None = None
         self._engines: dict = {}  # suffix k -> its no-order engine
 
-    def cycle(self, j: int, e: int) -> tuple:
-        """(cost, mean demand, largest and smallest demand shift) of cycle
-        j..e, its cost a function of the start-of-cycle level y: a
-        ConvexPWL over read-only prefixes of start j's kink arrays."""
-        if (j, e) not in self._cycles:
+    def cycle(self, j: int, e: int, first: bool) -> tuple:
+        """(cost, argmin, min, mean demand, largest and smallest demand
+        shift) of cycle j..e. The cost is a ConvexPWL of the start-of-cycle
+        level y over read-only prefixes of start j's kink arrays, with the
+        unit ordering cost, which telescopes into the levels of a suffix's
+        first cycle (`first`) and of the horizon's last. argmin is
+        ConvexPWL.argmin's and min the cost there (nan where argmin is
+        infinite). With no unit cost both `first` keys hold one record."""
+        hit = self._cycles.get((j, e, first))
+        if hit is None:
             self._build_start(j)
-        return self._cycles[(j, e)]
-
-    def priced(self, j: int, e: int, first: bool) -> tuple:
-        """(cost, argmin, min) of cycle j..e with the unit ordering cost,
-        which telescopes into the levels of a suffix's first cycle (`first`)
-        and of the horizon's last; argmin is ConvexPWL.argmin's, and min is
-        the cost there (nan where argmin is infinite). With no unit cost
-        both `first` values are one entry."""
-        if (j, e, first) not in self._priced:
-            self._build_start(j)
-        return self._priced[(j, e, first)]
+            hit = self._cycles[(j, e, first)]
+        return hit
 
     def _build_start(self, j: int) -> None:
-        """Every cycle (j, e) and its priced variants, in one array pass.
+        """Every cycle (j, e), both `first` records, in one array pass.
 
         Cycle (j, e) sums pieces (j, j..e): its kinks and deltas are a
         prefix of the pieces' concatenation, and its slope and constant
@@ -317,11 +314,9 @@ class CycleTable:
         consts = list(accumulate([hb * pw.error_bound + b * pw.mean
                                   for pw in pieces], initial=0.0))[1:]
         shifts = [pw.mean for pw in pieces]
+        demand = list(zip(shifts, accumulate(shifts, max), accumulate(shifts, min)))
         cycles = [ConvexPWL(slope, const, kinks[:n], deltas[:n])
                   for slope, const, n in zip(slopes, consts, ends)]
-        for e, f, top, low in zip(range(j, T + 1), cycles,
-                                  accumulate(shifts, max), accumulate(shifts, min)):
-            self._cycles[(j, e)] = (f, shifts[e - j], top, low)
 
         order = np.argsort(kinks, kind="stable")
         # row i: which sorted kinks cycle (j, j + i) holds, its deltas' running
@@ -332,33 +327,34 @@ class CycleTable:
         rank = np.cumsum(inside, axis=1)
         sorted_kinks = kinks[order]
 
-        def priced(funcs: list) -> list:
+        def records(funcs: list) -> list:
             xs = _prefix_argmins(np.array([f.slope for f in funcs]), ends,
                                  sorted_kinks, inside, rises, rank)
-            return [(f, x, f(x) if math.isfinite(x) else math.nan)
-                    for f, x in zip(funcs, xs)]
+            return [(f, x, f(x) if math.isfinite(x) else math.nan, *d)
+                    for f, x, d in zip(funcs, xs, demand)]
 
-        if not c:
-            for e, hit in zip(range(j, T + 1), priced(cycles)):
-                self._priced[(j, e, True)] = self._priced[(j, e, False)] = hit
-            return
-        # -c y for the suffix's first cycle, +c y for the horizon's last
-        firsts = [f.plus_affine(-c, 0.0) for f in cycles]
-        firsts[-1] = firsts[-1].plus_affine(c, 0.0)
-        later = cycles[:-1] + [cycles[-1].plus_affine(c, 0.0)]
-        for first, funcs in ((True, firsts), (False, later)):
-            for e, hit in zip(range(j, T + 1), priced(funcs)):
-                self._priced[(j, e, first)] = hit
+        if c:
+            # -c y for the suffix's first cycle, +c y for the horizon's last
+            firsts = [f.plus_affine(-c, 0.0) for f in cycles]
+            firsts[-1] = firsts[-1].plus_affine(c, 0.0)
+            later = cycles[:-1] + [cycles[-1].plus_affine(c, 0.0)]
+            both = ((True, records(firsts)), (False, records(later)))
+        else:
+            hits = records(cycles)
+            both = ((True, hits), (False, hits))
+        for first, hits in both:
+            self._cycles.update(((j, e, first), hit)
+                                for e, hit in zip(range(j, T + 1), hits))
 
     def period_pieces(self) -> list:
         """model.period_pieces of the whole instance, built on first use;
         its arrays are read-only, and suffix views slice them."""
-        if self._pieces is None:
-            self._pieces = period_pieces(self.instance, self.segments)
-            for arrays in self._pieces:
+        if self._periods is None:
+            self._periods = period_pieces(self.instance, self.segments)
+            for arrays in self._periods:
                 for a in arrays:
                     a.flags.writeable = False
-        return self._pieces
+        return self._periods
 
     def suffix(self, k: int) -> "SuffixView":
         return SuffixView(self, k)
@@ -415,10 +411,9 @@ class SuffixView(Mapping):
                 for arrays in self.table.period_pieces()[o:]]
 
     def cycle(self, j: int, e: int) -> tuple:
-        return self.table.cycle(j + self.offset, e + self.offset)
-
-    def priced(self, j: int, e: int) -> tuple:
-        return self.table.priced(j + self.offset, e + self.offset, j == 1)
+        """CycleTable.cycle of local cycle j..e; local period 1 opens the
+        suffix."""
+        return self.table.cycle(j + self.offset, e + self.offset, j == 1)
 
 
 @dataclass
@@ -448,6 +443,23 @@ class _Piece:
     cycles: list         # the pattern's cycles
 
 
+@dataclass
+class _Relaxation:
+    """A suffix's separable cycle relaxation, built whole by
+    _SubmodelEngine.relaxation. Lists are indexed by the local cycle start
+    j (entry 0 unused). A relaxed path is `chained` where every level is
+    its cycle's own minimizer within the level bounds and the levels keep
+    the order chain y_next >= y - D, so solve_pattern gives its pattern
+    exactly these levels and the relaxed cost."""
+    cycles: dict         # (j, e) -> the suffix's _Cycle j..e
+    rows: list           # (arc, reach, end): _SubmodelEngine._row unpinned
+    cost_to_go: list     # V(j) = reach[j + 1], and V(T + 1) = 0
+    paths: list          # j >= 2: (levels, cycles, chained) of the relaxed
+                         # path from j, cycle j..end then paths[end + 1]
+    pieces: list         # the envelope; no piece e where V(e + 1) = inf
+    kinks: np.ndarray    # piece T's kinks; every piece's are a prefix
+
+
 def _piece_value(piece: _Piece, x: float, hinge: np.ndarray) -> float:
     """piece.cost(x) + piece.const, inf outside the pin domain, from the
     envelope's hinge max(x - kinks, 0): the piece's kinks are its prefix,
@@ -470,7 +482,10 @@ class _SubmodelEngine:
     reaches a target; `nodes` counts the patterns they solved, `certified`
     the `cost_at` answers read from the envelope and `fallbacks` the roots
     that needed `_largest_root`. The free minimum is searched once and
-    memoized, its levels read-only.
+    memoized, its levels read-only. `relaxation` (the suffix's cycles, the
+    relaxation rows, the relaxed paths and the envelope) is built whole on
+    first use, inside the first search's call; a build that raises stores
+    nothing.
     """
 
     def __init__(self, view: SuffixView, bounds: tuple):
@@ -486,33 +501,66 @@ class _SubmodelEngine:
         self.nodes = 0
         self.certified = 0
         self.fallbacks = 0
-        self._cycle_cache: dict = {}
-        self._relaxed: dict = {}  # cycle start -> (arc, reach), unpinned
-        self._tails: dict | None = None   # relaxed paths, built on first use
-        self._pieces: list | None = None  # the envelope, built on first use
-        self._kinks: np.ndarray | None = None  # its last piece's kinks
         self._free: tuple | None = None   # (free optimum or None,), memoized
 
-    def cycle(self, j: int, e: int) -> _Cycle:
-        key = (j, e)
-        hit = self._cycle_cache.get(key)
-        if hit is not None:
-            return hit
-        _, mean_d, top_shift, low_shift = self.view.cycle(j, e)
-        cost, argmin, minimum = self.view.priced(j, e)
-        # inventory bounds: every I_t = y - shift within [inv_lo, inv_hi]
-        cyc = _Cycle(start=j, end=e, cost=cost, argmin=argmin,
-                     minimum=minimum, mean_demand=mean_d,
-                     y_lo=self.inv_lo + top_shift, y_hi=self.inv_hi + low_shift)
-        self._cycle_cache[key] = cyc
-        return cyc
+    @cached_property
+    def relaxation(self) -> _Relaxation:
+        """The suffix's _Cycles, then one pass over the cycle starts
+        j = T..1 (its row, V(j) and the relaxed path from j), then the
+        envelope's pieces."""
+        T = self.T
+        cycles = {}
+        for j in range(1, T + 1):
+            for e in range(j, T + 1):
+                cost, argmin, minimum, mean_d, top, low = self.view.cycle(j, e)
+                # inventory bounds: every I_t = y - shift within [inv_lo, inv_hi]
+                cycles[(j, e)] = _Cycle(j, e, cost, argmin, minimum, mean_d,
+                                        self.inv_lo + top, self.inv_hi + low)
+        rows = [None] * (T + 1)
+        cost_to_go = [None] * (T + 1) + [0.0]
+        paths = [None] * (T + 1) + [([], [], True)]
+        for j in range(T, 0, -1):
+            rows[j] = arc, reach, end = self._row(j, None, cycles, cost_to_go)
+            cost_to_go[j] = reach[j + 1]
+            if j > 1:
+                cyc = cycles[(j, end)]
+                levels, tail, chained = paths[end + 1]
+                y = cyc.argmin
+                chained = (chained and cyc.y_lo <= y <= cyc.y_hi
+                           and (not levels or levels[0] >= y - cyc.mean_demand))
+                paths[j] = ([y] + levels, [cyc] + tail, chained)
+        pieces = []
+        for e in range(1, T + 1):
+            cyc = cycles[(1, e)]
+            if e == T:
+                const = self.c * (self.total_mean - cyc.mean_demand) if self.c else 0.0
+                limit, levels, tail = math.inf, [], []
+            elif cost_to_go[e + 1] == math.inf:
+                continue
+            else:
+                const = cost_to_go[e + 1]
+                levels, tail, chained = paths[e + 1]
+                limit = levels[0] + cyc.mean_demand if chained else -math.inf
+            pieces.append(_Piece(
+                cyc.cost, const, cyc.y_lo - 1e-9, cyc.y_hi + 1e-9, limit,
+                self._pattern(tail), levels, [cyc] + tail))
+        return _Relaxation(cycles, rows, cost_to_go, paths, pieces,
+                           pieces[-1].cost.kinks)
+
+    def _pattern(self, tail: list) -> tuple:
+        """The deltas of a pattern whose later cycles are `tail`."""
+        deltas = [0] * self.T
+        for cyc in tail:
+            deltas[cyc.start - 1] = 1
+        return tuple(deltas)
 
     def pattern_cycles(self, deltas: tuple) -> list:
         """Cycles of a pattern, deltas[t-1] being delta_t: the first opens
         at period 1 without an order, every later one at an order."""
         starts = [1] + [t for t in range(2, self.T + 1) if deltas[t - 1]]
         ends = [j - 1 for j in starts[1:]] + [self.T]
-        return [self.cycle(j, e) for j, e in zip(starts, ends)]
+        cycles = self.relaxation.cycles
+        return [cycles[(j, e)] for j, e in zip(starts, ends)]
 
     def solve_pattern(self, deltas: tuple, pinned_i0: float | None):
         """(cost, y-levels) for one order pattern, or None if infeasible.
@@ -580,15 +628,15 @@ class _SubmodelEngine:
             cost += self.c * (self.total_mean - cycles[-1].mean_demand)
         return float(cost), y_opt, cycles
 
-    def _arc(self, j: int, e: int, pin: float | None) -> float:
-        """Relaxed cost of cycle j..e alone: K if it orders (j > 1), plus
-        its priced cost at `pin` for a pinned first cycle, otherwise
-        minimized over its level bounds widened by solve_pattern's 1e-9
-        slack, plus the unit cost's constant if it is the last cycle.
-        math.inf where solve_pattern would find no level for it."""
-        cyc = self.cycle(j, e)
+    def _arc(self, cyc: _Cycle, pin: float | None) -> float:
+        """Relaxed cost of the cycle alone: K if it orders (it starts after
+        period 1), plus its priced cost at `pin` for a pinned first cycle,
+        otherwise minimized over its level bounds widened by
+        solve_pattern's 1e-9 slack, plus the unit cost's constant if it is
+        the last cycle. math.inf where solve_pattern would find no level
+        for it."""
         lo, hi = cyc.y_lo, cyc.y_hi
-        if j == 1:
+        if cyc.start == 1:
             lo, hi = max(lo, self.inv_lo), min(hi, self.inv_hi)
         if pin is not None:
             if not (cyc.y_lo - 1e-9 <= pin <= cyc.y_hi + 1e-9):
@@ -600,36 +648,32 @@ class _SubmodelEngine:
             # ConvexPWL.minimize(lo - 1e-9, hi + 1e-9) from the shared argmin
             x = min(max(cyc.argmin, lo - 1e-9), hi + 1e-9)
             value = cyc.minimum if x == cyc.argmin else cyc.cost(x)
-        if j > 1:
+        if cyc.start > 1:
             value += self.K
-        if e == self.T and self.c:
+        if cyc.end == self.T and self.c:
             value += self.c * (self.total_mean - cyc.mean_demand)
         return value
 
-    def _relaxation(self, j: int, pin: float | None = None):
-        """(arc, reach) for a cycle opened at j: arc[e] is the relaxed cost
-        of cycle j..e, reach[t] the cheapest relaxed cost of closing it at
-        some e >= t - 1 and completing the horizon from e + 1 (so
-        reach[j + 1] is the relaxed cost-to-go V(j)). Only a pinned first
-        cycle depends on the level; every other row is cached."""
-        hit = self._relaxed.get(j) if pin is None else None
-        if hit is not None:
-            return hit
+    def _row(self, j: int, pin: float | None, cycles: dict,
+             cost_to_go: list) -> tuple:
+        """(arc, reach, end) for a cycle opened at j: arc[e] is the relaxed
+        cost of cycle j..e, reach[t] the cheapest relaxed cost of closing it
+        at some e >= t - 1 and completing the horizon from e + 1 at the
+        cost-to-go V(e + 1) (so reach[j + 1] is V(j)), and `end` the
+        smallest e attaining reach[j + 1]. Only a pinned first cycle
+        depends on the level."""
         T = self.T
         arc = [math.inf] * (T + 1)
         reach = [math.inf] * (T + 2)
         best = math.inf
         for e in range(T, j - 1, -1):
-            arc[e] = self._arc(j, e, pin)
-            best = min(best, arc[e] + self._cost_to_go(e + 1))
+            arc[e] = self._arc(cycles[(j, e)], pin)
+            value = arc[e] + cost_to_go[e + 1]
+            if value <= best:
+                end = e
+            best = min(best, value)
             reach[e + 1] = best
-        if pin is None:
-            self._relaxed[j] = (arc, reach)
-        return arc, reach
-
-    def _cost_to_go(self, i: int) -> float:
-        """Relaxed cost of periods i..T with a cycle starting at i."""
-        return 0.0 if i > self.T else self._relaxation(i)[1][i + 1]
+        return arc, reach, end
 
     def enumerate(self, pinned_i0: float | None):
         """Global optimum over all order patterns, by the branch and bound
@@ -638,21 +682,18 @@ class _SubmodelEngine:
         nodes counting the distinct patterns passed to solve_pattern.
         """
         T = self.T
-        first_row = self._relaxation(1, pinned_i0)
-        if first_row[1][2] == math.inf:
+        relax = self.relaxation
+        rows = relax.rows
+        if pinned_i0 is not None:
+            rows = [None, self._row(1, pinned_i0, relax.cycles,
+                                    relax.cost_to_go)] + rows[2:]
+        _, reach, end = rows[1]
+        if reach[2] == math.inf:
             return None, 0  # every pattern holds a cycle with no feasible level
 
-        def row(j):
-            return first_row if j == 1 else self._relaxation(j)
-
         # the relaxed shortest path's pattern seeds the incumbent: the first
-        # cycle's end from the (pinned) first row, then the cached tail
-        arc = first_row[0]
-        e = min(range(1, T + 1), key=lambda e: arc[e] + self._cost_to_go(e + 1))
-        deltas = [0] * T
-        for cyc in self._relaxed_tails()[e + 1][1]:
-            deltas[cyc.start - 1] = 1
-        seed_pattern = tuple(deltas)
+        # cycle's end from the (pinned) first row, then the relaxed path
+        seed_pattern = self._pattern(relax.paths[end + 1][1])
         seed = self.solve_pattern(seed_pattern, pinned_i0)
         seed_cost = math.inf if seed is None else seed[0]
         nodes = 1
@@ -662,7 +703,7 @@ class _SubmodelEngine:
         def visit(t: int, j: int, closed: float) -> None:
             # periods j..t-1 form the open cycle; delta_t is decided next
             nonlocal best, nodes
-            arc, reach = row(j)
+            arc, reach, _ = rows[j]
             bound = closed + reach[t]
             ref = seed_cost if best is None else min(seed_cost, best[0])
             if bound == math.inf or bound > ref + 1e-6 * max(1.0, abs(ref)):
@@ -716,62 +757,9 @@ class _SubmodelEngine:
             raise SolverError(f"no feasible pattern at initial level {x}")
         return best
 
-    def envelope(self) -> list:
-        """The pieces e = 1..T of R(x) = min_e F_e(x), each the priced
-        cycle 1..e at x plus the relaxed cost-to-go V(e + 1); see the
-        module docstring. Pieces with no finite cost-to-go are left out;
-        piece T never is. Every piece's cost is a cycle of the suffix's
-        first start, so its kinks are a prefix of piece T's (CycleTable)."""
-        if self._pieces is None:
-            pieces = []
-            tails = self._relaxed_tails()
-            for e in range(1, self.T + 1):
-                cyc = self.cycle(1, e)
-                if e == self.T:
-                    const = self.c * (self.total_mean - cyc.mean_demand) if self.c else 0.0
-                    limit, levels, cycles = math.inf, [], []
-                else:
-                    const = self._cost_to_go(e + 1)
-                    if const == math.inf:
-                        continue
-                    levels, cycles, chained = tails[e + 1]
-                    limit = levels[0] + cyc.mean_demand if chained else -math.inf
-                deltas = [0] * self.T
-                for tail in cycles:
-                    deltas[tail.start - 1] = 1
-                pieces.append(_Piece(
-                    cyc.cost, const, cyc.y_lo - 1e-9, cyc.y_hi + 1e-9, limit,
-                    tuple(deltas), levels, [cyc] + cycles))
-            self._kinks = pieces[-1].cost.kinks
-            self._pieces = pieces  # only whole: the engine may be shared
-        return self._pieces
-
     def _hinge(self, x: float) -> np.ndarray:
         """max(x - kink, 0) over the envelope's kinks, once per read."""
-        return np.maximum(x - self._kinks, 0.0)
-
-    def _relaxed_tails(self) -> dict:
-        """Cycle start j >= 2 -> (levels, cycles, chained) of the relaxed
-        shortest path from j, built on first use. `chained` holds where
-        every level is its cycle's own minimizer within the level bounds
-        and the levels keep the order chain y_next >= y - D, so
-        solve_pattern gives the path's pattern exactly these levels and the
-        relaxed cost."""
-        if self._tails is not None:
-            return self._tails
-        T = self.T
-        tails = {T + 1: ([], [], True)}
-        for j in range(T, 1, -1):
-            arc = self._relaxation(j)[0]
-            e = min(range(j, T + 1), key=lambda e: arc[e] + self._cost_to_go(e + 1))
-            cyc = self.cycle(j, e)
-            levels, cycles, chained = tails[e + 1]
-            y = cyc.argmin
-            chained = (chained and cyc.y_lo <= y <= cyc.y_hi
-                       and (not levels or levels[0] >= y - cyc.mean_demand))
-            tails[j] = ([y] + levels, [cyc] + cycles, chained)
-        self._tails = tails
-        return tails
+        return np.maximum(x - self.relaxation.kinks, 0.0)
 
     def _certified_at(self, x: float):
         """cost_at(x) from the envelope, or None where no certified piece
@@ -779,9 +767,8 @@ class _SubmodelEngine:
         costs F_e(x) in solve_pattern, so g(x) <= F_e(x) = R(x) <= g(x)."""
         lowest = best = math.inf
         chosen = None
-        pieces = self.envelope()
         hinge = self._hinge(x)
-        for piece in pieces:
+        for piece in self.relaxation.pieces:
             value = _piece_value(piece, x, hinge)
             lowest = min(lowest, value)
             if x <= piece.limit and value < best:
@@ -804,7 +791,7 @@ class _SubmodelEngine:
         if abs(best[0] - target) <= 1e-9:
             return hi, best  # K = 0: the order-up-to level is the root
         x = hi
-        pieces = self.envelope()
+        pieces = self.relaxation.pieces
         hinge = self._hinge(x)
         moved = True
         while moved:

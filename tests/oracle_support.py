@@ -25,9 +25,15 @@ over all points and cells, without Partition.jensen_values' row blocks.
 reference_segments is build_segments done piece by piece: each (j, t)
 pair's convolved mean and variance summed in a Python loop and its own
 scalar piecewise-loss formula. reference_cycle and reference_priced are
-CycleTable.cycle and CycleTable.priced done the direct way: the cycle's
-pieces added one at a time with ConvexPWL.plus, then ConvexPWL.argmin's
-own sort.
+CycleTable.cycle's demand fields and priced cost done the direct way: the
+cycle's pieces added one at a time with ConvexPWL.plus, then
+ConvexPWL.argmin's own sort.
+
+reference_relaxation is _SubmodelEngine.relaxation by the recursive
+definitions it replaced: each relaxation row built on demand through the
+cost-to-go recursion, each relaxed path's end by its own min over the
+row, the envelope piece by piece, and enumerate's seed end of a pinned
+first row.
 
 PerPieceEngine is the solver engine reading its envelope one piece at a
 time: every piece forms its own max(x - kink, 0) for each cost_at read and
@@ -44,6 +50,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.special import ndtri
@@ -53,8 +60,8 @@ from sspolicy.loss import PiecewiseLoss, cached_partition
 from sspolicy.model import INDICATOR
 from sspolicy.sdp import discretize_demand
 from sspolicy.simulate import SimulationResult
-from sspolicy.solver import (ConvexPWL, _engine_for, _forced, _largest_root,
-                             _SubmodelEngine)
+from sspolicy.solver import (ConvexPWL, _Cycle, _engine_for, _forced,
+                             _largest_root, _Piece, _SubmodelEngine)
 
 
 def _cycle_cost_fn(instance, segments, j, e):
@@ -201,7 +208,7 @@ class PerPieceEngine(_SubmodelEngine):
     def _certified_at(self, x):
         lowest = best = math.inf
         chosen = None
-        for piece in self.envelope():
+        for piece in self.relaxation.pieces:
             value = self._value(piece, x)
             lowest = min(lowest, value)
             if x <= piece.limit and value < best:
@@ -219,7 +226,7 @@ class PerPieceEngine(_SubmodelEngine):
         moved = True
         while moved:
             moved = False
-            for piece in self.envelope():
+            for piece in self.relaxation.pieces:
                 value = self._value(piece, x)
                 if x <= piece.limit and value < target:
                     left = max(piece.cost.left_crossing(
@@ -488,8 +495,9 @@ def reference_segments(instance, segments, strategy):
 
 
 def reference_cycle(instance, segments, j, e):
-    """CycleTable.cycle(j, e) of a segment dict: (cost, mean demand,
-    largest and smallest demand shift), the pieces added one at a time."""
+    """Cycle j..e of a segment dict without the unit cost: (cost, mean
+    demand, largest and smallest demand shift), the pieces added one at a
+    time. The last three are CycleTable.cycle's last three fields."""
     b = instance.costs.penalty
     hb = instance.costs.holding + b
     total = ConvexPWL()
@@ -504,7 +512,8 @@ def reference_cycle(instance, segments, j, e):
 
 
 def reference_priced(instance, segments, j, e, first):
-    """CycleTable.priced(j, e, first) of a segment dict."""
+    """(cost, argmin, min), the first three fields of
+    CycleTable.cycle(j, e, first), of a segment dict."""
     f = reference_cycle(instance, segments, j, e)[0]
     c = instance.costs.unit
     if c:
@@ -514,3 +523,105 @@ def reference_priced(instance, segments, j, e, first):
             f = f.plus_affine(c, 0.0)
     x = f.argmin()
     return f, x, f(x) if math.isfinite(x) else math.nan
+
+
+def reference_relaxation(engine, pins=()) -> SimpleNamespace:
+    """An engine's relaxation by its recursive definitions, and its first
+    row pinned at each of `pins`:
+    - rows[j] = (arc, reach) and cost_to_go[j] = V(j) for every start j,
+      V(T + 1) = 0, each row built on first use through the recursion;
+    - ends[j], the first end attaining V(j): min(range(j, T + 1), key) over
+      the row, as the relaxed paths and enumerate's seed read it;
+    - paths[j] = (levels, cycles, chained), j = 2..T + 1;
+    - pieces, the envelope, built piece by piece;
+    - pinned[pin] = (arc, reach, first end) of the first row pinned at
+      `pin`, the first end being enumerate's seed end.
+    """
+    T, K, c = engine.T, engine.K, engine.c
+    cycles, rows = {}, {}
+
+    def cycle(j, e):
+        if (j, e) not in cycles:
+            cost, argmin, minimum, mean_d, top, low = engine.view.cycle(j, e)
+            cycles[(j, e)] = _Cycle(j, e, cost, argmin, minimum, mean_d,
+                                    engine.inv_lo + top, engine.inv_hi + low)
+        return cycles[(j, e)]
+
+    def arc_of(j, e, pin):
+        cyc = cycle(j, e)
+        lo, hi = cyc.y_lo, cyc.y_hi
+        if j == 1:
+            lo, hi = max(lo, engine.inv_lo), min(hi, engine.inv_hi)
+        if pin is not None:
+            if not (cyc.y_lo - 1e-9 <= pin <= cyc.y_hi + 1e-9):
+                return math.inf
+            value = cyc.cost(pin)
+        elif lo > hi + 1e-9:
+            return math.inf
+        else:
+            x = min(max(cyc.argmin, lo - 1e-9), hi + 1e-9)
+            value = cyc.minimum if x == cyc.argmin else cyc.cost(x)
+        if j > 1:
+            value += K
+        if e == T and c:
+            value += c * (engine.total_mean - cyc.mean_demand)
+        return value
+
+    def relaxation(j, pin=None):
+        hit = rows.get(j) if pin is None else None
+        if hit is not None:
+            return hit
+        arc = [math.inf] * (T + 1)
+        reach = [math.inf] * (T + 2)
+        best = math.inf
+        for e in range(T, j - 1, -1):
+            arc[e] = arc_of(j, e, pin)
+            best = min(best, arc[e] + cost_to_go(e + 1))
+            reach[e + 1] = best
+        if pin is None:
+            rows[j] = (arc, reach)
+        return arc, reach
+
+    def cost_to_go(i):
+        return 0.0 if i > T else relaxation(i)[1][i + 1]
+
+    def first_end(j, arc):
+        return min(range(j, T + 1), key=lambda e: arc[e] + cost_to_go(e + 1))
+
+    paths = {T + 1: ([], [], True)}
+    for j in range(T, 1, -1):
+        e = first_end(j, relaxation(j)[0])
+        cyc = cycle(j, e)
+        levels, tail, chained = paths[e + 1]
+        y = cyc.argmin
+        chained = (chained and cyc.y_lo <= y <= cyc.y_hi
+                   and (not levels or levels[0] >= y - cyc.mean_demand))
+        paths[j] = ([y] + levels, [cyc] + tail, chained)
+
+    pieces = []
+    for e in range(1, T + 1):
+        cyc = cycle(1, e)
+        if e == T:
+            const = c * (engine.total_mean - cyc.mean_demand) if c else 0.0
+            limit, levels, tail = math.inf, [], []
+        else:
+            const = cost_to_go(e + 1)
+            if const == math.inf:
+                continue
+            levels, tail, chained = paths[e + 1]
+            limit = levels[0] + cyc.mean_demand if chained else -math.inf
+        deltas = [0] * T
+        for later in tail:
+            deltas[later.start - 1] = 1
+        pieces.append(_Piece(cyc.cost, const, cyc.y_lo - 1e-9, cyc.y_hi + 1e-9,
+                             limit, tuple(deltas), levels, [cyc] + tail))
+
+    pinned = {}
+    for pin in pins:
+        arc, reach = relaxation(1, pin)
+        pinned[pin] = (arc, reach, first_end(1, arc))
+    return SimpleNamespace(
+        rows={j: relaxation(j) for j in range(1, T + 1)},
+        cost_to_go={j: cost_to_go(j) for j in range(1, T + 2)},
+        ends={j: first_end(j, relaxation(j)[0]) for j in range(1, T + 1)},
+        paths=paths, pieces=pieces, pinned=pinned)

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 import os
@@ -11,8 +12,8 @@ import sspolicy.solver as solver_module
 from lp_support import solve_lp
 from oracle_support import (
     EnumerationEngine, PerPieceEngine, brute_force_submodel, full_enumeration,
-    reference_cycle, reference_priced, reference_solution,
-    reference_verify_assignment,
+    reference_cycle, reference_priced, reference_relaxation,
+    reference_solution, reference_verify_assignment,
 )
 from sspolicy.domain import make_instance
 from sspolicy.export import render_lp
@@ -248,24 +249,25 @@ def _assert_same_pwl(got, ref, where):
 
 
 def _assert_table_matches_reference(instance, segments):
-    """Every cycle and priced variant of the table, against adding the
-    cycle's pieces one at a time and ConvexPWL.argmin's own sort; the
-    shared arrays refuse writes."""
+    """Every field of both `first` records of every cycle of the table:
+    the priced cost, argmin and min against adding the cycle's pieces one
+    at a time and ConvexPWL.argmin's own sort, the demand fields against
+    the same sum's; the shared arrays refuse writes."""
     table = CycleTable(instance, segments)
     T = instance.horizon
     for j in range(1, T + 1):
         for e in range(j, T + 1):
-            got = table.cycle(j, e)
-            ref = reference_cycle(instance, segments, j, e)
-            _assert_same_pwl(got[0], ref[0], (j, e))
-            assert not (got[0].kinks.flags.writeable or got[0].deltas.flags.writeable)
-            assert all(_same_float(a, b) for a, b in zip(got[1:], ref[1:])), (j, e)
+            demand = reference_cycle(instance, segments, j, e)[1:]
             for first in (True, False):
-                got = table.priced(j, e, first)
-                ref = reference_priced(instance, segments, j, e, first)
-                _assert_same_pwl(got[0], ref[0], (j, e, first))
-                assert _same_float(got[1], ref[1]), (j, e, first)  # argmin
-                assert _same_float(got[2], ref[2]), (j, e, first)  # min
+                got = table.cycle(j, e, first)
+                ref = reference_priced(instance, segments, j, e, first) + demand
+                where = (j, e, first)
+                assert len(got) == len(ref) == 6, where
+                _assert_same_pwl(got[0], ref[0], where)
+                assert not (got[0].kinks.flags.writeable
+                            or got[0].deltas.flags.writeable)
+                # argmin, min, mean demand, largest and smallest shift
+                assert all(_same_float(a, b) for a, b in zip(got[1:], ref[1:])), where
 
 
 class TestCycleTableArrays:
@@ -295,11 +297,11 @@ class TestCycleTableArrays:
         _assert_table_matches_reference(inst, segs)
 
     def test_no_unit_cost_prices_once(self, example4, segments4):
-        """With c = 0 both `first` values are one entry on the cycle's cost."""
+        """With c = 0 both `first` keys hold one record."""
         assert example4.costs.unit == 0.0
         table = CycleTable(example4, segments4)
-        assert table.priced(2, 3, True) is table.priced(2, 3, False)
-        assert table.priced(1, 4, True)[0] is table.cycle(1, 4)[0]
+        assert table.cycle(2, 3, True) is table.cycle(2, 3, False)
+        assert table.cycle(1, 4, True) is table.cycle(1, 4, False)
 
 
 @pytest.mark.skipif(not os.environ.get("SSPOLICY_FULL_BENCHMARK"),
@@ -443,7 +445,7 @@ class TestEnvelope:
             (root, best), target, s_up = _reorder_root(engine, view.instance)
             assert best[0] == pytest.approx(target, abs=1e-7)
             pins = {s_up, root, root - 1.0, 0.0}
-            for piece in engine.envelope():
+            for piece in engine.relaxation.pieces:
                 if math.isfinite(piece.limit):  # both sides of U_e
                     pins.update((piece.limit - 0.5, piece.limit,
                                  piece.limit + 0.5))
@@ -463,7 +465,7 @@ class TestEnvelope:
                                       view.instance)[0]
             _assert_same_root(engine, target, root, reference)
             emptied = _SubmodelEngine(view, bounds)  # private: limits cut
-            for piece in emptied.envelope():
+            for piece in emptied.relaxation.pieces:
                 piece.limit = -math.inf
             fallback = _reorder_root(emptied, view.instance)[0]
             assert emptied.certified == 0
@@ -475,7 +477,7 @@ class TestEnvelope:
         (root, _), _, _ = _reorder_root(engine, example4)
         assert (engine.certified, engine.fallbacks) == (2, 0)
         forced = _engine(build_joint(example4, segments4))
-        for piece in forced.envelope():
+        for piece in forced.relaxation.pieces:
             piece.limit = -math.inf
         with caplog.at_level(logging.DEBUG, logger="sspolicy.solver"):
             (again, _), _, _ = _reorder_root(forced, example4)
@@ -551,11 +553,12 @@ def test_full_grid_envelope_matches_enumeration(horizon, monkeypatch):
 
 @st.composite
 def _envelope_cases(draw):
-    """Instances for the envelope reads: T = 1-8, K = 0, c > 0 and zero-sd
-    periods."""
+    """Instances for the envelope reads and the relaxation: T = 1-8, K = 0,
+    c > 0, zero-sd and zero-mean periods."""
     T = draw(st.integers(1, 8))
-    means = draw(st.lists(st.floats(0, 30).map(lambda v: round(v, 1)),
-                          min_size=T, max_size=T))
+    means = draw(st.lists(
+        st.just(0.0) | st.floats(0, 30).map(lambda v: round(v, 1)),
+        min_size=T, max_size=T))
     cvs = draw(st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.4]),
                         min_size=T, max_size=T))
     inst = make_instance(
@@ -589,8 +592,8 @@ def _assert_reads_match(view, extra=()):
     s_up = float(best[2][0])
     target = best[0] + view.instance.costs.fixed
     pins = {s_up, s_up - 1.0, 0.0, -7.25, -s_up - 40.0, *extra}
-    pieces = fast.envelope()
-    kinks = fast._kinks
+    pieces = fast.relaxation.pieces
+    kinks = fast.relaxation.kinks
     for piece in pieces:
         # every piece's kinks are a prefix of the hinge's
         assert np.shares_memory(piece.cost.kinks, kinks)
@@ -635,6 +638,136 @@ class TestEnvelopeReads:
                 patch.setattr(solver_module, "_SubmodelEngine", PerPieceEngine)
                 reference = bs_policy(instance, hc), mp_policy(instance, hc)
             assert repr(policies) == repr(reference), instance.name
+
+
+def _bits(value):
+    """`value` with every float as its type and hex, every array as its
+    dtype, shape and bytes, and every ConvexPWL, dataclass, list, tuple
+    and dict taken apart, so that == means equal bits."""
+    if isinstance(value, float):
+        return type(value).__name__, value.hex()
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, ConvexPWL):
+        return _bits((value.slope, value.const, value.kinks, value.deltas))
+    if dataclasses.is_dataclass(value):
+        return type(value).__name__, _bits(
+            [getattr(value, f.name) for f in dataclasses.fields(value)])
+    if isinstance(value, dict):
+        return tuple((key, _bits(v)) for key, v in sorted(value.items()))
+    if isinstance(value, (list, tuple)):
+        return tuple(_bits(v) for v in value)
+    return type(value).__name__, value
+
+
+def _first_row_pins(engine, extra=()) -> set:
+    """Pins inside, on the (slack-widened) edges of and outside the pin
+    domain of every first cycle 1..e."""
+    pins = set(extra)
+    for e in range(1, engine.T + 1):
+        cyc = engine.relaxation.cycles[(1, e)]
+        pins.update((cyc.y_lo - 1.0, cyc.y_lo - 1e-9, cyc.y_lo,
+                     0.5 * (cyc.y_lo + cyc.y_hi),
+                     cyc.y_hi, cyc.y_hi + 1e-9, cyc.y_hi + 1.0))
+    return pins
+
+
+def _assert_relaxation_matches_reference(engine, extra=()):
+    """Every row, V(j), first end, relaxed path and envelope piece of the
+    engine's one-pass relaxation, and its pinned first rows, are
+    hex-equal to the recursive definitions'."""
+    relax = engine.relaxation
+    pins = sorted(_first_row_pins(engine, extra))
+    ref = reference_relaxation(engine, pins)
+    T = engine.T
+    for j in range(1, T + 1):
+        arc, reach, end = relax.rows[j]
+        assert _bits((arc, reach)) == _bits(ref.rows[j]), j
+        assert end == ref.ends[j], j
+    for j in range(1, T + 2):
+        assert _bits(relax.cost_to_go[j]) == _bits(ref.cost_to_go[j]), j
+    for j in range(2, T + 2):
+        assert _bits(relax.paths[j]) == _bits(ref.paths[j]), j
+    assert _bits(relax.pieces) == _bits(ref.pieces)
+    assert relax.kinks is relax.pieces[-1].cost.kinks
+    for pin in pins:
+        row = engine._row(1, pin, relax.cycles, relax.cost_to_go)
+        assert _bits(row) == _bits(ref.pinned[pin]), pin
+
+
+@st.composite
+def _relaxation_cases(draw):
+    """An envelope case and a nonzero initial level an s model may pin,
+    which widens its level bounds."""
+    inst, config = draw(_envelope_cases())
+    x0 = draw(st.floats(-60, 120).map(lambda v: round(v, 2)).filter(bool))
+    return inst, config, x0
+
+
+class TestRelaxation:
+    """The one-pass relaxation against its recursive definitions."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=_relaxation_cases())
+    def test_matches_reference(self, case):
+        """At the default bounds and at a pinned s model's widened ones."""
+        inst, config, x0 = case
+        table = cycle_table(inst, config)
+        for k in range(1, inst.horizon + 1):
+            view = table.suffix(k)
+            _assert_relaxation_matches_reference(table.engine(k), extra=(x0,))
+            pinned = solver_module._engine_for(
+                build_minlp_s(view.instance, view, initial_inventory=x0))
+            assert (pinned.inv_lo, pinned.inv_hi) != \
+                default_bounds(view.instance)
+            _assert_relaxation_matches_reference(pinned, extra=(x0,))
+
+    def test_grid_matches_reference(self):
+        """Every suffix of every 9th 8-period grid instance."""
+        config = BenchmarkConfig(horizon=8)
+        hc = config.heuristic_config()
+        for instance in build_instances(config)[::9]:
+            table = cycle_table(instance, hc)
+            for k in range(1, instance.horizon + 1):
+                _assert_relaxation_matches_reference(table.engine(k), extra=(
+                    hc.lower_bound_for(table.suffix(k).instance),))
+
+    def test_failed_build_stores_nothing(self, example4, segments4,
+                                         monkeypatch):
+        """A build that raises part way leaves the shared engine with no
+        relaxation; the next read builds it whole."""
+        table = CycleTable(example4, segments4)
+        row, calls = _SubmodelEngine._row, []
+
+        def failing(self, *args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise RuntimeError("row 3 failed")
+            return row(self, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(_SubmodelEngine, "_row", failing)
+            with pytest.raises(RuntimeError, match="row 3 failed"):
+                table.engine(1).free_minimum()
+        engine = table.engine(1)
+        assert "relaxation" not in vars(engine) and engine.nodes == 0
+        fresh = _SubmodelEngine(table.suffix(1), default_bounds(example4))
+        assert _bits(engine.relaxation) == _bits(fresh.relaxation)
+        assert _same_answer(engine.free_minimum(), fresh.free_minimum())
+
+
+@pytest.mark.skipif(not os.environ.get("SSPOLICY_FULL_BENCHMARK"),
+                    reason="every suffix of both 270-instance grids (minutes); "
+                           "set SSPOLICY_FULL_BENCHMARK=1")
+@pytest.mark.parametrize("horizon", [8, 25], ids=["8-period", "25-period"])
+def test_full_grid_relaxation_matches_reference(horizon):
+    config = BenchmarkConfig(horizon=horizon)
+    hc = config.heuristic_config()
+    for instance in build_instances(config):
+        table = cycle_table(instance, hc)
+        for k in range(1, instance.horizon + 1):
+            _assert_relaxation_matches_reference(table.engine(k), extra=(
+                hc.lower_bound_for(table.suffix(k).instance),))
 
 
 def _assert_column_space(model):

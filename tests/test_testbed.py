@@ -1,4 +1,6 @@
+import builtins
 import dataclasses
+import math
 import os
 import re
 import statistics
@@ -6,7 +8,7 @@ import statistics
 import pytest
 
 import sspolicy.testbed as testbed_module
-from sspolicy.domain import ValidationError, validate
+from sspolicy.domain import ValidationError, running_sums, validate
 from sspolicy.heuristics import bs_policy, mp_policy
 from sspolicy.sdp import solve_sdp
 from sspolicy.simulate import estimate_gap
@@ -270,7 +272,27 @@ def test_summary_is_exact_mean_of_detail(small_report):
     rows = report.summary_rows()
     overall = next(r[3] for r in rows if r[0] == "overall" and r[2] == "bs")
     gaps = report.ok_gaps("bs")
-    assert overall == sum(gaps) / len(gaps)
+    assert overall == running_sums(gaps)[-1] / len(gaps)
+
+
+def test_summary_means_do_not_use_builtin_sum(monkeypatch):
+    """The summary means add left to right whatever sum() does: with sum()
+    compensated, as from Python 3.12 on, the rows keep their bits. Summed
+    left to right, 0.1 + 0.2 + 0.3 is 0.6000000000000001; compensated, 0.6."""
+    config = BenchmarkConfig(patterns=("STA",), methods=("bs",))
+    names = [inst.name for inst in build_instances(config)[:3]]
+    report = BenchmarkReport(config, [
+        InstanceResult(instance_id=name, method="bs", status="ok",
+                       replications=1, seed=0, gap_pct=gap)
+        for name, gap in zip(names, (0.1, 0.2, 0.3))])
+    rows = report.summary_rows()
+    assert ("overall", "mean", "bs", (0.1 + 0.2 + 0.3) / 3) in rows
+    with monkeypatch.context() as patch:
+        patch.setattr(builtins, "sum",
+                      lambda values, start=0: start + math.fsum(values))
+        compensated = report.summary_rows()
+    assert [tuple(map(repr, r)) for r in compensated] == \
+        [tuple(map(repr, r)) for r in rows]
 
 
 def _reference_rows(config, instance):
