@@ -18,7 +18,7 @@ import json
 import math
 import sys
 
-from .domain import ValidationError, read_instance, running_sums
+from .domain import ValidationError, read_instance
 from .export import export_lp
 from .heuristics import (STRATEGIES, HeuristicConfig, bs_policy, cycle_table,
                          mp_policy, read_policy_csv, write_policy_csv)
@@ -26,7 +26,7 @@ from .model import build_joint, build_minlp_s
 from .sdp import GridTooSmallError, default_grid, solve_sdp, write_g_curve
 from .simulate import simulate_policy
 from .solver import SolverError
-from .testbed import BenchmarkConfig, run_benchmark, write_summary_csv
+from .testbed import BenchmarkConfig, mean_gap, run_benchmark, write_summary_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -47,10 +47,8 @@ def _print_policy(policy, costs_label="linked_cost"):
 
 def _cmd_sdp(args) -> int:
     instance = read_instance(args.instance)
-    grid = None
-    if args.grid_step != 1.0:
-        grid = default_grid(instance, step=args.grid_step)
-    solution = solve_sdp(instance, grid=grid, demand_truncation=args.truncation)
+    solution = solve_sdp(instance, grid=default_grid(instance, step=args.grid_step),
+                         demand_truncation=args.truncation)
     levels = solution.grid.size
     print(f"# instance {args.instance} horizon {instance.horizon} "
           f"grid step {solution.grid.step} levels {levels} "
@@ -145,8 +143,8 @@ def _cmd_benchmark(args) -> int:
     for method in config.methods:
         gaps = report.ok_gaps(method)
         if gaps:
-            mean = running_sums(gaps)[-1] / len(gaps)
-            print(f"{method}: mean gap {mean:.3f}% over {len(gaps)} instances")
+            print(f"{method}: mean gap {mean_gap(gaps):.3f}% "
+                  f"over {len(gaps)} instances")
     return EXIT_OK
 
 

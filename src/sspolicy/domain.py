@@ -137,6 +137,11 @@ def running_sums(values) -> list:
     return list(accumulate(values, initial=0.0))
 
 
+def round_half_up(x: float) -> int:
+    """x rounded to the nearest integer, halves upward."""
+    return math.floor(x + 0.5)
+
+
 def validate(instance: Instance) -> Instance:
     """Check every domain invariant; return the instance unchanged if valid.
 

@@ -34,7 +34,8 @@ import math
 from dataclasses import dataclass
 from numbers import Integral
 
-from .domain import Instance, PolicyParameters, ValidationError, validate
+from .domain import (Instance, PolicyParameters, ValidationError,
+                     round_half_up, validate)
 from .model import build_joint, build_segments
 from .solver import CycleTable, ExactBackend
 
@@ -148,10 +149,6 @@ def mp_policy(instance: Instance, config: HeuristicConfig | None = None,
                             costs=tuple(costs))
 
 
-def _round_half_up(x: float) -> float:
-    return math.floor(x + 0.5)
-
-
 def bs_policy(instance: Instance, config: HeuristicConfig | None = None,
               backend=None, table: CycleTable | None = None) -> PolicyParameters:
     """Binary-search heuristic over no-first-order models.
@@ -196,7 +193,7 @@ def bs_policy(instance: Instance, config: HeuristicConfig | None = None,
         while low < high:
             span = high - low
             if span >= 2.0:
-                mid = low + _round_half_up(span / 2.0)
+                mid = low + round_half_up(span / 2.0)
             else:
                 # below the integer lattice, halve on the step lattice so
                 # the bracket keeps shrinking geometrically

@@ -44,14 +44,15 @@ are, so no bit depends on the interpreter's sum().
 
 The joint model's structure depends only on the horizon, the segment count
 and whether the unit cost is nonzero. _emit_joint, the emitter below, is
-its only definition. build_joint emits it once per such key into a
-skeleton that records where the instance numbers go (level bounds, the
--mean_t and pin right-hand sides, the cost rows and objective weights, the
-cut blocks and the piecewise data), then fills a copy of the numeric
-arrays per call. Its models share the structural arrays (names, index,
-binary mask, row names, senses, kinds, conditions, CSR indices and
-indptr, rule index arrays, column layouts) read-only, and the checks
-derived from them.
+its only definition: each step that writes an instance number records
+its slot (a right-hand side, matrix entry or objective term) and source,
+an entry of the values _joint_values lays out. build_joint emits the
+model once per key into a skeleton that keeps these records, then per
+call gathers the right-hand sides and the matrix data each from one
+vector of the instance's values. Its models share the structural arrays
+(names, index, binary mask, row names, senses, kinds, conditions, CSR
+indices and indptr, rule index arrays, column layouts) read-only, and
+the checks derived from them.
 """
 from __future__ import annotations
 
@@ -74,6 +75,10 @@ from .loss import (cached_partition, piecewise_loss,  # noqa: F401
                    piecewise_losses, segment_intercepts)
 
 ROW, CUT, INDICATOR = 0, 1, 2  # row kinds, in the order the LP file lists them
+# sections of a joint model's instance values, in _joint_values' order; an
+# emitter records each instance number's source as (section, index)
+(_COEF, _NEG_COEF, _MEAN, _NEG_MEAN, _UNIT_TOTAL,
+ _NEG_SLOPE, _ONE_LESS, _NEG_CONST) = range(8)
 
 
 @dataclass
@@ -205,12 +210,13 @@ class _Emitter:
     def __init__(self):
         self.names, self.lb, self.ub, self.binary = [], [], [], []
         self.index = {}
-        self.objective = []      # (column, coefficient)
+        self.objective = []      # cost terms: see _add_submodel
         self.constant = 0.0
         self.cols, self.vals, self.indptr = [], [], [0]
         self.meta = []           # (name, sense, rhs, kind, condition) per row
         self.rules = defaultdict(list)  # PiecewiseRules field -> values
         self.columns = {}        # submodel label -> Columns
+        self.slots = {"rhs": [], "data": []}  # see take
 
     def var(self, name, lb=-math.inf, ub=math.inf, binary=False) -> int:
         col = self.index[name] = len(self.names)
@@ -223,11 +229,20 @@ class _Emitter:
     def fix(self, col, value):
         self.lb[col] = self.ub[col] = value
 
-    def add_row(self, name, cols, vals, sense, rhs, kind=ROW, condition=-1):
+    def add_row(self, name, cols, vals, sense, rhs, kind=ROW, condition=-1,
+                source=None):
+        """source: the (section, index) of an instance number rhs."""
+        if source is not None:
+            self.take("rhs", len(self.meta), *source)
         self.cols += cols
         self.vals += vals
         self.indptr.append(len(self.cols))
         self.meta.append((name, sense, rhs, kind, condition))
+
+    def take(self, target, slots, section, indices):
+        """Record that entries `slots` of the right-hand sides or the matrix
+        data (`target`) hold the instance values at `indices` of a section."""
+        self.slots[target].append((slots, section, indices))
 
     def add_rules(self, **fields):
         """Piecewise rules, one per entry of every field."""
@@ -242,7 +257,7 @@ class _Emitter:
         rows = RowTable(matrix, *map(np.array, zip(*self.meta)))
         rules = PiecewiseRules(**{key: np.array(values)
                                   for key, values in self.rules.items()})
-        cols, coefs = zip(*self.objective)
+        cols, coefs, _ = zip(*self.objective)
         return MilpModel(
             kind=kind, instance=instance, big_m=big_m, submodels=submodels,
             segments=segments,
@@ -339,7 +354,7 @@ def _add_submodel(em: _Emitter, instance: Instance, big_m: float, label: str,
     objective_from: first local period whose K/h/b terms enter the model
     objective (2 for the joint model's no-order side). Returns the
     submodel's full cost terms, every period's included, and its level
-    columns I0, I_1..I_T.
+    columns I0, I_1..I_T. Records the -mean_t right-hand sides' sources.
     """
     T = instance.horizon
     costs = instance.costs
@@ -366,9 +381,10 @@ def _add_submodel(em: _Emitter, instance: Instance, big_m: float, label: str,
         mean_t = instance.means[t - 1]
         # expected order quantity: nonnegative, and zero without an order
         em.add_row(f"order_nonneg_{label}_{t}", [I[t], I[t - 1]], [1.0, -1.0],
-                   ">=", -mean_t)
+                   ">=", -mean_t, source=(_NEG_MEAN, t - 1))
         em.add_row(f"no_order_balance_{label}_{t}_row", [I[t], I[t - 1]],
-                   [1.0, -1.0], "==", -mean_t, kind=INDICATOR, condition=delta)
+                   [1.0, -1.0], "==", -mean_t, kind=INDICATOR, condition=delta,
+                   source=(_NEG_MEAN, t - 1))
         # exactly one cycle start covers t
         em.add_row(f"cycle_assign_{label}_{t}", P, [1.0] * t, "==", 1.0)
         # the most recent cycle start is identified uniquely; period 1
@@ -379,7 +395,9 @@ def _add_submodel(em: _Emitter, instance: Instance, big_m: float, label: str,
             em.add_row(f"cycle_link_{label}_{j}_{t}", [P[j - 1]] + deltas[j - 1:],
                        [1.0, -1.0] + [1.0] * (t - j), ">=", 0.0)
 
-        terms = [(delta, costs.fixed), (hold, costs.holding), (back, costs.penalty)]
+        # a cost term is (column, weight, the weight's index into _COEF)
+        terms = [(delta, costs.fixed, 0), (hold, costs.holding, 1),
+                 (back, costs.penalty, 2)]
         cost += terms
         if t >= objective_from:
             em.objective += terms
@@ -387,7 +405,7 @@ def _add_submodel(em: _Emitter, instance: Instance, big_m: float, label: str,
                      equality=t < objective_from)
 
     if costs.unit:
-        unit_terms = [(I[0], -costs.unit), (I[T], costs.unit)]
+        unit_terms = [(I[0], -costs.unit, 3), (I[T], costs.unit, 4)]
         cost += unit_terms
         em.objective += unit_terms
         em.constant += costs.unit * instance.demand_totals[0]
@@ -404,13 +422,16 @@ def _emit_pieces(em: _Emitter, label: str, t: int, pieces: tuple,
     """Period t's piecewise rules, one per cycle start j, and its valid
     lower-bounding cut rows: for every segment i,
     H_t >= slope_i * I_t + sum_j (slope_i * mu_jt + intercept_i^jt + e_jt) P_jt
-    and the same shifted by -I_t for B_t."""
+    and the same shifted by -I_t for B_t. Records the sources of the cut
+    data that comes from the pieces: segment i of rule r is entry
+    r * n_seg + i of the flat piece arrays of _joint_values."""
     slopes, lines, means, const = pieces
+    n_seg = slopes.shape[1]
+    src = np.arange(t * n_seg).reshape(t, n_seg) + n_seg * len(em.rules["selector"])
     em.add_rules(selector=selectors, inventory=[inv] * t, holding=[hold] * t,
                  backorder=[back] * t, shift=means, start=range(1, t + 1),
                  period=[t] * t, label=[label] * t, equality=[equality] * t,
                  slopes=slopes, intercepts=lines)
-    n_seg = slopes.shape[1]
     cols = np.empty((2 * n_seg, t + 2), dtype=np.intp)
     cols[0::2, 0], cols[1::2, 0], cols[:, 1], cols[:, 2:] = hold, back, inv, selectors
     vals = np.empty(cols.shape)
@@ -418,6 +439,10 @@ def _emit_pieces(em: _Emitter, label: str, t: int, pieces: tuple,
     vals[0::2, 1] = -slopes[0]
     vals[1::2, 1] = -(slopes[0] - 1.0)
     vals[0::2, 2:] = vals[1::2, 2:] = -const.T
+    at = len(em.vals) + np.arange(cols.size).reshape(cols.shape)  # data entries
+    em.take("data", at[0::2, 1], _NEG_SLOPE, src[0])
+    em.take("data", at[1::2, 1], _ONE_LESS, src[0])
+    em.take("data", at[:, 2:], _NEG_CONST, src.T.repeat(2, axis=0))
     names = (f"cut_{q}_{label}_{t}_{i}" for i in range(n_seg) for q in "HB")
     for name, row_cols, row_vals in zip(names, cols.tolist(), vals.tolist()):
         em.add_row(name, row_cols, row_vals, ">=", 0.0, CUT)
@@ -448,57 +473,68 @@ def build_minlp_S(instance: Instance, segments: Mapping) -> MilpModel:
     return em.model("S", instance, big_m, ("S",), segments)
 
 
-def _emit_joint(instance: Instance, periods: list, segments) -> MilpModel:
+def _emit_joint(instance: Instance, periods: list, segments,
+                em: _Emitter | None = None) -> MilpModel:
     """The joint model, row by row: both submodels, the cost-equality link
-    and the ordering I0_s <= I0_S. build_joint fills copies of it.
+    and the ordering I0_s <= I0_S. build_joint fills copies of it, from
+    the slots that `em`, when given, keeps recorded.
 
     The objective takes the forced-order side over all periods plus the
     no-order side from period 2; the no-order side's period-1 terms live
     only inside the linked cost expression G_s.
     """
     big_m = default_big_m(instance)
-    em = _Emitter()
+    em = _Emitter() if em is None else em
     cost_S, I_S = _add_submodel(em, instance, big_m, "S", periods,
                                 first_order=True, fixed_i0=None, objective_from=1)
     cost_s, I_s = _add_submodel(em, instance, big_m, "s", periods,
                                 first_order=False, fixed_i0=None, objective_from=2)
-    em.add_row("pin_I0_S", I_S[:2], [1.0, -1.0], "==", instance.means[0])
+    em.add_row("pin_I0_S", I_S[:2], [1.0, -1.0], "==", instance.means[0],
+               source=(_MEAN, 0))
     # each linked cost is its side's full cost expression
     unit_total = instance.costs.unit * instance.demand_totals[0]
     linked = []
     for name, cost in (("C_S", cost_S), ("G_s", cost_s)):
         linked.append(em.var(name))
-        em.add_row(f"def_{name}", [linked[-1]] + [col for col, _ in cost],
-                   [1.0] + [-coef for _, coef in cost], "==", unit_total)
+        cols, coefs, tags = zip(*cost)
+        # the row's first term is the linked cost column
+        em.take("data", len(em.vals) + 1 + np.arange(len(cost)), _NEG_COEF, tags)
+        em.add_row(f"def_{name}", [linked[-1], *cols], [1.0, *(-w for w in coefs)],
+                   "==", unit_total, source=(_UNIT_TOTAL, 0))
     em.add_row("link_cost", linked[::-1], [1.0, -1.0], "==", 0.0)
     em.add_row("link_order", [I_s[0], I_S[0]], [1.0, -1.0], "<=", 0.0)
     return em.model("joint", instance, big_m, ("S", "s"), segments)
 
 
-# the cost weight each objective or cost-row column carries, by the
-# column's name prefix, as an index into _Skeleton.fill's weight vector
-_WEIGHT = {"delta": 0, "H": 1, "B": 2, "I0": 3, "I": 4}  # K, h, b, -c, c
+def _joint_values(instance: Instance, periods: list) -> tuple:
+    """What a joint model takes from its instance and pieces: the piecewise
+    data of its rules (both sides read the same pieces, so rule r is row r
+    of the period arrays stacked twice) and the values its recorded slots
+    hold, one array per section, in the order of the section codes."""
+    slopes, lines, shift, const = (np.concatenate(a + a) for a in zip(*periods))
+    costs = instance.costs
+    # Python scalars negated as the emitter negates them, zeros' signs too
+    coefs = [costs.fixed, costs.holding, costs.penalty, -costs.unit, costs.unit]
+    means = instance.means
+    sections = [coefs, [-w for w in coefs], means, [-m for m in means],
+                [costs.unit * instance.demand_totals[0]],
+                -slopes.ravel(), -(slopes.ravel() - 1.0), -const.ravel()]
+    return dict(slopes=slopes, intercepts=lines, shift=shift), sections
 
 
 @dataclass(frozen=True)
 class _Skeleton:
     """The joint model of one (horizon, segment count, c != 0) key, emitted
-    once with zero numbers, and the slots that hold instance numbers.
-    Every array of `model` is read-only: fill copies the numeric ones."""
+    once with zero numbers, and the slots its emitter recorded for the
+    instance numbers, each with its source: an entry of the concatenated
+    sections of _joint_values. Every array of `model` is read-only."""
     model: MilpModel
-    levels: np.ndarray       # level columns, bounded by level_bounds
-    mean_rows: np.ndarray    # rows whose rhs is -mean_t ...
-    mean_period: np.ndarray  # ... and their t - 1
-    pin_row: int             # rhs mean_1
-    def_rows: np.ndarray     # rhs c * sum of means
-    def_slots: np.ndarray    # data of the def rows' cost terms ...
-    def_weight: np.ndarray   # ... and their _WEIGHT
-    objective_weight: np.ndarray
-    slope_slots: np.ndarray  # cut data: -slope_i (H rows) ...
-    less_one_slots: np.ndarray  # ... and -(slope_i - 1) (B rows) of start 1 ...
-    slope_source: np.ndarray    # ... at these entries of a side's flat slopes
-    const_slots: np.ndarray  # cut data: -const of each start ...
-    const_source: np.ndarray  # ... at these entries of a side's flat consts
+    levels: np.ndarray        # level columns, bounded by level_bounds
+    rhs_slots: np.ndarray     # rows with an instance number rhs ...
+    rhs_sources: np.ndarray   # ... and its source
+    data_slots: np.ndarray    # matrix data entries likewise ...
+    data_sources: np.ndarray  # ... and theirs
+    objective_sources: np.ndarray  # every objective coefficient's source
 
     @staticmethod
     @functools.cache
@@ -508,95 +544,52 @@ class _Skeleton:
                          (NormalDemand(0.0, 0.0),) * T)
         periods = [(np.zeros((t, n_seg)),) * 2 + (np.zeros(t), np.zeros((t, n_seg)))
                    for t in range(1, T + 1)]
-        model = _emit_joint(probe, periods, None)
-        rows = {name: r for r, name in enumerate(model.rows.names.tolist())}
-        indptr, indices = model.rows.matrix.indptr, model.rows.matrix.indices
-        names, index = model.names, model.index
+        em = _Emitter()
+        model = _emit_joint(probe, periods, None, em)
+        starts = np.cumsum([0, *map(len, _joint_values(probe, periods)[1])])
 
-        def weight(cols):
-            return np.array([_WEIGHT[names[c].split("_")[0]] for c in cols])
+        def recorded(target):
+            slots, sections, indices = zip(*em.slots[target])
+            return (np.concatenate([np.ravel(at) for at in slots]),
+                    np.concatenate([starts[section] + np.ravel(i)
+                                    for section, i in zip(sections, indices)]))
 
-        def_rows = [rows["def_C_S"], rows["def_G_s"]]
-        # each def row's first term is its linked cost column
-        def_slots = np.concatenate([np.arange(indptr[r] + 1, indptr[r + 1])
-                                    for r in def_rows])
-        slope, less_one, slope_src, const, const_src = [], [], [], [], []
-        for lab in "Ss":
-            for t in range(1, T + 1):
-                # _emit_pieces' block: rows H_0, B_0, H_1, ..., each with
-                # the terms holding or backorder, inventory, P_1..P_t
-                first = (t - 1) * t // 2 * n_seg  # period t's first rule
-                at = indptr[rows[f"cut_H_{lab}_{t}_0"]] + np.arange(
-                    2 * n_seg * (t + 2)).reshape(2 * n_seg, t + 2)
-                slope.append(at[0::2, 1])
-                less_one.append(at[1::2, 1])
-                slope_src.append(first + np.arange(n_seg))
-                const.append(at[:, 2:].ravel())
-                const_src.append((first + np.arange(t) * n_seg
-                                  + np.arange(2 * n_seg)[:, None] // 2).ravel())
-        shared = [model.lb, model.ub, model.binary, *model.objective, indptr,
-                  indices, model.rows.matrix.data, *vars(model.piecewise).values()]
+        matrix = model.rows.matrix
+        shared = [model.lb, model.ub, model.binary, *model.objective, matrix.indptr,
+                  matrix.indices, matrix.data, *vars(model.piecewise).values()]
         shared += [v for v in vars(model.rows).values() if isinstance(v, np.ndarray)]
         for arr in shared:
             arr.flags.writeable = False
         return _Skeleton(
-            model=dataclasses.replace(model, names=tuple(names),
-                                      index=MappingProxyType(index)),
-            levels=np.array([index[f"I0_{lab}"] for lab in "Ss"]
-                            + [index[f"I_{lab}_{t}"] for lab in "Ss"
-                               for t in range(1, T + 1)]),
-            mean_rows=np.array([rows[f"{name}_{lab}_{t}{end}"] for lab in "Ss"
-                                for t in range(1, T + 1)
-                                for name, end in (("order_nonneg", ""),
-                                                  ("no_order_balance", "_row"))]),
-            mean_period=np.tile(np.repeat(np.arange(T), 2), 2),
-            pin_row=rows["pin_I0_S"], def_rows=np.array(def_rows),
-            def_slots=def_slots, def_weight=weight(indices[def_slots]),
-            objective_weight=weight(model.objective[0]),
-            slope_slots=np.concatenate(slope), less_one_slots=np.concatenate(less_one),
-            slope_source=np.concatenate(slope_src),
-            const_slots=np.concatenate(const), const_source=np.concatenate(const_src))
+            dataclasses.replace(model, names=tuple(model.names),
+                                index=MappingProxyType(model.index)),
+            np.concatenate([[c.initial, *c.inventory] for c in model.columns.values()]),
+            *recorded("rhs"), *recorded("data"),
+            starts[_COEF] + np.array([tag for *_, tag in em.objective]))
 
     def fill(self, instance: Instance, periods: list, segments) -> MilpModel:
         """The model _emit_joint(instance, periods, segments) emits."""
         model = self.model
         big_m = default_big_m(instance)
-        costs = instance.costs
-        # Python scalars negated as the emitter negates them, zeros' signs too
-        weights = (costs.fixed, costs.holding, costs.penalty, -costs.unit, costs.unit)
-        unit_total = costs.unit * instance.demand_totals[0]
-
         lb, ub = model.lb.copy(), model.ub.copy()
         lb[self.levels], ub[self.levels] = level_bounds(instance, big_m)
 
+        pieces, sections = _joint_values(instance, periods)
+        values = np.concatenate(sections)
         rhs = model.rows.rhs.copy()
-        rhs[self.mean_rows] = np.array([-m for m in instance.means])[self.mean_period]
-        rhs[self.pin_row] = instance.means[0]
-        rhs[self.def_rows] = unit_total
-
-        slopes, lines, shift, const = (np.concatenate(a) for a in zip(*periods))
-        slope_at = slopes.ravel()[self.slope_source]
+        rhs[self.rhs_slots] = values[self.rhs_sources]
         data = model.rows.matrix.data.copy()
-        data[self.slope_slots] = -slope_at
-        data[self.less_one_slots] = -(slope_at - 1.0)
-        data[self.const_slots] = -const.ravel()[self.const_source]
-        data[self.def_slots] = np.array([-w for w in weights], dtype=float)[self.def_weight]
+        data[self.data_slots] = values[self.data_sources]
         matrix = model.rows.matrix
         rows = model.rows.refill(rhs, sparse.csr_array(
             (data, matrix.indices, matrix.indptr), shape=matrix.shape))
 
-        # both sides read the same pieces
-        piecewise = dataclasses.replace(
-            model.piecewise, shift=np.concatenate([shift, shift]),
-            slopes=np.concatenate([slopes, slopes]),
-            intercepts=np.concatenate([lines, lines]))
+        unit_total = sections[_UNIT_TOTAL][0]
         filled = dataclasses.replace(
-            model, instance=instance, big_m=big_m, segments=segments,
-            lb=lb, ub=ub,
-            objective=(model.objective[0],
-                       np.array(weights, dtype=float)[self.objective_weight]),
-            objective_constant=unit_total + unit_total if costs.unit else 0.0,
-            rows=rows, piecewise=piecewise)
+            model, instance=instance, big_m=big_m, segments=segments, lb=lb, ub=ub,
+            objective=(model.objective[0], values[self.objective_sources]),
+            objective_constant=unit_total + unit_total if instance.costs.unit else 0.0,
+            rows=rows, piecewise=dataclasses.replace(model.piecewise, **pieces))
         # the binaries' bounds are structural: fill changes level bounds only
         filled.__dict__["free_binaries"] = model.free_binaries
         return filled
@@ -617,7 +610,9 @@ def verify_assignment(model: MilpModel, assignment, tol: float = 1e-6) -> list:
     """All violations beyond tol as (name, amount), worst first.
 
     `assignment` is a name -> value dict or a vector in column order (a
-    solver's own answer is checked as its vector). Checks bounds,
+    solver's own answer is checked as its vector). A non-finite value is
+    reported alone, as its column's bound violated by inf, before any
+    arithmetic on it. Otherwise checks bounds,
     integrality of unfixed binaries, every row by one matrix-vector
     product (an indicator row only while its condition is 0) and each
     selected piecewise rule against its upper envelope, the maximum of its
@@ -626,6 +621,10 @@ def verify_assignment(model: MilpModel, assignment, tol: float = 1e-6) -> list:
     built only for the violations found.
     """
     x = model.vector(assignment)
+    names = model.names
+    nonfinite = np.flatnonzero(~np.isfinite(x))
+    if len(nonfinite):
+        return [(f"bound_{names[i]}", math.inf) for i in nonfinite]
     bound = np.maximum(model.lb - x, x - model.ub)
     free = model.free_binaries
     fraction = np.abs(x[free] - np.round(x[free]))
@@ -647,7 +646,6 @@ def verify_assignment(model: MilpModel, assignment, tol: float = 1e-6) -> list:
     if not any((amounts > tol).any() for amounts in checked):
         return []
 
-    names = model.names
     bad = []
     for amounts, at, name in (
             (bound, None, lambda i: f"bound_{names[i]}"),

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from numbers import Integral
 
 from .domain import (CostParameters, Instance, NormalDemand, ValidationError,
-                     running_sums)
+                     round_half_up, running_sums)
 from .heuristics import HeuristicConfig, bs_policy, cycle_table, mp_policy
 from .sdp import solve_sdp
 from .simulate import estimate_gaps
@@ -79,24 +79,20 @@ _DEMAND_25_GENERATED = {
 }
 
 
-def _round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
-
-
 def generate_25(pattern: str) -> tuple[int, ...]:
     """Closed-form 25-period series (the Gaussian bumps read with the
     divisor inside the exponent, which is what the shipped table encodes)."""
     if pattern == "LCY1":
-        return tuple(_round_half_up(190 * math.exp(-(t - 13) ** 2 / (2 * 5 ** 2)))
+        return tuple(round_half_up(190 * math.exp(-(t - 13) ** 2 / (2 * 5 ** 2)))
                      for t in range(1, 26))
     if pattern == "LCY2":
-        return tuple(_round_half_up(170 * math.exp(-(t - 13) ** 2 / (2 * 6 ** 2)))
+        return tuple(round_half_up(170 * math.exp(-(t - 13) ** 2 / (2 * 6 ** 2)))
                      for t in range(1, 26))
     if pattern == "SIN1":
-        return tuple(_round_half_up(70 * math.sin(0.8 * t) + 80)
+        return tuple(round_half_up(70 * math.sin(0.8 * t) + 80)
                      for t in range(1, 26))
     if pattern == "SIN2":
-        return tuple(_round_half_up(30 * math.sin(0.8 * t) + 100)
+        return tuple(round_half_up(30 * math.sin(0.8 * t) + 100)
                      for t in range(1, 26))
     if pattern == "STA":
         return (100,) * 25
@@ -278,7 +274,7 @@ def _run_instance_star(args):
     return run_instance(*args)
 
 
-def _mean(values: list) -> float:
+def mean_gap(values: list) -> float:
     """Mean of the gaps, summed left to right by domain.running_sums, so
     it does not depend on whether the interpreter's sum() compensates."""
     return running_sums(values)[-1] / len(values)
@@ -299,7 +295,7 @@ class BenchmarkReport:
             if r.method != method or r.status != "ok":
                 continue
             groups.setdefault(key_fn(r), []).append(r.gap_pct)
-        return {k: _mean(v) for k, v in sorted(groups.items())}
+        return {k: mean_gap(v) for k, v in sorted(groups.items())}
 
     def summary_rows(self) -> list:
         """Mean gap per (grouping, value, method): the published layout."""
@@ -316,7 +312,7 @@ class BenchmarkReport:
                     rows.append((label, f"{val:g}", method, mean))
             gaps = self.ok_gaps(method)
             if gaps:
-                rows.append(("overall", "mean", method, _mean(gaps)))
+                rows.append(("overall", "mean", method, mean_gap(gaps)))
         return rows
 
 
@@ -327,13 +323,20 @@ _DETAIL_COLUMNS = [("instance_id", "instance_id"), ("method", "method"),
                    ("replications", "replications"), ("seed", "seed"),
                    ("gap_pct", "gap_pct"), ("status", "status"),
                    ("oracle_cost", "oracle_cost")]
-_HEADER_NOTE = ("# note: h=1 c=0 assumed for all grid instances "
-                "(unstated in the source grids); I_0=0\n")
+
+
+def _header_note(config: BenchmarkConfig) -> str:
+    """The first line of both CSV files: the config's h, c and I_0, which
+    the source grids leave unstated (h=1 c=0 I_0=0 by default)."""
+    h, c, i0 = (str(float(x)).removesuffix(".0") for x in (
+        config.holding_cost, config.unit_cost, config.initial_inventory))
+    return (f"# note: h={h} c={c} assumed for all grid instances "
+            f"(unstated in the source grids); I_0={i0}\n")
 
 
 def write_detail_csv(report: BenchmarkReport, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_HEADER_NOTE)
+        fh.write(_header_note(report.config))
         writer = csv.writer(fh)
         writer.writerow([col for col, _ in _DETAIL_COLUMNS])
         for r in sorted(report.results, key=lambda r: (r.instance_id, r.method)):
@@ -357,7 +360,7 @@ def read_detail_csv(path) -> list:
 
 def write_summary_csv(report: BenchmarkReport, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_HEADER_NOTE)
+        fh.write(_header_note(report.config))
         writer = csv.writer(fh)
         writer.writerow(["grouping", "value", "method", "mean_gap_pct"])
         for row in report.summary_rows():

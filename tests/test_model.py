@@ -297,6 +297,21 @@ class TestSemantics:
         names = [n for n, _ in verify_assignment(model, broken)]
         assert any("loss_s" in n or "cut" in n for n in names)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_verify_assignment_reports_non_finite(self, example4, segments4,
+                                                  value):
+        """A non-finite entry, in a dict or a column vector, is reported
+        as its column's bound violated by inf, with no arithmetic warning;
+        an unbounded column is no exception."""
+        model = build_joint(example4, segments4)
+        res = solve_exact(model)
+        for name in ("I_s_2", "C_S"):
+            broken = dict(res.assignment, **{name: value})
+            expected = [(f"bound_{name}", math.inf)]
+            assert verify_assignment(model, broken) == expected
+            assert verify_assignment(model, model.vector(broken)) == expected
+
 
 def _loop_violations(model, a, tol=1e-6):
     """verify_assignment's checks one column, row and rule at a time, with

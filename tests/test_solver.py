@@ -871,6 +871,9 @@ class TestColumnSpace:
         x[model.index["C_S"]] += 1.0
         with pytest.raises(SolverError, match="fails verification"):
             solver_module._self_check(model, x, model.objective_value(x), None)
+        x[model.index["I0_s"]] = math.nan
+        with pytest.raises(SolverError, match=r"\[\('bound_I0_s', inf\)\]"):
+            solver_module._self_check(model, x, 0.0, None)
         s_model = build_minlp_s(example4, segments4)
         res = solve_exact(s_model)
         with pytest.raises(SolverError, match="objective mismatch"):
@@ -954,6 +957,16 @@ class TestImportSolution:
         path = tmp_path / "bad.txt"
         self._write(path, broken)
         with pytest.raises(SolverError, match="violates"):
+            import_solution(model, path)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nan_value_names_its_column(self, tmp_path, example4, segments4):
+        model = build_minlp_s(example4, segments4)
+        res = solve_exact(model)
+        path = tmp_path / "nan.txt"
+        self._write(path, {**res.assignment, "I_s_2": math.nan})
+        assert "I_s_2 nan\n" in path.read_text()
+        with pytest.raises(SolverError, match="violates bound_I_s_2 by inf"):
             import_solution(model, path)
 
     def test_empty_file(self, tmp_path, example4, segments4):

@@ -158,6 +158,19 @@ class TestBenchmarkRun:
         assert text.startswith("# note: h=1 c=0")
         assert "overall,mean,bs" in text
 
+    def test_note_states_the_config(self, small_report, tmp_path):
+        """Both files' note gives the config's own h, c and I_0."""
+        _, report = small_report
+        report = BenchmarkReport(dataclasses.replace(
+            report.config, holding_cost=2.5, unit_cost=1.5,
+            initial_inventory=-3.0), report.results)
+        for write in (write_detail_csv, write_summary_csv):
+            path = tmp_path / f"{write.__name__}.csv"
+            write(report, path)
+            assert path.read_text().splitlines()[0] == (
+                "# note: h=2.5 c=1.5 assumed for all grid instances "
+                "(unstated in the source grids); I_0=-3")
+
     def test_resume_equals_fresh(self, small_report, tmp_path):
         """Partial detail file: the rerun completes it without re-simulating
         done rows, and the final report matches a fresh run."""
