@@ -36,7 +36,8 @@ recorded at emission, so a solver writes its answer as a column vector
 without names. verify_assignment checks an assignment, a dict or such a
 vector, against the table with array expressions, all rows by one
 matrix-vector product; the sense codes and indicator rows
-(RowTable.checks) and the free binaries are derived once per table.
+(RowTable.checks) and the free binaries (MilpModel.free_binaries) are
+fields, derived once where the emitter freezes a model.
 
 Demand totals (big-M, level bounds, the unit-cost constants) are summed
 left to right from 0.0 by domain.running_sums, as the convolved demands
@@ -62,7 +63,6 @@ import math
 from collections import defaultdict
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -81,40 +81,6 @@ ROW, CUT, INDICATOR = 0, 1, 2  # row kinds, in the order the LP file lists them
  _NEG_SLOPE, _ONE_LESS, _NEG_CONST) = range(8)
 
 
-@dataclass
-class RowTable:
-    """Every row of a model. An indicator row holds only while the binary in
-    column `condition` is 0 (no order placed); `condition` is -1 elsewhere."""
-    matrix: sparse.csr_array
-    names: np.ndarray
-    sense: np.ndarray        # "<=", ">=" or "=="
-    rhs: np.ndarray
-    kind: np.ndarray         # ROW, CUT or INDICATOR
-    condition: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.names)
-
-    @cached_property
-    def checks(self) -> "RowChecks":
-        """What verify_assignment reads of the rows' structure, derived on
-        first use; refill shares it."""
-        sign = np.select([self.sense == "<=", self.sense == ">="], [1.0, -1.0], 0.0)
-        indicators = np.flatnonzero(self.kind == INDICATOR)
-        out = RowChecks(sign, sign == 0.0, indicators, self.condition[indicators])
-        for a in vars(out).values():
-            a.flags.writeable = False
-        return out
-
-    def refill(self, rhs: np.ndarray, matrix: sparse.csr_array) -> "RowTable":
-        """The same rows with other numbers (right-hand sides and matrix
-        data on the same sparsity pattern); the structural arrays and their
-        checks are shared."""
-        out = dataclasses.replace(self, rhs=rhs, matrix=matrix)
-        out.__dict__["checks"] = self.checks
-        return out
-
-
 @dataclass(frozen=True)
 class RowChecks:
     """A row's violation is sign * (lhs - rhs), or |lhs - rhs| for an
@@ -123,6 +89,36 @@ class RowChecks:
     equality: np.ndarray
     indicators: np.ndarray
     conditions: np.ndarray
+
+    @staticmethod
+    def of(sense: np.ndarray, kind: np.ndarray, condition: np.ndarray) -> "RowChecks":
+        """The checks of rows with these senses, kinds and conditions, as
+        read-only arrays."""
+        sign = np.select([sense == "<=", sense == ">="], [1.0, -1.0], 0.0)
+        indicators = np.flatnonzero(kind == INDICATOR)
+        out = RowChecks(sign, sign == 0.0, indicators, condition[indicators])
+        for a in vars(out).values():
+            a.flags.writeable = False
+        return out
+
+
+@dataclass
+class RowTable:
+    """Every row of a model. An indicator row holds only while the binary in
+    column `condition` is 0 (no order placed); `condition` is -1 elsewhere.
+    `checks`, what verify_assignment reads of the rows' structure, is
+    derived once where a model is frozen, and copies that keep the
+    structure carry it."""
+    matrix: sparse.csr_array
+    names: np.ndarray
+    sense: np.ndarray        # "<=", ">=" or "=="
+    rhs: np.ndarray
+    kind: np.ndarray         # ROW, CUT or INDICATOR
+    condition: np.ndarray
+    checks: RowChecks
+
+    def __len__(self) -> int:
+        return len(self.names)
 
 
 @dataclass
@@ -181,6 +177,7 @@ class MilpModel:
     rows: RowTable
     piecewise: PiecewiseRules
     columns: Mapping           # submodel label -> its Columns
+    free_binaries: np.ndarray  # binaries the bounds leave free, read-only
 
     def vector(self, assignment) -> np.ndarray:
         """The assignment's values in column order; a vector is returned
@@ -194,14 +191,6 @@ class MilpModel:
         """The objective at a name -> value dict or a column vector."""
         cols, coefs = self.objective
         return self.objective_constant + float(coefs @ self.vector(assignment)[cols])
-
-    @cached_property
-    def free_binaries(self) -> np.ndarray:
-        """Columns of the binaries that the bounds leave free, derived on
-        first use (from structural bounds: a skeleton's fills share it)."""
-        out = np.flatnonzero(self.binary & (self.lb != self.ub))
-        out.flags.writeable = False
-        return out
 
 
 class _Emitter:
@@ -253,19 +242,22 @@ class _Emitter:
         matrix = sparse.csr_array(
             (np.array(self.vals), np.array(self.cols), np.array(self.indptr)),
             shape=(len(self.meta), len(self.names)))
-        # meta holds RowTable's fields after the matrix, in order
-        rows = RowTable(matrix, *map(np.array, zip(*self.meta)))
+        names, sense, rhs, kinds, conditions = map(np.array, zip(*self.meta))
+        rows = RowTable(matrix, names, sense, rhs, kinds, conditions,
+                        RowChecks.of(sense, kinds, conditions))
         rules = PiecewiseRules(**{key: np.array(values)
                                   for key, values in self.rules.items()})
         cols, coefs, _ = zip(*self.objective)
+        lb, ub = np.array(self.lb, dtype=float), np.array(self.ub, dtype=float)
+        binary = np.array(self.binary)
+        free = np.flatnonzero(binary & (lb != ub))
+        free.flags.writeable = False
         return MilpModel(
             kind=kind, instance=instance, big_m=big_m, submodels=submodels,
-            segments=segments,
-            names=self.names, index=self.index, lb=np.array(self.lb, dtype=float),
-            ub=np.array(self.ub, dtype=float), binary=np.array(self.binary),
-            objective=(np.array(cols), np.array(coefs, dtype=float)),
+            segments=segments, names=self.names, index=self.index, lb=lb, ub=ub,
+            binary=binary, objective=(np.array(cols), np.array(coefs, dtype=float)),
             objective_constant=self.constant, rows=rows, piecewise=rules,
-            columns=MappingProxyType(self.columns))
+            columns=MappingProxyType(self.columns), free_binaries=free)
 
 
 def convolved_demand(instance: Instance) -> tuple:
@@ -581,18 +573,18 @@ class _Skeleton:
         data = model.rows.matrix.data.copy()
         data[self.data_slots] = values[self.data_sources]
         matrix = model.rows.matrix
-        rows = model.rows.refill(rhs, sparse.csr_array(
+        # the structural arrays and their checks are shared
+        rows = dataclasses.replace(model.rows, rhs=rhs, matrix=sparse.csr_array(
             (data, matrix.indices, matrix.indptr), shape=matrix.shape))
 
         unit_total = sections[_UNIT_TOTAL][0]
-        filled = dataclasses.replace(
+        # the binaries' bounds are structural (fill changes level bounds
+        # only), so free_binaries carries over
+        return dataclasses.replace(
             model, instance=instance, big_m=big_m, segments=segments, lb=lb, ub=ub,
             objective=(model.objective[0], values[self.objective_sources]),
             objective_constant=unit_total + unit_total if instance.costs.unit else 0.0,
             rows=rows, piecewise=dataclasses.replace(model.piecewise, **pieces))
-        # the binaries' bounds are structural: fill changes level bounds only
-        filled.__dict__["free_binaries"] = model.free_binaries
-        return filled
 
 
 def build_joint(instance: Instance, segments: Mapping) -> MilpModel:

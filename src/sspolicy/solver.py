@@ -33,27 +33,30 @@ curve equal to that cost at or below the order-up-to level (deterministic
 replacement for the solver's free root choice).
 
 The pinned cost g(x), the no-order optimum with the first level fixed at
-x, is bounded below by an envelope R(x) = min_e F_e(x): F_e is the priced
-first cycle 1..e at x plus the relaxed cost-to-go V(e + 1) (plus the unit
-cost's constant when e = T), a convex piecewise-linear function. Piece e
-carries a certificate limit U_e = y*_{e+1} + D(1..e), where y*_{e+1} is
-the first level of the relaxed shortest path from e + 1 and D(1..e) the
-first cycle's mean demand (U_T = +inf). If that path keeps its own order
-chain and clamps no level to a bound, the pattern "cycle 1..e, then that
-path" needs no merge in solve_pattern for x <= U_e and costs exactly
-F_e(x). Where the piece attaining R(x) is certified, g(x) = R(x), and
-cost_at returns that pattern without a search. The reorder root walks the
-certified sublevel set {x <= U_e : F_e(x) < target} leftward from the
-order-up-to level to the end x_C of its component, solving each piece's
-crossing in closed form. Since g < target on (x_C, S], x_C is the largest
-root when g(x_C) meets the target. Otherwise the root falls back to a
-bisection below x_C; the engine counts such fallbacks and logs each at
-DEBUG level. Every piece's cost is a cycle of the suffix's first start, so
-its kinks are a prefix of the last piece's (see CycleTable below). Each
-read of the envelope, a cost_at answer or a step of the walk, forms the
-hinge max(x - kink, 0) once over those kinks, and each piece dots its
-prefix of the hinge with its deltas: the same numbers summed in the same
-order as evaluating the piece alone.
+x, has one evaluation: the branch and bound's first row pinned at x
+(_first_row). Its arc[e] is the priced first cycle 1..e at x (plus the
+unit cost's constant when e = T), so F_e(x) = arc[e] + V(e + 1), the
+cycle completed at the relaxed cost-to-go, is a convex piecewise-linear
+function of x, and the row's reach[2] = min_e F_e(x) = R(x) is an
+envelope that bounds g from below. End e carries a certificate limit
+U_e = y*_{e+1} + D(1..e), where y*_{e+1} is the first level of the
+relaxed shortest path from e + 1 and D(1..e) the first cycle's mean
+demand (U_T = +inf). If that path keeps its own order chain and clamps no
+level to a bound, the pattern "cycle 1..e, then that path" needs no merge
+in solve_pattern for x <= U_e and costs exactly F_e(x). So where an end
+attaining R(x) is certified, g(x) = R(x), and cost_at returns that
+pattern without a search; otherwise it searches from the same row. The
+reorder root walks the certified sublevel set {x <= U_e : F_e(x) <
+target} leftward from the order-up-to level to the end x_C of its
+component, reading F_e from the row pinned at the walk's level and
+solving each crossing in closed form. Since g < target on (x_C, S], x_C
+is the largest root when g(x_C) meets the target. Otherwise the root
+falls back to a bisection below x_C; the engine counts such fallbacks and
+logs each at DEBUG level. Every cycle 1..e is a cycle of the suffix's
+first start, so its kinks are a prefix of cycle 1..T's (see CycleTable
+below): a pinned row forms the hinge max(x - kink, 0) once over those
+kinks, and each arc dots its prefix of the hinge with the cycle's deltas,
+the same numbers summed in the same order as evaluating the cycle alone.
 
 A solve writes its answer into one float vector in the model's column
 order. The model records where each submodel's variables sit
@@ -91,9 +94,9 @@ initial level, which build_joint shares). ExactBackend.evaluator and
 solve_exact on a model built from a table view read that engine, so the
 heuristics that run on one table search each suffix once: the engine
 memoizes its free minimum, and builds its relaxation whole on first use,
-in one backward pass over the cycle starts: the suffix's cycles, every
-start's relaxation row, cost-to-go and relaxed path, then the envelope.
-Both are pure functions of the suffix and its bounds, so an answer does
+in one backward pass over the cycle starts: the suffix's cycles, then
+every start's relaxation row, cost-to-go and relaxed path, each path with
+its pattern. Both are pure functions of the suffix and its bounds, so an answer does
 not depend on which caller filled them, and a build that raises stores
 nothing. A model built from a plain segment dict, or with other bounds (a
 pinned initial level widens them), is solved by a private engine.
@@ -429,21 +432,6 @@ class _Cycle:
 
 
 @dataclass
-class _Piece:
-    """Piece e of the pinned-first-cycle envelope: the pattern that closes
-    the pinned first cycle at e and completes the horizon on the relaxed
-    shortest path from e + 1."""
-    cost: ConvexPWL      # priced cycle 1..e of the pinned level
-    const: float         # V(e + 1), plus the unit-cost term when e = T
-    lo: float            # pin domain, with solve_pattern's 1e-9 slack
-    hi: float
-    limit: float         # certificate limit U_e; -inf where there is none
-    deltas: tuple        # the pattern
-    levels: list         # the relaxed tail's levels
-    cycles: list         # the pattern's cycles
-
-
-@dataclass
 class _Relaxation:
     """A suffix's separable cycle relaxation, built whole by
     _SubmodelEngine.relaxation. Lists are indexed by the local cycle start
@@ -452,23 +440,12 @@ class _Relaxation:
     the order chain y_next >= y - D, so solve_pattern gives its pattern
     exactly these levels and the relaxed cost."""
     cycles: dict         # (j, e) -> the suffix's _Cycle j..e
-    rows: list           # (arc, reach, end): _SubmodelEngine._row unpinned
+    rows: list           # (arc, reach, end): _SubmodelEngine._row
     cost_to_go: list     # V(j) = reach[j + 1], and V(T + 1) = 0
-    paths: list          # j >= 2: (levels, cycles, chained) of the relaxed
-                         # path from j, cycle j..end then paths[end + 1]
-    pieces: list         # the envelope; no piece e where V(e + 1) = inf
-    kinks: np.ndarray    # piece T's kinks; every piece's are a prefix
-
-
-def _piece_value(piece: _Piece, x: float, hinge: np.ndarray) -> float:
-    """piece.cost(x) + piece.const, inf outside the pin domain, from the
-    envelope's hinge max(x - kinks, 0): the piece's kinks are its prefix,
-    so the sum runs over the same numbers in the same order."""
-    if not piece.lo <= x <= piece.hi:
-        return math.inf
-    f = piece.cost
-    return (f.slope * x + f.const + float(hinge[:len(f.deltas)] @ f.deltas)
-            + piece.const)
+    paths: list          # j >= 2: (levels, cycles, chained, pattern) of the
+                         # relaxed path from j, cycle j..end then
+                         # paths[end + 1]; its pattern orders at its starts
+    closing: float       # the unit cost's constant of cycle 1..T
 
 
 class _SubmodelEngine:
@@ -480,10 +457,10 @@ class _SubmodelEngine:
     `free_minimum` and `cost_at` are its optimum with a free and a fixed
     initial level, `reorder_root` the largest level at which the latter
     reaches a target; `nodes` counts the patterns they solved, `certified`
-    the `cost_at` answers read from the envelope and `fallbacks` the roots
-    that needed `_largest_root`. The free minimum is searched once and
-    memoized, its levels read-only. `relaxation` (the suffix's cycles, the
-    relaxation rows, the relaxed paths and the envelope) is built whole on
+    the `cost_at` answers read from the pinned first row and `fallbacks`
+    the roots that needed `_largest_root`. The free minimum is searched
+    once and memoized, its levels read-only. `relaxation` (the suffix's
+    cycles, the relaxation rows and the relaxed paths) is built whole on
     first use, inside the first search's call; a build that raises stores
     nothing.
     """
@@ -506,8 +483,7 @@ class _SubmodelEngine:
     @cached_property
     def relaxation(self) -> _Relaxation:
         """The suffix's _Cycles, then one pass over the cycle starts
-        j = T..1 (its row, V(j) and the relaxed path from j), then the
-        envelope's pieces."""
+        j = T..1: its row, V(j) and the relaxed path from j."""
         T = self.T
         cycles = {}
         for j in range(1, T + 1):
@@ -518,41 +494,23 @@ class _SubmodelEngine:
                                         self.inv_lo + top, self.inv_hi + low)
         rows = [None] * (T + 1)
         cost_to_go = [None] * (T + 1) + [0.0]
-        paths = [None] * (T + 1) + [([], [], True)]
+        paths = [None] * (T + 1) + [([], [], True, (0,) * T)]
         for j in range(T, 0, -1):
-            rows[j] = arc, reach, end = self._row(j, None, cycles, cost_to_go)
+            arc = [math.inf] * j + [self._arc(cycles[(j, e)])
+                                    for e in range(j, T + 1)]
+            rows[j] = _, reach, end = self._row(j, arc, cost_to_go)
             cost_to_go[j] = reach[j + 1]
             if j > 1:
                 cyc = cycles[(j, end)]
-                levels, tail, chained = paths[end + 1]
+                levels, tail, chained, pattern = paths[end + 1]
                 y = cyc.argmin
                 chained = (chained and cyc.y_lo <= y <= cyc.y_hi
                            and (not levels or levels[0] >= y - cyc.mean_demand))
-                paths[j] = ([y] + levels, [cyc] + tail, chained)
-        pieces = []
-        for e in range(1, T + 1):
-            cyc = cycles[(1, e)]
-            if e == T:
-                const = self.c * (self.total_mean - cyc.mean_demand) if self.c else 0.0
-                limit, levels, tail = math.inf, [], []
-            elif cost_to_go[e + 1] == math.inf:
-                continue
-            else:
-                const = cost_to_go[e + 1]
-                levels, tail, chained = paths[e + 1]
-                limit = levels[0] + cyc.mean_demand if chained else -math.inf
-            pieces.append(_Piece(
-                cyc.cost, const, cyc.y_lo - 1e-9, cyc.y_hi + 1e-9, limit,
-                self._pattern(tail), levels, [cyc] + tail))
-        return _Relaxation(cycles, rows, cost_to_go, paths, pieces,
-                           pieces[-1].cost.kinks)
-
-    def _pattern(self, tail: list) -> tuple:
-        """The deltas of a pattern whose later cycles are `tail`."""
-        deltas = [0] * self.T
-        for cyc in tail:
-            deltas[cyc.start - 1] = 1
-        return tuple(deltas)
+                paths[j] = ([y] + levels, [cyc] + tail, chained,
+                            pattern[:j - 1] + (1,) + pattern[j:])
+        last = cycles[(1, T)]
+        closing = self.c * (self.total_mean - last.mean_demand) if self.c else 0.0
+        return _Relaxation(cycles, rows, cost_to_go, paths, closing)
 
     def pattern_cycles(self, deltas: tuple) -> list:
         """Cycles of a pattern, deltas[t-1] being delta_t: the first opens
@@ -628,52 +586,77 @@ class _SubmodelEngine:
             cost += self.c * (self.total_mean - cycles[-1].mean_demand)
         return float(cost), y_opt, cycles
 
-    def _arc(self, cyc: _Cycle, pin: float | None) -> float:
+    def _arc(self, cyc: _Cycle) -> float:
         """Relaxed cost of the cycle alone: K if it orders (it starts after
-        period 1), plus its priced cost at `pin` for a pinned first cycle,
-        otherwise minimized over its level bounds widened by
-        solve_pattern's 1e-9 slack, plus the unit cost's constant if it is
-        the last cycle. math.inf where solve_pattern would find no level
-        for it."""
+        period 1), plus its priced cost minimized over its level bounds
+        widened by solve_pattern's 1e-9 slack, plus the unit cost's
+        constant if it is the last cycle. math.inf where solve_pattern
+        would find no level for it."""
         lo, hi = cyc.y_lo, cyc.y_hi
         if cyc.start == 1:
             lo, hi = max(lo, self.inv_lo), min(hi, self.inv_hi)
-        if pin is not None:
-            if not (cyc.y_lo - 1e-9 <= pin <= cyc.y_hi + 1e-9):
-                return math.inf
-            value = cyc.cost(pin)
-        elif lo > hi + 1e-9:
+        if lo > hi + 1e-9:
             return math.inf
-        else:
-            # ConvexPWL.minimize(lo - 1e-9, hi + 1e-9) from the shared argmin
-            x = min(max(cyc.argmin, lo - 1e-9), hi + 1e-9)
-            value = cyc.minimum if x == cyc.argmin else cyc.cost(x)
+        # ConvexPWL.minimize(lo - 1e-9, hi + 1e-9) from the shared argmin
+        x = min(max(cyc.argmin, lo - 1e-9), hi + 1e-9)
+        value = cyc.minimum if x == cyc.argmin else cyc.cost(x)
         if cyc.start > 1:
             value += self.K
         if cyc.end == self.T and self.c:
             value += self.c * (self.total_mean - cyc.mean_demand)
         return value
 
-    def _row(self, j: int, pin: float | None, cycles: dict,
-             cost_to_go: list) -> tuple:
-        """(arc, reach, end) for a cycle opened at j: arc[e] is the relaxed
-        cost of cycle j..e, reach[t] the cheapest relaxed cost of closing it
-        at some e >= t - 1 and completing the horizon from e + 1 at the
-        cost-to-go V(e + 1) (so reach[j + 1] is V(j)), and `end` the
-        smallest e attaining reach[j + 1]. Only a pinned first cycle
-        depends on the level."""
-        T = self.T
-        arc = [math.inf] * (T + 1)
-        reach = [math.inf] * (T + 2)
+    def _row(self, j: int, arc: list, cost_to_go: list) -> tuple:
+        """(arc, reach, end) for a cycle opened at j, arc[e] being the
+        relaxed cost of cycle j..e: reach[t] is the cheapest relaxed cost
+        of closing it at some e >= t - 1 and completing the horizon from
+        e + 1 at the cost-to-go V(e + 1) (so reach[j + 1] is V(j)), and
+        `end` the smallest e attaining reach[j + 1]."""
+        reach = [math.inf] * (self.T + 2)
         best = math.inf
-        for e in range(T, j - 1, -1):
-            arc[e] = self._arc(cycles[(j, e)], pin)
+        for e in range(self.T, j - 1, -1):
             value = arc[e] + cost_to_go[e + 1]
             if value <= best:
                 end = e
-            best = min(best, value)
+                if value < best:  # min(best, value), keeping best on a tie
+                    best = value
             reach[e + 1] = best
         return arc, reach, end
+
+    def _first_row(self, x: float) -> tuple:
+        """_row of the first cycle pinned at x: arc[e] is cycle 1..e's
+        priced cost at x (inf outside its level bounds widened by
+        solve_pattern's 1e-9 slack), plus the unit cost's constant at
+        e = T. So arc[e] + V(e + 1) is the envelope's piece F_e(x) and
+        reach[2] is R(x). Every cycle 1..e's kinks are a prefix of cycle
+        1..T's: the hinge max(x - kink, 0) is formed once, and each arc
+        dots its prefix with the cycle's deltas, the numbers that
+        ConvexPWL.__call__ sums, in its order."""
+        T = self.T
+        relax = self.relaxation
+        cycles = relax.cycles
+        hinge = np.maximum(x - cycles[(1, T)].cost.kinks, 0.0)
+        arc = [math.inf] * (T + 1)
+        for e in range(1, T + 1):
+            cyc = cycles[(1, e)]
+            if cyc.y_lo - 1e-9 <= x <= cyc.y_hi + 1e-9:
+                f = cyc.cost
+                arc[e] = (f.slope * x + f.const
+                          + float(hinge[:len(f.deltas)] @ f.deltas))
+        if self.c:
+            arc[T] += relax.closing
+        return self._row(1, arc, relax.cost_to_go)
+
+    def _limit(self, e: int) -> float:
+        """Certificate limit U_e of the first cycle's end e: y*_{e+1} +
+        D(1..e), y*_{e+1} being the first level of the relaxed path from
+        e + 1, where that path is chained; -inf where it is not, and +inf
+        at e = T."""
+        if e == self.T:
+            return math.inf
+        relax = self.relaxation
+        levels, _, chained, _ = relax.paths[e + 1]
+        return levels[0] + relax.cycles[(1, e)].mean_demand if chained else -math.inf
 
     def enumerate(self, pinned_i0: float | None):
         """Global optimum over all order patterns, by the branch and bound
@@ -681,19 +664,22 @@ class _SubmodelEngine:
         pattern. Returns ((cost, deltas, y_levels, cycles) | None, nodes),
         nodes counting the distinct patterns passed to solve_pattern.
         """
+        if pinned_i0 is None:
+            return self._search(self.relaxation.rows[1], None)
+        return self._search(self._first_row(pinned_i0), pinned_i0)
+
+    def _search(self, first: tuple, pinned_i0: float | None):
+        """enumerate from the (pinned) first row `first`."""
         T = self.T
         relax = self.relaxation
-        rows = relax.rows
-        if pinned_i0 is not None:
-            rows = [None, self._row(1, pinned_i0, relax.cycles,
-                                    relax.cost_to_go)] + rows[2:]
-        _, reach, end = rows[1]
+        rows = [None, first] + relax.rows[2:]
+        _, reach, end = first
         if reach[2] == math.inf:
             return None, 0  # every pattern holds a cycle with no feasible level
 
         # the relaxed shortest path's pattern seeds the incumbent: the first
-        # cycle's end from the (pinned) first row, then the relaxed path
-        seed_pattern = self._pattern(relax.paths[end + 1][1])
+        # cycle's end from the first row, then the relaxed path
+        seed_pattern = relax.paths[end + 1][3]
         seed = self.solve_pattern(seed_pattern, pinned_i0)
         seed_cost = math.inf if seed is None else seed[0]
         nodes = 1
@@ -746,68 +732,74 @@ class _SubmodelEngine:
 
     def cost_at(self, x: float):
         """The optimum with the initial level pinned at x: read from the
-        envelope where its minimizing piece is certified, else searched."""
-        best = self._certified_at(x)
+        pinned first row where an end attaining R(x) is certified, else
+        searched from that row."""
+        return self._answer(x, self._first_row(x))
+
+    def _answer(self, x: float, first: tuple):
+        """cost_at(x) from `first`, the first row pinned at x."""
+        best = self._certified(x, first)
         if best is not None:
             self.certified += 1
             return best
-        best, nodes = self.enumerate(pinned_i0=x)
+        best, nodes = self._search(first, x)
         self.nodes += nodes
         if best is None:
             raise SolverError(f"no feasible pattern at initial level {x}")
         return best
 
-    def _hinge(self, x: float) -> np.ndarray:
-        """max(x - kink, 0) over the envelope's kinks, once per read."""
-        return np.maximum(x - self.relaxation.kinks, 0.0)
-
-    def _certified_at(self, x: float):
-        """cost_at(x) from the envelope, or None where no certified piece
-        attains R(x). A piece is certified at x <= U_e: its pattern then
-        costs F_e(x) in solve_pattern, so g(x) <= F_e(x) = R(x) <= g(x)."""
-        lowest = best = math.inf
-        chosen = None
-        hinge = self._hinge(x)
-        for piece in self.relaxation.pieces:
-            value = _piece_value(piece, x, hinge)
-            lowest = min(lowest, value)
-            if x <= piece.limit and value < best:
-                best, chosen = value, piece
-        if chosen is None or best > lowest:
+    def _certified(self, x: float, first: tuple):
+        """cost_at(x) from the first row pinned at x, or None where no
+        certified end attains R(x) = reach[2]. End e is certified at
+        x <= U_e: its pattern then costs arc[e] + V(e + 1) = F_e(x) in
+        solve_pattern, so g(x) <= F_e(x) = R(x) <= g(x). The smallest
+        such e answers; none is below the row's `end`."""
+        arc, reach, end = first
+        relax = self.relaxation
+        if reach[2] == math.inf:
             return None
-        levels = np.array([x] + chosen.levels)
-        return float(best), chosen.deltas, levels, chosen.cycles
+        for e in range(end, self.T + 1):
+            if arc[e] + relax.cost_to_go[e + 1] == reach[2] and x <= self._limit(e):
+                levels, tail, _, pattern = relax.paths[e + 1]
+                return (float(reach[2]), pattern, np.array([x] + levels),
+                        [relax.cycles[(1, e)]] + tail)
+        return None
 
     def reorder_root(self, target: float, hi: float):
         """(x, cost_at(x)) for the largest x <= hi with cost_at(x) = target,
         the pinned cost exceeding target far to the left.
 
         Walks the certified sublevel set {x <= U_e : F_e(x) < target} from
-        hi leftward to the end x_C of its component; g < target on
-        (x_C, hi], so x_C is the root if g(x_C) = target within ROOT_MATCH.
-        Otherwise _largest_root searches below x_C.
+        hi leftward to the end x_C of its component, reading F_e from the
+        first row pinned at the walk's level, the row that also answers
+        cost_at there; g < target on (x_C, hi], so x_C is the root if
+        g(x_C) = target within ROOT_MATCH. Otherwise _largest_root
+        searches below x_C.
         """
-        best = self.cost_at(hi)
+        first = self._first_row(hi)
+        best = self._answer(hi, first)
         if abs(best[0] - target) <= 1e-9:
             return hi, best  # K = 0: the order-up-to level is the root
+        T = self.T
+        relax = self.relaxation
+        # piece e's constant: V(e + 1), or the unit cost's at e = T
+        consts = relax.cost_to_go[2:T + 1] + [relax.closing]
+        limits = [self._limit(e) for e in range(1, T + 1)]
         x = hi
-        pieces = self.relaxation.pieces
-        hinge = self._hinge(x)
         moved = True
         while moved:
             moved = False
-            for piece in pieces:
-                if x > piece.limit:
-                    continue
-                value = _piece_value(piece, x, hinge)
-                if value < target:
-                    left = max(piece.cost.left_crossing(
-                        target - piece.const, x, value - piece.const), piece.lo)
+            for e in range(1, T + 1):
+                value = first[0][e] + relax.cost_to_go[e + 1]
+                if x <= limits[e - 1] and value < target:
+                    cyc, const = relax.cycles[(1, e)], consts[e - 1]
+                    left = max(cyc.cost.left_crossing(
+                        target - const, x, value - const), cyc.y_lo - 1e-9)
                     if left < x:
                         x, moved = left, True
-                        hinge = self._hinge(x)
+                        first = self._first_row(x)
         if x < hi:
-            best = self.cost_at(x)
+            best = self._answer(x, first)
         if abs(best[0] - target) <= ROOT_MATCH:
             return x, best
         self.fallbacks += 1

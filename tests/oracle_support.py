@@ -8,8 +8,9 @@ every partial demand sum, so piecewise-linear optima are captured exactly.
 
 full_enumeration is the solver's pattern search without its bound: every
 pattern, in lexicographic order, through the engine's own solve_pattern.
-EnumerationEngine is the solver engine without its envelope: pinned costs
-come from the pattern search alone and reorder roots from bisection.
+EnumerationEngine is the solver engine with every certificate limit cut to
+-inf: pinned costs come from the pattern search alone and reorder roots
+from bisection.
 
 dense_sdp_tables is the SDP oracle's backward pass done the direct way: a
 dense levels x atoms stage-cost matrix and one shifted lookup of the next
@@ -32,12 +33,14 @@ ConvexPWL.argmin's own sort.
 reference_relaxation is _SubmodelEngine.relaxation by the recursive
 definitions it replaced: each relaxation row built on demand through the
 cost-to-go recursion, each relaxed path's end by its own min over the
-row, the envelope piece by piece, and enumerate's seed end of a pinned
-first row.
+row, the envelope piece by piece (_Piece: the priced first cycle, its
+constant, pin domain, certificate limit and pattern), and each pinned
+first row with each arc from ConvexPWL.__call__.
 
-PerPieceEngine is the solver engine reading its envelope one piece at a
-time: every piece forms its own max(x - kink, 0) for each cost_at read and
-each step of the reorder-root walk, as ConvexPWL.__call__ does.
+PerPieceEngine is the solver engine reading reference_relaxation's
+envelope one piece at a time: every piece forms its own max(x - kink, 0)
+for each cost_at read and each step of the reorder-root walk, as
+ConvexPWL.__call__ does.
 
 reference_solution is solve_exact's answer built by name: each side's
 variables from the solved pattern (reference_assignment, H_t from the
@@ -50,6 +53,8 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
+from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
@@ -60,8 +65,8 @@ from sspolicy.loss import PiecewiseLoss, cached_partition
 from sspolicy.model import INDICATOR
 from sspolicy.sdp import discretize_demand
 from sspolicy.simulate import SimulationResult
-from sspolicy.solver import (ConvexPWL, _Cycle, _engine_for, _forced,
-                             _largest_root, _Piece, _SubmodelEngine)
+from sspolicy.solver import (ConvexPWL, SolverError, _Cycle, _engine_for,
+                             _forced, _largest_root, _SubmodelEngine)
 
 
 def _cycle_cost_fn(instance, segments, j, e):
@@ -179,11 +184,12 @@ def full_enumeration(engine, pinned_i0=None):
 
 
 class EnumerationEngine(_SubmodelEngine):
-    """The solver engine without its envelope: every cost_at is a pattern
-    search, and every reorder root bisects that search's cost curve."""
+    """The solver engine without its certificates: every cost_at is a
+    pattern search, and every reorder root bisects that search's cost
+    curve."""
 
-    def _certified_at(self, x):
-        return None
+    def _limit(self, e):
+        return -math.inf
 
     def reorder_root(self, target, hi):
         cache = {}
@@ -198,17 +204,39 @@ class EnumerationEngine(_SubmodelEngine):
         return root, cache[root] if root in cache else self.cost_at(root)
 
 
+@dataclass
+class _Piece:
+    """Piece e of the pinned-first-cycle envelope: the pattern that closes
+    the pinned first cycle at e and completes the horizon on the relaxed
+    shortest path from e + 1."""
+    cost: ConvexPWL      # priced cycle 1..e of the pinned level
+    const: float         # V(e + 1), plus the unit-cost term when e = T
+    lo: float            # pin domain, with solve_pattern's 1e-9 slack
+    hi: float
+    limit: float         # certificate limit U_e; -inf where there is none
+    deltas: tuple        # the pattern
+    levels: list         # the relaxed tail's levels
+    cycles: list         # the pattern's cycles
+
+
 class PerPieceEngine(_SubmodelEngine):
-    """The solver engine with each envelope piece evaluated on its own."""
+    """The solver engine reading reference_relaxation's envelope one piece
+    at a time, each piece evaluated on its own."""
+
+    @cached_property
+    def pieces(self) -> list:
+        return reference_relaxation(self).pieces
 
     @staticmethod
     def _value(piece, x):
         return piece.cost(x) + piece.const if piece.lo <= x <= piece.hi else math.inf
 
-    def _certified_at(self, x):
+    def certified_at(self, x):
+        """cost_at(x) from the envelope, or None where no certified piece
+        attains its minimum at x."""
         lowest = best = math.inf
         chosen = None
-        for piece in self.relaxation.pieces:
+        for piece in self.pieces:
             value = self._value(piece, x)
             lowest = min(lowest, value)
             if x <= piece.limit and value < best:
@@ -218,6 +246,17 @@ class PerPieceEngine(_SubmodelEngine):
         levels = np.array([x] + chosen.levels)
         return float(best), chosen.deltas, levels, chosen.cycles
 
+    def cost_at(self, x):
+        best = self.certified_at(x)
+        if best is not None:
+            self.certified += 1
+            return best
+        best, nodes = self.enumerate(x)
+        self.nodes += nodes
+        if best is None:
+            raise SolverError(f"no feasible pattern at initial level {x}")
+        return best
+
     def reorder_root(self, target, hi):
         best = self.cost_at(hi)
         if abs(best[0] - target) <= 1e-9:
@@ -226,7 +265,7 @@ class PerPieceEngine(_SubmodelEngine):
         moved = True
         while moved:
             moved = False
-            for piece in self.relaxation.pieces:
+            for piece in self.pieces:
                 value = self._value(piece, x)
                 if x <= piece.limit and value < target:
                     left = max(piece.cost.left_crossing(
@@ -532,7 +571,7 @@ def reference_relaxation(engine, pins=()) -> SimpleNamespace:
       V(T + 1) = 0, each row built on first use through the recursion;
     - ends[j], the first end attaining V(j): min(range(j, T + 1), key) over
       the row, as the relaxed paths and enumerate's seed read it;
-    - paths[j] = (levels, cycles, chained), j = 2..T + 1;
+    - paths[j] = (levels, cycles, chained, pattern), j = 2..T + 1;
     - pieces, the envelope, built piece by piece;
     - pinned[pin] = (arc, reach, first end) of the first row pinned at
       `pin`, the first end being enumerate's seed end.
@@ -588,15 +627,21 @@ def reference_relaxation(engine, pins=()) -> SimpleNamespace:
     def first_end(j, arc):
         return min(range(j, T + 1), key=lambda e: arc[e] + cost_to_go(e + 1))
 
-    paths = {T + 1: ([], [], True)}
+    def pattern(tail):
+        deltas = [0] * T
+        for later in tail:
+            deltas[later.start - 1] = 1
+        return tuple(deltas)
+
+    paths = {T + 1: ([], [], True, pattern([]))}
     for j in range(T, 1, -1):
         e = first_end(j, relaxation(j)[0])
         cyc = cycle(j, e)
-        levels, tail, chained = paths[e + 1]
+        levels, tail, chained, _ = paths[e + 1]
         y = cyc.argmin
         chained = (chained and cyc.y_lo <= y <= cyc.y_hi
                    and (not levels or levels[0] >= y - cyc.mean_demand))
-        paths[j] = ([y] + levels, [cyc] + tail, chained)
+        paths[j] = ([y] + levels, [cyc] + tail, chained, pattern([cyc] + tail))
 
     pieces = []
     for e in range(1, T + 1):
@@ -608,13 +653,10 @@ def reference_relaxation(engine, pins=()) -> SimpleNamespace:
             const = cost_to_go(e + 1)
             if const == math.inf:
                 continue
-            levels, tail, chained = paths[e + 1]
+            levels, tail, chained, _ = paths[e + 1]
             limit = levels[0] + cyc.mean_demand if chained else -math.inf
-        deltas = [0] * T
-        for later in tail:
-            deltas[later.start - 1] = 1
         pieces.append(_Piece(cyc.cost, const, cyc.y_lo - 1e-9, cyc.y_hi + 1e-9,
-                             limit, tuple(deltas), levels, [cyc] + tail))
+                             limit, pattern(tail), levels, [cyc] + tail))
 
     pinned = {}
     for pin in pins:

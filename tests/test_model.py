@@ -13,9 +13,10 @@ from sspolicy.domain import make_instance
 from sspolicy.export import render_lp
 from sspolicy.heuristics import HeuristicConfig
 from sspolicy.model import (
-    CUT, INDICATOR, PiecewiseRules, RowTable, _emit_joint, build_joint,
-    build_minlp_s, build_minlp_S, build_segments, cumulative_demand,
-    default_big_m, level_bounds, period_pieces, verify_assignment,
+    CUT, INDICATOR, PiecewiseRules, RowChecks, RowTable, _emit_joint,
+    build_joint, build_minlp_s, build_minlp_S, build_segments,
+    cumulative_demand, default_big_m, level_bounds, period_pieces,
+    verify_assignment,
 )
 from sspolicy.sdp import default_grid
 from sspolicy.solver import CycleTable, solve_exact
@@ -284,7 +285,10 @@ class TestSemantics:
         rows = model.rows
         keep = rows.kind != CUT
         assert not keep.all()
-        model.rows = RowTable(*(getattr(rows, f.name)[keep] for f in fields(RowTable)))
+        cut = {f.name: getattr(rows, f.name)[keep]
+               for f in fields(RowTable) if f.name != "checks"}
+        model.rows = RowTable(**cut, checks=RowChecks.of(
+            cut["sense"], cut["kind"], cut["condition"]))
         res_without = solve_exact(model)
         assert res_with.objective == pytest.approx(res_without.objective, abs=1e-9)
 
@@ -388,7 +392,10 @@ def _assert_emitted(instance, segments):
     arrays += [(f"matrix.{f}", getattr(got.rows.matrix, f), getattr(ref.rows.matrix, f))
                for f in ("data", "indices", "indptr")]
     arrays += [(f"rows.{f.name}", getattr(got.rows, f.name), getattr(ref.rows, f.name))
-               for f in fields(RowTable) if f.name != "matrix"]
+               for f in fields(RowTable) if f.name not in ("matrix", "checks")]
+    arrays += [(f"rows.checks.{f.name}", getattr(got.rows.checks, f.name),
+                getattr(ref.rows.checks, f.name)) for f in fields(RowChecks)]
+    arrays += [("free_binaries", got.free_binaries, ref.free_binaries)]
     arrays += [(f"piecewise.{f.name}", getattr(got.piecewise, f.name),
                 getattr(ref.piecewise, f.name)) for f in fields(PiecewiseRules)]
     for what, a, b in arrays:
@@ -448,6 +455,8 @@ def test_joint_skeleton_shares_structure_read_only(example4, segments4):
         with pytest.raises(ValueError, match="read-only"):
             x[0] = x[1]
     assert a.names is b.names and a.index is b.index
+    # every fill shares the skeleton's checks and free binaries
+    assert a.rows.checks is b.rows.checks and a.free_binaries is b.free_binaries
     with pytest.raises(TypeError):
         a.names[0] = "renamed"
     with pytest.raises(TypeError):

@@ -445,12 +445,11 @@ class TestEnvelope:
             (root, best), target, s_up = _reorder_root(engine, view.instance)
             assert best[0] == pytest.approx(target, abs=1e-7)
             pins = {s_up, root, root - 1.0, 0.0}
-            for piece in engine.relaxation.pieces:
-                if math.isfinite(piece.limit):  # both sides of U_e
-                    pins.update((piece.limit - 0.5, piece.limit,
-                                 piece.limit + 0.5))
+            for limit in map(engine._limit, range(1, engine.T + 1)):
+                if math.isfinite(limit):  # both sides of U_e
+                    pins.update((limit - 0.5, limit, limit + 0.5))
             for x in sorted(pins):
-                certified = engine._certified_at(x)
+                certified = engine._certified(x, engine._first_row(x))
                 if certified is None:
                     continue
                 searched, _ = engine.enumerate(x)
@@ -464,9 +463,7 @@ class TestEnvelope:
             reference = _reorder_root(EnumerationEngine(view, bounds),
                                       view.instance)[0]
             _assert_same_root(engine, target, root, reference)
-            emptied = _SubmodelEngine(view, bounds)  # private: limits cut
-            for piece in emptied.relaxation.pieces:
-                piece.limit = -math.inf
+            emptied = _uncertified(_SubmodelEngine(view, bounds))
             fallback = _reorder_root(emptied, view.instance)[0]
             assert emptied.certified == 0
             _assert_same_root(engine, target, root, fallback)
@@ -476,9 +473,7 @@ class TestEnvelope:
         engine = _engine(build_joint(example4, segments4))
         (root, _), _, _ = _reorder_root(engine, example4)
         assert (engine.certified, engine.fallbacks) == (2, 0)
-        forced = _engine(build_joint(example4, segments4))
-        for piece in forced.relaxation.pieces:
-            piece.limit = -math.inf
+        forced = _uncertified(_engine(build_joint(example4, segments4)))
         with caplog.at_level(logging.DEBUG, logger="sspolicy.solver"):
             (again, _), _, _ = _reorder_root(forced, example4)
         assert (forced.certified, forced.fallbacks) == (0, 1)
@@ -487,40 +482,53 @@ class TestEnvelope:
         assert len(records) == 1
         assert "4-period suffix" in records[0].getMessage()
 
-    def test_gap8_instance_certifies_every_suffix(self, caplog):
-        """On an 8-period grid instance every reorder root and every bs
-        bisection step is answered from the envelope."""
+    def test_uncertified_cost_at_builds_one_first_row(self, example4,
+                                                      segments4, monkeypatch):
+        """A cost_at that the certificates cannot answer searches from the
+        first row it pinned for them."""
+        engine = _uncertified(_engine(build_joint(example4, segments4)))
+        x = float(engine.free_minimum()[2][0]) - 1.0
+        first_row, calls = _SubmodelEngine._first_row, []
+
+        def counting(self, level):
+            calls.append(level)
+            return first_row(self, level)
+
+        monkeypatch.setattr(_SubmodelEngine, "_first_row", counting)
+        answer = engine.cost_at(x)
+        assert calls == [x] and engine.certified == 0
+        assert _same_answer(answer, engine.enumerate(x)[0])
+
+    def test_gap8_instance_certifies_every_suffix(self, monkeypatch):
+        """On every 9th 8-period grid instance, bs then mp on one shared
+        table: every pinned level, a bs cost_at or a level of mp's reorder
+        root walk, is answered from its pinned first row, so no pinned
+        search runs, and no reorder root falls back."""
         config = BenchmarkConfig(horizon=8)
         hc = config.heuristic_config()
-        instance = build_instances(config)[0]
-        table = CycleTable(instance, build_segments(
-            instance, segments=hc.cells, strategy=hc.strategy))
-        for k in range(1, 9):
-            view = table.suffix(k)
-            engine = _SubmodelEngine(view, default_bounds(view.instance))
-            _reorder_root(engine, view.instance)
-            assert (engine.certified, engine.fallbacks) == (2, 0), k
-        calls = []
+        answer, search = _SubmodelEngine._answer, _SubmodelEngine._search
+        calls, pinned = [], []
 
-        class Counting(ExactBackend):
-            def evaluator(self, view):
-                engine = super().evaluator(view)
-                search = engine.cost_at
+        def counting_answer(self, x, first):
+            calls.append(x)
+            return answer(self, x, first)
 
-                def cost_at(x):
-                    calls.append(engine)
-                    return search(x)
+        def counting_search(self, first, pinned_i0):
+            if pinned_i0 is not None:
+                pinned.append(pinned_i0)
+            return search(self, first, pinned_i0)
 
-                engine.cost_at = cost_at
-                return engine
-
-        bs_policy(instance, hc, backend=Counting())
-        engines = set(calls)
-        assert len(engines) == 8
-        assert sum(engine.certified for engine in engines) == len(calls)
-        with caplog.at_level(logging.DEBUG, logger="sspolicy.solver"):
-            mp_policy(instance, hc)
-        assert not [r for r in caplog.records if r.name == "sspolicy.solver"]
+        monkeypatch.setattr(_SubmodelEngine, "_answer", counting_answer)
+        monkeypatch.setattr(_SubmodelEngine, "_search", counting_search)
+        for instance in build_instances(config)[::9]:
+            table = cycle_table(instance, hc)
+            calls.clear()
+            bs_policy(instance, hc, table=table)
+            mp_policy(instance, hc, table=table)
+            _, certified, fallbacks = table.work()
+            assert calls and (certified, fallbacks) == (len(calls), 0), \
+                instance.name
+        assert pinned == []
 
 
 @pytest.mark.skipif(not os.environ.get("SSPOLICY_FULL_BENCHMARK"),
@@ -570,6 +578,12 @@ def _envelope_cases(draw):
     return inst, HeuristicConfig(segments=draw(st.integers(3, 12)))
 
 
+def _uncertified(engine):
+    """`engine` with every certificate limit cut to -inf."""
+    engine._limit = lambda e: -math.inf
+    return engine
+
+
 def _same_answer(got, ref) -> bool:
     """Two cost_at answers (or None) with equal bits: cost, pattern,
     levels and cycles."""
@@ -581,10 +595,10 @@ def _same_answer(got, ref) -> bool:
 
 
 def _assert_reads_match(view, extra=()):
-    """The engine's certified reads and reorder root are hex-equal to
-    PerPieceEngine's, at the suffix's order-up-to level, around every
-    certificate limit and pin-domain end, at negative levels and at
-    `extra`; the counters agree."""
+    """The engine's certified reads from its pinned first row, and its
+    reorder root, are hex-equal to PerPieceEngine's, at the suffix's
+    order-up-to level, around every certificate limit and pin-domain end,
+    at negative levels and at `extra`; the counters agree."""
     bounds = default_bounds(view.instance)
     fast, slow = _SubmodelEngine(view, bounds), PerPieceEngine(view, bounds)
     best = fast.free_minimum()
@@ -592,17 +606,20 @@ def _assert_reads_match(view, extra=()):
     s_up = float(best[2][0])
     target = best[0] + view.instance.costs.fixed
     pins = {s_up, s_up - 1.0, 0.0, -7.25, -s_up - 40.0, *extra}
-    pieces = fast.relaxation.pieces
-    kinks = fast.relaxation.kinks
-    for piece in pieces:
-        # every piece's kinks are a prefix of the hinge's
-        assert np.shares_memory(piece.cost.kinks, kinks)
-        assert piece.cost.kinks.tobytes() == kinks[:len(piece.cost.kinks)].tobytes()
+    cycles = fast.relaxation.cycles
+    kinks = cycles[(1, fast.T)].cost.kinks
+    for e in range(1, fast.T + 1):
+        # every first cycle's kinks are a prefix of the hinge's
+        first = cycles[(1, e)].cost.kinks
+        assert np.shares_memory(first, kinks)
+        assert first.tobytes() == kinks[:len(first)].tobytes()
+    for piece in slow.pieces:
         for v in (piece.limit, piece.lo, piece.hi):
             if math.isfinite(v):
                 pins.update((v - 0.5, v, v + 0.5))
     for x in sorted(pins):
-        assert _same_answer(fast._certified_at(x), slow._certified_at(x)), x
+        assert _same_answer(fast._certified(x, fast._first_row(x)),
+                            slow.certified_at(x)), x
     root, answer = fast.reorder_root(target, s_up)
     root_ref, answer_ref = slow.reorder_root(target, s_up)
     assert _same_float(root, root_ref)
@@ -673,9 +690,10 @@ def _first_row_pins(engine, extra=()) -> set:
 
 
 def _assert_relaxation_matches_reference(engine, extra=()):
-    """Every row, V(j), first end, relaxed path and envelope piece of the
-    engine's one-pass relaxation, and its pinned first rows, are
-    hex-equal to the recursive definitions'."""
+    """Every row, V(j), first end and relaxed path of the engine's
+    one-pass relaxation, its pinned first rows, and the certificate limit
+    and pattern of every envelope piece are hex-equal to the recursive
+    definitions'."""
     relax = engine.relaxation
     pins = sorted(_first_row_pins(engine, extra))
     ref = reference_relaxation(engine, pins)
@@ -688,11 +706,13 @@ def _assert_relaxation_matches_reference(engine, extra=()):
         assert _bits(relax.cost_to_go[j]) == _bits(ref.cost_to_go[j]), j
     for j in range(2, T + 2):
         assert _bits(relax.paths[j]) == _bits(ref.paths[j]), j
-    assert _bits(relax.pieces) == _bits(ref.pieces)
-    assert relax.kinks is relax.pieces[-1].cost.kinks
+    assert ref.pieces[-1].cycles[0].end == T
+    for piece in ref.pieces:
+        e = piece.cycles[0].end
+        assert _bits(engine._limit(e)) == _bits(piece.limit), e
+        assert relax.paths[e + 1][3] == piece.deltas, e
     for pin in pins:
-        row = engine._row(1, pin, relax.cycles, relax.cost_to_go)
-        assert _bits(row) == _bits(ref.pinned[pin]), pin
+        assert _bits(engine._first_row(pin)) == _bits(ref.pinned[pin]), pin
 
 
 @st.composite
