@@ -69,13 +69,14 @@ vector with the model's name -> column index.
 
 Cycle data lives in a CycleTable, one per instance: its (j, t) segments
 and, built on first use, one record per cycle (j, e) and `first` flag: its
-priced convex cost, free minimizer and minimum, mean demand and demand
-shifts. The cycles of one start j come from one array pass: the kinks and
-deltas of pieces (j, j..T) are concatenated once, cycle (j, e) is a
-ConvexPWL over a read-only prefix of them, and one stable argsort of the
-start's kinks gives every cycle's minimizer. The result is bit-equal to
-adding the pieces one at a time with ConvexPWL.plus and sorting each sum
-(CycleTable._build_start says why). The heuristics solve every suffix
+priced convex cost, mean demand and demand shifts. The cycles of one start
+j come from one array pass: the kinks and deltas of pieces (j, j..T) are
+concatenated once, and cycle (j, e) is a ConvexPWL over a read-only prefix
+of them, bit-equal to adding the pieces one at a time with ConvexPWL.plus.
+Each cost sorts its kinks once, on first use, and memoizes its free
+minimizer and the minimum there; the unit cost's terms are added with
+ConvexPWL.plus_affine, which hands the sort on, so both `first` records of
+a cycle share one sort. The heuristics solve every suffix
 k..T, its free minimum and every root-search step, from the one table
 through a SuffixView, which maps the suffix's local periods to the
 instance's by the offset k - 1. Sharing is exact: suffix k's (j, t) piece
@@ -85,8 +86,8 @@ function, built by the same operations, whichever suffix reads it. The
 unit cost's level terms depend only on whether the cycle opens the suffix
 (`first`) and whether it closes the horizon; without a unit cost both
 `first` keys hold one record. Level bounds differ per suffix and stay with
-its engine, which clamps the shared free minimizer to them exactly as
-ConvexPWL.minimize does.
+its engine, which clamps the shared free minimizer to them with
+ConvexPWL.minimize.
 
 The table also owns one no-order engine per suffix, built on first use at
 the suffix's default level bounds (those of build_minlp_s with a free
@@ -96,10 +97,11 @@ heuristics that run on one table search each suffix once: the engine
 memoizes its free minimum, and builds its relaxation whole on first use,
 in one backward pass over the cycle starts: the suffix's cycles, then
 every start's relaxation row, cost-to-go and relaxed path, each path with
-its pattern. Both are pure functions of the suffix and its bounds, so an answer does
-not depend on which caller filled them, and a build that raises stores
-nothing. A model built from a plain segment dict, or with other bounds (a
-pinned initial level widens them), is solved by a private engine.
+its pattern, and the certificate limits. Both are pure functions of the
+suffix and its bounds, so an answer does not depend on which caller filled
+them, and a build that raises stores nothing. A model built from a plain
+segment dict, or with other bounds (a pinned initial level widens them),
+is solved by a private engine.
 """
 from __future__ import annotations
 
@@ -150,15 +152,24 @@ class SolveResult:
 
 class ConvexPWL:
     """f(x) = slope * x + const + sum_k delta_k * max(x - kink_k, 0),
-    with all delta_k >= 0 (convex)."""
+    with all delta_k >= 0 (convex).
 
-    __slots__ = ("slope", "const", "kinks", "deltas")
+    The stable sort of the kinks, with the running sums of the sorted
+    deltas, is formed once, on first use, and so are the free minimizer
+    and the cost there; argmin, minimize and left_crossing read them. The
+    memo's arrays are read-only. plus_affine hands the sort on; plus and
+    shifted do not, as a shift can round two kinks into a tie and change
+    the stable order."""
+
+    __slots__ = ("slope", "const", "kinks", "deltas", "_sorted", "_free")
 
     def __init__(self, slope=0.0, const=0.0, kinks=None, deltas=None):
         self.slope = float(slope)
         self.const = float(const)
         self.kinks = np.asarray([] if kinks is None else kinks, dtype=float)
         self.deltas = np.asarray([] if deltas is None else deltas, dtype=float)
+        self._sorted = None  # _sort()'s (kinks, rises)
+        self._free = None    # _minimum()'s (argmin, min)
 
     def __call__(self, x):
         if self.kinks.size == 0:
@@ -172,14 +183,28 @@ class ConvexPWL:
                          np.concatenate((self.deltas, other.deltas)))
 
     def plus_affine(self, a: float, b: float) -> "ConvexPWL":
-        return ConvexPWL(self.slope + a, self.const + b, self.kinks, self.deltas)
+        out = ConvexPWL(self.slope + a, self.const + b, self.kinks, self.deltas)
+        out._sorted = self._sort()
+        return out
 
     def shifted(self, delta: float) -> "ConvexPWL":
         """g(x) = f(x - delta)."""
         return ConvexPWL(self.slope, self.const - self.slope * delta,
                          self.kinks + delta, self.deltas)
 
-    def argmin(self, tol: float = 1e-11) -> float:
+    def _sort(self) -> tuple:
+        """(kinks, rises): the kinks stably sorted, and rises[i] the sum of
+        the deltas of kinks[:i], so that slope + rises[i] is f's slope on
+        (kinks[i-1], kinks[i]) and slope + rises[n] after the last kink."""
+        if self._sorted is None:
+            order = np.argsort(self.kinks, kind="stable")
+            kinks = self.kinks[order]
+            rises = np.concatenate(([0.0], np.cumsum(self.deltas[order])))
+            kinks.flags.writeable = rises.flags.writeable = False
+            self._sorted = kinks, rises
+        return self._sorted
+
+    def argmin(self) -> float:
         """Minimizer over the whole line; flat minima return their midpoint,
         and f returns inf where it never rises, -inf where it never falls.
 
@@ -187,26 +212,31 @@ class ConvexPWL:
         region is bracketed by the last descending and first ascending
         segment.
         """
-        order = np.argsort(self.kinks, kind="stable")
-        kinks = self.kinks[order]
-        # slopes[i] applies on (kinks[i-1], kinks[i]); slopes[n] after the end
-        slopes = self.slope + np.concatenate(([0.0], np.cumsum(self.deltas[order])))
-        neg = np.nonzero(slopes < -tol)[0]
-        pos = np.nonzero(slopes > tol)[0]
-        if pos.size == 0:
-            return math.inf
-        if neg.size == 0:
-            return -math.inf
-        last_neg = neg[-1]
-        first_pos = pos[0]
-        left = kinks[last_neg]
-        right = kinks[first_pos - 1]
-        return left if first_pos == last_neg + 1 else 0.5 * (left + right)
+        return self._minimum()[0]
 
-    def minimize(self, lo: float, hi: float, tol: float = 1e-11):
+    def _minimum(self) -> tuple:
+        """(argmin, f there), nan where argmin is infinite; memoized."""
+        if self._free is None:
+            kinks, rises = self._sort()
+            slopes = self.slope + rises
+            neg = np.nonzero(slopes < -1e-11)[0]
+            pos = np.nonzero(slopes > 1e-11)[0]
+            if pos.size == 0:
+                x = math.inf
+            elif neg.size == 0:
+                x = -math.inf
+            else:
+                last_neg, first_pos = neg[-1], pos[0]
+                left, right = kinks[last_neg], kinks[first_pos - 1]
+                x = left if first_pos == last_neg + 1 else 0.5 * (left + right)
+            self._free = x, self(x) if math.isfinite(x) else math.nan
+        return self._free
+
+    def minimize(self, lo: float, hi: float):
         """(argmin, min) over [lo, hi]: the free argmin clamped to it."""
-        x = min(max(self.argmin(tol), lo), hi)
-        return x, self(x)
+        free, value = self._minimum()
+        x = min(max(free, lo), hi)
+        return x, value if x == free else self(x)
 
     def left_crossing(self, level: float, x: float, fx: float) -> float:
         """Left end a of f's sublevel interval {f < level} that holds x,
@@ -217,13 +247,12 @@ class ConvexPWL:
         itself is solved on its linear piece from an exact evaluation of
         the piece's right end.
         """
-        order = np.argsort(self.kinks, kind="stable")
-        kinks = self.kinks[order]
-        slopes = self.slope + np.concatenate(([0.0], np.cumsum(self.deltas[order])))
+        kinks, rises = self._sort()
         n = int(np.searchsorted(kinks, x, side="right"))
         points = np.append(kinks[:n], x)
+        slopes = self.slope + rises[:n + 1]
         # f at the kinks left of x, from the rise over each piece up to x
-        rise = slopes[1:n + 1] * np.diff(points)
+        rise = slopes[1:] * np.diff(points)
         values = fx - np.cumsum(rise[::-1])[::-1]
         above = np.nonzero(values >= level)[0]
         if above.size:
@@ -235,25 +264,6 @@ class ConvexPWL:
             return left
         f_right = fx if right == x else self(right)
         return min(max(right + (level - f_right) / slope, left), right)
-
-
-def _prefix_argmins(slopes, ends, sorted_kinks, inside, rises, rank,
-                    tol: float = 1e-11) -> list:
-    """ConvexPWL.argmin of the cycles of one start, a row each: row i has
-    slope slopes[i] and the ends[i] kinks where `inside` holds among the
-    start's stably sorted kinks; rank counts them and rises sums their
-    deltas. Its slopes never fall, so counting the descending and the
-    ascending segments finds the last descending and first ascending one."""
-    after = slopes[:, None] + rises  # the slope right of each kink
-    neg = (slopes < -tol) + ((after < -tol) & inside).sum(axis=1)
-    pos = (slopes > tol) + ((after > tol) & inside).sum(axis=1)
-    last_neg, first_pos = neg - 1, ends + 1 - pos
-    top = len(sorted_kinks) - 1
-    left = sorted_kinks[np.minimum((rank <= last_neg[:, None]).sum(axis=1), top)]
-    right = sorted_kinks[np.minimum((rank < first_pos[:, None]).sum(axis=1), top)]
-    xs = np.where(first_pos == last_neg + 1, left, 0.5 * (left + right))
-    return [math.inf if p == 0 else -math.inf if n == 0 else x
-            for n, p, x in zip(neg, pos, xs)]
 
 
 @lru_cache(maxsize=64)
@@ -277,13 +287,13 @@ class CycleTable:
         self._engines: dict = {}  # suffix k -> its no-order engine
 
     def cycle(self, j: int, e: int, first: bool) -> tuple:
-        """(cost, argmin, min, mean demand, largest and smallest demand
-        shift) of cycle j..e. The cost is a ConvexPWL of the start-of-cycle
-        level y over read-only prefixes of start j's kink arrays, with the
-        unit ordering cost, which telescopes into the levels of a suffix's
-        first cycle (`first`) and of the horizon's last. argmin is
-        ConvexPWL.argmin's and min the cost there (nan where argmin is
-        infinite). With no unit cost both `first` keys hold one record."""
+        """(cost, mean demand, largest and smallest demand shift) of cycle
+        j..e. The cost is a ConvexPWL of the start-of-cycle level y over
+        read-only prefixes of start j's kink arrays, with the unit ordering
+        cost, which telescopes into the levels of a suffix's first cycle
+        (`first`) and of the horizon's last. With no unit cost both `first`
+        keys hold one record; with one, both records share the cost's kink
+        sort."""
         hit = self._cycles.get((j, e, first))
         if hit is None:
             self._build_start(j)
@@ -296,19 +306,16 @@ class CycleTable:
         Cycle (j, e) sums pieces (j, j..e): its kinks and deltas are a
         prefix of the pieces' concatenation, and its slope and constant
         are running sums from 0.0, so the result is bit-equal to adding the
-        pieces one at a time with ConvexPWL.plus. One stable argsort of
-        the start's kinks, filtered to each prefix, is each cycle's own
-        stable order; a cumulative sum of the sorted deltas with the
-        other cycles' deltas masked to 0.0 gives each cycle's slopes
-        bit-equal, as adding 0.0 leaves a partial sum unchanged.
+        pieces one at a time with ConvexPWL.plus. Each cycle sorts its own
+        kinks on first use; the unit cost's terms are plus_affine, which
+        hands that sort on.
         """
         T = self.instance.horizon
         costs = self.instance.costs
         b, c = costs.penalty, costs.unit
         hb = costs.holding + b
         pieces = [self.segments[(j, t)] for t in range(j, T + 1)]
-        sizes = [len(pw.breakpoints) for pw in pieces]
-        ends = np.cumsum(sizes)
+        ends = accumulate(len(pw.breakpoints) for pw in pieces)
         kinks = np.concatenate([pw.breakpoints for pw in pieces])
         deltas = np.concatenate([_steps(pw.slopes) for pw in pieces]) * hb
         kinks.flags.writeable = deltas.flags.writeable = False
@@ -321,31 +328,17 @@ class CycleTable:
         cycles = [ConvexPWL(slope, const, kinks[:n], deltas[:n])
                   for slope, const, n in zip(slopes, consts, ends)]
 
-        order = np.argsort(kinks, kind="stable")
-        # row i: which sorted kinks cycle (j, j + i) holds, its deltas' running
-        # sum with the others masked to 0.0, and its count of kinks so far
-        inside = np.repeat(np.arange(len(pieces)), sizes)[order] \
-            <= np.arange(len(pieces))[:, None]
-        rises = np.cumsum(np.where(inside, deltas[order], 0.0), axis=1)
-        rank = np.cumsum(inside, axis=1)
-        sorted_kinks = kinks[order]
-
         def records(funcs: list) -> list:
-            xs = _prefix_argmins(np.array([f.slope for f in funcs]), ends,
-                                 sorted_kinks, inside, rises, rank)
-            return [(f, x, f(x) if math.isfinite(x) else math.nan, *d)
-                    for f, x, d in zip(funcs, xs, demand)]
+            return [(f, *d) for f, d in zip(funcs, demand)]
 
+        firsts = later = records(cycles)
         if c:
             # -c y for the suffix's first cycle, +c y for the horizon's last
-            firsts = [f.plus_affine(-c, 0.0) for f in cycles]
-            firsts[-1] = firsts[-1].plus_affine(c, 0.0)
-            later = cycles[:-1] + [cycles[-1].plus_affine(c, 0.0)]
-            both = ((True, records(firsts)), (False, records(later)))
-        else:
-            hits = records(cycles)
-            both = ((True, hits), (False, hits))
-        for first, hits in both:
+            priced = [f.plus_affine(-c, 0.0) for f in cycles]
+            priced[-1] = priced[-1].plus_affine(c, 0.0)
+            firsts = records(priced)
+            later = records(cycles[:-1] + [cycles[-1].plus_affine(c, 0.0)])
+        for first, hits in ((True, firsts), (False, later)):
             self._cycles.update(((j, e, first), hit)
                                 for e, hit in zip(range(j, T + 1), hits))
 
@@ -424,8 +417,6 @@ class _Cycle:
     start: int           # local period j (1-based); orders unless j == 1
     end: int             # local period e
     cost: ConvexPWL      # priced cost of the start-of-cycle level y
-    argmin: float        # cost.argmin() and the cost there
-    minimum: float
     mean_demand: float   # cumulative mean over the cycle
     y_lo: float
     y_hi: float
@@ -445,6 +436,9 @@ class _Relaxation:
     paths: list          # j >= 2: (levels, cycles, chained, pattern) of the
                          # relaxed path from j, cycle j..end then
                          # paths[end + 1]; its pattern orders at its starts
+    limits: list         # by the first cycle's end e: U_e = y*_{e+1} +
+                         # D(1..e) where paths[e + 1] is chained, -inf
+                         # where it is not, +inf at e = T
     closing: float       # the unit cost's constant of cycle 1..T
 
 
@@ -460,9 +454,9 @@ class _SubmodelEngine:
     the `cost_at` answers read from the pinned first row and `fallbacks`
     the roots that needed `_largest_root`. The free minimum is searched
     once and memoized, its levels read-only. `relaxation` (the suffix's
-    cycles, the relaxation rows and the relaxed paths) is built whole on
-    first use, inside the first search's call; a build that raises stores
-    nothing.
+    cycles, the relaxation rows, the relaxed paths and the certificate
+    limits) is built whole on first use, inside the first search's call; a
+    build that raises stores nothing.
     """
 
     def __init__(self, view: SuffixView, bounds: tuple):
@@ -483,18 +477,19 @@ class _SubmodelEngine:
     @cached_property
     def relaxation(self) -> _Relaxation:
         """The suffix's _Cycles, then one pass over the cycle starts
-        j = T..1: its row, V(j) and the relaxed path from j."""
+        j = T..1: its row, V(j), the relaxed path from j and U_{j-1}."""
         T = self.T
         cycles = {}
         for j in range(1, T + 1):
             for e in range(j, T + 1):
-                cost, argmin, minimum, mean_d, top, low = self.view.cycle(j, e)
+                cost, mean_d, top, low = self.view.cycle(j, e)
                 # inventory bounds: every I_t = y - shift within [inv_lo, inv_hi]
-                cycles[(j, e)] = _Cycle(j, e, cost, argmin, minimum, mean_d,
+                cycles[(j, e)] = _Cycle(j, e, cost, mean_d,
                                         self.inv_lo + top, self.inv_hi + low)
         rows = [None] * (T + 1)
         cost_to_go = [None] * (T + 1) + [0.0]
         paths = [None] * (T + 1) + [([], [], True, (0,) * T)]
+        limits = [None] * T + [math.inf]
         for j in range(T, 0, -1):
             arc = [math.inf] * j + [self._arc(cycles[(j, e)])
                                     for e in range(j, T + 1)]
@@ -503,14 +498,16 @@ class _SubmodelEngine:
             if j > 1:
                 cyc = cycles[(j, end)]
                 levels, tail, chained, pattern = paths[end + 1]
-                y = cyc.argmin
+                y = cyc.cost.argmin()
                 chained = (chained and cyc.y_lo <= y <= cyc.y_hi
                            and (not levels or levels[0] >= y - cyc.mean_demand))
                 paths[j] = ([y] + levels, [cyc] + tail, chained,
                             pattern[:j - 1] + (1,) + pattern[j:])
+                limits[j - 1] = (y + cycles[(1, j - 1)].mean_demand
+                                 if chained else -math.inf)
         last = cycles[(1, T)]
         closing = self.c * (self.total_mean - last.mean_demand) if self.c else 0.0
-        return _Relaxation(cycles, rows, cost_to_go, paths, closing)
+        return _Relaxation(cycles, rows, cost_to_go, paths, limits, closing)
 
     def pattern_cycles(self, deltas: tuple) -> list:
         """Cycles of a pattern, deltas[t-1] being delta_t: the first opens
@@ -523,7 +520,9 @@ class _SubmodelEngine:
     def solve_pattern(self, deltas: tuple, pinned_i0: float | None):
         """(cost, y-levels) for one order pattern, or None if infeasible.
 
-        Pool-adjacent pass over the chain y_c >= y_{c-1} - D_{c-1}; a pinned
+        Pool-adjacent pass over the chain y_c >= y_{c-1} - D_{c-1}, in the
+        stack form of Best and Chakravarti (1990): it pools the same blocks
+        as a scan that restarts from the left after every merge. A pinned
         first level (fixed initial inventory) propagates as a hard lower
         bound through any merge containing it.
         """
@@ -545,39 +544,33 @@ class _SubmodelEngine:
                 cycles[0].y_lo - 1e-9 <= pin <= cycles[0].y_hi + 1e-9):
             return None
 
-        blocks = []  # [first, last, func, z, pinned]
+        # blocks [first, last, func, z, pinned] that keep the chain; the
+        # leftmost pair that breaks it is always the top two
+        stack = []
         for i, f in enumerate(funcs):
             if i == 0 and pin is not None:
-                blocks.append([0, 0, f, pin, True])
+                stack.append([0, 0, f, pin, True])
+            elif z_los[i] > z_his[i] + 1e-9:
+                return None
             else:
-                if z_los[i] > z_his[i] + 1e-9:
-                    return None
-                z, _ = f.minimize(z_los[i], z_his[i])
-                blocks.append([i, i, f, z, False])
-        while True:
-            merged = False
-            for i in range(len(blocks) - 1):
-                if blocks[i][3] > blocks[i + 1][3] + 1e-9:
-                    a, b = blocks[i], blocks[i + 1]
-                    f = a[2].plus(b[2])
-                    lo = z_los[a[0]:b[1] + 1].max()
-                    hi = z_his[a[0]:b[1] + 1].min()
-                    if a[4]:
-                        z = a[3]
-                        if not (lo - 1e-9 <= z <= hi + 1e-9):
-                            return None
-                    else:
-                        if lo > hi + 1e-9:
-                            return None
-                        z, _ = f.minimize(lo, hi)
-                    blocks[i:i + 2] = [[a[0], b[1], f, z, a[4]]]
-                    merged = True
-                    break
-            if not merged:
-                break
+                stack.append([i, i, f, f.minimize(z_los[i], z_his[i])[0], False])
+            while len(stack) > 1 and stack[-2][3] > stack[-1][3] + 1e-9:
+                a, b = stack[-2:]
+                f = a[2].plus(b[2])
+                lo = z_los[a[0]:b[1] + 1].max()
+                hi = z_his[a[0]:b[1] + 1].min()
+                if a[4]:
+                    z = a[3]
+                    if not (lo - 1e-9 <= z <= hi + 1e-9):
+                        return None
+                else:
+                    if lo > hi + 1e-9:
+                        return None
+                    z, _ = f.minimize(lo, hi)
+                stack[-2:] = [[a[0], b[1], f, z, a[4]]]
         z_opt = np.empty(m)
         cost = 0.0
-        for first, last, f, z, _ in blocks:
+        for first, last, f, z, _ in stack:
             z_opt[first:last + 1] = z
             cost += f(z)
         y_opt = z_opt - offsets
@@ -597,9 +590,7 @@ class _SubmodelEngine:
             lo, hi = max(lo, self.inv_lo), min(hi, self.inv_hi)
         if lo > hi + 1e-9:
             return math.inf
-        # ConvexPWL.minimize(lo - 1e-9, hi + 1e-9) from the shared argmin
-        x = min(max(cyc.argmin, lo - 1e-9), hi + 1e-9)
-        value = cyc.minimum if x == cyc.argmin else cyc.cost(x)
+        value = cyc.cost.minimize(lo - 1e-9, hi + 1e-9)[1]
         if cyc.start > 1:
             value += self.K
         if cyc.end == self.T and self.c:
@@ -646,17 +637,6 @@ class _SubmodelEngine:
         if self.c:
             arc[T] += relax.closing
         return self._row(1, arc, relax.cost_to_go)
-
-    def _limit(self, e: int) -> float:
-        """Certificate limit U_e of the first cycle's end e: y*_{e+1} +
-        D(1..e), y*_{e+1} being the first level of the relaxed path from
-        e + 1, where that path is chained; -inf where it is not, and +inf
-        at e = T."""
-        if e == self.T:
-            return math.inf
-        relax = self.relaxation
-        levels, _, chained, _ = relax.paths[e + 1]
-        return levels[0] + relax.cycles[(1, e)].mean_demand if chained else -math.inf
 
     def enumerate(self, pinned_i0: float | None):
         """Global optimum over all order patterns, by the branch and bound
@@ -759,7 +739,8 @@ class _SubmodelEngine:
         if reach[2] == math.inf:
             return None
         for e in range(end, self.T + 1):
-            if arc[e] + relax.cost_to_go[e + 1] == reach[2] and x <= self._limit(e):
+            if (arc[e] + relax.cost_to_go[e + 1] == reach[2]
+                    and x <= relax.limits[e]):
                 levels, tail, _, pattern = relax.paths[e + 1]
                 return (float(reach[2]), pattern, np.array([x] + levels),
                         [relax.cycles[(1, e)]] + tail)
@@ -784,14 +765,13 @@ class _SubmodelEngine:
         relax = self.relaxation
         # piece e's constant: V(e + 1), or the unit cost's at e = T
         consts = relax.cost_to_go[2:T + 1] + [relax.closing]
-        limits = [self._limit(e) for e in range(1, T + 1)]
         x = hi
         moved = True
         while moved:
             moved = False
             for e in range(1, T + 1):
                 value = first[0][e] + relax.cost_to_go[e + 1]
-                if x <= limits[e - 1] and value < target:
+                if x <= relax.limits[e] and value < target:
                     cyc, const = relax.cycles[(1, e)], consts[e - 1]
                     left = max(cyc.cost.left_crossing(
                         target - const, x, value - const), cyc.y_lo - 1e-9)

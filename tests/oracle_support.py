@@ -10,7 +10,8 @@ full_enumeration is the solver's pattern search without its bound: every
 pattern, in lexicographic order, through the engine's own solve_pattern.
 EnumerationEngine is the solver engine with every certificate limit cut to
 -inf: pinned costs come from the pattern search alone and reorder roots
-from bisection.
+from bisection. reference_solve_pattern is solve_pattern's pool-adjacent
+pass as a scan that restarts from the left after every merge.
 
 dense_sdp_tables is the SDP oracle's backward pass done the direct way: a
 dense levels x atoms stage-cost matrix and one shifted lookup of the next
@@ -26,16 +27,17 @@ over all points and cells, without Partition.jensen_values' row blocks.
 reference_segments is build_segments done piece by piece: each (j, t)
 pair's convolved mean and variance summed in a Python loop and its own
 scalar piecewise-loss formula. reference_cycle and reference_priced are
-CycleTable.cycle's demand fields and priced cost done the direct way: the
-cycle's pieces added one at a time with ConvexPWL.plus, then
-ConvexPWL.argmin's own sort.
+CycleTable.cycle's fields done the direct way: the cycle's pieces added
+one at a time with ConvexPWL.plus, and the priced cost's argmin and
+minimum from that fresh object's own sort.
 
 reference_relaxation is _SubmodelEngine.relaxation by the recursive
 definitions it replaced: each relaxation row built on demand through the
-cost-to-go recursion, each relaxed path's end by its own min over the
-row, the envelope piece by piece (_Piece: the priced first cycle, its
-constant, pin domain, certificate limit and pattern), and each pinned
-first row with each arc from ConvexPWL.__call__.
+cost-to-go recursion, each cycle's argmin from a fresh ConvexPWL of its
+arrays, each relaxed path's end by its own min over the row, the envelope
+piece by piece (_Piece: the priced first cycle, its constant, pin domain,
+certificate limit and pattern), and each pinned first row with each arc
+from ConvexPWL.__call__.
 
 PerPieceEngine is the solver engine reading reference_relaxation's
 envelope one piece at a time: every piece forms its own max(x - kink, 0)
@@ -51,6 +53,7 @@ strings.
 """
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -183,13 +186,75 @@ def full_enumeration(engine, pinned_i0=None):
     return best
 
 
+def reference_solve_pattern(engine, deltas, pinned_i0):
+    """engine.solve_pattern(deltas, pinned_i0) with its pool-adjacent pass
+    as a scan that, after every merge, restarts from the left to merge the
+    leftmost pair that breaks the chain."""
+    cycles = engine.pattern_cycles(deltas)
+    m = len(cycles)
+    offsets = np.zeros(m)
+    for i in range(1, m):
+        offsets[i] = offsets[i - 1] + cycles[i - 1].mean_demand
+    funcs = [cyc.cost.shifted(offsets[i]) for i, cyc in enumerate(cycles)]
+    z_los = np.array([c.y_lo + offsets[i] for i, c in enumerate(cycles)])
+    z_his = np.array([c.y_hi + offsets[i] for i, c in enumerate(cycles)])
+    z_los[0] = max(z_los[0], engine.inv_lo)
+    z_his[0] = min(z_his[0], engine.inv_hi)
+    pin = pinned_i0
+    if pin is not None and not (
+            cycles[0].y_lo - 1e-9 <= pin <= cycles[0].y_hi + 1e-9):
+        return None
+    blocks = []  # [first, last, func, z, pinned]
+    for i, f in enumerate(funcs):
+        if i == 0 and pin is not None:
+            blocks.append([0, 0, f, pin, True])
+        else:
+            if z_los[i] > z_his[i] + 1e-9:
+                return None
+            z, _ = f.minimize(z_los[i], z_his[i])
+            blocks.append([i, i, f, z, False])
+    while True:
+        merged = False
+        for i in range(len(blocks) - 1):
+            if blocks[i][3] > blocks[i + 1][3] + 1e-9:
+                a, b = blocks[i], blocks[i + 1]
+                f = a[2].plus(b[2])
+                lo = z_los[a[0]:b[1] + 1].max()
+                hi = z_his[a[0]:b[1] + 1].min()
+                if a[4]:
+                    z = a[3]
+                    if not (lo - 1e-9 <= z <= hi + 1e-9):
+                        return None
+                else:
+                    if lo > hi + 1e-9:
+                        return None
+                    z, _ = f.minimize(lo, hi)
+                blocks[i:i + 2] = [[a[0], b[1], f, z, a[4]]]
+                merged = True
+                break
+        if not merged:
+            break
+    z_opt = np.empty(m)
+    cost = 0.0
+    for first, last, f, z, _ in blocks:
+        z_opt[first:last + 1] = z
+        cost += f(z)
+    y_opt = z_opt - offsets
+    cost += engine.K * (m - 1)
+    if engine.c:
+        cost += engine.c * (engine.total_mean - cycles[-1].mean_demand)
+    return float(cost), y_opt, cycles
+
+
 class EnumerationEngine(_SubmodelEngine):
     """The solver engine without its certificates: every cost_at is a
     pattern search, and every reorder root bisects that search's cost
     curve."""
 
-    def _limit(self, e):
-        return -math.inf
+    @cached_property
+    def relaxation(self):
+        relax = _SubmodelEngine.relaxation.func(self)
+        return dataclasses.replace(relax, limits=[-math.inf] * (self.T + 1))
 
     def reorder_root(self, target, hi):
         cache = {}
@@ -551,8 +616,9 @@ def reference_cycle(instance, segments, j, e):
 
 
 def reference_priced(instance, segments, j, e, first):
-    """(cost, argmin, min), the first three fields of
-    CycleTable.cycle(j, e, first), of a segment dict."""
+    """(cost, argmin, min): CycleTable.cycle(j, e, first)'s cost, and its
+    argmin and the cost there (nan where the argmin is infinite), of a
+    segment dict."""
     f = reference_cycle(instance, segments, j, e)[0]
     c = instance.costs.unit
     if c:
@@ -560,8 +626,14 @@ def reference_priced(instance, segments, j, e, first):
             f = f.plus_affine(-c, 0.0)
         if e == instance.horizon:
             f = f.plus_affine(c, 0.0)
-    x = f.argmin()
+    x = fresh_argmin(f)
     return f, x, f(x) if math.isfinite(x) else math.nan
+
+
+def fresh_argmin(f):
+    """f.argmin() from a new ConvexPWL of f's arrays, so from its own sort
+    and not from a memo f shares."""
+    return ConvexPWL(f.slope, f.const, f.kinks, f.deltas).argmin()
 
 
 def reference_relaxation(engine, pins=()) -> SimpleNamespace:
@@ -581,8 +653,8 @@ def reference_relaxation(engine, pins=()) -> SimpleNamespace:
 
     def cycle(j, e):
         if (j, e) not in cycles:
-            cost, argmin, minimum, mean_d, top, low = engine.view.cycle(j, e)
-            cycles[(j, e)] = _Cycle(j, e, cost, argmin, minimum, mean_d,
+            cost, mean_d, top, low = engine.view.cycle(j, e)
+            cycles[(j, e)] = _Cycle(j, e, cost, mean_d,
                                     engine.inv_lo + top, engine.inv_hi + low)
         return cycles[(j, e)]
 
@@ -598,8 +670,8 @@ def reference_relaxation(engine, pins=()) -> SimpleNamespace:
         elif lo > hi + 1e-9:
             return math.inf
         else:
-            x = min(max(cyc.argmin, lo - 1e-9), hi + 1e-9)
-            value = cyc.minimum if x == cyc.argmin else cyc.cost(x)
+            value = cyc.cost(min(max(fresh_argmin(cyc.cost), lo - 1e-9),
+                                 hi + 1e-9))
         if j > 1:
             value += K
         if e == T and c:
@@ -638,7 +710,7 @@ def reference_relaxation(engine, pins=()) -> SimpleNamespace:
         e = first_end(j, relaxation(j)[0])
         cyc = cycle(j, e)
         levels, tail, chained, _ = paths[e + 1]
-        y = cyc.argmin
+        y = fresh_argmin(cyc.cost)
         chained = (chained and cyc.y_lo <= y <= cyc.y_hi
                    and (not levels or levels[0] >= y - cyc.mean_demand))
         paths[j] = ([y] + levels, [cyc] + tail, chained, pattern([cyc] + tail))

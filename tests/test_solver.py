@@ -1,7 +1,9 @@
 import dataclasses
+import itertools
 import logging
 import math
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from lp_support import solve_lp
 from oracle_support import (
     EnumerationEngine, PerPieceEngine, brute_force_submodel, full_enumeration,
     reference_cycle, reference_priced, reference_relaxation,
-    reference_solution, reference_verify_assignment,
+    reference_solution, reference_solve_pattern, reference_verify_assignment,
 )
 from sspolicy.domain import make_instance
 from sspolicy.export import render_lp
@@ -75,6 +77,121 @@ class TestConvexPWL:
         assert g(7.0) == 2.0
         s = f.plus(g)
         assert s(7.0) == f(7.0) + g(7.0)
+
+
+@st.composite
+def _pwl_cases(draw):
+    """(slope, const, kinks, deltas) on a half-integer grid, so that every
+    value the methods form is exact: duplicate kinks, zero deltas, flat
+    minima, slopes that never rise or never fall, and no kinks at all."""
+    half = st.integers(-16, 16).map(lambda v: v / 2)
+    n = draw(st.integers(0, 6))
+    kinks = draw(st.lists(half, min_size=n, max_size=n))
+    deltas = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]),
+                           min_size=n, max_size=n))
+    # a slope that some kinks' deltas cancel exactly gives a flat stretch
+    ordered = [d for _, d in sorted(zip(kinks, deltas), key=lambda p: p[0])]
+    slope = draw(st.integers(-12, 4).map(float)
+                 | st.integers(0, n).map(lambda m: -sum(ordered[:m])))
+    return slope, draw(half), kinks, deltas
+
+
+def _exact(case, x):
+    """f(x) in exact arithmetic."""
+    slope, const, kinks, deltas = case
+    x = Fraction(x)
+    return (Fraction(slope) * x + Fraction(const)
+            + sum(Fraction(d) * max(x - Fraction(k), 0)
+                  for k, d in zip(kinks, deltas)))
+
+
+def _brute_argmin(case):
+    """inf where f never rises, -inf where it never falls, else the
+    midpoint of the kinks where f is least."""
+    slope, _, kinks, deltas = case
+    if slope + sum(deltas) <= 0:
+        return math.inf
+    if slope >= 0:
+        return -math.inf
+    values = {k: _exact(case, k) for k in kinks}
+    low = min(values.values())
+    at = [k for k, v in values.items() if v == low]
+    return 0.5 * (min(at) + max(at))
+
+
+def _brute_crossing(case, level, x):
+    """Left end of {f < level} holding x, f(x) < level, walking the
+    distinct kinks left of x in exact arithmetic."""
+    slope = case[0]
+    level = Fraction(level)
+    points = sorted({k for k in case[2] if k < x}) + [x]
+    above = [p for p in points if _exact(case, p) >= level]
+    if not above:
+        if slope >= 0:
+            return -math.inf
+        p = points[0]
+        return float(p + (level - _exact(case, p)) / Fraction(slope))
+    p = above[-1]
+    q = points[points.index(p) + 1]
+    fp, fq = _exact(case, p), _exact(case, q)
+    return float(Fraction(q) + (level - fq) * (Fraction(q) - Fraction(p)) / (fq - fp))
+
+
+class TestConvexPWLMemo:
+    """argmin, minimize and left_crossing read one memoized sort; against
+    brute force over the kinks, on fresh objects and on objects whose memo
+    is already filled."""
+
+    @staticmethod
+    def _objects(case):
+        slope, const, kinks, deltas = case
+        warm = ConvexPWL(slope, const, kinks, deltas)
+        warm.argmin(), warm.minimize(-1.0, 1.0)
+        if warm(20.0) < 1e3:
+            warm.left_crossing(1e3, 20.0, warm(20.0))
+        return lambda: ConvexPWL(slope, const, kinks, deltas), warm
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_pwl_cases(), bounds=st.tuples(
+        st.integers(-20, 20), st.integers(0, 12)).map(
+            lambda t: (t[0] / 2, (t[0] + t[1]) / 2)))
+    def test_argmin_and_minimize_match_brute_force(self, case, bounds):
+        fresh, warm = self._objects(case)
+        x = _brute_argmin(case)
+        for f in (fresh(), warm):
+            assert float(f.argmin()).hex() == float(x).hex()
+        lo, hi = bounds
+        inside = [lo, hi] + [k for k in case[2] if lo <= k <= hi]
+        low = min(_exact(case, v) for v in inside)
+        for f in (fresh(), warm):
+            got, value = f.minimize(lo, hi)
+            assert got == min(max(x, lo), hi)
+            assert value == low == _exact(case, got)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_pwl_cases(), x=st.integers(-24, 24).map(lambda v: v / 2),
+           gap=st.integers(1, 40).map(lambda v: v / 4))
+    def test_left_crossing_matches_brute_force(self, case, x, gap):
+        """x left of every kink, levels never crossed (-inf) and crossings
+        on every piece."""
+        fresh, warm = self._objects(case)
+        fx = float(_exact(case, x))
+        level = fx + gap
+        ref = _brute_crossing(case, level, x)
+        got = [f.left_crossing(level, x, fx) for f in (fresh(), warm)]
+        assert _same_float(got[0], got[1])
+        if ref == -math.inf:
+            assert got[0] == -math.inf
+        else:
+            assert math.isclose(got[0], ref, rel_tol=1e-12, abs_tol=1e-12)
+
+    def test_only_plus_affine_hands_the_sort_on(self):
+        f = ConvexPWL(-2.0, 1.0, [3.0, 1.0, 3.0], [1.0, 0.0, 2.0])
+        g = f.plus_affine(0.5, 2.0)
+        assert f._sorted is not None and g._sorted is f._sorted
+        assert f.plus(g)._sorted is None and f.shifted(1.0)._sorted is None
+        kinks, rises = f._sorted
+        assert not (kinks.flags.writeable or rises.flags.writeable)
 
 
 class TestDeterminism:
@@ -250,9 +367,9 @@ def _assert_same_pwl(got, ref, where):
 
 def _assert_table_matches_reference(instance, segments):
     """Every field of both `first` records of every cycle of the table:
-    the priced cost, argmin and min against adding the cycle's pieces one
-    at a time and ConvexPWL.argmin's own sort, the demand fields against
-    the same sum's; the shared arrays refuse writes."""
+    the priced cost against adding the cycle's pieces one at a time, its
+    memoized argmin and min against that sum's own sort, the demand
+    fields against the same sum's; the shared arrays refuse writes."""
     table = CycleTable(instance, segments)
     T = instance.horizon
     for j in range(1, T + 1):
@@ -260,14 +377,17 @@ def _assert_table_matches_reference(instance, segments):
             demand = reference_cycle(instance, segments, j, e)[1:]
             for first in (True, False):
                 got = table.cycle(j, e, first)
-                ref = reference_priced(instance, segments, j, e, first) + demand
+                cost, *ref = reference_priced(instance, segments, j, e, first)
                 where = (j, e, first)
-                assert len(got) == len(ref) == 6, where
-                _assert_same_pwl(got[0], ref[0], where)
+                assert len(got) == 4, where
+                _assert_same_pwl(got[0], cost, where)
                 assert not (got[0].kinks.flags.writeable
                             or got[0].deltas.flags.writeable)
-                # argmin, min, mean demand, largest and smallest shift
-                assert all(_same_float(a, b) for a, b in zip(got[1:], ref[1:])), where
+                # argmin and min (nan where the argmin is infinite), mean
+                # demand, largest and smallest shift
+                fields = got[0].minimize(-math.inf, math.inf) + got[1:]
+                assert all(_same_float(a, b) for a, b in
+                           zip(fields, ref + list(demand))), where
 
 
 class TestCycleTableArrays:
@@ -295,6 +415,30 @@ class TestCycleTableArrays:
             for key in data.draw(st.sets(st.sampled_from(sorted(segs)))):
                 segs[key] = other[key]
         _assert_table_matches_reference(inst, segs)
+
+    @pytest.mark.parametrize("c", [0.0, 1.5])
+    def test_first_cycles_hold_one_sort(self, c):
+        """After bs then mp on one table, each suffix's cycle (1, e) has
+        one kink sort, shared by both `first` records of the table's cycle
+        and formed once across both heuristics."""
+        inst = make_instance(5, K=60, h=1, b=10, c=c,
+                             means=[20, 0, 35, 10, 25], cv=0.2)
+        config = HeuristicConfig(segments=6)
+        table = cycle_table(inst, config)
+        bs_policy(inst, config, table=table)
+        sorts = {}
+        for k in range(1, inst.horizon + 1):
+            cycles = table.engine(k).relaxation.cycles
+            for e in range(1, inst.horizon - k + 2):
+                first = table.cycle(k, k + e - 1, True)[0]
+                later = table.cycle(k, k + e - 1, False)[0]
+                assert cycles[(1, e)].cost is first
+                assert first._sorted is not None
+                assert later._sorted is first._sorted
+                sorts[(k, e)] = first._sorted
+        mp_policy(inst, config, table=table)
+        for (k, e), sort in sorts.items():
+            assert table.cycle(k, k + e - 1, True)[0]._sorted is sort
 
     def test_no_unit_cost_prices_once(self, example4, segments4):
         """With c = 0 both `first` keys hold one record."""
@@ -445,7 +589,7 @@ class TestEnvelope:
             (root, best), target, s_up = _reorder_root(engine, view.instance)
             assert best[0] == pytest.approx(target, abs=1e-7)
             pins = {s_up, root, root - 1.0, 0.0}
-            for limit in map(engine._limit, range(1, engine.T + 1)):
+            for limit in engine.relaxation.limits[1:]:
                 if math.isfinite(limit):  # both sides of U_e
                     pins.update((limit - 0.5, limit, limit + 0.5))
             for x in sorted(pins):
@@ -580,7 +724,7 @@ def _envelope_cases(draw):
 
 def _uncertified(engine):
     """`engine` with every certificate limit cut to -inf."""
-    engine._limit = lambda e: -math.inf
+    engine.relaxation.limits = [-math.inf] * (engine.T + 1)
     return engine
 
 
@@ -709,7 +853,7 @@ def _assert_relaxation_matches_reference(engine, extra=()):
     assert ref.pieces[-1].cycles[0].end == T
     for piece in ref.pieces:
         e = piece.cycles[0].end
-        assert _bits(engine._limit(e)) == _bits(piece.limit), e
+        assert _bits(relax.limits[e]) == _bits(piece.limit), e
         assert relax.paths[e + 1][3] == piece.deltas, e
     for pin in pins:
         assert _bits(engine._first_row(pin)) == _bits(ref.pinned[pin]), pin
@@ -774,6 +918,77 @@ class TestRelaxation:
         fresh = _SubmodelEngine(table.suffix(1), default_bounds(example4))
         assert _bits(engine.relaxation) == _bits(fresh.relaxation)
         assert _same_answer(engine.free_minimum(), fresh.free_minimum())
+
+
+def _same_pattern_solve(got, ref) -> bool:
+    """Two solve_pattern answers (or None) with equal bits: cost, levels
+    and the same cycle objects."""
+    if ref is None or got is None:
+        return got is ref
+    return (_same_float(got[0], ref[0]) and got[1].dtype == ref[1].dtype
+            and got[1].tobytes() == ref[1].tobytes() and got[2] == ref[2])
+
+
+class TestPoolPass:
+    """solve_pattern's stack pass against the restart scan it replaced."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=_relaxation_cases(), data=st.data())
+    def test_matches_restart_scan(self, case, data):
+        """Random patterns at the default bounds and a pinned s model's
+        widened ones, free and pinned inside, on the slack edges of and
+        outside every first cycle's level bounds, and between the engine's
+        upper bound and the first cycle's, where a merge is infeasible."""
+        inst, config, x0 = case
+        view = cycle_table(inst, config).suffix(1)
+        T = inst.horizon
+        patterns = data.draw(st.lists(
+            st.lists(st.integers(0, 1), min_size=T - 1, max_size=T - 1).map(
+                lambda tail: (0, *tail)), min_size=1, max_size=6))
+        for engine in (_SubmodelEngine(view, default_bounds(inst)),
+                       solver_module._engine_for(build_minlp_s(
+                           inst, view, initial_inventory=x0))):
+            pins = _first_row_pins(engine, extra=(None, x0))
+            pins.update(0.5 * (engine.inv_hi + cyc.y_hi)
+                        for cyc in engine.relaxation.cycles.values())
+            for deltas in patterns:
+                for pin in pins:
+                    assert _same_pattern_solve(
+                        engine.solve_pattern(deltas, pin),
+                        reference_solve_pattern(engine, deltas, pin)), \
+                        (deltas, pin)
+
+    def test_merged_block_pools_again(self):
+        """A pattern where a merged top block breaks the chain with the
+        block below it, so one push pools more than once."""
+        inst = make_instance(6, K=40, h=1, b=10, c=0,
+                             means=[5, 40, 0, 0, 5, 0],
+                             std_devs=[0, 16, 0, 0, 0.5, 0])
+        engine = _SubmodelEngine(
+            cycle_table(inst, HeuristicConfig(segments=5)).suffix(1),
+            default_bounds(inst))
+        deltas = (0, 0, 1, 1, 0, 1)
+        assert _same_pattern_solve(engine.solve_pattern(deltas, None),
+                                   reference_solve_pattern(engine, deltas, None))
+
+    def test_infeasible_merges(self, example4, segments4):
+        """A pin above the engine's upper bound but within the first
+        cycle's passes the first block's own check, and every pattern whose
+        next cycle must merge with it is infeasible in both passes."""
+        engine = _SubmodelEngine(CycleTable(example4, segments4).suffix(1),
+                                 default_bounds(example4))
+        infeasible = 0
+        for tail in itertools.product((0, 1), repeat=engine.T - 1):
+            deltas = (0, *tail)
+            first = engine.pattern_cycles(deltas)[0]
+            for pin in (0.5 * (engine.inv_hi + first.y_hi), first.y_hi,
+                        first.y_hi + 1e-9):
+                assert engine.inv_hi < pin <= first.y_hi + 1e-9
+                got = engine.solve_pattern(deltas, pin)
+                assert _same_pattern_solve(
+                    got, reference_solve_pattern(engine, deltas, pin))
+                infeasible += got is None
+        assert infeasible == 3 * (2 ** (engine.T - 1) - 1)
 
 
 @pytest.mark.skipif(not os.environ.get("SSPOLICY_FULL_BENCHMARK"),

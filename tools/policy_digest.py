@@ -1,0 +1,71 @@
+"""One sha256 over the bs and mp policies of a benchmark grid.
+
+    PYTHONPATH=src python3 tools/policy_digest.py --horizon 8
+    PYTHONPATH=/path/to/other/src python3 tools/policy_digest.py \
+        --horizon 25 --every 9 --unit-cost 1.5
+
+For every `--every`-th instance of the grid (BenchmarkConfig(horizon,
+unit_cost) with its default heuristic config) it builds one cycle table,
+runs bs_policy and then mp_policy on it (`table=`), and hashes each
+policy's reorder points, order-up-to levels and linked costs in float hex,
+then the table's work() counters. It prints one JSON line: the digest, the
+instance count and the wall seconds.
+
+`sspolicy` is imported from PYTHONPATH, so the same script digests any
+checkout's sources; two trees whose policies are equal bit for bit give
+the same digest.
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import time
+
+
+def policy_lines(instance, config, table) -> list:
+    """The hashed text of one instance: its name, its bs and mp policies
+    in float hex, and the shared table's work() after both."""
+    from sspolicy.heuristics import bs_policy, mp_policy
+    lines = [instance.name]
+    for method in (bs_policy, mp_policy):
+        policy = method(instance, config, table=table)
+        for values in (policy.reorder_points, policy.order_up_to_levels,
+                       policy.costs):
+            lines.append(" ".join(float(v).hex() for v in values))
+    lines.append(" ".join(map(str, table.work())))
+    return lines
+
+
+def digest(instances, config) -> str:
+    """sha256 of policy_lines over `instances`, one table each."""
+    from sspolicy.heuristics import cycle_table
+    sha = hashlib.sha256()
+    for instance in instances:
+        text = policy_lines(instance, config, cycle_table(instance, config))
+        sha.update(("\n".join(text) + "\n").encode())
+    return sha.hexdigest()
+
+
+def main(argv=None) -> None:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--horizon", type=int, choices=(8, 25), required=True)
+    p.add_argument("--every", type=int, default=1,
+                   help="digest every N-th grid instance (default 1: all)")
+    p.add_argument("--unit-cost", type=float, default=0.0)
+    args = p.parse_args(argv)
+    if args.every < 1:
+        p.error("--every must be >= 1")
+    from sspolicy.testbed import BenchmarkConfig, build_instances
+    grid = BenchmarkConfig(horizon=args.horizon, unit_cost=args.unit_cost)
+    instances = build_instances(grid)[::args.every]
+    start = time.perf_counter()
+    sha = digest(instances, grid.heuristic_config())
+    print(json.dumps({"horizon": args.horizon, "every": args.every,
+                      "unit_cost": args.unit_cost, "instances": len(instances),
+                      "sha256": sha,
+                      "seconds": round(time.perf_counter() - start, 3)}))
+
+
+if __name__ == "__main__":
+    main()
