@@ -24,7 +24,10 @@ from .sdp import (
     GridTooSmallError, InventoryGrid, SdpSolution, check_k_convexity,
     default_grid, extract_policy, cost_to_go, solve_sdp,
 )
-from .simulate import GapEstimate, SimulationResult, estimate_gap, simulate_policy
+from .simulate import (
+    GapEstimate, PricingHelperError, SimulationResult, estimate_gap,
+    simulate_policy,
+)
 from .solver import (
     ExactBackend, SolveResult, SolverError, import_solution, solve_exact,
 )

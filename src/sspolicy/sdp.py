@@ -107,11 +107,18 @@ class SdpSolution:
     instance: Instance
     grid: InventoryGrid
     g_tables: np.ndarray      # shape (T, n): G_t over the grid
-    c_tables: np.ndarray      # shape (T, n): C_t over the grid
     policy: PolicyParameters
     expected_cost: float      # C_1 at the instance's initial inventory
     demand_truncation: float
     demand_atoms: tuple[int, ...]  # discretized demand atoms per period
+
+    @property
+    def c_tables(self) -> np.ndarray:
+        """C_t over the grid, shape (T, n), derived from G_t on each read
+        by the operations of solve_sdp's pass, so it is bit-equal to the
+        table that pass used."""
+        return _optimal_value(self.g_tables, self.instance.costs,
+                              self.grid.levels())
 
     def g_minimum(self, t: int) -> float:
         return float(self.g_tables[t - 1].min())
@@ -137,14 +144,14 @@ def solve_sdp(instance: Instance, grid: InventoryGrid | None = None,
     if grid is None:
         grid = default_grid(instance)
     costs = instance.costs
-    K, c, h, b = costs.fixed, costs.unit, costs.holding, costs.penalty
+    c, h, b = costs.unit, costs.holding, costs.penalty
     levels = grid.levels()
     n = levels.size
     T = instance.horizon
     step = grid.step
 
     g_tables = np.empty((T, n))
-    c_tables = np.empty((T, n))
+    c_next = None             # C_{t+1} over the grid
     demand = [discretize_demand(d.mean, d.std_dev, step, demand_truncation)
               for d in instance.demands]
 
@@ -161,22 +168,27 @@ def solve_sdp(instance: Instance, grid: InventoryGrid | None = None,
             # region, where C_{t+1} extends linearly with slope -c
             shifts = np.rint(dv / step).astype(int)
             kernel = np.bincount(shifts - shifts[0], weights=dp)
-            tail = c_tables[t][0] + c * step * np.arange(shifts[-1], 0, -1)
-            ext = np.concatenate((tail, c_tables[t]))[:n + kernel.size - 1]
+            tail = c_next[0] + c * step * np.arange(shifts[-1], 0, -1)
+            ext = np.concatenate((tail, c_next))[:n + kernel.size - 1]
             g = g + np.convolve(ext, kernel, "valid")
-        # suffix minimum from the right: best order-up-to cost from each x
-        best_up = np.minimum.accumulate(g[::-1])[::-1]
         g_tables[t - 1] = g
-        c_tables[t - 1] = np.minimum(g, K + best_up) - c * levels
+        c_next = _optimal_value(g, costs, levels)
 
     policy = _extract_policy_arrays(instance, grid, g_tables)
     i0_idx = grid.index_of(_snap(instance.initial_inventory, grid))
-    expected = float(c_tables[0][i0_idx])
+    expected = float(c_next[i0_idx])
     return SdpSolution(instance=instance, grid=grid, g_tables=g_tables,
-                       c_tables=c_tables, policy=policy,
-                       expected_cost=expected,
+                       policy=policy, expected_cost=expected,
                        demand_truncation=demand_truncation,
                        demand_atoms=tuple(dv.size for dv, _ in demand))
+
+
+def _optimal_value(g: np.ndarray, costs, levels: np.ndarray) -> np.ndarray:
+    """C = min(G, K + min_{y >= x} G(y)) - c*x along the last axis of G,
+    one period's row or a stack of them."""
+    # suffix minimum from the right: best order-up-to cost from each x
+    best_up = np.minimum.accumulate(g[..., ::-1], axis=-1)[..., ::-1]
+    return np.minimum(g, costs.fixed + best_up) - costs.unit * levels
 
 
 def _snap(y: float, grid: InventoryGrid) -> float:

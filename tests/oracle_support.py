@@ -15,11 +15,14 @@ pass as a scan that restarts from the left after every merge.
 
 dense_sdp_tables is the SDP oracle's backward pass done the direct way: a
 dense levels x atoms stage-cost matrix and one shifted lookup of the next
-period's cost per demand atom.
+period's cost per demand atom. stored_sdp_tables is solve_sdp's own pass
+as it was when it stored C_t for every period, not only C_{t+1}.
 
 row_major_simulation is the Monte Carlo pricing loop done the direct way:
 replication-major demand blocks read column by column, with fresh arrays
-for every step of every period.
+for every step of every period. separate_charge_costs is the pricing loop
+as it was before it fused the period's holding and shortage charges: each
+charged and added on its own, seven array passes per period and policy.
 
 one_shot_jensen_values is a partition's Jensen bound as one dense product
 over all points and cells, without Partition.jensen_values' row blocks.
@@ -491,6 +494,38 @@ def dense_sdp_tables(instance, grid, truncation):
     return g_tables, c_tables
 
 
+def stored_sdp_tables(instance, grid, truncation):
+    """(g_tables, c_tables) of solve_sdp's prefix-sum and convolution pass,
+    with C_t stored for every period."""
+    costs = instance.costs
+    K, c, h, b = costs.fixed, costs.unit, costs.holding, costs.penalty
+    levels = grid.levels()
+    n = levels.size
+    T = instance.horizon
+    step = grid.step
+
+    g_tables = np.empty((T, n))
+    c_tables = np.empty((T, n))
+    for t in range(T, 0, -1):
+        d = instance.demands[t - 1]
+        dv, dp = discretize_demand(d.mean, d.std_dev, step, truncation)
+        k = np.searchsorted(dv, levels, "right")
+        F = np.concatenate(([0.0], np.cumsum(dp)))
+        M = np.concatenate(([0.0], np.cumsum(dp * dv)))
+        stage = (h + b) * (levels * F[k] - M[k]) + b * (M[-1] - levels)
+        g = c * levels + stage
+        if t < T:
+            shifts = np.rint(dv / step).astype(int)
+            kernel = np.bincount(shifts - shifts[0], weights=dp)
+            tail = c_tables[t][0] + c * step * np.arange(shifts[-1], 0, -1)
+            ext = np.concatenate((tail, c_tables[t]))[:n + kernel.size - 1]
+            g = g + np.convolve(ext, kernel, "valid")
+        best_up = np.minimum.accumulate(g[::-1])[::-1]
+        g_tables[t - 1] = g
+        c_tables[t - 1] = np.minimum(g, K + best_up) - c * levels
+    return g_tables, c_tables
+
+
 def _demand_uniforms(seed: int, start: int, count: int, horizon: int) -> np.ndarray:
     """Uniforms for replications [start, start + count), shape (count, T).
 
@@ -558,6 +593,72 @@ def row_major_simulation(instance, policy, replications, seed, chunk_size):
     return SimulationResult(mean=mean, standard_error=se,
                             replications=replications, seed=seed,
                             truncation_frequency=truncated / (replications * T))
+
+
+def separate_charge_costs(instance, policies, seed, start, count,
+                          chunk_size):
+    """(costs, truncated) of replications start .. start + count - 1: one
+    row of per-replication costs per policy, holding and shortage charged
+    one at a time."""
+    T = instance.horizon
+    costs = instance.costs
+    K, c, h, b = costs.fixed, costs.unit, costs.holding, costs.penalty
+    means = np.asarray(instance.means, dtype=float)[:, None]
+    sds = np.asarray(instance.std_devs, dtype=float)[:, None]
+    blocks_per_rep = (T + 3) // 4
+    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+
+    all_costs = np.empty((len(policies), count))
+    width = min(chunk_size, count)
+    demand_block = np.empty((T, width))
+    level_block = np.empty(width)
+    scratch_block = np.empty(width)
+    ordering_block = np.empty(width, dtype=bool)
+    truncated = 0
+    done = 0
+    while done < count:
+        n = min(chunk_size, count - done)
+        counter = np.zeros(4, dtype=np.uint64)
+        counter[0] = np.uint64((start + done) * blocks_per_rep)
+        raw = np.random.Philox(key=key, counter=counter).random_raw(
+            4 * blocks_per_rep * n).reshape(n, 4 * blocks_per_rep)
+        raw >>= np.uint64(11)
+        demands = demand_block[:, :n]
+        np.multiply(raw[:, :T].T, 2.0 ** -53, out=demands)
+        np.maximum(demands, 2.0 ** -53, out=demands)
+        ndtri(demands, out=demands)
+        demands *= sds
+        demands += means
+        truncated += int(np.count_nonzero(demands < 0.0))
+        np.maximum(demands, 0.0, out=demands)
+
+        level = level_block[:n]
+        scratch = scratch_block[:n]
+        ordering = ordering_block[:n]
+        for policy, policy_costs in zip(policies, all_costs):
+            ss = policy.reorder_points
+            big_ss = policy.order_up_to_levels
+            cost = policy_costs[done:done + n]
+            level.fill(instance.initial_inventory)
+            cost.fill(0.0)
+            for t in range(T):
+                np.less_equal(level, ss[t], out=ordering)
+                if ordering.any():
+                    np.subtract(big_ss[t], level, out=scratch)
+                    scratch *= c
+                    scratch += K
+                    np.add(cost, scratch, out=cost, where=ordering)
+                    np.copyto(level, big_ss[t], where=ordering)
+                level -= demands[t]
+                np.maximum(level, 0.0, out=scratch)
+                scratch *= h
+                cost += scratch
+                np.negative(level, out=scratch)
+                np.maximum(scratch, 0.0, out=scratch)
+                scratch *= b
+                cost += scratch
+        done += n
+    return all_costs, truncated
 
 
 def one_shot_jensen_values(partition, x):

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import numpy as np
@@ -5,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_support import dense_sdp_tables
+from oracle_support import dense_sdp_tables, stored_sdp_tables
 from sspolicy.domain import make_instance
 from sspolicy.sdp import (
-    GridTooSmallError, InventoryGrid, _extract_policy_arrays,
-    check_k_convexity, default_grid, discretize_demand, extract_policy,
+    GridTooSmallError, InventoryGrid, SdpSolution, _extract_policy_arrays,
+    _snap, check_k_convexity, default_grid, discretize_demand, extract_policy,
     cost_to_go, solve_sdp, write_g_curve,
 )
 from sspolicy.testbed import BenchmarkConfig, build_instances
@@ -172,6 +173,33 @@ def test_full_grid_matches_dense_pass(horizon):
         solution = solve_sdp(inst)
         _assert_matches_dense(
             solution, *dense_sdp_tables(inst, solution.grid, 0.9999))
+
+
+class TestDerivedCTables:
+    """A solution keeps G alone; C is derived from it on each read."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_sdp_cases())
+    def test_bit_equal_to_stored_pass(self, case):
+        """c_tables, g_tables, expected_cost and the policy have the bits
+        of the pass that stored C_t for every period."""
+        inst, grid = case
+        g_ref, c_ref = stored_sdp_tables(inst, grid, 0.9999)
+        try:
+            solution = solve_sdp(inst, grid=grid)
+        except GridTooSmallError:
+            with pytest.raises(GridTooSmallError):
+                _extract_policy_arrays(inst, grid, g_ref)
+            return
+        assert solution.g_tables.tobytes() == g_ref.tobytes()
+        assert solution.c_tables.tobytes() == c_ref.tobytes()
+        i0 = grid.index_of(_snap(inst.initial_inventory, grid))
+        assert solution.expected_cost.hex() == float(c_ref[0][i0]).hex()
+        assert solution.policy == _extract_policy_arrays(inst, grid, g_ref)
+
+    def test_not_stored(self, solved4):
+        assert "c_tables" not in {f.name for f in dataclasses.fields(SdpSolution)}
+        assert solved4.c_tables.shape == solved4.g_tables.shape
 
 
 class TestGridAndDemand:

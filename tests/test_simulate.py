@@ -1,20 +1,31 @@
+import contextlib
 import dataclasses
 import math
 import os
 import re
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import numpy as np
-from oracle_support import row_major_simulation
+from oracle_support import row_major_simulation, separate_charge_costs
+from sspolicy import simulate
 from sspolicy.domain import PolicyParameters, ValidationError, make_instance
 from sspolicy.sdp import solve_sdp
 from sspolicy.simulate import (
-    estimate_gap, estimate_gaps, simulate_policies, simulate_policy,
+    PricingHelperError, estimate_gap, estimate_gaps, simulate_policies,
+    simulate_policy,
 )
-from sspolicy.testbed import BenchmarkConfig, build_instances, instance_seed
+from sspolicy.testbed import (
+    BenchmarkConfig, build_instances, instance_seed, run_benchmark,
+)
 
 
 @pytest.fixture(scope="module")
@@ -260,6 +271,259 @@ def test_full_grid_matches_reference(horizon, replications):
         got = simulate_policy(inst, policy, replications, seed)
         ref = row_major_simulation(inst, policy, replications, seed, 65536)
         assert dataclasses.astuple(got) == dataclasses.astuple(ref), inst.name
+
+
+@st.composite
+def _charge_cases(draw):
+    """Instances and policies for the period loop alone: h = 0 (which
+    validate rejects, so only the loop sees it), K = 0, c > 0, negative
+    and signed-zero opening levels, zero-sd periods with whole means and
+    order-up-to levels of 0, -0 and whole numbers, so that levels of
+    exactly +0 and -0 occur."""
+    T = draw(st.integers(1, 6))
+    means = draw(st.lists(st.sampled_from([0.0, 5.0, 10.0, 12.5]),
+                          min_size=T, max_size=T))
+    cvs = draw(st.lists(st.sampled_from([0.0, 0.0, 0.3, 1.0]),
+                        min_size=T, max_size=T))
+    inst = make_instance(
+        horizon=T, K=draw(st.sampled_from([0.0, 40.0])), h=1.0,
+        b=draw(st.sampled_from([2.0, 7.5])),
+        c=draw(st.sampled_from([0.0, 1.5])), means=means,
+        std_devs=[m * v for m, v in zip(means, cvs)],
+        initial_inventory=draw(st.sampled_from([0.0, -0.0, -12.5, 10.0])))
+    h = draw(st.sampled_from([0.0, 0.5, 1.25]))
+    inst = dataclasses.replace(
+        inst, costs=dataclasses.replace(inst.costs, holding=h))
+    policies = []
+    for _ in range(draw(st.integers(1, 3))):
+        big_ss = draw(st.lists(st.sampled_from([-0.0, 0.0, 5.0, 10.0, 22.5]),
+                               min_size=T, max_size=T))
+        gaps = draw(st.lists(st.sampled_from([0.0, 5.0, math.inf]),
+                             min_size=T, max_size=T))
+        policies.append(PolicyParameters(
+            tuple(S - g for S, g in zip(big_ss, gaps)), tuple(big_ss)))
+    start = draw(st.integers(0, 10**6))
+    count = draw(st.integers(1, 400))
+    return inst, policies, draw(st.integers(0, 2**32)), start, count, \
+        draw(st.sampled_from([1, 7, 512]))
+
+
+class TestFusedCharge:
+    """The period loop charges holding or shortage as one max; every
+    replication's cost has the bits of charging them one at a time."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=_charge_cases())
+    def test_matches_separate_charges(self, case):
+        inst, policies, seed, start, count, chunk_size = case
+        got = np.empty((len(policies), count))
+        truncated = simulate._price_span(inst, policies, seed, start,
+                                         chunk_size, got)
+        ref, ref_truncated = separate_charge_costs(inst, policies, seed,
+                                                   start, count, chunk_size)
+        assert got.tobytes() == ref.tobytes()
+        assert truncated == ref_truncated
+
+    def test_signed_zero_levels(self):
+        """Levels of exactly -0 and +0 in every period."""
+        inst = make_instance(horizon=3, K=0, h=1, b=4, c=0,
+                             means=[0, 10, 0], std_devs=[0, 0, 0],
+                             initial_inventory=-0.0)
+        policies = [PolicyParameters((-math.inf,) * 3, (0.0,) * 3),
+                    PolicyParameters((-0.0, 0.0, -math.inf), (-0.0, 10.0, 0.0))]
+        got = np.empty((2, 5))
+        simulate._price_span(inst, policies, 3, 0, 2, got)
+        ref, _ = separate_charge_costs(inst, policies, 3, 0, 5, 2)
+        assert got.tobytes() == ref.tobytes()
+
+
+def _bits(result):
+    return [v.hex() if isinstance(v, float) else v
+            for v in dataclasses.astuple(result)]
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail, rather than hang, a block that runs past `seconds`."""
+    def expire(*_):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _gone(pid):
+    """True once `pid` has exited: no such process, or a zombie left for
+    init to reap after its parent was killed."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] == "Z"
+
+
+def _wait_gone(pid, seconds=10.0):
+    deadline = time.monotonic() + seconds
+    while not _gone(pid):
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.05)
+    return True
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
+                                reason="pricing helpers are forked")
+
+
+@pytest.fixture
+def fresh_helpers():
+    """No helper before the test, and none left after it."""
+    simulate._helpers.stop()
+    yield simulate._helpers
+    simulate._helpers.stop()
+
+
+@needs_fork
+class TestSplitPricing:
+    """Calls with more than one block split their replications between
+    this process and forked helpers."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=_policy_list_cases(), cpus=st.integers(2, 3))
+    def test_split_is_bit_equal_to_one_process(self, case, cpus):
+        inst, policies, reps, seed, _ = case
+        whole = simulate_policies(inst, policies, reps, seed,
+                                  chunk_size=reps)
+        chunk_size = max(1, reps // 5)
+        with mock.patch.object(simulate, "_usable_cpus", lambda: cpus):
+            split = simulate_policies(inst, policies, reps, seed,
+                                      chunk_size=chunk_size)
+        assert [_bits(r) for r in split] == [_bits(r) for r in whole]
+
+    def test_helpers_persist_between_calls(self, example4, sdp4, fresh_helpers):
+        with mock.patch.object(simulate, "_usable_cpus", lambda: 3):
+            first = simulate_policy(example4, sdp4.policy, 3000, 8,
+                                    chunk_size=500)
+            pids = [pid for pid, _ in fresh_helpers.procs]
+            second = simulate_policy(example4, sdp4.policy, 3000, 8,
+                                     chunk_size=500)
+        assert len(pids) == 2
+        assert [pid for pid, _ in fresh_helpers.procs] == pids
+        assert _bits(first) == _bits(second) == _bits(
+            simulate_policy(example4, sdp4.policy, 3000, 8, chunk_size=3000))
+
+    def test_killed_helper_raises_then_recovers(self, example4, sdp4,
+                                                fresh_helpers):
+        with mock.patch.object(simulate, "_usable_cpus", lambda: 2):
+            simulate_policy(example4, sdp4.policy, 2000, 4, chunk_size=500)
+            [(pid, _)] = fresh_helpers.procs
+            os.kill(pid, signal.SIGKILL)
+            with _deadline(30), pytest.raises(PricingHelperError,
+                                              match=f"helper {pid} died"):
+                simulate_policy(example4, sdp4.policy, 2000, 4,
+                                chunk_size=500)
+            assert fresh_helpers.procs == []
+            assert _gone(pid)
+            with _deadline(30):
+                after = simulate_policy(example4, sdp4.policy, 2000, 4,
+                                        chunk_size=500)
+            assert len(fresh_helpers.procs) == 1
+        assert _bits(after) == _bits(
+            simulate_policy(example4, sdp4.policy, 2000, 4, chunk_size=2000))
+
+    def test_failing_helper_raises_by_name(self, example4, sdp4,
+                                           fresh_helpers):
+        real = simulate._price_span
+
+        def fail_after_first_span(instance, policies, seed, start, *rest):
+            if start > 0:
+                raise FloatingPointError("span lost")
+            return real(instance, policies, seed, start, *rest)
+
+        with mock.patch.object(simulate, "_usable_cpus", lambda: 2):
+            with mock.patch.object(simulate, "_price_span",
+                                   fail_after_first_span), _deadline(30):
+                with pytest.raises(PricingHelperError,
+                                   match="failed: FloatingPointError: span lost"):
+                    simulate_policy(example4, sdp4.policy, 2000, 4,
+                                    chunk_size=500)
+            assert fresh_helpers.procs == []
+            after = simulate_policy(example4, sdp4.policy, 2000, 4,
+                                    chunk_size=500)
+        assert _bits(after) == _bits(
+            simulate_policy(example4, sdp4.policy, 2000, 4, chunk_size=2000))
+
+    @pytest.mark.parametrize("ending", ["exit", "sigkill"])
+    def test_no_helper_outlives_its_parent(self, ending):
+        """After a normal exit or SIGKILL of the parent, its helper is gone
+        within 10 s."""
+        script = (
+            "import sys, time\n"
+            "from sspolicy import simulate\n"
+            "from sspolicy.domain import PolicyParameters, make_instance\n"
+            "simulate._usable_cpus = lambda: 2\n"
+            "inst = make_instance(horizon=4, K=100, h=1, b=10, c=0,\n"
+            "                     means=[20, 40, 60, 40], cv=0.25)\n"
+            "policy = PolicyParameters((10.0,) * 4, (60.0,) * 4)\n"
+            "simulate.simulate_policy(inst, policy, 2000, 1, chunk_size=500)\n"
+            "print(*[pid for pid, _ in simulate._helpers.procs], flush=True)\n"
+            "if sys.argv[1] == 'sigkill':\n"
+            "    time.sleep(120)\n")
+        src = Path(simulate.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+        proc = subprocess.Popen([sys.executable, "-c", script, ending],
+                                stdout=subprocess.PIPE, text=True, env=env)
+        try:
+            with _deadline(60):
+                line = proc.stdout.readline()
+            pids = [int(p) for p in line.split()]
+            assert len(pids) == 1
+            if ending == "sigkill":
+                proc.kill()
+            assert proc.wait(timeout=60) == (0 if ending == "exit" else
+                                             -signal.SIGKILL)
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+        assert _wait_gone(pids[0], 10.0)
+
+    def test_benchmark_workers_start_no_helper(self, example4, sdp4,
+                                               fresh_helpers, tmp_path):
+        """run_benchmark(jobs=2) workers price alone: they neither start
+        helpers nor use the ones they inherit from this process."""
+        # live helpers here, which forked workers inherit
+        with mock.patch.object(simulate, "_usable_cpus", lambda: 2):
+            before = simulate_policy(example4, sdp4.policy, 2000, 4,
+                                     chunk_size=500)
+        assert len(fresh_helpers.procs) == 1
+        marker = tmp_path / "forked"
+
+        def record_fork(self):
+            marker.write_text(str(os.getpid()))
+            raise AssertionError("a pricing helper was started")
+
+        config = BenchmarkConfig(patterns=("STA",), fixed_costs=(500.0,),
+                                 penalty_costs=(5.0, 10.0), cvs=(0.1,))
+        assert config.replications > 8192
+        with mock.patch.object(simulate._Helpers, "_fork", record_fork):
+            report = run_benchmark(config, jobs=2)
+            assert not marker.exists()
+            assert [r.status for r in report.results] == ["ok", "ok"]
+            with mock.patch.object(simulate, "_usable_cpus", lambda: 2):
+                after = simulate_policy(example4, sdp4.policy, 2000, 4,
+                                        chunk_size=500)
+        assert _bits(after) == _bits(before)
 
 
 class TestGap:
