@@ -25,8 +25,7 @@ from .sdp import (
     default_grid, extract_policy, cost_to_go, solve_sdp,
 )
 from .simulate import (
-    GapEstimate, PricingHelperError, SimulationResult, estimate_gap,
-    simulate_policy,
+    GapEstimate, SimulationResult, estimate_gap, simulate_policy,
 )
 from .solver import (
     ExactBackend, SolveResult, SolverError, import_solution, solve_exact,

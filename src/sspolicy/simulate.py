@@ -22,22 +22,15 @@ block, 1.6 MB at the default 8192 and T = 25, and the raw Philox words for
 it), which stay in a core's L2 cache, plus one cost per replication.
 
 A call with more than one block of replications is split into equal
-contiguous spans, one per usable CPU (os.sched_getaffinity). The calling
-process prices the first span; persistent helper processes price the
-others and send back their per-replication costs and truncation counts,
-which fill the same cost array the single-process loop fills, so every
-result is bit-equal to pricing in one process. The generator and
-ndtri hold the interpreter lock for most of their run, so threads could
-not share this work. A helper is forked (os.fork) on the first call that
-splits and serves spans over a pipe until it reads EOF: when the parent
-exits, normally or killed, its end of the pipe closes and the helper
-exits too. An atexit hook also closes the pipes and reaps the helpers.
-One lock serializes the calls that use them. No helper starts where
-os.fork is missing, where only one CPU is usable, or inside a
-multiprocessing worker (run_benchmark with jobs > 1 already uses the
-cores). A helper that dies or fails makes the call raise
-PricingHelperError, and the next call that splits forks new helpers.
-Helper start and stop are logged at DEBUG.
+contiguous spans, one per usable CPU (os.sched_getaffinity) up to one per
+block. The calling thread prices the first span and a per-call thread
+pool the others, each into its own columns of the one cost array the
+single-span loop fills, so every result is bit-equal to pricing in one
+span. Philox, ndtri and the array passes release the interpreter lock for
+most of their run, so the spans run side by side. A span's exception
+propagates as itself, once every span has finished. Inside a
+multiprocessing worker (run_benchmark with jobs > 1, which already uses
+the cores) a call prices in one span.
 
 simulate_policies prices several policies of one instance on the same
 seed: each block's demands are drawn once and every policy's period loop
@@ -47,14 +40,10 @@ policy's do.
 """
 from __future__ import annotations
 
-import atexit
-import logging
 import math
 import multiprocessing
 import os
-import signal
-import threading
-import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -63,16 +52,9 @@ from scipy.special import ndtri
 
 from .domain import Instance, PolicyParameters, ValidationError, validate
 
-logger = logging.getLogger(__name__)
-
 _U64_11 = np.uint64(11)
 _INV_2_53 = 2.0 ** -53
 _MIN_UNIFORM = 2.0 ** -53  # guards ndtri(0) = -inf
-_REAP_GRACE_S = 1.0        # a stopped helper's time to exit on EOF
-
-
-class PricingHelperError(RuntimeError):
-    """A pricing helper process died or failed; the call has no result."""
 
 
 @dataclass(frozen=True)
@@ -138,14 +120,27 @@ def simulate_policies(instance: Instance, policies, replications: int,
     # one cost per policy and replication, reduced once at the end so the
     # statistics do not depend on how the work was chunked or split
     all_costs = np.empty((len(policies), replications))
-    if replications > chunk_size:
-        truncated = _helpers.price(instance, policies, seed, chunk_size,
-                                   all_costs)
-    else:
-        truncated = _price_span(instance, policies, seed, 0, chunk_size,
-                                all_costs)
+    truncated = _price_spans(instance, policies, seed, chunk_size, all_costs)
     frequency = truncated / (replications * instance.horizon)
     return [_result(policy_costs, seed, frequency) for policy_costs in all_costs]
+
+
+def _price_spans(instance: Instance, policies: list, seed: int,
+                 chunk_size: int, out: np.ndarray) -> int:
+    """_price_span over every column of `out`: the first span on this
+    thread, each further span on a pool thread."""
+    replications = out.shape[1]
+    spans = min(_usable_cpus(), -(-replications // chunk_size))
+    if spans < 2 or multiprocessing.parent_process() is not None:
+        return _price_span(instance, policies, seed, 0, chunk_size, out)
+    bounds = [replications * i // spans for i in range(spans + 1)]
+    with ThreadPoolExecutor(spans - 1) as pool:
+        rest = [pool.submit(_price_span, instance, policies, seed, lo,
+                            chunk_size, out[:, lo:hi])
+                for lo, hi in zip(bounds[1:], bounds[2:])]
+        truncated = _price_span(instance, policies, seed, 0, chunk_size,
+                                out[:, :bounds[1]])
+        return truncated + sum(span.result() for span in rest)
 
 
 def _price_span(instance: Instance, policies: list, seed: int, start: int,
@@ -204,8 +199,11 @@ def _price_span(instance: Instance, policies: list, seed: int, start: int,
                     np.subtract(big_ss[t], level, out=scratch)
                     scratch *= c
                     scratch += K
-                    np.add(cost, scratch, out=cost, where=ordering)
-                    np.copyto(level, big_ss[t], where=ordering)
+                    # unmasked add, masked store: the ordering entries get
+                    # cost + scratch's bits, and a masked ufunc is slower
+                    scratch += cost
+                    np.putmask(cost, ordering, scratch)
+                    np.putmask(level, ordering, big_ss[t])
                 level -= demands[t]
                 # holding or shortage in one charge: of h*max(l, 0) and
                 # b*max(-l, 0) one is ±0 and the other equals the larger
@@ -222,138 +220,6 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-class _Helpers:
-    """The helper processes that price all spans of a split call but the
-    first; see the module docstring."""
-
-    def __init__(self):
-        self.lock = threading.Lock()
-        self.procs = []            # (pid, parent's end of its pipe)
-
-    def price(self, instance, policies, seed, chunk_size, out) -> int:
-        """_price_span over every column of `out`: the first span here,
-        one further span on each helper."""
-        replications = out.shape[1]
-        blocks = -(-replications // chunk_size)
-        with self.lock:
-            procs = self._started(min(_usable_cpus(), blocks) - 1)
-            spans = len(procs) + 1
-            bounds = [replications * i // spans for i in range(spans + 1)]
-            try:
-                for (pid, conn), lo, hi in zip(procs, bounds[1:], bounds[2:]):
-                    _send(pid, conn, (instance, policies, seed, lo, hi - lo,
-                                      chunk_size))
-                truncated = _price_span(instance, policies, seed, 0,
-                                        chunk_size, out[:, :bounds[1]])
-                for (pid, conn), lo, hi in zip(procs, bounds[1:], bounds[2:]):
-                    truncated += _receive(pid, conn, out[:, lo:hi])
-            except BaseException:
-                # a helper may still hold this call's result: start afresh
-                self.stop()
-                raise
-        return truncated
-
-    def _started(self, wanted: int) -> list:
-        """`wanted` helpers, forked as needed; none where none may start."""
-        if (wanted < 1 or not hasattr(os, "fork")
-                or multiprocessing.parent_process() is not None):
-            return []
-        while len(self.procs) < wanted:
-            self.procs.append(self._fork())
-        return self.procs[:wanted]
-
-    def _fork(self) -> tuple:
-        parent_end, child_end = multiprocessing.Pipe()
-        pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:
-                parent_end.close()
-                _serve(child_end)
-                code = 0
-            finally:
-                os._exit(code)
-        child_end.close()
-        logger.debug("started pricing helper %d", pid)
-        return pid, parent_end
-
-    def stop(self) -> None:
-        """Close every helper's pipe and reap it; a helper exits on EOF,
-        and one still busy after a grace period is killed."""
-        procs, self.procs = self.procs, []
-        for _, conn in procs:
-            conn.close()
-        for pid, _ in procs:
-            _reap(pid)
-            logger.debug("stopped pricing helper %d", pid)
-
-    def forget(self) -> None:
-        """In a forked child: drop the parent's helpers, which are not its
-        own, closing this process's copies of their pipes."""
-        for _, conn in self.procs:
-            conn.close()
-        self.procs = []
-        self.lock = threading.Lock()
-
-
-def _send(pid: int, conn, task) -> None:
-    try:
-        conn.send(task)
-    except OSError as exc:
-        raise PricingHelperError(f"pricing helper {pid} died") from exc
-
-
-def _receive(pid: int, conn, out: np.ndarray) -> int:
-    """Copy a helper's span costs into `out`; returns its truncations."""
-    try:
-        reply = conn.recv()
-    except (EOFError, OSError) as exc:
-        raise PricingHelperError(f"pricing helper {pid} died") from exc
-    if isinstance(reply, str):
-        raise PricingHelperError(f"pricing helper {pid} failed: {reply}")
-    truncated, costs = reply
-    out[...] = costs
-    return truncated
-
-
-def _serve(conn) -> None:
-    """A helper's loop: price each span the parent sends, until EOF."""
-    # an interrupt reaches the parent, which stops the helpers
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    while True:
-        try:
-            instance, policies, seed, start, count, chunk_size = conn.recv()
-        except EOFError:
-            return
-        out = np.empty((len(policies), count))
-        try:
-            truncated = _price_span(instance, policies, seed, start,
-                                    chunk_size, out)
-        except Exception as exc:  # raised in the parent as a helper failure
-            conn.send(f"{type(exc).__name__}: {exc}")
-        else:
-            conn.send((truncated, out))
-
-
-def _reap(pid: int) -> None:
-    deadline = time.monotonic() + _REAP_GRACE_S
-    try:
-        while os.waitpid(pid, os.WNOHANG) == (0, 0):
-            if time.monotonic() > deadline:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-                return
-            time.sleep(0.005)
-    except ChildProcessError:  # already reaped
-        pass
-
-
-_helpers = _Helpers()
-atexit.register(_helpers.stop)
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_helpers.forget)
 
 
 def _result(costs: np.ndarray, seed: int, truncation: float) -> SimulationResult:

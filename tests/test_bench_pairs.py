@@ -116,3 +116,31 @@ def test_traced_runs_share_an_instance_count(monkeypatch):
         assert float(command[command.index("--seconds") + 1]) >= 1e9
     assert traced["max_instances"] == 60
     assert {r["instances_run"] for r in traced["runs"]} == {60}
+
+
+def _report(instances, wall_s, speed, rate):
+    """The parts of a bench/run.py report and result line that
+    run_record reads."""
+    return {"report": {"settings": {"instances_run": instances,
+                                    "wall_s": {"untraced": wall_s},
+                                    "speed_p50": speed},
+                       "end_to_end": {"instances_per_s": {"value": rate}},
+                       "block_digests": ["a"], "checks": {"problems": []}},
+            "result": {"correct": True, "attempted": instances, "failed": 0}}
+
+
+def test_runs_keep_raw_rates():
+    """Each run keeps its unscaled wall seconds, probe speed and raw rate
+    beside the scaled metric, and each side gets its median raw rate."""
+    base = [bench_pairs.run_record("base", 1, _report(60, 12.0, 0.9, 5.4)),
+            bench_pairs.run_record("base", 2, _report(64, 8.0, 0.8, 6.4)),
+            bench_pairs.run_record("base", 3, _report(70, 10.0, 0.9, 6.3))]
+    change = [bench_pairs.run_record("change", 1, _report(66, 11.0, 0.8, 5.3)),
+              bench_pairs.run_record("change", 2, _report(72, 9.0, 0.9, 7.2)),
+              bench_pairs.run_record("change", 3, _report(88, 11.0, 1.0, 7.0))]
+    record = base[0]
+    assert (record["wall_s"], record["speed_p50"]) == (12.0, 0.9)
+    assert record["raw_instances_per_s"] == 5.0
+    assert record["metrics"] == {"instances_per_s": 5.4}
+    pairs = [{"base": b, "change": c} for b, c in zip(base, change)]
+    assert bench_pairs.raw_rates(pairs) == {"base": 7.0, "change": 8.0}

@@ -1,13 +1,10 @@
-import contextlib
 import dataclasses
 import math
+import multiprocessing
 import os
 import re
-import signal
-import subprocess
 import sys
-import time
-from pathlib import Path
+import threading
 from unittest import mock
 
 import pytest
@@ -20,12 +17,21 @@ from sspolicy import simulate
 from sspolicy.domain import PolicyParameters, ValidationError, make_instance
 from sspolicy.sdp import solve_sdp
 from sspolicy.simulate import (
-    PricingHelperError, estimate_gap, estimate_gaps, simulate_policies,
-    simulate_policy,
+    estimate_gap, estimate_gaps, simulate_policies, simulate_policy,
 )
 from sspolicy.testbed import (
     BenchmarkConfig, build_instances, instance_seed, run_benchmark,
 )
+
+
+@pytest.fixture(autouse=True)
+def nothing_left_running():
+    """Fail a test that leaves a thread or a child process behind."""
+    threads = set(threading.enumerate())
+    children = set(multiprocessing.active_children())
+    yield
+    assert set(threading.enumerate()) <= threads
+    assert set(multiprocessing.active_children()) <= children
 
 
 @pytest.fixture(scope="module")
@@ -263,12 +269,15 @@ class TestSharedDemandBlocks:
                          ids=["8-period", "25-period"])
 def test_full_grid_matches_reference(horizon, replications):
     """Every grid instance's SDP policy, priced at the benchmark's
-    replication count, is bit-equal to the replication-major loop."""
+    replication count and split as on three CPUs whatever the runner has
+    (two spans at 10k, three at 200k), is bit-equal to the
+    replication-major loop."""
     config = BenchmarkConfig(horizon=horizon)
     for inst in build_instances(config):
         policy = solve_sdp(inst).policy
         seed = instance_seed(config.seed, inst.name)
-        got = simulate_policy(inst, policy, replications, seed)
+        with mock.patch.object(simulate, "_usable_cpus", lambda: 3):
+            got = simulate_policy(inst, policy, replications, seed)
         ref = row_major_simulation(inst, policy, replications, seed, 65536)
         assert dataclasses.astuple(got) == dataclasses.astuple(ref), inst.name
 
@@ -342,60 +351,83 @@ def _bits(result):
             for v in dataclasses.astuple(result)]
 
 
-@contextlib.contextmanager
-def _deadline(seconds):
-    """Fail, rather than hang, a block that runs past `seconds`."""
-    def expire(*_):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
+def _hex_policy(reorder_points, order_up_to_levels):
+    return PolicyParameters(
+        [float.fromhex(v) for v in reorder_points.split()],
+        [float.fromhex(v) for v in order_up_to_levels.split()])
 
 
-def _gone(pid):
-    """True once `pid` has exited: no such process, or a zombie left for
-    init to reap after its parent was killed."""
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return True
-    try:
-        stat = Path(f"/proc/{pid}/stat").read_text()
-    except OSError:
-        return True
-    return stat.rsplit(")", 1)[1].split()[0] == "Z"
+def _golden_grid8():
+    """h8-EMP1-K300-b10-cv0.3's bs, mp and SDP policies, as the
+    heuristics and solve_sdp gave them, priced on shared blocks."""
+    [inst] = build_instances(BenchmarkConfig(
+        patterns=("EMP1",), fixed_costs=(300.0,), penalty_costs=(10.0,),
+        cvs=(0.3,)))
+    levels = ("0x1.97a07f992f42bp+5 0x1.3ee68dfb2997dp+7 0x1.298c3a651ad04p+7 "
+              "0x1.f185b6155d2ddp+6 0x1.343b4288840aep+6 0x1.af3556e29f4fcp+5 "
+              "0x1.370b60fab89ccp+5 0x1.c7f4efd91ecbep+3")
+    bs = _hex_policy(
+        "-0x1.9333333333337p+2 -0x1.33333333333a2p-2 0x1.97ffffffffffcp+3 "
+        "0x1.1333333333334p+5 0x1.2800000000001p+4 0x1.6800000000000p+3 "
+        "0x1.519999999999ap+3 -0x1.48ccccccccccdp+4", levels)
+    mp = _hex_policy(
+        "-0x1.958f3f0d9865dp+2 -0x1.b809a1ba79460p-3 0x1.96e78a671b9d0p+3 "
+        "0x1.12c2573d495f7p+5 0x1.279c161895ccap+4 0x1.66af425538fd8p+3 "
+        "0x1.5101afec695c2p+3 -0x1.486c1e0807cb8p+4", levels)
+    sdp = PolicyParameters((-8, 0, 13, 35, 18, 11, 10, -21),
+                           (52, 155, 144, 122, 77, 53, 39, 14))
+    return simulate_policies(inst, [bs, mp, sdp], 10_000, 2017)
 
 
-def _wait_gone(pid, seconds=10.0):
-    deadline = time.monotonic() + seconds
-    while not _gone(pid):
-        if time.monotonic() > deadline:
-            return False
-        time.sleep(0.05)
-    return True
+def _golden_grid25():
+    """h25-SIN1-K1000-b5-cv0.2's SDP policy at the benchmark's 200k."""
+    [inst] = build_instances(BenchmarkConfig(
+        horizon=25, patterns=("SIN1",), fixed_costs=(1000.0,),
+        penalty_costs=(5.0,), cvs=(0.2,)))
+    sdp = PolicyParameters(
+        (35, 82, 84, 43, -11, -41, -50, -25, 45, 86, 79, 33, -18, -45, -63,
+         -9, 57, 92, 59, 4, -40, -45, -2, 52, -65),
+        (573, 455, 316, 213, 153, 256, 260, 631, 557, 433, 303, 214, 162,
+         149, 278, 599, 515, 382, 237, 304, 294, 296, 298, 263, 172))
+    return [simulate_policy(inst, sdp, 200_000, 25)]
 
 
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
-                                reason="pricing helpers are forked")
+def _golden_edges():
+    """c > 0, a zero-sd period and negative I0, in 500-replication
+    blocks with a short last one."""
+    inst = make_instance(horizon=4, K=100, h=1, b=10, c=2,
+                         means=[20, 40, 60, 40], std_devs=[5, 0, 15, 10],
+                         initial_inventory=-15)
+    policy = PolicyParameters((15, 29, 58, 29), (70, 54, 117, 54))
+    return [simulate_policy(inst, policy, 3001, 8, chunk_size=500)]
 
 
-@pytest.fixture
-def fresh_helpers():
-    """No helper before the test, and none left after it."""
-    simulate._helpers.stop()
-    yield simulate._helpers
-    simulate._helpers.stop()
+@pytest.mark.parametrize("call, expected", [
+    (_golden_grid8, [
+        ("0x1.b5233354bf7c8p+9", "0x1.d79cd757971d6p-1", "0x1.205bc01a36e2fp-11"),
+        ("0x1.b5256a50c8fa1p+9", "0x1.d782bdab0436fp-1", "0x1.205bc01a36e2fp-11"),
+        ("0x1.b428a55cc036bp+9", "0x1.001e33c5cf160p+0", "0x1.205bc01a36e2fp-11"),
+    ]),
+    (_golden_grid25, [
+        ("0x1.07ad419582a74p+13", "0x1.6df0eff0fe311p-1", "0x1.ad7f29abcaf48p-22"),
+    ]),
+    (_golden_edges, [
+        ("0x1.70b26a23cac0ap+9", "0x1.835badd6b066cp-1", "0x0.0p+0"),
+    ]),
+], ids=["8-period-grid", "25-period-sdp", "edge-cases"])
+def test_golden_pricing_bits(call, expected):
+    """Fixed calls keep their mean, standard error and truncation
+    frequency to the bit across versions: the draw path (Philox counters,
+    uniforms, ndtri, truncation), the period loop and the reduction are
+    pinned, not just checked against each other in one version."""
+    got = [(r.mean.hex(), r.standard_error.hex(), r.truncation_frequency.hex())
+           for r in call()]
+    assert got == expected
 
 
-@needs_fork
 class TestSplitPricing:
-    """Calls with more than one block split their replications between
-    this process and forked helpers."""
+    """Calls with more than one block split their replications into spans
+    priced on this thread and on pool threads."""
 
     @settings(max_examples=30, deadline=None)
     @given(case=_policy_list_cases(), cpus=st.integers(2, 3))
@@ -409,39 +441,9 @@ class TestSplitPricing:
                                       chunk_size=chunk_size)
         assert [_bits(r) for r in split] == [_bits(r) for r in whole]
 
-    def test_helpers_persist_between_calls(self, example4, sdp4, fresh_helpers):
-        with mock.patch.object(simulate, "_usable_cpus", lambda: 3):
-            first = simulate_policy(example4, sdp4.policy, 3000, 8,
-                                    chunk_size=500)
-            pids = [pid for pid, _ in fresh_helpers.procs]
-            second = simulate_policy(example4, sdp4.policy, 3000, 8,
-                                     chunk_size=500)
-        assert len(pids) == 2
-        assert [pid for pid, _ in fresh_helpers.procs] == pids
-        assert _bits(first) == _bits(second) == _bits(
-            simulate_policy(example4, sdp4.policy, 3000, 8, chunk_size=3000))
-
-    def test_killed_helper_raises_then_recovers(self, example4, sdp4,
-                                                fresh_helpers):
-        with mock.patch.object(simulate, "_usable_cpus", lambda: 2):
-            simulate_policy(example4, sdp4.policy, 2000, 4, chunk_size=500)
-            [(pid, _)] = fresh_helpers.procs
-            os.kill(pid, signal.SIGKILL)
-            with _deadline(30), pytest.raises(PricingHelperError,
-                                              match=f"helper {pid} died"):
-                simulate_policy(example4, sdp4.policy, 2000, 4,
-                                chunk_size=500)
-            assert fresh_helpers.procs == []
-            assert _gone(pid)
-            with _deadline(30):
-                after = simulate_policy(example4, sdp4.policy, 2000, 4,
-                                        chunk_size=500)
-            assert len(fresh_helpers.procs) == 1
-        assert _bits(after) == _bits(
-            simulate_policy(example4, sdp4.policy, 2000, 4, chunk_size=2000))
-
-    def test_failing_helper_raises_by_name(self, example4, sdp4,
-                                           fresh_helpers):
+    def test_failing_span_raises_itself(self, example4, sdp4):
+        """A pool span's exception surfaces unchanged, and the next call
+        prices as if nothing had happened."""
         real = simulate._price_span
 
         def fail_after_first_span(instance, policies, seed, start, *rest):
@@ -451,79 +453,57 @@ class TestSplitPricing:
 
         with mock.patch.object(simulate, "_usable_cpus", lambda: 2):
             with mock.patch.object(simulate, "_price_span",
-                                   fail_after_first_span), _deadline(30):
-                with pytest.raises(PricingHelperError,
-                                   match="failed: FloatingPointError: span lost"):
+                                   fail_after_first_span):
+                with pytest.raises(FloatingPointError, match="span lost"):
                     simulate_policy(example4, sdp4.policy, 2000, 4,
                                     chunk_size=500)
-            assert fresh_helpers.procs == []
             after = simulate_policy(example4, sdp4.policy, 2000, 4,
                                     chunk_size=500)
         assert _bits(after) == _bits(
             simulate_policy(example4, sdp4.policy, 2000, 4, chunk_size=2000))
 
-    @pytest.mark.parametrize("ending", ["exit", "sigkill"])
-    def test_no_helper_outlives_its_parent(self, ending):
-        """After a normal exit or SIGKILL of the parent, its helper is gone
-        within 10 s."""
-        script = (
-            "import sys, time\n"
-            "from sspolicy import simulate\n"
-            "from sspolicy.domain import PolicyParameters, make_instance\n"
-            "simulate._usable_cpus = lambda: 2\n"
-            "inst = make_instance(horizon=4, K=100, h=1, b=10, c=0,\n"
-            "                     means=[20, 40, 60, 40], cv=0.25)\n"
-            "policy = PolicyParameters((10.0,) * 4, (60.0,) * 4)\n"
-            "simulate.simulate_policy(inst, policy, 2000, 1, chunk_size=500)\n"
-            "print(*[pid for pid, _ in simulate._helpers.procs], flush=True)\n"
-            "if sys.argv[1] == 'sigkill':\n"
-            "    time.sleep(120)\n")
-        src = Path(simulate.__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, (str(src), os.environ.get("PYTHONPATH")))))
-        proc = subprocess.Popen([sys.executable, "-c", script, ending],
-                                stdout=subprocess.PIPE, text=True, env=env)
+    def test_split_starts_no_process(self, example4, sdp4):
+        """Six spans, more than most runners have cores, switching threads
+        every microsecond, with os.fork patched to raise: the spans' columns
+        stay apart and no process starts."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
         try:
-            with _deadline(60):
-                line = proc.stdout.readline()
-            pids = [int(p) for p in line.split()]
-            assert len(pids) == 1
-            if ending == "sigkill":
-                proc.kill()
-            assert proc.wait(timeout=60) == (0 if ending == "exit" else
-                                             -signal.SIGKILL)
+            with mock.patch.object(simulate, "_usable_cpus", lambda: 8), \
+                    mock.patch.object(os, "fork", side_effect=AssertionError(
+                        "pricing forked a process")):
+                split = simulate_policy(example4, sdp4.policy, 3000, 8,
+                                        chunk_size=500)
         finally:
-            proc.kill()
-            proc.wait()
-            proc.stdout.close()
-        assert _wait_gone(pids[0], 10.0)
+            sys.setswitchinterval(interval)
+        assert _bits(split) == _bits(
+            simulate_policy(example4, sdp4.policy, 3000, 8, chunk_size=3000))
 
-    def test_benchmark_workers_start_no_helper(self, example4, sdp4,
-                                               fresh_helpers, tmp_path):
-        """run_benchmark(jobs=2) workers price alone: they neither start
-        helpers nor use the ones they inherit from this process."""
-        # live helpers here, which forked workers inherit
-        with mock.patch.object(simulate, "_usable_cpus", lambda: 2):
-            before = simulate_policy(example4, sdp4.policy, 2000, 4,
-                                     chunk_size=500)
-        assert len(fresh_helpers.procs) == 1
-        marker = tmp_path / "forked"
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the patched span must reach forked workers")
+    def test_benchmark_workers_price_in_one_span(self, tmp_path):
+        """run_benchmark(jobs=2) workers, which already use the cores,
+        price each call in one span starting at replication 0."""
+        log = tmp_path / "spans"
+        real = simulate._price_span
 
-        def record_fork(self):
-            marker.write_text(str(os.getpid()))
-            raise AssertionError("a pricing helper was started")
+        def record_span(instance, policies, seed, start, chunk_size, out):
+            with log.open("a") as fh:
+                fh.write(f"{os.getpid()} {start} {out.shape[1]}\n")
+            return real(instance, policies, seed, start, chunk_size, out)
 
         config = BenchmarkConfig(patterns=("STA",), fixed_costs=(500.0,),
                                  penalty_costs=(5.0, 10.0), cvs=(0.1,))
         assert config.replications > 8192
-        with mock.patch.object(simulate._Helpers, "_fork", record_fork):
+        with mock.patch.object(simulate, "_usable_cpus", lambda: 2), \
+                mock.patch.object(simulate, "_price_span", record_span):
             report = run_benchmark(config, jobs=2)
-            assert not marker.exists()
-            assert [r.status for r in report.results] == ["ok", "ok"]
-            with mock.patch.object(simulate, "_usable_cpus", lambda: 2):
-                after = simulate_policy(example4, sdp4.policy, 2000, 4,
-                                        chunk_size=500)
-        assert _bits(after) == _bits(before)
+        assert [r.status for r in report.results] == ["ok", "ok"]
+        spans = [line.split() for line in log.read_text().splitlines()]
+        assert len(spans) == 2
+        assert all(int(pid) != os.getpid() for pid, _, _ in spans)
+        assert all((start, width) == ("0", str(config.replications))
+                   for _, start, width in spans)
 
 
 class TestGap:

@@ -25,13 +25,14 @@ side runs more blocks in the run length; a run finishes every block it
 starts, so N is a whole number of blocks. The file records N.
 
 Writes BENCH_<label>.json in the repository root: every run's end-to-end
-metrics and block digests, per metric each side's median and quartiles,
-the change's wins per pair (ties count for neither side), whether the
-claim rule holds (wins in at least nine tenths of the pairs, and medians
-further apart than the base's interquartile distance), whether the
-change's median stays within the bound BENCHMARK.json fixes, whether the
-block digests the two sides share agree, the machine record of each side
-and the exact commands.
+metrics, block digests, unscaled loop wall seconds, speed-probe median and
+raw rate (instances over those seconds), each side's median raw rate, per
+metric each side's median and quartiles, the change's wins per pair (ties
+count for neither side), whether the claim rule holds (wins in at least
+nine tenths of the pairs, and medians further apart than the base's
+interquartile distance), whether the change's median stays within the
+bound BENCHMARK.json fixes, whether the block digests the two sides share
+agree, the machine record of each side and the exact commands.
 """
 from __future__ import annotations
 
@@ -114,17 +115,32 @@ def run_bench(root: Path, command: list) -> dict:
 
 
 def run_record(side: str, seed: int, out: dict) -> dict:
+    """One untraced run: its end-to-end metrics, its block digests, and
+    its raw rate, instances over the loop's unscaled wall seconds, beside
+    the speed probe's median factor that scaled the metrics."""
     report = out["report"]
+    settings = report["settings"]
+    wall_s = settings["wall_s"]["untraced"]
     return {
         "side": side, "seed": seed,
         "correct": out["result"]["correct"],
         "attempted": out["result"]["attempted"],
         "failed": out["result"]["failed"],
         "metrics": {k: v["value"] for k, v in report["end_to_end"].items()},
-        "instances_run": report["settings"]["instances_run"],
+        "instances_run": settings["instances_run"],
+        "wall_s": wall_s,
+        "speed_p50": settings["speed_p50"],
+        "raw_instances_per_s": settings["instances_run"] / wall_s,
         "block_digests": report["block_digests"],
         "problems": report["checks"]["problems"],
     }
+
+
+def raw_rates(pairs: list) -> dict:
+    """Each side's median raw rate (instances per unscaled second)."""
+    return {side: statistics.median(p[side]["raw_instances_per_s"]
+                                    for p in pairs)
+            for side in ("base", "change")}
 
 
 def quartiles(values: list) -> tuple:
@@ -244,6 +260,7 @@ def main(argv=None) -> int:
                      "seeds": [p["seed"] for p in pairs],
                      "pairs": pairs,
                      "summary": summarize(pairs, declared),
+                     "raw_instances_per_s": raw_rates(pairs),
                      "all_correct": all(p[s]["correct"] for p in pairs
                                         for s in ("base", "change")),
                      "block_digests_agree": digests_agree(pairs)}
@@ -260,6 +277,9 @@ def main(argv=None) -> int:
                   f"{s['change']['median']:.4g} [{s['change']['q1']:.4g}, "
                   f"{s['change']['q3']:.4g}], wins {s['change_wins']}/"
                   f"{s['pairs']}, within bound {s['within_bound']}")
+        raw = entry["raw_instances_per_s"]
+        print(f"{name} raw instances/s: base {raw['base']:.4g} -> change "
+              f"{raw['change']:.4g}")
         print(f"{name} digests agree: {entry['block_digests_agree']}, "
               f"all correct: {entry['all_correct']}")
     print(f"wrote {path}")
