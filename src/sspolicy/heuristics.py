@@ -3,9 +3,13 @@
 Both heuristics walk the suffix horizons k..T and extract the period-k
 (s_k, S_k) pair from a linearized model:
 
-  * mp_policy solves the joint model per suffix: the forced-order side's
+  * mp_policy answers the joint model per suffix: the forced-order side's
     free initial level is the order-up-to level, the linked no-order side's
-    level is the reorder point.
+    level is the reorder point. No model is solved per suffix: each
+    suffix's engine gives its answer (solver.joint_answer), and all T
+    answers are written into one stacked model of the instance's suffixes
+    and verified at once (solver.check_joint_answers); a violation names
+    its suffix and row.
   * bs_policy solves only no-first-order models: the free minimum gives the
     order-up-to level and its cost; a binary search on the fixed initial
     level then finds where the no-order cost exceeds that minimum by
@@ -36,8 +40,8 @@ from numbers import Integral
 
 from .domain import (Instance, PolicyParameters, ValidationError,
                      round_half_up, validate)
-from .model import build_joint, build_segments
-from .solver import CycleTable, ExactBackend
+from .model import build_segments
+from .solver import CycleTable, ExactBackend, check_joint_answers, joint_answer
 
 BS_TOLERANCE = 1e-4       # equality band of the binary search
 LONG_HORIZON_CUTOFF = 15  # suffixes longer than this search on step 1
@@ -126,27 +130,30 @@ def _log_work(method: str, instance: Instance, table: CycleTable,
 
 def mp_policy(instance: Instance, config: HeuristicConfig | None = None,
               backend=None, table: CycleTable | None = None) -> PolicyParameters:
-    """Joint-model heuristic: solve the joint model on every suffix k..T."""
+    """Joint-model heuristic: the joint model's answer on every suffix k..T.
+
+    Each suffix's engine gives its order-up-to level, linked cost and
+    reorder point; then all T answers are written into one stacked model
+    of the instance's suffixes and verified at once (check_joint_answers).
+    """
     validate(instance)
     config = config or HeuristicConfig()
     backend = backend or ExactBackend()
     table = _table_for(instance, config, table)
     before = table.work() if log.isEnabledFor(logging.DEBUG) else None
-    ss, SS, costs = [], [], []
+    engines, answers = [], []
     for k in range(1, instance.horizon + 1):
-        view = table.suffix(k)
-        model = build_joint(view.instance, view)
         try:
-            result = backend.solve(model)
+            engines.append(backend.evaluator(table.suffix(k)))
+            answers.append(joint_answer(engines[-1]))
         except Exception as exc:
             raise RuntimeError(f"joint solve failed at suffix k={k}: {exc}") from exc
-        ss.append(result.value("I0_s"))
-        SS.append(result.value("I0_S"))
-        costs.append(result.value("C_S"))
+    check_joint_answers(table, engines, answers)
     _log_work("mp", instance, table, before)
-    return PolicyParameters(reorder_points=tuple(ss),
-                            order_up_to_levels=tuple(SS),
-                            costs=tuple(costs))
+    return PolicyParameters(
+        reorder_points=tuple(root for _, root, _ in answers),
+        order_up_to_levels=tuple(forced[2][0] for forced, _, _ in answers),
+        costs=tuple(forced[0] for forced, _, _ in answers))
 
 
 def bs_policy(instance: Instance, config: HeuristicConfig | None = None,

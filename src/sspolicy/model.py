@@ -44,16 +44,21 @@ left to right from 0.0 by domain.running_sums, as the convolved demands
 are, so no bit depends on the interpreter's sum().
 
 The joint model's structure depends only on the horizon, the segment count
-and whether the unit cost is nonzero. _emit_joint, the emitter below, is
-its only definition: each step that writes an instance number records
+and whether the unit cost is nonzero, and suffix k of an instance is again
+an instance of T - k + 1 periods. _add_joint, the emitter below, is the
+model's only definition: each step that writes an instance number records
 its slot (a right-hand side, matrix entry or objective term) and source,
-an entry of the values _joint_values lays out. build_joint emits the
-model once per key into a skeleton that keeps these records, then per
-call gathers the right-hand sides and the matrix data each from one
-vector of the instance's values. Its models share the structural arrays
-(names, index, binary mask, row names, senses, kinds, conditions, CSR
-indices and indptr, rule index arrays, column layouts) read-only, and
-the checks derived from them.
+an entry of the values _stack_values lays out for the instance. A
+JointStack emits the joint models of suffixes 1..count of a key once, as
+the diagonal blocks of one model, and composes each recorded source with
+its block's suffix; one fill then gathers the right-hand sides, the matrix
+data, the objective and the rules' piece data of every block, each from
+one vector of the instance's values, and scatters each block's level
+bounds. build_joint is the one-block stack; mp's per-instance check
+(solver.check_joint_answers) fills the stack of all T suffixes. Filled
+models share the structural arrays (names, index, binary mask, row names,
+senses, kinds, conditions, CSR indices and indptr, rule index arrays,
+column layouts) read-only, and the checks derived from them.
 """
 from __future__ import annotations
 
@@ -75,8 +80,8 @@ from .loss import (cached_partition, piecewise_loss,  # noqa: F401
                    piecewise_losses, segment_intercepts)
 
 ROW, CUT, INDICATOR = 0, 1, 2  # row kinds, in the order the LP file lists them
-# sections of a joint model's instance values, in _joint_values' order; an
-# emitter records each instance number's source as (section, index)
+# sections of an instance's values, in _stack_values' order; an emitter
+# records each instance number's source as (section, index) in its block
 (_COEF, _NEG_COEF, _MEAN, _NEG_MEAN, _UNIT_TOTAL,
  _NEG_SLOPE, _ONE_LESS, _NEG_CONST) = range(8)
 
@@ -206,6 +211,7 @@ class _Emitter:
         self.rules = defaultdict(list)  # PiecewiseRules field -> values
         self.columns = {}        # submodel label -> Columns
         self.slots = {"rhs": [], "data": []}  # see take
+        self.block = 0           # the suffix offset of the block being emitted
 
     def var(self, name, lb=-math.inf, ub=math.inf, binary=False) -> int:
         col = self.index[name] = len(self.names)
@@ -230,8 +236,9 @@ class _Emitter:
 
     def take(self, target, slots, section, indices):
         """Record that entries `slots` of the right-hand sides or the matrix
-        data (`target`) hold the instance values at `indices` of a section."""
-        self.slots[target].append((slots, section, indices))
+        data (`target`) hold the instance values at `indices` of a section,
+        in the current block."""
+        self.slots[target].append((slots, section, indices, self.block))
 
     def add_rules(self, **fields):
         """Piecewise rules, one per entry of every field."""
@@ -312,14 +319,12 @@ def level_bounds(instance: Instance, big_m: float) -> tuple[float, float]:
     return lower, big_m + 10.0
 
 
-def period_pieces(instance: Instance, segments: Mapping) -> list:
-    """Segment data of every period t (entry t - 1) as arrays over cycle
-    starts 1..t: slopes, rule-line intercepts (error bound included),
-    demand shifts and cut coefficients slope * mu + intercept + e. Every
-    piece must have the same segment count. A segment source with its own
-    arrays (solver.SuffixView, cut from its table's) hands those over."""
-    if hasattr(segments, "period_pieces"):
-        return segments.period_pieces()
+def piece_arrays(instance: Instance, segments: Mapping) -> tuple:
+    """Segment data of every cycle pair (j, t), one row per pair, in the
+    order of period t, then start j (pair (j, t) at row t(t - 1)/2 + j -
+    1): slopes, rule-line intercepts (error bound included), demand shifts
+    and cut coefficients slope * mu + intercept + e. Every piece must have
+    the same segment count."""
     pieces = []
     for t in range(1, instance.horizon + 1):
         for j in range(1, t + 1):
@@ -332,10 +337,22 @@ def period_pieces(instance: Instance, segments: Mapping) -> list:
     icpt = segment_intercepts(slopes, np.array([pw.breakpoints for pw in pieces]))
     means = np.array([pw.mean for pw in pieces])
     errs = np.array([pw.error_bound for pw in pieces])[:, None]
-    arrays = (slopes, icpt + errs, means, slopes * means[:, None] + icpt + errs)
-    # period t's pieces start at t(t - 1)/2
-    starts = np.cumsum(np.arange(1, instance.horizon))
+    return slopes, icpt + errs, means, slopes * means[:, None] + icpt + errs
+
+
+def by_period(arrays: tuple, T: int) -> list:
+    """piece_arrays' rows split by period: entry t - 1 holds period t's
+    arrays over cycle starts 1..t."""
+    starts = np.cumsum(np.arange(1, T))  # period t's pieces start at t(t - 1)/2
     return list(zip(*(np.split(a, starts) for a in arrays)))
+
+
+def period_pieces(instance: Instance, segments: Mapping) -> list:
+    """piece_arrays by period (by_period). A segment source with its own
+    arrays (solver.SuffixView, cut from its table's) hands those over."""
+    if hasattr(segments, "period_pieces"):
+        return segments.period_pieces()
+    return by_period(piece_arrays(instance, segments), instance.horizon)
 
 
 def _add_submodel(em: _Emitter, instance: Instance, big_m: float, label: str,
@@ -416,7 +433,7 @@ def _emit_pieces(em: _Emitter, label: str, t: int, pieces: tuple,
     H_t >= slope_i * I_t + sum_j (slope_i * mu_jt + intercept_i^jt + e_jt) P_jt
     and the same shifted by -I_t for B_t. Records the sources of the cut
     data that comes from the pieces: segment i of rule r is entry
-    r * n_seg + i of the flat piece arrays of _joint_values."""
+    r * n_seg + i, which JointStack maps to rule r's piece."""
     slopes, lines, means, const = pieces
     n_seg = slopes.shape[1]
     src = np.arange(t * n_seg).reshape(t, n_seg) + n_seg * len(em.rules["selector"])
@@ -465,18 +482,24 @@ def build_minlp_S(instance: Instance, segments: Mapping) -> MilpModel:
     return em.model("S", instance, big_m, ("S",), segments)
 
 
-def _emit_joint(instance: Instance, periods: list, segments,
-                em: _Emitter | None = None) -> MilpModel:
+def _emit_joint(instance: Instance, periods: list, segments) -> MilpModel:
     """The joint model, row by row: both submodels, the cost-equality link
-    and the ordering I0_s <= I0_S. build_joint fills copies of it, from
-    the slots that `em`, when given, keeps recorded.
+    and the ordering I0_s <= I0_S (_add_joint). build_joint fills a copy
+    of it, emitted as a one-block JointStack."""
+    em = _Emitter()
+    big_m = _add_joint(em, instance, periods)
+    return em.model("joint", instance, big_m, ("S", "s"), segments)
+
+
+def _add_joint(em: _Emitter, instance: Instance, periods: list) -> float:
+    """Emit a joint model's columns, rows and rules into `em` after what it
+    holds, recording the slots of its instance numbers; returns its big-M.
 
     The objective takes the forced-order side over all periods plus the
     no-order side from period 2; the no-order side's period-1 terms live
     only inside the linked cost expression G_s.
     """
     big_m = default_big_m(instance)
-    em = _Emitter() if em is None else em
     cost_S, I_S = _add_submodel(em, instance, big_m, "S", periods,
                                 first_order=True, fixed_i0=None, objective_from=1)
     cost_s, I_s = _add_submodel(em, instance, big_m, "s", periods,
@@ -495,107 +518,174 @@ def _emit_joint(instance: Instance, periods: list, segments,
                    "==", unit_total, source=(_UNIT_TOTAL, 0))
     em.add_row("link_cost", linked[::-1], [1.0, -1.0], "==", 0.0)
     em.add_row("link_order", [I_s[0], I_S[0]], [1.0, -1.0], "<=", 0.0)
-    return em.model("joint", instance, big_m, ("S", "s"), segments)
+    return big_m
 
 
-def _joint_values(instance: Instance, periods: list) -> tuple:
-    """What a joint model takes from its instance and pieces: the piecewise
-    data of its rules (both sides read the same pieces, so rule r is row r
-    of the period arrays stacked twice) and the values its recorded slots
-    hold, one array per section, in the order of the section codes."""
-    slopes, lines, shift, const = (np.concatenate(a + a) for a in zip(*periods))
+def _stack_values(instance: Instance, pieces: tuple, count: int) -> list:
+    """What the joint models of suffixes 1..count of an instance take from
+    it, one list or array per section, in the order of the section codes:
+    the cost coefficients, the means, every suffix's unit-cost total and
+    the cut data of every piece, from `pieces`, the instance's
+    piece_arrays."""
+    slopes, _, _, const = pieces
     costs = instance.costs
     # Python scalars negated as the emitter negates them, zeros' signs too
     coefs = [costs.fixed, costs.holding, costs.penalty, -costs.unit, costs.unit]
     means = instance.means
-    sections = [coefs, [-w for w in coefs], means, [-m for m in means],
-                [costs.unit * instance.demand_totals[0]],
-                -slopes.ravel(), -(slopes.ravel() - 1.0), -const.ravel()]
-    return dict(slopes=slopes, intercepts=lines, shift=shift), sections
+    # suffix k's demand total as Instance.suffix(k).demand_totals sums it
+    totals = [costs.unit * running_sums(means[o:])[-1] for o in range(count)]
+    return [coefs, [-w for w in coefs], means, [-m for m in means], totals,
+            -slopes.ravel(), -(slopes.ravel() - 1.0), -const.ravel()]
 
 
 @dataclass(frozen=True)
-class _Skeleton:
-    """The joint model of one (horizon, segment count, c != 0) key, emitted
-    once with zero numbers, and the slots its emitter recorded for the
-    instance numbers, each with its source: an entry of the concatenated
-    sections of _joint_values. Every array of `model` is read-only."""
+class JointStack:
+    """The joint models of suffixes 1..count of a T-period instance with one
+    (segment count, c != 0) key, as the diagonal blocks of one model.
+    Block b, suffix b + 1, is the (T - b)-period joint model; all blocks
+    are emitted once per key, with zero numbers, by one emitter, so each
+    block's columns, rows, matrix entries and rules follow the blocks
+    before it. `model` is that stack; its names repeat per block, and its
+    index and columns are block 0's. Each slot the emitter recorded for an
+    instance number (a right-hand side, matrix entry or objective term)
+    keeps its source, composed with its block's suffix into an entry of
+    the concatenated sections of _stack_values. Every array is read-only.
+
+    build_joint is the one-block stack; mp_policy fills the stack of all
+    T suffixes once per instance and checks all their answers with one
+    verify_assignment pass (JointStack.verify)."""
     model: MilpModel
-    levels: np.ndarray        # level columns, bounded by level_bounds
+    columns: tuple            # block b's label -> Columns
+    linked: np.ndarray        # block b's (C_S, G_s) columns, at row b
+    col_starts: np.ndarray    # block b's first column, row and rule at
+    row_starts: np.ndarray    # entry b
+    rule_starts: np.ndarray
+    levels: np.ndarray        # level columns, bounded by level_bounds ...
+    level_blocks: np.ndarray  # ... of the suffix of their block
     rhs_slots: np.ndarray     # rows with an instance number rhs ...
     rhs_sources: np.ndarray   # ... and its source
     data_slots: np.ndarray    # matrix data entries likewise ...
     data_sources: np.ndarray  # ... and theirs
     objective_sources: np.ndarray  # every objective coefficient's source
+    rule_pieces: np.ndarray   # every rule's piece: its row of the pieces
 
     @staticmethod
     @functools.cache
-    def of(T: int, n_seg: int, unit: bool) -> "_Skeleton":
-        """The skeleton of a key, emitted on its first use."""
-        probe = Instance(CostParameters(fixed=0.0, unit=float(unit)),
-                         (NormalDemand(0.0, 0.0),) * T)
-        periods = [(np.zeros((t, n_seg)),) * 2 + (np.zeros(t), np.zeros((t, n_seg)))
-                   for t in range(1, T + 1)]
+    def of(T: int, n_seg: int, unit: bool, count: int) -> "JointStack":
+        """The stack of a key, emitted on its first use."""
         em = _Emitter()
-        model = _emit_joint(probe, periods, None, em)
-        starts = np.cumsum([0, *map(len, _joint_values(probe, periods)[1])])
+        columns, linked, starts, rule_pieces = [], [], [], []
+        for b in range(count):
+            n = T - b
+            starts.append((len(em.names), len(em.meta), len(em.rules["selector"])))
+            em.block = b
+            _add_joint(em, Instance(CostParameters(fixed=0.0, unit=float(unit)),
+                                    (NormalDemand(0.0, 0.0),) * n),
+                       [(np.zeros((t, n_seg)),) * 2 + (np.zeros(t), np.zeros((t, n_seg)))
+                        for t in range(1, n + 1)])
+            if b == 0:
+                index = MappingProxyType(dict(em.index))
+            columns.append(MappingProxyType(dict(em.columns)))
+            linked.append((em.index["C_S"], em.index["G_s"]))
+            # local pair (j, t) is the instance's (j + b, t + b), the piece
+            # at (t + b)(t + b - 1)/2 + j + b - 1; both sides read it
+            rule_pieces += [(t + b) * (t + b - 1) // 2 + j + b - 1
+                            for t in range(1, n + 1) for j in range(1, t + 1)] * 2
+        model = em.model("joint", None, 0.0, ("S", "s"), None)
+        model = dataclasses.replace(model, names=tuple(model.names), index=index,
+                                    columns=columns[0])
+        rule_pieces = np.array(rule_pieces, dtype=np.intp)
+        # the instance layout: section starts of _stack_values
+        pieces = T * (T + 1) // 2
+        sections = np.cumsum([0, 5, 5, T, T, count] + [pieces * n_seg] * 2)
 
-        def recorded(target):
-            slots, sections, indices = zip(*em.slots[target])
-            return (np.concatenate([np.ravel(at) for at in slots]),
-                    np.concatenate([starts[section] + np.ravel(i)
-                                    for section, i in zip(sections, indices)]))
+        def recorded(target: str) -> tuple:
+            """The recorded slots and their sources in the instance layout."""
+            slots, sources = [], []
+            for slot, section, index, b in em.slots[target]:
+                index = np.ravel(index)
+                if section >= _NEG_SLOPE:
+                    rule, seg = np.divmod(index, n_seg)
+                    index = rule_pieces[rule] * n_seg + seg
+                elif section in (_MEAN, _NEG_MEAN, _UNIT_TOTAL):
+                    index = index + b
+                slots.append(np.ravel(slot))
+                sources.append(sections[section] + index)
+            return np.concatenate(slots), np.concatenate(sources)
 
-        matrix = model.rows.matrix
-        shared = [model.lb, model.ub, model.binary, *model.objective, matrix.indptr,
-                  matrix.indices, matrix.data, *vars(model.piecewise).values()]
-        shared += [v for v in vars(model.rows).values() if isinstance(v, np.ndarray)]
-        for arr in shared:
-            arr.flags.writeable = False
-        return _Skeleton(
-            dataclasses.replace(model, names=tuple(model.names),
-                                index=MappingProxyType(model.index)),
-            np.concatenate([[c.initial, *c.inventory] for c in model.columns.values()]),
+        levels = [[c.initial, *c.inventory] for block in columns
+                  for c in block.values()]
+        stack = JointStack(
+            model, tuple(columns), np.array(linked, dtype=np.intp),
+            *np.array(starts).T, np.concatenate(levels),
+            np.repeat(np.arange(count), [2 * len(a) for a in levels[::2]]),
             *recorded("rhs"), *recorded("data"),
-            starts[_COEF] + np.array([tag for *_, tag in em.objective]))
+            sections[_COEF] + np.array([tag for *_, tag in em.objective]),
+            rule_pieces)
+        matrix = model.rows.matrix
+        for arr in (*vars(stack).values(), *vars(model.rows).values(),
+                    *vars(model.piecewise).values(), model.lb, model.ub,
+                    model.binary, *model.objective, matrix.indptr,
+                    matrix.indices, matrix.data):
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
+        return stack
 
-    def fill(self, instance: Instance, periods: list, segments) -> MilpModel:
-        """The model _emit_joint(instance, periods, segments) emits."""
+    def fill(self, instance: Instance, pieces: tuple, segments,
+             bounds: Sequence) -> MilpModel:
+        """The stack of `instance`'s suffixes, from its piece_arrays
+        `pieces`, with block b's levels bounded by bounds[b], a (lower,
+        upper) pair: one gather each for the right-hand sides, the matrix
+        data, the objective and the rules' piece data, one scatter of the
+        level bounds. The structural arrays and their checks are shared.
+        Its objective is the sum of the blocks' objectives, and its
+        instance, big_m and segments are block 0's."""
         model = self.model
-        big_m = default_big_m(instance)
-        lb, ub = model.lb.copy(), model.ub.copy()
-        lb[self.levels], ub[self.levels] = level_bounds(instance, big_m)
-
-        pieces, sections = _joint_values(instance, periods)
+        sections = _stack_values(instance, pieces, len(self.columns))
         values = np.concatenate(sections)
+        lo, hi = np.array(bounds, dtype=float).T
+        lb, ub = model.lb.copy(), model.ub.copy()
+        lb[self.levels], ub[self.levels] = lo[self.level_blocks], hi[self.level_blocks]
         rhs = model.rows.rhs.copy()
         rhs[self.rhs_slots] = values[self.rhs_sources]
-        data = model.rows.matrix.data.copy()
-        data[self.data_slots] = values[self.data_sources]
         matrix = model.rows.matrix
-        # the structural arrays and their checks are shared
+        data = matrix.data.copy()
+        data[self.data_slots] = values[self.data_sources]
         rows = dataclasses.replace(model.rows, rhs=rhs, matrix=sparse.csr_array(
             (data, matrix.indices, matrix.indptr), shape=matrix.shape))
-
-        unit_total = sections[_UNIT_TOTAL][0]
+        slopes, lines, shift, _ = pieces
+        at = self.rule_pieces
+        rules = dataclasses.replace(model.piecewise, slopes=slopes[at],
+                                    intercepts=lines[at], shift=shift[at])
+        constant = 0.0
+        if instance.costs.unit:
+            constant = math.fsum(total + total for total in sections[_UNIT_TOTAL])
         # the binaries' bounds are structural (fill changes level bounds
         # only), so free_binaries carries over
         return dataclasses.replace(
-            model, instance=instance, big_m=big_m, segments=segments, lb=lb, ub=ub,
+            model, instance=instance, big_m=default_big_m(instance),
+            segments=segments, lb=lb, ub=ub,
             objective=(model.objective[0], values[self.objective_sources]),
-            objective_constant=unit_total + unit_total if instance.costs.unit else 0.0,
-            rows=rows, piecewise=dataclasses.replace(model.piecewise, **pieces))
+            objective_constant=constant, rows=rows, piecewise=rules)
+
+    def verify(self, model: MilpModel, x: np.ndarray, tol: float = 1e-6) -> list:
+        """verify_assignment of a filled stack's column vector, each name
+        led by its block's suffix, "suffix k=3: link_cost"."""
+        starts = (self.col_starts, self.row_starts, self.rule_starts)
+        return [(f"suffix k={np.searchsorted(starts[axis], at, 'right')}: {name}",
+                 amount) for name, amount, axis, at in _violations(model, x, tol)]
 
 
 def build_joint(instance: Instance, segments: Mapping) -> MilpModel:
     """Both submodels, the cost-equality link and the ordering I0_s <= I0_S,
-    filled from the skeleton of the instance's key (see the module
-    docstring); equal, array for array, to what _emit_joint emits."""
+    filled as the one-block JointStack of the instance's key (see the
+    module docstring); equal, array for array, to what _emit_joint emits."""
     validate(instance)
-    periods = period_pieces(instance, segments)
-    skeleton = _Skeleton.of(instance.horizon, periods[0][0].shape[1],
-                            bool(instance.costs.unit))
-    return skeleton.fill(instance, periods, segments)
+    pieces = [np.concatenate(a) for a in zip(*period_pieces(instance, segments))]
+    stack = JointStack.of(instance.horizon, pieces[0].shape[1],
+                          bool(instance.costs.unit), 1)
+    bounds = level_bounds(instance, default_big_m(instance))
+    return stack.fill(instance, pieces, segments, [bounds])
 
 
 def verify_assignment(model: MilpModel, assignment, tol: float = 1e-6) -> list:
@@ -612,11 +702,18 @@ def verify_assignment(model: MilpModel, assignment, tol: float = 1e-6) -> list:
     precomputed (RowTable.checks, MilpModel.free_binaries); names are
     built only for the violations found.
     """
-    x = model.vector(assignment)
+    return [(name, amount) for name, amount, _, _ in
+            _violations(model, model.vector(assignment), tol)]
+
+
+def _violations(model: MilpModel, x: np.ndarray, tol: float) -> list:
+    """verify_assignment's violations of a column vector x, each as (name,
+    amount, axis, position): axis 0 for a column (bounds, integrality), 1
+    for a row and 2 for a piecewise rule, at that position."""
     names = model.names
     nonfinite = np.flatnonzero(~np.isfinite(x))
     if len(nonfinite):
-        return [(f"bound_{names[i]}", math.inf) for i in nonfinite]
+        return [(f"bound_{names[i]}", math.inf, 0, i) for i in nonfinite]
     bound = np.maximum(model.lb - x, x - model.ub)
     free = model.free_binaries
     fraction = np.abs(x[free] - np.round(x[free]))
@@ -639,14 +736,15 @@ def verify_assignment(model: MilpModel, assignment, tol: float = 1e-6) -> list:
         return []
 
     bad = []
-    for amounts, at, name in (
-            (bound, None, lambda i: f"bound_{names[i]}"),
-            (fraction, free, lambda i: f"integrality_{names[i]}"),
-            (over, None, lambda i: str(rows.names[i])),
-            (miss, chosen,
+    for amounts, at, axis, name in (
+            (bound, None, 0, lambda i: f"bound_{names[i]}"),
+            (fraction, free, 0, lambda i: f"integrality_{names[i]}"),
+            (over, None, 1, lambda i: str(rows.names[i])),
+            (miss, chosen, 2,
              lambda i: f"loss_{pw.label[i]}_{pw.start[i]}_{pw.period[i]}")):
         hits = np.flatnonzero(amounts > tol)
         where = hits if at is None else at[hits]
-        bad.extend((name(i), float(a)) for i, a in zip(where, amounts[hits]))
+        bad.extend((name(i), float(a), axis, int(i))
+                   for i, a in zip(where, amounts[hits]))
     bad.sort(key=lambda kv: -kv[1])
     return bad

@@ -27,10 +27,10 @@ Only the no-order submodel is searched. The forced-order model differs
 from it by the period-1 order alone, which adds K to every pattern and
 leaves the levels free, so its optimum is the no-order free optimum plus K
 at the same levels, with delta_1 = 1. Joint models are solved by one
-no-order engine: its free minimum gives the order-up-to level and, plus K,
-the linked cost; the reorder point is the largest root of its pinned cost
-curve equal to that cost at or below the order-up-to level (deterministic
-replacement for the solver's free root choice).
+no-order engine (joint_answer): its free minimum gives the order-up-to
+level and, plus K, the linked cost; the reorder point is the largest root
+of its pinned cost curve equal to that cost at or below the order-up-to
+level (deterministic replacement for the solver's free root choice).
 
 The pinned cost g(x), the no-order optimum with the first level fixed at
 x, has one evaluation: the branch and bound's first row pinned at x
@@ -61,11 +61,16 @@ the same numbers summed in the same order as evaluating the cycle alone.
 A solve writes its answer into one float vector in the model's column
 order. The model records where each submodel's variables sit
 (model.Columns), so the pattern, the levels and the selected cycle pairs
-go straight to their columns; H_t comes from the selected piecewise
-rule's lines, the max-of-lines form verify_assignment checks, and B_t =
-H_t - I_t. _self_check verifies that vector against the model on every
-solve, and names are built only for a failure. SolveResult keeps the
-vector with the model's name -> column index.
+go straight to their columns, every side in one array pass (_put_sides);
+H_t comes from the selected piecewise rule's lines, the max-of-lines form
+verify_assignment checks, and B_t = H_t - I_t. _self_check verifies that
+vector against the model on every solve, and names are built only for a
+failure. SolveResult keeps the vector with the model's name -> column
+index. mp_policy builds no model per suffix: check_joint_answers writes
+the joint answers of all suffixes of an instance into one vector of the
+instance's model.JointStack, whose diagonal blocks are the suffixes' joint
+models, and verifies it with one pass; a violation names its suffix and
+row.
 
 Cycle data lives in a CycleTable, one per instance: its (j, t) segments
 and, built on first use, one record per cycle (j, e) and `first` flag: its
@@ -108,15 +113,15 @@ from __future__ import annotations
 import logging
 import math
 import time
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate
 
 import numpy as np
 
-from .model import (MilpModel, default_big_m, level_bounds, period_pieces,
-                    verify_assignment)
+from .model import (JointStack, MilpModel, by_period, default_big_m,
+                    level_bounds, piece_arrays, verify_assignment)
 
 ROOT_TOLERANCE = 1e-4  # bracket width of the fallback root bisection
 ROOT_MATCH = 1e-7      # |g - target| that accepts a reorder root
@@ -283,6 +288,7 @@ class CycleTable:
         self.segments = segments  # (j, t) -> PiecewiseLoss
         self.partition = partition  # (cells, strategy) the segments used
         self._cycles: dict = {}  # (j, e, first) -> cycle record
+        self._pieces: tuple | None = None
         self._periods: list | None = None
         self._engines: dict = {}  # suffix k -> its no-order engine
 
@@ -342,14 +348,20 @@ class CycleTable:
             self._cycles.update(((j, e, first), hit)
                                 for e, hit in zip(range(j, T + 1), hits))
 
+    def piece_arrays(self) -> tuple:
+        """model.piece_arrays of the whole instance, built on first use and
+        read-only."""
+        if self._pieces is None:
+            self._pieces = piece_arrays(self.instance, self.segments)
+            for a in self._pieces:
+                a.flags.writeable = False
+        return self._pieces
+
     def period_pieces(self) -> list:
-        """model.period_pieces of the whole instance, built on first use;
-        its arrays are read-only, and suffix views slice them."""
+        """model.period_pieces of the whole instance, split from
+        piece_arrays on first use; suffix views slice them."""
         if self._periods is None:
-            self._periods = period_pieces(self.instance, self.segments)
-            for arrays in self._periods:
-                for a in arrays:
-                    a.flags.writeable = False
+            self._periods = by_period(self.piece_arrays(), self.instance.horizon)
         return self._periods
 
     def suffix(self, k: int) -> "SuffixView":
@@ -885,13 +897,12 @@ def solve_exact(model: MilpModel) -> SolveResult:
         return _infeasible(nodes, start)
     if label == "S":
         best = _forced(engine, best)
-    cost, deltas, y_opt, cycles = best
     x = np.zeros(len(model.names))
-    _put_side(x, model, label, deltas, y_opt, cycles)
+    _put_sides(x, model.piecewise, [(model.columns[label], *best[1:])])
     if pinned is not None:
         x[i0] = pinned
     obj = model.objective_value(x)
-    _self_check(model, x, obj, cost)
+    _self_check(model, x, obj, best[0])
     return SolveResult(obj, x, model.index, "optimal", nodes,
                        time.perf_counter() - start)
 
@@ -901,27 +912,37 @@ def _infeasible(nodes: int, start: float) -> SolveResult:
                        time.perf_counter() - start)
 
 
-def _put_side(x: np.ndarray, model: MilpModel, label: str, deltas, y_opt,
-              cycles) -> None:
-    """Write submodel `label`'s solved pattern into the column vector x:
-    delta_t, the selector P_jt of each period's cycle (its other P stay
-    0), I0 and I_t = y - mean_t at its cycle's level y, and H_t and B_t =
-    H_t - I_t from the selected rule's lines, the max-of-lines form that
-    verify_assignment checks."""
-    cols = model.columns[label]
-    pw = model.piecewise
-    spans = [cyc.end - cyc.start + 1 for cyc in cycles]
-    rules = cols.rules + np.repeat([cyc.start - 1 for cyc in cycles], spans)
+def _put_sides(x: np.ndarray, pw, sides: list) -> None:
+    """Write solved submodel sides into the column vector x, one array pass
+    over the rules of all of them. A side is (Columns, deltas, y-levels,
+    cycles) of its pattern: delta_t, the selector P_jt of each period's
+    cycle (its other P stay 0), I0 and I_t = y - mean_t at its cycle's
+    level y, and H_t and B_t = H_t - I_t from the selected rule of `pw`,
+    the max-of-lines form that verify_assignment checks."""
+    columns, starts, levels, orders, firsts = [], [], [], [], []
+    for cols, deltas, y_opt, cycles in sides:
+        for y, cyc in zip(y_opt.tolist(), cycles):
+            span = cyc.end - cyc.start + 1
+            starts += [cyc.start - 1] * span
+            levels += [y] * span
+        columns.append(cols)
+        orders += deltas
+        firsts.append(y_opt[0])  # the first level doubles as the initial one
+
+    def at(field: str) -> np.ndarray:
+        return np.concatenate([getattr(c, field) for c in columns])
+
+    rules = at("rules") + starts
     shift = pw.shift[rules]
-    inv = np.repeat(y_opt, spans) - shift
+    inv = np.array(levels) - shift
     hold = ((inv + shift)[:, None] * pw.slopes[rules]
             + pw.intercepts[rules]).max(axis=1)
-    x[cols.order] = deltas
+    x[at("order")] = orders
     x[pw.selector[rules]] = 1.0
-    x[cols.initial] = y_opt[0]  # the first level doubles as the initial one
-    x[cols.inventory] = inv
-    x[cols.holding] = hold
-    x[cols.backorder] = hold - inv
+    x[[c.initial for c in columns]] = firsts
+    x[at("inventory")] = inv
+    x[at("holding")] = hold
+    x[at("backorder")] = hold - inv
 
 
 def _forced(engine: _SubmodelEngine, free: tuple) -> tuple:
@@ -931,34 +952,70 @@ def _forced(engine: _SubmodelEngine, free: tuple) -> tuple:
     return cost + engine.K, (1,) + deltas[1:], y_opt, cycles
 
 
+def joint_answer(engine: _SubmodelEngine) -> tuple:
+    """(forced, root, pinned): a joint model's answer from its suffix's
+    no-order engine. `forced` is the forced-order side (cost, deltas,
+    levels, cycles) at the free minimum, whose first level is the
+    order-up-to level and whose cost the linked cost C_S; `root` is the
+    reorder point and `pinned` the no-order side pinned there."""
+    forced = _forced(engine, engine.free_minimum())
+    root, pinned = engine.reorder_root(forced[0], float(forced[2][0]))
+    return forced, root, pinned
+
+
+def _put_joint(x: np.ndarray, pw, columns: Sequence, linked: np.ndarray,
+               answers: list) -> None:
+    """Write joint answers into x: each with its (label -> Columns) and
+    (C_S, G_s) columns. The no-order side's initial level is its root."""
+    sides = []
+    for cols, (forced, _, pinned) in zip(columns, answers):
+        sides += [(cols["S"], *forced[1:]), (cols["s"], *pinned[1:])]
+    _put_sides(x, pw, sides)
+    x[[cols["s"].initial for cols in columns]] = [root for _, root, _ in answers]
+    x[linked] = [(forced[0], pinned[0]) for forced, _, pinned in answers]
+
+
 def _solve_joint(model: MilpModel, engine: _SubmodelEngine,
                  start: float) -> SolveResult:
     before = engine.nodes
-    best = engine.free_optimum()
-    if best is None:
+    if engine.free_optimum() is None:
         return _infeasible(engine.nodes - before, start)
-    cost_S, deltas_S, y_S, cycles_S = _forced(engine, best)
-    s_up = float(y_S[0])  # order-up-to level: the pinned I0_S
-    root, (cost_s, deltas_s, y_s, cycles_s) = engine.reorder_root(cost_S, s_up)
+    answer = joint_answer(engine)
     nodes = engine.nodes - before
     x = np.zeros(len(model.names))
-    _put_side(x, model, "S", deltas_S, y_S, cycles_S)
-    _put_side(x, model, "s", deltas_s, y_s, cycles_s)
     index = model.index
-    x[model.columns["s"].initial] = root
-    x[index["C_S"]] = cost_S
-    x[index["G_s"]] = cost_s
+    _put_joint(x, model.piecewise, [model.columns],
+               np.array([[index["C_S"], index["G_s"]]]), [answer])
     obj = model.objective_value(x)
     _self_check(model, x, obj, None)
     return SolveResult(obj, x, index, "optimal", nodes,
                        time.perf_counter() - start)
 
 
-def _self_check(model: MilpModel, x: np.ndarray, obj: float,
-                engine_cost: float | None) -> None:
-    """Verify a solve's own column vector against the model; names are
-    built only for a failure."""
-    bad = verify_assignment(model, x, tol=1e-6)
+def check_joint_answers(table: CycleTable, engines: Sequence,
+                        answers: list) -> None:
+    """Check the joint answers of suffixes 1..m of a table's instance at
+    once: answers[k - 1] is joint_answer of engines[k - 1], suffix k's
+    engine. Fills the instance's JointStack of m blocks, each block's
+    levels bounded as its engine's, writes every answer into one column
+    vector and verifies it; a violation names its suffix and row."""
+    instance = table.instance
+    pieces = table.piece_arrays()
+    stack = JointStack.of(instance.horizon, pieces[0].shape[1],
+                          bool(instance.costs.unit), len(engines))
+    model = stack.fill(instance, pieces, table,
+                       [(e.inv_lo, e.inv_hi) for e in engines])
+    x = np.zeros(len(model.names))
+    _put_joint(x, model.piecewise, stack.columns, stack.linked, answers)
+    _self_check(model, x, None, None, stack)
+
+
+def _self_check(model: MilpModel, x: np.ndarray, obj: float | None,
+                engine_cost: float | None, stack: JointStack | None = None) -> None:
+    """Verify a solve's own column vector against the model, a JointStack's
+    filled `stack` by its suffixes; names are built only for a failure."""
+    bad = (verify_assignment(model, x, tol=1e-6) if stack is None
+           else stack.verify(model, x, tol=1e-6))
     if bad:
         raise SolverError(f"internal solution fails verification: {bad[:3]}")
     if engine_cost is not None and abs(obj - engine_cost) > 1e-6 * max(1, abs(obj)):
@@ -1018,9 +1075,6 @@ class ExactBackend:
     incumbent, so the optimum, its cost and its levels are those of a full
     enumeration of the 2^(T-1) patterns.
     """
-
-    def solve(self, model: MilpModel) -> SolveResult:
-        return solve_exact(model)
 
     def evaluator(self, view: SuffixView) -> _SubmodelEngine:
         """The no-first-order model of a suffix, as build_minlp_s would

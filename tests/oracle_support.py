@@ -53,6 +53,10 @@ piece's own PiecewiseLoss.upper), as a name -> value dict.
 reference_verify_assignment is model.verify_assignment on that dict, every
 check over every column, row and rule, with the row senses compared as
 strings.
+
+per_suffix_mp_policy is mp_policy as it was before the stacked check: per
+suffix, the joint model built alone from the table's view (build_joint),
+then solved and verified alone (solve_exact).
 """
 from __future__ import annotations
 
@@ -66,13 +70,15 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.special import ndtri
 
-from sspolicy.domain import validate
+from sspolicy.domain import PolicyParameters, validate
+from sspolicy.heuristics import HeuristicConfig, _table_for
 from sspolicy.loss import PiecewiseLoss, cached_partition
-from sspolicy.model import INDICATOR
+from sspolicy.model import INDICATOR, build_joint
 from sspolicy.sdp import discretize_demand
 from sspolicy.simulate import SimulationResult
 from sspolicy.solver import (ConvexPWL, SolverError, _Cycle, _engine_for,
-                             _forced, _largest_root, _SubmodelEngine)
+                             _forced, _largest_root, _SubmodelEngine,
+                             solve_exact)
 
 
 def _cycle_cost_fn(instance, segments, j, e):
@@ -411,6 +417,28 @@ def reference_solution(model):
     out["C_S"] = float(cost_S)
     out["G_s"] = float(cost_s)
     return out
+
+
+def per_suffix_mp_policy(instance, config=None, table=None):
+    """mp_policy with one joint model per suffix, each solved and checked
+    alone."""
+    validate(instance)
+    config = config or HeuristicConfig()
+    table = _table_for(instance, config, table)
+    ss, SS, costs = [], [], []
+    for k in range(1, instance.horizon + 1):
+        view = table.suffix(k)
+        model = build_joint(view.instance, view)
+        try:
+            result = solve_exact(model)
+        except Exception as exc:
+            raise RuntimeError(f"joint solve failed at suffix k={k}: {exc}") from exc
+        ss.append(result.value("I0_s"))
+        SS.append(result.value("I0_S"))
+        costs.append(result.value("C_S"))
+    return PolicyParameters(reorder_points=tuple(ss),
+                            order_up_to_levels=tuple(SS),
+                            costs=tuple(costs))
 
 
 def reference_verify_assignment(model, assignment, tol=1e-6):

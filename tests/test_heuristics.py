@@ -4,7 +4,11 @@ import os
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracle_support import per_suffix_mp_policy
+from sspolicy import solver as solver_module
 from sspolicy.domain import ValidationError, make_instance
 from sspolicy.heuristics import (
     HeuristicConfig, bs_policy, cycle_table, mp_policy, read_policy_csv,
@@ -12,7 +16,7 @@ from sspolicy.heuristics import (
 )
 from sspolicy.sdp import solve_sdp
 from sspolicy.simulate import simulate_policy
-from sspolicy.solver import ExactBackend
+from sspolicy.solver import ExactBackend, SolverError, _SubmodelEngine
 from sspolicy.testbed import BenchmarkConfig, build_instances
 
 TABLE_MP = {  # joint-model heuristic on the worked example
@@ -279,6 +283,114 @@ def test_refining_segments_tightens_linearization(example4):
     assert gaps[0] >= gaps[1] >= gaps[2] >= -1e-9
 
 
+def _hex(policy) -> list:
+    return [[float(v).hex() for v in values] for values in (
+        policy.reorder_points, policy.order_up_to_levels, policy.costs)]
+
+
+def _assert_mp_matches_per_suffix(instance, config, bs_first=False):
+    """mp_policy is bit-equal to one joint model per suffix and leaves its
+    table with equal work counters."""
+    tables = cycle_table(instance, config), cycle_table(instance, config)
+    if bs_first:
+        for table in tables:
+            bs_policy(instance, config, table=table)
+    got = mp_policy(instance, config, table=tables[0])
+    ref = per_suffix_mp_policy(instance, config, table=tables[1])
+    assert _hex(got) == _hex(ref), instance.name
+    assert tables[0].work() == tables[1].work(), instance.name
+
+
+@st.composite
+def _mp_cases(draw):
+    """T = 1-8, K = 0, c > 0, zero-sd periods, zero-mean tails, negative
+    initial inventory and 3..21 linear segments of either strategy."""
+    T = draw(st.integers(1, 8))
+    means = draw(st.lists(st.floats(0, 30).map(lambda v: round(v, 1)),
+                          min_size=T, max_size=T))
+    tail = draw(st.integers(0, min(2, T - 1)))
+    means = means[:T - tail] + [0.0] * tail
+    cvs = draw(st.lists(st.sampled_from([0.0, 0.1, 0.3]), min_size=T, max_size=T))
+    inst = make_instance(
+        horizon=T, K=draw(st.sampled_from([0.0, 40.0, 150.0])), h=1.3, b=9.0,
+        c=draw(st.sampled_from([0.0, 1.5])), means=means,
+        std_devs=[m * v for m, v in zip(means, cvs)],
+        initial_inventory=draw(st.sampled_from([0.0, -12.5])))
+    config = HeuristicConfig(
+        segments=draw(st.integers(3, 21)),
+        strategy=draw(st.sampled_from(["equal-probability", "minimax"])))
+    return inst, config
+
+
+class TestStackedJointCheck:
+    """mp writes every suffix's answer into one stacked model per instance
+    and checks it once; one joint model per suffix is the reference."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=_mp_cases(), bs_first=st.booleans())
+    def test_matches_per_suffix_models(self, case, bs_first):
+        _assert_mp_matches_per_suffix(*case, bs_first=bs_first)
+
+    @pytest.mark.parametrize("unit_cost", [0.0, 1.5])
+    def test_grid_sample_matches_per_suffix_models(self, unit_cost):
+        """Every 10th 8-period grid instance, bs then mp on each table."""
+        config = BenchmarkConfig(horizon=8, unit_cost=unit_cost)
+        for instance in build_instances(config)[::10]:
+            _assert_mp_matches_per_suffix(
+                instance, config.heuristic_config(), bs_first=True)
+
+    @pytest.mark.parametrize("k", [1, 3, 4])
+    @pytest.mark.parametrize("entry, name, axis", [
+        ("C_S", "def_C_S", "row"), ("H_S_1", "loss_S_1_1", "rule"),
+        ("I_s_1", "bound_I_s_1", "column")])
+    def test_corrupted_block_names_its_suffix(self, example4, table_config,
+                                              monkeypatch, k, entry, name, axis):
+        """A broken entry of suffix k's block fails the one check, named by
+        suffix k and its row, rule or column."""
+        check = solver_module._self_check
+
+        def corrupt(model, x, obj, cost, stack=None):
+            cols = stack.columns[k - 1]
+            at = {"C_S": stack.linked[k - 1, 0], "H_S_1": cols["S"].holding[0],
+                  "I_s_1": cols["s"].inventory[0]}[entry]
+            x[at] = math.nan if axis == "column" else x[at] + 1.0
+            return check(model, x, obj, cost, stack)
+
+        monkeypatch.setattr(solver_module, "_self_check", corrupt)
+        with pytest.raises(SolverError, match="fails verification") as info:
+            mp_policy(example4, table_config)
+        named = re.findall(r"'suffix k=(\d+): (\w+)'", str(info.value))
+        assert named and all(int(n) == k for n, _ in named), str(info.value)
+        assert name in [row for _, row in named], str(info.value)
+
+    def test_clean_stack_has_no_violations(self, example4, table_config,
+                                           monkeypatch):
+        seen = []
+        check = solver_module._self_check
+
+        def record(model, x, obj, cost, stack=None):
+            seen.append((len(stack.columns), stack.verify(model, x)))
+            return check(model, x, obj, cost, stack)
+
+        monkeypatch.setattr(solver_module, "_self_check", record)
+        mp_policy(example4, table_config)
+        assert seen == [(example4.horizon, [])]  # one check, all suffixes
+
+    def test_engine_failure_names_its_suffix(self, example4, table_config,
+                                             monkeypatch):
+        root = _SubmodelEngine.reorder_root
+
+        def failing(self, target, hi):
+            if self.T == example4.horizon - 2:  # suffix 3
+                raise SolverError("no root")
+            return root(self, target, hi)
+
+        monkeypatch.setattr(_SubmodelEngine, "reorder_root", failing)
+        with pytest.raises(RuntimeError,
+                           match="joint solve failed at suffix k=3: no root"):
+            mp_policy(example4, table_config)
+
+
 def test_order_up_to_levels_agree_on_tied_patterns():
     """Both heuristics read S_k from the same free minimum, so they agree
     even where order patterns tie exactly (here in period 4)."""
@@ -307,3 +419,19 @@ def test_full_grid_order_up_to_levels_agree(horizon):
         assert bs.costs == mp.costs, instance.name
     print(f"\n[heuristics] {horizon} periods: bs and mp order-up-to levels "
           f"and linked costs equal on {len(instances)} instances")
+
+
+@pytest.mark.skipif(not os.environ.get("SSPOLICY_FULL_BENCHMARK"),
+                    reason="full 270-instance grids are optional; "
+                           "set SSPOLICY_FULL_BENCHMARK=1")
+@pytest.mark.parametrize("horizon", [8, 25], ids=["8-period", "25-period"])
+def test_full_grid_mp_matches_per_suffix_models(horizon):
+    """Every mp policy of both grids, after bs on its table, bit-equal to
+    one joint model per suffix, with equal work counters."""
+    config = BenchmarkConfig(horizon=horizon)
+    instances = build_instances(config)
+    for instance in instances:
+        _assert_mp_matches_per_suffix(instance, config.heuristic_config(),
+                                      bs_first=True)
+    print(f"\n[heuristics] {horizon} periods: mp bit-equal to per-suffix "
+          f"joint models on {len(instances)} instances")

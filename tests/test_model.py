@@ -1,10 +1,12 @@
 import builtins
+import dataclasses
 import math
 import os
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from scipy import sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +15,7 @@ from sspolicy.domain import make_instance
 from sspolicy.export import render_lp
 from sspolicy.heuristics import HeuristicConfig
 from sspolicy.model import (
-    CUT, INDICATOR, PiecewiseRules, RowChecks, RowTable, _emit_joint,
+    CUT, INDICATOR, JointStack, PiecewiseRules, RowChecks, RowTable, _emit_joint,
     build_joint, build_minlp_s, build_minlp_S, build_segments,
     cumulative_demand, default_big_m, level_bounds, period_pieces,
     verify_assignment,
@@ -385,6 +387,12 @@ def _assert_emitted(instance, segments):
         (ref.kind, ref.instance, ref.big_m, ref.submodels, ref.segments)
     assert list(got.names) == ref.names and dict(got.index) == ref.index
     assert got.objective_constant == ref.objective_constant
+    _assert_same_arrays(got, ref)
+    assert render_lp(got) == render_lp(ref)
+
+
+def _assert_same_arrays(got, ref):
+    """Every array of two models equal in dtype, shape and bytes."""
     arrays = [("lb", got.lb, ref.lb), ("ub", got.ub, ref.ub),
               ("binary", got.binary, ref.binary)]
     arrays += [(f"objective {i}", a, b)
@@ -400,7 +408,6 @@ def _assert_emitted(instance, segments):
                 getattr(ref.piecewise, f.name)) for f in fields(PiecewiseRules)]
     for what, a, b in arrays:
         _assert_same_array(a, b, what)
-    assert render_lp(got) == render_lp(ref)
 
 
 def _assert_suffixes_emitted(instance, segments):
@@ -411,10 +418,10 @@ def _assert_suffixes_emitted(instance, segments):
 
 
 def test_joint_skeleton_matches_emitter_on_grid():
-    """Every suffix of every 9th 8-period grid instance, from one table."""
+    """Every suffix of every 10th 8-period grid instance, from one table."""
     config = BenchmarkConfig(horizon=8)
     hcfg = config.heuristic_config()
-    for inst in build_instances(config)[::9]:
+    for inst in build_instances(config)[::10]:
         _assert_suffixes_emitted(inst, build_segments(
             inst, segments=hcfg.cells, strategy=hcfg.strategy))
 
@@ -435,6 +442,86 @@ def test_joint_skeleton_matches_emitter(T, K, c, n_seg, strategy, data):
     segs = build_segments(inst, segments=n_seg - 1, strategy=strategy)
     _assert_emitted(inst, segs)
     _assert_suffixes_emitted(inst, segs)
+
+
+def _stack_block(stack, model, b):
+    """Block b of a filled JointStack as the arrays of a model of its own:
+    each cut to the block and moved back to the block's own columns, rows
+    and rules. The other fields are left to be taken from a reference."""
+    ends = [(list(s) + [n])[b:b + 2] for s, n in (
+        (stack.col_starts, len(model.names)), (stack.row_starts, len(model.rows)),
+        (stack.rule_starts, len(model.piecewise)))]
+    (c0, c1), (r0, r1), (u0, u1) = [map(int, e) for e in ends]
+
+    def inside(a, lo, hi):
+        return (a >= lo) & (a < hi)
+
+    rows = model.rows
+    indptr = rows.matrix.indptr[r0:r1 + 1]
+    at = slice(int(indptr[0]), int(indptr[-1]))
+    matrix = sparse.csr_array(
+        (rows.matrix.data[at], rows.matrix.indices[at] - c0, indptr - indptr[0]),
+        shape=(r1 - r0, c1 - c0))
+    condition = rows.condition[r0:r1]
+    condition = np.where(condition >= 0, condition - c0, condition)
+    checks = rows.checks
+    indicator = inside(checks.indicators, r0, r1)
+    block_checks = RowChecks(checks.sign[r0:r1], checks.equality[r0:r1],
+                             checks.indicators[indicator] - r0,
+                             checks.conditions[indicator] - c0)
+    block_rows = RowTable(matrix, rows.names[r0:r1], rows.sense[r0:r1],
+                          rows.rhs[r0:r1], rows.kind[r0:r1], condition,
+                          block_checks)
+    pw = model.piecewise
+    rules = {f.name: getattr(pw, f.name)[u0:u1] for f in fields(PiecewiseRules)}
+    for name in ("selector", "inventory", "holding", "backorder"):
+        rules[name] = rules[name] - c0
+    cols, coefs = model.objective
+    term = inside(cols, c0, c1)
+    free = model.free_binaries
+    return dict(names=model.names[c0:c1], lb=model.lb[c0:c1], ub=model.ub[c0:c1],
+                binary=model.binary[c0:c1], objective=(cols[term] - c0, coefs[term]),
+                rows=block_rows, piecewise=PiecewiseRules(**rules),
+                free_binaries=free[inside(free, c0, c1)] - c0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(T=st.integers(1, 8), K=st.sampled_from([0.0, 40.0, 150.0]),
+       c=st.sampled_from([0.0, 1.5]), n_seg=st.integers(3, 21),
+       strategy=st.sampled_from(["equal-probability", "minimax"]),
+       data=st.data())
+def test_joint_stack_blocks_match_build_joint(T, K, c, n_seg, strategy, data):
+    """Block k of one stacked fill equals build_joint of suffix k's view,
+    array for array and in LP bytes, and so do its columns and linked
+    costs; the stack's objective constant is the blocks' sum."""
+    means = data.draw(st.lists(st.floats(0, 30).map(lambda v: round(v, 1)),
+                               min_size=T, max_size=T))
+    cvs = data.draw(st.lists(st.sampled_from([0.0, 0.1, 0.3]), min_size=T, max_size=T))
+    inst = make_instance(T, K=K, h=1.3, b=9.0, c=c, means=means,
+                         std_devs=[m * v for m, v in zip(means, cvs)])
+    table = CycleTable(inst, build_segments(inst, segments=n_seg - 1,
+                                            strategy=strategy))
+    stack = JointStack.of(T, n_seg, bool(c), T)
+    bounds = [(e.inv_lo, e.inv_hi) for e in map(table.engine, range(1, T + 1))]
+    model = stack.fill(inst, table.piece_arrays(), table, bounds)
+    refs = []
+    for k in range(1, T + 1):
+        view = table.suffix(k)
+        ref = build_joint(view.instance, view)
+        got = dataclasses.replace(ref, **_stack_block(stack, model, k - 1))
+        assert list(got.names) == list(ref.names)
+        _assert_same_arrays(got, ref)
+        assert render_lp(got) == render_lp(ref)
+        c0 = int(stack.col_starts[k - 1])
+        for label, cols in ref.columns.items():
+            moved = stack.columns[k - 1][label]
+            assert moved.initial - c0 == cols.initial
+            for f in ("inventory", "holding", "backorder", "order"):
+                assert np.array_equal(getattr(moved, f) - c0, getattr(cols, f))
+            assert np.array_equal(moved.rules - stack.rule_starts[k - 1], cols.rules)
+        assert list(stack.linked[k - 1] - c0) == [ref.index["C_S"], ref.index["G_s"]]
+        refs.append(ref.objective_constant)
+    assert model.objective_constant == math.fsum(refs)
 
 
 def test_joint_skeleton_shares_structure_read_only(example4, segments4):

@@ -644,7 +644,7 @@ class TestEnvelope:
         assert _same_answer(answer, engine.enumerate(x)[0])
 
     def test_gap8_instance_certifies_every_suffix(self, monkeypatch):
-        """On every 9th 8-period grid instance, bs then mp on one shared
+        """On every 10th 8-period grid instance, bs then mp on one shared
         table: every pinned level, a bs cost_at or a level of mp's reorder
         root walk, is answered from its pinned first row, so no pinned
         search runs, and no reorder root falls back."""
@@ -664,7 +664,7 @@ class TestEnvelope:
 
         monkeypatch.setattr(_SubmodelEngine, "_answer", counting_answer)
         monkeypatch.setattr(_SubmodelEngine, "_search", counting_search)
-        for instance in build_instances(config)[::9]:
+        for instance in build_instances(config)[::10]:
             table = cycle_table(instance, hc)
             calls.clear()
             bs_policy(instance, hc, table=table)
@@ -784,11 +784,11 @@ class TestEnvelopeReads:
             _assert_reads_match(table.suffix(k))
 
     def test_grid_reads_match_per_piece(self, monkeypatch):
-        """Every 9th 8-period grid instance: every suffix's reads, and the
+        """Every 10th 8-period grid instance: every suffix's reads, and the
         bs and mp policies, equal to the per-piece engine's."""
         config = BenchmarkConfig(horizon=8)
         hc = config.heuristic_config()
-        for instance in build_instances(config)[::9]:
+        for instance in build_instances(config)[::10]:
             table = cycle_table(instance, hc)
             for k in range(1, instance.horizon + 1):
                 view = table.suffix(k)
@@ -887,10 +887,10 @@ class TestRelaxation:
             _assert_relaxation_matches_reference(pinned, extra=(x0,))
 
     def test_grid_matches_reference(self):
-        """Every suffix of every 9th 8-period grid instance."""
+        """Every suffix of every 10th 8-period grid instance."""
         config = BenchmarkConfig(horizon=8)
         hc = config.heuristic_config()
-        for instance in build_instances(config)[::9]:
+        for instance in build_instances(config)[::10]:
             table = cycle_table(instance, hc)
             for k in range(1, instance.horizon + 1):
                 _assert_relaxation_matches_reference(table.engine(k), extra=(

@@ -2,7 +2,7 @@
 
     PYTHONPATH=src python3 tools/policy_digest.py --horizon 8
     PYTHONPATH=/path/to/other/src python3 tools/policy_digest.py \
-        --horizon 25 --every 9 --unit-cost 1.5
+        --horizon 25 --every 10 --unit-cost 1.5
 
 For every `--every`-th instance of the grid (BenchmarkConfig(horizon,
 unit_cost) with its default heuristic config) it builds one cycle table,
