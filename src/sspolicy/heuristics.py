@@ -36,7 +36,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 from .domain import (Instance, PolicyParameters, ValidationError,
                      round_half_up, validate)
@@ -62,12 +62,13 @@ class HeuristicConfig:
                 f"need at least 3 linear segments (2 cells), got {self.segments!r}")
         if self.strategy not in STRATEGIES:
             raise ValidationError(f"unknown partition strategy {self.strategy!r}")
-        if self.bs_step_size is not None and not math.isfinite(self.bs_step_size):
-            raise ValidationError(
-                f"bs_step_size must be finite, got {self.bs_step_size!r}")
-        if self.bs_step_size is not None and self.bs_step_size <= 0:
-            raise ValidationError(
-                f"bs_step_size must be positive, got {self.bs_step_size!r}")
+        step = self.bs_step_size
+        if step is not None and (isinstance(step, bool) or not isinstance(step, Real)):
+            raise ValidationError(f"bs_step_size must be a number, got {step!r}")
+        if step is not None and not math.isfinite(step):
+            raise ValidationError(f"bs_step_size must be finite, got {step!r}")
+        if step is not None and step <= 0:
+            raise ValidationError(f"bs_step_size must be positive, got {step!r}")
 
     @property
     def cells(self) -> int:

@@ -340,30 +340,17 @@ def piece_arrays(instance: Instance, segments: Mapping) -> tuple:
     return slopes, icpt + errs, means, slopes * means[:, None] + icpt + errs
 
 
-def by_period(arrays: tuple, T: int) -> list:
-    """piece_arrays' rows split by period: entry t - 1 holds period t's
-    arrays over cycle starts 1..t."""
-    starts = np.cumsum(np.arange(1, T))  # period t's pieces start at t(t - 1)/2
-    return list(zip(*(np.split(a, starts) for a in arrays)))
-
-
-def period_pieces(instance: Instance, segments: Mapping) -> list:
-    """piece_arrays by period (by_period). A segment source with its own
-    arrays (solver.SuffixView, cut from its table's) hands those over."""
-    if hasattr(segments, "period_pieces"):
-        return segments.period_pieces()
-    return by_period(piece_arrays(instance, segments), instance.horizon)
-
-
 def _add_submodel(em: _Emitter, instance: Instance, big_m: float, label: str,
-                  periods: list, first_order: bool,
+                  pieces: tuple, first_order: bool,
                   fixed_i0: float | None, objective_from: int) -> tuple:
     """Emit columns, rows, piecewise rules and cuts for one submodel.
 
-    objective_from: first local period whose K/h/b terms enter the model
-    objective (2 for the joint model's no-order side). Returns the
-    submodel's full cost terms, every period's included, and its level
-    columns I0, I_1..I_T. Records the -mean_t right-hand sides' sources.
+    pieces: the instance's piece_arrays, of which period t reads rows
+    t(t - 1)/2 to t(t + 1)/2 - 1, its pairs (1..t, t). objective_from:
+    first local period whose K/h/b terms enter the model objective (2 for
+    the joint model's no-order side). Returns the submodel's full cost
+    terms, every period's included, and its level columns I0, I_1..I_T.
+    Records the -mean_t right-hand sides' sources.
     """
     T = instance.horizon
     costs = instance.costs
@@ -410,8 +397,9 @@ def _add_submodel(em: _Emitter, instance: Instance, big_m: float, label: str,
         cost += terms
         if t >= objective_from:
             em.objective += terms
-        _emit_pieces(em, label, t, periods[t - 1], I[t], hold, back, P,
-                     equality=t < objective_from)
+        rows = slice(t * (t - 1) // 2, t * (t + 1) // 2)
+        _emit_pieces(em, label, t, tuple(a[rows] for a in pieces), I[t], hold,
+                     back, P, equality=t < objective_from)
 
     if costs.unit:
         unit_terms = [(I[0], -costs.unit, 3), (I[T], costs.unit, 4)]
@@ -461,11 +449,10 @@ def build_minlp_s(instance: Instance, segments: Mapping,
                   initial_inventory: float | None = None) -> MilpModel:
     """No-order-in-period-1 model; free initial level unless fixed."""
     validate(instance)
-    periods = period_pieces(instance, segments)
     big_m = default_big_m(instance, initial_inventory)
     em = _Emitter()
-    _add_submodel(em, instance, big_m, "s", periods, first_order=False,
-                  fixed_i0=initial_inventory, objective_from=1)
+    _add_submodel(em, instance, big_m, "s", piece_arrays(instance, segments),
+                  first_order=False, fixed_i0=initial_inventory, objective_from=1)
     return em.model("s", instance, big_m, ("s",), segments)
 
 
@@ -473,25 +460,24 @@ def build_minlp_S(instance: Instance, segments: Mapping) -> MilpModel:
     """Forced-order-in-period-1 model; the free initial level doubles as the
     period-1 order-up-to level via the pin row I0_S = I_S_1 + mean_1."""
     validate(instance)
-    periods = period_pieces(instance, segments)
     big_m = default_big_m(instance)
     em = _Emitter()
-    _, I = _add_submodel(em, instance, big_m, "S", periods, first_order=True,
-                         fixed_i0=None, objective_from=1)
+    _, I = _add_submodel(em, instance, big_m, "S", piece_arrays(instance, segments),
+                         first_order=True, fixed_i0=None, objective_from=1)
     em.add_row("pin_I0_S", I[:2], [1.0, -1.0], "==", instance.means[0])
     return em.model("S", instance, big_m, ("S",), segments)
 
 
-def _emit_joint(instance: Instance, periods: list, segments) -> MilpModel:
+def _emit_joint(instance: Instance, pieces: tuple, segments) -> MilpModel:
     """The joint model, row by row: both submodels, the cost-equality link
     and the ordering I0_s <= I0_S (_add_joint). build_joint fills a copy
     of it, emitted as a one-block JointStack."""
     em = _Emitter()
-    big_m = _add_joint(em, instance, periods)
+    big_m = _add_joint(em, instance, pieces)
     return em.model("joint", instance, big_m, ("S", "s"), segments)
 
 
-def _add_joint(em: _Emitter, instance: Instance, periods: list) -> float:
+def _add_joint(em: _Emitter, instance: Instance, pieces: tuple) -> float:
     """Emit a joint model's columns, rows and rules into `em` after what it
     holds, recording the slots of its instance numbers; returns its big-M.
 
@@ -500,9 +486,9 @@ def _add_joint(em: _Emitter, instance: Instance, periods: list) -> float:
     only inside the linked cost expression G_s.
     """
     big_m = default_big_m(instance)
-    cost_S, I_S = _add_submodel(em, instance, big_m, "S", periods,
+    cost_S, I_S = _add_submodel(em, instance, big_m, "S", pieces,
                                 first_order=True, fixed_i0=None, objective_from=1)
-    cost_s, I_s = _add_submodel(em, instance, big_m, "s", periods,
+    cost_s, I_s = _add_submodel(em, instance, big_m, "s", pieces,
                                 first_order=False, fixed_i0=None, objective_from=2)
     em.add_row("pin_I0_S", I_S[:2], [1.0, -1.0], "==", instance.means[0],
                source=(_MEAN, 0))
@@ -551,9 +537,11 @@ class JointStack:
     keeps its source, composed with its block's suffix into an entry of
     the concatenated sections of _stack_values. Every array is read-only.
 
-    build_joint is the one-block stack; mp_policy fills the stack of all
-    T suffixes once per instance and checks all their answers with one
-    verify_assignment pass (JointStack.verify)."""
+    A fill reads the instance's piece_arrays, the layout of the zero
+    pieces its blocks are emitted from. build_joint is the one-block
+    stack; mp_policy fills the stack of all T suffixes once per instance
+    and checks all their answers with one verify_assignment pass
+    (JointStack.verify)."""
     model: MilpModel
     columns: tuple            # block b's label -> Columns
     linked: np.ndarray        # block b's (C_S, G_s) columns, at row b
@@ -577,12 +565,12 @@ class JointStack:
         columns, linked, starts, rule_pieces = [], [], [], []
         for b in range(count):
             n = T - b
+            m = n * (n + 1) // 2
             starts.append((len(em.names), len(em.meta), len(em.rules["selector"])))
             em.block = b
             _add_joint(em, Instance(CostParameters(fixed=0.0, unit=float(unit)),
                                     (NormalDemand(0.0, 0.0),) * n),
-                       [(np.zeros((t, n_seg)),) * 2 + (np.zeros(t), np.zeros((t, n_seg)))
-                        for t in range(1, n + 1)])
+                       (np.zeros((m, n_seg)),) * 2 + (np.zeros(m), np.zeros((m, n_seg))))
             if b == 0:
                 index = MappingProxyType(dict(em.index))
             columns.append(MappingProxyType(dict(em.columns)))
@@ -678,10 +666,11 @@ class JointStack:
 
 def build_joint(instance: Instance, segments: Mapping) -> MilpModel:
     """Both submodels, the cost-equality link and the ordering I0_s <= I0_S,
-    filled as the one-block JointStack of the instance's key (see the
-    module docstring); equal, array for array, to what _emit_joint emits."""
+    filled from piece_arrays(instance, segments) as the one-block
+    JointStack of the instance's key (see the module docstring); equal,
+    array for array, to what _emit_joint emits from the same arrays."""
     validate(instance)
-    pieces = [np.concatenate(a) for a in zip(*period_pieces(instance, segments))]
+    pieces = piece_arrays(instance, segments)
     stack = JointStack.of(instance.horizon, pieces[0].shape[1],
                           bool(instance.costs.unit), 1)
     bounds = level_bounds(instance, default_big_m(instance))

@@ -102,6 +102,9 @@ def simulate_policies(instance: Instance, policies, replications: int,
     if replications < 1:
         raise ValidationError(
             f"need at least one replication, got {replications}")
+    if not _is_count(seed) or seed < 0:
+        raise ValidationError(
+            f"seed must be a non-negative integer, got {seed!r}")
     if not _is_count(chunk_size):
         raise ValueError(f"chunk_size must be an integer, got {chunk_size!r}")
     if chunk_size < 1:

@@ -120,8 +120,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .model import (JointStack, MilpModel, by_period, default_big_m,
-                    level_bounds, piece_arrays, verify_assignment)
+from .model import (JointStack, MilpModel, default_big_m, level_bounds,
+                    piece_arrays, verify_assignment)
 
 ROOT_TOLERANCE = 1e-4  # bracket width of the fallback root bisection
 ROOT_MATCH = 1e-7      # |g - target| that accepts a reorder root
@@ -281,15 +281,14 @@ def _steps(slopes: tuple) -> np.ndarray:
 
 class CycleTable:
     """Segment data and cycle costs of one instance, keyed by the instance's
-    own (1-based) periods; see the module docstring."""
+    own (1-based) periods; see the module docstring. The segments stay a
+    (j, t) mapping: a model or stack reads them as model.piece_arrays."""
 
     def __init__(self, instance, segments: Mapping, partition=None):
         self.instance = instance
         self.segments = segments  # (j, t) -> PiecewiseLoss
         self.partition = partition  # (cells, strategy) the segments used
         self._cycles: dict = {}  # (j, e, first) -> cycle record
-        self._pieces: tuple | None = None
-        self._periods: list | None = None
         self._engines: dict = {}  # suffix k -> its no-order engine
 
     def cycle(self, j: int, e: int, first: bool) -> tuple:
@@ -348,22 +347,6 @@ class CycleTable:
             self._cycles.update(((j, e, first), hit)
                                 for e, hit in zip(range(j, T + 1), hits))
 
-    def piece_arrays(self) -> tuple:
-        """model.piece_arrays of the whole instance, built on first use and
-        read-only."""
-        if self._pieces is None:
-            self._pieces = piece_arrays(self.instance, self.segments)
-            for a in self._pieces:
-                a.flags.writeable = False
-        return self._pieces
-
-    def period_pieces(self) -> list:
-        """model.period_pieces of the whole instance, split from
-        piece_arrays on first use; suffix views slice them."""
-        if self._periods is None:
-            self._periods = by_period(self.piece_arrays(), self.instance.horizon)
-        return self._periods
-
     def suffix(self, k: int) -> "SuffixView":
         return SuffixView(self, k)
 
@@ -389,7 +372,8 @@ class SuffixView(Mapping):
     """Periods k..T of a CycleTable in the suffix's local periods 1..T-k+1.
 
     A Mapping of local (j, t) to segment data, so the model builders take it
-    in place of a segment dict; `cycle` reads the shared cycle costs.
+    in place of a segment dict and build its model.piece_arrays as they
+    would a dict's; `cycle` reads the shared cycle costs.
     """
 
     def __init__(self, table: CycleTable, k: int):
@@ -410,13 +394,6 @@ class SuffixView(Mapping):
 
     def __len__(self):
         return self.horizon * (self.horizon + 1) // 2
-
-    def period_pieces(self) -> list:
-        """model.period_pieces of the suffix: each of its periods' arrays
-        in the table, cut to the starts k..t."""
-        o = self.offset
-        return [tuple(a[o:] for a in arrays)
-                for arrays in self.table.period_pieces()[o:]]
 
     def cycle(self, j: int, e: int) -> tuple:
         """CycleTable.cycle of local cycle j..e; local period 1 opens the
@@ -996,11 +973,12 @@ def check_joint_answers(table: CycleTable, engines: Sequence,
                         answers: list) -> None:
     """Check the joint answers of suffixes 1..m of a table's instance at
     once: answers[k - 1] is joint_answer of engines[k - 1], suffix k's
-    engine. Fills the instance's JointStack of m blocks, each block's
-    levels bounded as its engine's, writes every answer into one column
-    vector and verifies it; a violation names its suffix and row."""
+    engine. Fills the instance's JointStack of m blocks from the
+    piece_arrays of the table's segments, each block's levels bounded as
+    its engine's, writes every answer into one column vector and verifies
+    it; a violation names its suffix and row."""
     instance = table.instance
-    pieces = table.piece_arrays()
+    pieces = piece_arrays(instance, table.segments)
     stack = JointStack.of(instance.horizon, pieces[0].shape[1],
                           bool(instance.costs.unit), len(engines))
     model = stack.fill(instance, pieces, table,

@@ -26,7 +26,7 @@ import os
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 from .domain import (CostParameters, Instance, NormalDemand, ValidationError,
                      round_half_up, running_sums)
@@ -134,10 +134,22 @@ class BenchmarkConfig:
     seed: int = 20240101
 
     def __post_init__(self):
-        if self.horizon not in (8, 25):
-            raise ValidationError("horizon must be 8 or 25")
+        # types first: a JSON config can hold any of them, and a bool would
+        # run as 0 or 1
+        if not _is_integer(self.horizon) or self.horizon not in (8, 25):
+            raise ValidationError(f"horizon must be 8 or 25, got {self.horizon!r}")
+        if not _is_integer(self.seed):
+            raise ValidationError(f"seed must be an integer, got {self.seed!r}")
         if self.fixed_costs is None:
             object.__setattr__(self, "fixed_costs", DEFAULT_K[self.horizon])
+        for name in ("fixed_costs", "penalty_costs", "cvs"):
+            values = getattr(self, name)
+            if not (isinstance(values, (tuple, list)) and all(map(_is_number, values))):
+                raise ValidationError(f"{name} must be a list of numbers, got {values!r}")
+        for name in ("holding_cost", "unit_cost", "initial_inventory"):
+            if not _is_number(getattr(self, name)):
+                raise ValidationError(
+                    f"{name} must be a number, got {getattr(self, name)!r}")
         # methods may be empty: an oracle-only sweep
         for name in ("patterns", "fixed_costs", "penalty_costs", "cvs"):
             if not getattr(self, name):
@@ -166,9 +178,7 @@ class BenchmarkConfig:
         if not math.isfinite(self.initial_inventory):
             raise ValidationError(
                 f"invalid initial inventory {self.initial_inventory}")
-        if (isinstance(self.replications, bool)
-                or not isinstance(self.replications, Integral)
-                or self.replications < 1):
+        if not _is_integer(self.replications) or self.replications < 1:
             raise ValidationError(
                 f"replications must be a positive integer, got {self.replications!r}")
         self.heuristic_config()  # checks segments, strategy and bs_step_size
@@ -176,6 +186,14 @@ class BenchmarkConfig:
     def heuristic_config(self) -> HeuristicConfig:
         return HeuristicConfig(segments=self.segments, strategy=self.strategy,
                                bs_step_size=self.bs_step_size)
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 def instance_id(pattern: str, K: float, b: float, cv: float, horizon: int) -> str:
@@ -379,7 +397,7 @@ def run_benchmark(config: BenchmarkConfig, jobs: int = 1,
     `jobs` worker processes run the pending instances, never more workers
     than there are instances.
     """
-    if isinstance(jobs, bool) or not isinstance(jobs, Integral) or jobs < 1:
+    if not _is_integer(jobs) or jobs < 1:
         raise ValidationError(f"jobs must be a positive integer, got {jobs!r}")
     instances = build_instances(config)
     wanted = {(inst.name, m): instance_seed(config.seed, inst.name)

@@ -175,6 +175,8 @@ def test_simulate_malformed_policy_is_data_error(example4_file, tmp_path,
     (["sdp", "--truncation", "2"], "demand_truncation must lie in (0.99, 1)"),
     (["simulate", "--reps", "0", "--seed", "7"],
      "need at least one replication, got 0"),
+    (["simulate", "--reps", "10", "--seed", "-1"],
+     "seed must be a non-negative integer, got -1"),
     (["solve", "--method", "bs", "--step", "inf"],
      "bs_step_size must be finite, got inf"),
     (["solve", "--method", "bs", "--step", "nan"],
@@ -182,7 +184,7 @@ def test_simulate_malformed_policy_is_data_error(example4_file, tmp_path,
     (["benchmark", "--jobs", "0"], "jobs must be a positive integer, got 0"),
     (["benchmark", "--jobs", "-2"], "jobs must be a positive integer, got -2"),
 ], ids=["sdp-step-0", "sdp-step-negative", "sdp-truncation", "simulate-reps-0",
-        "solve-step-inf", "solve-step-nan", "benchmark-jobs-0",
+        "simulate-seed-negative", "solve-step-inf", "solve-step-nan", "benchmark-jobs-0",
         "benchmark-jobs-negative"])
 def test_bad_numeric_arguments_are_data_errors(example4_file, tmp_path, capsys,
                                                args, message):
@@ -250,10 +252,11 @@ def test_benchmark_rejects_negative_penalty(tmp_path, capsys):
     ({"replication": 5}, "unknown benchmark config key(s) 'replication'"),
     ({"fixed_costs": [200]}, "unknown benchmark config key(s) 'fixed_costs'"),
     ({"methods": []}, "empty methods list"),
+    ({"seed": "7"}, "seed must be an integer, got '7'"),
 ])
 def test_benchmark_rejects_config_keys(tmp_path, capsys, extra, message):
-    """A misspelt key or an empty method list stops the run before any
-    output directory exists."""
+    """A misspelt key, an empty method list or a value of the wrong type
+    stops the run before any output directory exists."""
     cfg_path = tmp_path / "bench.json"
     cfg_path.write_text(json.dumps({"horizon": 8, "patterns": ["STA"],
                                     "seed": 1, **extra}))

@@ -17,7 +17,7 @@ from sspolicy.heuristics import HeuristicConfig
 from sspolicy.model import (
     CUT, INDICATOR, JointStack, PiecewiseRules, RowChecks, RowTable, _emit_joint,
     build_joint, build_minlp_s, build_minlp_S, build_segments,
-    cumulative_demand, default_big_m, level_bounds, period_pieces,
+    cumulative_demand, default_big_m, level_bounds, piece_arrays,
     verify_assignment,
 )
 from sspolicy.sdp import default_grid
@@ -379,10 +379,10 @@ def _assert_same_array(got, ref, what):
 
 def _assert_emitted(instance, segments):
     """build_joint's model equals the emitter's, array for array and in LP
-    bytes; a suffix view's emitter reference reads the suffix's own pieces
-    as a plain dict, not the table's slices."""
+    bytes; a suffix view's emitter reference reads the suffix's pieces
+    from a plain dict copy of the view."""
     got = build_joint(instance, segments)
-    ref = _emit_joint(instance, period_pieces(instance, dict(segments)), segments)
+    ref = _emit_joint(instance, piece_arrays(instance, dict(segments)), segments)
     assert (got.kind, got.instance, got.big_m, got.submodels, got.segments) == \
         (ref.kind, ref.instance, ref.big_m, ref.submodels, ref.segments)
     assert list(got.names) == ref.names and dict(got.index) == ref.index
@@ -503,7 +503,7 @@ def test_joint_stack_blocks_match_build_joint(T, K, c, n_seg, strategy, data):
                                             strategy=strategy))
     stack = JointStack.of(T, n_seg, bool(c), T)
     bounds = [(e.inv_lo, e.inv_hi) for e in map(table.engine, range(1, T + 1))]
-    model = stack.fill(inst, table.piece_arrays(), table, bounds)
+    model = stack.fill(inst, piece_arrays(inst, table.segments), table, bounds)
     refs = []
     for k in range(1, T + 1):
         view = table.suffix(k)

@@ -1,11 +1,14 @@
 """tools/policy_digest.py, run as a script on two 8-period grid instances,
-against the same digest computed in this process."""
+against the same digest computed in this process, and the digests of the
+grids it is used on."""
 import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from sspolicy.testbed import BenchmarkConfig, build_instances
 
@@ -30,3 +33,17 @@ def test_script_digest_matches_in_process():
         instances, config.heuristic_config())
     assert record["seconds"] >= 0.0
 
+
+
+@pytest.mark.parametrize("horizon, unit_cost, every, sha256", [
+    (8, 0.0, 1, "275f46b4df5996ee777bf0153ddb444267287412f2f4e46c95028a088b134cd6"),
+    (8, 1.5, 1, "f92b3f67141e95b59df65dc1cb735e23a7e2f902516360b2f98eccb628eb7d34"),
+    (25, 0.0, 10, "123befa3de152df8c39c80237f7f5729523ed3e2adeabdf119639168c6069cd7"),
+], ids=["grid8", "grid8-c1.5", "grid25-every10"])
+def test_grid_policy_bits(horizon, unit_cost, every, sha256):
+    """The bs and mp policies and work counters of the full 8-period grid
+    at c = 0 and c = 1.5 and of every 10th 25-period instance, bit for
+    bit, as recorded with numpy 2.4.6 and scipy 1.17.1."""
+    config = BenchmarkConfig(horizon=horizon, unit_cost=unit_cost)
+    instances = build_instances(config)[::every]
+    assert policy_digest.digest(instances, config.heuristic_config()) == sha256

@@ -121,6 +121,13 @@ def test_chunk_size_must_be_an_integer(example4, sdp4, value):
         simulate_policy(example4, sdp4.policy, 10, seed=1, chunk_size=value)
 
 
+@pytest.mark.parametrize("value", [-1, True, 1.5, "7", None])
+def test_seed_must_be_a_non_negative_integer(example4, sdp4, value):
+    with pytest.raises(ValidationError,
+                       match=re.escape(f"seed must be a non-negative integer, got {value!r}")):
+        simulate_policy(example4, sdp4.policy, 10, seed=value)
+
+
 def test_numpy_integer_counts_accepted(example4, sdp4):
     assert simulate_policy(example4, sdp4.policy, np.int64(500), seed=4,
                            chunk_size=np.int32(97)) == \

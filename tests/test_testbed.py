@@ -101,6 +101,20 @@ class TestInstanceGrid:
         ("penalty_costs", (), "empty penalty_costs list"),
         ("cvs", (), "empty cvs list"),
         ("replications", True, "replications must be a positive integer, got True"),
+        ("seed", "7", "seed must be an integer, got '7'"),
+        ("seed", None, "seed must be an integer, got None"),
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("seed", True, "seed must be an integer, got True"),
+        ("horizon", 8.0, "horizon must be 8 or 25, got 8.0"),
+        ("fixed_costs", ("200",), "fixed_costs must be a list of numbers, got ('200',)"),
+        ("fixed_costs", 200.0, "fixed_costs must be a list of numbers, got 200.0"),
+        ("penalty_costs", (True,), "penalty_costs must be a list of numbers, got (True,)"),
+        ("cvs", (0.1, None), "cvs must be a list of numbers, got (0.1, None)"),
+        ("holding_cost", "1", "holding_cost must be a number, got '1'"),
+        ("unit_cost", False, "unit_cost must be a number, got False"),
+        ("initial_inventory", None, "initial_inventory must be a number, got None"),
+        ("bs_step_size", "0.1", "bs_step_size must be a number, got '0.1'"),
+        ("bs_step_size", True, "bs_step_size must be a number, got True"),
     ])
     def test_config_values_rejected(self, field, value, message):
         """A malformed grid value stops the config, not one row per
