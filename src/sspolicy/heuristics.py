@@ -255,6 +255,10 @@ def read_policy_csv(path) -> PolicyParameters:
             parts = line.strip().split(",")
             if len(parts) < 3:
                 raise ValidationError(f"{path}: malformed policy row {line!r}")
+            # rows are read by position, so t must count 1, 2, ..., T
+            if parts[0].strip() != str(len(ss) + 1):
+                raise ValidationError(f"{path}: policy row {line!r} should have "
+                                      f"t = {len(ss) + 1}, got {parts[0]!r}")
             try:
                 ss.append(float(parts[1]))
                 SS.append(float(parts[2]))

@@ -11,18 +11,31 @@ standard-normal support into N cells; conditioning on the cells yields a
 convex piecewise-linear lower bound of the complementary loss (Jensen), and
 shifting it up by the maximal gap e_W yields an upper bound. The MILP models
 consume these as segment slopes, breakpoints and an anchor value.
+
+Two partitions are offered. Equal-probability cells sit at consecutive
+quantiles. Minimax cells minimize e_W (Rossi, Tarim, Prestwich & Hnich 2014);
+their boundaries for 2..40 cells ship as float hex in
+data/minimax_boundaries.json, read once on first use. That file is what
+search_minimax_boundaries returns under the numpy and scipy releases it
+records; tools/minimax_table.py rewrites it (--write) or checks it against
+the search (--check). Any other cell count is searched when asked for,
+which is the only use of scipy.optimize, imported there.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from numbers import Integral
 
 import numpy as np
-from scipy import optimize
 from scipy.special import ndtr, ndtri
+
+from .data import bundled
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 JENSEN_BLOCK = 1 << 22  # elements per row block of Partition.jensen_values
+MINIMAX_TABLE = "minimax_boundaries.json"  # bundled data file
 
 
 def _phi(z):
@@ -138,8 +151,10 @@ def approximation_error(partition: Partition) -> float:
     return float(max(gap.max(), 0.0))
 
 
-def _minimax_boundaries(n_cells: int) -> np.ndarray:
+def search_minimax_boundaries(n_cells: int) -> np.ndarray:
     """Numerically choose symmetric cell boundaries minimizing e_W."""
+    from scipy import optimize
+
     n_bound = n_cells - 1
     start = ndtri(np.arange(1, n_cells) / n_cells)
     half = n_bound // 2
@@ -167,18 +182,30 @@ def _minimax_boundaries(n_cells: int) -> np.ndarray:
     return start
 
 
+@lru_cache(maxsize=1)
+def _minimax_table() -> dict:
+    """Tabulated minimax boundaries as {cell count: tuple of floats}."""
+    with bundled(MINIMAX_TABLE).open(encoding="utf-8") as f:
+        record = json.load(f)
+    return {int(n): tuple(map(float.fromhex, values))
+            for n, values in record["boundaries"].items()}
+
+
 def make_partition(segments: int, strategy: str = "equal-probability") -> Partition:
     """Partition the standard normal into `segments` cells.
 
     equal-probability: cells of mass 1/N at consecutive quantiles.
-    minimax: boundaries chosen numerically to minimize e_W.
+    minimax: boundaries minimizing e_W, from the bundled table, or from
+    search_minimax_boundaries for a cell count the table lacks.
     """
-    if segments < 2:
-        raise ValueError(f"need at least 2 segments, got {segments}")
+    if not isinstance(segments, Integral) or isinstance(segments, bool) or segments < 2:
+        raise ValueError(f"need an integer of at least 2 segments, got {segments!r}")
     if strategy == "equal-probability":
         boundaries = ndtri(np.arange(1, segments) / segments)
     elif strategy == "minimax":
-        boundaries = _minimax_boundaries(segments)
+        tabulated = _minimax_table().get(segments)
+        boundaries = (search_minimax_boundaries(segments) if tabulated is None
+                      else np.array(tabulated))
     else:
         raise ValueError(f"unknown partition strategy {strategy!r}")
     return _cells_from_boundaries(boundaries)

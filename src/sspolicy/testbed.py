@@ -146,6 +146,10 @@ class BenchmarkConfig:
             values = getattr(self, name)
             if not (isinstance(values, (tuple, list)) and all(map(_is_number, values))):
                 raise ValidationError(f"{name} must be a list of numbers, got {values!r}")
+        for name in ("patterns", "methods"):
+            if not isinstance(getattr(self, name), (tuple, list)):
+                raise ValidationError(
+                    f"{name} must be a list, got {getattr(self, name)!r}")
         for name in ("holding_cost", "unit_cost", "initial_inventory"):
             if not _is_number(getattr(self, name)):
                 raise ValidationError(
@@ -160,6 +164,12 @@ class BenchmarkConfig:
         for m in self.methods:
             if m not in ("bs", "mp"):
                 raise ValidationError(f"unknown method {m!r}")
+        # a repeated value would run and report its grid points twice
+        for name in ("patterns", "methods", "fixed_costs", "penalty_costs", "cvs"):
+            values = getattr(self, name)
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise ValidationError(f"{name} lists {value!r} twice")
         # checked here, so a malformed config stops before the sweep; c >= b,
         # a property of one (c, b) pair, is left to run_instance
         for K in self.fixed_costs:

@@ -156,6 +156,16 @@ def test_simulate_rejects_nan_policy(example4_file, tmp_path, capsys):
     ("t,s_t,S_t,linked_cost\n1,abc,70.0,nan\n", "non-numeric field"),
     ("t,s_t,S_t,linked_cost\n1,14.0,70.0,nan\n",
      "policy horizon 1 does not match instance horizon 4"),
+    # t must read 1, 2, ..., T: the rows are priced in file order
+    ("t,s_t,S_t,linked_cost\n3,50.0,110.0,nan\n1,14.0,70.0,nan\n"
+     "2,30.0,60.0,nan\n4,30.0,60.0,nan\n",
+     "policy row '3,50.0,110.0,nan\\n' should have t = 1, got '3'"),
+    ("t,s_t,S_t,linked_cost\n1,14.0,70.0,nan\n1,30.0,60.0,nan\n"
+     "3,50.0,110.0,nan\n4,30.0,60.0,nan\n",
+     "policy row '1,30.0,60.0,nan\\n' should have t = 2, got '1'"),
+    ("t,s_t,S_t,linked_cost\n1.0,14.0,70.0,nan\n2,30.0,60.0,nan\n"
+     "3,50.0,110.0,nan\n4,30.0,60.0,nan\n", "should have t = 1, got '1.0'"),
+    ("t,s_t,S_t,linked_cost\nfirst,14.0,70.0,nan\n", "should have t = 1, got 'first'"),
 ])
 def test_simulate_malformed_policy_is_data_error(example4_file, tmp_path,
                                                  capsys, content, message):
@@ -253,6 +263,7 @@ def test_benchmark_rejects_negative_penalty(tmp_path, capsys):
     ({"fixed_costs": [200]}, "unknown benchmark config key(s) 'fixed_costs'"),
     ({"methods": []}, "empty methods list"),
     ({"seed": "7"}, "seed must be an integer, got '7'"),
+    ({"methods": "bs"}, "methods must be a list, got 'bs'"),
 ])
 def test_benchmark_rejects_config_keys(tmp_path, capsys, extra, message):
     """A misspelt key, an empty method list or a value of the wrong type

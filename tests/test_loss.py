@@ -1,5 +1,9 @@
+import importlib.util
+import json
 import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +13,11 @@ from hypothesis import strategies as st
 from oracle_support import one_shot_jensen_values
 from sspolicy.loss import (
     Partition, approximation_error, cached_partition, complementary_loss,
-    loss, make_partition, piecewise_loss,
+    loss, make_partition, piecewise_loss, search_minimax_boundaries,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
+loss_module = sys.modules[Partition.__module__]  # the package exports a loss()
 
 # Frozen oracle values, computed by direct quadrature of the normal density
 # (see the derivations in this file's history: E[max(w-x,0)] integrated with
@@ -90,6 +97,15 @@ class TestPartition:
         with pytest.raises(ValueError):
             make_partition(1)
 
+    @pytest.mark.parametrize("segments", [2.5, 4.5, 3.0, True, "3", None])
+    @pytest.mark.parametrize("strategy", ["equal-probability", "minimax"])
+    def test_cell_count_must_be_an_integer(self, segments, strategy):
+        with pytest.raises(ValueError, match="need an integer of at least 2 segments"):
+            make_partition(segments, strategy)
+
+    def test_numpy_integer_cell_count(self):
+        assert make_partition(np.int64(5), "minimax") == make_partition(5, "minimax")
+
     def test_invalid_partition_rejected(self):
         with pytest.raises(ValueError, match="sum"):
             Partition((0.5, 0.4), (-1.0, 1.0))
@@ -119,17 +135,24 @@ class TestApproximationError:
             assert e_mm < e_eq
 
 
+def searched_partition(n, strategy):
+    """The partition as the quantiles or the minimax search make it; the
+    search runs the Jensen bound, the bundled table does not."""
+    if strategy == "minimax":
+        return loss_module._cells_from_boundaries(search_minimax_boundaries(n))
+    return make_partition(n, strategy)
+
+
 def assert_row_blocks_match_one_shot(monkeypatch, strategy, n):
     """Partitions and e_W are bit-equal whether the Jensen bound is formed
     in small row blocks or in one dense product (the reference)."""
-    loss_module = sys.modules[Partition.__module__]
     with monkeypatch.context() as patch:
         patch.setattr(loss_module, "JENSEN_BLOCK", 4096)  # >= 2 blocks
-        blocked = make_partition(n, strategy)
+        blocked = searched_partition(n, strategy)
         blocked_error = approximation_error(blocked)
     with monkeypatch.context() as patch:
         patch.setattr(Partition, "jensen_values", one_shot_jensen_values)
-        reference = make_partition(n, strategy)
+        reference = searched_partition(n, strategy)
         reference_error = approximation_error(reference)
     assert blocked == reference
     assert blocked_error == reference_error
@@ -148,6 +171,83 @@ def test_row_blocks_match_one_shot(monkeypatch, strategy, n):
 def test_full_grid_row_blocks_match_one_shot(monkeypatch, strategy):
     for n in range(2, 22):
         assert_row_blocks_match_one_shot(monkeypatch, strategy, n)
+
+
+def tabulated_hex(n):
+    return [b.hex() for b in loss_module._minimax_table()[n]]
+
+
+@pytest.mark.parametrize("n", [*range(2, 13), 20])
+def test_minimax_table_matches_search(n):
+    """The bundled boundaries are the search's, bit for bit."""
+    assert [float(b).hex() for b in search_minimax_boundaries(n)] == tabulated_hex(n)
+
+
+def test_minimax_table_covers_2_to_40_cells():
+    record = json.loads((ROOT / "src/sspolicy/data/minimax_boundaries.json")
+                        .read_text(encoding="utf-8"))
+    assert (record["numpy"], record["scipy"]) == ("2.4.6", "1.17.1")
+    assert sorted(map(int, record["boundaries"])) == list(range(2, 41))
+    assert all(len(tabulated_hex(n)) == n - 1 for n in range(2, 41))
+
+
+def test_untabulated_count_is_searched(monkeypatch):
+    table = loss_module._minimax_table()
+    calls = []
+
+    def search(n):
+        calls.append(n)
+        return search_minimax_boundaries(n)
+
+    monkeypatch.setattr(loss_module, "_minimax_table",
+                        lambda: {n: b for n, b in table.items() if n != 6})
+    monkeypatch.setattr(loss_module, "search_minimax_boundaries", search)
+    assert make_partition(6, "minimax") == loss_module._cells_from_boundaries(
+        np.array(table[6]))
+    make_partition(7, "minimax")
+    assert calls == [6]
+
+
+def test_minimax_partition_leaves_scipy_optimize_unloaded():
+    """Importing the package and its CLI and making the default minimax
+    partition load no scipy.optimize: only the search needs it."""
+    code = ("import sys, sspolicy, sspolicy.cli\n"
+            "from sspolicy.loss import cached_partition\n"
+            "cached_partition(10, 'minimax')\n"
+            "print('scipy.optimize' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
+
+
+def test_minimax_table_check_reports_a_changed_bit(tmp_path, monkeypatch, capsys):
+    """tools/minimax_table.py --check exits 1 and names a count whose
+    tabulated boundaries differ from the search in one bit."""
+    spec = importlib.util.spec_from_file_location(
+        "minimax_table", ROOT / "tools/minimax_table.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    changed = tabulated_hex(4)
+    changed[0] = float(np.nextafter(float.fromhex(changed[0]), 0.0)).hex()
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({"numpy": "2.4.6", "scipy": "1.17.1", "boundaries": {
+        "2": tabulated_hex(2), "3": tabulated_hex(3), "4": changed}}))
+    monkeypatch.setattr(tool, "TABLE", table)
+    assert tool.main(["--check"]) == 1
+    record = json.loads(capsys.readouterr().out)
+    assert (record["checked"], record["differ"]) == (3, [4])
+
+
+@pytest.mark.skipif(not os.environ.get("SSPOLICY_FULL_BENCHMARK"),
+                    reason="searches every tabulated count 2..40 (~90 s); "
+                           "set SSPOLICY_FULL_BENCHMARK=1")
+def test_full_grid_minimax_table_matches_search():
+    out = subprocess.run([sys.executable, str(ROOT / "tools/minimax_table.py"), "--check"],
+                         capture_output=True, text=True, check=False)
+    assert out.returncode == 0, out.stdout + out.stderr
+    record = json.loads(out.stdout)
+    assert (record["checked"], record["differ"]) == (39, [])
 
 
 def test_row_blocks_keep_shape():

@@ -115,6 +115,13 @@ class TestInstanceGrid:
         ("initial_inventory", None, "initial_inventory must be a number, got None"),
         ("bs_step_size", "0.1", "bs_step_size must be a number, got '0.1'"),
         ("bs_step_size", True, "bs_step_size must be a number, got True"),
+        ("patterns", "STA", "patterns must be a list, got 'STA'"),
+        ("methods", "bs", "methods must be a list, got 'bs'"),
+        ("patterns", ("STA", "RAND", "STA"), "patterns lists 'STA' twice"),
+        ("methods", ("bs", "bs"), "methods lists 'bs' twice"),
+        ("fixed_costs", (200.0, 200.0), "fixed_costs lists 200.0 twice"),
+        ("penalty_costs", (5.0, 10.0, 5), "penalty_costs lists 5 twice"),
+        ("cvs", (0.1, 0.2, 0.1), "cvs lists 0.1 twice"),
     ])
     def test_config_values_rejected(self, field, value, message):
         """A malformed grid value stops the config, not one row per
