@@ -20,9 +20,9 @@ import sys
 
 from .domain import ValidationError, read_instance
 from .export import export_lp
-from .heuristics import (STRATEGIES, HeuristicConfig, bs_policy, cycle_table,
-                         mp_policy, read_policy_csv, write_policy_csv)
-from .model import build_joint, build_minlp_s
+from .heuristics import (STRATEGIES, HeuristicConfig, bs_policy, mp_policy,
+                         read_policy_csv, write_policy_csv)
+from .model import build_joint, build_minlp_s, build_segments
 from .sdp import GridTooSmallError, default_grid, solve_sdp, write_g_curve
 from .simulate import simulate_policy
 from .solver import SolverError
@@ -76,10 +76,10 @@ def _cmd_solve(args) -> int:
         import os
         os.makedirs(args.out_dir, exist_ok=True)
         build = build_joint if args.method == "mp" else build_minlp_s
-        table = cycle_table(instance, config)
         for k in range(1, instance.horizon + 1):
-            view = table.suffix(k)
-            model = build(view.instance, view)
+            suffix = instance.suffix(k)
+            model = build(suffix, build_segments(
+                suffix, segments=config.cells, strategy=config.strategy))
             path = f"{args.out_dir}/suffix_{k:02d}_{model.kind}.lp"
             export_lp(model, path)
             print(f"wrote {path}")
@@ -115,6 +115,9 @@ def _cmd_simulate(args) -> int:
 def _cmd_benchmark(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{args.config}: benchmark config must be a "
+                              f"JSON object, got {type(doc).__name__}")
     if "seed" not in doc:
         raise ValidationError(f"{args.config}: benchmark config requires a seed")
     for key in ("patterns", "K", "b", "cv"):
@@ -204,7 +207,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValidationError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (SolverError, GridTooSmallError, RuntimeError, ValueError) as exc:

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
+from numbers import Integral, Real
 
 SCHEMA_VERSION = 1
 
@@ -137,6 +138,16 @@ def running_sums(values) -> list:
     return list(accumulate(values, initial=0.0))
 
 
+def is_integer(value) -> bool:
+    """An int, not a bool: a JSON field that must count something."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    """A real number, not a bool: a bool would run as 0 or 1."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
 def round_half_up(x: float) -> int:
     """x rounded to the nearest integer, halves upward."""
     return math.floor(x + 0.5)
@@ -243,9 +254,21 @@ def read_instance(path) -> Instance:
     for key in required:
         if key not in doc:
             raise ValidationError(f"{path}: missing field {key!r}")
+    # the JSON types first: float() would take "5" or true, int() would
+    # truncate 2.7, and a string of digits would iterate as numbers
+    if not is_integer(doc["horizon"]):
+        raise ValidationError(
+            f"{path}: horizon must be an integer, got {doc['horizon']!r}")
+    for key in ("K", "c", "h", "b", "initial_inventory"):
+        if not is_number(doc[key]):
+            raise ValidationError(f"{path}: {key} must be a number, got {doc[key]!r}")
+    for key in ("demand_means", "demand_std_devs"):
+        if not (isinstance(doc[key], list) and all(map(is_number, doc[key]))):
+            raise ValidationError(
+                f"{path}: {key} must be a list of numbers, got {doc[key]!r}")
     try:
         inst = make_instance(
-            horizon=int(doc["horizon"]),
+            horizon=doc["horizon"],
             K=float(doc["K"]), c=float(doc["c"]),
             h=float(doc["h"]), b=float(doc["b"]),
             means=[float(x) for x in doc["demand_means"]],
@@ -253,6 +276,6 @@ def read_instance(path) -> Instance:
             initial_inventory=float(doc["initial_inventory"]),
             name=str(doc.get("name", "")),
         )
-    except (TypeError, ValueError) as exc:
+    except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
     return inst

@@ -36,9 +36,9 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from numbers import Integral, Real
+from numbers import Integral
 
-from .domain import (Instance, PolicyParameters, ValidationError,
+from .domain import (Instance, PolicyParameters, ValidationError, is_number,
                      round_half_up, validate)
 from .model import build_segments
 from .solver import CycleTable, ExactBackend, check_joint_answers, joint_answer
@@ -63,7 +63,7 @@ class HeuristicConfig:
         if self.strategy not in STRATEGIES:
             raise ValidationError(f"unknown partition strategy {self.strategy!r}")
         step = self.bs_step_size
-        if step is not None and (isinstance(step, bool) or not isinstance(step, Real)):
+        if step is not None and not is_number(step):
             raise ValidationError(f"bs_step_size must be a number, got {step!r}")
         if step is not None and not math.isfinite(step):
             raise ValidationError(f"bs_step_size must be finite, got {step!r}")
@@ -142,14 +142,13 @@ def mp_policy(instance: Instance, config: HeuristicConfig | None = None,
     backend = backend or ExactBackend()
     table = _table_for(instance, config, table)
     before = table.work() if log.isEnabledFor(logging.DEBUG) else None
-    engines, answers = [], []
+    answers = []
     for k in range(1, instance.horizon + 1):
         try:
-            engines.append(backend.evaluator(table.suffix(k)))
-            answers.append(joint_answer(engines[-1]))
+            answers.append(joint_answer(backend.evaluator(table.suffix(k))))
         except Exception as exc:
             raise RuntimeError(f"joint solve failed at suffix k={k}: {exc}") from exc
-    check_joint_answers(table, engines, answers)
+    check_joint_answers(table, answers)
     _log_work("mp", instance, table, before)
     return PolicyParameters(
         reorder_points=tuple(root for _, root, _ in answers),

@@ -19,7 +19,9 @@ data/minimax_boundaries.json, read once on first use. That file is what
 search_minimax_boundaries returns under the numpy and scipy releases it
 records; tools/minimax_table.py rewrites it (--write) or checks it against
 the search (--check). Any other cell count is searched when asked for,
-which is the only use of scipy.optimize, imported there.
+which is the only use of scipy.optimize, imported there; a search that
+stops without converging raises MinimaxSearchError rather than hand on a
+partition that is not minimax.
 """
 from __future__ import annotations
 
@@ -36,6 +38,10 @@ from .data import bundled
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 JENSEN_BLOCK = 1 << 22  # elements per row block of Partition.jensen_values
 MINIMAX_TABLE = "minimax_boundaries.json"  # bundled data file
+
+
+class MinimaxSearchError(RuntimeError):
+    """Nelder-Mead stopped without converging on a minimax partition."""
 
 
 def _phi(z):
@@ -152,7 +158,9 @@ def approximation_error(partition: Partition) -> float:
 
 
 def search_minimax_boundaries(n_cells: int) -> np.ndarray:
-    """Numerically choose symmetric cell boundaries minimizing e_W."""
+    """Numerically choose symmetric cell boundaries minimizing e_W;
+    MinimaxSearchError, naming the cell count and the optimizer's message,
+    where the search does not converge."""
     from scipy import optimize
 
     n_bound = n_cells - 1
@@ -176,6 +184,9 @@ def search_minimax_boundaries(n_cells: int) -> np.ndarray:
     free0 = np.abs(start[:half])
     res = optimize.minimize(objective, free0, method="Nelder-Mead",
                             options={"xatol": 1e-7, "fatol": 1e-12, "maxiter": 4000})
+    if not res.success:
+        raise MinimaxSearchError(
+            f"minimax search for {n_cells} cells did not converge: {res.message}")
     best = assemble(res.x)
     if objective(res.x) <= approximation_error(_cells_from_boundaries(start)):
         return best

@@ -83,30 +83,30 @@ minimizer and the minimum there; the unit cost's terms are added with
 ConvexPWL.plus_affine, which hands the sort on, so both `first` records of
 a cycle share one sort. The heuristics solve every suffix
 k..T, its free minimum and every root-search step, from the one table
-through a SuffixView, which maps the suffix's local periods to the
-instance's by the offset k - 1. Sharing is exact: suffix k's (j, t) piece
-is the instance's (j + k - 1, t + k - 1) piece, the normal loss of the
-same demand slice summed in the same order, so a cycle's cost is the same
-function, built by the same operations, whichever suffix reads it. The
-unit cost's level terms depend only on whether the cycle opens the suffix
-(`first`) and whether it closes the horizon; without a unit cost both
-`first` keys hold one record. Level bounds differ per suffix and stay with
-its engine, which clamps the shared free minimizer to them with
-ConvexPWL.minimize.
+through a SuffixView: the suffix's instance, and its cycles read from the
+table with local periods shifted by the offset k - 1. Sharing is exact:
+suffix k's (j, t) piece is the instance's (j + k - 1, t + k - 1) piece,
+the normal loss of the same demand slice summed in the same order, so a
+cycle's cost is the same function, built by the same operations,
+whichever suffix reads it. The unit cost's level terms depend only on
+whether the cycle opens the suffix (`first`) and whether it closes the
+horizon; without a unit cost both `first` keys hold one record. Level
+bounds differ per suffix and stay with its engine, which clamps the shared
+free minimizer to them with ConvexPWL.minimize.
 
-The table also owns one no-order engine per suffix, built on first use at
-the suffix's default level bounds (those of build_minlp_s with a free
-initial level, which build_joint shares). ExactBackend.evaluator and
-solve_exact on a model built from a table view read that engine, so the
-heuristics that run on one table search each suffix once: the engine
-memoizes its free minimum, and builds its relaxation whole on first use,
-in one backward pass over the cycle starts: the suffix's cycles, then
-every start's relaxation row, cost-to-go and relaxed path, each path with
-its pattern, and the certificate limits. Both are pure functions of the
-suffix and its bounds, so an answer does not depend on which caller filled
-them, and a build that raises stores nothing. A model built from a plain
-segment dict, or with other bounds (a pinned initial level widens them),
-is solved by a private engine.
+The table also owns one no-order engine per suffix (CycleTable.engine),
+built on first use at the suffix's default level bounds (those of
+build_minlp_s with a free initial level, which build_joint shares).
+ExactBackend.evaluator reads that engine, so the heuristics that run on
+one table search each suffix once: the engine memoizes its free minimum,
+and builds its relaxation whole on first use, in one backward pass over
+the cycle starts: the suffix's cycles, then every start's relaxation row,
+cost-to-go and relaxed path, each path with its pattern, and the
+certificate limits. Both are pure functions of the suffix and its bounds,
+so an answer does not depend on which caller filled them, and a build that
+raises stores nothing. solve_exact solves every model with an engine of
+its own, over a table of the model's instance and segments at the model's
+level bounds, so its answer and node count depend on the model alone.
 """
 from __future__ import annotations
 
@@ -368,32 +368,16 @@ class CycleTable:
                 sum(e.fallbacks for e in engines))
 
 
-class SuffixView(Mapping):
-    """Periods k..T of a CycleTable in the suffix's local periods 1..T-k+1.
-
-    A Mapping of local (j, t) to segment data, so the model builders take it
-    in place of a segment dict and build its model.piece_arrays as they
-    would a dict's; `cycle` reads the shared cycle costs.
-    """
+class SuffixView:
+    """Periods k..T of a CycleTable in the suffix's local periods
+    1..T-k+1: the suffix's instance, and `cycle`, which reads the shared
+    cycle costs."""
 
     def __init__(self, table: CycleTable, k: int):
         self.table = table
         self.offset = k - 1
         self.instance = table.instance if k == 1 else table.instance.suffix(k)
         self.horizon = self.instance.horizon
-
-    def __getitem__(self, key):
-        j, t = key
-        if not 1 <= j <= t <= self.horizon:
-            raise KeyError(key)
-        return self.table.segments[(j + self.offset, t + self.offset)]
-
-    def __iter__(self):
-        return ((j, t) for t in range(1, self.horizon + 1)
-                for j in range(1, t + 1))
-
-    def __len__(self):
-        return self.horizon * (self.horizon + 1) // 2
 
     def cycle(self, j: int, e: int) -> tuple:
         """CycleTable.cycle of local cycle j..e; local period 1 opens the
@@ -838,54 +822,45 @@ def default_bounds(instance) -> tuple:
 
 
 def _engine_for(model: MilpModel) -> _SubmodelEngine:
-    """The table's engine of the view a model was built from, where the
-    model has the view's default bounds; else a private engine."""
-    bounds = level_bounds(model.instance, model.big_m)
-    view = model.segments
-    if not isinstance(view, SuffixView):
-        view = CycleTable(model.instance, view).suffix(1)
-    elif bounds == default_bounds(view.instance):
-        return view.table.engine(view.offset + 1)
-    return _SubmodelEngine(view, bounds)
+    """A private no-order engine over the model's instance, segments and
+    level bounds."""
+    return _SubmodelEngine(CycleTable(model.instance, model.segments).suffix(1),
+                           level_bounds(model.instance, model.big_m))
 
 
 def solve_exact(model: MilpModel) -> SolveResult:
     """Global optimum of the linearized model; see the module docstring.
-    The node count is the patterns this solve added to its engine, so a
-    free minimum another caller already searched counts none."""
+    The model's own engine answers it, so the node count is the patterns
+    this solve searched."""
     start = time.perf_counter()
     if model.kind not in ("s", "S", "joint"):
         raise SolverError(f"unknown model kind {model.kind!r}")
     engine = _engine_for(model)
-    if model.kind == "joint":
-        return _solve_joint(model, engine, start)
-    label = model.kind
-    pinned = None
-    i0 = model.columns[label].initial
-    if label == "s" and model.lb[i0] == model.ub[i0]:
-        pinned = float(model.lb[i0])
-    if pinned is None:
-        before = engine.nodes
-        best = engine.free_optimum()
-        nodes = engine.nodes - before
+    kind = model.kind
+    i0 = model.columns["s"].initial if kind == "s" else None
+    if i0 is not None and model.lb[i0] == model.ub[i0]:
+        # the pinned level is the pattern's first level, y_opt[0]
+        best, nodes = engine.enumerate(pinned_i0=float(model.lb[i0]))
+        engine.nodes += nodes
     else:
-        best, nodes = engine.enumerate(pinned_i0=pinned)
+        best = engine.free_optimum()
     if best is None:
-        return _infeasible(nodes, start)
-    if label == "S":
-        best = _forced(engine, best)
+        return SolveResult(math.nan, np.empty(0), {}, "infeasible", engine.nodes,
+                           time.perf_counter() - start)
     x = np.zeros(len(model.names))
-    _put_sides(x, model.piecewise, [(model.columns[label], *best[1:])])
-    if pinned is not None:
-        x[i0] = pinned
+    engine_cost = None
+    if kind == "joint":
+        index = model.index
+        _put_joint(x, model.piecewise, [model.columns],
+                   np.array([[index["C_S"], index["G_s"]]]), [joint_answer(engine)])
+    else:
+        if kind == "S":
+            best = _forced(engine, best)
+        _put_sides(x, model.piecewise, [(model.columns[kind], *best[1:])])
+        engine_cost = best[0]
     obj = model.objective_value(x)
-    _self_check(model, x, obj, best[0])
-    return SolveResult(obj, x, model.index, "optimal", nodes,
-                       time.perf_counter() - start)
-
-
-def _infeasible(nodes: int, start: float) -> SolveResult:
-    return SolveResult(math.nan, np.empty(0), {}, "infeasible", nodes,
+    _self_check(model, x, obj, engine_cost)
+    return SolveResult(obj, x, model.index, "optimal", engine.nodes,
                        time.perf_counter() - start)
 
 
@@ -952,36 +927,19 @@ def _put_joint(x: np.ndarray, pw, columns: Sequence, linked: np.ndarray,
     x[linked] = [(forced[0], pinned[0]) for forced, _, pinned in answers]
 
 
-def _solve_joint(model: MilpModel, engine: _SubmodelEngine,
-                 start: float) -> SolveResult:
-    before = engine.nodes
-    if engine.free_optimum() is None:
-        return _infeasible(engine.nodes - before, start)
-    answer = joint_answer(engine)
-    nodes = engine.nodes - before
-    x = np.zeros(len(model.names))
-    index = model.index
-    _put_joint(x, model.piecewise, [model.columns],
-               np.array([[index["C_S"], index["G_s"]]]), [answer])
-    obj = model.objective_value(x)
-    _self_check(model, x, obj, None)
-    return SolveResult(obj, x, index, "optimal", nodes,
-                       time.perf_counter() - start)
-
-
-def check_joint_answers(table: CycleTable, engines: Sequence,
-                        answers: list) -> None:
+def check_joint_answers(table: CycleTable, answers: list) -> None:
     """Check the joint answers of suffixes 1..m of a table's instance at
-    once: answers[k - 1] is joint_answer of engines[k - 1], suffix k's
-    engine. Fills the instance's JointStack of m blocks from the
-    piece_arrays of the table's segments, each block's levels bounded as
-    its engine's, writes every answer into one column vector and verifies
-    it; a violation names its suffix and row."""
+    once: answers[k - 1] is joint_answer of table.engine(k). Fills the
+    instance's JointStack of m blocks from the piece_arrays of the table's
+    segments, each block's levels bounded as its engine's, writes every
+    answer into one column vector and verifies it; a violation names its
+    suffix and row."""
     instance = table.instance
     pieces = piece_arrays(instance, table.segments)
     stack = JointStack.of(instance.horizon, pieces[0].shape[1],
-                          bool(instance.costs.unit), len(engines))
-    model = stack.fill(instance, pieces, table,
+                          bool(instance.costs.unit), len(answers))
+    engines = map(table.engine, range(1, len(answers) + 1))
+    model = stack.fill(instance, pieces, table.segments,
                        [(e.inv_lo, e.inv_hi) for e in engines])
     x = np.zeros(len(model.names))
     _put_joint(x, model.piecewise, stack.columns, stack.linked, answers)

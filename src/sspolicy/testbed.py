@@ -26,10 +26,9 @@ import os
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from numbers import Integral, Real
 
 from .domain import (CostParameters, Instance, NormalDemand, ValidationError,
-                     round_half_up, running_sums)
+                     is_integer, is_number, round_half_up, running_sums)
 from .heuristics import HeuristicConfig, bs_policy, cycle_table, mp_policy
 from .sdp import solve_sdp
 from .simulate import estimate_gaps
@@ -136,22 +135,22 @@ class BenchmarkConfig:
     def __post_init__(self):
         # types first: a JSON config can hold any of them, and a bool would
         # run as 0 or 1
-        if not _is_integer(self.horizon) or self.horizon not in (8, 25):
+        if not is_integer(self.horizon) or self.horizon not in (8, 25):
             raise ValidationError(f"horizon must be 8 or 25, got {self.horizon!r}")
-        if not _is_integer(self.seed):
+        if not is_integer(self.seed):
             raise ValidationError(f"seed must be an integer, got {self.seed!r}")
         if self.fixed_costs is None:
             object.__setattr__(self, "fixed_costs", DEFAULT_K[self.horizon])
         for name in ("fixed_costs", "penalty_costs", "cvs"):
             values = getattr(self, name)
-            if not (isinstance(values, (tuple, list)) and all(map(_is_number, values))):
+            if not (isinstance(values, (tuple, list)) and all(map(is_number, values))):
                 raise ValidationError(f"{name} must be a list of numbers, got {values!r}")
         for name in ("patterns", "methods"):
             if not isinstance(getattr(self, name), (tuple, list)):
                 raise ValidationError(
                     f"{name} must be a list, got {getattr(self, name)!r}")
         for name in ("holding_cost", "unit_cost", "initial_inventory"):
-            if not _is_number(getattr(self, name)):
+            if not is_number(getattr(self, name)):
                 raise ValidationError(
                     f"{name} must be a number, got {getattr(self, name)!r}")
         # methods may be empty: an oracle-only sweep
@@ -188,7 +187,7 @@ class BenchmarkConfig:
         if not math.isfinite(self.initial_inventory):
             raise ValidationError(
                 f"invalid initial inventory {self.initial_inventory}")
-        if not _is_integer(self.replications) or self.replications < 1:
+        if not is_integer(self.replications) or self.replications < 1:
             raise ValidationError(
                 f"replications must be a positive integer, got {self.replications!r}")
         self.heuristic_config()  # checks segments, strategy and bs_step_size
@@ -196,14 +195,6 @@ class BenchmarkConfig:
     def heuristic_config(self) -> HeuristicConfig:
         return HeuristicConfig(segments=self.segments, strategy=self.strategy,
                                bs_step_size=self.bs_step_size)
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, Integral) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 def instance_id(pattern: str, K: float, b: float, cv: float, horizon: int) -> str:
@@ -372,17 +363,26 @@ def write_detail_csv(report: BenchmarkReport, path) -> None:
 
 
 def read_detail_csv(path) -> list:
-    out = []
+    """The rows of a write_detail_csv file; ValidationError naming the
+    file and line of a row that lacks a column or holds a malformed
+    value."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = [ln for ln in fh if not ln.startswith("#")]
-    reader = csv.DictReader(rows)
+        lines = [(n, ln) for n, ln in enumerate(fh, start=1)
+                 if not ln.startswith("#")]
+    reader = csv.DictReader(ln for _, ln in lines)
+    out = []
     for row in reader:
-        out.append(InstanceResult(
-            instance_id=row["instance_id"], method=row["method"],
-            status=row["status"], gap_pct=float(row["gap_pct"]),
-            sim_mean=float(row["mean"]), sim_stderr=float(row["stderr"]),
-            oracle_cost=float(row["oracle_cost"]),
-            replications=int(row["replications"]), seed=int(row["seed"])))
+        try:
+            out.append(InstanceResult(
+                instance_id=row["instance_id"], method=row["method"],
+                status=row["status"], gap_pct=float(row["gap_pct"]),
+                sim_mean=float(row["mean"]), sim_stderr=float(row["stderr"]),
+                oracle_cost=float(row["oracle_cost"]),
+                replications=int(row["replications"]), seed=int(row["seed"])))
+        except (KeyError, TypeError, ValueError) as exc:
+            what = f"missing column {exc}" if isinstance(exc, KeyError) else exc
+            raise ValidationError(f"{path}, line {lines[reader.line_num - 1][0]}: "
+                                  f"malformed detail row: {what}") from exc
     return out
 
 
@@ -407,7 +407,7 @@ def run_benchmark(config: BenchmarkConfig, jobs: int = 1,
     `jobs` worker processes run the pending instances, never more workers
     than there are instances.
     """
-    if not _is_integer(jobs) or jobs < 1:
+    if not is_integer(jobs) or jobs < 1:
         raise ValidationError(f"jobs must be a positive integer, got {jobs!r}")
     instances = build_instances(config)
     wanted = {(inst.name, m): instance_seed(config.seed, inst.name)

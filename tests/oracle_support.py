@@ -54,9 +54,10 @@ reference_verify_assignment is model.verify_assignment on that dict, every
 check over every column, row and rule, with the row senses compared as
 strings.
 
-per_suffix_mp_policy is mp_policy as it was before the stacked check: per
-suffix, the joint model built alone from the table's view (build_joint),
-then solved and verified alone (solve_exact).
+per_suffix_mp_policy is mp_policy with each suffix's answer checked alone:
+joint_answer of the table's engine for the suffix, written into the joint
+model built from the suffix's own segments (build_joint of
+build_segments) and verified against that model alone.
 """
 from __future__ import annotations
 
@@ -73,12 +74,12 @@ from scipy.special import ndtri
 from sspolicy.domain import PolicyParameters, validate
 from sspolicy.heuristics import HeuristicConfig, _table_for
 from sspolicy.loss import PiecewiseLoss, cached_partition
-from sspolicy.model import INDICATOR, build_joint
+from sspolicy.model import INDICATOR, build_joint, build_segments
 from sspolicy.sdp import discretize_demand
 from sspolicy.simulate import SimulationResult
 from sspolicy.solver import (ConvexPWL, SolverError, _Cycle, _engine_for,
-                             _forced, _largest_root, _SubmodelEngine,
-                             solve_exact)
+                             _forced, _largest_root, _put_joint, _self_check,
+                             _SubmodelEngine, joint_answer)
 
 
 def _cycle_cost_fn(instance, segments, j, e):
@@ -363,10 +364,10 @@ class PerPieceEngine(_SubmodelEngine):
         return root, cache[root] if root in cache else self.cost_at(root)
 
 
-def reference_assignment(engine, lab, deltas, y_opt, cycles):
+def reference_assignment(segments, lab, deltas, y_opt, cycles):
     """Values of submodel `lab`'s variables for a solved pattern, by name."""
     out = {}
-    for t in range(1, engine.T + 1):
+    for t in range(1, len(deltas) + 1):
         out[f"delta_{lab}_{t}"] = float(deltas[t - 1])
         for j in range(1, t + 1):
             out[f"P_{lab}_{j}_{t}"] = 0.0
@@ -376,7 +377,7 @@ def reference_assignment(engine, lab, deltas, y_opt, cycles):
         if i == 0:
             i0 = y  # the first level doubles as the initial one
         for t in range(cyc.start, cyc.end + 1):
-            pw = engine.view[(cyc.start, t)]
+            pw = segments[(cyc.start, t)]
             out[f"P_{lab}_{cyc.start}_{t}"] = 1.0
             inv = y - pw.mean
             h_val = float(pw.upper(y))
@@ -404,15 +405,16 @@ def reference_solution(model):
     if label != "joint":
         if label == "S":
             best = _forced(engine, best)
-        out = reference_assignment(engine, label, *best[1:])
+        out = reference_assignment(model.segments, label, *best[1:])
         if pinned is not None:
             out["I0_s"] = pinned
         return out
     cost_S, deltas_S, y_S, cycles_S = _forced(engine, best)
     root, (cost_s, deltas_s, y_s, cycles_s) = engine.reorder_root(
         cost_S, float(y_S[0]))
-    out = reference_assignment(engine, "S", deltas_S, y_S, cycles_S)
-    out.update(reference_assignment(engine, "s", deltas_s, y_s, cycles_s))
+    out = reference_assignment(model.segments, "S", deltas_S, y_S, cycles_S)
+    out.update(reference_assignment(model.segments, "s", deltas_s, y_s,
+                                    cycles_s))
     out["I0_s"] = float(root)
     out["C_S"] = float(cost_S)
     out["G_s"] = float(cost_s)
@@ -420,22 +422,29 @@ def reference_solution(model):
 
 
 def per_suffix_mp_policy(instance, config=None, table=None):
-    """mp_policy with one joint model per suffix, each solved and checked
-    alone."""
+    """mp_policy with each suffix's joint answer written into its own
+    joint model and checked alone; the policy is read from those models'
+    columns."""
     validate(instance)
     config = config or HeuristicConfig()
     table = _table_for(instance, config, table)
     ss, SS, costs = [], [], []
     for k in range(1, instance.horizon + 1):
-        view = table.suffix(k)
-        model = build_joint(view.instance, view)
         try:
-            result = solve_exact(model)
+            answer = joint_answer(table.engine(k))
         except Exception as exc:
             raise RuntimeError(f"joint solve failed at suffix k={k}: {exc}") from exc
-        ss.append(result.value("I0_s"))
-        SS.append(result.value("I0_S"))
-        costs.append(result.value("C_S"))
+        suffix = table.suffix(k).instance
+        model = build_joint(suffix, build_segments(
+            suffix, segments=config.cells, strategy=config.strategy))
+        index = model.index
+        x = np.zeros(len(model.names))
+        _put_joint(x, model.piecewise, [model.columns],
+                   np.array([[index["C_S"], index["G_s"]]]), [answer])
+        _self_check(model, x, None, None)
+        ss.append(float(x[index["I0_s"]]))
+        SS.append(float(x[index["I0_S"]]))
+        costs.append(float(x[index["C_S"]]))
     return PolicyParameters(reorder_points=tuple(ss),
                             order_up_to_levels=tuple(SS),
                             costs=tuple(costs))

@@ -1,11 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from sspolicy.cli import main
 from sspolicy.domain import make_instance, read_instance, write_instance
 from sspolicy.export import render_lp
-from sspolicy.heuristics import read_policy_csv
+from sspolicy.heuristics import HeuristicConfig, read_policy_csv
 from sspolicy.model import build_joint, build_minlp_s, build_segments
 from sspolicy.sdp import default_grid, discretize_demand
 from sspolicy.testbed import read_detail_csv
@@ -327,3 +328,83 @@ def test_benchmark_slice_flags(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "9 rows (0 failures)" in out
+
+
+def test_solve_rejects_malformed_instance_field(tmp_path, capsys):
+    """A string of digits given for the demand means is a data error, not
+    three periods of demand 1, 2 and 3."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({
+        "version": 1, "horizon": 3, "K": 100, "c": 0, "h": 1, "b": 10,
+        "initial_inventory": 0, "demand_means": "123",
+        "demand_std_devs": [1, 1, 1]}))
+    rc = main(["solve", str(path), "--method", "bs"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "demand_means must be a list of numbers, got '123'" in err
+
+
+def test_solve_notes_unbracketed_periods(example4_file, capsys, monkeypatch):
+    """A search lower bound above every reorder point flags all four
+    periods, and the command prints the note."""
+    monkeypatch.setattr(HeuristicConfig, "lower_bound_for", lambda self, inst: 60.0)
+    rc = main(["solve", str(example4_file), "--method", "bs"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert ("# reorder point not bracketed from below (search lower bound too "
+            "high) in periods (1, 2, 3, 4)") in out
+
+
+def _bench_config(tmp_path) -> Path:
+    cfg_path = tmp_path / "bench.json"
+    cfg_path.write_text(json.dumps(
+        {"horizon": 8, "patterns": ["STA"], "K": [200], "b": [5], "cv": [0.1],
+         "methods": ["bs"], "replications": 100, "seed": 1}))
+    return cfg_path
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda text: text.replace(",gap_pct,", ",gap,"),
+     "line 3: malformed detail row: missing column 'gap_pct'"),
+    (lambda text: text.replace(",100,", ",abc,"),
+     "line 3: malformed detail row: invalid literal for int() with base 10: 'abc'"),
+], ids=["missing-column", "bad-replications"])
+def test_benchmark_resume_rejects_malformed_detail(tmp_path, capsys, edit, message):
+    """Resuming from a detail file with a missing column or a malformed
+    value is a data error that names the file and line."""
+    cfg_path, out_dir = _bench_config(tmp_path), tmp_path / "out"
+    assert main(["benchmark", str(cfg_path), "--out-dir", str(out_dir)]) == 0
+    detail = out_dir / "detail.csv"
+    detail.write_text(edit(detail.read_text()))
+    capsys.readouterr()
+    rc = main(["benchmark", str(cfg_path), "--out-dir", str(out_dir)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert f"{detail}, {message}" in err
+
+
+@pytest.mark.parametrize("command", ["benchmark", "lp-export"])
+def test_out_dir_naming_a_file_is_data_error(example4_file, tmp_path, capsys,
+                                             command):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    if command == "benchmark":
+        args = ["benchmark", str(_bench_config(tmp_path))]
+    else:
+        args = ["solve", str(example4_file), "--method", "mp",
+                "--backend", "lp-export"]
+    rc = main([*args, "--out-dir", str(taken)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "File exists" in err and str(taken) in err
+
+
+@pytest.mark.parametrize("doc, kind", [("des", "str"), ([1, 2], "list")])
+def test_benchmark_config_must_be_object(tmp_path, capsys, doc, kind):
+    cfg_path = tmp_path / "bench.json"
+    cfg_path.write_text(json.dumps(doc))
+    rc = main(["benchmark", str(cfg_path), "--out-dir", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert f"benchmark config must be a JSON object, got {kind}" in err
+    assert not (tmp_path / "o").exists()

@@ -141,6 +141,35 @@ def test_read_reports_parse_line(tmp_path):
         read_instance(path)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("horizon", 2.7, "horizon must be an integer, got 2.7"),
+    ("horizon", True, "horizon must be an integer, got True"),
+    ("horizon", "3", "horizon must be an integer, got '3'"),
+    ("K", True, "K must be a number, got True"),
+    ("K", "5", "K must be a number, got '5'"),
+    ("c", None, "c must be a number, got None"),
+    ("h", [1], "h must be a number, got [1]"),
+    ("b", False, "b must be a number, got False"),
+    ("initial_inventory", "0", "initial_inventory must be a number, got '0'"),
+    ("demand_means", "123", "demand_means must be a list of numbers, got '123'"),
+    ("demand_means", [1, "2", 3], "demand_means must be a list of numbers"),
+    ("demand_means", [1, True, 3], "demand_means must be a list of numbers"),
+    ("demand_std_devs", {"0": 1}, "demand_std_devs must be a list of numbers"),
+    ("demand_std_devs", [0, 0, None], "demand_std_devs must be a list of numbers"),
+])
+def test_read_rejects_malformed_fields(tmp_path, field, value, message):
+    """Each field takes only its JSON type: no string, bool or truncated
+    float runs as a number, and the error names the file and field."""
+    path = tmp_path / "bad.json"
+    doc = {"version": 1, "horizon": 3, "K": 100, "c": 0, "h": 1, "b": 10,
+           "initial_inventory": 0, "demand_means": [1, 2, 3],
+           "demand_std_devs": [0.5, 0.5, 0.5], field: value}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError) as err:
+        read_instance(path)
+    assert str(err.value).startswith(f"{path}: {message}")
+
+
 finite = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 
 

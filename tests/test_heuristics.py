@@ -135,6 +135,21 @@ class TestBinarySearchHeuristic:
         for a, b in zip(bs4.reorder_points, mp4.reorder_points):
             assert abs(a - b) <= 0.01
 
+    def test_unbracketed_roots_are_flagged(self, example4, table_config, bs4,
+                                           monkeypatch):
+        """A search lower bound of 60, above every reorder point, leaves
+        each period's root unbracketed: all four periods are flagged. Where
+        S_k is above 60 the bracket empties at the bound; elsewhere the
+        reorder point is clipped to S_k."""
+        monkeypatch.setattr(HeuristicConfig, "lower_bound_for",
+                            lambda self, instance: 60.0)
+        policy = bs_policy(example4, table_config)
+        assert policy.flagged_periods == (1, 2, 3, 4)
+        assert policy.order_up_to_levels == bs4.order_up_to_levels
+        assert policy.reorder_points == tuple(
+            min(60.0, big_s) for big_s in policy.order_up_to_levels)
+        assert sum(big_s < 60.0 for big_s in policy.order_up_to_levels) == 2
+
     def test_zero_fixed_cost_immediate(self):
         inst = make_instance(horizon=2, K=0, h=1, b=10, c=0,
                              means=[20, 30], cv=0.2)

@@ -239,6 +239,52 @@ def test_minimax_table_check_reports_a_changed_bit(tmp_path, monkeypatch, capsys
     assert (record["checked"], record["differ"]) == (3, [4])
 
 
+def _fail_minimize(monkeypatch):
+    """Make every Nelder-Mead run stop as one that hit maxiter."""
+    from scipy import optimize
+
+    def failed(fun, x0, **kwargs):
+        return optimize.OptimizeResult(
+            x=np.asarray(x0), fun=fun(x0), success=False, status=2, nit=4000,
+            message="Maximum number of iterations has been exceeded.")
+
+    monkeypatch.setattr(optimize, "minimize", failed)
+
+
+def test_minimax_search_raises_when_not_converged(monkeypatch):
+    """A search that stops short names its cell count and the optimizer's
+    message rather than return a partition that is not minimax."""
+    _fail_minimize(monkeypatch)
+    with pytest.raises(loss_module.MinimaxSearchError,
+                       match="minimax search for 60 cells did not converge: "
+                             "Maximum number of iterations has been exceeded"):
+        search_minimax_boundaries(60)
+
+
+def test_minimax_table_reports_unconverged_counts(tmp_path, monkeypatch, capsys):
+    """tools/minimax_table.py --check names each count whose search did not
+    converge in its JSON line and exits 1; --write writes nothing. Two
+    cells need no search."""
+    spec = importlib.util.spec_from_file_location(
+        "minimax_table", ROOT / "tools/minimax_table.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({"numpy": "2.4.6", "scipy": "1.17.1", "boundaries": {
+        n: tabulated_hex(int(n)) for n in ("2", "3", "4")}}))
+    monkeypatch.setattr(tool, "TABLE", table)
+    _fail_minimize(monkeypatch)
+    assert tool.main(["--check"]) == 1
+    record = json.loads(capsys.readouterr().out)
+    assert (record["checked"], record["differ"]) == (3, [])
+    assert sorted(record["failed"]) == ["3", "4"]
+    assert "minimax search for 4 cells did not converge" in record["failed"]["4"]
+    before = table.read_text()
+    assert tool.main(["--write"]) == 1
+    assert "minimax search for 3 cells" in json.loads(capsys.readouterr().out)["failed"]
+    assert table.read_text() == before
+
+
 @pytest.mark.skipif(not os.environ.get("SSPOLICY_FULL_BENCHMARK"),
                     reason="searches every tabulated count 2..40 (~90 s); "
                            "set SSPOLICY_FULL_BENCHMARK=1")

@@ -411,14 +411,17 @@ def _assert_same_arrays(got, ref):
 
 
 def _assert_suffixes_emitted(instance, segments):
-    table = CycleTable(instance, segments)
+    """Every suffix k from the instance's pieces (j, t), j >= k, re-keyed
+    to the suffix's own periods."""
     for k in range(1, instance.horizon + 1):
-        view = table.suffix(k)
-        _assert_emitted(view.instance, view)
+        _assert_emitted(instance.suffix(k), {
+            (j - k + 1, t - k + 1): pw for (j, t), pw in segments.items()
+            if j >= k})
 
 
 def test_joint_skeleton_matches_emitter_on_grid():
-    """Every suffix of every 10th 8-period grid instance, from one table."""
+    """Every suffix of every 10th 8-period grid instance, from the
+    instance's segments."""
     config = BenchmarkConfig(horizon=8)
     hcfg = config.heuristic_config()
     for inst in build_instances(config)[::10]:
@@ -433,7 +436,7 @@ def test_joint_skeleton_matches_emitter_on_grid():
        data=st.data())
 def test_joint_skeleton_matches_emitter(T, K, c, n_seg, strategy, data):
     """K = 0, c > 0, zero-sd periods and 3..21 linear segments, from a
-    plain segment dict and from every suffix view of its table."""
+    plain segment dict and from every suffix's share of it."""
     means = data.draw(st.lists(st.floats(0, 30).map(lambda v: round(v, 1)),
                                min_size=T, max_size=T))
     cvs = data.draw(st.lists(st.sampled_from([0.0, 0.1, 0.3]), min_size=T, max_size=T))
@@ -491,9 +494,9 @@ def _stack_block(stack, model, b):
        strategy=st.sampled_from(["equal-probability", "minimax"]),
        data=st.data())
 def test_joint_stack_blocks_match_build_joint(T, K, c, n_seg, strategy, data):
-    """Block k of one stacked fill equals build_joint of suffix k's view,
-    array for array and in LP bytes, and so do its columns and linked
-    costs; the stack's objective constant is the blocks' sum."""
+    """Block k of one stacked fill equals build_joint of suffix k's own
+    segments, array for array and in LP bytes, and so do its columns and
+    linked costs; the stack's objective constant is the blocks' sum."""
     means = data.draw(st.lists(st.floats(0, 30).map(lambda v: round(v, 1)),
                                min_size=T, max_size=T))
     cvs = data.draw(st.lists(st.sampled_from([0.0, 0.1, 0.3]), min_size=T, max_size=T))
@@ -503,11 +506,13 @@ def test_joint_stack_blocks_match_build_joint(T, K, c, n_seg, strategy, data):
                                             strategy=strategy))
     stack = JointStack.of(T, n_seg, bool(c), T)
     bounds = [(e.inv_lo, e.inv_hi) for e in map(table.engine, range(1, T + 1))]
-    model = stack.fill(inst, piece_arrays(inst, table.segments), table, bounds)
+    model = stack.fill(inst, piece_arrays(inst, table.segments),
+                       table.segments, bounds)
     refs = []
     for k in range(1, T + 1):
-        view = table.suffix(k)
-        ref = build_joint(view.instance, view)
+        suffix = inst.suffix(k)
+        ref = build_joint(suffix, build_segments(
+            suffix, segments=n_seg - 1, strategy=strategy))
         got = dataclasses.replace(ref, **_stack_block(stack, model, k - 1))
         assert list(got.names) == list(ref.names)
         _assert_same_arrays(got, ref)

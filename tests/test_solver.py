@@ -39,6 +39,12 @@ def _engine(model):
                            level_bounds(model.instance, model.big_m))
 
 
+def _own_segments(suffix, config):
+    """The suffix's own segments at the heuristic config's partition."""
+    return build_segments(suffix, segments=config.cells,
+                          strategy=config.strategy)
+
+
 @pytest.fixture(scope="module")
 def example4():
     return make_instance(horizon=4, K=100, h=1, b=10, c=0,
@@ -201,6 +207,7 @@ class TestDeterminism:
         b = solve_exact(model)
         assert a.objective == b.objective
         assert a.assignment == b.assignment
+        assert a.node_count == b.node_count
 
     def test_bound_relaxation_never_worsens(self, example4, segments4):
         model = build_minlp_s(example4, segments4)
@@ -336,7 +343,9 @@ class TestSharedCycleTable:
             suffix = inst.suffix(k)
             segs = build_segments(suffix, **partition)
             view = table.suffix(k)
-            assert dict(view) == segs  # the premise: re-keyed pieces agree
+            # the premise: re-keyed pieces agree
+            assert {(j - k + 1, t - k + 1): pw for (j, t), pw
+                    in table.segments.items() if j >= k} == segs
             shared = ExactBackend().evaluator(view)
             fresh = _engine(build_minlp_s(suffix, segs))
             best = shared.free_minimum()
@@ -514,24 +523,20 @@ class TestJointSolve:
 
     def test_shared_engine_counts_only_added_patterns(self, example4,
                                                      segments4):
-        """A joint solve on a table view reads the table's engine: its node
-        count is what it added, and a free minimum searched before is not
-        searched again. A pinned model keeps a private engine."""
+        """Every evaluator of one table suffix is the table's engine, whose
+        free minimum is searched once. solve_exact builds its own engine,
+        so it counts its own search and leaves the table's work alone."""
         fresh = solve_exact(build_joint(example4, segments4))
         table = CycleTable(example4, segments4)
-        view = table.suffix(1)
-        engine = ExactBackend().evaluator(view)
+        engine = ExactBackend().evaluator(table.suffix(1))
         assert ExactBackend().evaluator(table.suffix(1)) is engine
         free = engine.free_minimum()
         assert engine.free_minimum() is free
-        searched = engine.nodes
-        assert searched > 0
-        shared = solve_exact(build_joint(view.instance, view))
-        assert shared.node_count == fresh.node_count - searched
-        assert shared.node_count == engine.nodes - searched
-        assert shared.assignment == fresh.assignment
+        assert engine.nodes > 0
         work = table.work()
-        solve_exact(build_minlp_s(view.instance, view, initial_inventory=35.0))
+        again = solve_exact(build_joint(example4, table.segments))
+        assert again.node_count == fresh.node_count > 0
+        assert again.assignment == fresh.assignment
         assert table.work() == work
 
     def test_single_pattern_matches_subproblem(self, example4, segments4):
@@ -878,12 +883,11 @@ class TestRelaxation:
         inst, config, x0 = case
         table = cycle_table(inst, config)
         for k in range(1, inst.horizon + 1):
-            view = table.suffix(k)
+            suffix = table.suffix(k).instance
             _assert_relaxation_matches_reference(table.engine(k), extra=(x0,))
-            pinned = solver_module._engine_for(
-                build_minlp_s(view.instance, view, initial_inventory=x0))
-            assert (pinned.inv_lo, pinned.inv_hi) != \
-                default_bounds(view.instance)
+            pinned = solver_module._engine_for(build_minlp_s(
+                suffix, _own_segments(suffix, config), initial_inventory=x0))
+            assert (pinned.inv_lo, pinned.inv_hi) != default_bounds(suffix)
             _assert_relaxation_matches_reference(pinned, extra=(x0,))
 
     def test_grid_matches_reference(self):
@@ -940,14 +944,15 @@ class TestPoolPass:
         outside every first cycle's level bounds, and between the engine's
         upper bound and the first cycle's, where a merge is infeasible."""
         inst, config, x0 = case
-        view = cycle_table(inst, config).suffix(1)
+        table = cycle_table(inst, config)
+        view = table.suffix(1)
         T = inst.horizon
         patterns = data.draw(st.lists(
             st.lists(st.integers(0, 1), min_size=T - 1, max_size=T - 1).map(
                 lambda tail: (0, *tail)), min_size=1, max_size=6))
         for engine in (_SubmodelEngine(view, default_bounds(inst)),
                        solver_module._engine_for(build_minlp_s(
-                           inst, view, initial_inventory=x0))):
+                           inst, table.segments, initial_inventory=x0))):
             pins = _first_row_pins(engine, extra=(None, x0))
             pins.update(0.5 * (engine.inv_hi + cyc.y_hi)
                         for cyc in engine.relaxation.cycles.values())
@@ -1085,10 +1090,9 @@ class TestColumnSpace:
     @given(case=_policy_cases())
     def test_suffixes_match_reference(self, case):
         inst, config = case
-        table = cycle_table(inst, config)
         for k in range(1, inst.horizon + 1):
-            view = table.suffix(k)
-            model = build_joint(view.instance, view)
+            suffix = inst.suffix(k)
+            model = build_joint(suffix, _own_segments(suffix, config))
             _assert_corruptions_named(model, _assert_column_space(model).vector)
 
     def test_result_reads_its_vector(self, example4, segments4):
@@ -1137,10 +1141,9 @@ def test_full_grid_column_space_matches_reference(horizon):
     config = BenchmarkConfig(horizon=horizon)
     hc = config.heuristic_config()
     for instance in build_instances(config):
-        table = cycle_table(instance, hc)
         for k in range(1, instance.horizon + 1):
-            view = table.suffix(k)
-            model = build_joint(view.instance, view)
+            suffix = instance.suffix(k)
+            model = build_joint(suffix, _own_segments(suffix, hc))
             _assert_corruptions_named(model, _assert_column_space(model).vector)
 
 

@@ -12,7 +12,9 @@ on this checkout's sources.
 --write writes the file: each count's interior boundaries in float hex,
 with the numpy and scipy releases the search ran under. --check compares
 every count in the file with the search, bit for bit, prints one JSON line
-with the counts checked and those that differ, and exits 1 if any differs.
+with the counts checked, those that differ and those whose search did not
+converge, and exits 1 if any differs or failed. --write writes nothing and
+exits 1, naming the count in its JSON line, if a search does not converge.
 The table was written under numpy 2.4.6 and scipy 1.17.1, the releases the
 repository's bit-level goldens are pinned to; under other releases the
 search may land on other bits.
@@ -31,7 +33,8 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
-from sspolicy.loss import MINIMAX_TABLE, search_minimax_boundaries  # noqa: E402
+from sspolicy.loss import (MINIMAX_TABLE, MinimaxSearchError,  # noqa: E402
+                           search_minimax_boundaries)
 
 TABLE = ROOT / "src" / "sspolicy" / "data" / MINIMAX_TABLE
 COUNTS = range(2, 41)
@@ -56,11 +59,18 @@ def render(counts) -> str:
         "}\n")
 
 
-def mismatches(boundaries: dict) -> list:
-    """Cell counts, as ints, whose tabulated boundaries differ from the
-    search's in any bit."""
-    return [int(n) for n, values in boundaries.items()
-            if searched(int(n)) != values]
+def compare(boundaries: dict) -> tuple:
+    """(differ, failed): the cell counts, as ints, whose tabulated
+    boundaries differ from the search's in any bit, and {count: message}
+    of those whose search did not converge."""
+    differ, failed = [], {}
+    for n, values in boundaries.items():
+        try:
+            if searched(int(n)) != values:
+                differ.append(int(n))
+        except MinimaxSearchError as exc:
+            failed[int(n)] = str(exc)
+    return differ, failed
 
 
 def main(argv=None) -> int:
@@ -73,18 +83,24 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     start = time.perf_counter()
     if args.write:
-        TABLE.write_text(render(COUNTS), encoding="utf-8")
+        try:
+            text = render(COUNTS)
+        except MinimaxSearchError as exc:
+            print(json.dumps({"written": None, "failed": str(exc)}))
+            return 1
+        TABLE.write_text(text, encoding="utf-8")
         print(json.dumps({"written": str(TABLE.relative_to(ROOT)),
                           "counts": len(COUNTS),
                           "seconds": round(time.perf_counter() - start, 1)}))
         return 0
     record = json.loads(TABLE.read_text(encoding="utf-8"))
-    bad = mismatches(record["boundaries"])
+    bad, failed = compare(record["boundaries"])
     print(json.dumps({"checked": len(record["boundaries"]), "differ": bad,
+                      "failed": failed,
                       "numpy": np.__version__, "scipy": scipy.__version__,
                       "table_numpy": record["numpy"], "table_scipy": record["scipy"],
                       "seconds": round(time.perf_counter() - start, 1)}))
-    return 1 if bad else 0
+    return 1 if bad or failed else 0
 
 
 if __name__ == "__main__":
