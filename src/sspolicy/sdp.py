@@ -10,11 +10,17 @@ grid-step cells with normal CDF mass, truncated at a far quantile and at
 zero, then renormalized. Per period, prefix sums over these atoms give the
 stage cost, and one convolution of C_{t+1}, extended below the grid by its
 linear tail, gives the continuation.
+
+A solution keeps the answer only: the instance, grid, policy, expected
+cost, demand truncation and atom counts. The pass runs in one period's
+memory; the G tables are derived on first read by running it again.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -40,6 +46,9 @@ class InventoryGrid:
 
     def __post_init__(self):
         _check_step(self.step)
+        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
+            raise ValidationError(
+                f"grid bounds must be finite, got {self.lower}, {self.upper}")
         if not self.lower < self.upper:
             raise ValidationError("grid lower bound must be below upper bound")
         n = (self.upper - self.lower) / self.step
@@ -55,10 +64,11 @@ class InventoryGrid:
 
     def index_of(self, y: float) -> int:
         i = (y - self.lower) / self.step
-        j = int(round(i))
-        if abs(i - j) > 1e-6 or not 0 <= j < self.size:
-            raise ValueError(f"level {y} is not on the grid")
-        return j
+        if math.isfinite(i):
+            j = int(round(i))
+            if abs(i - j) <= 1e-6 and 0 <= j < self.size:
+                return j
+        raise ValueError(f"level {y} is not on the grid")
 
 
 def default_grid(instance: Instance, step: float = 1.0) -> InventoryGrid:
@@ -88,6 +98,9 @@ def discretize_demand(mean: float, std_dev: float, step: float,
     Cells beyond the truncation quantile on either side are dropped, as is
     everything below zero; the remaining mass is renormalized.
     """
+    if not (math.isfinite(std_dev) and std_dev >= 0.0):
+        raise ValidationError(
+            f"demand std dev must be finite and non-negative, got {std_dev}")
     if std_dev == 0.0:
         return np.array([round(mean / step) * step]), np.array([1.0])
     z = ndtri(truncation)
@@ -106,11 +119,20 @@ def discretize_demand(mean: float, std_dev: float, step: float,
 class SdpSolution:
     instance: Instance
     grid: InventoryGrid
-    g_tables: np.ndarray      # shape (T, n): G_t over the grid
     policy: PolicyParameters
     expected_cost: float      # C_1 at the instance's initial inventory
     demand_truncation: float
     demand_atoms: tuple[int, ...]  # discretized demand atoms per period
+
+    @cached_property
+    def g_tables(self) -> np.ndarray:
+        """G_t over the grid, shape (T, n), derived on first read by
+        solve_sdp's pass, so it is bit-equal to the rows that pass used."""
+        demand = _demand(self.instance, self.grid.step,
+                         self.demand_truncation)
+        rows = [g for _, g, _ in _backward_pass(self.instance, self.grid,
+                                                demand)]
+        return np.array(rows[::-1])
 
     @property
     def c_tables(self) -> np.ndarray:
@@ -121,6 +143,7 @@ class SdpSolution:
                               self.grid.levels())
 
     def g_minimum(self, t: int) -> float:
+        _check_period(t, self.instance.horizon)
         return float(self.g_tables[t - 1].min())
 
     def reorder_cost(self, t: int) -> float:
@@ -128,21 +151,59 @@ class SdpSolution:
         return self.instance.costs.fixed + self.g_minimum(t)
 
 
+def _check_period(t, horizon: int) -> None:
+    is_int = isinstance(t, Integral) and not isinstance(t, bool)
+    if not (is_int and 1 <= t <= horizon):
+        raise ValueError(
+            f"period must be an int in the horizon 1..{horizon}, got {t!r}")
+
+
 def cost_to_go(solution: SdpSolution, t: int, y: float) -> float:
     """G_t(y) looked up from the solved tables; y must lie on the grid."""
-    if not 1 <= t <= solution.instance.horizon:
-        raise ValueError(f"period {t} outside horizon")
+    _check_period(t, solution.instance.horizon)
     return float(solution.g_tables[t - 1][solution.grid.index_of(y)])
 
 
 def solve_sdp(instance: Instance, grid: InventoryGrid | None = None,
               demand_truncation: float = 0.9999) -> SdpSolution:
-    """Backward-induction solve; returns tables, policy and C_1(I_0)."""
+    """Backward-induction solve; returns the policy and C_1(I_0)."""
     validate(instance)
     if not 0.99 < demand_truncation < 1.0:
         raise ValidationError("demand_truncation must lie in (0.99, 1)")
     if grid is None:
         grid = default_grid(instance)
+    levels = grid.levels()
+    demand = _demand(instance, grid.step, demand_truncation)
+    rows = [None] * instance.horizon
+    error = None
+    # rows arrive from T down to 1; the lowest offending period is named
+    for t, g, c_now in _backward_pass(instance, grid, demand):
+        try:
+            rows[t - 1] = _policy_row(t, g, instance.costs.fixed, levels)
+        except GridTooSmallError as exc:
+            error = exc
+    if error is not None:
+        raise error
+    ss, SS, costs = zip(*rows)
+    i0_idx = grid.index_of(_snap(instance.initial_inventory, grid))
+    return SdpSolution(
+        instance=instance, grid=grid,
+        policy=PolicyParameters(reorder_points=ss, order_up_to_levels=SS,
+                                costs=costs),
+        expected_cost=float(c_now[i0_idx]),
+        demand_truncation=demand_truncation,
+        demand_atoms=tuple(dv.size for dv, _ in demand))
+
+
+def _demand(instance: Instance, step: float, truncation: float) -> list:
+    """Each period's (atoms, mass) from discretize_demand."""
+    return [discretize_demand(d.mean, d.std_dev, step, truncation)
+            for d in instance.demands]
+
+
+def _backward_pass(instance: Instance, grid: InventoryGrid, demand: list):
+    """Yields (t, G_t, C_t), G and C over the grid, for t = T down to 1,
+    holding one period's rows at a time."""
     costs = instance.costs
     c, h, b = costs.unit, costs.holding, costs.penalty
     levels = grid.levels()
@@ -150,11 +211,7 @@ def solve_sdp(instance: Instance, grid: InventoryGrid | None = None,
     T = instance.horizon
     step = grid.step
 
-    g_tables = np.empty((T, n))
     c_next = None             # C_{t+1} over the grid
-    demand = [discretize_demand(d.mean, d.std_dev, step, demand_truncation)
-              for d in instance.demands]
-
     for t in range(T, 0, -1):
         dv, dp = demand[t - 1]
         # stage cost via E[(y - d)^+] = y*F[k] - M[k] over the k atoms <= y
@@ -171,16 +228,8 @@ def solve_sdp(instance: Instance, grid: InventoryGrid | None = None,
             tail = c_next[0] + c * step * np.arange(shifts[-1], 0, -1)
             ext = np.concatenate((tail, c_next))[:n + kernel.size - 1]
             g = g + np.convolve(ext, kernel, "valid")
-        g_tables[t - 1] = g
         c_next = _optimal_value(g, costs, levels)
-
-    policy = _extract_policy_arrays(instance, grid, g_tables)
-    i0_idx = grid.index_of(_snap(instance.initial_inventory, grid))
-    expected = float(c_next[i0_idx])
-    return SdpSolution(instance=instance, grid=grid, g_tables=g_tables,
-                       policy=policy, expected_cost=expected,
-                       demand_truncation=demand_truncation,
-                       demand_atoms=tuple(dv.size for dv, _ in demand))
+        yield t, g, c_next
 
 
 def _optimal_value(g: np.ndarray, costs, levels: np.ndarray) -> np.ndarray:
@@ -199,47 +248,48 @@ def _snap(y: float, grid: InventoryGrid) -> float:
 _TIE_RTOL = 1e-9
 
 
+def _policy_row(t: int, g: np.ndarray, K: float,
+                levels: np.ndarray) -> tuple:
+    """(s_t, S_t, K + G_t(S_t)) from period t's row of G."""
+    n = levels.size
+    # Flat stretches of G (zero-demand periods, say) tie up to rounding,
+    # so compare within a relative tolerance far above the rounding of
+    # any one pass: ties resolve to the smaller level for S_t and
+    # against ordering for s_t, whichever pass built the table.
+    g_min = float(g.min())
+    tol = _TIE_RTOL * max(1.0, abs(g_min))
+    s_idx = int(np.argmax(g <= g_min + tol))
+    if s_idx in (0, n - 1):
+        raise GridTooSmallError(
+            f"order-up-to level for period {t} sits on the grid boundary "
+            f"({levels[s_idx]}); widen the grid")
+    big_s = levels[s_idx]
+    threshold = K + g[s_idx]
+    if K == 0.0:
+        # ordering is free: order whenever below the base stock
+        small_s = big_s
+    else:
+        above = np.nonzero(g[:s_idx] > threshold + tol)[0]
+        if above.size == 0:
+            raise GridTooSmallError(
+                f"reorder point for period {t} lies below the grid lower "
+                f"bound {levels[0]}; widen the grid")
+        small_s = levels[above[-1]]
+    return small_s, big_s, threshold
+
+
 def _extract_policy_arrays(instance: Instance, grid: InventoryGrid,
                            g_tables: np.ndarray) -> PolicyParameters:
-    K = instance.costs.fixed
     levels = grid.levels()
-    n = levels.size
-    ss, SS, costs = [], [], []
-    for t in range(1, instance.horizon + 1):
-        g = g_tables[t - 1]
-        # Flat stretches of G (zero-demand periods, say) tie up to rounding,
-        # so compare within a relative tolerance far above the rounding of
-        # any one pass: ties resolve to the smaller level for S_t and
-        # against ordering for s_t, whichever pass built the table.
-        g_min = float(g.min())
-        tol = _TIE_RTOL * max(1.0, abs(g_min))
-        s_idx = int(np.argmax(g <= g_min + tol))
-        if s_idx in (0, n - 1):
-            raise GridTooSmallError(
-                f"order-up-to level for period {t} sits on the grid boundary "
-                f"({levels[s_idx]}); widen the grid")
-        big_s = levels[s_idx]
-        threshold = K + g[s_idx]
-        if K == 0.0:
-            # ordering is free: order whenever below the base stock
-            small_s = big_s
-        else:
-            above = np.nonzero(g[:s_idx] > threshold + tol)[0]
-            if above.size == 0:
-                raise GridTooSmallError(
-                    f"reorder point for period {t} lies below the grid lower "
-                    f"bound {levels[0]}; widen the grid")
-            small_s = levels[above[-1]]
-        ss.append(small_s)
-        SS.append(big_s)
-        costs.append(threshold)
-    return PolicyParameters(reorder_points=tuple(ss),
-                            order_up_to_levels=tuple(SS),
-                            costs=tuple(costs))
+    ss, SS, costs = zip(*(
+        _policy_row(t, g_tables[t - 1], instance.costs.fixed, levels)
+        for t in range(1, instance.horizon + 1)))
+    return PolicyParameters(reorder_points=ss, order_up_to_levels=SS,
+                            costs=costs)
 
 
 def extract_policy(solution: SdpSolution) -> PolicyParameters:
-    """Re-derive (s_t, S_t) from the stored G tables.
+    """Re-derive (s_t, S_t) from the G tables.
 
     S_t minimizes G_t on the grid; s_t is the largest grid level below S_t
     at which ordering is still strictly better, i.e. G_t(y) > K + G_t(S_t).

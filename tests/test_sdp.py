@@ -1,5 +1,7 @@
 import dataclasses
+import math
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle_support import dense_sdp_tables, stored_sdp_tables
-from sspolicy.domain import make_instance
+from sspolicy.domain import ValidationError, make_instance
 from sspolicy.sdp import (
     GridTooSmallError, InventoryGrid, SdpSolution, _extract_policy_arrays,
     _snap, check_k_convexity, default_grid, discretize_demand, extract_policy,
@@ -176,7 +178,8 @@ def test_full_grid_matches_dense_pass(horizon):
 
 
 class TestDerivedCTables:
-    """A solution keeps G alone; C is derived from it on each read."""
+    """A solution keeps no tables; G is derived on first read and C from
+    it on each read."""
 
     @settings(max_examples=60, deadline=None)
     @given(case=_sdp_cases())
@@ -197,9 +200,37 @@ class TestDerivedCTables:
         assert solution.expected_cost.hex() == float(c_ref[0][i0]).hex()
         assert solution.policy == _extract_policy_arrays(inst, grid, g_ref)
 
-    def test_not_stored(self, solved4):
-        assert "c_tables" not in {f.name for f in dataclasses.fields(SdpSolution)}
-        assert solved4.c_tables.shape == solved4.g_tables.shape
+    def test_not_stored(self, example4):
+        solution = solve_sdp(example4)
+        for f in dataclasses.fields(SdpSolution):
+            assert not isinstance(getattr(solution, f.name), np.ndarray), f.name
+        assert solution.c_tables.shape == solution.g_tables.shape
+
+
+class TestAnswerOnly:
+    """A solution keeps its answer, so it compares, hashes and pickles
+    as a small value."""
+
+    def test_solves_compare_and_hash_equal(self, example4):
+        first, second = solve_sdp(example4), solve_sdp(example4)
+        assert first == second
+        assert hash(first) == hash(second)
+
+    def test_25_period_pickle_is_small(self):
+        inst = build_instances(BenchmarkConfig(horizon=25))[8]
+        assert len(pickle.dumps(solve_sdp(inst))) < 64 * 1024
+
+    @pytest.mark.parametrize("i0", [0.0, 60.5])
+    def test_small_grid_names_lowest_period(self, i0):
+        """Periods 2 and 4 both order up to the grid's upper bound; the
+        error names period 2, and comes before the off-grid I_0's."""
+        inst = make_instance(horizon=4, K=100, h=1, b=10, c=0,
+                             means=[20, 40, 60, 40], cv=0.25,
+                             initial_inventory=i0)
+        grid = InventoryGrid(default_grid(inst).lower, 40.0, 1.0)
+        with pytest.raises(GridTooSmallError,
+                           match="order-up-to level for period 2 "):
+            solve_sdp(inst, grid=grid)
 
 
 class TestGridAndDemand:
@@ -215,6 +246,22 @@ class TestGridAndDemand:
         assert g.index_of(-4.5) == 1
         with pytest.raises(ValueError, match="not on the grid"):
             g.index_of(0.3)
+
+    @pytest.mark.parametrize("lower, upper", [
+        (-math.inf, 10.0), (0.0, math.inf), (math.nan, 10.0)])
+    def test_non_finite_bounds_rejected(self, lower, upper):
+        with pytest.raises(ValidationError, match="finite"):
+            InventoryGrid(lower, upper)
+
+    @pytest.mark.parametrize("y", [math.inf, -math.inf, math.nan])
+    def test_non_finite_level_not_on_grid(self, y):
+        with pytest.raises(ValueError, match="not on the grid"):
+            InventoryGrid(-5, 5, 0.5).index_of(y)
+
+    @pytest.mark.parametrize("std_dev", [-1.0, math.inf, math.nan])
+    def test_bad_demand_std_dev_rejected(self, std_dev):
+        with pytest.raises(ValidationError, match="std dev"):
+            discretize_demand(10.0, std_dev, 1.0, 0.9999)
 
     def test_demand_mass_renormalized(self):
         vals, mass = discretize_demand(60.0, 15.0, 1.0, 0.9999)
@@ -245,6 +292,18 @@ class TestCostToGo:
     def test_period_out_of_range(self, solved4):
         with pytest.raises(ValueError, match="horizon"):
             cost_to_go(solved4, 5, 14.0)
+
+    @pytest.mark.parametrize("read, period", [
+        (lambda sol, t: sol.g_minimum(t), 0),
+        (lambda sol, t: sol.g_minimum(t), -1),
+        (lambda sol, t: sol.reorder_cost(t), 99),
+        (lambda sol, t: cost_to_go(sol, t, 14.0), True),
+        (lambda sol, t: cost_to_go(sol, t, 14.0), 1.5),
+    ], ids=["g_minimum-0", "g_minimum-neg", "reorder_cost-99",
+            "cost_to_go-bool", "cost_to_go-float"])
+    def test_wrong_period_named(self, solved4, read, period):
+        with pytest.raises(ValueError, match=f"got {period!r}$"):
+            read(solved4, period)
 
     def test_extract_policy_matches_solution(self, solved4):
         pol = extract_policy(solved4)

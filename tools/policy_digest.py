@@ -1,4 +1,5 @@
-"""One sha256 over the bs and mp policies of a benchmark grid.
+"""One sha256 over the bs and mp policies of a benchmark grid, and one
+over its SDP oracle solutions.
 
     PYTHONPATH=src python3 tools/policy_digest.py --horizon 8
     PYTHONPATH=/path/to/other/src python3 tools/policy_digest.py \
@@ -8,8 +9,11 @@ For every `--every`-th instance of the grid (BenchmarkConfig(horizon,
 unit_cost) with its default heuristic config) it builds one cycle table,
 runs bs_policy and then mp_policy on it (`table=`), and hashes each
 policy's reorder points, order-up-to levels and linked costs in float hex,
-then the table's work() counters. It prints one JSON line: the digest, the
-instance count and the wall seconds.
+then the table's work() counters. It also solves each instance's SDP oracle
+and hashes its policy and expected cost in float hex, its demand atom
+counts and the sha256 of its G and C tables' bytes. It prints one JSON
+line: both digests (`sha256`, `oracle_sha256`), the instance count and the
+wall seconds.
 
 `sspolicy` is imported from PYTHONPATH, so the same script digests any
 checkout's sources; two trees whose policies are equal bit for bit give
@@ -47,6 +51,31 @@ def digest(instances, config) -> str:
     return sha.hexdigest()
 
 
+def oracle_lines(instance) -> list:
+    """The hashed text of one instance's SDP solution: its name, policy
+    and expected cost in float hex, demand atom counts, and the sha256 of
+    its G and C tables' bytes."""
+    from sspolicy.sdp import solve_sdp
+    solution = solve_sdp(instance)
+    policy = solution.policy
+    lines = [instance.name]
+    for values in (policy.reorder_points, policy.order_up_to_levels,
+                   policy.costs, (solution.expected_cost,)):
+        lines.append(" ".join(float(v).hex() for v in values))
+    lines.append(" ".join(map(str, solution.demand_atoms)))
+    for table in (solution.g_tables, solution.c_tables):
+        lines.append(hashlib.sha256(table.tobytes()).hexdigest())
+    return lines
+
+
+def oracle_digest(instances) -> str:
+    """sha256 of oracle_lines over `instances`."""
+    sha = hashlib.sha256()
+    for instance in instances:
+        sha.update(("\n".join(oracle_lines(instance)) + "\n").encode())
+    return sha.hexdigest()
+
+
 def main(argv=None) -> None:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--horizon", type=int, choices=(8, 25), required=True)
@@ -64,6 +93,7 @@ def main(argv=None) -> None:
     print(json.dumps({"horizon": args.horizon, "every": args.every,
                       "unit_cost": args.unit_cost, "instances": len(instances),
                       "sha256": sha,
+                      "oracle_sha256": oracle_digest(instances),
                       "seconds": round(time.perf_counter() - start, 3)}))
 
 
