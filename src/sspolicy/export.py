@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from .domain import running_sums
-from .model import INDICATOR, MilpModel
+from .model import INDICATOR, MilpModel, pair_row
 
 
 def _fmt(x: float) -> str:
@@ -96,10 +96,11 @@ class _LpWriter:
             key = (int(pw.holding[r]), int(pw.backorder[r]),
                    int(pw.inventory[r]), int(pw.period[r]))
             groups.setdefault(key, []).append(r)
+        segs = model.segments
         for (h, b, inv, period), rules in groups.items():
             label = pw.label[rules[0]]
-            pieces = [model.segments[(int(pw.start[r]), period)] for r in rules]
-            z_cols = range(len(self.names), len(self.names) + pieces[0].segment_count)
+            at = [pair_row(int(pw.start[r]), period) for r in rules]
+            z_cols = range(len(self.names), len(self.names) + segs.slopes.shape[1])
             self.names += [f"z_{label}_{period}_{i}" for i in range(len(z_cols))]
             self.add_row(f"z_assign_{label}_{period}",
                          [(z, 1.0) for z in z_cols], "==", 1.0)
@@ -107,17 +108,20 @@ class _LpWriter:
             for i, z in enumerate(z_cols):
                 terms = [(h, 1.0)]
                 worst = 0.0
-                for r, piece in zip(rules, pieces):
-                    slope = piece.slopes[i]
-                    icpt = float(piece.segment_intercepts[i]) + piece.error_bound
-                    const = slope * piece.mean + icpt
+                for r, row in zip(rules, at):
+                    slope, icpt = segs.slopes[row, i], segs.lines[row, i]
+                    mean = segs.means[row]
+                    const = slope * mean + icpt
                     terms.append((int(pw.selector[r]), -const))
                     for edge in (ilb, iub):
-                        y = edge + piece.mean
-                        gap = float(piece.upper(y)) - (slope * y + icpt)
+                        y = edge + mean
+                        # the row's upper bound at y, as PiecewiseLoss.upper
+                        upper = (np.maximum(y - segs.breakpoints[row], 0.0)
+                                 @ segs.steps + segs.errors[row])
+                        gap = float(upper) - (slope * y + icpt)
                         worst = max(worst, gap)
                 # single shared slope coefficient on the inventory variable
-                terms.append((inv, -pieces[0].slopes[i]))
+                terms.append((inv, -segs.slopes[at[0], i]))
                 big = worst + 1.0
                 terms.append((z, big))
                 self.add_row(f"pw_hi_{label}_{period}_{i}", terms, "<=", big)

@@ -23,10 +23,11 @@ CycleTable (`cycle_table`). It builds its own unless given one by `table=`.
 A caller that runs both heuristics on an instance passes them the same
 table, so the segments, cycle costs and per-suffix engines (free minima,
 envelopes) are built once; the answers are the same either way. A table
-of another instance or partition is rejected. Each policy logs one DEBUG
-record on the `sspolicy.heuristics` logger with the patterns solved,
-certified cost_at answers and root fallbacks it added to its table's
-engines.
+of another instance is rejected, and so is one whose segments were built
+from another partition (model.Segments.partition). Each policy logs one
+DEBUG record on the `sspolicy.heuristics` logger with the patterns
+solved, certified cost_at answers and root fallbacks it added to its
+table's engines.
 
 `segments` counts the linear pieces of each piecewise loss, so the
 underlying support partition has segments - 1 cells.
@@ -36,10 +37,9 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
-from .domain import (Instance, PolicyParameters, ValidationError, is_number,
-                     round_half_up, validate)
+from .domain import (Instance, PolicyParameters, ValidationError, is_integer,
+                     is_number, round_half_up, validate)
 from .model import build_segments
 from .solver import CycleTable, ExactBackend, check_joint_answers, joint_answer
 
@@ -57,7 +57,7 @@ class HeuristicConfig:
     bs_step_size: float | None = None  # None: resolved per suffix horizon
 
     def __post_init__(self):
-        if not isinstance(self.segments, Integral) or self.segments < 3:
+        if not is_integer(self.segments) or self.segments < 3:
             raise ValidationError(
                 f"need at least 3 linear segments (2 cells), got {self.segments!r}")
         if self.strategy not in STRATEGIES:
@@ -98,8 +98,7 @@ class HeuristicConfig:
 def cycle_table(instance: Instance, config: HeuristicConfig) -> CycleTable:
     """The instance's segments, built once and read by every suffix."""
     return CycleTable(instance, build_segments(
-        instance, segments=config.cells, strategy=config.strategy),
-        partition=(config.cells, config.strategy))
+        instance, segments=config.cells, strategy=config.strategy))
 
 
 def _table_for(instance: Instance, config: HeuristicConfig,
@@ -112,10 +111,10 @@ def _table_for(instance: Instance, config: HeuristicConfig,
             f"cycle table of instance {table.instance.name!r} does not match "
             f"instance {instance.name!r}")
     partition = (config.cells, config.strategy)
-    if table.partition != partition:
+    if table.segments.partition != partition:
         raise ValidationError(
-            f"cycle table partition {table.partition!r} (cells, strategy) does "
-            f"not match the config's {partition!r}")
+            f"cycle table partition {table.segments.partition!r} (cells, "
+            f"strategy) does not match the config's {partition!r}")
     return table
 
 

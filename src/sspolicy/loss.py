@@ -28,12 +28,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from numbers import Integral
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .data import bundled
+from .domain import is_integer
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 JENSEN_BLOCK = 1 << 22  # elements per row block of Partition.jensen_values
@@ -112,6 +112,16 @@ class Partition:
     @property
     def size(self) -> int:
         return len(self.probabilities)
+
+    @cached_property
+    def slopes(self) -> np.ndarray:
+        """Segment slopes, read-only: 0, then the cumulative cell
+        probabilities, the last exactly 1."""
+        out = np.concatenate(([0.0], np.cumsum(self.probabilities)))
+        # guard against cumulative rounding: the final slope must be exactly 1
+        out[-1] = 1.0
+        out.flags.writeable = False
+        return out
 
     def jensen_values(self, x):
         """Jensen lower bound of the standard complementary loss at x.
@@ -209,7 +219,7 @@ def make_partition(segments: int, strategy: str = "equal-probability") -> Partit
     minimax: boundaries minimizing e_W, from the bundled table, or from
     search_minimax_boundaries for a cell count the table lacks.
     """
-    if not isinstance(segments, Integral) or isinstance(segments, bool) or segments < 2:
+    if not is_integer(segments) or segments < 2:
         raise ValueError(f"need an integer of at least 2 segments, got {segments!r}")
     if strategy == "equal-probability":
         boundaries = ndtri(np.arange(1, segments) / segments)
@@ -246,18 +256,6 @@ class PiecewiseLoss:
     mean: float
     std_dev: float
 
-    @property
-    def segment_count(self) -> int:
-        return len(self.slopes)
-
-    @cached_property
-    def segment_intercepts(self) -> np.ndarray:
-        """Intercepts c_i with lower(x) = max_i(slopes[i] * x + c_i),
-        computed once per piece and read-only."""
-        out = segment_intercepts(np.asarray(self.slopes), np.asarray(self.breakpoints))
-        out.flags.writeable = False
-        return out
-
     @cached_property
     def hinges(self) -> tuple:
         """(breakpoints, np.diff(slopes)) as arrays, built once per piece
@@ -286,13 +284,6 @@ class PiecewiseLoss:
         return self.penalty_lower(x) + self.error_bound
 
 
-def segment_intercepts(slopes: np.ndarray, breakpoints: np.ndarray) -> np.ndarray:
-    """PiecewiseLoss.segment_intercepts of the pieces along the leading
-    axes, their slopes and breakpoints along the last."""
-    steps = -np.cumsum(np.diff(slopes) * breakpoints, axis=-1)
-    return np.concatenate((np.zeros(steps.shape[:-1] + (1,)), steps), axis=-1)
-
-
 def piecewise_loss(partition: Partition, mean: float, std_dev: float,
                    error: float | None = None) -> PiecewiseLoss:
     """Segment data for w ~ Normal(mean, std_dev) from a standard partition.
@@ -306,32 +297,13 @@ def piecewise_loss(partition: Partition, mean: float, std_dev: float,
     breakpoint sits at `mean`, so the segment count, and with it the shape
     of the model rows, stays that of the partition.
     """
-    return piecewise_losses(partition, (mean,), (std_dev,), error)[0]
-
-
-def piecewise_losses(partition: Partition, means, std_devs,
-                     error: float | None = None) -> list:
-    """piecewise_loss of each (mean, std_dev) pair, all breakpoints in one
-    broadcast. The pieces share one slopes tuple and keep the given mean
-    and std_dev objects as fields."""
-    sds = np.asarray(std_devs, dtype=float)
-    if np.any(sds < 0):
-        raise ValueError(f"negative std_dev {sds.min()}")
-    p = np.asarray(partition.probabilities)
-    slopes = tuple(np.concatenate(([0.0], np.cumsum(p))))
-    # guard against cumulative rounding: the final slope must be exactly 1
-    slopes = slopes[:-1] + (1.0,)
-    steps = np.diff(np.asarray(slopes))
-    breakpoints = (np.asarray(means, dtype=float)[:, None]
-                   + sds[:, None] * np.asarray(partition.conditional_means))
-    below = np.maximum(-breakpoints, 0.0)
-    e_std = approximation_error(partition) if error is None else error
-    out = []
-    for mean, std_dev, row, neg in zip(means, std_devs, breakpoints, below):
-        scaled = std_dev * e_std
-        # one dot per piece: a matrix-vector product may sum in another order
-        anchor = float(neg @ steps) + scaled
-        out.append(PiecewiseLoss(slopes=slopes, breakpoints=tuple(row),
-                                 anchor_value=anchor, error_bound=scaled,
-                                 mean=mean, std_dev=std_dev))
-    return out
+    if std_dev < 0:
+        raise ValueError(f"negative std_dev {float(std_dev)}")
+    slopes = partition.slopes
+    breakpoints = mean + std_dev * np.asarray(partition.conditional_means)
+    scaled = std_dev * (approximation_error(partition) if error is None else error)
+    anchor = float(np.maximum(-breakpoints, 0.0) @ np.diff(slopes)) + scaled
+    return PiecewiseLoss(slopes=tuple(slopes.tolist()),
+                         breakpoints=tuple(breakpoints.tolist()),
+                         anchor_value=anchor, error_bound=scaled,
+                         mean=mean, std_dev=std_dev)

@@ -13,10 +13,12 @@ Three related models are built over a T-period instance:
     expressions and the ordering I0_s <= I0_S, which pins the reorder point
     and order-up-to level simultaneously.
 
-Loss terms appear only through piecewise segment data: each period/cycle
-pair (j, t) carries the convolved demand's PiecewiseLoss; the expected
-overage H_t equals the upper-shifted piecewise function of the pre-demand
-level, and the expected backorder satisfies B_t = H_t - I_t identically.
+Loss terms appear only through piecewise segment data, one Segments
+record per instance (build_segments): one row per period/cycle pair
+(j, t), the convolved demand's breakpoints, mean and error bound, and the
+model-row arrays every builder slices; the expected overage H_t equals
+the upper-shifted piecewise function of the pre-demand level, and the
+expected backorder satisfies B_t = H_t - I_t identically.
 
 Cycle bookkeeping uses binaries delta_t (an order is placed in t) and P_jt
 (the cycle covering t started in j). Period 1 always starts a cycle: the
@@ -76,8 +78,7 @@ from scipy import sparse
 from .domain import (CostParameters, Instance, NormalDemand, running_sums,
                      validate)
 # piecewise_loss stays importable here: bench/tracing.py patches this name
-from .loss import (cached_partition, piecewise_loss,  # noqa: F401
-                   piecewise_losses, segment_intercepts)
+from .loss import cached_partition, piecewise_loss  # noqa: F401
 
 ROW, CUT, INDICATOR = 0, 1, 2  # row kinds, in the order the LP file lists them
 # sections of an instance's values, in _stack_values' order; an emitter
@@ -171,7 +172,7 @@ class MilpModel:
     instance: Instance
     big_m: float
     submodels: tuple
-    segments: Mapping          # (j, t) -> PiecewiseLoss
+    segments: Segments         # the instance's segment data
     names: Sequence            # column names, in insertion order
     index: Mapping             # column name -> column
     lb: np.ndarray
@@ -280,24 +281,65 @@ def convolved_demand(instance: Instance) -> tuple:
     return means, np.sqrt(variances)
 
 
-def cumulative_demand(instance: Instance, j: int, t: int) -> tuple[float, float]:
-    """Mean and std dev of demand convolved over periods j..t (1-based)."""
-    means, sds = convolved_demand(instance)
-    return float(means[j - 1, t - 1]), float(sds[j - 1, t - 1])
+def pair_row(j, t):
+    """The Segments row of cycle pair (j, t): t(t - 1)/2 + j - 1."""
+    return t * (t - 1) // 2 + j - 1
+
+
+@dataclass(frozen=True, eq=False)
+class Segments:
+    """Piecewise segment data of every cycle pair (j, t), j <= t, of one
+    instance: one row per pair, in the order of period t, then start j
+    (pair_row). Row r is the convolved demand's loss.piecewise_loss:
+    lower(y) = max(y - breakpoints[r], 0) @ steps, and upper(y) adds
+    errors[r]. The model-row arrays (`model_rows`) are what the builders
+    read: slopes, rule-line intercepts (error bound included), demand
+    shifts and cut coefficients slope * mean + intercept + e. Every array
+    is read-only; `partition` is the (cells, strategy) the rows were built
+    from."""
+    partition: tuple
+    breakpoints: np.ndarray  # (pairs, cells)
+    means: np.ndarray        # (pairs,)
+    errors: np.ndarray       # (pairs,)
+    steps: np.ndarray        # (cells,): the slopes' steps, shared by all rows
+    slopes: np.ndarray       # (pairs, cells + 1), every row the partition's
+    lines: np.ndarray        # (pairs, cells + 1)
+    cuts: np.ndarray         # (pairs, cells + 1)
+
+    @property
+    def model_rows(self) -> tuple:
+        return self.slopes, self.lines, self.means, self.cuts
+
+    def check(self, horizon: int) -> None:
+        """ValueError unless the rows are a `horizon`-period instance's."""
+        pairs = horizon * (horizon + 1) // 2
+        if len(self.means) != pairs:
+            raise ValueError(f"segments hold {len(self.means)} cycle pairs; "
+                             f"a {horizon}-period instance has {pairs}")
 
 
 def build_segments(instance: Instance, segments: int = 11,
-                   strategy: str = "equal-probability") -> dict:
-    """PiecewiseLoss per (j, t) pair, j <= t, for the convolved demands,
-    all built in one array pass (loss.piecewise_losses)."""
+                   strategy: str = "equal-probability") -> Segments:
+    """The Segments of every (j, t) pair for the convolved demands, in one
+    array pass over a partition of `segments` cells."""
     validate(instance)
     partition, err = cached_partition(segments, strategy)
-    T = instance.horizon
-    keys = [(j, t) for t in range(1, T + 1) for j in range(1, t + 1)]
-    by_end = np.tri(T, dtype=bool)  # row t - 1, column j - 1: keys' order
-    means, sds = convolved_demand(instance)
-    return dict(zip(keys, piecewise_losses(
-        partition, means.T[by_end].tolist(), sds.T[by_end].tolist(), error=err)))
+    by_end = np.tri(instance.horizon, dtype=bool)  # row t - 1, column j - 1
+    means, sds = (a.T[by_end] for a in convolved_demand(instance))
+    slopes = np.tile(partition.slopes, (len(means), 1))
+    steps = np.diff(partition.slopes)
+    breakpoints = means[:, None] + sds[:, None] * np.asarray(partition.conditional_means)
+    errors = sds * err
+    # intercepts c_i with lower(y) = max_i(slopes[i] * y + c_i)
+    icpt = np.concatenate((np.zeros((len(means), 1)),
+                           -np.cumsum(np.diff(slopes) * breakpoints, axis=-1)), axis=-1)
+    out = Segments((int(segments), strategy), breakpoints, means, errors, steps,
+                   slopes, icpt + errors[:, None],
+                   slopes * means[:, None] + icpt + errors[:, None])
+    for a in vars(out).values():
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return out
 
 
 def default_big_m(instance: Instance, fixed_i0: float | None = None) -> float:
@@ -319,34 +361,13 @@ def level_bounds(instance: Instance, big_m: float) -> tuple[float, float]:
     return lower, big_m + 10.0
 
 
-def piece_arrays(instance: Instance, segments: Mapping) -> tuple:
-    """Segment data of every cycle pair (j, t), one row per pair, in the
-    order of period t, then start j (pair (j, t) at row t(t - 1)/2 + j -
-    1): slopes, rule-line intercepts (error bound included), demand shifts
-    and cut coefficients slope * mu + intercept + e. Every piece must have
-    the same segment count."""
-    pieces = []
-    for t in range(1, instance.horizon + 1):
-        for j in range(1, t + 1):
-            if (j, t) not in segments:
-                raise ValueError(f"segments missing for cycle pair (j={j}, t={t})")
-            pieces.append(segments[(j, t)])
-            if pieces[-1].segment_count != pieces[0].segment_count:
-                raise ValueError(f"segment count mismatch at (j={j}, t={t})")
-    slopes = np.array([pw.slopes for pw in pieces])
-    icpt = segment_intercepts(slopes, np.array([pw.breakpoints for pw in pieces]))
-    means = np.array([pw.mean for pw in pieces])
-    errs = np.array([pw.error_bound for pw in pieces])[:, None]
-    return slopes, icpt + errs, means, slopes * means[:, None] + icpt + errs
-
-
 def _add_submodel(em: _Emitter, instance: Instance, big_m: float, label: str,
                   pieces: tuple, first_order: bool,
                   fixed_i0: float | None, objective_from: int) -> tuple:
     """Emit columns, rows, piecewise rules and cuts for one submodel.
 
-    pieces: the instance's piece_arrays, of which period t reads rows
-    t(t - 1)/2 to t(t + 1)/2 - 1, its pairs (1..t, t). objective_from:
+    pieces: the instance's Segments.model_rows, of which period t reads
+    rows t(t - 1)/2 to t(t + 1)/2 - 1, its pairs (1..t, t). objective_from:
     first local period whose K/h/b terms enter the model objective (2 for
     the joint model's no-order side). Returns the submodel's full cost
     terms, every period's included, and its level columns I0, I_1..I_T.
@@ -445,35 +466,37 @@ def _emit_pieces(em: _Emitter, label: str, t: int, pieces: tuple,
         em.add_row(name, row_cols, row_vals, ">=", 0.0, CUT)
 
 
-def build_minlp_s(instance: Instance, segments: Mapping,
+def build_minlp_s(instance: Instance, segments: Segments,
                   initial_inventory: float | None = None) -> MilpModel:
     """No-order-in-period-1 model; free initial level unless fixed."""
     validate(instance)
+    segments.check(instance.horizon)
     big_m = default_big_m(instance, initial_inventory)
     em = _Emitter()
-    _add_submodel(em, instance, big_m, "s", piece_arrays(instance, segments),
+    _add_submodel(em, instance, big_m, "s", segments.model_rows,
                   first_order=False, fixed_i0=initial_inventory, objective_from=1)
     return em.model("s", instance, big_m, ("s",), segments)
 
 
-def build_minlp_S(instance: Instance, segments: Mapping) -> MilpModel:
+def build_minlp_S(instance: Instance, segments: Segments) -> MilpModel:
     """Forced-order-in-period-1 model; the free initial level doubles as the
     period-1 order-up-to level via the pin row I0_S = I_S_1 + mean_1."""
     validate(instance)
+    segments.check(instance.horizon)
     big_m = default_big_m(instance)
     em = _Emitter()
-    _, I = _add_submodel(em, instance, big_m, "S", piece_arrays(instance, segments),
+    _, I = _add_submodel(em, instance, big_m, "S", segments.model_rows,
                          first_order=True, fixed_i0=None, objective_from=1)
     em.add_row("pin_I0_S", I[:2], [1.0, -1.0], "==", instance.means[0])
     return em.model("S", instance, big_m, ("S",), segments)
 
 
-def _emit_joint(instance: Instance, pieces: tuple, segments) -> MilpModel:
+def _emit_joint(instance: Instance, segments: Segments) -> MilpModel:
     """The joint model, row by row: both submodels, the cost-equality link
     and the ordering I0_s <= I0_S (_add_joint). build_joint fills a copy
     of it, emitted as a one-block JointStack."""
     em = _Emitter()
-    big_m = _add_joint(em, instance, pieces)
+    big_m = _add_joint(em, instance, segments.model_rows)
     return em.model("joint", instance, big_m, ("S", "s"), segments)
 
 
@@ -507,13 +530,12 @@ def _add_joint(em: _Emitter, instance: Instance, pieces: tuple) -> float:
     return big_m
 
 
-def _stack_values(instance: Instance, pieces: tuple, count: int) -> list:
+def _stack_values(instance: Instance, segments: Segments, count: int) -> list:
     """What the joint models of suffixes 1..count of an instance take from
     it, one list or array per section, in the order of the section codes:
     the cost coefficients, the means, every suffix's unit-cost total and
-    the cut data of every piece, from `pieces`, the instance's
-    piece_arrays."""
-    slopes, _, _, const = pieces
+    the cut data of every row of its Segments."""
+    slopes, const = segments.slopes, segments.cuts
     costs = instance.costs
     # Python scalars negated as the emitter negates them, zeros' signs too
     coefs = [costs.fixed, costs.holding, costs.penalty, -costs.unit, costs.unit]
@@ -537,8 +559,8 @@ class JointStack:
     keeps its source, composed with its block's suffix into an entry of
     the concatenated sections of _stack_values. Every array is read-only.
 
-    A fill reads the instance's piece_arrays, the layout of the zero
-    pieces its blocks are emitted from. build_joint is the one-block
+    A fill reads the instance's Segments, whose model rows have the layout
+    of the zero pieces its blocks are emitted from. build_joint is the one-block
     stack; mp_policy fills the stack of all T suffixes once per instance
     and checks all their answers with one verify_assignment pass
     (JointStack.verify)."""
@@ -555,7 +577,7 @@ class JointStack:
     data_slots: np.ndarray    # matrix data entries likewise ...
     data_sources: np.ndarray  # ... and theirs
     objective_sources: np.ndarray  # every objective coefficient's source
-    rule_pieces: np.ndarray   # every rule's piece: its row of the pieces
+    rule_pieces: np.ndarray   # every rule's row of the Segments
 
     @staticmethod
     @functools.cache
@@ -575,9 +597,9 @@ class JointStack:
                 index = MappingProxyType(dict(em.index))
             columns.append(MappingProxyType(dict(em.columns)))
             linked.append((em.index["C_S"], em.index["G_s"]))
-            # local pair (j, t) is the instance's (j + b, t + b), the piece
-            # at (t + b)(t + b - 1)/2 + j + b - 1; both sides read it
-            rule_pieces += [(t + b) * (t + b - 1) // 2 + j + b - 1
+            # local pair (j, t) is the instance's (j + b, t + b); both
+            # sides read its row
+            rule_pieces += [pair_row(j + b, t + b)
                             for t in range(1, n + 1) for j in range(1, t + 1)] * 2
         model = em.model("joint", None, 0.0, ("S", "s"), None)
         model = dataclasses.replace(model, names=tuple(model.names), index=index,
@@ -619,17 +641,18 @@ class JointStack:
                 arr.flags.writeable = False
         return stack
 
-    def fill(self, instance: Instance, pieces: tuple, segments,
+    def fill(self, instance: Instance, segments: Segments,
              bounds: Sequence) -> MilpModel:
-        """The stack of `instance`'s suffixes, from its piece_arrays
-        `pieces`, with block b's levels bounded by bounds[b], a (lower,
-        upper) pair: one gather each for the right-hand sides, the matrix
-        data, the objective and the rules' piece data, one scatter of the
-        level bounds. The structural arrays and their checks are shared.
-        Its objective is the sum of the blocks' objectives, and its
-        instance, big_m and segments are block 0's."""
+        """The stack of `instance`'s suffixes, from its Segments, with
+        block b's levels bounded by bounds[b], a (lower, upper) pair: one
+        gather each for the right-hand sides, the matrix data, the
+        objective and the rules' piece data, one scatter of the level
+        bounds. The structural arrays and their checks are shared. Its
+        objective is the sum of the blocks' objectives, and its instance,
+        big_m and segments are block 0's."""
+        segments.check(instance.horizon)
         model = self.model
-        sections = _stack_values(instance, pieces, len(self.columns))
+        sections = _stack_values(instance, segments, len(self.columns))
         values = np.concatenate(sections)
         lo, hi = np.array(bounds, dtype=float).T
         lb, ub = model.lb.copy(), model.ub.copy()
@@ -641,10 +664,10 @@ class JointStack:
         data[self.data_slots] = values[self.data_sources]
         rows = dataclasses.replace(model.rows, rhs=rhs, matrix=sparse.csr_array(
             (data, matrix.indices, matrix.indptr), shape=matrix.shape))
-        slopes, lines, shift, _ = pieces
         at = self.rule_pieces
-        rules = dataclasses.replace(model.piecewise, slopes=slopes[at],
-                                    intercepts=lines[at], shift=shift[at])
+        rules = dataclasses.replace(
+            model.piecewise, slopes=segments.slopes[at],
+            intercepts=segments.lines[at], shift=segments.means[at])
         constant = 0.0
         if instance.costs.unit:
             constant = math.fsum(total + total for total in sections[_UNIT_TOTAL])
@@ -664,17 +687,16 @@ class JointStack:
                  amount) for name, amount, axis, at in _violations(model, x, tol)]
 
 
-def build_joint(instance: Instance, segments: Mapping) -> MilpModel:
+def build_joint(instance: Instance, segments: Segments) -> MilpModel:
     """Both submodels, the cost-equality link and the ordering I0_s <= I0_S,
-    filled from piece_arrays(instance, segments) as the one-block
-    JointStack of the instance's key (see the module docstring); equal,
-    array for array, to what _emit_joint emits from the same arrays."""
+    filled from the Segments as the one-block JointStack of the instance's
+    key (see the module docstring); equal, array for array, to what
+    _emit_joint emits from the same model rows."""
     validate(instance)
-    pieces = piece_arrays(instance, segments)
-    stack = JointStack.of(instance.horizon, pieces[0].shape[1],
+    stack = JointStack.of(instance.horizon, segments.slopes.shape[1],
                           bool(instance.costs.unit), 1)
     bounds = level_bounds(instance, default_big_m(instance))
-    return stack.fill(instance, pieces, segments, [bounds])
+    return stack.fill(instance, segments, [bounds])
 
 
 def verify_assignment(model: MilpModel, assignment, tol: float = 1e-6) -> list:

@@ -20,12 +20,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Integral
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .domain import Instance, PolicyParameters, ValidationError, validate
+from .domain import (Instance, PolicyParameters, ValidationError, is_integer,
+                     validate)
 
 
 class GridTooSmallError(RuntimeError):
@@ -152,8 +152,7 @@ class SdpSolution:
 
 
 def _check_period(t, horizon: int) -> None:
-    is_int = isinstance(t, Integral) and not isinstance(t, bool)
-    if not (is_int and 1 <= t <= horizon):
+    if not (is_integer(t) and 1 <= t <= horizon):
         raise ValueError(
             f"period must be an int in the horizon 1..{horizon}, got {t!r}")
 

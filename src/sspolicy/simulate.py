@@ -45,12 +45,12 @@ import multiprocessing
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 from scipy.special import ndtri
 
-from .domain import Instance, PolicyParameters, ValidationError, validate
+from .domain import (Instance, PolicyParameters, ValidationError, is_integer,
+                     validate)
 
 _U64_11 = np.uint64(11)
 _INV_2_53 = 2.0 ** -53
@@ -79,10 +79,6 @@ class GapEstimate:
     oracle_cost: float
 
 
-def _is_count(value) -> bool:
-    return isinstance(value, Integral) and not isinstance(value, bool)
-
-
 def simulate_policy(instance: Instance, policy: PolicyParameters,
                     replications: int, seed: int,
                     chunk_size: int = 8192) -> SimulationResult:
@@ -96,16 +92,16 @@ def simulate_policies(instance: Instance, policies, replications: int,
     """simulate_policy of every policy, in order, from one draw of each
     demand block."""
     validate(instance)
-    if not _is_count(replications):
+    if not is_integer(replications):
         raise ValidationError(
             f"replications must be an integer, got {replications!r}")
     if replications < 1:
         raise ValidationError(
             f"need at least one replication, got {replications}")
-    if not _is_count(seed) or seed < 0:
+    if not is_integer(seed) or seed < 0:
         raise ValidationError(
             f"seed must be a non-negative integer, got {seed!r}")
-    if not _is_count(chunk_size):
+    if not is_integer(chunk_size):
         raise ValueError(f"chunk_size must be an integer, got {chunk_size!r}")
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")

@@ -72,12 +72,13 @@ instance's model.JointStack, whose diagonal blocks are the suffixes' joint
 models, and verifies it with one pass; a violation names its suffix and
 row.
 
-Cycle data lives in a CycleTable, one per instance: its (j, t) segments
+Cycle data lives in a CycleTable, one per instance: its model.Segments
 and, built on first use, one record per cycle (j, e) and `first` flag: its
 priced convex cost, mean demand and demand shifts. The cycles of one start
-j come from one array pass: the kinks and deltas of pieces (j, j..T) are
-concatenated once, and cycle (j, e) is a ConvexPWL over a read-only prefix
-of them, bit-equal to adding the pieces one at a time with ConvexPWL.plus.
+j come from one array pass: the breakpoints of rows (j, j..T) are
+flattened once into kinks, the slope steps tiled into deltas, and cycle
+(j, e) is a ConvexPWL over a read-only prefix of them, bit-equal to adding
+the pieces one at a time with ConvexPWL.plus.
 Each cost sorts its kinks once, on first use, and memoizes its free
 minimizer and the minimum there; the unit cost's terms are added with
 ConvexPWL.plus_affine, which hands the sort on, so both `first` records of
@@ -115,13 +116,13 @@ import math
 import time
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
 
-from .model import (JointStack, MilpModel, default_big_m, level_bounds,
-                    piece_arrays, verify_assignment)
+from .model import (JointStack, MilpModel, Segments, default_big_m,
+                    level_bounds, pair_row, verify_assignment)
 
 ROOT_TOLERANCE = 1e-4  # bracket width of the fallback root bisection
 ROOT_MATCH = 1e-7      # |g - target| that accepts a reorder root
@@ -271,23 +272,15 @@ class ConvexPWL:
         return min(max(right + (level - f_right) / slope, left), right)
 
 
-@lru_cache(maxsize=64)
-def _steps(slopes: tuple) -> np.ndarray:
-    """np.diff of a piece's slopes; the pieces of one partition share it."""
-    out = np.diff(slopes)
-    out.flags.writeable = False
-    return out
-
-
 class CycleTable:
     """Segment data and cycle costs of one instance, keyed by the instance's
-    own (1-based) periods; see the module docstring. The segments stay a
-    (j, t) mapping: a model or stack reads them as model.piece_arrays."""
+    own (1-based) periods; see the module docstring. The cycles slice the
+    Segments' rows, and a model or stack reads its model rows."""
 
-    def __init__(self, instance, segments: Mapping, partition=None):
+    def __init__(self, instance, segments: Segments):
+        segments.check(instance.horizon)
         self.instance = instance
-        self.segments = segments  # (j, t) -> PiecewiseLoss
-        self.partition = partition  # (cells, strategy) the segments used
+        self.segments = segments
         self._cycles: dict = {}  # (j, e, first) -> cycle record
         self._engines: dict = {}  # suffix k -> its no-order engine
 
@@ -309,26 +302,29 @@ class CycleTable:
         """Every cycle (j, e), both `first` records, in one array pass.
 
         Cycle (j, e) sums pieces (j, j..e): its kinks and deltas are a
-        prefix of the pieces' concatenation, and its slope and constant
-        are running sums from 0.0, so the result is bit-equal to adding the
-        pieces one at a time with ConvexPWL.plus. Each cycle sorts its own
-        kinks on first use; the unit cost's terms are plus_affine, which
-        hands that sort on.
+        prefix of those rows' breakpoints and steps, and its slope and
+        constant are running sums from 0.0, so the result is bit-equal to
+        adding the pieces one at a time with ConvexPWL.plus. Each cycle
+        sorts its own kinks on first use; the unit cost's terms are
+        plus_affine, which hands that sort on.
         """
         T = self.instance.horizon
         costs = self.instance.costs
         b, c = costs.penalty, costs.unit
         hb = costs.holding + b
-        pieces = [self.segments[(j, t)] for t in range(j, T + 1)]
-        ends = accumulate(len(pw.breakpoints) for pw in pieces)
-        kinks = np.concatenate([pw.breakpoints for pw in pieces])
-        deltas = np.concatenate([_steps(pw.slopes) for pw in pieces]) * hb
+        segs = self.segments
+        rows = pair_row(j, np.arange(j, T + 1))
+        count, cells = len(rows), len(segs.steps)
+        kinks = segs.breakpoints[rows].ravel()
+        deltas = np.tile(segs.steps, count) * hb
         kinks.flags.writeable = deltas.flags.writeable = False
+        shifts = segs.means[rows].tolist()
         # b * B_t = b * (H_t - I_t) = b * (H_t - y + shift)
-        slopes = list(accumulate([0.0 - b] * len(pieces), initial=0.0))[1:]
-        consts = list(accumulate([hb * pw.error_bound + b * pw.mean
-                                  for pw in pieces], initial=0.0))[1:]
-        shifts = [pw.mean for pw in pieces]
+        slopes = list(accumulate([0.0 - b] * count, initial=0.0))[1:]
+        consts = list(accumulate([hb * e + b * mean for e, mean in
+                                  zip(segs.errors[rows].tolist(), shifts)],
+                                 initial=0.0))[1:]
+        ends = range(cells, cells * count + 1, cells)
         demand = list(zip(shifts, accumulate(shifts, max), accumulate(shifts, min)))
         cycles = [ConvexPWL(slope, const, kinks[:n], deltas[:n])
                   for slope, const, n in zip(slopes, consts, ends)]
@@ -930,16 +926,14 @@ def _put_joint(x: np.ndarray, pw, columns: Sequence, linked: np.ndarray,
 def check_joint_answers(table: CycleTable, answers: list) -> None:
     """Check the joint answers of suffixes 1..m of a table's instance at
     once: answers[k - 1] is joint_answer of table.engine(k). Fills the
-    instance's JointStack of m blocks from the piece_arrays of the table's
-    segments, each block's levels bounded as its engine's, writes every
-    answer into one column vector and verifies it; a violation names its
-    suffix and row."""
-    instance = table.instance
-    pieces = piece_arrays(instance, table.segments)
-    stack = JointStack.of(instance.horizon, pieces[0].shape[1],
+    instance's JointStack of m blocks from the table's segments, each
+    block's levels bounded as its engine's, writes every answer into one
+    column vector and verifies it; a violation names its suffix and row."""
+    instance, segments = table.instance, table.segments
+    stack = JointStack.of(instance.horizon, segments.slopes.shape[1],
                           bool(instance.costs.unit), len(answers))
     engines = map(table.engine, range(1, len(answers) + 1))
-    model = stack.fill(instance, pieces, table.segments,
+    model = stack.fill(instance, segments,
                        [(e.inv_lo, e.inv_hi) for e in engines])
     x = np.zeros(len(model.names))
     _put_joint(x, model.piecewise, stack.columns, stack.linked, answers)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import re
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -201,6 +202,10 @@ def instance_id(pattern: str, K: float, b: float, cv: float, horizon: int) -> st
     return f"h{horizon}-{pattern}-K{K:g}-b{b:g}-cv{cv:g}"
 
 
+# instance_id's fields by name; a value may hold "-", as "1e-05" does
+INSTANCE_ID = re.compile(r"h\d+-(?P<pattern>[^-]+)-K(?P<K>.+)-b(?P<b>.+)-cv(?P<cv>.+)")
+
+
 def instance_seed(master_seed: int, iid: str) -> int:
     return (master_seed * 1000003 + zlib.crc32(iid.encode())) % (2 ** 62)
 
@@ -238,9 +243,13 @@ class InstanceResult:
     replications: int = 0
     seed: int = 0
 
+    def field(self, name: str) -> str:
+        """One field of the instance id: pattern, K, b or cv."""
+        return INSTANCE_ID.fullmatch(self.instance_id)[name]
+
     @property
     def pattern(self) -> str:
-        return self.instance_id.split("-")[1]
+        return self.field("pattern")
 
 
 def run_instance(config: BenchmarkConfig, instance: Instance) -> list:
@@ -323,10 +332,9 @@ class BenchmarkReport:
             by_pattern = self.grouped_means(method, lambda r: r.pattern)
             for pat, mean in by_pattern.items():
                 rows.append(("pattern", pat, method, mean))
-            for label, pick in (("K", 2), ("b", 3), ("cv", 4)):
+            for label in ("K", "b", "cv"):
                 grouped = self.grouped_means(
-                    method, lambda r, pick=pick:
-                    float(r.instance_id.split("-")[pick].lstrip("Kbcv")))
+                    method, lambda r, label=label: float(r.field(label)))
                 for val, mean in grouped.items():
                     rows.append((label, f"{val:g}", method, mean))
             gaps = self.ok_gaps(method)

@@ -29,10 +29,14 @@ over all points and cells, without Partition.jensen_values' row blocks.
 
 reference_segments is build_segments done piece by piece: each (j, t)
 pair's convolved mean and variance summed in a Python loop and its own
-scalar piecewise-loss formula. reference_cycle and reference_priced are
-CycleTable.cycle's fields done the direct way: the cycle's pieces added
-one at a time with ConvexPWL.plus, and the priced cost's argmin and
-minimum from that fresh object's own sort.
+scalar piecewise-loss formula, one PiecewiseLoss per pair.
+reference_pieces gives those pieces for the partition a Segments record
+was built from, without reading the record's arrays, and reference_rows
+one piece's model-row data by the scalar intercept formula. The other
+references read segment data only through these pieces. reference_cycle
+and reference_priced are CycleTable.cycle's fields done the direct way:
+the cycle's pieces added one at a time with ConvexPWL.plus, and the
+priced cost's argmin and minimum from that fresh object's own sort.
 
 reference_relaxation is _SubmodelEngine.relaxation by the recursive
 definitions it replaced: each relaxation row built on demand through the
@@ -74,7 +78,7 @@ from scipy.special import ndtri
 from sspolicy.domain import PolicyParameters, validate
 from sspolicy.heuristics import HeuristicConfig, _table_for
 from sspolicy.loss import PiecewiseLoss, cached_partition
-from sspolicy.model import INDICATOR, build_joint, build_segments
+from sspolicy.model import INDICATOR, build_joint, build_segments, pair_row
 from sspolicy.sdp import discretize_demand
 from sspolicy.simulate import SimulationResult
 from sspolicy.solver import (ConvexPWL, SolverError, _Cycle, _engine_for,
@@ -109,6 +113,7 @@ def brute_force_submodel(instance, segments, first_order: bool,
     first_order fixes delta_1; fixed_i0 pins the first cycle's level when
     period 1 has no order.
     """
+    segments = reference_pieces(instance, segments)
     T = instance.horizon
     costs = instance.costs
     K, c = costs.fixed, costs.unit
@@ -405,16 +410,17 @@ def reference_solution(model):
     if label != "joint":
         if label == "S":
             best = _forced(engine, best)
-        out = reference_assignment(model.segments, label, *best[1:])
+        out = reference_assignment(
+            reference_pieces(model.instance, model.segments), label, *best[1:])
         if pinned is not None:
             out["I0_s"] = pinned
         return out
     cost_S, deltas_S, y_S, cycles_S = _forced(engine, best)
     root, (cost_s, deltas_s, y_s, cycles_s) = engine.reorder_root(
         cost_S, float(y_S[0]))
-    out = reference_assignment(model.segments, "S", deltas_S, y_S, cycles_S)
-    out.update(reference_assignment(model.segments, "s", deltas_s, y_s,
-                                    cycles_s))
+    pieces = reference_pieces(model.instance, model.segments)
+    out = reference_assignment(pieces, "S", deltas_S, y_S, cycles_S)
+    out.update(reference_assignment(pieces, "s", deltas_s, y_s, cycles_s))
     out["I0_s"] = float(root)
     out["C_S"] = float(cost_S)
     out["G_s"] = float(cost_s)
@@ -734,6 +740,37 @@ def reference_segments(instance, segments, strategy):
             out[(j, t)] = reference_piecewise_loss(
                 partition, mean, math.sqrt(variance), err)
     return out
+
+
+def reference_pieces(instance, segments):
+    """reference_segments of the instance for the (cells, strategy) that
+    the Segments record `segments` was built from: (j, t) -> PiecewiseLoss
+    by the scalar formulas, none read from the record's rows."""
+    return reference_segments(instance, *segments.partition)
+
+
+def reference_rows(piece):
+    """(slopes, lines, cut coefficients) of one PiecewiseLoss, a model
+    row of its Segments, by the scalar formulas: intercept c_i =
+    -sum_{k < i} (slope_{k+1} - slope_k) * breakpoint_k added left to
+    right, the line c_i + e and the cut slope_i * mean + c_i + e."""
+    slopes = np.array(piece.slopes)
+    icpt = [0.0] + [-v for v in itertools.accumulate(
+        (b - a) * x for a, b, x in zip(piece.slopes, piece.slopes[1:],
+                                       piece.breakpoints))]
+    icpt = np.array(icpt)
+    e = piece.error_bound
+    return slopes, icpt + e, slopes * piece.mean + icpt + e
+
+
+def suffix_segments(segments, horizon, k):
+    """Suffix k's Segments read from a `horizon`-period instance's: the
+    rows of its pairs (j, t), j >= k, which are the suffix's pairs
+    (j - k + 1, t - k + 1) in its own row order."""
+    rows = [pair_row(j, t) for t in range(k, horizon + 1) for j in range(k, t + 1)]
+    return dataclasses.replace(segments, **{
+        name: getattr(segments, name)[rows]
+        for name in ("breakpoints", "means", "errors", "slopes", "lines", "cuts")})
 
 
 def reference_cycle(instance, segments, j, e):

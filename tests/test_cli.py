@@ -238,6 +238,26 @@ def test_benchmark_command_and_resume(tmp_path, capsys):
     assert "overall,mean,bs" in summary
 
 
+def test_benchmark_summary_reads_exponent_values(tmp_path, capsys):
+    """Grid values that print with an exponent, whose instance ids hold a
+    "-" inside a field ("h8-STA-K1e-05-b5-cv1e-05"), are grouped by
+    their own values in the summary."""
+    config = {"horizon": 8, "patterns": ["STA"], "K": [0.00001], "b": [5],
+              "cv": [0.00001, 0.1], "methods": ["bs"], "replications": 1000,
+              "seed": 99}
+    cfg_path = tmp_path / "bench.json"
+    cfg_path.write_text(json.dumps(config))
+    out_dir = tmp_path / "out"
+    rc = main(["benchmark", str(cfg_path), "--out-dir", str(out_dir)])
+    assert rc == 0, capsys.readouterr().err
+    rows = [line.split(",")[:3] for line in
+            (out_dir / "summary.csv").read_text().splitlines()]
+    for row in (["pattern", "STA", "bs"], ["K", "1e-05", "bs"],
+                ["b", "5", "bs"], ["cv", "1e-05", "bs"], ["cv", "0.1", "bs"],
+                ["overall", "mean", "bs"]):
+        assert row in rows
+
+
 def test_benchmark_requires_seed(tmp_path, capsys):
     cfg_path = tmp_path / "bench.json"
     cfg_path.write_text(json.dumps({"horizon": 8, "patterns": ["STA"]}))

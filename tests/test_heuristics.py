@@ -7,16 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_support import per_suffix_mp_policy
+from oracle_support import per_suffix_mp_policy, reference_pieces
 from sspolicy import solver as solver_module
 from sspolicy.domain import ValidationError, make_instance
 from sspolicy.heuristics import (
     HeuristicConfig, bs_policy, cycle_table, mp_policy, read_policy_csv,
     write_policy_csv,
 )
+from sspolicy.model import build_segments
 from sspolicy.sdp import solve_sdp
 from sspolicy.simulate import simulate_policy
-from sspolicy.solver import ExactBackend, SolverError, _SubmodelEngine
+from sspolicy.solver import CycleTable, ExactBackend, SolverError, _SubmodelEngine
 from sspolicy.testbed import BenchmarkConfig, build_instances
 
 TABLE_MP = {  # joint-model heuristic on the worked example
@@ -97,7 +98,7 @@ class TestJointHeuristic:
         suffix = example4.suffix(4)
         segs = build_segments(suffix, segments=table_config.cells,
                               strategy=table_config.strategy)
-        pw = segs[(1, 1)]
+        pw = reference_pieces(suffix, segs)[(1, 1)]
         ys = np.unique(np.concatenate((np.linspace(0, 120, 24001),
                                        np.asarray(pw.breakpoints))))
         cost = 1 * pw.upper(ys) + 10 * (pw.upper(ys) - (ys - 40.0))
@@ -218,6 +219,19 @@ class TestSharedTable:
 
     @pytest.mark.parametrize("heuristic", [bs_policy, mp_policy],
                              ids=["bs", "mp"])
+    def test_table_of_own_segments_accepted(self, example4, table_config,
+                                            heuristic):
+        """A table built directly from the instance's segments at the
+        config's partition is accepted: the segments carry the partition
+        they were built from. The policy is the heuristic's own table's."""
+        table = CycleTable(example4, build_segments(
+            example4, segments=table_config.cells,
+            strategy=table_config.strategy))
+        assert repr(heuristic(example4, table_config, table=table)) == \
+            repr(heuristic(example4, table_config))
+
+    @pytest.mark.parametrize("heuristic", [bs_policy, mp_policy],
+                             ids=["bs", "mp"])
     @pytest.mark.parametrize("other, message", [
         (None, "does not match instance"),
         (dict(segments=9), "partition (10, 'minimax') (cells, strategy)"),
@@ -283,11 +297,12 @@ def test_refining_segments_tightens_linearization(example4):
         segs = build_segments(example4, segments=n_cells)
         res = solve_exact(build_minlp_s(example4, segs))
         a = res.assignment
+        pieces = reference_pieces(example4, segs)
         exact = 0.0
         for t in range(1, 5):
             j = next(j for j in range(1, t + 1)
                      if round(a[f"P_s_{j}_{t}"]) == 1)
-            pw = segs[(j, t)]
+            pw = pieces[(j, t)]
             y = a[f"I_s_{t}"] + pw.mean
             h_val = complementary_loss(y, pw.mean, pw.std_dev)
             exact += 1 * h_val + 10 * (h_val - a[f"I_s_{t}"])

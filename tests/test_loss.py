@@ -361,17 +361,6 @@ class TestPiecewiseLoss:
         assert np.all(pw.penalty_lower(xs) <= true + 1e-9)
         assert np.all(pw.penalty_upper(xs) >= true - 1e-9)
 
-    def test_segment_intercepts_reproduce_lower(self):
-        pw = piecewise_loss(make_partition(6), 25.0, 9.0)
-        xs = np.linspace(-20.0, 80.0, 501)
-        slopes = np.asarray(pw.slopes)
-        icpt = pw.segment_intercepts
-        via_max = np.max(xs[:, None] * slopes + icpt, axis=1)
-        assert np.allclose(via_max, pw.lower(xs), atol=1e-10)
-        # computed once per piece, shared read-only by every caller
-        assert pw.segment_intercepts is icpt
-        assert not icpt.flags.writeable
-
     def test_negative_std_rejected(self):
         with pytest.raises(ValueError, match="negative std_dev -1.0"):
             piecewise_loss(make_partition(6), 5.0, -1.0)

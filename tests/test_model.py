@@ -10,15 +10,15 @@ from scipy import sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_support import reference_segments
+from oracle_support import (reference_pieces, reference_rows,
+                            reference_segments, suffix_segments)
 from sspolicy.domain import make_instance
 from sspolicy.export import render_lp
 from sspolicy.heuristics import HeuristicConfig
 from sspolicy.model import (
     CUT, INDICATOR, JointStack, PiecewiseRules, RowChecks, RowTable, _emit_joint,
     build_joint, build_minlp_s, build_minlp_S, build_segments,
-    cumulative_demand, default_big_m, level_bounds, piece_arrays,
-    verify_assignment,
+    convolved_demand, default_big_m, level_bounds, pair_row, verify_assignment,
 )
 from sspolicy.sdp import default_grid
 from sspolicy.solver import CycleTable, solve_exact
@@ -37,18 +37,30 @@ def segments4(example4):
     return build_segments(example4, segments=10, strategy="minimax")
 
 
+def _hex(values) -> list:
+    return [float(v).hex() for v in np.ravel(values)]
+
+
 def _assert_segments_match_reference(instance, cells, strategy):
+    """Every row of the record, in float hex, against its pair's piece
+    from the scalar formulas: breakpoints, mean, error bound and slope
+    steps, and the model rows from the scalar intercepts."""
     got = build_segments(instance, segments=cells, strategy=strategy)
     ref = reference_segments(instance, cells, strategy)
-    assert list(got) == list(ref)  # keys in the same order
-    for key, pw in got.items():
-        want = ref[key]
-        assert repr(pw) == repr(want), key
-        for field in fields(pw):
-            a, b = getattr(pw, field.name), getattr(want, field.name)
-            a, b = (a, b) if isinstance(a, tuple) else ((a,), (b,))
-            assert [float(v).hex() for v in a] == [float(v).hex() for v in b], \
-                (key, field.name)
+    assert got.partition == (cells, strategy)
+    pairs = len(ref)
+    for name in ("breakpoints", "slopes", "lines", "cuts"):
+        assert getattr(got, name).shape == (pairs, cells + (name != "breakpoints"))
+    assert got.means.shape == got.errors.shape == (pairs,)
+    for (j, t), pw in ref.items():
+        r = pair_row(j, t)
+        where = (j, t)
+        assert _hex(got.breakpoints[r]) == _hex(pw.breakpoints), where
+        assert _hex(got.means[r]) == _hex(pw.mean), where
+        assert _hex(got.errors[r]) == _hex(pw.error_bound), where
+        assert _hex(got.steps) == _hex(np.diff(pw.slopes)), where
+        for a, b in zip(got.model_rows[:2] + (got.cuts,), reference_rows(pw)):
+            assert _hex(a[r]) == _hex(b), where
 
 
 def _compensated_sum(iterable, /, start=0):
@@ -64,20 +76,43 @@ def _compensated_sum(iterable, /, start=0):
 
 class TestSegments:
     def test_convolution(self, example4):
-        mu, sd = cumulative_demand(example4, 1, 2)
-        assert mu == 60.0
-        assert sd == pytest.approx(math.sqrt(25 + 100))
+        means, sds = convolved_demand(example4)
+        assert means[0, 1] == 60.0
+        assert sds[0, 1] == pytest.approx(math.sqrt(25 + 100))
 
     def test_all_pairs_present(self, example4):
+        """One row per pair (j, t), pair_row's order; every array refuses
+        writes."""
         segs = build_segments(example4, segments=6)
-        assert set(segs) == {(j, t) for t in range(1, 5) for j in range(1, t + 1)}
-        assert segs[(1, 4)].mean == 160.0
+        assert [pair_row(j, t) for t in range(1, 5) for j in range(1, t + 1)] \
+            == list(range(10))
+        assert segs.breakpoints.shape == (10, 6) and segs.steps.shape == (6,)
+        assert segs.means[pair_row(1, 4)] == 160.0
+        assert segs.means[pair_row(3, 4)] == 100.0
+        assert segs.partition == (6, "equal-probability")
+        for a in (segs.breakpoints, segs.means, segs.errors, segs.steps,
+                  *segs.model_rows):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
 
     def test_missing_pair_rejected(self, example4):
-        segs = build_segments(example4, segments=6)
-        del segs[(2, 3)]
-        with pytest.raises(ValueError, match=r"\(j=2, t=3\)"):
+        """Segments short of the instance's pairs, the rows of a 3-period
+        instance for a 4-period one, are rejected naming both sizes."""
+        segs = build_segments(example4.suffix(2), segments=6)
+        with pytest.raises(ValueError, match="segments hold 6 cycle pairs; "
+                                             "a 4-period instance has 10"):
             build_minlp_s(example4, segs)
+
+    def test_intercepts_reproduce_lower(self, example4):
+        """Each row's lines less its error bound, a max of lines, are the
+        lower bound of its pair's piece."""
+        segs = build_segments(example4, segments=6)
+        pieces = reference_pieces(example4, segs)
+        ys = np.linspace(-20.0, 250.0, 501)
+        for (j, t), pw in pieces.items():
+            r = pair_row(j, t)
+            via_max = np.max(ys[:, None] * segs.slopes[r] + segs.lines[r], axis=1)
+            assert np.allclose(via_max - segs.errors[r], pw.lower(ys), atol=1e-10)
 
     @settings(max_examples=40, deadline=None)
     @given(T=st.integers(1, 9), n_seg=st.integers(3, 21),
@@ -98,11 +133,12 @@ class TestSegments:
         _assert_segments_match_reference(inst, n_seg - 1, strategy)
 
     def test_worked_example_matches_reference(self, example4):
-        """So does cumulative_demand, which sums in the same order."""
+        """So does convolved_demand, which sums in the same order."""
         _assert_segments_match_reference(example4, 10, "minimax")
+        means, sds = convolved_demand(example4)
         for (j, t), pw in reference_segments(example4, 10, "minimax").items():
-            assert repr(cumulative_demand(example4, j, t)) == \
-                repr((pw.mean, pw.std_dev))
+            assert _hex((means[j - 1, t - 1], sds[j - 1, t - 1])) == \
+                _hex((pw.mean, pw.std_dev))
 
     def test_totals_do_not_follow_a_compensated_sum(self, monkeypatch):
         """Demand totals add left to right from 0.0: big-M, level bounds,
@@ -268,9 +304,10 @@ class TestSemantics:
         a = res.assignment
         exact = 0.0
         shift_budget = 0.0
+        pieces = reference_pieces(example4, segments4)
         for t in range(1, 5):
             j = next(j for j in range(1, t + 1) if round(a[f"P_s_{j}_{t}"]) == 1)
-            pw = segments4[(j, t)]
+            pw = pieces[(j, t)]
             y = a[f"I_s_{t}"] + pw.mean
             h_exact = complementary_loss(y, pw.mean, pw.std_dev)
             b_exact = h_exact - a[f"I_s_{t}"]
@@ -321,8 +358,9 @@ class TestSemantics:
 
 def _loop_violations(model, a, tol=1e-6):
     """verify_assignment's checks one column, row and rule at a time, with
-    each rule's envelope from its PiecewiseLoss."""
+    each rule's envelope from its pair's PiecewiseLoss."""
     names, bad = model.names, {}
+    pieces = reference_pieces(model.instance, model.segments)
     for col, name in enumerate(names):
         lb, ub = model.lb[col], model.ub[col]
         bad[f"bound_{name}"] = max(lb - a[name], a[name] - ub, 0.0)
@@ -342,7 +380,7 @@ def _loop_violations(model, a, tol=1e-6):
     for r in range(len(pw)):
         if round(a[names[pw.selector[r]]]) != 1:
             continue
-        piece = model.segments[(pw.start[r], pw.period[r])]
+        piece = pieces[(pw.start[r], pw.period[r])]
         level = a[names[pw.inventory[r]]]
         upper = float(piece.upper(level + piece.mean))
         bad[f"loss_{pw.label[r]}_{pw.start[r]}_{pw.period[r]}"] = max(
@@ -379,12 +417,12 @@ def _assert_same_array(got, ref, what):
 
 def _assert_emitted(instance, segments):
     """build_joint's model equals the emitter's, array for array and in LP
-    bytes; a suffix view's emitter reference reads the suffix's pieces
-    from a plain dict copy of the view."""
+    bytes."""
     got = build_joint(instance, segments)
-    ref = _emit_joint(instance, piece_arrays(instance, dict(segments)), segments)
-    assert (got.kind, got.instance, got.big_m, got.submodels, got.segments) == \
-        (ref.kind, ref.instance, ref.big_m, ref.submodels, ref.segments)
+    ref = _emit_joint(instance, segments)
+    assert (got.kind, got.instance, got.big_m, got.submodels) == \
+        (ref.kind, ref.instance, ref.big_m, ref.submodels)
+    assert got.segments is ref.segments
     assert list(got.names) == ref.names and dict(got.index) == ref.index
     assert got.objective_constant == ref.objective_constant
     _assert_same_arrays(got, ref)
@@ -411,12 +449,11 @@ def _assert_same_arrays(got, ref):
 
 
 def _assert_suffixes_emitted(instance, segments):
-    """Every suffix k from the instance's pieces (j, t), j >= k, re-keyed
-    to the suffix's own periods."""
+    """Every suffix k from the instance's rows of pairs (j, t), j >= k,
+    which are the suffix's own pairs."""
     for k in range(1, instance.horizon + 1):
-        _assert_emitted(instance.suffix(k), {
-            (j - k + 1, t - k + 1): pw for (j, t), pw in segments.items()
-            if j >= k})
+        _assert_emitted(instance.suffix(k),
+                        suffix_segments(segments, instance.horizon, k))
 
 
 def test_joint_skeleton_matches_emitter_on_grid():
@@ -435,8 +472,8 @@ def test_joint_skeleton_matches_emitter_on_grid():
        strategy=st.sampled_from(["equal-probability", "minimax"]),
        data=st.data())
 def test_joint_skeleton_matches_emitter(T, K, c, n_seg, strategy, data):
-    """K = 0, c > 0, zero-sd periods and 3..21 linear segments, from a
-    plain segment dict and from every suffix's share of it."""
+    """K = 0, c > 0, zero-sd periods and 3..21 linear segments, from the
+    instance's segments and from every suffix's share of them."""
     means = data.draw(st.lists(st.floats(0, 30).map(lambda v: round(v, 1)),
                                min_size=T, max_size=T))
     cvs = data.draw(st.lists(st.sampled_from([0.0, 0.1, 0.3]), min_size=T, max_size=T))
@@ -506,8 +543,7 @@ def test_joint_stack_blocks_match_build_joint(T, K, c, n_seg, strategy, data):
                                             strategy=strategy))
     stack = JointStack.of(T, n_seg, bool(c), T)
     bounds = [(e.inv_lo, e.inv_hi) for e in map(table.engine, range(1, T + 1))]
-    model = stack.fill(inst, piece_arrays(inst, table.segments),
-                       table.segments, bounds)
+    model = stack.fill(inst, table.segments, bounds)
     refs = []
     for k in range(1, T + 1):
         suffix = inst.suffix(k)
@@ -562,14 +598,24 @@ def test_joint_skeleton_shares_structure_read_only(example4, segments4):
         assert x.flags.writeable and not np.shares_memory(x, y)
 
 
-def test_joint_skeleton_keeps_plain_dict_errors(example4):
-    segs = build_segments(example4, segments=6)
-    del segs[(2, 3)]
-    with pytest.raises(ValueError, match=r"segments missing .*\(j=2, t=3\)"):
-        build_joint(example4, segs)
-    segs[(2, 3)] = build_segments(example4, segments=8)[(2, 3)]
-    with pytest.raises(ValueError, match=r"segment count mismatch at \(j=2, t=3\)"):
-        build_joint(example4, segs)
+@pytest.mark.parametrize("reader", [
+    CycleTable, build_minlp_s, build_minlp_S, build_joint,
+    lambda inst, segs: JointStack.of(inst.horizon, 7, False, 1).fill(
+        inst, segs, [level_bounds(inst, default_big_m(inst))])],
+    ids=["CycleTable", "build_minlp_s", "build_minlp_S", "build_joint", "fill"])
+def test_wrong_horizon_segments_rejected(example4, reader):
+    """Segments of another horizon, too many pairs or too few, raise one
+    ValueError naming both sizes in every reader: a suffix's table or
+    model given the full instance's rows, or the full instance given a
+    suffix's."""
+    full = build_segments(example4, segments=6)
+    suffix = example4.suffix(2)
+    with pytest.raises(ValueError, match="segments hold 10 cycle pairs; "
+                                         "a 3-period instance has 6"):
+        reader(suffix, full)
+    with pytest.raises(ValueError, match="segments hold 6 cycle pairs; "
+                                         "a 4-period instance has 10"):
+        reader(example4, build_segments(suffix, segments=6))
 
 
 @pytest.mark.skipif(not os.environ.get("SSPOLICY_FULL_BENCHMARK"),

@@ -32,6 +32,8 @@ def test_script_digest_matches_in_process():
     assert record["sha256"] == policy_digest.digest(
         instances, config.heuristic_config())
     assert record["oracle_sha256"] == policy_digest.oracle_digest(instances)
+    assert record["segment_sha256"] == policy_digest.segment_digest(
+        instances, config.heuristic_config())
     assert record["seconds"] >= 0.0
 
 
@@ -62,3 +64,18 @@ def test_grid_oracle_bits(horizon, unit_cost, every, sha256):
     config = BenchmarkConfig(horizon=horizon, unit_cost=unit_cost)
     instances = build_instances(config)[::every]
     assert policy_digest.oracle_digest(instances) == sha256
+
+
+@pytest.mark.parametrize("horizon, sha256", [
+    (8, "470faba2437d7268015c87b12ccd1ef06c28e4a928164ce10c6013c9f8baf5fd"),
+    (25, "7b61018d80985eb62264e8cf77bc5da80e893b02ef7c4fd3e2d5e95319b4d277"),
+], ids=["grid8-every10", "grid25-every10"])
+def test_grid_segment_bits(horizon, sha256):
+    """Every row array of the segments of every 10th instance (breakpoints,
+    means, error bounds, slopes, lines and cuts at the grid's default
+    partition), bit for bit, as recorded with numpy 2.4.6 and scipy 1.17.1
+    from the per-piece segment data that the row record replaced."""
+    config = BenchmarkConfig(horizon=horizon)
+    instances = build_instances(config)[::10]
+    assert policy_digest.segment_digest(
+        instances, config.heuristic_config()) == sha256

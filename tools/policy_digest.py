@@ -1,5 +1,5 @@
-"""One sha256 over the bs and mp policies of a benchmark grid, and one
-over its SDP oracle solutions.
+"""One sha256 over the bs and mp policies of a benchmark grid, one over
+its SDP oracle solutions and one over its segment data.
 
     PYTHONPATH=src python3 tools/policy_digest.py --horizon 8
     PYTHONPATH=/path/to/other/src python3 tools/policy_digest.py \
@@ -11,8 +11,10 @@ runs bs_policy and then mp_policy on it (`table=`), and hashes each
 policy's reorder points, order-up-to levels and linked costs in float hex,
 then the table's work() counters. It also solves each instance's SDP oracle
 and hashes its policy and expected cost in float hex, its demand atom
-counts and the sha256 of its G and C tables' bytes. It prints one JSON
-line: both digests (`sha256`, `oracle_sha256`), the instance count and the
+counts and the sha256 of its G and C tables' bytes, and hashes the bytes
+of every row array of each instance's segments (build_segments at the
+heuristic config's partition). It prints one JSON line: the three digests
+(`sha256`, `oracle_sha256`, `segment_sha256`), the instance count and the
 wall seconds.
 
 `sspolicy` is imported from PYTHONPATH, so the same script digests any
@@ -76,6 +78,21 @@ def oracle_digest(instances) -> str:
     return sha.hexdigest()
 
 
+def segment_digest(instances, config) -> str:
+    """sha256 over `instances` of each one's name and the bytes of its
+    segments' breakpoints, means, error bounds, slopes, lines and cuts."""
+    from sspolicy.model import build_segments
+    sha = hashlib.sha256()
+    for instance in instances:
+        segments = build_segments(instance, segments=config.cells,
+                                  strategy=config.strategy)
+        sha.update(instance.name.encode() + b"\n")
+        for rows in (segments.breakpoints, segments.means, segments.errors,
+                     segments.slopes, segments.lines, segments.cuts):
+            sha.update(rows.tobytes())
+    return sha.hexdigest()
+
+
 def main(argv=None) -> None:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--horizon", type=int, choices=(8, 25), required=True)
@@ -89,11 +106,13 @@ def main(argv=None) -> None:
     grid = BenchmarkConfig(horizon=args.horizon, unit_cost=args.unit_cost)
     instances = build_instances(grid)[::args.every]
     start = time.perf_counter()
-    sha = digest(instances, grid.heuristic_config())
+    config = grid.heuristic_config()
+    sha = digest(instances, config)
     print(json.dumps({"horizon": args.horizon, "every": args.every,
                       "unit_cost": args.unit_cost, "instances": len(instances),
                       "sha256": sha,
                       "oracle_sha256": oracle_digest(instances),
+                      "segment_sha256": segment_digest(instances, config),
                       "seconds": round(time.perf_counter() - start, 3)}))
 
 
