@@ -20,8 +20,8 @@ import sys
 
 from .domain import ValidationError, read_instance
 from .export import export_lp
-from .heuristics import (STRATEGIES, HeuristicConfig, bs_policy, mp_policy,
-                         read_policy_csv, write_policy_csv)
+from .heuristics import (BS_STEP, STRATEGIES, HeuristicConfig, bs_policy,
+                         mp_policy, read_policy_csv, write_policy_csv)
 from .model import build_joint, build_minlp_s, build_segments
 from .sdp import GridTooSmallError, default_grid, solve_sdp, write_g_curve
 from .simulate import simulate_policy
@@ -171,8 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--segments", type=int, default=11)
     p_solve.add_argument("--strategy", default="equal-probability",
                          choices=STRATEGIES)
-    p_solve.add_argument("--step", type=float, default=None,
-                         help="binary-search step size")
+    p_solve.add_argument("--step", type=float, default=BS_STEP,
+                         help=f"binary-search step size (default {BS_STEP})")
     p_solve.add_argument("--backend", choices=("exact", "lp-export"),
                          default="exact")
     p_solve.add_argument("--out", metavar="CSV")

@@ -43,8 +43,8 @@ from .domain import (Instance, PolicyParameters, ValidationError, is_integer,
 from .model import build_segments
 from .solver import CycleTable, ExactBackend, check_joint_answers, joint_answer
 
-BS_TOLERANCE = 1e-4       # equality band of the binary search
-LONG_HORIZON_CUTOFF = 15  # suffixes longer than this search on step 1
+BS_TOLERANCE = 1e-4  # equality band of the binary search
+BS_STEP = 0.1        # default bisection step, at every suffix horizon
 STRATEGIES = ("equal-probability", "minimax")  # loss.make_partition's
 
 log = logging.getLogger(__name__)
@@ -54,7 +54,7 @@ log = logging.getLogger(__name__)
 class HeuristicConfig:
     segments: int = 11                 # linear segments = support cells + 1
     strategy: str = "equal-probability"
-    bs_step_size: float | None = None  # None: resolved per suffix horizon
+    bs_step_size: float = BS_STEP
 
     def __post_init__(self):
         if not is_integer(self.segments) or self.segments < 3:
@@ -63,23 +63,16 @@ class HeuristicConfig:
         if self.strategy not in STRATEGIES:
             raise ValidationError(f"unknown partition strategy {self.strategy!r}")
         step = self.bs_step_size
-        if step is not None and not is_number(step):
+        if not is_number(step):
             raise ValidationError(f"bs_step_size must be a number, got {step!r}")
-        if step is not None and not math.isfinite(step):
+        if not math.isfinite(step):
             raise ValidationError(f"bs_step_size must be finite, got {step!r}")
-        if step is not None and step <= 0:
+        if step <= 0:
             raise ValidationError(f"bs_step_size must be positive, got {step!r}")
 
     @property
     def cells(self) -> int:
         return self.segments - 1
-
-    def step_for(self, suffix_horizon: int) -> float:
-        """Coarse steps keep long-horizon searches fast, fine steps keep
-        short ones accurate."""
-        if self.bs_step_size is not None:
-            return self.bs_step_size
-        return 1.0 if suffix_horizon > LONG_HORIZON_CUTOFF else 0.1
 
     def lower_bound_for(self, instance: Instance) -> float:
         """A negative integer strictly below any reorder point.
@@ -160,8 +153,10 @@ def bs_policy(instance: Instance, config: HeuristicConfig | None = None,
     """Binary-search heuristic over no-first-order models.
 
     Per suffix: minimize with a free initial level to get the order-up-to
-    level S_k and its cost; then bisect the fixed initial level until the
-    cost exceeds the minimum by K within the BS_TOLERANCE band.
+    level S_k and its cost; then bisect the fixed initial level, on the
+    integers and below them on steps of config.bs_step_size (the same at
+    every suffix horizon), until the cost exceeds the minimum by K within
+    the BS_TOLERANCE band.
     Brackets that empty without hitting the band return their midpoint, a
     step from the root. A period is flagged only when no evaluated level
     cost more than the target, so the lower bound never bracketed the root.
@@ -174,9 +169,9 @@ def bs_policy(instance: Instance, config: HeuristicConfig | None = None,
     before = table.work() if log.isEnabledFor(logging.DEBUG) else None
     ss, SS, costs, flagged = [], [], [], []
     K = instance.costs.fixed
+    step = config.bs_step_size
     for k in range(1, instance.horizon + 1):
         view = table.suffix(k)
-        suffix = view.instance
         try:
             evaluator = backend.evaluator(view)
             cost_up, _, y_levels, _ = evaluator.free_minimum()
@@ -184,15 +179,13 @@ def bs_policy(instance: Instance, config: HeuristicConfig | None = None,
             raise RuntimeError(f"suffix solve failed at k={k}: {exc}") from exc
         s_up = float(y_levels[0])
         target = cost_up + K
-        step = config.step_for(suffix.horizon)
-
+        SS.append(s_up)
+        costs.append(target)
         if K <= BS_TOLERANCE:
             ss.append(s_up)
-            SS.append(s_up)
-            costs.append(target)
             continue
 
-        low = config.lower_bound_for(suffix)
+        low = config.lower_bound_for(view.instance)
         high = s_up
         found = None
         bracketed = False  # some evaluated level costs more than the target
@@ -222,8 +215,6 @@ def bs_policy(instance: Instance, config: HeuristicConfig | None = None,
             if not bracketed:
                 flagged.append(k)
         ss.append(min(found, s_up))
-        SS.append(s_up)
-        costs.append(target)
     _log_work("bs", instance, table, before)
     return PolicyParameters(reorder_points=tuple(ss),
                             order_up_to_levels=tuple(SS),

@@ -284,8 +284,7 @@ class PiecewiseLoss:
         return self.penalty_lower(x) + self.error_bound
 
 
-def piecewise_loss(partition: Partition, mean: float, std_dev: float,
-                   error: float | None = None) -> PiecewiseLoss:
+def piecewise_loss(partition: Partition, mean: float, std_dev: float) -> PiecewiseLoss:
     """Segment data for w ~ Normal(mean, std_dev) from a standard partition.
 
     Slopes are cumulative cell probabilities (0 up to 1), breakpoints are
@@ -301,7 +300,7 @@ def piecewise_loss(partition: Partition, mean: float, std_dev: float,
         raise ValueError(f"negative std_dev {float(std_dev)}")
     slopes = partition.slopes
     breakpoints = mean + std_dev * np.asarray(partition.conditional_means)
-    scaled = std_dev * (approximation_error(partition) if error is None else error)
+    scaled = std_dev * approximation_error(partition)
     anchor = float(np.maximum(-breakpoints, 0.0) @ np.diff(slopes)) + scaled
     return PiecewiseLoss(slopes=tuple(slopes.tolist()),
                          breakpoints=tuple(breakpoints.tolist()),

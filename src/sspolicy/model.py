@@ -171,7 +171,6 @@ class MilpModel:
     kind: str                  # "s" | "S" | "joint"
     instance: Instance
     big_m: float
-    submodels: tuple
     segments: Segments         # the instance's segment data
     names: Sequence            # column names, in insertion order
     index: Mapping             # column name -> column
@@ -246,7 +245,7 @@ class _Emitter:
         for key, values in fields.items():
             self.rules[key] += list(values)
 
-    def model(self, kind, instance, big_m, submodels, segments) -> MilpModel:
+    def model(self, kind, instance, big_m, segments) -> MilpModel:
         matrix = sparse.csr_array(
             (np.array(self.vals), np.array(self.cols), np.array(self.indptr)),
             shape=(len(self.meta), len(self.names)))
@@ -261,9 +260,9 @@ class _Emitter:
         free = np.flatnonzero(binary & (lb != ub))
         free.flags.writeable = False
         return MilpModel(
-            kind=kind, instance=instance, big_m=big_m, submodels=submodels,
-            segments=segments, names=self.names, index=self.index, lb=lb, ub=ub,
-            binary=binary, objective=(np.array(cols), np.array(coefs, dtype=float)),
+            kind=kind, instance=instance, big_m=big_m, segments=segments,
+            names=self.names, index=self.index, lb=lb, ub=ub, binary=binary,
+            objective=(np.array(cols), np.array(coefs, dtype=float)),
             objective_constant=self.constant, rows=rows, piecewise=rules,
             columns=MappingProxyType(self.columns), free_binaries=free)
 
@@ -295,9 +294,10 @@ class Segments:
     errors[r]. The model-row arrays (`model_rows`) are what the builders
     read: slopes, rule-line intercepts (error bound included), demand
     shifts and cut coefficients slope * mean + intercept + e. Every array
-    is read-only; `partition` is the (cells, strategy) the rows were built
-    from."""
+    is read-only; `partition` is the (cells, strategy) and `demands` the
+    instance's demands the rows were built from."""
     partition: tuple
+    demands: tuple
     breakpoints: np.ndarray  # (pairs, cells)
     means: np.ndarray        # (pairs,)
     errors: np.ndarray       # (pairs,)
@@ -310,12 +310,17 @@ class Segments:
     def model_rows(self) -> tuple:
         return self.slopes, self.lines, self.means, self.cuts
 
-    def check(self, horizon: int) -> None:
-        """ValueError unless the rows are a `horizon`-period instance's."""
+    def check(self, instance: Instance) -> None:
+        """ValueError unless the rows were built from `instance`'s demands."""
+        horizon = instance.horizon
         pairs = horizon * (horizon + 1) // 2
         if len(self.means) != pairs:
             raise ValueError(f"segments hold {len(self.means)} cycle pairs; "
                              f"a {horizon}-period instance has {pairs}")
+        for t, (built, given) in enumerate(zip(self.demands, instance.demands), 1):
+            if built != given:
+                raise ValueError(f"segments were built from period {t} demand "
+                                 f"{built}; the instance's is {given}")
 
 
 def build_segments(instance: Instance, segments: int = 11,
@@ -333,8 +338,8 @@ def build_segments(instance: Instance, segments: int = 11,
     # intercepts c_i with lower(y) = max_i(slopes[i] * y + c_i)
     icpt = np.concatenate((np.zeros((len(means), 1)),
                            -np.cumsum(np.diff(slopes) * breakpoints, axis=-1)), axis=-1)
-    out = Segments((int(segments), strategy), breakpoints, means, errors, steps,
-                   slopes, icpt + errors[:, None],
+    out = Segments((int(segments), strategy), instance.demands, breakpoints,
+                   means, errors, steps, slopes, icpt + errors[:, None],
                    slopes * means[:, None] + icpt + errors[:, None])
     for a in vars(out).values():
         if isinstance(a, np.ndarray):
@@ -470,25 +475,25 @@ def build_minlp_s(instance: Instance, segments: Segments,
                   initial_inventory: float | None = None) -> MilpModel:
     """No-order-in-period-1 model; free initial level unless fixed."""
     validate(instance)
-    segments.check(instance.horizon)
+    segments.check(instance)
     big_m = default_big_m(instance, initial_inventory)
     em = _Emitter()
     _add_submodel(em, instance, big_m, "s", segments.model_rows,
                   first_order=False, fixed_i0=initial_inventory, objective_from=1)
-    return em.model("s", instance, big_m, ("s",), segments)
+    return em.model("s", instance, big_m, segments)
 
 
 def build_minlp_S(instance: Instance, segments: Segments) -> MilpModel:
     """Forced-order-in-period-1 model; the free initial level doubles as the
     period-1 order-up-to level via the pin row I0_S = I_S_1 + mean_1."""
     validate(instance)
-    segments.check(instance.horizon)
+    segments.check(instance)
     big_m = default_big_m(instance)
     em = _Emitter()
     _, I = _add_submodel(em, instance, big_m, "S", segments.model_rows,
                          first_order=True, fixed_i0=None, objective_from=1)
     em.add_row("pin_I0_S", I[:2], [1.0, -1.0], "==", instance.means[0])
-    return em.model("S", instance, big_m, ("S",), segments)
+    return em.model("S", instance, big_m, segments)
 
 
 def _emit_joint(instance: Instance, segments: Segments) -> MilpModel:
@@ -497,7 +502,7 @@ def _emit_joint(instance: Instance, segments: Segments) -> MilpModel:
     of it, emitted as a one-block JointStack."""
     em = _Emitter()
     big_m = _add_joint(em, instance, segments.model_rows)
-    return em.model("joint", instance, big_m, ("S", "s"), segments)
+    return em.model("joint", instance, big_m, segments)
 
 
 def _add_joint(em: _Emitter, instance: Instance, pieces: tuple) -> float:
@@ -601,7 +606,7 @@ class JointStack:
             # sides read its row
             rule_pieces += [pair_row(j + b, t + b)
                             for t in range(1, n + 1) for j in range(1, t + 1)] * 2
-        model = em.model("joint", None, 0.0, ("S", "s"), None)
+        model = em.model("joint", None, 0.0, None)
         model = dataclasses.replace(model, names=tuple(model.names), index=index,
                                     columns=columns[0])
         rule_pieces = np.array(rule_pieces, dtype=np.intp)
@@ -650,7 +655,7 @@ class JointStack:
         bounds. The structural arrays and their checks are shared. Its
         objective is the sum of the blocks' objectives, and its instance,
         big_m and segments are block 0's."""
-        segments.check(instance.horizon)
+        segments.check(instance)
         model = self.model
         sections = _stack_values(instance, segments, len(self.columns))
         values = np.concatenate(sections)

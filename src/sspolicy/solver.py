@@ -278,7 +278,7 @@ class CycleTable:
     Segments' rows, and a model or stack reads its model rows."""
 
     def __init__(self, instance, segments: Segments):
-        segments.check(instance.horizon)
+        segments.check(instance)
         self.instance = instance
         self.segments = segments
         self._cycles: dict = {}  # (j, e, first) -> cycle record

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from .domain import (CostParameters, Instance, NormalDemand, ValidationError,
                      is_integer, is_number, round_half_up, running_sums)
-from .heuristics import HeuristicConfig, bs_policy, cycle_table, mp_policy
+from .heuristics import BS_STEP, HeuristicConfig, bs_policy, cycle_table, mp_policy
 from .sdp import solve_sdp
 from .simulate import estimate_gaps
 
@@ -129,7 +129,7 @@ class BenchmarkConfig:
     initial_inventory: float = 0.0
     segments: int = 11
     strategy: str = "minimax"
-    bs_step_size: float | None = None
+    bs_step_size: float = BS_STEP
     replications: int = 10000
     seed: int = 20240101
 

@@ -768,7 +768,7 @@ def suffix_segments(segments, horizon, k):
     rows of its pairs (j, t), j >= k, which are the suffix's pairs
     (j - k + 1, t - k + 1) in its own row order."""
     rows = [pair_row(j, t) for t in range(k, horizon + 1) for j in range(k, t + 1)]
-    return dataclasses.replace(segments, **{
+    return dataclasses.replace(segments, demands=segments.demands[k - 1:], **{
         name: getattr(segments, name)[rows]
         for name in ("breakpoints", "means", "errors", "slopes", "lines", "cuts")})
 

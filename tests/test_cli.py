@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from sspolicy.cli import main
+from sspolicy.cli import build_parser, main
 from sspolicy.domain import make_instance, read_instance, write_instance
 from sspolicy.export import render_lp
 from sspolicy.heuristics import HeuristicConfig, read_policy_csv
@@ -178,6 +178,12 @@ def test_simulate_malformed_policy_is_data_error(example4_file, tmp_path,
     assert message in capsys.readouterr().err
 
 
+def test_solve_step_default_is_the_heuristics_default():
+    """One default step, 0.1, for the CLI and the library alike."""
+    args = build_parser().parse_args(["solve", "example4.json", "--method", "bs"])
+    assert args.step == HeuristicConfig().bs_step_size == 0.1
+
+
 @pytest.mark.parametrize("args, message", [
     (["sdp", "--grid-step", "0"],
      "grid step must be positive and finite, got 0.0"),
@@ -285,6 +291,7 @@ def test_benchmark_rejects_negative_penalty(tmp_path, capsys):
     ({"methods": []}, "empty methods list"),
     ({"seed": "7"}, "seed must be an integer, got '7'"),
     ({"methods": "bs"}, "methods must be a list, got 'bs'"),
+    ({"bs_step_size": None}, "bs_step_size must be a number, got None"),
 ])
 def test_benchmark_rejects_config_keys(tmp_path, capsys, extra, message):
     """A misspelt key, an empty method list or a value of the wrong type

@@ -57,8 +57,22 @@ class TestConfig:
     def test_defaults(self):
         cfg = HeuristicConfig()
         assert cfg.cells == 10
-        assert cfg.step_for(8) == 0.1
-        assert cfg.step_for(25) == 1.0
+        assert cfg.bs_step_size == 0.1
+        assert BenchmarkConfig().heuristic_config().bs_step_size == 0.1
+
+    def test_one_step_at_every_horizon(self):
+        """The default step is 0.1 on every suffix of a 25-period instance,
+        the longest ones included: the default policy is the one at step
+        0.1, bit for bit."""
+        instance = build_instances(BenchmarkConfig(horizon=25))[0]
+        table = cycle_table(instance, HeuristicConfig())
+        default, fine = (
+            bs_policy(instance, config, table=table)
+            for config in (HeuristicConfig(), HeuristicConfig(bs_step_size=0.1)))
+        for field in ("reorder_points", "order_up_to_levels", "costs"):
+            assert [v.hex() for v in getattr(default, field)] == \
+                [v.hex() for v in getattr(fine, field)], field
+        assert default.flagged_periods == fine.flagged_periods == ()
 
     def test_lower_bound_brackets_never_order_root(self, example4):
         """A negative integer K/b plus one unit below the demand reach, so
@@ -74,6 +88,9 @@ class TestConfig:
             HeuristicConfig(segments=2)
         with pytest.raises(ValueError):
             HeuristicConfig(bs_step_size=-0.1)
+        with pytest.raises(ValidationError,
+                           match=re.escape("bs_step_size must be a number, got None")):
+            HeuristicConfig(bs_step_size=None)
 
 
 class TestJointHeuristic:

@@ -2,6 +2,7 @@ import builtins
 import dataclasses
 import math
 import os
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -194,7 +195,7 @@ class TestStructure:
         names = set(m.rows.names)
         assert {"link_cost", "link_order", "def_C_S", "def_G_s",
                 "pin_I0_S"} <= names
-        assert m.submodels == ("S", "s")
+        assert tuple(m.columns) == ("S", "s")
 
     def test_joint_objective_drops_noorder_period1(self, example4, segments4):
         m = build_joint(example4, segments4)
@@ -420,8 +421,8 @@ def _assert_emitted(instance, segments):
     bytes."""
     got = build_joint(instance, segments)
     ref = _emit_joint(instance, segments)
-    assert (got.kind, got.instance, got.big_m, got.submodels) == \
-        (ref.kind, ref.instance, ref.big_m, ref.submodels)
+    assert (got.kind, got.instance, got.big_m, tuple(got.columns)) == \
+        (ref.kind, ref.instance, ref.big_m, tuple(ref.columns))
     assert got.segments is ref.segments
     assert list(got.names) == ref.names and dict(got.index) == ref.index
     assert got.objective_constant == ref.objective_constant
@@ -598,11 +599,15 @@ def test_joint_skeleton_shares_structure_read_only(example4, segments4):
         assert x.flags.writeable and not np.shares_memory(x, y)
 
 
-@pytest.mark.parametrize("reader", [
+# every reader of a Segments record, each given an instance and segments
+segment_readers = pytest.mark.parametrize("reader", [
     CycleTable, build_minlp_s, build_minlp_S, build_joint,
     lambda inst, segs: JointStack.of(inst.horizon, 7, False, 1).fill(
         inst, segs, [level_bounds(inst, default_big_m(inst))])],
     ids=["CycleTable", "build_minlp_s", "build_minlp_S", "build_joint", "fill"])
+
+
+@segment_readers
 def test_wrong_horizon_segments_rejected(example4, reader):
     """Segments of another horizon, too many pairs or too few, raise one
     ValueError naming both sizes in every reader: a suffix's table or
@@ -616,6 +621,24 @@ def test_wrong_horizon_segments_rejected(example4, reader):
     with pytest.raises(ValueError, match="segments hold 6 cycle pairs; "
                                          "a 4-period instance has 10"):
         reader(example4, build_segments(suffix, segments=6))
+
+
+@segment_readers
+def test_other_instance_segments_rejected(example4, reader):
+    """Segments of another instance of the same horizon raise a ValueError
+    naming the first period whose demand differs, in every reader; the
+    instance's own segments are accepted."""
+    other = make_instance(horizon=4, K=100, h=1, b=10, c=0,
+                          means=[20, 40, 60, 45], cv=0.25)
+    with pytest.raises(ValueError, match=re.escape(
+            "segments were built from period 4 demand "
+            "NormalDemand(mean=45, std_dev=11.25); the instance's is "
+            "NormalDemand(mean=40, std_dev=10.0)")):
+        reader(example4, build_segments(other, segments=6))
+    # the costs are not the segments': only the demands are compared
+    cheaper = dataclasses.replace(
+        example4, costs=dataclasses.replace(example4.costs, fixed=50.0))
+    reader(cheaper, build_segments(example4, segments=6))
 
 
 @pytest.mark.skipif(not os.environ.get("SSPOLICY_FULL_BENCHMARK"),

@@ -37,11 +37,10 @@ def test_script_digest_matches_in_process():
     assert record["seconds"] >= 0.0
 
 
-
 @pytest.mark.parametrize("horizon, unit_cost, every, sha256", [
     (8, 0.0, 1, "275f46b4df5996ee777bf0153ddb444267287412f2f4e46c95028a088b134cd6"),
     (8, 1.5, 1, "f92b3f67141e95b59df65dc1cb735e23a7e2f902516360b2f98eccb628eb7d34"),
-    (25, 0.0, 10, "123befa3de152df8c39c80237f7f5729523ed3e2adeabdf119639168c6069cd7"),
+    (25, 0.0, 10, "046266a72f11cc74db489194936f52c6d016f1ae421fc4d931987848708154ab"),
 ], ids=["grid8", "grid8-c1.5", "grid25-every10"])
 def test_grid_policy_bits(horizon, unit_cost, every, sha256):
     """The bs and mp policies and work counters of the full 8-period grid
@@ -50,6 +49,18 @@ def test_grid_policy_bits(horizon, unit_cost, every, sha256):
     config = BenchmarkConfig(horizon=horizon, unit_cost=unit_cost)
     instances = build_instances(config)[::every]
     assert policy_digest.digest(instances, config.heuristic_config()) == sha256
+
+
+@pytest.mark.skipif(not os.environ.get("SSPOLICY_FULL_BENCHMARK"),
+                    reason="bs and mp on all 270 25-period instances; "
+                           "set SSPOLICY_FULL_BENCHMARK=1")
+def test_full_grid_policy_bits():
+    """The bs and mp policies and work counters of every 25-period
+    instance, bit for bit, as recorded with numpy 2.4.6 and scipy 1.17.1;
+    test_grid_policy_bits pins only every 10th."""
+    config = BenchmarkConfig(horizon=25)
+    assert policy_digest.digest(build_instances(config), config.heuristic_config()) \
+        == "4573f955c4126b77be04c7dd65b8b5fb345fe1b8eafd2966791a91ba529d08a3"
 
 
 @pytest.mark.parametrize("horizon, unit_cost, every, sha256", [

@@ -122,6 +122,7 @@ class TestInstanceGrid:
         ("fixed_costs", (200.0, 200.0), "fixed_costs lists 200.0 twice"),
         ("penalty_costs", (5.0, 10.0, 5), "penalty_costs lists 5 twice"),
         ("cvs", (0.1, 0.2, 0.1), "cvs lists 0.1 twice"),
+        ("bs_step_size", None, "bs_step_size must be a number, got None"),
     ])
     def test_config_values_rejected(self, field, value, message):
         """A malformed grid value stops the config, not one row per
