@@ -30,7 +30,7 @@ later, lower-variance cycle start).
 Storage: a MilpModel is one table addressed by column index. Columns have
 names, bounds and a binary mask; the objective is a sparse vector plus a
 constant; every linear, cut and indicator row sits in one CSR matrix
-(RowTable) and the piecewise rules in parallel arrays (PiecewiseRules).
+(RowTable, CsrMatrix) and the piecewise rules in parallel arrays (PiecewiseRules).
 Terms keep their emission order, which is the LP file's term order. Each
 submodel's column layout (Columns: I0, and per period I_t, H_t, B_t,
 delta_t and its first piecewise rule, whose selectors are the P_jt) is
@@ -73,7 +73,6 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
-from scipy import sparse
 
 from .domain import (CostParameters, Instance, NormalDemand, running_sums,
                      validate)
@@ -108,6 +107,31 @@ class RowChecks:
         return out
 
 
+@dataclass(frozen=True, eq=False)
+class CsrMatrix:
+    """A matrix in compressed sparse rows: row r's entries are
+    data[indptr[r]:indptr[r + 1]], in the columns of the same slice of
+    indices; `entry_rows` holds each entry's row. `matrix @ x` sums each
+    row's products in entry order from 0.0, as a CSR matrix-vector product
+    does."""
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple
+    entry_rows: np.ndarray
+
+    @staticmethod
+    def of(data, indices, indptr, shape: tuple) -> "CsrMatrix":
+        indptr = np.asarray(indptr)
+        return CsrMatrix(np.asarray(data), np.asarray(indices),
+                         indptr, shape, np.repeat(np.arange(shape[0]),
+                                                  np.diff(indptr)))
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return np.bincount(self.entry_rows, weights=self.data * x[self.indices],
+                           minlength=self.shape[0])
+
+
 @dataclass
 class RowTable:
     """Every row of a model. An indicator row holds only while the binary in
@@ -115,7 +139,7 @@ class RowTable:
     `checks`, what verify_assignment reads of the rows' structure, is
     derived once where a model is frozen, and copies that keep the
     structure carry it."""
-    matrix: sparse.csr_array
+    matrix: CsrMatrix
     names: np.ndarray
     sense: np.ndarray        # "<=", ">=" or "=="
     rhs: np.ndarray
@@ -246,9 +270,8 @@ class _Emitter:
             self.rules[key] += list(values)
 
     def model(self, kind, instance, big_m, segments) -> MilpModel:
-        matrix = sparse.csr_array(
-            (np.array(self.vals), np.array(self.cols), np.array(self.indptr)),
-            shape=(len(self.meta), len(self.names)))
+        matrix = CsrMatrix.of(self.vals, self.cols, self.indptr,
+                              (len(self.meta), len(self.names)))
         names, sense, rhs, kinds, conditions = map(np.array, zip(*self.meta))
         rows = RowTable(matrix, names, sense, rhs, kinds, conditions,
                         RowChecks.of(sense, kinds, conditions))
@@ -641,7 +664,7 @@ class JointStack:
         for arr in (*vars(stack).values(), *vars(model.rows).values(),
                     *vars(model.piecewise).values(), model.lb, model.ub,
                     model.binary, *model.objective, matrix.indptr,
-                    matrix.indices, matrix.data):
+                    matrix.indices, matrix.data, matrix.entry_rows):
             if isinstance(arr, np.ndarray):
                 arr.flags.writeable = False
         return stack
@@ -667,8 +690,8 @@ class JointStack:
         matrix = model.rows.matrix
         data = matrix.data.copy()
         data[self.data_slots] = values[self.data_sources]
-        rows = dataclasses.replace(model.rows, rhs=rhs, matrix=sparse.csr_array(
-            (data, matrix.indices, matrix.indptr), shape=matrix.shape))
+        rows = dataclasses.replace(model.rows, rhs=rhs,
+                                   matrix=dataclasses.replace(matrix, data=data))
         at = self.rule_pieces
         rules = dataclasses.replace(
             model.piecewise, slopes=segments.slopes[at],

@@ -33,28 +33,30 @@ of its pinned cost curve equal to that cost at or below the order-up-to
 level (deterministic replacement for the solver's free root choice).
 
 The pinned cost g(x), the no-order optimum with the first level fixed at
-x, has one evaluation: the branch and bound's first row pinned at x
-(_first_row). Its arc[e] is the priced first cycle 1..e at x (plus the
-unit cost's constant when e = T), so F_e(x) = arc[e] + V(e + 1), the
-cycle completed at the relaxed cost-to-go, is a convex piecewise-linear
-function of x, and the row's reach[2] = min_e F_e(x) = R(x) is an
-envelope that bounds g from below. End e carries a certificate limit
+x, has one evaluation: the first cycle's arcs pinned at x (_first_arc),
+the arcs of the branch and bound's first row. Its arc[e] is the priced
+first cycle 1..e at x (plus the unit cost's constant when e = T), so
+F_e(x) = arc[e] + V(e + 1), the cycle completed at the relaxed
+cost-to-go, is a convex piecewise-linear function of x, and R(x) =
+min_e F_e(x), the pinned first row's reach[2], is an envelope that
+bounds g from below. End e carries a certificate limit
 U_e = y*_{e+1} + D(1..e), where y*_{e+1} is the first level of the
 relaxed shortest path from e + 1 and D(1..e) the first cycle's mean
 demand (U_T = +inf). If that path keeps its own order chain and clamps no
 level to a bound, the pattern "cycle 1..e, then that path" needs no merge
 in solve_pattern for x <= U_e and costs exactly F_e(x). So where an end
 attaining R(x) is certified, g(x) = R(x), and cost_at returns that
-pattern without a search; otherwise it searches from the same row. The
-reorder root walks the certified sublevel set {x <= U_e : F_e(x) <
-target} leftward from the order-up-to level to the end x_C of its
-component, reading F_e from the row pinned at the walk's level and
+pattern without a search, in one pass over the arcs; otherwise it forms
+the pinned first row from the same arcs (_first_row) and searches from
+it. The reorder root walks the certified sublevel set {x <= U_e : F_e(x)
+< target} leftward from the order-up-to level to the end x_C of its
+component, reading F_e from the arcs pinned at the walk's level and
 solving each crossing in closed form. Since g < target on (x_C, S], x_C
 is the largest root when g(x_C) meets the target. Otherwise the root
 falls back to a bisection below x_C; the engine counts such fallbacks and
 logs each at DEBUG level. Every cycle 1..e is a cycle of the suffix's
 first start, so its kinks are a prefix of cycle 1..T's (see CycleTable
-below): a pinned row forms the hinge max(x - kink, 0) once over those
+below): the pinned arcs form the hinge max(x - kink, 0) once over those
 kinks, and each arc dots its prefix of the hinge with the cycle's deltas,
 the same numbers summed in the same order as evaluating the cycle alone.
 
@@ -74,8 +76,9 @@ row.
 
 Cycle data lives in a CycleTable, one per instance: its model.Segments
 and, built on first use, one record per cycle (j, e) and `first` flag: its
-priced convex cost, mean demand and demand shifts. The cycles of one start
-j come from one array pass: the breakpoints of rows (j, j..T) are
+priced convex cost, mean demand and demand shifts, kept per start j as
+the list of cycles j..T (_CycleCosts). The cycles of one start j come
+from one array pass: the breakpoints of rows (j, j..T) are
 flattened once into kinks, the slope steps tiled into deltas, and cycle
 (j, e) is a ConvexPWL over a read-only prefix of them, bit-equal to adding
 the pieces one at a time with ConvexPWL.plus.
@@ -84,8 +87,8 @@ minimizer and the minimum there; the unit cost's terms are added with
 ConvexPWL.plus_affine, which hands the sort on, so both `first` records of
 a cycle share one sort. The heuristics solve every suffix
 k..T, its free minimum and every root-search step, from the one table
-through a SuffixView: the suffix's instance, and its cycles read from the
-table with local periods shifted by the offset k - 1. Sharing is exact:
+through a SuffixView: the suffix's instance, and the offset k - 1 by
+which its engine shifts local periods to read the table's cycles. Sharing is exact:
 suffix k's (j, t) piece is the instance's (j + k - 1, t + k - 1) piece,
 the normal loss of the same demand slice summed in the same order, so a
 cycle's cost is the same function, built by the same operations,
@@ -100,14 +103,22 @@ built on first use at the suffix's default level bounds (those of
 build_minlp_s with a free initial level, which build_joint shares).
 ExactBackend.evaluator reads that engine, so the heuristics that run on
 one table search each suffix once: the engine memoizes its free minimum,
-and builds its relaxation whole on first use, in one backward pass over
-the cycle starts: the suffix's cycles, then every start's relaxation row,
-cost-to-go and relaxed path, each path with its pattern, and the
-certificate limits. Both are pure functions of the suffix and its bounds,
-so an answer does not depend on which caller filled them, and a build that
-raises stores nothing. solve_exact solves every model with an engine of
-its own, over a table of the model's instance and segments at the model's
-level bounds, so its answer and node count depend on the model alone.
+and builds its relaxation whole on first use as flat lists, in one
+backward pass over the cycle starts that reads each start's records of
+the table: every start's relaxation row and cost-to-go and, for the
+relaxed path from the start, its first level, the start after its first
+cycle and its `chained` flag; then the first cycles' records and the
+certificate limits from those values. Both are pure functions of the
+suffix and its bounds, so an answer does not depend on which caller
+filled them, and a build that raises stores nothing. A relaxed path's
+levels, cycles and pattern are built from those pointers when a search
+seeds from it or a certified answer returns it, and a later start's cycle
+record when a solved pattern or a returned path holds it; the engine keeps
+both. An engine holds the table's records, not the table, so a table and
+its engines are freed by reference counting. solve_exact solves every
+model with an engine of its own, over a table of the model's instance and
+segments at the model's level bounds, so its answer and node count depend
+on the model alone.
 """
 from __future__ import annotations
 
@@ -272,30 +283,25 @@ class ConvexPWL:
         return min(max(right + (level - f_right) / slope, left), right)
 
 
-class CycleTable:
-    """Segment data and cycle costs of one instance, keyed by the instance's
-    own (1-based) periods; see the module docstring. The cycles slice the
-    Segments' rows, and a model or stack reads its model rows."""
+class _CycleCosts:
+    """The priced cycle records of one instance, keyed by its own (1-based)
+    periods, each start's built in one array pass on first use. The
+    instance's CycleTable and every engine it builds read the same records;
+    this holds no engine, so an engine that holds it keeps no reference
+    back to its table."""
 
     def __init__(self, instance, segments: Segments):
-        segments.check(instance)
         self.instance = instance
         self.segments = segments
-        self._cycles: dict = {}  # (j, e, first) -> cycle record
-        self._engines: dict = {}  # suffix k -> its no-order engine
+        self._starts: dict = {}  # (j, first) -> records of cycles j..T
 
-    def cycle(self, j: int, e: int, first: bool) -> tuple:
-        """(cost, mean demand, largest and smallest demand shift) of cycle
-        j..e. The cost is a ConvexPWL of the start-of-cycle level y over
-        read-only prefixes of start j's kink arrays, with the unit ordering
-        cost, which telescopes into the levels of a suffix's first cycle
-        (`first`) and of the horizon's last. With no unit cost both `first`
-        keys hold one record; with one, both records share the cost's kink
-        sort."""
-        hit = self._cycles.get((j, e, first))
+    def start(self, j: int, first: bool) -> list:
+        """The records of cycles j..T, entry e - j being cycle j..e's; see
+        CycleTable.cycle."""
+        hit = self._starts.get((j, first))
         if hit is None:
             self._build_start(j)
-            hit = self._cycles[(j, e, first)]
+            hit = self._starts[(j, first)]
         return hit
 
     def _build_start(self, j: int) -> None:
@@ -339,9 +345,32 @@ class CycleTable:
             priced[-1] = priced[-1].plus_affine(c, 0.0)
             firsts = records(priced)
             later = records(cycles[:-1] + [cycles[-1].plus_affine(c, 0.0)])
-        for first, hits in ((True, firsts), (False, later)):
-            self._cycles.update(((j, e, first), hit)
-                                for e, hit in zip(range(j, T + 1), hits))
+        self._starts[(j, True)] = firsts
+        self._starts[(j, False)] = later
+
+
+class CycleTable:
+    """Segment data and cycle costs of one instance, keyed by the instance's
+    own (1-based) periods, and one no-order engine per suffix; see the
+    module docstring. The cycles slice the Segments' rows, and a model or
+    stack reads its model rows."""
+
+    def __init__(self, instance, segments: Segments):
+        segments.check(instance)
+        self.instance = instance
+        self.segments = segments
+        self.costs = _CycleCosts(instance, segments)
+        self._engines: dict = {}  # suffix k -> its no-order engine
+
+    def cycle(self, j: int, e: int, first: bool) -> tuple:
+        """(cost, mean demand, largest and smallest demand shift) of cycle
+        j..e. The cost is a ConvexPWL of the start-of-cycle level y over
+        read-only prefixes of start j's kink arrays, with the unit ordering
+        cost, which telescopes into the levels of a suffix's first cycle
+        (`first`) and of the horizon's last. With no unit cost both `first`
+        keys hold one record; with one, both records share the cost's kink
+        sort."""
+        return self.costs.start(j, first)[e - j]
 
     def suffix(self, k: int) -> "SuffixView":
         return SuffixView(self, k)
@@ -366,19 +395,14 @@ class CycleTable:
 
 class SuffixView:
     """Periods k..T of a CycleTable in the suffix's local periods
-    1..T-k+1: the suffix's instance, and `cycle`, which reads the shared
-    cycle costs."""
+    1..T-k+1: the table, the suffix's instance and the offset k - 1 from
+    local to table periods."""
 
     def __init__(self, table: CycleTable, k: int):
         self.table = table
         self.offset = k - 1
         self.instance = table.instance if k == 1 else table.instance.suffix(k)
         self.horizon = self.instance.horizon
-
-    def cycle(self, j: int, e: int) -> tuple:
-        """CycleTable.cycle of local cycle j..e; local period 1 opens the
-        suffix."""
-        return self.table.cycle(j + self.offset, e + self.offset, j == 1)
 
 
 @dataclass
@@ -393,44 +417,50 @@ class _Cycle:
 
 @dataclass
 class _Relaxation:
-    """A suffix's separable cycle relaxation, built whole by
+    """A suffix's separable cycle relaxation as flat lists, built whole by
     _SubmodelEngine.relaxation. Lists are indexed by the local cycle start
-    j (entry 0 unused). A relaxed path is `chained` where every level is
-    its cycle's own minimizer within the level bounds and the levels keep
-    the order chain y_next >= y - D, so solve_pattern gives its pattern
-    exactly these levels and the relaxed cost."""
-    cycles: dict         # (j, e) -> the suffix's _Cycle j..e
+    j (entry 0 unused). The relaxed path from j >= 2 is cycle j..next - 1,
+    then the path from next; it is `chained` where every level is its
+    cycle's own minimizer within the level bounds and the levels keep the
+    order chain y_next >= y - D, so solve_pattern gives its pattern
+    exactly these levels and the relaxed cost. Its levels, cycles and
+    pattern are built from these pointers by _SubmodelEngine._path when an
+    answer reads them, and its later cycles' records by
+    _SubmodelEngine._cycle."""
     rows: list           # (arc, reach, end): _SubmodelEngine._row
     cost_to_go: list     # V(j) = reach[j + 1], and V(T + 1) = 0
-    paths: list          # j >= 2: (levels, cycles, chained, pattern) of the
-                         # relaxed path from j, cycle j..end then
-                         # paths[end + 1]; its pattern orders at its starts
+    levels: list         # j >= 2: the path's first level y*_j
+    nexts: list          # j >= 2: the path's next start, row j's end + 1
+    chained: list        # j >= 2, and True at T + 1
+    firsts: list         # by the first cycle's end e: the _Cycle 1..e
     limits: list         # by the first cycle's end e: U_e = y*_{e+1} +
-                         # D(1..e) where paths[e + 1] is chained, -inf
-                         # where it is not, +inf at e = T
+                         # D(1..e) where the path from e + 1 is chained,
+                         # -inf where it is not, +inf at e = T
     closing: float       # the unit cost's constant of cycle 1..T
 
 
 class _SubmodelEngine:
     """Order-pattern search for the no-order submodel of a suffix.
 
-    `view` gives the suffix's instance and cycles, `bounds` the (lower,
-    upper) bound of every inventory level, the initial one included
-    (model.level_bounds). A fixed initial level is passed to `enumerate`.
-    `free_minimum` and `cost_at` are its optimum with a free and a fixed
-    initial level, `reorder_root` the largest level at which the latter
-    reaches a target; `nodes` counts the patterns they solved, `certified`
-    the `cost_at` answers read from the pinned first row and `fallbacks`
-    the roots that needed `_largest_root`. The free minimum is searched
-    once and memoized, its levels read-only. `relaxation` (the suffix's
-    cycles, the relaxation rows, the relaxed paths and the certificate
-    limits) is built whole on first use, inside the first search's call; a
-    build that raises stores nothing.
+    `view` gives the suffix's instance and where its cycles sit in the
+    table, `bounds` the (lower, upper) bound of every inventory level, the
+    initial one included (model.level_bounds). A fixed initial level is
+    passed to `enumerate`. `free_minimum` and `cost_at` are its optimum
+    with a free and a fixed initial level, `reorder_root` the largest level
+    at which the latter reaches a target; `nodes` counts the patterns they
+    solved, `certified` the `cost_at` answers read from the pinned first
+    cycle and `fallbacks` the roots that needed `_largest_root`. The free
+    minimum is searched once and memoized, its levels read-only.
+    `relaxation` is built whole on first use, inside the first search's
+    call; a build that raises stores nothing. The _Cycle records of later
+    starts and the relaxed paths are built when a solved pattern or an
+    answer reads them, and kept.
     """
 
     def __init__(self, view: SuffixView, bounds: tuple):
-        self.view = view
         inst = view.instance
+        # the table's records, not the table: the table holds this engine
+        self.costs, self.offset = view.table.costs, view.offset
         self.T = inst.horizon
         self.K, self.c = inst.costs.fixed, inst.costs.unit
         self.total_mean = inst.demand_totals[0]
@@ -442,49 +472,102 @@ class _SubmodelEngine:
         self.certified = 0
         self.fallbacks = 0
         self._free: tuple | None = None   # (free optimum or None,), memoized
+        self._cycles: dict = {}  # (j, e) -> _Cycle, j >= 2
+        self._paths: dict = {}   # j -> (levels, cycles, pattern) of its path
+
+    def records(self, j: int) -> list:
+        """The table's records of local cycles j..T, entry e - j being
+        cycle j..e's; local period 1 opens the suffix."""
+        return self.costs.start(j + self.offset, j == 1)
 
     @cached_property
     def relaxation(self) -> _Relaxation:
-        """The suffix's _Cycles, then one pass over the cycle starts
-        j = T..1: its row, V(j), the relaxed path from j and U_{j-1}."""
-        T = self.T
-        cycles = {}
-        for j in range(1, T + 1):
-            for e in range(j, T + 1):
-                cost, mean_d, top, low = self.view.cycle(j, e)
-                # inventory bounds: every I_t = y - shift within [inv_lo, inv_hi]
-                cycles[(j, e)] = _Cycle(j, e, cost, mean_d,
-                                        self.inv_lo + top, self.inv_hi + low)
+        """One pass over the cycle starts j = T..1: start j's row and V(j)
+        and, for j >= 2, the relaxed path's first level, next start and
+        `chained` flag; then the first cycles' records and the limits.
+
+        Arc e of row j is cycle j..e alone: K if it orders (j > 1), plus
+        its priced cost minimized over its level bounds (for j = 1 also
+        the initial level's) widened by solve_pattern's 1e-9 slack, plus
+        the unit cost's constant if it closes the horizon; math.inf where
+        solve_pattern would find no level for it."""
+        T, K, c = self.T, self.K, self.c
+        inv_lo, inv_hi = self.inv_lo, self.inv_hi
         rows = [None] * (T + 1)
         cost_to_go = [None] * (T + 1) + [0.0]
-        paths = [None] * (T + 1) + [([], [], True, (0,) * T)]
-        limits = [None] * T + [math.inf]
+        levels = [None] * (T + 2)
+        nexts = [None] * (T + 2)
+        chained = [None] * (T + 1) + [True]
         for j in range(T, 0, -1):
-            arc = [math.inf] * j + [self._arc(cycles[(j, e)])
-                                    for e in range(j, T + 1)]
+            records = self.records(j)
+            arc = [math.inf] * j
+            for cost, _, top, low in records:
+                # inventory bounds: every I_t = y - shift within [inv_lo, inv_hi]
+                lo, hi = inv_lo + top, inv_hi + low
+                if j == 1:
+                    lo, hi = max(lo, inv_lo), min(hi, inv_hi)
+                if lo > hi + 1e-9:
+                    arc.append(math.inf)
+                    continue
+                value = cost.minimize(lo - 1e-9, hi + 1e-9)[1]
+                if j > 1:
+                    value += K
+                arc.append(value)
+            if c:
+                arc[T] += c * (self.total_mean - records[-1][1])
             rows[j] = _, reach, end = self._row(j, arc, cost_to_go)
             cost_to_go[j] = reach[j + 1]
             if j > 1:
-                cyc = cycles[(j, end)]
-                levels, tail, chained, pattern = paths[end + 1]
-                y = cyc.cost.argmin()
-                chained = (chained and cyc.y_lo <= y <= cyc.y_hi
-                           and (not levels or levels[0] >= y - cyc.mean_demand))
-                paths[j] = ([y] + levels, [cyc] + tail, chained,
-                            pattern[:j - 1] + (1,) + pattern[j:])
-                limits[j - 1] = (y + cycles[(1, j - 1)].mean_demand
-                                 if chained else -math.inf)
-        last = cycles[(1, T)]
-        closing = self.c * (self.total_mean - last.mean_demand) if self.c else 0.0
-        return _Relaxation(cycles, rows, cost_to_go, paths, limits, closing)
+                cost, mean_d, top, low = records[end - j]
+                y = cost.argmin()
+                levels[j], nexts[j] = y, end + 1
+                chained[j] = (chained[end + 1] and inv_lo + top <= y <= inv_hi + low
+                              and (end == T or levels[end + 1] >= y - mean_d))
+        firsts = [None] + [_Cycle(1, e, cost, mean_d, inv_lo + top, inv_hi + low)
+                           for e, (cost, mean_d, top, low) in enumerate(records, 1)]
+        limits = [None] + [levels[e + 1] + firsts[e].mean_demand
+                           if chained[e + 1] else -math.inf
+                           for e in range(1, T)] + [math.inf]
+        closing = c * (self.total_mean - firsts[T].mean_demand) if c else 0.0
+        return _Relaxation(rows, cost_to_go, levels, nexts, chained, firsts,
+                           limits, closing)
+
+    def _cycle(self, j: int, e: int) -> _Cycle:
+        """The suffix's cycle j..e: a first cycle's from the relaxation, a
+        later start's built on first use and kept."""
+        if j == 1:
+            return self.relaxation.firsts[e]
+        hit = self._cycles.get((j, e))
+        if hit is None:
+            cost, mean_d, top, low = self.records(j)[e - j]
+            hit = self._cycles[(j, e)] = _Cycle(
+                j, e, cost, mean_d, self.inv_lo + top, self.inv_hi + low)
+        return hit
+
+    def _path(self, j: int) -> tuple:
+        """(levels, cycles, pattern) of the relaxed path from start j >= 2,
+        empty at j = T + 1, built from the relaxation's pointers on first
+        use and kept; its pattern orders at its starts."""
+        hit = self._paths.get(j)
+        if hit is None:
+            if j > self.T:
+                hit = [], [], (0,) * self.T
+            else:
+                relax = self.relaxation
+                after = relax.nexts[j]
+                levels, cycles, pattern = self._path(after)
+                hit = ([relax.levels[j]] + levels,
+                       [self._cycle(j, after - 1)] + cycles,
+                       pattern[:j - 1] + (1,) + pattern[j:])
+            self._paths[j] = hit
+        return hit
 
     def pattern_cycles(self, deltas: tuple) -> list:
         """Cycles of a pattern, deltas[t-1] being delta_t: the first opens
         at period 1 without an order, every later one at an order."""
         starts = [1] + [t for t in range(2, self.T + 1) if deltas[t - 1]]
         ends = [j - 1 for j in starts[1:]] + [self.T]
-        cycles = self.relaxation.cycles
-        return [cycles[(j, e)] for j, e in zip(starts, ends)]
+        return [self._cycle(j, e) for j, e in zip(starts, ends)]
 
     def solve_pattern(self, deltas: tuple, pinned_i0: float | None):
         """(cost, y-levels) for one order pattern, or None if infeasible.
@@ -548,24 +631,6 @@ class _SubmodelEngine:
             cost += self.c * (self.total_mean - cycles[-1].mean_demand)
         return float(cost), y_opt, cycles
 
-    def _arc(self, cyc: _Cycle) -> float:
-        """Relaxed cost of the cycle alone: K if it orders (it starts after
-        period 1), plus its priced cost minimized over its level bounds
-        widened by solve_pattern's 1e-9 slack, plus the unit cost's
-        constant if it is the last cycle. math.inf where solve_pattern
-        would find no level for it."""
-        lo, hi = cyc.y_lo, cyc.y_hi
-        if cyc.start == 1:
-            lo, hi = max(lo, self.inv_lo), min(hi, self.inv_hi)
-        if lo > hi + 1e-9:
-            return math.inf
-        value = cyc.cost.minimize(lo - 1e-9, hi + 1e-9)[1]
-        if cyc.start > 1:
-            value += self.K
-        if cyc.end == self.T and self.c:
-            value += self.c * (self.total_mean - cyc.mean_demand)
-        return value
-
     def _row(self, j: int, arc: list, cost_to_go: list) -> tuple:
         """(arc, reach, end) for a cycle opened at j, arc[e] being the
         relaxed cost of cycle j..e: reach[t] is the cheapest relaxed cost
@@ -583,29 +648,33 @@ class _SubmodelEngine:
             reach[e + 1] = best
         return arc, reach, end
 
-    def _first_row(self, x: float) -> tuple:
-        """_row of the first cycle pinned at x: arc[e] is cycle 1..e's
+    def _first_arc(self, x: float) -> list:
+        """The arcs of the first cycle pinned at x: arc[e] is cycle 1..e's
         priced cost at x (inf outside its level bounds widened by
         solve_pattern's 1e-9 slack), plus the unit cost's constant at
-        e = T. So arc[e] + V(e + 1) is the envelope's piece F_e(x) and
-        reach[2] is R(x). Every cycle 1..e's kinks are a prefix of cycle
-        1..T's: the hinge max(x - kink, 0) is formed once, and each arc
-        dots its prefix with the cycle's deltas, the numbers that
-        ConvexPWL.__call__ sums, in its order."""
+        e = T. So arc[e] + V(e + 1) is the envelope's piece F_e(x). Every
+        cycle 1..e's kinks are a prefix of cycle 1..T's: the hinge
+        max(x - kink, 0) is formed once, and each arc dots its prefix with
+        the cycle's deltas, the numbers that ConvexPWL.__call__ sums, in its
+        order."""
         T = self.T
         relax = self.relaxation
-        cycles = relax.cycles
-        hinge = np.maximum(x - cycles[(1, T)].cost.kinks, 0.0)
+        firsts = relax.firsts
+        hinge = np.maximum(x - firsts[T].cost.kinks, 0.0)
         arc = [math.inf] * (T + 1)
         for e in range(1, T + 1):
-            cyc = cycles[(1, e)]
+            cyc = firsts[e]
             if cyc.y_lo - 1e-9 <= x <= cyc.y_hi + 1e-9:
                 f = cyc.cost
                 arc[e] = (f.slope * x + f.const
                           + float(hinge[:len(f.deltas)] @ f.deltas))
         if self.c:
             arc[T] += relax.closing
-        return self._row(1, arc, relax.cost_to_go)
+        return arc
+
+    def _first_row(self, x: float) -> tuple:
+        """_row of the first cycle pinned at x: its reach[2] is R(x)."""
+        return self._row(1, self._first_arc(x), self.relaxation.cost_to_go)
 
     def enumerate(self, pinned_i0: float | None):
         """Global optimum over all order patterns, by the branch and bound
@@ -618,31 +687,34 @@ class _SubmodelEngine:
         return self._search(self._first_row(pinned_i0), pinned_i0)
 
     def _search(self, first: tuple, pinned_i0: float | None):
-        """enumerate from the (pinned) first row `first`."""
+        """enumerate from the (pinned) first row `first`: a depth-first walk
+        with delta_t = 0 before 1, on an explicit stack."""
         T = self.T
-        relax = self.relaxation
-        rows = [None, first] + relax.rows[2:]
+        rows = [None, first] + self.relaxation.rows[2:]
         _, reach, end = first
         if reach[2] == math.inf:
             return None, 0  # every pattern holds a cycle with no feasible level
 
         # the relaxed shortest path's pattern seeds the incumbent: the first
         # cycle's end from the first row, then the relaxed path
-        seed_pattern = relax.paths[end + 1][3]
+        seed_pattern = self._path(end + 1)[2]
         seed = self.solve_pattern(seed_pattern, pinned_i0)
         seed_cost = math.inf if seed is None else seed[0]
         nodes = 1
         best = None
         deltas = [0] * T
-
-        def visit(t: int, j: int, closed: float) -> None:
-            # periods j..t-1 form the open cycle; delta_t is decided next
-            nonlocal best, nodes
+        # (t, j, closed): periods j..t-1 form the open cycle, delta_t is
+        # decided next, and the closed cycles cost `closed`
+        stack = [(2, 1, 0.0)]
+        while stack:
+            t, j, closed = stack.pop()
+            if t > 2:
+                deltas[t - 2] = int(j == t - 1)  # delta_{t-1}
             arc, reach, _ = rows[j]
             bound = closed + reach[t]
             ref = seed_cost if best is None else min(seed_cost, best[0])
             if bound == math.inf or bound > ref + 1e-6 * max(1.0, abs(ref)):
-                return
+                continue
             if t > T:
                 pattern = tuple(deltas)
                 if pattern == seed_pattern:
@@ -653,13 +725,9 @@ class _SubmodelEngine:
                 if solved is not None and (best is None or solved[0] < best[0] - 1e-12):
                     cost, y_opt, cycles = solved
                     best = (cost, pattern, y_opt, cycles)
-                return
-            visit(t + 1, j, closed)
-            deltas[t - 1] = 1
-            visit(t + 1, t, closed + arc[t - 1])
-            deltas[t - 1] = 0
-
-        visit(2, 1, 0.0)
+                continue
+            stack.append((t + 1, t, closed + arc[t - 1]))
+            stack.append((t + 1, j, closed))
         return best, nodes
 
     def free_optimum(self):
@@ -681,39 +749,44 @@ class _SubmodelEngine:
 
     def cost_at(self, x: float):
         """The optimum with the initial level pinned at x: read from the
-        pinned first row where an end attaining R(x) is certified, else
-        searched from that row."""
-        return self._answer(x, self._first_row(x))
+        first cycle's arcs at x where an end attaining R(x) is certified,
+        else searched from the first row pinned at x."""
+        return self._answer(x, self._first_arc(x))
 
-    def _answer(self, x: float, first: tuple):
-        """cost_at(x) from `first`, the first row pinned at x."""
-        best = self._certified(x, first)
+    def _answer(self, x: float, arc: list):
+        """cost_at(x) from `arc`, the first cycle's arcs at x."""
+        best = self._certified(x, arc)
         if best is not None:
             self.certified += 1
             return best
-        best, nodes = self._search(first, x)
+        best, nodes = self._search(
+            self._row(1, arc, self.relaxation.cost_to_go), x)
         self.nodes += nodes
         if best is None:
             raise SolverError(f"no feasible pattern at initial level {x}")
         return best
 
-    def _certified(self, x: float, first: tuple):
-        """cost_at(x) from the first row pinned at x, or None where no
-        certified end attains R(x) = reach[2]. End e is certified at
-        x <= U_e: its pattern then costs arc[e] + V(e + 1) = F_e(x) in
-        solve_pattern, so g(x) <= F_e(x) = R(x) <= g(x). The smallest
-        such e answers; none is below the row's `end`."""
-        arc, reach, end = first
+    def _certified(self, x: float, arc: list):
+        """cost_at(x) from the first cycle's arcs at x, or None where no
+        certified end attains R(x) = min_e F_e(x). End e is certified at
+        x <= U_e: its pattern then costs F_e(x) = arc[e] + V(e + 1) in
+        solve_pattern, so g(x) <= F_e(x) = R(x) <= g(x). The smallest such
+        e answers. R(x) is the first row's reach[2]: the same running
+        minimum from e = T down, so the same bits."""
         relax = self.relaxation
-        if reach[2] == math.inf:
+        cost_to_go, limits = relax.cost_to_go, relax.limits
+        low, chosen = math.inf, None
+        for e in range(self.T, 0, -1):
+            value = arc[e] + cost_to_go[e + 1]
+            if value < low:
+                low, chosen = value, e if x <= limits[e] else None
+            elif value == low and x <= limits[e]:
+                chosen = e
+        if chosen is None or low == math.inf:
             return None
-        for e in range(end, self.T + 1):
-            if (arc[e] + relax.cost_to_go[e + 1] == reach[2]
-                    and x <= relax.limits[e]):
-                levels, tail, _, pattern = relax.paths[e + 1]
-                return (float(reach[2]), pattern, np.array([x] + levels),
-                        [relax.cycles[(1, e)]] + tail)
-        return None
+        levels, tail, pattern = self._path(chosen + 1)
+        return (float(low), pattern, np.array([x] + levels),
+                [relax.firsts[chosen]] + tail)
 
     def reorder_root(self, target: float, hi: float):
         """(x, cost_at(x)) for the largest x <= hi with cost_at(x) = target,
@@ -721,13 +794,13 @@ class _SubmodelEngine:
 
         Walks the certified sublevel set {x <= U_e : F_e(x) < target} from
         hi leftward to the end x_C of its component, reading F_e from the
-        first row pinned at the walk's level, the row that also answers
+        first cycle's arcs at the walk's level, the arcs that also answer
         cost_at there; g < target on (x_C, hi], so x_C is the root if
         g(x_C) = target within ROOT_MATCH. Otherwise _largest_root
         searches below x_C.
         """
-        first = self._first_row(hi)
-        best = self._answer(hi, first)
+        arc = self._first_arc(hi)
+        best = self._answer(hi, arc)
         if abs(best[0] - target) <= 1e-9:
             return hi, best  # K = 0: the order-up-to level is the root
         T = self.T
@@ -739,16 +812,16 @@ class _SubmodelEngine:
         while moved:
             moved = False
             for e in range(1, T + 1):
-                value = first[0][e] + relax.cost_to_go[e + 1]
+                value = arc[e] + relax.cost_to_go[e + 1]
                 if x <= relax.limits[e] and value < target:
-                    cyc, const = relax.cycles[(1, e)], consts[e - 1]
+                    cyc, const = relax.firsts[e], consts[e - 1]
                     left = max(cyc.cost.left_crossing(
                         target - const, x, value - const), cyc.y_lo - 1e-9)
                     if left < x:
                         x, moved = left, True
-                        first = self._first_row(x)
+                        arc = self._first_arc(x)
         if x < hi:
-            best = self._answer(x, first)
+            best = self._answer(x, arc)
         if abs(best[0] - target) <= ROOT_MATCH:
             return x, best
         self.fallbacks += 1

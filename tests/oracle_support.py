@@ -821,14 +821,16 @@ def reference_relaxation(engine, pins=()) -> SimpleNamespace:
     - paths[j] = (levels, cycles, chained, pattern), j = 2..T + 1;
     - pieces, the envelope, built piece by piece;
     - pinned[pin] = (arc, reach, first end) of the first row pinned at
-      `pin`, the first end being enumerate's seed end.
+      `pin`, the first end being enumerate's seed end;
+    - cycles[(1, e)], the _Cycle records of the first cycles.
     """
     T, K, c = engine.T, engine.K, engine.c
     cycles, rows = {}, {}
 
     def cycle(j, e):
         if (j, e) not in cycles:
-            cost, mean_d, top, low = engine.view.cycle(j, e)
+            cost, mean_d, top, low = engine.costs.start(
+                j + engine.offset, j == 1)[e - j]
             cycles[(j, e)] = _Cycle(j, e, cost, mean_d,
                                     engine.inv_lo + top, engine.inv_hi + low)
         return cycles[(j, e)]
@@ -913,4 +915,5 @@ def reference_relaxation(engine, pins=()) -> SimpleNamespace:
         rows={j: relaxation(j) for j in range(1, T + 1)},
         cost_to_go={j: cost_to_go(j) for j in range(1, T + 2)},
         ends={j: first_end(j, relaxation(j)[0]) for j in range(1, T + 1)},
-        paths=paths, pieces=pieces, pinned=pinned)
+        paths=paths, pieces=pieces, pinned=pinned,
+        cycles={(1, e): cycle(1, e) for e in range(1, T + 1)})

@@ -17,7 +17,8 @@ from sspolicy.domain import make_instance
 from sspolicy.export import render_lp
 from sspolicy.heuristics import HeuristicConfig
 from sspolicy.model import (
-    CUT, INDICATOR, JointStack, PiecewiseRules, RowChecks, RowTable, _emit_joint,
+    CUT, INDICATOR, CsrMatrix, JointStack, PiecewiseRules, RowChecks, RowTable,
+    _emit_joint,
     build_joint, build_minlp_s, build_minlp_S, build_segments,
     convolved_demand, default_big_m, level_bounds, pair_row, verify_assignment,
 )
@@ -326,7 +327,11 @@ class TestSemantics:
         keep = rows.kind != CUT
         assert not keep.all()
         cut = {f.name: getattr(rows, f.name)[keep]
-               for f in fields(RowTable) if f.name != "checks"}
+               for f in fields(RowTable) if f.name not in ("matrix", "checks")}
+        m = rows.matrix
+        kept = sparse.csr_array((m.data, m.indices, m.indptr), shape=m.shape)[keep]
+        cut["matrix"] = CsrMatrix.of(kept.data, kept.indices, kept.indptr,
+                                     kept.shape)
         model.rows = RowTable(**cut, checks=RowChecks.of(
             cut["sense"], cut["kind"], cut["condition"]))
         res_without = solve_exact(model)
@@ -500,9 +505,8 @@ def _stack_block(stack, model, b):
     rows = model.rows
     indptr = rows.matrix.indptr[r0:r1 + 1]
     at = slice(int(indptr[0]), int(indptr[-1]))
-    matrix = sparse.csr_array(
-        (rows.matrix.data[at], rows.matrix.indices[at] - c0, indptr - indptr[0]),
-        shape=(r1 - r0, c1 - c0))
+    matrix = CsrMatrix.of(rows.matrix.data[at], rows.matrix.indices[at] - c0,
+                          indptr - indptr[0], (r1 - r0, c1 - c0))
     condition = rows.condition[r0:r1]
     condition = np.where(condition >= 0, condition - c0, condition)
     checks = rows.checks
@@ -564,6 +568,31 @@ def test_joint_stack_blocks_match_build_joint(T, K, c, n_seg, strategy, data):
         assert list(stack.linked[k - 1] - c0) == [ref.index["C_S"], ref.index["G_s"]]
         refs.append(ref.objective_constant)
     assert model.objective_constant == math.fsum(refs)
+
+
+def test_row_product_matches_scipy_csr():
+    """CsrMatrix's product is bit-equal to scipy.sparse's CSR product, on
+    random vectors, over filled 8-suffix stacks of grid instances and
+    a stack with a unit cost."""
+    config = BenchmarkConfig(horizon=8)
+    hc = config.heuristic_config()
+    instances = build_instances(config)[::27]
+    instances.append(make_instance(8, K=40, h=1, b=10, c=1.5,
+                                   means=[20, 0, 35, 10, 25, 5, 40, 15], cv=0.3))
+    rng = np.random.default_rng(7)
+    for instance in instances:
+        segments = build_segments(instance, segments=hc.cells,
+                                  strategy=hc.strategy)
+        stack = JointStack.of(8, segments.slopes.shape[1],
+                              bool(instance.costs.unit), 8)
+        model = stack.fill(instance, segments, [(-1e4, 1e4)] * 8)
+        m = model.rows.matrix
+        ref = sparse.csr_array((m.data, m.indices, m.indptr), shape=m.shape)
+        for x in [rng.normal(0, 50, m.shape[1]) for _ in range(5)] + [
+                np.round(rng.normal(0, 50, m.shape[1]))]:
+            got = m @ x
+            assert got.dtype == np.float64 and got.shape == (m.shape[0],)
+            assert got.tobytes() == (ref @ x).tobytes(), instance.name
 
 
 def test_joint_skeleton_shares_structure_read_only(example4, segments4):

@@ -437,11 +437,11 @@ class TestCycleTableArrays:
         bs_policy(inst, config, table=table)
         sorts = {}
         for k in range(1, inst.horizon + 1):
-            cycles = table.engine(k).relaxation.cycles
+            firsts = table.engine(k).relaxation.firsts
             for e in range(1, inst.horizon - k + 2):
                 first = table.cycle(k, k + e - 1, True)[0]
                 later = table.cycle(k, k + e - 1, False)[0]
-                assert cycles[(1, e)].cost is first
+                assert firsts[e].cost is first
                 assert first._sorted is not None
                 assert later._sorted is first._sorted
                 sorts[(k, e)] = first._sorted
@@ -598,7 +598,7 @@ class TestEnvelope:
                 if math.isfinite(limit):  # both sides of U_e
                     pins.update((limit - 0.5, limit, limit + 0.5))
             for x in sorted(pins):
-                certified = engine._certified(x, engine._first_row(x))
+                certified = engine._certified(x, engine._first_arc(x))
                 if certified is None:
                     continue
                 searched, _ = engine.enumerate(x)
@@ -634,16 +634,16 @@ class TestEnvelope:
     def test_uncertified_cost_at_builds_one_first_row(self, example4,
                                                       segments4, monkeypatch):
         """A cost_at that the certificates cannot answer searches from the
-        first row it pinned for them."""
+        first cycle's arcs it pinned for them."""
         engine = _uncertified(_engine(build_joint(example4, segments4)))
         x = float(engine.free_minimum()[2][0]) - 1.0
-        first_row, calls = _SubmodelEngine._first_row, []
+        first_arc, calls = _SubmodelEngine._first_arc, []
 
         def counting(self, level):
             calls.append(level)
-            return first_row(self, level)
+            return first_arc(self, level)
 
-        monkeypatch.setattr(_SubmodelEngine, "_first_row", counting)
+        monkeypatch.setattr(_SubmodelEngine, "_first_arc", counting)
         answer = engine.cost_at(x)
         assert calls == [x] and engine.certified == 0
         assert _same_answer(answer, engine.enumerate(x)[0])
@@ -755,11 +755,11 @@ def _assert_reads_match(view, extra=()):
     s_up = float(best[2][0])
     target = best[0] + view.instance.costs.fixed
     pins = {s_up, s_up - 1.0, 0.0, -7.25, -s_up - 40.0, *extra}
-    cycles = fast.relaxation.cycles
-    kinks = cycles[(1, fast.T)].cost.kinks
+    firsts = fast.relaxation.firsts
+    kinks = firsts[fast.T].cost.kinks
     for e in range(1, fast.T + 1):
         # every first cycle's kinks are a prefix of the hinge's
-        first = cycles[(1, e)].cost.kinks
+        first = firsts[e].cost.kinks
         assert np.shares_memory(first, kinks)
         assert first.tobytes() == kinks[:len(first)].tobytes()
     for piece in slow.pieces:
@@ -767,7 +767,7 @@ def _assert_reads_match(view, extra=()):
             if math.isfinite(v):
                 pins.update((v - 0.5, v, v + 0.5))
     for x in sorted(pins):
-        assert _same_answer(fast._certified(x, fast._first_row(x)),
+        assert _same_answer(fast._certified(x, fast._first_arc(x)),
                             slow.certified_at(x)), x
     root, answer = fast.reorder_root(target, s_up)
     root_ref, answer_ref = slow.reorder_root(target, s_up)
@@ -831,7 +831,7 @@ def _first_row_pins(engine, extra=()) -> set:
     domain of every first cycle 1..e."""
     pins = set(extra)
     for e in range(1, engine.T + 1):
-        cyc = engine.relaxation.cycles[(1, e)]
+        cyc = engine.relaxation.firsts[e]
         pins.update((cyc.y_lo - 1.0, cyc.y_lo - 1e-9, cyc.y_lo,
                      0.5 * (cyc.y_lo + cyc.y_hi),
                      cyc.y_hi, cyc.y_hi + 1e-9, cyc.y_hi + 1.0))
@@ -840,8 +840,10 @@ def _first_row_pins(engine, extra=()) -> set:
 
 def _assert_relaxation_matches_reference(engine, extra=()):
     """Every row, V(j), first end and relaxed path of the engine's
-    one-pass relaxation, its pinned first rows, and the certificate limit
-    and pattern of every envelope piece are hex-equal to the recursive
+    one-pass relaxation (its first level, next start and chained flag, and
+    the levels, cycles and pattern built from them), its first cycles'
+    records, its pinned first rows and arcs, and the certificate limit and
+    pattern of every envelope piece are hex-equal to the recursive
     definitions'."""
     relax = engine.relaxation
     pins = sorted(_first_row_pins(engine, extra))
@@ -851,17 +853,24 @@ def _assert_relaxation_matches_reference(engine, extra=()):
         arc, reach, end = relax.rows[j]
         assert _bits((arc, reach)) == _bits(ref.rows[j]), j
         assert end == ref.ends[j], j
+        assert _bits(relax.firsts[j]) == _bits(ref.cycles[(1, j)]), j
     for j in range(1, T + 2):
         assert _bits(relax.cost_to_go[j]) == _bits(ref.cost_to_go[j]), j
     for j in range(2, T + 2):
-        assert _bits(relax.paths[j]) == _bits(ref.paths[j]), j
+        levels, cycles, pattern = engine._path(j)
+        assert _bits((levels, cycles, relax.chained[j], pattern)) == \
+            _bits(ref.paths[j]), j
+        if j <= T:
+            assert _bits(relax.levels[j]) == _bits(levels[0]), j
+            assert relax.nexts[j] == ref.ends[j] + 1, j
     assert ref.pieces[-1].cycles[0].end == T
     for piece in ref.pieces:
         e = piece.cycles[0].end
         assert _bits(relax.limits[e]) == _bits(piece.limit), e
-        assert relax.paths[e + 1][3] == piece.deltas, e
+        assert engine._path(e + 1)[2] == piece.deltas, e
     for pin in pins:
         assert _bits(engine._first_row(pin)) == _bits(ref.pinned[pin]), pin
+        assert _bits(engine._first_arc(pin)) == _bits(ref.pinned[pin][0]), pin
 
 
 @st.composite
@@ -900,6 +909,31 @@ class TestRelaxation:
                 _assert_relaxation_matches_reference(table.engine(k), extra=(
                     hc.lower_bound_for(table.suffix(k).instance),))
 
+    def test_records_built_on_demand(self):
+        """On a fresh 8-period grid engine, a free minimum and a certified
+        cost_at build the first cycles' records and, of the later starts',
+        only the cycles of the solved pattern and of the two answers; the
+        relaxed paths built are those the answers read."""
+        config = BenchmarkConfig(horizon=8)
+        hc = config.heuristic_config()
+        instance, = (i for i in build_instances(config)
+                     if i.name == "h8-EMP4-K200-b5-cv0.3")
+        engine = cycle_table(instance, hc).engine(1)
+        T = engine.T
+        free, nodes = engine.free_optimum(), engine.nodes
+        assert nodes == 1  # the seed, the relaxed path's own pattern
+        answer = engine.cost_at(float(free[2][0]) - 1.0)
+        assert engine.certified == 1 and engine.nodes == nodes
+        relax = engine.relaxation
+        assert len(relax.firsts) == T + 1
+        read = {(c.start, c.end) for c in free[3] + answer[3] if c.start > 1}
+        assert set(engine._cycles) == read == {(5, 8)}  # of 28 later cycles
+        assert engine._cycle(5, 8) is engine._cycles[(5, 8)]
+        # both answers close the first cycle at 4 and follow the path from
+        # 5, built once (with the empty path after it) and kept
+        assert set(engine._paths) == {5, T + 1}
+        assert free[3][1:] == answer[3][1:] == engine._path(5)[1]
+
     def test_failed_build_stores_nothing(self, example4, segments4,
                                          monkeypatch):
         """A build that raises part way leaves the shared engine with no
@@ -919,6 +953,7 @@ class TestRelaxation:
                 table.engine(1).free_minimum()
         engine = table.engine(1)
         assert "relaxation" not in vars(engine) and engine.nodes == 0
+        assert not engine._cycles and not engine._paths
         fresh = _SubmodelEngine(table.suffix(1), default_bounds(example4))
         assert _bits(engine.relaxation) == _bits(fresh.relaxation)
         assert _same_answer(engine.free_minimum(), fresh.free_minimum())
@@ -954,8 +989,8 @@ class TestPoolPass:
                        solver_module._engine_for(build_minlp_s(
                            inst, table.segments, initial_inventory=x0))):
             pins = _first_row_pins(engine, extra=(None, x0))
-            pins.update(0.5 * (engine.inv_hi + cyc.y_hi)
-                        for cyc in engine.relaxation.cycles.values())
+            pins.update(0.5 * (engine.inv_hi + engine._cycle(j, e).y_hi)
+                        for j in range(1, T + 1) for e in range(j, T + 1))
             for deltas in patterns:
                 for pin in pins:
                     assert _same_pattern_solve(

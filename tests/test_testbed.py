@@ -1,5 +1,6 @@
 import builtins
 import dataclasses
+import gc
 import math
 import os
 import re
@@ -402,6 +403,26 @@ class TestRunInstance:
             monkeypatch.setattr(testbed_module, name, spy)
         run_instance(self.CONFIG, instances[0])
         assert len(tables) == 2 and tables[0] is tables[1]
+
+    @pytest.mark.parametrize("call", [
+        lambda config, instance: run_instance(config, instance),
+        lambda config, instance: bs_policy(instance, config.heuristic_config()),
+        lambda config, instance: mp_policy(instance, config.heuristic_config()),
+    ], ids=["run_instance", "bs_policy", "mp_policy"])
+    def test_leaves_no_cyclic_garbage(self, instances, call):
+        """Everything an instance's run built is freed by reference
+        counting: with the cyclic collector off, a collection afterwards
+        finds nothing unreachable."""
+        instance = instances[2]
+        call(self.CONFIG, instance)  # first-use caches and imports
+        gc.collect()
+        gc.disable()
+        try:
+            call(self.CONFIG, instance)
+            found = gc.collect()
+        finally:
+            gc.enable()
+        assert found == 0
 
 
 @pytest.mark.skipif(not os.environ.get("SSPOLICY_FULL_BENCHMARK"),
