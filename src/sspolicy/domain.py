@@ -161,23 +161,25 @@ def validate(instance: Instance) -> Instance:
     c = instance.costs
     if instance.horizon < 1:
         raise ValidationError("empty horizon (T must be >= 1)")
-    if not math.isfinite(c.fixed) or c.fixed < 0:
-        raise ValidationError(f"negative fixed ordering cost K = {c.fixed}")
-    if not math.isfinite(c.unit) or c.unit < 0:
-        raise ValidationError(f"negative unit cost c = {c.unit}")
-    if not math.isfinite(c.holding) or c.holding <= 0:
-        raise ValidationError(f"non-positive holding cost h = {c.holding}")
-    if not math.isfinite(c.penalty) or c.penalty <= 0:
-        raise ValidationError(f"non-positive penalty cost b = {c.penalty}")
+    for name, value, positive in (("fixed ordering cost K", c.fixed, False),
+                                  ("unit cost c", c.unit, False),
+                                  ("holding cost h", c.holding, True),
+                                  ("penalty cost b", c.penalty, True)):
+        if not math.isfinite(value):
+            raise ValidationError(f"non-finite {name} = {value}")
+        if value < 0 or (positive and value == 0):
+            sign = "non-positive" if positive else "negative"
+            raise ValidationError(f"{sign} {name} = {value}")
     if c.unit >= c.penalty:
         raise ValidationError(
             f"unit cost c = {c.unit} is not below penalty b = {c.penalty}: "
             "the last period would never order")
     for t, d in enumerate(instance.demands, start=1):
-        if not math.isfinite(d.mean) or d.mean < 0:
-            raise ValidationError(f"negative mean demand in period {t}: {d.mean}")
-        if not math.isfinite(d.std_dev) or d.std_dev < 0:
-            raise ValidationError(f"negative std_dev in period {t}: {d.std_dev}")
+        for name, value in (("mean demand", d.mean), ("std_dev", d.std_dev)):
+            if not math.isfinite(value):
+                raise ValidationError(f"non-finite {name} in period {t}: {value}")
+            if value < 0:
+                raise ValidationError(f"negative {name} in period {t}: {value}")
     if not math.isfinite(instance.initial_inventory):
         raise ValidationError("initial_inventory must be finite")
     return instance

@@ -174,7 +174,7 @@ def bs_policy(instance: Instance, config: HeuristicConfig | None = None,
         view = table.suffix(k)
         try:
             evaluator = backend.evaluator(view)
-            cost_up, _, y_levels, _ = evaluator.free_minimum()
+            cost_up, _, y_levels = evaluator.free_minimum()
         except Exception as exc:
             raise RuntimeError(f"suffix solve failed at k={k}: {exc}") from exc
         s_up = float(y_levels[0])

@@ -60,10 +60,15 @@ below): the pinned arcs form the hinge max(x - kink, 0) once over those
 kinks, and each arc dots its prefix of the hinge with the cycle's deltas,
 the same numbers summed in the same order as evaluating the cycle alone.
 
-A solve writes its answer into one float vector in the model's column
-order. The model records where each submodel's variables sit
+An answer is (cost, pattern, levels): the order pattern delta_1..T and
+one level per cycle. The pattern implies the cycles, which open at period 1
+and at every order, so nothing else is kept: a solved pattern reads its
+cycles' costs from the table's records and their level bounds from its
+engine. A solve writes its answer into one float vector in the model's
+column order. The model records where each submodel's variables sit
 (model.Columns), so the pattern, the levels and the selected cycle pairs
-go straight to their columns, every side in one array pass (_put_sides);
+go straight to their columns, every side in one array pass (_put_sides)
+that derives each period's cycle start and level from the pattern;
 H_t comes from the selected piecewise rule's lines, the max-of-lines form
 verify_assignment checks, and B_t = H_t - I_t. _self_check verifies that
 vector against the model on every solve, and names are built only for a
@@ -77,7 +82,7 @@ row.
 Cycle data lives in a CycleTable, one per instance: its model.Segments
 and, built on first use, one record per cycle (j, e) and `first` flag: its
 priced convex cost, mean demand and demand shifts, kept per start j as
-the list of cycles j..T (_CycleCosts). The cycles of one start j come
+the list of cycles j..T (_PricedCycles). The cycles of one start j come
 from one array pass: the breakpoints of rows (j, j..T) are
 flattened once into kinks, the slope steps tiled into deltas, and cycle
 (j, e) is a ConvexPWL over a read-only prefix of them, bit-equal to adding
@@ -107,16 +112,16 @@ and builds its relaxation whole on first use as flat lists, in one
 backward pass over the cycle starts that reads each start's records of
 the table: every start's relaxation row and cost-to-go and, for the
 relaxed path from the start, its first level, the start after its first
-cycle and its `chained` flag; then the first cycles' records and the
-certificate limits from those values. Both are pure functions of the
-suffix and its bounds, so an answer does not depend on which caller
-filled them, and a build that raises stores nothing. A relaxed path's
-levels, cycles and pattern are built from those pointers when a search
-seeds from it or a certified answer returns it, and a later start's cycle
-record when a solved pattern or a returned path holds it; the engine keeps
-both. An engine holds the table's records, not the table, so a table and
-its engines are freed by reference counting. solve_exact solves every
-model with an engine of its own, over a table of the model's instance and
+cycle and its `chained` flag; then each first cycle's cost and level
+bounds and the certificate limits from those values. Both are pure
+functions of the suffix and its bounds, so an answer does not depend on
+which caller filled them, and a build that raises stores nothing. A
+relaxed path's levels and pattern are built from those pointers when a
+search seeds from it or a certified answer returns it, and the engine
+keeps them. A cycle's level bounds are applied where its record is read.
+An engine holds the table's records, not the table, so a table and its
+engines are freed by reference counting. solve_exact solves every model
+with an engine of its own, over a table of the model's instance and
 segments at the model's level bounds, so its answer and node count depend
 on the model alone.
 """
@@ -283,7 +288,7 @@ class ConvexPWL:
         return min(max(right + (level - f_right) / slope, left), right)
 
 
-class _CycleCosts:
+class _PricedCycles:
     """The priced cycle records of one instance, keyed by its own (1-based)
     periods, each start's built in one array pass on first use. The
     instance's CycleTable and every engine it builds read the same records;
@@ -359,7 +364,7 @@ class CycleTable:
         segments.check(instance)
         self.instance = instance
         self.segments = segments
-        self.costs = _CycleCosts(instance, segments)
+        self.costs = _PricedCycles(instance, segments)
         self._engines: dict = {}  # suffix k -> its no-order engine
 
     def cycle(self, j: int, e: int, first: bool) -> tuple:
@@ -406,16 +411,6 @@ class SuffixView:
 
 
 @dataclass
-class _Cycle:
-    start: int           # local period j (1-based); orders unless j == 1
-    end: int             # local period e
-    cost: ConvexPWL      # priced cost of the start-of-cycle level y
-    mean_demand: float   # cumulative mean over the cycle
-    y_lo: float
-    y_hi: float
-
-
-@dataclass
 class _Relaxation:
     """A suffix's separable cycle relaxation as flat lists, built whole by
     _SubmodelEngine.relaxation. Lists are indexed by the local cycle start
@@ -423,16 +418,16 @@ class _Relaxation:
     then the path from next; it is `chained` where every level is its
     cycle's own minimizer within the level bounds and the levels keep the
     order chain y_next >= y - D, so solve_pattern gives its pattern
-    exactly these levels and the relaxed cost. Its levels, cycles and
-    pattern are built from these pointers by _SubmodelEngine._path when an
-    answer reads them, and its later cycles' records by
-    _SubmodelEngine._cycle."""
+    exactly these levels and the relaxed cost. Its levels and pattern are
+    built from these pointers by _SubmodelEngine._path when an answer
+    reads them."""
     rows: list           # (arc, reach, end): _SubmodelEngine._row
     cost_to_go: list     # V(j) = reach[j + 1], and V(T + 1) = 0
     levels: list         # j >= 2: the path's first level y*_j
     nexts: list          # j >= 2: the path's next start, row j's end + 1
     chained: list        # j >= 2, and True at T + 1
-    firsts: list         # by the first cycle's end e: the _Cycle 1..e
+    firsts: list         # by the first cycle's end e: (cost, y_lo, y_hi)
+                         # of cycle 1..e, its level bounds the engine's
     limits: list         # by the first cycle's end e: U_e = y*_{e+1} +
                          # D(1..e) where the path from e + 1 is chained,
                          # -inf where it is not, +inf at e = T
@@ -450,11 +445,14 @@ class _SubmodelEngine:
     at which the latter reaches a target; `nodes` counts the patterns they
     solved, `certified` the `cost_at` answers read from the pinned first
     cycle and `fallbacks` the roots that needed `_largest_root`. The free
-    minimum is searched once and memoized, its levels read-only.
+    minimum is searched once and memoized, its levels read-only. An
+    answer is (cost, deltas, levels): the pattern, deltas[t - 1] being
+    delta_t, and one level per cycle, the cycles starting at period 1 and
+    at every order. A solved pattern reads its cycles' costs from the
+    table's records and their level bounds from `inv_lo` and `inv_hi`.
     `relaxation` is built whole on first use, inside the first search's
-    call; a build that raises stores nothing. The _Cycle records of later
-    starts and the relaxed paths are built when a solved pattern or an
-    answer reads them, and kept.
+    call; a build that raises stores nothing. The relaxed paths are built
+    when an answer reads them, and kept.
     """
 
     def __init__(self, view: SuffixView, bounds: tuple):
@@ -472,8 +470,7 @@ class _SubmodelEngine:
         self.certified = 0
         self.fallbacks = 0
         self._free: tuple | None = None   # (free optimum or None,), memoized
-        self._cycles: dict = {}  # (j, e) -> _Cycle, j >= 2
-        self._paths: dict = {}   # j -> (levels, cycles, pattern) of its path
+        self._paths: dict = {}   # j -> (levels, pattern) of its path
 
     def records(self, j: int) -> list:
         """The table's records of local cycles j..T, entry e - j being
@@ -484,7 +481,8 @@ class _SubmodelEngine:
     def relaxation(self) -> _Relaxation:
         """One pass over the cycle starts j = T..1: start j's row and V(j)
         and, for j >= 2, the relaxed path's first level, next start and
-        `chained` flag; then the first cycles' records and the limits.
+        `chained` flag; then each first cycle's (cost, y_lo, y_hi) and the
+        limits.
 
         Arc e of row j is cycle j..e alone: K if it orders (j > 1), plus
         its priced cost minimized over its level bounds (for j = 1 also
@@ -523,77 +521,62 @@ class _SubmodelEngine:
                 levels[j], nexts[j] = y, end + 1
                 chained[j] = (chained[end + 1] and inv_lo + top <= y <= inv_hi + low
                               and (end == T or levels[end + 1] >= y - mean_d))
-        firsts = [None] + [_Cycle(1, e, cost, mean_d, inv_lo + top, inv_hi + low)
-                           for e, (cost, mean_d, top, low) in enumerate(records, 1)]
-        limits = [None] + [levels[e + 1] + firsts[e].mean_demand
+        firsts = [None] + [(cost, inv_lo + top, inv_hi + low)
+                           for cost, _, top, low in records]
+        limits = [None] + [levels[e + 1] + records[e - 1][1]
                            if chained[e + 1] else -math.inf
                            for e in range(1, T)] + [math.inf]
-        closing = c * (self.total_mean - firsts[T].mean_demand) if c else 0.0
+        closing = c * (self.total_mean - records[-1][1]) if c else 0.0
         return _Relaxation(rows, cost_to_go, levels, nexts, chained, firsts,
                            limits, closing)
 
-    def _cycle(self, j: int, e: int) -> _Cycle:
-        """The suffix's cycle j..e: a first cycle's from the relaxation, a
-        later start's built on first use and kept."""
-        if j == 1:
-            return self.relaxation.firsts[e]
-        hit = self._cycles.get((j, e))
-        if hit is None:
-            cost, mean_d, top, low = self.records(j)[e - j]
-            hit = self._cycles[(j, e)] = _Cycle(
-                j, e, cost, mean_d, self.inv_lo + top, self.inv_hi + low)
-        return hit
-
     def _path(self, j: int) -> tuple:
-        """(levels, cycles, pattern) of the relaxed path from start j >= 2,
-        empty at j = T + 1, built from the relaxation's pointers on first
-        use and kept; its pattern orders at its starts."""
+        """(levels, pattern) of the relaxed path from start j >= 2, empty
+        at j = T + 1, built from the relaxation's pointers on first use and
+        kept; its pattern orders at its starts."""
         hit = self._paths.get(j)
         if hit is None:
             if j > self.T:
-                hit = [], [], (0,) * self.T
+                hit = [], (0,) * self.T
             else:
                 relax = self.relaxation
-                after = relax.nexts[j]
-                levels, cycles, pattern = self._path(after)
+                levels, pattern = self._path(relax.nexts[j])
                 hit = ([relax.levels[j]] + levels,
-                       [self._cycle(j, after - 1)] + cycles,
                        pattern[:j - 1] + (1,) + pattern[j:])
             self._paths[j] = hit
         return hit
 
-    def pattern_cycles(self, deltas: tuple) -> list:
-        """Cycles of a pattern, deltas[t-1] being delta_t: the first opens
-        at period 1 without an order, every later one at an order."""
-        starts = [1] + [t for t in range(2, self.T + 1) if deltas[t - 1]]
-        ends = [j - 1 for j in starts[1:]] + [self.T]
-        return [self._cycle(j, e) for j, e in zip(starts, ends)]
-
     def solve_pattern(self, deltas: tuple, pinned_i0: float | None):
         """(cost, y-levels) for one order pattern, or None if infeasible.
 
-        Pool-adjacent pass over the chain y_c >= y_{c-1} - D_{c-1}, in the
-        stack form of Best and Chakravarti (1990): it pools the same blocks
-        as a scan that restarts from the left after every merge. A pinned
-        first level (fixed initial inventory) propagates as a hard lower
-        bound through any merge containing it.
+        The pattern's cycles open at period 1 and at every order. Pool-
+        adjacent pass over the chain y_c >= y_{c-1} - D_{c-1}, in the stack
+        form of Best and Chakravarti (1990): it pools the same blocks as a
+        scan that restarts from the left after every merge. A pinned first
+        level (fixed initial inventory) propagates as a hard lower bound
+        through any merge containing it.
         """
-        cycles = self.pattern_cycles(deltas)
+        T = self.T
+        starts = [1] + [t for t in range(2, T + 1) if deltas[t - 1]]
+        ends = [j - 1 for j in starts[1:]] + [T]
+        cycles = [self.records(j)[e - j] for j, e in zip(starts, ends)]
         m = len(cycles)
         offsets = np.zeros(m)
         for i in range(1, m):
-            offsets[i] = offsets[i - 1] + cycles[i - 1].mean_demand
-        # in z = y + cumulative demand
-        funcs = [cyc.cost.shifted(offsets[i])
-                 for i, cyc in enumerate(cycles)]
-        z_los = np.array([c.y_lo + offsets[i] for i, c in enumerate(cycles)])
-        z_his = np.array([c.y_hi + offsets[i] for i, c in enumerate(cycles)])
+            offsets[i] = offsets[i - 1] + cycles[i - 1][1]
+        # in z = y + cumulative demand; the first cycle's offset is 0, so
+        # its record's cost serves as is, with its memoized sort and minimum
+        funcs = [cycles[0][0]] + [cycles[i][0].shifted(offsets[i])
+                                  for i in range(1, m)]
+        y_los = [self.inv_lo + top for _, _, top, _ in cycles]
+        y_his = [self.inv_hi + low for _, _, _, low in cycles]
+        z_los = y_los + offsets
+        z_his = y_his + offsets
         # the first level doubles as the initial-inventory variable
         z_los[0] = max(z_los[0], self.inv_lo)
         z_his[0] = min(z_his[0], self.inv_hi)
         pin = pinned_i0
-        if pin is not None and not (
-                cycles[0].y_lo - 1e-9 <= pin <= cycles[0].y_hi + 1e-9):
+        if pin is not None and not (y_los[0] - 1e-9 <= pin <= y_his[0] + 1e-9):
             return None
 
         # blocks [first, last, func, z, pinned] that keep the chain; the
@@ -628,8 +611,8 @@ class _SubmodelEngine:
         y_opt = z_opt - offsets
         cost += self.K * (m - 1)
         if self.c:
-            cost += self.c * (self.total_mean - cycles[-1].mean_demand)
-        return float(cost), y_opt, cycles
+            cost += self.c * (self.total_mean - cycles[-1][1])
+        return float(cost), y_opt
 
     def _row(self, j: int, arc: list, cost_to_go: list) -> tuple:
         """(arc, reach, end) for a cycle opened at j, arc[e] being the
@@ -660,12 +643,11 @@ class _SubmodelEngine:
         T = self.T
         relax = self.relaxation
         firsts = relax.firsts
-        hinge = np.maximum(x - firsts[T].cost.kinks, 0.0)
+        hinge = np.maximum(x - firsts[T][0].kinks, 0.0)
         arc = [math.inf] * (T + 1)
         for e in range(1, T + 1):
-            cyc = firsts[e]
-            if cyc.y_lo - 1e-9 <= x <= cyc.y_hi + 1e-9:
-                f = cyc.cost
+            f, y_lo, y_hi = firsts[e]
+            if y_lo - 1e-9 <= x <= y_hi + 1e-9:
                 arc[e] = (f.slope * x + f.const
                           + float(hinge[:len(f.deltas)] @ f.deltas))
         if self.c:
@@ -679,7 +661,7 @@ class _SubmodelEngine:
     def enumerate(self, pinned_i0: float | None):
         """Global optimum over all order patterns, by the branch and bound
         of the module docstring. Ties keep the lexicographically smallest
-        pattern. Returns ((cost, deltas, y_levels, cycles) | None, nodes),
+        pattern. Returns ((cost, deltas, y_levels) | None, nodes),
         nodes counting the distinct patterns passed to solve_pattern.
         """
         if pinned_i0 is None:
@@ -697,7 +679,7 @@ class _SubmodelEngine:
 
         # the relaxed shortest path's pattern seeds the incumbent: the first
         # cycle's end from the first row, then the relaxed path
-        seed_pattern = self._path(end + 1)[2]
+        seed_pattern = self._path(end + 1)[1]
         seed = self.solve_pattern(seed_pattern, pinned_i0)
         seed_cost = math.inf if seed is None else seed[0]
         nodes = 1
@@ -723,15 +705,14 @@ class _SubmodelEngine:
                     nodes += 1
                     solved = self.solve_pattern(pattern, pinned_i0)
                 if solved is not None and (best is None or solved[0] < best[0] - 1e-12):
-                    cost, y_opt, cycles = solved
-                    best = (cost, pattern, y_opt, cycles)
+                    best = (solved[0], pattern, solved[1])
                 continue
             stack.append((t + 1, t, closed + arc[t - 1]))
             stack.append((t + 1, j, closed))
         return best, nodes
 
     def free_optimum(self):
-        """The free minimum (cost, deltas, y_levels, cycles), or None where
+        """The free minimum (cost, deltas, y_levels), or None where
         no pattern is feasible; searched on the first call only."""
         if self._free is None:
             best, nodes = self.enumerate(pinned_i0=None)
@@ -784,9 +765,8 @@ class _SubmodelEngine:
                 chosen = e
         if chosen is None or low == math.inf:
             return None
-        levels, tail, pattern = self._path(chosen + 1)
-        return (float(low), pattern, np.array([x] + levels),
-                [relax.firsts[chosen]] + tail)
+        levels, pattern = self._path(chosen + 1)
+        return float(low), pattern, np.array([x] + levels)
 
     def reorder_root(self, target: float, hi: float):
         """(x, cost_at(x)) for the largest x <= hi with cost_at(x) = target,
@@ -814,9 +794,9 @@ class _SubmodelEngine:
             for e in range(1, T + 1):
                 value = arc[e] + relax.cost_to_go[e + 1]
                 if x <= relax.limits[e] and value < target:
-                    cyc, const = relax.firsts[e], consts[e - 1]
-                    left = max(cyc.cost.left_crossing(
-                        target - const, x, value - const), cyc.y_lo - 1e-9)
+                    (f, y_lo, _), const = relax.firsts[e], consts[e - 1]
+                    left = max(f.left_crossing(
+                        target - const, x, value - const), y_lo - 1e-9)
                     if left < x:
                         x, moved = left, True
                         arc = self._first_arc(x)
@@ -935,32 +915,36 @@ def solve_exact(model: MilpModel) -> SolveResult:
 
 def _put_sides(x: np.ndarray, pw, sides: list) -> None:
     """Write solved submodel sides into the column vector x, one array pass
-    over the rules of all of them. A side is (Columns, deltas, y-levels,
-    cycles) of its pattern: delta_t, the selector P_jt of each period's
-    cycle (its other P stay 0), I0 and I_t = y - mean_t at its cycle's
-    level y, and H_t and B_t = H_t - I_t from the selected rule of `pw`,
-    the max-of-lines form that verify_assignment checks."""
-    columns, starts, levels, orders, firsts = [], [], [], [], []
-    for cols, deltas, y_opt, cycles in sides:
-        for y, cyc in zip(y_opt.tolist(), cycles):
-            span = cyc.end - cyc.start + 1
-            starts += [cyc.start - 1] * span
-            levels += [y] * span
-        columns.append(cols)
-        orders += deltas
-        firsts.append(y_opt[0])  # the first level doubles as the initial one
+    over the periods of all of them. A side is (Columns, deltas, y-levels)
+    of its pattern, one level per cycle: a cycle opens at period 1 and at
+    every order. Each period gets delta_t, the selector P_jt of its cycle
+    (its other P stay 0), I0 and I_t = y - mean_t at its cycle's level y,
+    and H_t and B_t = H_t - I_t from the selected rule of `pw`, the
+    max-of-lines form that verify_assignment checks."""
+    columns = [cols for cols, _, _ in sides]
+    orders = [d for _, deltas, _ in sides for d in deltas]
+    lengths = [len(deltas) for _, deltas, _ in sides]
+    heads = np.zeros(len(orders), dtype=bool)  # every side's period 1
+    heads[np.cumsum([0] + lengths[:-1])] = True
+    opens = heads | np.array(orders, dtype=bool)
+    period = np.arange(len(orders))
+    # the latest cycle start at or before each period, local to its side
+    starts = (np.maximum.accumulate(np.where(opens, period, 0))
+              - np.maximum.accumulate(np.where(heads, period, 0)))
+    levels = np.concatenate([y_opt for _, _, y_opt in sides])[np.cumsum(opens) - 1]
 
     def at(field: str) -> np.ndarray:
         return np.concatenate([getattr(c, field) for c in columns])
 
     rules = at("rules") + starts
     shift = pw.shift[rules]
-    inv = np.array(levels) - shift
+    inv = levels - shift
     hold = ((inv + shift)[:, None] * pw.slopes[rules]
             + pw.intercepts[rules]).max(axis=1)
     x[at("order")] = orders
     x[pw.selector[rules]] = 1.0
-    x[[c.initial for c in columns]] = firsts
+    # the first level doubles as the initial one
+    x[[c.initial for c in columns]] = [y_opt[0] for _, _, y_opt in sides]
     x[at("inventory")] = inv
     x[at("holding")] = hold
     x[at("backorder")] = hold - inv
@@ -969,14 +953,14 @@ def _put_sides(x: np.ndarray, pw, sides: list) -> None:
 def _forced(engine: _SubmodelEngine, free: tuple) -> tuple:
     """The forced-order optimum from the no-order free one: the period-1
     order adds K, and the levels stay."""
-    cost, deltas, y_opt, cycles = free
-    return cost + engine.K, (1,) + deltas[1:], y_opt, cycles
+    cost, deltas, y_opt = free
+    return cost + engine.K, (1,) + deltas[1:], y_opt
 
 
 def joint_answer(engine: _SubmodelEngine) -> tuple:
     """(forced, root, pinned): a joint model's answer from its suffix's
     no-order engine. `forced` is the forced-order side (cost, deltas,
-    levels, cycles) at the free minimum, whose first level is the
+    levels) at the free minimum, whose first level is the
     order-up-to level and whose cost the linked cost C_S; `root` is the
     reorder point and `pinned` the no-order side pinned there."""
     forced = _forced(engine, engine.free_minimum())

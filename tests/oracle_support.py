@@ -8,6 +8,9 @@ every partial demand sum, so piecewise-linear optima are captured exactly.
 
 full_enumeration is the solver's pattern search without its bound: every
 pattern, in lexicographic order, through the engine's own solve_pattern.
+cycles_of rebuilds a pattern's cycles from the deltas alone, each with its
+record of the engine's table and its level bounds from the engine's; the
+references below read cycles only through it.
 EnumerationEngine is the solver engine with every certificate limit cut to
 -inf: pinned costs come from the pattern search alone and reorder roots
 from bisection. reference_solve_pattern is solve_pattern's pool-adjacent
@@ -81,8 +84,8 @@ from sspolicy.loss import PiecewiseLoss, cached_partition
 from sspolicy.model import INDICATOR, build_joint, build_segments, pair_row
 from sspolicy.sdp import discretize_demand
 from sspolicy.simulate import SimulationResult
-from sspolicy.solver import (ConvexPWL, SolverError, _Cycle, _engine_for,
-                             _forced, _largest_root, _put_joint, _self_check,
+from sspolicy.solver import (ConvexPWL, SolverError, _engine_for, _forced,
+                             _largest_root, _put_joint, _self_check,
                              _SubmodelEngine, joint_answer)
 
 
@@ -186,26 +189,53 @@ def brute_force_submodel(instance, segments, first_order: bool,
 
 
 def full_enumeration(engine, pinned_i0=None):
-    """(cost, deltas, y_levels, cycles) | None over all 2^(T-1) patterns of
-    a solver engine, accepting a pattern only when it beats the best so
-    far by more than 1e-12 (ties keep the lexicographically smallest)."""
+    """(cost, deltas, y_levels) | None over all 2^(T-1) patterns of a
+    solver engine, accepting a pattern only when it beats the best so far
+    by more than 1e-12 (ties keep the lexicographically smallest)."""
     best = None
     for combo in itertools.product((0, 1), repeat=engine.T - 1):
         deltas = (0,) + combo
         solved = engine.solve_pattern(deltas, pinned_i0)
         if solved is None:
             continue
-        cost, y_opt, cycles = solved
+        cost, y_opt = solved
         if best is None or cost < best[0] - 1e-12:
-            best = (cost, deltas, y_opt, cycles)
+            best = (cost, deltas, y_opt)
     return best
+
+
+@dataclass
+class Cycle:
+    start: int           # local period j (1-based); orders unless j == 1
+    end: int             # local period e
+    cost: ConvexPWL      # priced cost of the start-of-cycle level y
+    mean_demand: float   # cumulative mean over the cycle
+    y_lo: float
+    y_hi: float
+
+
+def engine_cycle(engine, j, e):
+    """An engine's local cycle j..e: its table record, and its level
+    bounds from the engine's inventory bounds and the record's shifts."""
+    cost, mean_d, top, low = engine.costs.start(j + engine.offset, j == 1)[e - j]
+    return Cycle(j, e, cost, mean_d, engine.inv_lo + top, engine.inv_hi + low)
+
+
+def cycles_of(engine, deltas):
+    """The cycles of a pattern, deltas[t - 1] being delta_t: one opens at
+    period 1 and one at every later order, each closing before the next."""
+    T = len(deltas)
+    starts = [1] + [t for t in range(2, T + 1) if deltas[t - 1]]
+    ends = [j - 1 for j in starts[1:]] + [T]
+    return [engine_cycle(engine, j, e) for j, e in zip(starts, ends)]
 
 
 def reference_solve_pattern(engine, deltas, pinned_i0):
     """engine.solve_pattern(deltas, pinned_i0) with its pool-adjacent pass
     as a scan that, after every merge, restarts from the left to merge the
-    leftmost pair that breaks the chain."""
-    cycles = engine.pattern_cycles(deltas)
+    leftmost pair that breaks the chain, and every cycle's cost shifted
+    into z, the first by 0.0."""
+    cycles = cycles_of(engine, deltas)
     m = len(cycles)
     offsets = np.zeros(m)
     for i in range(1, m):
@@ -258,7 +288,7 @@ def reference_solve_pattern(engine, deltas, pinned_i0):
     cost += engine.K * (m - 1)
     if engine.c:
         cost += engine.c * (engine.total_mean - cycles[-1].mean_demand)
-    return float(cost), y_opt, cycles
+    return float(cost), y_opt
 
 
 class EnumerationEngine(_SubmodelEngine):
@@ -289,6 +319,7 @@ class _Piece:
     """Piece e of the pinned-first-cycle envelope: the pattern that closes
     the pinned first cycle at e and completes the horizon on the relaxed
     shortest path from e + 1."""
+    end: int             # e
     cost: ConvexPWL      # priced cycle 1..e of the pinned level
     const: float         # V(e + 1), plus the unit-cost term when e = T
     lo: float            # pin domain, with solve_pattern's 1e-9 slack
@@ -296,7 +327,6 @@ class _Piece:
     limit: float         # certificate limit U_e; -inf where there is none
     deltas: tuple        # the pattern
     levels: list         # the relaxed tail's levels
-    cycles: list         # the pattern's cycles
 
 
 class PerPieceEngine(_SubmodelEngine):
@@ -323,8 +353,7 @@ class PerPieceEngine(_SubmodelEngine):
                 best, chosen = value, piece
         if chosen is None or best > lowest:
             return None
-        levels = np.array([x] + chosen.levels)
-        return float(best), chosen.deltas, levels, chosen.cycles
+        return float(best), chosen.deltas, np.array([x] + chosen.levels)
 
     def cost_at(self, x):
         best = self.certified_at(x)
@@ -369,21 +398,25 @@ class PerPieceEngine(_SubmodelEngine):
         return root, cache[root] if root in cache else self.cost_at(root)
 
 
-def reference_assignment(segments, lab, deltas, y_opt, cycles):
-    """Values of submodel `lab`'s variables for a solved pattern, by name."""
+def reference_assignment(segments, lab, deltas, y_opt):
+    """Values of submodel `lab`'s variables for a solved pattern, by name:
+    its i-th cycle, from the i-th start (period 1, then every order) to
+    the period before the next, at level y_opt[i]."""
+    T = len(deltas)
     out = {}
-    for t in range(1, len(deltas) + 1):
+    for t in range(1, T + 1):
         out[f"delta_{lab}_{t}"] = float(deltas[t - 1])
         for j in range(1, t + 1):
             out[f"P_{lab}_{j}_{t}"] = 0.0
+    starts = [1] + [t for t in range(2, T + 1) if deltas[t - 1]]
     i0 = None
-    for i, cyc in enumerate(cycles):
+    for i, (start, after) in enumerate(zip(starts, starts[1:] + [T + 1])):
         y = float(y_opt[i])
         if i == 0:
             i0 = y  # the first level doubles as the initial one
-        for t in range(cyc.start, cyc.end + 1):
-            pw = segments[(cyc.start, t)]
-            out[f"P_{lab}_{cyc.start}_{t}"] = 1.0
+        for t in range(start, after):
+            pw = segments[(start, t)]
+            out[f"P_{lab}_{start}_{t}"] = 1.0
             inv = y - pw.mean
             h_val = float(pw.upper(y))
             out[f"I_{lab}_{t}"] = inv
@@ -415,12 +448,11 @@ def reference_solution(model):
         if pinned is not None:
             out["I0_s"] = pinned
         return out
-    cost_S, deltas_S, y_S, cycles_S = _forced(engine, best)
-    root, (cost_s, deltas_s, y_s, cycles_s) = engine.reorder_root(
-        cost_S, float(y_S[0]))
+    cost_S, deltas_S, y_S = _forced(engine, best)
+    root, (cost_s, deltas_s, y_s) = engine.reorder_root(cost_S, float(y_S[0]))
     pieces = reference_pieces(model.instance, model.segments)
-    out = reference_assignment(pieces, "S", deltas_S, y_S, cycles_S)
-    out.update(reference_assignment(pieces, "s", deltas_s, y_s, cycles_s))
+    out = reference_assignment(pieces, "S", deltas_S, y_S)
+    out.update(reference_assignment(pieces, "s", deltas_s, y_s))
     out["I0_s"] = float(root)
     out["C_S"] = float(cost_S)
     out["G_s"] = float(cost_s)
@@ -818,21 +850,18 @@ def reference_relaxation(engine, pins=()) -> SimpleNamespace:
       V(T + 1) = 0, each row built on first use through the recursion;
     - ends[j], the first end attaining V(j): min(range(j, T + 1), key) over
       the row, as the relaxed paths and enumerate's seed read it;
-    - paths[j] = (levels, cycles, chained, pattern), j = 2..T + 1;
+    - paths[j] = (levels, chained, pattern), j = 2..T + 1;
     - pieces, the envelope, built piece by piece;
     - pinned[pin] = (arc, reach, first end) of the first row pinned at
       `pin`, the first end being enumerate's seed end;
-    - cycles[(1, e)], the _Cycle records of the first cycles.
+    - firsts[e] = (cost, y_lo, y_hi) of the first cycle 1..e.
     """
     T, K, c = engine.T, engine.K, engine.c
     cycles, rows = {}, {}
 
     def cycle(j, e):
         if (j, e) not in cycles:
-            cost, mean_d, top, low = engine.costs.start(
-                j + engine.offset, j == 1)[e - j]
-            cycles[(j, e)] = _Cycle(j, e, cost, mean_d,
-                                    engine.inv_lo + top, engine.inv_hi + low)
+            cycles[(j, e)] = engine_cycle(engine, j, e)
         return cycles[(j, e)]
 
     def arc_of(j, e, pin):
@@ -876,36 +905,39 @@ def reference_relaxation(engine, pins=()) -> SimpleNamespace:
     def first_end(j, arc):
         return min(range(j, T + 1), key=lambda e: arc[e] + cost_to_go(e + 1))
 
-    def pattern(tail):
+    def pattern(starts):
         deltas = [0] * T
-        for later in tail:
-            deltas[later.start - 1] = 1
+        for j in starts:
+            deltas[j - 1] = 1
         return tuple(deltas)
 
-    paths = {T + 1: ([], [], True, pattern([]))}
+    # j -> (levels, cycles, chained) of the relaxed path from start j
+    tails = {T + 1: ([], [], True)}
     for j in range(T, 1, -1):
         e = first_end(j, relaxation(j)[0])
         cyc = cycle(j, e)
-        levels, tail, chained, _ = paths[e + 1]
+        levels, tail, chained = tails[e + 1]
         y = fresh_argmin(cyc.cost)
         chained = (chained and cyc.y_lo <= y <= cyc.y_hi
                    and (not levels or levels[0] >= y - cyc.mean_demand))
-        paths[j] = ([y] + levels, [cyc] + tail, chained, pattern([cyc] + tail))
+        tails[j] = ([y] + levels, [cyc] + tail, chained)
+    paths = {j: (levels, chained, pattern(cyc.start for cyc in tail))
+             for j, (levels, tail, chained) in tails.items()}
 
     pieces = []
     for e in range(1, T + 1):
         cyc = cycle(1, e)
         if e == T:
             const = c * (engine.total_mean - cyc.mean_demand) if c else 0.0
-            limit, levels, tail = math.inf, [], []
+            limit, levels, deltas = math.inf, [], pattern([])
         else:
             const = cost_to_go(e + 1)
             if const == math.inf:
                 continue
-            levels, tail, chained, _ = paths[e + 1]
+            levels, chained, deltas = paths[e + 1]
             limit = levels[0] + cyc.mean_demand if chained else -math.inf
-        pieces.append(_Piece(cyc.cost, const, cyc.y_lo - 1e-9, cyc.y_hi + 1e-9,
-                             limit, pattern(tail), levels, [cyc] + tail))
+        pieces.append(_Piece(e, cyc.cost, const, cyc.y_lo - 1e-9,
+                             cyc.y_hi + 1e-9, limit, deltas, levels))
 
     pinned = {}
     for pin in pins:
@@ -916,4 +948,5 @@ def reference_relaxation(engine, pins=()) -> SimpleNamespace:
         cost_to_go={j: cost_to_go(j) for j in range(1, T + 2)},
         ends={j: first_end(j, relaxation(j)[0]) for j in range(1, T + 1)},
         paths=paths, pieces=pieces, pinned=pinned,
-        cycles={(1, e): cycle(1, e) for e in range(1, T + 1)})
+        firsts={e: (cycle(1, e).cost, cycle(1, e).y_lo, cycle(1, e).y_hi)
+                for e in range(1, T + 1)})

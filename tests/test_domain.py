@@ -55,6 +55,26 @@ def test_cost_invariants(field, value, msg):
         make_instance(**kwargs)
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("field,msg", [
+    ("K", "non-finite fixed ordering cost K"),
+    ("c", "non-finite unit cost c"),
+    ("h", "non-finite holding cost h"),
+    ("b", "non-finite penalty cost b"),
+    ("means", "non-finite mean demand in period 2"),
+    ("std_devs", "non-finite std_dev in period 2"),
+], ids=["K", "c", "h", "b", "mean", "std_dev"])
+def test_non_finite_values_named(field, msg, value):
+    """A non-finite value is reported as non-finite, not as negative."""
+    kwargs = dict(horizon=2, K=10, h=1, b=5, c=0, means=[3, 4], std_devs=[1, 1])
+    if field in ("means", "std_devs"):
+        kwargs[field] = [kwargs[field][0], value]
+    else:
+        kwargs[field] = value
+    with pytest.raises(ValidationError, match=f"^{msg} ?[=:] {value}$"):
+        make_instance(**kwargs)
+
+
 def test_unit_cost_at_penalty_rejected():
     """h8-STA-K200-b20-cv0.1 with c = 20: ordering never pays in the last
     period, so its reorder point is -inf and no SDP grid can hold it. The

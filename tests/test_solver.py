@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 import sspolicy.solver as solver_module
 from lp_support import solve_lp
 from oracle_support import (
-    EnumerationEngine, PerPieceEngine, brute_force_submodel, full_enumeration,
-    reference_cycle, reference_pieces, reference_priced, reference_relaxation,
-    reference_solution, reference_solve_pattern, reference_verify_assignment,
-    suffix_segments,
+    EnumerationEngine, PerPieceEngine, brute_force_submodel, cycles_of,
+    engine_cycle, full_enumeration, reference_cycle, reference_pieces,
+    reference_priced, reference_relaxation, reference_solution,
+    reference_solve_pattern, reference_verify_assignment, suffix_segments,
 )
 from sspolicy.domain import make_instance
 from sspolicy.export import render_lp
@@ -441,13 +441,32 @@ class TestCycleTableArrays:
             for e in range(1, inst.horizon - k + 2):
                 first = table.cycle(k, k + e - 1, True)[0]
                 later = table.cycle(k, k + e - 1, False)[0]
-                assert firsts[e].cost is first
+                assert firsts[e][0] is first
                 assert first._sorted is not None
                 assert later._sorted is first._sorted
                 sorts[(k, e)] = first._sorted
         mp_policy(inst, config, table=table)
         for (k, e), sort in sorts.items():
             assert table.cycle(k, k + e - 1, True)[0]._sorted is sort
+
+    @pytest.mark.parametrize("c", [0.0, 1.5])
+    @pytest.mark.parametrize("horizon", [8, 25])
+    def test_grid_records_hold_no_negative_zero(self, horizon, c):
+        """solve_pattern reads a pattern's first cycle cost from its record
+        as is, not from a copy shifted by 0.0. The two are equal bit for bit
+        unless a kink or the constant is -0.0, which such a shift turns
+        into 0.0. No record of either grid holds one: kinks and constants
+        are sums seeded with 0.0 (TestPoolPass compares the pass with the
+        shifted copy's)."""
+        config = BenchmarkConfig(horizon=horizon, unit_cost=c)
+        hc = config.heuristic_config()
+        for instance in build_instances(config):
+            costs = cycle_table(instance, hc).costs
+            for j in range(1, horizon + 1):
+                for first in (True, False):
+                    for f, *_ in costs.start(j, first):
+                        assert not np.signbit(f.kinks[f.kinks == 0.0]).any()
+                        assert not (f.const == 0.0 and math.copysign(1.0, f.const) < 0)
 
     def test_no_unit_cost_prices_once(self, example4, segments4):
         """With c = 0 both `first` keys hold one record."""
@@ -603,7 +622,7 @@ class TestEnvelope:
                     continue
                 searched, _ = engine.enumerate(x)
                 assert certified[0] == pytest.approx(searched[0], rel=1e-9)
-                cost, levels, _ = engine.solve_pattern(certified[1], x)
+                cost, levels = engine.solve_pattern(certified[1], x)
                 assert cost == pytest.approx(certified[0], rel=1e-9)
                 assert np.allclose(levels, certified[2], rtol=0, atol=1e-9)
             for x in np.linspace(root, s_up, 6)[1:]:  # nothing larger
@@ -734,13 +753,14 @@ def _uncertified(engine):
 
 
 def _same_answer(got, ref) -> bool:
-    """Two cost_at answers (or None) with equal bits: cost, pattern,
-    levels and cycles."""
+    """Two cost_at answers (or None) with equal bits: cost, pattern and
+    levels."""
     if ref is None or got is None:
         return got is ref
-    return (_same_float(got[0], ref[0]) and got[1] == ref[1]
+    return (len(got) == len(ref) == 3
+            and _same_float(got[0], ref[0]) and got[1] == ref[1]
             and got[2].dtype == ref[2].dtype
-            and got[2].tobytes() == ref[2].tobytes() and got[3] == ref[3])
+            and got[2].tobytes() == ref[2].tobytes())
 
 
 def _assert_reads_match(view, extra=()):
@@ -756,10 +776,10 @@ def _assert_reads_match(view, extra=()):
     target = best[0] + view.instance.costs.fixed
     pins = {s_up, s_up - 1.0, 0.0, -7.25, -s_up - 40.0, *extra}
     firsts = fast.relaxation.firsts
-    kinks = firsts[fast.T].cost.kinks
+    kinks = firsts[fast.T][0].kinks
     for e in range(1, fast.T + 1):
         # every first cycle's kinks are a prefix of the hinge's
-        first = firsts[e].cost.kinks
+        first = firsts[e][0].kinks
         assert np.shares_memory(first, kinks)
         assert first.tobytes() == kinks[:len(first)].tobytes()
     for piece in slow.pieces:
@@ -831,20 +851,19 @@ def _first_row_pins(engine, extra=()) -> set:
     domain of every first cycle 1..e."""
     pins = set(extra)
     for e in range(1, engine.T + 1):
-        cyc = engine.relaxation.firsts[e]
-        pins.update((cyc.y_lo - 1.0, cyc.y_lo - 1e-9, cyc.y_lo,
-                     0.5 * (cyc.y_lo + cyc.y_hi),
-                     cyc.y_hi, cyc.y_hi + 1e-9, cyc.y_hi + 1.0))
+        _, y_lo, y_hi = engine.relaxation.firsts[e]
+        pins.update((y_lo - 1.0, y_lo - 1e-9, y_lo, 0.5 * (y_lo + y_hi),
+                     y_hi, y_hi + 1e-9, y_hi + 1.0))
     return pins
 
 
 def _assert_relaxation_matches_reference(engine, extra=()):
     """Every row, V(j), first end and relaxed path of the engine's
     one-pass relaxation (its first level, next start and chained flag, and
-    the levels, cycles and pattern built from them), its first cycles'
-    records, its pinned first rows and arcs, and the certificate limit and
-    pattern of every envelope piece are hex-equal to the recursive
-    definitions'."""
+    the levels and pattern built from them), its first cycles' costs and
+    level bounds, its pinned first rows and arcs, and the certificate
+    limit and pattern of every envelope piece are hex-equal to the
+    recursive definitions'."""
     relax = engine.relaxation
     pins = sorted(_first_row_pins(engine, extra))
     ref = reference_relaxation(engine, pins)
@@ -853,21 +872,21 @@ def _assert_relaxation_matches_reference(engine, extra=()):
         arc, reach, end = relax.rows[j]
         assert _bits((arc, reach)) == _bits(ref.rows[j]), j
         assert end == ref.ends[j], j
-        assert _bits(relax.firsts[j]) == _bits(ref.cycles[(1, j)]), j
+        assert _bits(relax.firsts[j]) == _bits(ref.firsts[j]), j
     for j in range(1, T + 2):
         assert _bits(relax.cost_to_go[j]) == _bits(ref.cost_to_go[j]), j
     for j in range(2, T + 2):
-        levels, cycles, pattern = engine._path(j)
-        assert _bits((levels, cycles, relax.chained[j], pattern)) == \
+        levels, pattern = engine._path(j)
+        assert _bits((levels, relax.chained[j], pattern)) == \
             _bits(ref.paths[j]), j
         if j <= T:
             assert _bits(relax.levels[j]) == _bits(levels[0]), j
             assert relax.nexts[j] == ref.ends[j] + 1, j
-    assert ref.pieces[-1].cycles[0].end == T
+    assert ref.pieces[-1].end == T
     for piece in ref.pieces:
-        e = piece.cycles[0].end
+        e = piece.end
         assert _bits(relax.limits[e]) == _bits(piece.limit), e
-        assert engine._path(e + 1)[2] == piece.deltas, e
+        assert engine._path(e + 1)[1] == piece.deltas, e
     for pin in pins:
         assert _bits(engine._first_row(pin)) == _bits(ref.pinned[pin]), pin
         assert _bits(engine._first_arc(pin)) == _bits(ref.pinned[pin][0]), pin
@@ -909,30 +928,29 @@ class TestRelaxation:
                 _assert_relaxation_matches_reference(table.engine(k), extra=(
                     hc.lower_bound_for(table.suffix(k).instance),))
 
-    def test_records_built_on_demand(self):
+    def test_paths_built_on_demand(self):
         """On a fresh 8-period grid engine, a free minimum and a certified
-        cost_at build the first cycles' records and, of the later starts',
-        only the cycles of the solved pattern and of the two answers; the
-        relaxed paths built are those the answers read."""
+        cost_at build the relaxation and, of the relaxed paths, only those
+        the answers read: both close the first cycle at 4 and follow the
+        path from 5, built once (with the empty path after it) and kept."""
         config = BenchmarkConfig(horizon=8)
         hc = config.heuristic_config()
         instance, = (i for i in build_instances(config)
                      if i.name == "h8-EMP4-K200-b5-cv0.3")
         engine = cycle_table(instance, hc).engine(1)
         T = engine.T
+        assert "relaxation" not in vars(engine) and not engine._paths
         free, nodes = engine.free_optimum(), engine.nodes
         assert nodes == 1  # the seed, the relaxed path's own pattern
-        answer = engine.cost_at(float(free[2][0]) - 1.0)
+        x = float(free[2][0]) - 1.0
+        answer = engine.cost_at(x)
         assert engine.certified == 1 and engine.nodes == nodes
-        relax = engine.relaxation
-        assert len(relax.firsts) == T + 1
-        read = {(c.start, c.end) for c in free[3] + answer[3] if c.start > 1}
-        assert set(engine._cycles) == read == {(5, 8)}  # of 28 later cycles
-        assert engine._cycle(5, 8) is engine._cycles[(5, 8)]
-        # both answers close the first cycle at 4 and follow the path from
-        # 5, built once (with the empty path after it) and kept
+        assert "relaxation" in vars(engine)
         assert set(engine._paths) == {5, T + 1}
-        assert free[3][1:] == answer[3][1:] == engine._path(5)[1]
+        levels, pattern = engine._path(5)
+        assert engine._paths[5] is engine._path(5)
+        assert free[1] == answer[1] == pattern == (0, 0, 0, 0, 1, 0, 0, 0)
+        assert answer[2].tolist() == [x] + levels
 
     def test_failed_build_stores_nothing(self, example4, segments4,
                                          monkeypatch):
@@ -953,19 +971,20 @@ class TestRelaxation:
                 table.engine(1).free_minimum()
         engine = table.engine(1)
         assert "relaxation" not in vars(engine) and engine.nodes == 0
-        assert not engine._cycles and not engine._paths
+        assert not engine._paths
         fresh = _SubmodelEngine(table.suffix(1), default_bounds(example4))
         assert _bits(engine.relaxation) == _bits(fresh.relaxation)
         assert _same_answer(engine.free_minimum(), fresh.free_minimum())
 
 
 def _same_pattern_solve(got, ref) -> bool:
-    """Two solve_pattern answers (or None) with equal bits: cost, levels
-    and the same cycle objects."""
+    """Two solve_pattern answers (or None) with equal bits: cost and
+    levels."""
     if ref is None or got is None:
         return got is ref
-    return (_same_float(got[0], ref[0]) and got[1].dtype == ref[1].dtype
-            and got[1].tobytes() == ref[1].tobytes() and got[2] == ref[2])
+    return (len(got) == len(ref) == 2
+            and _same_float(got[0], ref[0]) and got[1].dtype == ref[1].dtype
+            and got[1].tobytes() == ref[1].tobytes())
 
 
 class TestPoolPass:
@@ -989,7 +1008,7 @@ class TestPoolPass:
                        solver_module._engine_for(build_minlp_s(
                            inst, table.segments, initial_inventory=x0))):
             pins = _first_row_pins(engine, extra=(None, x0))
-            pins.update(0.5 * (engine.inv_hi + engine._cycle(j, e).y_hi)
+            pins.update(0.5 * (engine.inv_hi + engine_cycle(engine, j, e).y_hi)
                         for j in range(1, T + 1) for e in range(j, T + 1))
             for deltas in patterns:
                 for pin in pins:
@@ -1020,7 +1039,7 @@ class TestPoolPass:
         infeasible = 0
         for tail in itertools.product((0, 1), repeat=engine.T - 1):
             deltas = (0, *tail)
-            first = engine.pattern_cycles(deltas)[0]
+            first = cycles_of(engine, deltas)[0]
             for pin in (0.5 * (engine.inv_hi + first.y_hi), first.y_hi,
                         first.y_hi + 1e-9):
                 assert engine.inv_hi < pin <= first.y_hi + 1e-9
