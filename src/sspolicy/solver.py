@@ -35,9 +35,9 @@ level (deterministic replacement for the solver's free root choice).
 The pinned cost g(x), the no-order optimum with the first level fixed at
 x, has one evaluation: the first cycle's arcs pinned at x (_first_arc),
 the arcs of the branch and bound's first row. Its arc[e] is the priced
-first cycle 1..e at x (plus the unit cost's constant when e = T), so
-F_e(x) = arc[e] + V(e + 1), the cycle completed at the relaxed
-cost-to-go, is a convex piecewise-linear function of x, and R(x) =
+first cycle 1..e at x, so F_e(x) = arc[e] + V(e + 1), the cycle
+completed at the relaxed cost-to-go (V(T + 1) = 0), is a convex
+piecewise-linear function of x, and R(x) =
 min_e F_e(x), the pinned first row's reach[2], is an envelope that
 bounds g from below. End e carries a certificate limit
 U_e = y*_{e+1} + D(1..e), where y*_{e+1} is the first level of the
@@ -80,9 +80,9 @@ models, and verifies it with one pass; a violation names its suffix and
 row.
 
 Cycle data lives in a CycleTable, one per instance: its model.Segments
-and, built on first use, one record per cycle (j, e) and `first` flag: its
-priced convex cost, mean demand and demand shifts, kept per start j as
-the list of cycles j..T (_PricedCycles). The cycles of one start j come
+and, built on first use, one record per cycle (j, e) and `first` flag:
+(cost, mean), its priced convex cost and its mean demand D(j..e), kept per
+start j as the list of cycles j..T (_PricedCycles). The cycles of one start j come
 from one array pass: the breakpoints of rows (j, j..T) are
 flattened once into kinks, the slope steps tiled into deltas, and cycle
 (j, e) is a ConvexPWL over a read-only prefix of them, bit-equal to adding
@@ -101,7 +101,14 @@ whichever suffix reads it. The unit cost's level terms depend only on
 whether the cycle opens the suffix (`first`) and whether it closes the
 horizon; without a unit cost both `first` keys hold one record. Level
 bounds differ per suffix and stay with its engine, which clamps the shared
-free minimizer to them with ConvexPWL.minimize.
+free minimizer to them with ConvexPWL.minimize. Each period's closing
+inventory I_t = y - D(j..t) must lie in [inv_lo, inv_hi]. Means are
+non-negative and D(j..t) is a running sum from 0.0, which adding a
+non-negative double never lowers, so the binding periods are the last and
+the first: cycle (j, e)'s levels lie in [inv_lo + D(j..e), inv_hi +
+D(j..j)], both read from the start's records. A free first cycle's level
+is also the initial inventory, within [inv_lo, inv_hi]: its upper bound is
+inv_hi, and its lower one is already above inv_lo.
 
 The table also owns one no-order engine per suffix (CycleTable.engine),
 built on first use at the suffix's default level bounds (those of
@@ -111,9 +118,10 @@ one table search each suffix once: the engine memoizes its free minimum,
 and builds its relaxation whole on first use as flat lists, in one
 backward pass over the cycle starts that reads each start's records of
 the table: every start's relaxation row and cost-to-go and, for the
-relaxed path from the start, its first level, the start after its first
-cycle and its `chained` flag; then each first cycle's cost and level
-bounds and the certificate limits from those values. Both are pure
+relaxed path from the start, its first level and its `chained` flag (the
+start after its first cycle is one past the row's end); then each first
+cycle's cost and level bounds and the certificate limits from those
+values. Both are pure
 functions of the suffix and its bounds, so an answer does not depend on
 which caller filled them, and a build that raises stores nothing. A
 relaxed path's levels and pattern are built from those pointers when a
@@ -301,8 +309,13 @@ class _PricedCycles:
         self._starts: dict = {}  # (j, first) -> records of cycles j..T
 
     def start(self, j: int, first: bool) -> list:
-        """The records of cycles j..T, entry e - j being cycle j..e's; see
-        CycleTable.cycle."""
+        """The records (cost, mean) of cycles j..T, entry e - j being
+        cycle j..e's. The cost is a ConvexPWL of the start-of-cycle level y
+        over read-only prefixes of start j's kink arrays, with the unit
+        ordering cost, which telescopes into the levels of a suffix's first
+        cycle (`first`) and of the horizon's last; the mean is D(j..e).
+        With no unit cost both `first` keys hold one record; with one, both
+        records share the cost's kink sort."""
         hit = self._starts.get((j, first))
         if hit is None:
             self._build_start(j)
@@ -336,20 +349,15 @@ class _PricedCycles:
                                   zip(segs.errors[rows].tolist(), shifts)],
                                  initial=0.0))[1:]
         ends = range(cells, cells * count + 1, cells)
-        demand = list(zip(shifts, accumulate(shifts, max), accumulate(shifts, min)))
         cycles = [ConvexPWL(slope, const, kinks[:n], deltas[:n])
                   for slope, const, n in zip(slopes, consts, ends)]
-
-        def records(funcs: list) -> list:
-            return [(f, *d) for f, d in zip(funcs, demand)]
-
-        firsts = later = records(cycles)
+        firsts = later = list(zip(cycles, shifts))
         if c:
             # -c y for the suffix's first cycle, +c y for the horizon's last
             priced = [f.plus_affine(-c, 0.0) for f in cycles]
             priced[-1] = priced[-1].plus_affine(c, 0.0)
-            firsts = records(priced)
-            later = records(cycles[:-1] + [cycles[-1].plus_affine(c, 0.0)])
+            firsts = list(zip(priced, shifts))
+            later[-1] = (cycles[-1].plus_affine(c, 0.0), shifts[-1])
         self._starts[(j, True)] = firsts
         self._starts[(j, False)] = later
 
@@ -366,16 +374,6 @@ class CycleTable:
         self.segments = segments
         self.costs = _PricedCycles(instance, segments)
         self._engines: dict = {}  # suffix k -> its no-order engine
-
-    def cycle(self, j: int, e: int, first: bool) -> tuple:
-        """(cost, mean demand, largest and smallest demand shift) of cycle
-        j..e. The cost is a ConvexPWL of the start-of-cycle level y over
-        read-only prefixes of start j's kink arrays, with the unit ordering
-        cost, which telescopes into the levels of a suffix's first cycle
-        (`first`) and of the horizon's last. With no unit cost both `first`
-        keys hold one record; with one, both records share the cost's kink
-        sort."""
-        return self.costs.start(j, first)[e - j]
 
     def suffix(self, k: int) -> "SuffixView":
         return SuffixView(self, k)
@@ -401,7 +399,9 @@ class CycleTable:
 class SuffixView:
     """Periods k..T of a CycleTable in the suffix's local periods
     1..T-k+1: the table, the suffix's instance and the offset k - 1 from
-    local to table periods."""
+    local to table periods. `horizon` is read only by bench/tracing.py,
+    which sizes its per-call pattern counts by it; ROADMAP item 2 deletes
+    it with ExactBackend."""
 
     def __init__(self, table: CycleTable, k: int):
         self.table = table
@@ -414,24 +414,23 @@ class SuffixView:
 class _Relaxation:
     """A suffix's separable cycle relaxation as flat lists, built whole by
     _SubmodelEngine.relaxation. Lists are indexed by the local cycle start
-    j (entry 0 unused). The relaxed path from j >= 2 is cycle j..next - 1,
-    then the path from next; it is `chained` where every level is its
-    cycle's own minimizer within the level bounds and the levels keep the
-    order chain y_next >= y - D, so solve_pattern gives its pattern
-    exactly these levels and the relaxed cost. Its levels and pattern are
-    built from these pointers by _SubmodelEngine._path when an answer
-    reads them."""
+    j (entry 0 unused). The relaxed path from j >= 2 is cycle j..end, row
+    j's end, then the path from end + 1; it is `chained` where every level
+    is its cycle's own minimizer within the level bounds and the levels
+    keep the order chain y_next >= y - D, so solve_pattern gives its
+    pattern exactly these levels and the relaxed cost. Its levels and
+    pattern are built from these pointers by _SubmodelEngine._path when an
+    answer reads them."""
     rows: list           # (arc, reach, end): _SubmodelEngine._row
     cost_to_go: list     # V(j) = reach[j + 1], and V(T + 1) = 0
     levels: list         # j >= 2: the path's first level y*_j
-    nexts: list          # j >= 2: the path's next start, row j's end + 1
     chained: list        # j >= 2, and True at T + 1
     firsts: list         # by the first cycle's end e: (cost, y_lo, y_hi)
-                         # of cycle 1..e, its level bounds the engine's
+                         # of cycle 1..e pinned, [inv_lo + D(1..e),
+                         # inv_hi + D(1..1)]
     limits: list         # by the first cycle's end e: U_e = y*_{e+1} +
                          # D(1..e) where the path from e + 1 is chained,
                          # -inf where it is not, +inf at e = T
-    closing: float       # the unit cost's constant of cycle 1..T
 
 
 class _SubmodelEngine:
@@ -448,8 +447,9 @@ class _SubmodelEngine:
     minimum is searched once and memoized, its levels read-only. An
     answer is (cost, deltas, levels): the pattern, deltas[t - 1] being
     delta_t, and one level per cycle, the cycles starting at period 1 and
-    at every order. A solved pattern reads its cycles' costs from the
-    table's records and their level bounds from `inv_lo` and `inv_hi`.
+    at every order. A solved pattern reads its cycles' costs and means
+    from the table's records, and their level bounds from those means and
+    `inv_lo` and `inv_hi`.
     `relaxation` is built whole on first use, inside the first search's
     call; a build that raises stores nothing. The relaxed paths are built
     when an answer reads them, and kept.
@@ -480,30 +480,27 @@ class _SubmodelEngine:
     @cached_property
     def relaxation(self) -> _Relaxation:
         """One pass over the cycle starts j = T..1: start j's row and V(j)
-        and, for j >= 2, the relaxed path's first level, next start and
-        `chained` flag; then each first cycle's (cost, y_lo, y_hi) and the
-        limits.
+        and, for j >= 2, the relaxed path's first level and `chained` flag;
+        then each first cycle's (cost, y_lo, y_hi) and the limits.
 
         Arc e of row j is cycle j..e alone: K if it orders (j > 1), plus
-        its priced cost minimized over its level bounds (for j = 1 also
-        the initial level's) widened by solve_pattern's 1e-9 slack, plus
-        the unit cost's constant if it closes the horizon; math.inf where
-        solve_pattern would find no level for it."""
+        its priced cost minimized over its level bounds widened by
+        solve_pattern's 1e-9 slack, plus the unit cost's constant if it
+        closes the horizon; math.inf where solve_pattern would find no
+        level for it."""
         T, K, c = self.T, self.K, self.c
         inv_lo, inv_hi = self.inv_lo, self.inv_hi
         rows = [None] * (T + 1)
         cost_to_go = [None] * (T + 1) + [0.0]
         levels = [None] * (T + 2)
-        nexts = [None] * (T + 2)
         chained = [None] * (T + 1) + [True]
         for j in range(T, 0, -1):
             records = self.records(j)
+            # a free first level is the initial one, at most inv_hi
+            hi = inv_hi if j == 1 else inv_hi + records[0][1]
             arc = [math.inf] * j
-            for cost, _, top, low in records:
-                # inventory bounds: every I_t = y - shift within [inv_lo, inv_hi]
-                lo, hi = inv_lo + top, inv_hi + low
-                if j == 1:
-                    lo, hi = max(lo, inv_lo), min(hi, inv_hi)
+            for cost, mean in records:
+                lo = inv_lo + mean
                 if lo > hi + 1e-9:
                     arc.append(math.inf)
                     continue
@@ -516,19 +513,16 @@ class _SubmodelEngine:
             rows[j] = _, reach, end = self._row(j, arc, cost_to_go)
             cost_to_go[j] = reach[j + 1]
             if j > 1:
-                cost, mean_d, top, low = records[end - j]
-                y = cost.argmin()
-                levels[j], nexts[j] = y, end + 1
-                chained[j] = (chained[end + 1] and inv_lo + top <= y <= inv_hi + low
-                              and (end == T or levels[end + 1] >= y - mean_d))
-        firsts = [None] + [(cost, inv_lo + top, inv_hi + low)
-                           for cost, _, top, low in records]
+                cost, mean = records[end - j]
+                levels[j] = y = cost.argmin()
+                chained[j] = (chained[end + 1] and inv_lo + mean <= y <= hi
+                              and (end == T or levels[end + 1] >= y - mean))
+        y_hi = inv_hi + records[0][1]
+        firsts = [None] + [(cost, inv_lo + mean, y_hi) for cost, mean in records]
         limits = [None] + [levels[e + 1] + records[e - 1][1]
                            if chained[e + 1] else -math.inf
                            for e in range(1, T)] + [math.inf]
-        closing = c * (self.total_mean - records[-1][1]) if c else 0.0
-        return _Relaxation(rows, cost_to_go, levels, nexts, chained, firsts,
-                           limits, closing)
+        return _Relaxation(rows, cost_to_go, levels, chained, firsts, limits)
 
     def _path(self, j: int) -> tuple:
         """(levels, pattern) of the relaxed path from start j >= 2, empty
@@ -540,7 +534,7 @@ class _SubmodelEngine:
                 hit = [], (0,) * self.T
             else:
                 relax = self.relaxation
-                levels, pattern = self._path(relax.nexts[j])
+                levels, pattern = self._path(relax.rows[j][2] + 1)
                 hit = ([relax.levels[j]] + levels,
                        pattern[:j - 1] + (1,) + pattern[j:])
             self._paths[j] = hit
@@ -559,7 +553,8 @@ class _SubmodelEngine:
         T = self.T
         starts = [1] + [t for t in range(2, T + 1) if deltas[t - 1]]
         ends = [j - 1 for j in starts[1:]] + [T]
-        cycles = [self.records(j)[e - j] for j, e in zip(starts, ends)]
+        records = [self.records(j) for j in starts]
+        cycles = [rec[e - j] for rec, j, e in zip(records, starts, ends)]
         m = len(cycles)
         offsets = np.zeros(m)
         for i in range(1, m):
@@ -568,13 +563,12 @@ class _SubmodelEngine:
         # its record's cost serves as is, with its memoized sort and minimum
         funcs = [cycles[0][0]] + [cycles[i][0].shifted(offsets[i])
                                   for i in range(1, m)]
-        y_los = [self.inv_lo + top for _, _, top, _ in cycles]
-        y_his = [self.inv_hi + low for _, _, _, low in cycles]
+        y_los = [self.inv_lo + mean for _, mean in cycles]
+        y_his = [self.inv_hi + rec[0][1] for rec in records]
         z_los = y_los + offsets
         z_his = y_his + offsets
         # the first level doubles as the initial-inventory variable
-        z_los[0] = max(z_los[0], self.inv_lo)
-        z_his[0] = min(z_his[0], self.inv_hi)
+        z_his[0] = self.inv_hi
         pin = pinned_i0
         if pin is not None and not (y_los[0] - 1e-9 <= pin <= y_his[0] + 1e-9):
             return None
@@ -634,15 +628,15 @@ class _SubmodelEngine:
     def _first_arc(self, x: float) -> list:
         """The arcs of the first cycle pinned at x: arc[e] is cycle 1..e's
         priced cost at x (inf outside its level bounds widened by
-        solve_pattern's 1e-9 slack), plus the unit cost's constant at
-        e = T. So arc[e] + V(e + 1) is the envelope's piece F_e(x). Every
-        cycle 1..e's kinks are a prefix of cycle 1..T's: the hinge
+        solve_pattern's 1e-9 slack). So arc[e] + V(e + 1) is the envelope's
+        piece F_e(x): the unit cost's constant, c times the mean demand
+        before the horizon's last cycle, is 0 for the single cycle 1..T.
+        Every cycle 1..e's kinks are a prefix of cycle 1..T's: the hinge
         max(x - kink, 0) is formed once, and each arc dots its prefix with
-        the cycle's deltas, the numbers that ConvexPWL.__call__ sums, in its
-        order."""
+        the cycle's deltas, the numbers that ConvexPWL.__call__ sums, in
+        its order."""
         T = self.T
-        relax = self.relaxation
-        firsts = relax.firsts
+        firsts = self.relaxation.firsts
         hinge = np.maximum(x - firsts[T][0].kinks, 0.0)
         arc = [math.inf] * (T + 1)
         for e in range(1, T + 1):
@@ -650,8 +644,6 @@ class _SubmodelEngine:
             if y_lo - 1e-9 <= x <= y_hi + 1e-9:
                 arc[e] = (f.slope * x + f.const
                           + float(hinge[:len(f.deltas)] @ f.deltas))
-        if self.c:
-            arc[T] += relax.closing
         return arc
 
     def _first_row(self, x: float) -> tuple:
@@ -783,18 +775,16 @@ class _SubmodelEngine:
         best = self._answer(hi, arc)
         if abs(best[0] - target) <= 1e-9:
             return hi, best  # K = 0: the order-up-to level is the root
-        T = self.T
         relax = self.relaxation
-        # piece e's constant: V(e + 1), or the unit cost's at e = T
-        consts = relax.cost_to_go[2:T + 1] + [relax.closing]
         x = hi
         moved = True
         while moved:
             moved = False
-            for e in range(1, T + 1):
-                value = arc[e] + relax.cost_to_go[e + 1]
+            for e in range(1, self.T + 1):
+                const = relax.cost_to_go[e + 1]  # piece e's constant
+                value = arc[e] + const
                 if x <= relax.limits[e] and value < target:
-                    (f, y_lo, _), const = relax.firsts[e], consts[e - 1]
+                    f, y_lo, _ = relax.firsts[e]
                     left = max(f.left_crossing(
                         target - const, x, value - const), y_lo - 1e-9)
                     if left < x:
@@ -1061,6 +1051,10 @@ class ExactBackend:
     every pattern below it and prunes only past a margin above the
     incumbent, so the optimum, its cost and its levels are those of a full
     enumeration of the 2^(T-1) patterns.
+
+    The heuristics default to it, and bench/tracing.py, which wraps it to
+    time solver spans through their `backend=` parameter, is its only
+    remaining reader; ROADMAP item 2 deletes it with SuffixView.horizon.
     """
 
     def evaluator(self, view: SuffixView) -> _SubmodelEngine:

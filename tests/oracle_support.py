@@ -9,8 +9,10 @@ every partial demand sum, so piecewise-linear optima are captured exactly.
 full_enumeration is the solver's pattern search without its bound: every
 pattern, in lexicographic order, through the engine's own solve_pattern.
 cycles_of rebuilds a pattern's cycles from the deltas alone, each with its
-record of the engine's table and its level bounds from the engine's; the
-references below read cycles only through it.
+record of the engine's table and its level bounds from the engine's
+inventory bounds and the largest and smallest mean of the cycle's segment
+rows, not from the record; the references below read cycles only through
+it.
 EnumerationEngine is the solver engine with every certificate limit cut to
 -inf: pinned costs come from the pattern search alone and reorder roots
 from bisection. reference_solve_pattern is solve_pattern's pool-adjacent
@@ -37,7 +39,7 @@ reference_pieces gives those pieces for the partition a Segments record
 was built from, without reading the record's arrays, and reference_rows
 one piece's model-row data by the scalar intercept formula. The other
 references read segment data only through these pieces. reference_cycle
-and reference_priced are CycleTable.cycle's fields done the direct way:
+and reference_priced are a cycle record's fields done the direct way:
 the cycle's pieces added one at a time with ConvexPWL.plus, and the
 priced cost's argmin and minimum from that fresh object's own sort.
 
@@ -215,10 +217,16 @@ class Cycle:
 
 
 def engine_cycle(engine, j, e):
-    """An engine's local cycle j..e: its table record, and its level
-    bounds from the engine's inventory bounds and the record's shifts."""
-    cost, mean_d, top, low = engine.costs.start(j + engine.offset, j == 1)[e - j]
-    return Cycle(j, e, cost, mean_d, engine.inv_lo + top, engine.inv_hi + low)
+    """An engine's local cycle j..e: its table record (cost, mean), and its
+    level bounds from the engine's inventory bounds and the largest and
+    smallest cumulative mean D(j..t), t = j..e, of the table's segment
+    rows: every I_t = y - D(j..t) within [inv_lo, inv_hi]."""
+    start = j + engine.offset
+    cost, mean_d = engine.costs.start(start, j == 1)[e - j]
+    shifts = engine.costs.segments.means[
+        pair_row(start, np.arange(start, start + e - j + 1))].tolist()
+    return Cycle(j, e, cost, mean_d, engine.inv_lo + max(shifts),
+                 engine.inv_hi + min(shifts))
 
 
 def cycles_of(engine, deltas):
@@ -808,7 +816,9 @@ def suffix_segments(segments, horizon, k):
 def reference_cycle(instance, segments, j, e):
     """Cycle j..e of a segment dict without the unit cost: (cost, mean
     demand, largest and smallest demand shift), the pieces added one at a
-    time. The last three are CycleTable.cycle's last three fields."""
+    time. The mean is a cycle record's second field; the largest shift is
+    that mean and the smallest the mean of cycle j..j, as demand is
+    non-negative."""
     b = instance.costs.penalty
     hb = instance.costs.holding + b
     total = ConvexPWL()
@@ -823,7 +833,7 @@ def reference_cycle(instance, segments, j, e):
 
 
 def reference_priced(instance, segments, j, e, first):
-    """(cost, argmin, min): CycleTable.cycle(j, e, first)'s cost, and its
+    """(cost, argmin, min): the cost of cycle j..e's `first` record, and its
     argmin and the cost there (nan where the argmin is infinite), of a
     segment dict."""
     f = reference_cycle(instance, segments, j, e)[0]

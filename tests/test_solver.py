@@ -25,7 +25,7 @@ from sspolicy.heuristics import (
 )
 from sspolicy.model import (
     build_joint, build_minlp_s, build_minlp_S, build_segments, level_bounds,
-    verify_assignment,
+    pair_row, verify_assignment,
 )
 from sspolicy.solver import (
     ConvexPWL, CycleTable, ExactBackend, SolverError,
@@ -379,29 +379,34 @@ def _assert_same_pwl(got, ref, where):
 
 
 def _assert_table_matches_reference(instance, segments):
-    """Every field of both `first` records of every cycle of the table:
+    """Both fields of both `first` records of every cycle of the table:
     the priced cost against adding the cycle's pieces one at a time, its
-    memoized argmin and min against that sum's own sort, the demand
-    fields against the same sum's; the shared arrays refuse writes."""
+    memoized argmin and min against that sum's own sort, the mean against
+    the same sum's; the shared arrays refuse writes. The sum's largest
+    shift is the record's mean and its smallest the start's first mean,
+    so the engine's level bounds [inv_lo + D(j..e), inv_hi + D(j..j)]
+    are those of every period of the cycle."""
     table = CycleTable(instance, segments)
     pieces = reference_pieces(instance, segments)
     T = instance.horizon
     for j in range(1, T + 1):
         for e in range(j, T + 1):
-            demand = reference_cycle(instance, pieces, j, e)[1:]
+            _, mean, top, low = reference_cycle(instance, pieces, j, e)
             for first in (True, False):
-                got = table.cycle(j, e, first)
+                records = table.costs.start(j, first)
+                got = records[e - j]
                 cost, *ref = reference_priced(instance, pieces, j, e, first)
                 where = (j, e, first)
-                assert len(got) == 4, where
+                assert len(got) == 2, where
                 _assert_same_pwl(got[0], cost, where)
                 assert not (got[0].kinks.flags.writeable
                             or got[0].deltas.flags.writeable)
                 # argmin and min (nan where the argmin is infinite), mean
-                # demand, largest and smallest shift
                 fields = got[0].minimize(-math.inf, math.inf) + got[1:]
                 assert all(_same_float(a, b) for a, b in
-                           zip(fields, ref + list(demand))), where
+                           zip(fields, ref + [mean])), where
+                assert _same_float(top, got[1]), where
+                assert _same_float(low, records[0][1]), where
 
 
 class TestCycleTableArrays:
@@ -425,6 +430,38 @@ class TestCycleTableArrays:
         segs = build_segments(inst, segments=n_seg - 1, strategy=strategy)
         _assert_table_matches_reference(inst, segs)
 
+    @settings(max_examples=60, deadline=None)
+    @given(T=st.integers(1, 9), data=st.data())
+    def test_start_means_nondecreasing(self, T, data):
+        """The level bounds' premise: every start's row of cumulative means
+        D(j..j), D(j..j+1), ... is nondecreasing, bit for bit, with no
+        -0.0, so its largest entry is the last and its smallest the first.
+        Zero, -0.0, subnormal and 1e12 means, zero-sd periods. Also the
+        deleted unit-cost constant of the single cycle 1..T is +0.0: its
+        pinned arc equals solve_pattern's cost of the no-order pattern."""
+        means = data.draw(st.lists(
+            st.sampled_from([0.0, -0.0, 5e-324, 1e12])
+            | st.floats(0, 1e12).map(lambda v: round(v, 1)),
+            min_size=T, max_size=T))
+        cvs = data.draw(st.lists(st.sampled_from([0.0, 0.1, 0.3]),
+                                 min_size=T, max_size=T))
+        inst = make_instance(T, K=40.0, h=1.0, b=10.0, c=1.5, means=means,
+                             std_devs=[m * v for m, v in zip(means, cvs)])
+        segs = build_segments(inst, segments=6, strategy="equal-probability")
+        for j in range(1, T + 1):
+            row = segs.means[pair_row(j, np.arange(j, T + 1))]
+            assert not np.signbit(row).any(), (j, row)
+            assert (row[1:] >= row[:-1]).all(), (j, row)
+            assert _same_float(float(row.max()), float(row[-1])), j
+            assert _same_float(float(row.min()), float(row[0])), j
+        engine = CycleTable(inst, segs).engine(1)
+        f, y_lo, y_hi = engine.relaxation.firsts[T]
+        for x in {y_lo, *f.kinks.tolist(), f.argmin()}:
+            if not (math.isfinite(x) and y_lo <= x <= y_hi):
+                continue
+            cost, _ = engine.solve_pattern((0,) * T, x)
+            assert _same_float(engine._first_arc(x)[T], cost), x
+
     @pytest.mark.parametrize("c", [0.0, 1.5])
     def test_first_cycles_hold_one_sort(self, c):
         """After bs then mp on one table, each suffix's cycle (1, e) has
@@ -439,15 +476,15 @@ class TestCycleTableArrays:
         for k in range(1, inst.horizon + 1):
             firsts = table.engine(k).relaxation.firsts
             for e in range(1, inst.horizon - k + 2):
-                first = table.cycle(k, k + e - 1, True)[0]
-                later = table.cycle(k, k + e - 1, False)[0]
+                first = table.costs.start(k, True)[e - 1][0]
+                later = table.costs.start(k, False)[e - 1][0]
                 assert firsts[e][0] is first
                 assert first._sorted is not None
                 assert later._sorted is first._sorted
                 sorts[(k, e)] = first._sorted
         mp_policy(inst, config, table=table)
         for (k, e), sort in sorts.items():
-            assert table.cycle(k, k + e - 1, True)[0]._sorted is sort
+            assert table.costs.start(k, True)[e - 1][0]._sorted is sort
 
     @pytest.mark.parametrize("c", [0.0, 1.5])
     @pytest.mark.parametrize("horizon", [8, 25])
@@ -472,8 +509,9 @@ class TestCycleTableArrays:
         """With c = 0 both `first` keys hold one record."""
         assert example4.costs.unit == 0.0
         table = CycleTable(example4, segments4)
-        assert table.cycle(2, 3, True) is table.cycle(2, 3, False)
-        assert table.cycle(1, 4, True) is table.cycle(1, 4, False)
+        costs = table.costs
+        assert costs.start(2, True)[1] is costs.start(2, False)[1]
+        assert costs.start(1, True)[3] is costs.start(1, False)[3]
 
 
 @pytest.mark.skipif(not os.environ.get("SSPOLICY_FULL_BENCHMARK"),
@@ -859,8 +897,8 @@ def _first_row_pins(engine, extra=()) -> set:
 
 def _assert_relaxation_matches_reference(engine, extra=()):
     """Every row, V(j), first end and relaxed path of the engine's
-    one-pass relaxation (its first level, next start and chained flag, and
-    the levels and pattern built from them), its first cycles' costs and
+    one-pass relaxation (its first level and chained flag, and the levels
+    and pattern built from them and the row's end), its first cycles' costs and
     level bounds, its pinned first rows and arcs, and the certificate
     limit and pattern of every envelope piece are hex-equal to the
     recursive definitions'."""
@@ -881,7 +919,6 @@ def _assert_relaxation_matches_reference(engine, extra=()):
             _bits(ref.paths[j]), j
         if j <= T:
             assert _bits(relax.levels[j]) == _bits(levels[0]), j
-            assert relax.nexts[j] == ref.ends[j] + 1, j
     assert ref.pieces[-1].end == T
     for piece in ref.pieces:
         e = piece.end

@@ -8,6 +8,7 @@ from pathlib import Path
 _ROOT = Path(__file__).resolve().parents[1]
 _PATH = _ROOT / "tools" / "stage_times.py"
 _STAGES = {"sdp", "cycle_table", "free_minima", "bs", "mp", "pricing"}
+_COUNTERS = {"patterns", "certified", "fallbacks"}
 
 
 def test_script_prints_stage_medians():
@@ -27,6 +28,16 @@ def test_script_prints_stage_medians():
     assert record["total_ms"] > 0.0
     assert record["pricing_s_per_M_period_reps"] > 0.0
     assert record["seconds"] >= 0.0
+    # the table's work counters per solver stage, the same every round
+    work, rounds_work = record["work"], record["rounds_work"]
+    assert set(work) == set(rounds_work) == {"free_minima", "bs", "mp"}
+    for stage, counts in work.items():
+        assert set(counts) == _COUNTERS, stage
+        assert all(isinstance(v, int) and v >= 0 for v in counts.values())
+        assert rounds_work[stage] == [counts] * 3, stage
+    assert work["free_minima"]["patterns"] > 0  # every suffix is searched
+    assert work["free_minima"]["certified"] == 0
+    assert work["bs"]["certified"] + work["bs"]["patterns"] > 0
 
 
 def test_script_rejects_bad_counts():

@@ -17,13 +17,20 @@ time.perf_counter:
 - `pricing`: simulate.estimate_gaps of both policies at the instance's
   seed.
 
+For the solver stages `free_minima`, `bs` and `mp` it also reads the
+stage's change in the table's public work counters, CycleTable.work():
+order patterns solved, `cost_at` answers certified without a search, and
+reorder roots that fell back to bisection.
+
 Each round runs every stage of every instance; rounds alternate the
 instance order, forward then backward, so that neither end of the grid
 always runs on a cold process. It prints one JSON line: per stage the
 median over rounds of the mean milliseconds per instance, and each
 round's value; the total; pricing as seconds per million
-period-replications (replications x periods x policies priced); and the
-wall seconds.
+period-replications (replications x periods x policies priced); per
+solver stage the work counters summed over the first round's instances,
+and each round's sums, which the same grid repeats exactly; and the wall
+seconds.
 
 `sspolicy` is imported from PYTHONPATH, so the same script times any
 checkout's sources. To compare two trees, run it on each in turn, a few
@@ -37,46 +44,64 @@ import statistics
 import time
 
 STAGES = ("sdp", "cycle_table", "free_minima", "bs", "mp", "pricing")
+SOLVER_STAGES = ("free_minima", "bs", "mp")
+COUNTERS = ("patterns", "certified", "fallbacks")  # CycleTable.work()
 
 
-def time_instance(config, hc, instance) -> dict:
-    """Seconds of each stage of one instance."""
+def time_instance(config, hc, instance) -> tuple:
+    """Seconds of each stage of one instance, and each solver stage's
+    change in the table's work counters."""
     from sspolicy.heuristics import bs_policy, cycle_table, mp_policy
     from sspolicy.sdp import solve_sdp
     from sspolicy.simulate import estimate_gaps
     from sspolicy.testbed import instance_seed
 
-    out = {}
+    out, work = {}, {}
     clock = time.perf_counter
     start = clock()
     oracle = solve_sdp(instance)
     out["sdp"], start = clock() - start, clock()
     table = cycle_table(instance, hc)
-    out["cycle_table"], start = clock() - start, clock()
-    for k in range(1, instance.horizon + 1):
-        table.engine(k).free_minimum()
-    out["free_minima"], start = clock() - start, clock()
-    bs = bs_policy(instance, hc, table=table)
-    out["bs"], start = clock() - start, clock()
-    mp = mp_policy(instance, hc, table=table)
-    out["mp"], start = clock() - start, clock()
+    out["cycle_table"] = clock() - start
+
+    def solver_stage(stage, run):
+        before = table.work()
+        start = clock()
+        result = run()
+        out[stage] = clock() - start
+        work[stage] = [a - b for a, b in zip(table.work(), before)]
+        return result
+
+    solver_stage("free_minima", lambda: [
+        table.engine(k).free_minimum() for k in range(1, instance.horizon + 1)])
+    bs = solver_stage("bs", lambda: bs_policy(instance, hc, table=table))
+    mp = solver_stage("mp", lambda: mp_policy(instance, hc, table=table))
+    start = clock()
     estimate_gaps(instance, [bs, mp], oracle.expected_cost,
                   config.replications, instance_seed(config.seed, instance.name))
     out["pricing"] = clock() - start
-    return out
+    return out, work
 
 
 def stage_times(config, instances, rounds: int) -> dict:
     """The JSON record of `rounds` rounds over `instances`."""
     hc = config.heuristic_config()
     per_round = {stage: [] for stage in STAGES}
+    work_rounds = {stage: [] for stage in SOLVER_STAGES}
     for r in range(rounds):
         totals = dict.fromkeys(STAGES, 0.0)
+        work_totals = {stage: [0] * len(COUNTERS) for stage in SOLVER_STAGES}
         for instance in instances if r % 2 == 0 else instances[::-1]:
-            for stage, seconds in time_instance(config, hc, instance).items():
-                totals[stage] += seconds
+            seconds, work = time_instance(config, hc, instance)
+            for stage, value in seconds.items():
+                totals[stage] += value
+            for stage, counts in work.items():
+                work_totals[stage] = [a + b for a, b in
+                                      zip(work_totals[stage], counts)]
         for stage in STAGES:
             per_round[stage].append(1e3 * totals[stage] / len(instances))
+        for stage in SOLVER_STAGES:
+            work_rounds[stage].append(dict(zip(COUNTERS, work_totals[stage])))
     median = {stage: statistics.median(v) for stage, v in per_round.items()}
     period_reps = config.replications * config.horizon * 2
     return {
@@ -85,6 +110,8 @@ def stage_times(config, instances, rounds: int) -> dict:
         "total_ms": round(sum(median.values()), 4),
         "pricing_s_per_M_period_reps": round(
             1e3 * median["pricing"] / period_reps, 4),
+        "work": {stage: v[0] for stage, v in work_rounds.items()},
+        "rounds_work": work_rounds,
     }
 
 
