@@ -1,6 +1,5 @@
-"""Bundled data files: the 4-period worked-example instance, a ready
-benchmark configuration for the stationary/random 8-period slices, and the
-minimax partition boundaries that sspolicy.loss reads."""
+"""Bundled data files: the 4-period worked-example instance and a ready
+benchmark configuration for the stationary/random 8-period slices."""
 from importlib import resources
 from pathlib import Path
 

@@ -519,15 +519,6 @@ def build_minlp_S(instance: Instance, segments: Segments) -> MilpModel:
     return em.model("S", instance, big_m, segments)
 
 
-def _emit_joint(instance: Instance, segments: Segments) -> MilpModel:
-    """The joint model, row by row: both submodels, the cost-equality link
-    and the ordering I0_s <= I0_S (_add_joint). build_joint fills a copy
-    of it, emitted as a one-block JointStack."""
-    em = _Emitter()
-    big_m = _add_joint(em, instance, segments.model_rows)
-    return em.model("joint", instance, big_m, segments)
-
-
 def _add_joint(em: _Emitter, instance: Instance, pieces: tuple) -> float:
     """Emit a joint model's columns, rows and rules into `em` after what it
     holds, recording the slots of its instance numbers; returns its big-M.
@@ -718,8 +709,8 @@ class JointStack:
 def build_joint(instance: Instance, segments: Segments) -> MilpModel:
     """Both submodels, the cost-equality link and the ordering I0_s <= I0_S,
     filled from the Segments as the one-block JointStack of the instance's
-    key (see the module docstring); equal, array for array, to what
-    _emit_joint emits from the same model rows."""
+    key (see the module docstring); equal, array for array, to the joint
+    model emitted row by row from the same model rows (_add_joint)."""
     validate(instance)
     stack = JointStack.of(instance.horizon, segments.slopes.shape[1],
                           bool(instance.costs.unit), 1)

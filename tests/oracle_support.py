@@ -63,6 +63,10 @@ reference_verify_assignment is model.verify_assignment on that dict, every
 check over every column, row and rule, with the row senses compared as
 strings.
 
+_emit_joint is the joint model emitted row by row into one emitter:
+both submodels, the cost-equality link and the ordering I0_s <= I0_S
+(model._add_joint), which build_joint fills as a one-block JointStack.
+
 per_suffix_mp_policy is mp_policy with each suffix's answer checked alone:
 joint_answer of the table's engine for the suffix, written into the joint
 model built from the suffix's own segments (build_joint of
@@ -83,7 +87,8 @@ from scipy.special import ndtri
 from sspolicy.domain import PolicyParameters, validate
 from sspolicy.heuristics import HeuristicConfig, _table_for
 from sspolicy.loss import PiecewiseLoss, cached_partition
-from sspolicy.model import INDICATOR, build_joint, build_segments, pair_row
+from sspolicy.model import (INDICATOR, _add_joint, _Emitter, build_joint,
+                            build_segments, pair_row)
 from sspolicy.sdp import discretize_demand
 from sspolicy.simulate import SimulationResult
 from sspolicy.solver import (ConvexPWL, SolverError, _engine_for, _forced,
@@ -465,6 +470,13 @@ def reference_solution(model):
     out["C_S"] = float(cost_S)
     out["G_s"] = float(cost_s)
     return out
+
+
+def _emit_joint(instance, segments):
+    """The joint model, row by row (see the module docstring)."""
+    em = _Emitter()
+    big_m = _add_joint(em, instance, segments.model_rows)
+    return em.model("joint", instance, big_m, segments)
 
 
 def per_suffix_mp_policy(instance, config=None, table=None):

@@ -52,18 +52,22 @@ def test_sdp_missing_file(tmp_path, capsys):
     assert "nope.json" in capsys.readouterr().err
 
 
+def assert_near_published_bs(policy):
+    """The worked example's published bs policy, within 1.5 per level."""
+    for got, want in zip(policy.reorder_points, (15.0, 29.01, 58.1, 29.01)):
+        assert got == pytest.approx(want, abs=1.5)
+    for got, want in zip(policy.order_up_to_levels,
+                         (70.2658, 53.9768, 116.553, 53.9768)):
+        assert got == pytest.approx(want, abs=1.5)
+
+
 def test_solve_bs_matches_published(example4_file, tmp_path, capsys):
     out_csv = tmp_path / "policy.csv"
     rc = main(["solve", str(example4_file), "--method", "bs",
                "--segments", "11", "--strategy", "minimax",
                "--step", "0.01", "--out", str(out_csv)])
     assert rc == 0
-    policy = read_policy_csv(out_csv)
-    for got, want in zip(policy.reorder_points, (15.0, 29.01, 58.1, 29.01)):
-        assert got == pytest.approx(want, abs=1.5)
-    for got, want in zip(policy.order_up_to_levels,
-                         (70.2658, 53.9768, 116.553, 53.9768)):
-        assert got == pytest.approx(want, abs=1.5)
+    assert_near_published_bs(read_policy_csv(out_csv))
 
 
 def test_solve_unknown_method_usage_error(example4_file):
@@ -328,6 +332,18 @@ def test_bundled_example_instance(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "expected cost" in out
+
+
+def test_solve_minimax_has_no_cell_limit(tmp_path, capsys):
+    """61 segments (60 minimax cells, beyond any once-tabulated count)
+    solve the bundled example near its published policy."""
+    from sspolicy.data import bundled
+    out_csv = tmp_path / "policy.csv"
+    rc = main(["solve", str(bundled("example4.json")), "--method", "bs",
+               "--segments", "61", "--strategy", "minimax", "--out", str(out_csv)])
+    capsys.readouterr()
+    assert rc == 0
+    assert_near_published_bs(read_policy_csv(out_csv))
 
 
 def test_bundled_benchmark_config(tmp_path, capsys):

@@ -163,25 +163,25 @@ def test_joint_root_choice_differs_from_highs(K, c, means, cvs):
 # models of three suffixes of two 25-period grid instances. A change of any
 # exported byte shows here.
 GOLDEN_LP = {
-    "example4 s": "625679160915046237dfdbd0e50ecaf2828bcfb5b8b689c73d5df40eb21f9bf5",
-    "example4 s I0=15": "c84e49914067bdf2d74a66dde7665a40d2947fe789dc01350775e727cf699eb5",
-    "example4 S": "9a17aa8292ef6073ea73847bc2ae867df5eaca1dff1aedf436d96cbf9f6a4506",
-    "example4 joint": "ad479adc1ba2767e8eb06218702f0b2539dedffe42a9a4a4778f664157eed31d",
+    "example4 s": "cd2f2a02709a458bc3b20cdc80ff8c0b48c09897365b83064f4e8080030836c1",
+    "example4 s I0=15": "04a9b71f8dfd1c91f783b7f9784bea54a28f8765b2a82cf5c54b48319f3a90c6",
+    "example4 S": "630970868b0335379e60f38894ed46115fedacbcf7c5b5b6fdc8db04e8e11c79",
+    "example4 joint": "a1b6f8c8e1f5dc6117e76d136c0dec3cb72ab01c75b2e7a0153c353f97e0c6d1",
     "unit-cost s": "4d6466927e94afa3513ed9f5bd540234010e21d1bc59d63463a25ac323cb6fe2",
     "unit-cost joint": "ca6d9d6b393d94807d8d7ffab06ac78895e129055d840b27d500e175bdeffd93",
     "zero-sd joint": "e0ceec72aadaad9f35c2ac18c03ca0dd94e8a0a1be3d4f3715c99e2b052ea92d",
-    "EMP2 k=1 s": "a1915d4becf0f403b9645af0c368168605c9e3100a769cee3d67aabcf7b70206",
-    "EMP2 k=1 joint": "11ffb87931164ee63d2ff3af5915e50dceeb6aba93851162f7a29ae51a4d70c7",
-    "EMP2 k=10 s": "c740f5217b1994899ffade75d549d84fef2495e27506be2fda458f4b44c01334",
-    "EMP2 k=10 joint": "43ba473cbd72324db65ba3d0b68ed37eac86ab137f0cad8b96e7fa64d9fde978",
-    "EMP2 k=20 s": "2e627ab01e19f236d6b970da920f712a13324be40999e6a099d18e43ee4fcec9",
-    "EMP2 k=20 joint": "2f254a1464e66ea72cfcfa10c5dd6b5ed435578216d9735f30467dc30b3f3e4f",
-    "STA k=1 s": "026bb9fcd3b8ae55d91b943f22f00760285cf8730ec9624f99de0f782d795e78",
-    "STA k=1 joint": "1fd86f6123793c5e2dfb07c70bdee6a8417baba5d26ce547c68207b6ac92d746",
-    "STA k=10 s": "7e41e8ef02726ba74a1abeb15c87da2c258d9c1315eefbd77637bd47f796d5dd",
-    "STA k=10 joint": "62865881bd84d4b4d5cc8a7f9cf356ea589462b5df4863213c19533c81214c66",
-    "STA k=20 s": "b6c44d7d5cb5cc51b91a38e22c7d50892e246046675b8f1f3cece5d8ffbceac8",
-    "STA k=20 joint": "6d1d1a381618164c36f3a85f63d302860f0fdb2192d190939179ec9bc8180fde",
+    "EMP2 k=1 s": "68bbddfd68748d45096c2bec5312af7133c99a600e2eb033e1976b9e15ec689e",
+    "EMP2 k=1 joint": "4ff4fd57a50b61b606a6ac6c2554804ed96139f83cef2e40763621b758b8b630",
+    "EMP2 k=10 s": "ecc7739b27b61c29235b4d616305b1049e3077cba94aaa2028a1b80441493dcb",
+    "EMP2 k=10 joint": "b7dd55ef931dae7365a1d10d7d3abfbdfc9e09e657ce5ab7bfe1e70f2ea58afc",
+    "EMP2 k=20 s": "3fd8a0213638f5b5ac7957d45ca45b41041c2684108aff3f4d0b1b663abe044d",
+    "EMP2 k=20 joint": "35032f61578c0365fcb46b9a3c609f7bf5d51b2f80f1d8cee2e2d663ab444eb2",
+    "STA k=1 s": "66023876d609d88a0b8ac8dcfafe8da64299a0b77a58c97b073261da8ac00fa1",
+    "STA k=1 joint": "3d5971e7d90efd76609239cf63da372b4b78ab175362a7e1070dd5dd5358714d",
+    "STA k=10 s": "e227b1b6ff1389709368291714665e44f8ed4d5628247fbd2491ddcd715e2d58",
+    "STA k=10 joint": "4e56c55ca7c6ad04922805092bbd772d261896da90298a8e3631ad5a2b192d50",
+    "STA k=20 s": "efbd513cf3810e0a3957e026adfac142830594412035a91fc09de48df744ce5a",
+    "STA k=20 joint": "66d157d940d5b4f158f874def7065b247dfd0cd58ae997467ae059c03db84c87",
 }
 
 

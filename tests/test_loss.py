@@ -1,5 +1,3 @@
-import importlib.util
-import json
 import os
 import subprocess
 import sys
@@ -9,11 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from oracle_support import one_shot_jensen_values
 from sspolicy.loss import (
     Partition, approximation_error, cached_partition, complementary_loss,
-    loss, make_partition, piecewise_loss, search_minimax_boundaries,
+    loss, make_partition, minimax_boundaries, piecewise_loss,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -135,24 +134,16 @@ class TestApproximationError:
             assert e_mm < e_eq
 
 
-def searched_partition(n, strategy):
-    """The partition as the quantiles or the minimax search make it; the
-    search runs the Jensen bound, the bundled table does not."""
-    if strategy == "minimax":
-        return loss_module._cells_from_boundaries(search_minimax_boundaries(n))
-    return make_partition(n, strategy)
-
-
 def assert_row_blocks_match_one_shot(monkeypatch, strategy, n):
     """Partitions and e_W are bit-equal whether the Jensen bound is formed
     in small row blocks or in one dense product (the reference)."""
     with monkeypatch.context() as patch:
         patch.setattr(loss_module, "JENSEN_BLOCK", 4096)  # >= 2 blocks
-        blocked = searched_partition(n, strategy)
+        blocked = make_partition(n, strategy)
         blocked_error = approximation_error(blocked)
     with monkeypatch.context() as patch:
         patch.setattr(Partition, "jensen_values", one_shot_jensen_values)
-        reference = searched_partition(n, strategy)
+        reference = make_partition(n, strategy)
         reference_error = approximation_error(reference)
     assert blocked == reference
     assert blocked_error == reference_error
@@ -173,47 +164,54 @@ def test_full_grid_row_blocks_match_one_shot(monkeypatch, strategy):
         assert_row_blocks_match_one_shot(monkeypatch, strategy, n)
 
 
-def tabulated_hex(n):
-    return [b.hex() for b in loss_module._minimax_table()[n]]
+def closed_form_cell_errors(boundaries):
+    """Each cell's largest Jensen gap, at its conditional mean m:
+    m (Phi(m) - Phi(a)) - phi(a) + phi(m) for the cell [a, b], in numpy
+    over all cells at once."""
+    a = np.concatenate(([-np.inf], boundaries))
+    b = np.concatenate((boundaries, [np.inf]))
+    pdf_a, pdf_b = np.exp(-0.5 * a * a), np.exp(-0.5 * b * b)
+    m = (pdf_a - pdf_b) / np.sqrt(2.0 * np.pi) / (ndtr(b) - ndtr(a))
+    return m * (ndtr(m) - ndtr(a)) + (np.exp(-0.5 * m * m) - pdf_a) / np.sqrt(2.0 * np.pi)
 
 
-@pytest.mark.parametrize("n", [*range(2, 13), 20])
-def test_minimax_table_matches_search(n):
-    """The bundled boundaries are the search's, bit for bit."""
-    assert [float(b).hex() for b in search_minimax_boundaries(n)] == tabulated_hex(n)
+def assert_equal_error(n):
+    """Every cell of the n-cell minimax partition has e_W as its error,
+    within 1e-9 relative; returns e_W."""
+    e_w = approximation_error(make_partition(n, "minimax"))
+    errors = closed_form_cell_errors(minimax_boundaries(n))
+    assert errors.size == n
+    assert np.max(np.abs(errors / e_w - 1.0)) <= 1e-9, n
+    return e_w
 
 
-def test_minimax_table_covers_2_to_40_cells():
-    record = json.loads((ROOT / "src/sspolicy/data/minimax_boundaries.json")
-                        .read_text(encoding="utf-8"))
-    assert (record["numpy"], record["scipy"]) == ("2.4.6", "1.17.1")
-    assert sorted(map(int, record["boundaries"])) == list(range(2, 41))
-    assert all(len(tabulated_hex(n)) == n - 1 for n in range(2, 41))
+@pytest.mark.parametrize("n", range(2, 61))
+def test_minimax_cells_have_equal_error(n):
+    assert_equal_error(n)
 
 
-def test_untabulated_count_is_searched(monkeypatch):
-    table = loss_module._minimax_table()
-    calls = []
+def test_minimax_error_falls_with_cell_count():
+    e_w = [cached_partition(n, "minimax")[1] for n in range(2, 61)]
+    assert all(a > b for a, b in zip(e_w, e_w[1:]))
 
-    def search(n):
-        calls.append(n)
-        return search_minimax_boundaries(n)
 
-    monkeypatch.setattr(loss_module, "_minimax_table",
-                        lambda: {n: b for n, b in table.items() if n != 6})
-    monkeypatch.setattr(loss_module, "search_minimax_boundaries", search)
-    assert make_partition(6, "minimax") == loss_module._cells_from_boundaries(
-        np.array(table[6]))
-    make_partition(7, "minimax")
-    assert calls == [6]
+def test_minimax_ten_cells_in_float_hex():
+    """The partition that the grids, the LP goldens and the benchmark read:
+    its e_W is 0.005886 (the Nelder-Mead table it replaces read 0.006233)."""
+    left = ["-0x1.ba2d46fe1b066p+0", "-0x1.259fe9dcb45a3p+0",
+            "-0x1.6f8393fdcac07p-1", "-0x1.63cd0340515fep-2"]
+    right = [h[1:] for h in reversed(left)]
+    assert [float(b).hex() for b in minimax_boundaries(10)] == [*left, "0x0.0p+0", *right]
+    assert cached_partition(10, "minimax")[1] == pytest.approx(0.005886, abs=5e-7)
 
 
 def test_minimax_partition_leaves_scipy_optimize_unloaded():
-    """Importing the package and its CLI and making the default minimax
-    partition load no scipy.optimize: only the search needs it."""
+    """Importing the package and its CLI and making minimax partitions,
+    the grids' 10 cells and 61, load no scipy.optimize."""
     code = ("import sys, sspolicy, sspolicy.cli\n"
-            "from sspolicy.loss import cached_partition\n"
+            "from sspolicy.loss import cached_partition, make_partition\n"
             "cached_partition(10, 'minimax')\n"
+            "make_partition(61, 'minimax')\n"
             "print('scipy.optimize' in sys.modules)\n")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -221,79 +219,12 @@ def test_minimax_partition_leaves_scipy_optimize_unloaded():
     assert out.stdout.strip() == "False"
 
 
-def test_minimax_table_check_reports_a_changed_bit(tmp_path, monkeypatch, capsys):
-    """tools/minimax_table.py --check exits 1 and names a count whose
-    tabulated boundaries differ from the search in one bit."""
-    spec = importlib.util.spec_from_file_location(
-        "minimax_table", ROOT / "tools/minimax_table.py")
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    changed = tabulated_hex(4)
-    changed[0] = float(np.nextafter(float.fromhex(changed[0]), 0.0)).hex()
-    table = tmp_path / "table.json"
-    table.write_text(json.dumps({"numpy": "2.4.6", "scipy": "1.17.1", "boundaries": {
-        "2": tabulated_hex(2), "3": tabulated_hex(3), "4": changed}}))
-    monkeypatch.setattr(tool, "TABLE", table)
-    assert tool.main(["--check"]) == 1
-    record = json.loads(capsys.readouterr().out)
-    assert (record["checked"], record["differ"]) == (3, [4])
-
-
-def _fail_minimize(monkeypatch):
-    """Make every Nelder-Mead run stop as one that hit maxiter."""
-    from scipy import optimize
-
-    def failed(fun, x0, **kwargs):
-        return optimize.OptimizeResult(
-            x=np.asarray(x0), fun=fun(x0), success=False, status=2, nit=4000,
-            message="Maximum number of iterations has been exceeded.")
-
-    monkeypatch.setattr(optimize, "minimize", failed)
-
-
-def test_minimax_search_raises_when_not_converged(monkeypatch):
-    """A search that stops short names its cell count and the optimizer's
-    message rather than return a partition that is not minimax."""
-    _fail_minimize(monkeypatch)
-    with pytest.raises(loss_module.MinimaxSearchError,
-                       match="minimax search for 60 cells did not converge: "
-                             "Maximum number of iterations has been exceeded"):
-        search_minimax_boundaries(60)
-
-
-def test_minimax_table_reports_unconverged_counts(tmp_path, monkeypatch, capsys):
-    """tools/minimax_table.py --check names each count whose search did not
-    converge in its JSON line and exits 1; --write writes nothing. Two
-    cells need no search."""
-    spec = importlib.util.spec_from_file_location(
-        "minimax_table", ROOT / "tools/minimax_table.py")
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    table = tmp_path / "table.json"
-    table.write_text(json.dumps({"numpy": "2.4.6", "scipy": "1.17.1", "boundaries": {
-        n: tabulated_hex(int(n)) for n in ("2", "3", "4")}}))
-    monkeypatch.setattr(tool, "TABLE", table)
-    _fail_minimize(monkeypatch)
-    assert tool.main(["--check"]) == 1
-    record = json.loads(capsys.readouterr().out)
-    assert (record["checked"], record["differ"]) == (3, [])
-    assert sorted(record["failed"]) == ["3", "4"]
-    assert "minimax search for 4 cells did not converge" in record["failed"]["4"]
-    before = table.read_text()
-    assert tool.main(["--write"]) == 1
-    assert "minimax search for 3 cells" in json.loads(capsys.readouterr().out)["failed"]
-    assert table.read_text() == before
-
-
 @pytest.mark.skipif(not os.environ.get("SSPOLICY_FULL_BENCHMARK"),
-                    reason="searches every tabulated count 2..40 (~90 s); "
+                    reason="every minimax partition of 2..200 cells (~4 s); "
                            "set SSPOLICY_FULL_BENCHMARK=1")
-def test_full_grid_minimax_table_matches_search():
-    out = subprocess.run([sys.executable, str(ROOT / "tools/minimax_table.py"), "--check"],
-                         capture_output=True, text=True, check=False)
-    assert out.returncode == 0, out.stdout + out.stderr
-    record = json.loads(out.stdout)
-    assert (record["checked"], record["differ"]) == (39, [])
+def test_full_grid_minimax_equal_error():
+    e_w = [assert_equal_error(n) for n in range(2, 201)]
+    assert all(a > b for a, b in zip(e_w, e_w[1:]))
 
 
 def test_row_blocks_keep_shape():

@@ -11,14 +11,13 @@ from scipy import sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_support import (reference_pieces, reference_rows,
+from oracle_support import (_emit_joint, reference_pieces, reference_rows,
                             reference_segments, suffix_segments)
 from sspolicy.domain import make_instance
 from sspolicy.export import render_lp
 from sspolicy.heuristics import HeuristicConfig
 from sspolicy.model import (
     CUT, INDICATOR, CsrMatrix, JointStack, PiecewiseRules, RowChecks, RowTable,
-    _emit_joint,
     build_joint, build_minlp_s, build_minlp_S, build_segments,
     convolved_demand, default_big_m, level_bounds, pair_row, verify_assignment,
 )

@@ -38,9 +38,9 @@ def test_script_digest_matches_in_process():
 
 
 @pytest.mark.parametrize("horizon, unit_cost, every, sha256", [
-    (8, 0.0, 1, "275f46b4df5996ee777bf0153ddb444267287412f2f4e46c95028a088b134cd6"),
-    (8, 1.5, 1, "f92b3f67141e95b59df65dc1cb735e23a7e2f902516360b2f98eccb628eb7d34"),
-    (25, 0.0, 10, "046266a72f11cc74db489194936f52c6d016f1ae421fc4d931987848708154ab"),
+    (8, 0.0, 1, "c7445335fadb56d134f775a4f50ad5d0acd45ddf2738f6da658f49aa208ab935"),
+    (8, 1.5, 1, "a0bca55d20f8248100b9cc04063ce4d1b17c56fb0ad1be09a4e54823fddda58b"),
+    (25, 0.0, 10, "379c1277dccddf889d782746d45c2727afecc61b8f068e465339a1eb1a6ecccf"),
 ], ids=["grid8", "grid8-c1.5", "grid25-every10"])
 def test_grid_policy_bits(horizon, unit_cost, every, sha256):
     """The bs and mp policies and work counters of the full 8-period grid
@@ -60,7 +60,7 @@ def test_full_grid_policy_bits():
     test_grid_policy_bits pins only every 10th."""
     config = BenchmarkConfig(horizon=25)
     assert policy_digest.digest(build_instances(config), config.heuristic_config()) \
-        == "4573f955c4126b77be04c7dd65b8b5fb345fe1b8eafd2966791a91ba529d08a3"
+        == "21ff96aa6814412b5fd5098379098d73485b5fb0059fc77b21476b561bfff4e7"
 
 
 @pytest.mark.parametrize("horizon, unit_cost, every, sha256", [
@@ -78,8 +78,8 @@ def test_grid_oracle_bits(horizon, unit_cost, every, sha256):
 
 
 @pytest.mark.parametrize("horizon, sha256", [
-    (8, "470faba2437d7268015c87b12ccd1ef06c28e4a928164ce10c6013c9f8baf5fd"),
-    (25, "7b61018d80985eb62264e8cf77bc5da80e893b02ef7c4fd3e2d5e95319b4d277"),
+    (8, "746314232f684a8bb8f487fdc2148b0b9fadc336e69078a05b61f23ed0f63867"),
+    (25, "7b2c85f866574ce2585be0dc4309fe01b3ec413cc3e25bb51ffee0e8b2eb0d23"),
 ], ids=["grid8-every10", "grid25-every10"])
 def test_grid_segment_bits(horizon, sha256):
     """Every row array of the segments of every 10th instance (breakpoints,
