@@ -21,13 +21,15 @@ memory is therefore bounded by a few chunk_size × T arrays (the demand
 block, 1.6 MB at the default 8192 and T = 25, and the raw Philox words for
 it), which stay in a core's L2 cache, plus one cost per replication.
 
-A call with more than one block of replications is split into equal
-contiguous spans, one per usable CPU (os.sched_getaffinity) up to one per
-block. The calling thread prices the first span and a per-call thread
-pool the others, each into its own columns of the one cost array the
-single-span loop fills, so every result is bit-equal to pricing in one
-span. Philox, ndtri and the array passes release the interpreter lock for
-most of their run, so the spans run side by side. A span's exception
+A call with at least two full blocks of replications is split into
+equal contiguous spans, one per usable CPU (os.sched_getaffinity) up to
+one per full block, so that every span prices at least chunk_size
+replications; a shorter call is priced on the calling thread alone and
+starts no thread. The calling thread prices the first span and a per-call
+thread pool the others, each into its own columns of the one cost array
+the single-span loop fills, so every result is bit-equal to pricing in
+one span. Philox, ndtri and the array passes release the interpreter lock
+for most of their run, so the spans run side by side. A span's exception
 propagates as itself, once every span has finished. Inside a
 multiprocessing worker (run_benchmark with jobs > 1, which already uses
 the cores) a call prices in one span.
@@ -127,9 +129,10 @@ def simulate_policies(instance: Instance, policies, replications: int,
 def _price_spans(instance: Instance, policies: list, seed: int,
                  chunk_size: int, out: np.ndarray) -> int:
     """_price_span over every column of `out`: the first span on this
-    thread, each further span on a pool thread."""
+    thread, each further span, one per further full block at most, on a
+    pool thread."""
     replications = out.shape[1]
-    spans = min(_usable_cpus(), -(-replications // chunk_size))
+    spans = min(_usable_cpus(), replications // chunk_size)
     if spans < 2 or multiprocessing.parent_process() is not None:
         return _price_span(instance, policies, seed, 0, chunk_size, out)
     bounds = [replications * i // spans for i in range(spans + 1)]

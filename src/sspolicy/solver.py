@@ -87,10 +87,13 @@ from one array pass: the breakpoints of rows (j, j..T) are
 flattened once into kinks, the slope steps tiled into deltas, and cycle
 (j, e) is a ConvexPWL over a read-only prefix of them, bit-equal to adding
 the pieces one at a time with ConvexPWL.plus.
-Each cost sorts its kinks once, on first use, and memoizes its free
-minimizer and the minimum there; the unit cost's terms are added with
-ConvexPWL.plus_affine, which hands the sort on, so both `first` records of
-a cycle share one sort. The heuristics solve every suffix
+The unit cost's terms are added with ConvexPWL.plus_affine. The same
+pass sorts the start's kinks once: a prefix's stable order is the full one
+filtered to the prefix, so one masked running sum gives every record of
+both `first` lists its sorted running slopes, and each record memoizes
+its free minimizer and the minimum there, bit-equal to sorting its own
+kinks. A record sorts its own kinks only if left_crossing reads them.
+The heuristics solve every suffix
 k..T, its free minimum and every root-search step, from the one table
 through a SuffixView: the suffix's instance, and the offset k - 1 by
 which its engine shifts local periods to read the table's cycles. Sharing is exact:
@@ -184,14 +187,18 @@ class ConvexPWL:
     """f(x) = slope * x + const + sum_k delta_k * max(x - kink_k, 0),
     with all delta_k >= 0 (convex).
 
-    The stable sort of the kinks, with the running sums of the sorted
-    deltas, is formed once, on first use, and so are the free minimizer
-    and the cost there; argmin, minimize and left_crossing read them. The
-    memo's arrays are read-only. plus_affine hands the sort on; plus and
-    shifted do not, as a shift can round two kinks into a tie and change
-    the stable order."""
+    The free minimizer and the cost there are memoized: a cycle record's
+    are set by _PricedCycles from its start's one kink sort, any other
+    cost forms them from its own sort on first use. The stable sort of the
+    kinks, with the running sums of the sorted deltas, is formed on first
+    use (left_crossing, and a minimum not set from outside); its arrays are
+    read-only. A cost made by plus_affine shares the kinks of the one it
+    came from and, when first read, that one's sort; plus and shifted do
+    not, as a shift can round two kinks into a tie and change the stable
+    order."""
 
-    __slots__ = ("slope", "const", "kinks", "deltas", "_sorted", "_free")
+    __slots__ = ("slope", "const", "kinks", "deltas", "_sorted", "_free",
+                 "_sorts")
 
     def __init__(self, slope=0.0, const=0.0, kinks=None, deltas=None):
         self.slope = float(slope)
@@ -200,12 +207,13 @@ class ConvexPWL:
         self.deltas = np.asarray([] if deltas is None else deltas, dtype=float)
         self._sorted = None  # _sort()'s (kinks, rises)
         self._free = None    # _minimum()'s (argmin, min)
+        self._sorts = None   # the cost whose sort _sort() reads, if not self
 
     def __call__(self, x):
         if self.kinks.size == 0:
             return self.slope * x + self.const
         return (self.slope * x + self.const
-                + float(np.maximum(x - self.kinks, 0.0) @ self.deltas))
+                + float(np.maximum(x - self.kinks, 0.0).dot(self.deltas)))
 
     def plus(self, other: "ConvexPWL") -> "ConvexPWL":
         return ConvexPWL(self.slope + other.slope, self.const + other.const,
@@ -214,7 +222,7 @@ class ConvexPWL:
 
     def plus_affine(self, a: float, b: float) -> "ConvexPWL":
         out = ConvexPWL(self.slope + a, self.const + b, self.kinks, self.deltas)
-        out._sorted = self._sort()
+        out._sorts = self if self._sorts is None else self._sorts
         return out
 
     def shifted(self, delta: float) -> "ConvexPWL":
@@ -227,6 +235,9 @@ class ConvexPWL:
         the deltas of kinks[:i], so that slope + rises[i] is f's slope on
         (kinks[i-1], kinks[i]) and slope + rises[n] after the last kink."""
         if self._sorted is None:
+            if self._sorts is not None:
+                self._sorted = self._sorts._sort()
+                return self._sorted
             order = np.argsort(self.kinks, kind="stable")
             kinks = self.kinks[order]
             rises = np.concatenate(([0.0], np.cumsum(self.deltas[order])))
@@ -298,7 +309,8 @@ class ConvexPWL:
 
 class _PricedCycles:
     """The priced cycle records of one instance, keyed by its own (1-based)
-    periods, each start's built in one array pass on first use. The
+    periods, each start's built, with its records' free minima from one
+    kink sort, in one array pass on first use. The
     instance's CycleTable and every engine it builds read the same records;
     this holds no engine, so an engine that holds it keeps no reference
     back to its table."""
@@ -314,8 +326,8 @@ class _PricedCycles:
         over read-only prefixes of start j's kink arrays, with the unit
         ordering cost, which telescopes into the levels of a suffix's first
         cycle (`first`) and of the horizon's last; the mean is D(j..e).
-        With no unit cost both `first` keys hold one record; with one, both
-        records share the cost's kink sort."""
+        With no unit cost both `first` keys hold one record. Every cost's
+        free minimum is memoized when the start is built."""
         hit = self._starts.get((j, first))
         if hit is None:
             self._build_start(j)
@@ -328,9 +340,9 @@ class _PricedCycles:
         Cycle (j, e) sums pieces (j, j..e): its kinks and deltas are a
         prefix of those rows' breakpoints and steps, and its slope and
         constant are running sums from 0.0, so the result is bit-equal to
-        adding the pieces one at a time with ConvexPWL.plus. Each cycle
-        sorts its own kinks on first use; the unit cost's terms are
-        plus_affine, which hands that sort on.
+        adding the pieces one at a time with ConvexPWL.plus. The unit
+        cost's terms are plus_affine. Every record's free minimum comes
+        from one stable sort of the start's kinks (_set_minima).
         """
         T = self.instance.horizon
         costs = self.instance.costs
@@ -351,15 +363,50 @@ class _PricedCycles:
         ends = range(cells, cells * count + 1, cells)
         cycles = [ConvexPWL(slope, const, kinks[:n], deltas[:n])
                   for slope, const, n in zip(slopes, consts, ends)]
-        firsts = later = list(zip(cycles, shifts))
+        firsts = later = cycles
         if c:
             # -c y for the suffix's first cycle, +c y for the horizon's last
-            priced = [f.plus_affine(-c, 0.0) for f in cycles]
-            priced[-1] = priced[-1].plus_affine(c, 0.0)
-            firsts = list(zip(priced, shifts))
-            later[-1] = (cycles[-1].plus_affine(c, 0.0), shifts[-1])
-        self._starts[(j, True)] = firsts
-        self._starts[(j, False)] = later
+            firsts = [f.plus_affine(-c, 0.0) for f in cycles]
+            firsts[-1] = firsts[-1].plus_affine(c, 0.0)
+            later = cycles[:-1] + [cycles[-1].plus_affine(c, 0.0)]
+        _set_minima((firsts, later) if c else (firsts,), kinks, deltas, ends)
+        records = list(zip(firsts, shifts))
+        self._starts[(j, True)] = records
+        self._starts[(j, False)] = list(zip(later, shifts)) if c else records
+
+
+def _set_minima(lists: tuple, kinks: np.ndarray, deltas: np.ndarray,
+                ends: range) -> None:
+    """Memoize every cost's free (argmin, min), as ConvexPWL._minimum
+    forms it, from one stable sort of a start's kinks: each list holds one
+    cost per cycle, cost i over the prefix kinks[:ends[i]].
+
+    A prefix's stable order is the full one filtered to indices below its
+    length. So row i of `rises`, the running sum of the sorted deltas with
+    each kink outside cost i's prefix adding +0.0 (which leaves a
+    non-negative sum's bits alone), holds cost i's own running sums at its
+    kinks. Its slopes, slope + rises, are nondecreasing and change only at
+    its own kinks: the first kink where they reach -1e-11 ends the last
+    descending segment, and the first where they exceed 1e-11 starts the
+    first ascending one."""
+    order = np.argsort(kinks, kind="stable")
+    inside = order < np.array(ends)[:, None]
+    rises = np.cumsum(np.where(inside, deltas[order], 0.0), axis=1)
+    kinks = kinks[order]
+    slopes = np.array([[f.slope for f in costs] for costs in lists])
+    running = slopes[:, :, None] + rises
+    lefts = np.argmax(running >= -1e-11, axis=2).tolist()
+    rights = np.argmax(running > 1e-11, axis=2).tolist()
+    tops = (slopes + rises[:, -1]).tolist()  # the slope after the last kink
+    for costs, *rows in zip(lists, lefts, rights, tops):
+        for f, a, z, top in zip(costs, *rows):
+            if not top > 1e-11:
+                x = math.inf
+            elif not f.slope < -1e-11:
+                x = -math.inf
+            else:
+                x = kinks[a] if a == z else 0.5 * (kinks[a] + kinks[z])
+            f._free = x, f(x) if math.isfinite(x) else math.nan
 
 
 class CycleTable:
@@ -643,7 +690,7 @@ class _SubmodelEngine:
             f, y_lo, y_hi = firsts[e]
             if y_lo - 1e-9 <= x <= y_hi + 1e-9:
                 arc[e] = (f.slope * x + f.const
-                          + float(hinge[:len(f.deltas)] @ f.deltas))
+                          + float(hinge[:len(f.deltas)].dot(f.deltas)))
         return arc
 
     def _first_row(self, x: float) -> tuple:

@@ -41,7 +41,9 @@ one piece's model-row data by the scalar intercept formula. The other
 references read segment data only through these pieces. reference_cycle
 and reference_priced are a cycle record's fields done the direct way:
 the cycle's pieces added one at a time with ConvexPWL.plus, and the
-priced cost's argmin and minimum from that fresh object's own sort.
+priced cost's argmin and minimum from that sum's own sort
+(reference_sort, reference_minimum: the per-cost sort and minimum as
+ConvexPWL formed them for every record, evaluated with the `@` product).
 
 reference_relaxation is _SubmodelEngine.relaxation by the recursive
 definitions it replaced: each relaxation row built on demand through the
@@ -855,14 +857,48 @@ def reference_priced(instance, segments, j, e, first):
             f = f.plus_affine(-c, 0.0)
         if e == instance.horizon:
             f = f.plus_affine(c, 0.0)
-    x = fresh_argmin(f)
-    return f, x, f(x) if math.isfinite(x) else math.nan
+    return (f, *reference_minimum(f))
+
+
+def reference_sort(f):
+    """(kinks, rises) of a ConvexPWL as its own per-cost sort formed them
+    before one sort per cycle start served every cycle record: the kinks
+    stably sorted, and rises[i] the sum of the sorted deltas of kinks[:i]."""
+    order = np.argsort(f.kinks, kind="stable")
+    return f.kinks[order], np.concatenate(([0.0], np.cumsum(f.deltas[order])))
+
+
+def reference_minimum(f):
+    """(argmin, f there) of a ConvexPWL, nan where the argmin is infinite,
+    from reference_sort and not from any memo, with f evaluated by the
+    `@` product: flat minima give their midpoint, and the argmin is inf
+    where f never rises, -inf where it never falls."""
+    kinks, rises = reference_sort(f)
+    slopes = f.slope + rises
+    neg = np.nonzero(slopes < -1e-11)[0]
+    pos = np.nonzero(slopes > 1e-11)[0]
+    if pos.size == 0:
+        return math.inf, math.nan
+    if neg.size == 0:
+        return -math.inf, math.nan
+    last_neg, first_pos = neg[-1], pos[0]
+    left, right = kinks[last_neg], kinks[first_pos - 1]
+    x = left if first_pos == last_neg + 1 else 0.5 * (left + right)
+    return x, reference_value(f, x)
+
+
+def reference_value(f, x):
+    """f(x) as ConvexPWL.__call__ formed it with the `@` product."""
+    if f.kinks.size == 0:
+        return f.slope * x + f.const
+    return (f.slope * x + f.const
+            + float(np.maximum(x - f.kinks, 0.0) @ f.deltas))
 
 
 def fresh_argmin(f):
-    """f.argmin() from a new ConvexPWL of f's arrays, so from its own sort
-    and not from a memo f shares."""
-    return ConvexPWL(f.slope, f.const, f.kinks, f.deltas).argmin()
+    """f.argmin() from reference_minimum, so from f's own sort and not
+    from a memo f shares or was given."""
+    return reference_minimum(f)[0]
 
 
 def reference_relaxation(engine, pins=()) -> SimpleNamespace:

@@ -272,19 +272,22 @@ class TestSharedDemandBlocks:
                     reason="pricing 270 SDP policies twice at up to 200k "
                            "replications takes minutes; "
                            "set SSPOLICY_FULL_BENCHMARK=1")
-@pytest.mark.parametrize("horizon, replications", [(8, 10_000), (25, 200_000)],
+@pytest.mark.parametrize("horizon, replications, chunk_size",
+                         [(8, 10_000, 4096), (25, 200_000, 8192)],
                          ids=["8-period", "25-period"])
-def test_full_grid_matches_reference(horizon, replications):
+def test_full_grid_matches_reference(horizon, replications, chunk_size):
     """Every grid instance's SDP policy, priced at the benchmark's
     replication count and split as on three CPUs whatever the runner has
-    (two spans at 10k, three at 200k), is bit-equal to the
-    replication-major loop."""
+    (two spans at 10k in blocks of 4096, as the default 8192 makes one
+    full block and so one span; three at 200k in the default blocks), is
+    bit-equal to the replication-major loop."""
     config = BenchmarkConfig(horizon=horizon)
     for inst in build_instances(config):
         policy = solve_sdp(inst).policy
         seed = instance_seed(config.seed, inst.name)
         with mock.patch.object(simulate, "_usable_cpus", lambda: 3):
-            got = simulate_policy(inst, policy, replications, seed)
+            got = simulate_policy(inst, policy, replications, seed,
+                                  chunk_size=chunk_size)
         ref = row_major_simulation(inst, policy, replications, seed, 65536)
         assert dataclasses.astuple(got) == dataclasses.astuple(ref), inst.name
 
@@ -433,8 +436,8 @@ def test_golden_pricing_bits(call, expected):
 
 
 class TestSplitPricing:
-    """Calls with more than one block split their replications into spans
-    priced on this thread and on pool threads."""
+    """Calls with at least two full blocks split their replications into
+    spans priced on this thread and on pool threads."""
 
     @settings(max_examples=30, deadline=None)
     @given(case=_policy_list_cases(), cpus=st.integers(2, 3))
@@ -447,6 +450,37 @@ class TestSplitPricing:
             split = simulate_policies(inst, policies, reps, seed,
                                       chunk_size=chunk_size)
         assert [_bits(r) for r in split] == [_bits(r) for r in whole]
+
+    @pytest.mark.parametrize("replications", [1, 499, 500, 501, 999])
+    def test_under_two_blocks_starts_no_thread(self, example4, sdp4,
+                                               replications):
+        """Fewer than two full blocks price on the calling thread, however
+        many CPUs: a pool would be a ThreadPoolExecutor, patched to raise."""
+        with mock.patch.object(simulate, "_usable_cpus", lambda: 8), \
+                mock.patch.object(simulate, "ThreadPoolExecutor",
+                                  side_effect=AssertionError("pool started")):
+            got = simulate_policy(example4, sdp4.policy, replications, 3,
+                                  chunk_size=500)
+        assert _bits(got) == _bits(simulate_policy(
+            example4, sdp4.policy, replications, 3, chunk_size=replications))
+
+    def test_two_full_blocks_split_in_two(self, example4, sdp4):
+        """2 * chunk_size replications on two CPUs: two spans of one block
+        each, bit-equal to one span."""
+        spans = []
+        real = simulate._price_span
+
+        def record_span(instance, policies, seed, start, chunk_size, out):
+            spans.append((start, out.shape[1]))
+            return real(instance, policies, seed, start, chunk_size, out)
+
+        with mock.patch.object(simulate, "_usable_cpus", lambda: 2), \
+                mock.patch.object(simulate, "_price_span", record_span):
+            got = simulate_policy(example4, sdp4.policy, 1000, 5,
+                                  chunk_size=500)
+        assert sorted(spans) == [(0, 500), (500, 500)]
+        assert _bits(got) == _bits(
+            simulate_policy(example4, sdp4.policy, 1000, 5, chunk_size=1000))
 
     def test_failing_span_raises_itself(self, example4, sdp4):
         """A pool span's exception surfaces unchanged, and the next call
@@ -500,8 +534,8 @@ class TestSplitPricing:
             return real(instance, policies, seed, start, chunk_size, out)
 
         config = BenchmarkConfig(patterns=("STA",), fixed_costs=(500.0,),
-                                 penalty_costs=(5.0, 10.0), cvs=(0.1,))
-        assert config.replications > 8192
+                                 penalty_costs=(5.0, 10.0), cvs=(0.1,),
+                                 replications=2 * 8192)
         with mock.patch.object(simulate, "_usable_cpus", lambda: 2), \
                 mock.patch.object(simulate, "_price_span", record_span):
             report = run_benchmark(config, jobs=2)

@@ -15,8 +15,9 @@ from lp_support import solve_lp
 from oracle_support import (
     EnumerationEngine, PerPieceEngine, brute_force_submodel, cycles_of,
     engine_cycle, full_enumeration, reference_cycle, reference_pieces,
-    reference_priced, reference_relaxation, reference_solution,
-    reference_solve_pattern, reference_verify_assignment, suffix_segments,
+    reference_minimum, reference_priced, reference_relaxation,
+    reference_solution, reference_solve_pattern, reference_sort,
+    reference_value, reference_verify_assignment, suffix_segments,
 )
 from sspolicy.domain import make_instance
 from sspolicy.export import render_lp
@@ -193,12 +194,53 @@ class TestConvexPWLMemo:
             assert math.isclose(got[0], ref, rel_tol=1e-12, abs_tol=1e-12)
 
     def test_only_plus_affine_hands_the_sort_on(self):
+        """plus_affine sorts nothing; its result, when first read, takes
+        the sort of the cost it came from, through a chain of them."""
         f = ConvexPWL(-2.0, 1.0, [3.0, 1.0, 3.0], [1.0, 0.0, 2.0])
         g = f.plus_affine(0.5, 2.0)
-        assert f._sorted is not None and g._sorted is f._sorted
+        h = g.plus_affine(-0.5, 0.0)
+        assert f._sorted is None and g._sorted is None
+        assert h._sort() is f._sorted and g._sort() is f._sorted
         assert f.plus(g)._sorted is None and f.shifted(1.0)._sorted is None
         kinks, rises = f._sorted
         assert not (kinks.flags.writeable or rises.flags.writeable)
+
+
+class TestDotProducts:
+    """ConvexPWL.__call__ and _first_arc sum max(x - kink, 0) * delta with
+    ndarray.dot; both are bit-equal to the `@` product they replaced."""
+
+    def test_call_matches_matmul(self):
+        rng = np.random.default_rng(20171)
+        for n in range(1, 251):
+            kinks = rng.normal(50.0, 30.0, n)
+            deltas = rng.exponential(3.0, n)
+            f = ConvexPWL(rng.normal(-5.0, 5.0), rng.normal(0.0, 100.0),
+                          kinks, deltas)
+            xs = [*kinks[:5].tolist(), *rng.uniform(-50.0, 150.0, 4).tolist(),
+                  float(kinks.min()) - 1.0, float(kinks.max()) + 1.0]
+            for x in xs:
+                assert _same_float(f(x), reference_value(f, x)), (n, x)
+
+    def test_first_arcs_match_matmul(self):
+        """Every first arc of every suffix engine of one 8-period grid
+        instance, at its cycles' kinks, level bounds and free minimizers."""
+        config = BenchmarkConfig(horizon=8, unit_cost=1.5)
+        instance = build_instances(config)[97]
+        table = cycle_table(instance, config.heuristic_config())
+        for k in range(1, instance.horizon + 1):
+            engine = table.engine(k)
+            firsts = engine.relaxation.firsts
+            points = {x for f, lo, hi in firsts[1:]
+                      for x in (lo, hi, f.argmin(), *f.kinks[::3].tolist())
+                      if math.isfinite(x)}
+            for x in sorted(points):
+                arc = engine._first_arc(x)
+                for e in range(1, engine.T + 1):
+                    f, lo, hi = firsts[e]
+                    ref = (reference_value(f, x)
+                           if lo - 1e-9 <= x <= hi + 1e-9 else math.inf)
+                    assert _same_float(arc[e], ref), (k, e, x)
 
 
 class TestDeterminism:
@@ -409,6 +451,22 @@ def _assert_table_matches_reference(instance, segments):
                 assert _same_float(low, records[0][1]), where
 
 
+def _assert_record_minima_match_reference(instance, segments):
+    """Every record of both `first` lists: the free (argmin, min) its start
+    memoized, then its own sort, against the per-cost references."""
+    costs = CycleTable(instance, segments).costs
+    for j in range(1, instance.horizon + 1):
+        lists = [costs.start(j, first) for first in (True, False)]
+        assert all(f._sorted is None for f, _ in lists[0] + lists[1]), j
+        for first, records in zip((True, False), lists):
+            for e, (f, _) in enumerate(records, start=j):
+                where = (instance.name, j, e, first)
+                got, ref = f._free, reference_minimum(f)
+                assert all(_same_float(a, b) for a, b in zip(got, ref)), where
+                for a, b in zip(f._sort(), reference_sort(f)):
+                    assert a.tobytes() == b.tobytes(), where
+
+
 class TestCycleTableArrays:
     @settings(max_examples=40, deadline=None)
     @given(T=st.integers(1, 9), K=st.sampled_from([0.0, 40.0]),
@@ -463,28 +521,72 @@ class TestCycleTableArrays:
             assert _same_float(engine._first_arc(x)[T], cost), x
 
     @pytest.mark.parametrize("c", [0.0, 1.5])
-    def test_first_cycles_hold_one_sort(self, c):
-        """After bs then mp on one table, each suffix's cycle (1, e) has
-        one kink sort, shared by both `first` records of the table's cycle
-        and formed once across both heuristics."""
+    def test_each_start_sorts_once(self, c, monkeypatch):
+        """Building a start sorts its kinks once and memoizes the free
+        minimum of every record of both `first` lists; no record sorts its
+        own kinks then, nor in bs, whose suffix engines read the table's
+        first-cycle records. After mp, whose reorder roots read some, a
+        record's own sort is the start's stable order filtered to the
+        record's prefix of kinks."""
         inst = make_instance(5, K=60, h=1, b=10, c=c,
                              means=[20, 0, 35, 10, 25], cv=0.2)
         config = HeuristicConfig(segments=6)
         table = cycle_table(inst, config)
+        real, sorted_sizes = np.argsort, []
+
+        def argsort(a, *args, **kwargs):
+            sorted_sizes.append(len(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", argsort)
+        for j in range(1, inst.horizon + 1):
+            lists = [table.costs.start(j, first) for first in (True, False)]
+            assert sorted_sizes == [lists[0][-1][0].kinks.size], j
+            sorted_sizes.clear()
+            for f, _ in lists[0] + lists[1]:
+                assert f._free is not None and f._sorted is None, j
+        monkeypatch.undo()
         bs_policy(inst, config, table=table)
-        sorts = {}
         for k in range(1, inst.horizon + 1):
             firsts = table.engine(k).relaxation.firsts
             for e in range(1, inst.horizon - k + 2):
                 first = table.costs.start(k, True)[e - 1][0]
-                later = table.costs.start(k, False)[e - 1][0]
                 assert firsts[e][0] is first
-                assert first._sorted is not None
-                assert later._sorted is first._sorted
-                sorts[(k, e)] = first._sorted
+            for first in (True, False):
+                assert all(f._sorted is None
+                           for f, _ in table.costs.start(k, first)), k
         mp_policy(inst, config, table=table)
-        for (k, e), sort in sorts.items():
-            assert table.costs.start(k, True)[e - 1][0]._sorted is sort
+        for j in range(1, inst.horizon + 1):
+            start = table.costs.start(j, True)[-1][0].kinks
+            order = np.argsort(start, kind="stable")
+            for first in (True, False):
+                for f, _ in table.costs.start(j, first):
+                    own = order[order < f.kinks.size]
+                    kinks, rises = f._sort()
+                    assert kinks.tobytes() == start[own].tobytes(), j
+                    assert rises.tobytes() == np.concatenate(
+                        ([0.0], np.cumsum(f.deltas[own]))).tobytes(), j
+
+    @settings(max_examples=40, deadline=None)
+    @given(T=st.integers(1, 9), K=st.sampled_from([0.0, 40.0]),
+           c=st.sampled_from([0.0, 1.5]), n_seg=st.integers(3, 21),
+           tail=st.integers(0, 3), data=st.data())
+    def test_record_minima_match_reference(self, T, K, c, n_seg, tail, data):
+        """Every record's memoized (argmin, min), set from its start's one
+        sort, and its lazy own sort against the per-cost sort and minimum
+        (oracle_support.reference_sort, reference_minimum), bits and
+        types: K = 0, c > 0, zero-sd periods (whose kinks tie), zero-mean
+        tails, 3..21 linear segments."""
+        means = data.draw(st.lists(
+            st.just(0.0) | st.floats(0, 30).map(lambda v: round(v, 1)),
+            min_size=T, max_size=T))
+        means[T - min(tail, T):] = [0.0] * min(tail, T)
+        cvs = data.draw(st.lists(st.sampled_from([0.0, 0.1, 0.3]),
+                                 min_size=T, max_size=T))
+        inst = make_instance(T, K=K, h=1.0, b=10.0, c=c, means=means,
+                             std_devs=[m * v for m, v in zip(means, cvs)])
+        _assert_record_minima_match_reference(
+            inst, build_segments(inst, segments=n_seg - 1))
 
     @pytest.mark.parametrize("c", [0.0, 1.5])
     @pytest.mark.parametrize("horizon", [8, 25])
@@ -523,6 +625,19 @@ def test_full_grid_cycle_table_matches_reference(horizon):
     hc = config.heuristic_config()
     for inst in build_instances(config):
         _assert_table_matches_reference(inst, build_segments(
+            inst, segments=hc.cells, strategy=hc.strategy))
+
+
+@pytest.mark.skipif(not os.environ.get("SSPOLICY_FULL_BENCHMARK"),
+                    reason="every record of both 270-instance grids (minutes); "
+                           "set SSPOLICY_FULL_BENCHMARK=1")
+@pytest.mark.parametrize("c", [0.0, 1.5])
+@pytest.mark.parametrize("horizon", [8, 25], ids=["8-period", "25-period"])
+def test_full_grid_record_minima_match_reference(horizon, c):
+    config = BenchmarkConfig(horizon=horizon, unit_cost=c)
+    hc = config.heuristic_config()
+    for inst in build_instances(config):
+        _assert_record_minima_match_reference(inst, build_segments(
             inst, segments=hc.cells, strategy=hc.strategy))
 
 
