@@ -75,15 +75,16 @@ def default_grid(instance: Instance, step: float = 1.0) -> InventoryGrid:
     """Grid covering every state reachable under a sensible policy.
 
     The lower bound allows full demand depletion plus the never-order band
-    (roughly K/b deep); the upper bound covers any plausible order-up-to
-    level. Boundary hits are still checked after the solve.
+    (roughly K/(b - c) deep, b the penalty and c the unit cost); the upper
+    bound covers any plausible order-up-to level. Boundary hits are still
+    checked after the solve.
     """
     _check_step(step)
     total_mean, total_var = instance.demand_totals
     total_sd = math.sqrt(total_var)
     i0 = instance.initial_inventory
     c = instance.costs
-    slack = c.fixed / c.penalty + 10.0 * step
+    slack = c.fixed / (c.penalty - c.unit) + 10.0 * step
     lower = min(0.0, i0) - total_mean - 4.0 * total_sd - slack
     upper = max(i0, total_mean + 4.0 * total_sd) + 10.0 * step
     lower = math.floor(lower / step) * step

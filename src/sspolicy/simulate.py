@@ -17,9 +17,9 @@ Replications are priced in blocks of at most chunk_size. Each block's
 demands fill a preallocated period-major (T, chunk_size) array in place,
 so period t's draws are one contiguous row, and the period loop updates
 the block's levels and costs in place with two scratch vectors. Transient
-memory is therefore bounded by a few chunk_size × T arrays (the demand
-block, 1.6 MB at the default 8192 and T = 25, and the raw Philox words for
-it), which stay in a core's L2 cache, plus one cost per replication.
+memory is therefore bounded by a few chunk_size × T arrays, plus one cost
+per replication: at the default 8192 and T = 25 the demand block takes
+1.6 MB and its raw Philox words, 4 ceil(T / 4) per replication, 1.8 MB.
 
 A call with at least two full blocks of replications is split into
 equal contiguous spans, one per usable CPU (os.sched_getaffinity) up to

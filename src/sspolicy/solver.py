@@ -86,13 +86,13 @@ start j as the list of cycles j..T (_PricedCycles). The cycles of one start j co
 from one array pass: the breakpoints of rows (j, j..T) are
 flattened once into kinks, the slope steps tiled into deltas, and cycle
 (j, e) is a ConvexPWL over a read-only prefix of them, bit-equal to adding
-the pieces one at a time with ConvexPWL.plus.
-The unit cost's terms are added with ConvexPWL.plus_affine. The same
-pass sorts the start's kinks once: a prefix's stable order is the full one
-filtered to the prefix, so one masked running sum gives every record of
-both `first` lists its sorted running slopes, and each record memoizes
-its free minimizer and the minimum there, bit-equal to sorting its own
-kinks. A record sorts its own kinks only if left_crossing reads them.
+the pieces one at a time with ConvexPWL.plus, its slope carrying the unit
+cost's terms. The same pass sorts the start's kinks once: a prefix's
+stable order is the full one filtered to the prefix, so one masked running
+sum gives every record of both `first` lists its sorted running slopes,
+and each record memoizes its free minimizer and the minimum there,
+bit-equal to sorting its own kinks. A record sorts its own kinks only if
+left_crossing reads them.
 The heuristics solve every suffix
 k..T, its free minimum and every root-search step, from the one table
 through a SuffixView: the suffix's instance, and the offset k - 1 by
@@ -122,9 +122,8 @@ and builds its relaxation whole on first use as flat lists, in one
 backward pass over the cycle starts that reads each start's records of
 the table: every start's relaxation row and cost-to-go and, for the
 relaxed path from the start, its first level and its `chained` flag (the
-start after its first cycle is one past the row's end); then each first
-cycle's cost and level bounds and the certificate limits from those
-values. Both are pure
+start after its first cycle is one past the row's end); then the
+certificate limits from those values. Both are pure
 functions of the suffix and its bounds, so an answer does not depend on
 which caller filled them, and a build that raises stores nothing. A
 relaxed path's levels and pattern are built from those pointers when a
@@ -148,6 +147,7 @@ from itertools import accumulate
 
 import numpy as np
 
+from .domain import running_sums
 from .model import (JointStack, MilpModel, Segments, default_big_m,
                     level_bounds, pair_row, verify_assignment)
 
@@ -189,16 +189,12 @@ class ConvexPWL:
 
     The free minimizer and the cost there are memoized: a cycle record's
     are set by _PricedCycles from its start's one kink sort, any other
-    cost forms them from its own sort on first use. The stable sort of the
-    kinks, with the running sums of the sorted deltas, is formed on first
-    use (left_crossing, and a minimum not set from outside); its arrays are
-    read-only. A cost made by plus_affine shares the kinks of the one it
-    came from and, when first read, that one's sort; plus and shifted do
-    not, as a shift can round two kinks into a tie and change the stable
-    order."""
+    cost forms them from its own sort on first use, both by _set_free. The
+    stable sort of the kinks, with the running sums of the sorted deltas,
+    is formed on first use (left_crossing, and a minimum not set from
+    outside); its arrays are read-only."""
 
-    __slots__ = ("slope", "const", "kinks", "deltas", "_sorted", "_free",
-                 "_sorts")
+    __slots__ = ("slope", "const", "kinks", "deltas", "_sorted", "_free")
 
     def __init__(self, slope=0.0, const=0.0, kinks=None, deltas=None):
         self.slope = float(slope)
@@ -207,7 +203,6 @@ class ConvexPWL:
         self.deltas = np.asarray([] if deltas is None else deltas, dtype=float)
         self._sorted = None  # _sort()'s (kinks, rises)
         self._free = None    # _minimum()'s (argmin, min)
-        self._sorts = None   # the cost whose sort _sort() reads, if not self
 
     def __call__(self, x):
         if self.kinks.size == 0:
@@ -220,11 +215,6 @@ class ConvexPWL:
                          np.concatenate((self.kinks, other.kinks)),
                          np.concatenate((self.deltas, other.deltas)))
 
-    def plus_affine(self, a: float, b: float) -> "ConvexPWL":
-        out = ConvexPWL(self.slope + a, self.const + b, self.kinks, self.deltas)
-        out._sorts = self if self._sorts is None else self._sorts
-        return out
-
     def shifted(self, delta: float) -> "ConvexPWL":
         """g(x) = f(x - delta)."""
         return ConvexPWL(self.slope, self.const - self.slope * delta,
@@ -235,9 +225,6 @@ class ConvexPWL:
         the deltas of kinks[:i], so that slope + rises[i] is f's slope on
         (kinks[i-1], kinks[i]) and slope + rises[n] after the last kink."""
         if self._sorted is None:
-            if self._sorts is not None:
-                self._sorted = self._sorts._sort()
-                return self._sorted
             order = np.argsort(self.kinks, kind="stable")
             kinks = self.kinks[order]
             rises = np.concatenate(([0.0], np.cumsum(self.deltas[order])))
@@ -246,31 +233,14 @@ class ConvexPWL:
         return self._sorted
 
     def argmin(self) -> float:
-        """Minimizer over the whole line; flat minima return their midpoint,
-        and f returns inf where it never rises, -inf where it never falls.
-
-        Convexity makes the slope sequence nondecreasing, so the minimum
-        region is bracketed by the last descending and first ascending
-        segment.
-        """
+        """Minimizer over the whole line, by _set_free's rule."""
         return self._minimum()[0]
 
     def _minimum(self) -> tuple:
         """(argmin, f there), nan where argmin is infinite; memoized."""
         if self._free is None:
             kinks, rises = self._sort()
-            slopes = self.slope + rises
-            neg = np.nonzero(slopes < -1e-11)[0]
-            pos = np.nonzero(slopes > 1e-11)[0]
-            if pos.size == 0:
-                x = math.inf
-            elif neg.size == 0:
-                x = -math.inf
-            else:
-                last_neg, first_pos = neg[-1], pos[0]
-                left, right = kinks[last_neg], kinks[first_pos - 1]
-                x = left if first_pos == last_neg + 1 else 0.5 * (left + right)
-            self._free = x, self(x) if math.isfinite(x) else math.nan
+            _set_free([self], (self.slope + rises)[None], kinks)
         return self._free
 
     def minimize(self, lo: float, hi: float):
@@ -340,9 +310,10 @@ class _PricedCycles:
         Cycle (j, e) sums pieces (j, j..e): its kinks and deltas are a
         prefix of those rows' breakpoints and steps, and its slope and
         constant are running sums from 0.0, so the result is bit-equal to
-        adding the pieces one at a time with ConvexPWL.plus. The unit
-        cost's terms are plus_affine. Every record's free minimum comes
-        from one stable sort of the start's kinks (_set_minima).
+        adding the pieces one at a time with ConvexPWL.plus. With a unit
+        cost c, a `first` record's slope adds -c, and then the horizon's
+        last cycle's adds +c in both lists. Every record's free minimum
+        comes from one stable sort of the start's kinks (_set_minima).
         """
         T = self.instance.horizon
         costs = self.instance.costs
@@ -361,14 +332,18 @@ class _PricedCycles:
                                   zip(segs.errors[rows].tolist(), shifts)],
                                  initial=0.0))[1:]
         ends = range(cells, cells * count + 1, cells)
-        cycles = [ConvexPWL(slope, const, kinks[:n], deltas[:n])
-                  for slope, const, n in zip(slopes, consts, ends)]
-        firsts = later = cycles
+
+        def priced(slopes: list) -> list:
+            return [ConvexPWL(slope, const, kinks[:n], deltas[:n])
+                    for slope, const, n in zip(slopes, consts, ends)]
+
+        firsts = later = priced(slopes)
         if c:
             # -c y for the suffix's first cycle, +c y for the horizon's last
-            firsts = [f.plus_affine(-c, 0.0) for f in cycles]
-            firsts[-1] = firsts[-1].plus_affine(c, 0.0)
-            later = cycles[:-1] + [cycles[-1].plus_affine(c, 0.0)]
+            first_slopes = [slope + -c for slope in slopes]
+            first_slopes[-1] += c
+            firsts = priced(first_slopes)
+            later = priced(slopes[:-1] + [slopes[-1] + c])
         _set_minima((firsts, later) if c else (firsts,), kinks, deltas, ends)
         records = list(zip(firsts, shifts))
         self._starts[(j, True)] = records
@@ -377,36 +352,46 @@ class _PricedCycles:
 
 def _set_minima(lists: tuple, kinks: np.ndarray, deltas: np.ndarray,
                 ends: range) -> None:
-    """Memoize every cost's free (argmin, min), as ConvexPWL._minimum
-    forms it, from one stable sort of a start's kinks: each list holds one
-    cost per cycle, cost i over the prefix kinks[:ends[i]].
+    """Memoize every cost's free (argmin, min) by _set_free, from one
+    stable sort of a start's kinks: each list holds one cost per cycle,
+    cost i over the prefix kinks[:ends[i]].
 
     A prefix's stable order is the full one filtered to indices below its
     length. So row i of `rises`, the running sum of the sorted deltas with
     each kink outside cost i's prefix adding +0.0 (which leaves a
     non-negative sum's bits alone), holds cost i's own running sums at its
-    kinks. Its slopes, slope + rises, are nondecreasing and change only at
-    its own kinks: the first kink where they reach -1e-11 ends the last
-    descending segment, and the first where they exceed 1e-11 starts the
-    first ascending one."""
+    kinks, and its slopes change only at its own kinks."""
     order = np.argsort(kinks, kind="stable")
-    inside = order < np.array(ends)[:, None]
-    rises = np.cumsum(np.where(inside, deltas[order], 0.0), axis=1)
-    kinks = kinks[order]
+    steps = np.zeros((len(ends), len(kinks) + 1))
+    steps[:, 1:] = np.where(order < np.array(ends)[:, None], deltas[order], 0.0)
+    rises = steps.cumsum(axis=1)
     slopes = np.array([[f.slope for f in costs] for costs in lists])
-    running = slopes[:, :, None] + rises
-    lefts = np.argmax(running >= -1e-11, axis=2).tolist()
-    rights = np.argmax(running > 1e-11, axis=2).tolist()
-    tops = (slopes + rises[:, -1]).tolist()  # the slope after the last kink
-    for costs, *rows in zip(lists, lefts, rights, tops):
-        for f, a, z, top in zip(costs, *rows):
-            if not top > 1e-11:
-                x = math.inf
-            elif not f.slope < -1e-11:
-                x = -math.inf
-            else:
-                x = kinks[a] if a == z else 0.5 * (kinks[a] + kinks[z])
-            f._free = x, f(x) if math.isfinite(x) else math.nan
+    _set_free([f for costs in lists for f in costs],
+              (slopes[:, :, None] + rises).reshape(-1, rises.shape[1]),
+              kinks[order])
+
+
+def _set_free(costs: list, slopes: np.ndarray, kinks: np.ndarray) -> None:
+    """Memoize each cost's free (argmin, min), nan where the argmin is
+    infinite. `kinks` is sorted, and row i of `slopes` is costs[i]'s slope
+    left of kinks[0] and then right of each kink: nondecreasing by
+    convexity, and changing only at costs[i]'s own kinks. A slope below
+    -1e-11 falls and one above 1e-11 rises. The minimum lies between the
+    last falling piece and the first rising one, at the midpoint where they
+    are apart, and the argmin is inf where f never rises, -inf where it
+    never falls."""
+    after_fall = np.argmin(slopes < -1e-11, axis=1).tolist()
+    first_rise = np.argmax(slopes > 1e-11, axis=1).tolist()
+    for f, first, last, a, z in zip(costs, slopes[:, 0].tolist(),
+                                    slopes[:, -1].tolist(), after_fall,
+                                    first_rise):
+        if not last > 1e-11:
+            x = math.inf
+        elif not first < -1e-11:
+            x = -math.inf
+        else:  # kinks[a - 1] ends the last falling piece
+            x = kinks[a - 1] if a == z else 0.5 * (kinks[a - 1] + kinks[z - 1])
+        f._free = x, f(x) if math.isfinite(x) else math.nan
 
 
 class CycleTable:
@@ -472,9 +457,6 @@ class _Relaxation:
     cost_to_go: list     # V(j) = reach[j + 1], and V(T + 1) = 0
     levels: list         # j >= 2: the path's first level y*_j
     chained: list        # j >= 2, and True at T + 1
-    firsts: list         # by the first cycle's end e: (cost, y_lo, y_hi)
-                         # of cycle 1..e pinned, [inv_lo + D(1..e),
-                         # inv_hi + D(1..1)]
     limits: list         # by the first cycle's end e: U_e = y*_{e+1} +
                          # D(1..e) where the path from e + 1 is chained,
                          # -inf where it is not, +inf at e = T
@@ -528,7 +510,7 @@ class _SubmodelEngine:
     def relaxation(self) -> _Relaxation:
         """One pass over the cycle starts j = T..1: start j's row and V(j)
         and, for j >= 2, the relaxed path's first level and `chained` flag;
-        then each first cycle's (cost, y_lo, y_hi) and the limits.
+        then the limits.
 
         Arc e of row j is cycle j..e alone: K if it orders (j > 1), plus
         its priced cost minimized over its level bounds widened by
@@ -564,12 +546,10 @@ class _SubmodelEngine:
                 levels[j] = y = cost.argmin()
                 chained[j] = (chained[end + 1] and inv_lo + mean <= y <= hi
                               and (end == T or levels[end + 1] >= y - mean))
-        y_hi = inv_hi + records[0][1]
-        firsts = [None] + [(cost, inv_lo + mean, y_hi) for cost, mean in records]
         limits = [None] + [levels[e + 1] + records[e - 1][1]
                            if chained[e + 1] else -math.inf
                            for e in range(1, T)] + [math.inf]
-        return _Relaxation(rows, cost_to_go, levels, chained, firsts, limits)
+        return _Relaxation(rows, cost_to_go, levels, chained, limits)
 
     def _path(self, j: int) -> tuple:
         """(levels, pattern) of the relaxed path from start j >= 2, empty
@@ -603,9 +583,7 @@ class _SubmodelEngine:
         records = [self.records(j) for j in starts]
         cycles = [rec[e - j] for rec, j, e in zip(records, starts, ends)]
         m = len(cycles)
-        offsets = np.zeros(m)
-        for i in range(1, m):
-            offsets[i] = offsets[i - 1] + cycles[i - 1][1]
+        offsets = np.array(running_sums([mean for _, mean in cycles[:-1]]))
         # in z = y + cumulative demand; the first cycle's offset is 0, so
         # its record's cost serves as is, with its memoized sort and minimum
         funcs = [cycles[0][0]] + [cycles[i][0].shifted(offsets[i])
@@ -681,14 +659,14 @@ class _SubmodelEngine:
         Every cycle 1..e's kinks are a prefix of cycle 1..T's: the hinge
         max(x - kink, 0) is formed once, and each arc dots its prefix with
         the cycle's deltas, the numbers that ConvexPWL.__call__ sums, in
-        its order."""
-        T = self.T
-        firsts = self.relaxation.firsts
-        hinge = np.maximum(x - firsts[T][0].kinks, 0.0)
-        arc = [math.inf] * (T + 1)
-        for e in range(1, T + 1):
-            f, y_lo, y_hi = firsts[e]
-            if y_lo - 1e-9 <= x <= y_hi + 1e-9:
+        its order. Cycle 1..e's level bounds are [inv_lo + D(1..e),
+        inv_hi + D(1..1)]."""
+        first = self.records(1)
+        hinge = np.maximum(x - first[-1][0].kinks, 0.0)
+        inv_lo, y_hi = self.inv_lo, self.inv_hi + first[0][1]
+        arc = [math.inf] * (self.T + 1)
+        for e, (f, mean) in enumerate(first, start=1):
+            if inv_lo + mean - 1e-9 <= x <= y_hi + 1e-9:
                 arc[e] = (f.slope * x + f.const
                           + float(hinge[:len(f.deltas)].dot(f.deltas)))
         return arc
@@ -823,6 +801,7 @@ class _SubmodelEngine:
         if abs(best[0] - target) <= 1e-9:
             return hi, best  # K = 0: the order-up-to level is the root
         relax = self.relaxation
+        first = self.records(1)
         x = hi
         moved = True
         while moved:
@@ -831,9 +810,9 @@ class _SubmodelEngine:
                 const = relax.cost_to_go[e + 1]  # piece e's constant
                 value = arc[e] + const
                 if x <= relax.limits[e] and value < target:
-                    f, y_lo, _ = relax.firsts[e]
-                    left = max(f.left_crossing(
-                        target - const, x, value - const), y_lo - 1e-9)
+                    f, mean = first[e - 1]
+                    left = max(f.left_crossing(target - const, x, value - const),
+                               self.inv_lo + mean - 1e-9)
                     if left < x:
                         x, moved = left, True
                         arc = self._first_arc(x)

@@ -2,9 +2,7 @@
 
 Ten demand patterns over 8- or 25-period horizons: two life cycles, two
 sinusoids, a stationary level, one fixed random draw and four empirical
-series. The 8-period values and the random/empirical 25-period values are
-shipped as data; the remaining 25-period series are regenerated from their
-closed forms and checked entry-for-entry against the shipped table.
+series. Every series is shipped as data.
 
 The gap study crosses pattern x K x b x cv (10 x 3 x 3 x 3 = 270
 instances per horizon), solves each with the requested heuristics, prices
@@ -29,7 +27,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .domain import (CostParameters, Instance, NormalDemand, ValidationError,
-                     is_integer, is_number, round_half_up, running_sums)
+                     is_integer, is_number, running_sums)
 from .heuristics import BS_STEP, HeuristicConfig, bs_policy, cycle_table, mp_policy
 from .sdp import solve_sdp
 from .simulate import estimate_gaps
@@ -50,9 +48,19 @@ _DEMAND_8 = {
     "EMP4": (18, 6, 22, 22, 51, 54, 22, 21),
 }
 
-# 25-period shipped data: the random draw is a fixed realization, the
-# empirical series come from an external dataset; both are data, not code.
-_DEMAND_25_DATA = {
+# t = 1..25: LCY1/LCY2 round 190/170 exp(-(t - 13)^2 / (2 sd^2)), sd 5/6,
+# and SIN1/SIN2 round 70/30 sin(0.8 t) + 80/100, halves up; RAND is a fixed
+# draw and EMP1-EMP4 come from an external dataset.
+_DEMAND_25 = {
+    "LCY1": (11, 17, 26, 38, 53, 71, 92, 115, 138, 159, 175, 186, 190, 186,
+             175, 159, 138, 115, 92, 71, 53, 38, 26, 17, 11),
+    "LCY2": (23, 32, 42, 55, 70, 86, 103, 120, 136, 150, 161, 168, 170, 168,
+             161, 150, 136, 120, 103, 86, 70, 55, 42, 32, 23),
+    "SIN1": (130, 150, 127, 76, 27, 10, 36, 88, 136, 149, 121, 68, 22, 11,
+             42, 96, 140, 148, 114, 60, 18, 14, 50, 104, 144),
+    "SIN2": (122, 130, 120, 98, 77, 70, 81, 103, 124, 130, 118, 95, 75, 71,
+             84, 107, 126, 129, 115, 91, 73, 72, 87, 110, 127),
+    "STA": (100,) * 25,
     "RAND": (178, 178, 136, 211, 119, 165, 47, 100, 62, 31, 43, 199, 172,
              96, 69, 8, 29, 135, 97, 70, 248, 57, 11, 94, 13),
     "EMP1": (2, 51, 152, 467, 268, 489, 446, 248, 281, 363, 155, 293, 220,
@@ -65,39 +73,6 @@ _DEMAND_25_DATA = {
              440, 116, 185, 211, 26, 55, 0, 0, 0, 0, 0, 0),
 }
 
-# shipped copy of the generated series, used by the regeneration check
-_DEMAND_25_GENERATED = {
-    "LCY1": (11, 17, 26, 38, 53, 71, 92, 115, 138, 159, 175, 186, 190, 186,
-             175, 159, 138, 115, 92, 71, 53, 38, 26, 17, 11),
-    "LCY2": (23, 32, 42, 55, 70, 86, 103, 120, 136, 150, 161, 168, 170, 168,
-             161, 150, 136, 120, 103, 86, 70, 55, 42, 32, 23),
-    "SIN1": (130, 150, 127, 76, 27, 10, 36, 88, 136, 149, 121, 68, 22, 11,
-             42, 96, 140, 148, 114, 60, 18, 14, 50, 104, 144),
-    "SIN2": (122, 130, 120, 98, 77, 70, 81, 103, 124, 130, 118, 95, 75, 71,
-             84, 107, 126, 129, 115, 91, 73, 72, 87, 110, 127),
-    "STA": (100,) * 25,
-}
-
-
-def generate_25(pattern: str) -> tuple[int, ...]:
-    """Closed-form 25-period series (the Gaussian bumps read with the
-    divisor inside the exponent, which is what the shipped table encodes)."""
-    if pattern == "LCY1":
-        return tuple(round_half_up(190 * math.exp(-(t - 13) ** 2 / (2 * 5 ** 2)))
-                     for t in range(1, 26))
-    if pattern == "LCY2":
-        return tuple(round_half_up(170 * math.exp(-(t - 13) ** 2 / (2 * 6 ** 2)))
-                     for t in range(1, 26))
-    if pattern == "SIN1":
-        return tuple(round_half_up(70 * math.sin(0.8 * t) + 80)
-                     for t in range(1, 26))
-    if pattern == "SIN2":
-        return tuple(round_half_up(30 * math.sin(0.8 * t) + 100)
-                     for t in range(1, 26))
-    if pattern == "STA":
-        return (100,) * 25
-    raise ValueError(f"pattern {pattern} has no closed form")
-
 
 def demand_means(pattern: str, horizon: int) -> tuple[int, ...]:
     if pattern not in PATTERNS:
@@ -105,9 +80,7 @@ def demand_means(pattern: str, horizon: int) -> tuple[int, ...]:
     if horizon == 8:
         return _DEMAND_8[pattern]
     if horizon == 25:
-        if pattern in _DEMAND_25_DATA:
-            return _DEMAND_25_DATA[pattern]
-        return generate_25(pattern)
+        return _DEMAND_25[pattern]
     raise ValueError(f"unsupported horizon {horizon}; expected 8 or 25")
 
 

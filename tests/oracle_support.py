@@ -840,8 +840,8 @@ def reference_cycle(instance, segments, j, e):
     for t in range(j, e + 1):
         pw = segments[(j, t)]
         deltas = np.diff(np.asarray(pw.slopes)) * hb
-        f = ConvexPWL(0.0, hb * pw.error_bound, np.asarray(pw.breakpoints), deltas)
-        total = total.plus(f.plus_affine(-b, b * pw.mean))
+        total = total.plus(ConvexPWL(0.0 + -b, hb * pw.error_bound + b * pw.mean,
+                                     np.asarray(pw.breakpoints), deltas))
         shifts.append(pw.mean)
     return total, shifts[-1], max(shifts), min(shifts)
 
@@ -852,11 +852,13 @@ def reference_priced(instance, segments, j, e, first):
     segment dict."""
     f = reference_cycle(instance, segments, j, e)[0]
     c = instance.costs.unit
+    slope = f.slope
     if c:
         if first:
-            f = f.plus_affine(-c, 0.0)
+            slope += -c
         if e == instance.horizon:
-            f = f.plus_affine(c, 0.0)
+            slope += c
+    f = ConvexPWL(slope, f.const, f.kinks, f.deltas)
     return (f, *reference_minimum(f))
 
 

@@ -1,4 +1,6 @@
-"""tools/code_lines.py, run as a script on a small synthetic package."""
+"""tools/code_lines.py, run as a script on a small synthetic package, and
+a static check that every private helper of the package has a reader."""
+import ast
 import json
 import subprocess
 import sys
@@ -50,3 +52,50 @@ def test_script_rejects_a_file(tmp_path):
     out = subprocess.run([sys.executable, str(_PATH), str(path)],
                          capture_output=True, text=True)
     assert out.returncode == 2 and "is not a directory" in out.stderr
+
+
+_ROOT = Path(__file__).resolve().parents[1]
+
+
+def _references(tree) -> list:
+    """(name, (line, column)) of every name a module reads: each ast.Name,
+    ast.Attribute and import alias."""
+    refs = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs.append((node.id, (node.lineno, node.col_offset)))
+        elif isinstance(node, ast.Attribute):
+            refs.append((node.attr, (node.end_lineno, node.end_col_offset)))
+        elif isinstance(node, ast.alias):
+            for name in (node.name.split(".")[-1], node.asname):
+                if name:
+                    refs.append((name, (node.lineno, node.col_offset)))
+    return refs
+
+
+def test_every_private_helper_has_a_reader():
+    """Every `_`-prefixed function, method or class defined in src/sspolicy
+    is named outside its own definition, in src/sspolicy, tools or bench."""
+    modules = {path: ast.parse(path.read_text(encoding="utf-8"))
+               for folder in ("src/sspolicy", "tools", "bench")
+               for path in sorted((_ROOT / folder).rglob("*.py"))}
+    refs = {path: _references(tree) for path, tree in modules.items()}
+    unread = []
+    for path, tree in modules.items():
+        if _ROOT / "src" / "sspolicy" not in path.parents:
+            continue
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                continue
+            name = node.name
+            if not name.startswith("_") or (name.startswith("__")
+                                             and name.endswith("__")):
+                continue
+            body = ((node.lineno, node.col_offset),
+                    (node.end_lineno, node.end_col_offset))
+            if not any(ref == name and (other != path
+                                        or not body[0] <= at <= body[1])
+                       for other, found in refs.items() for ref, at in found):
+                unread.append(f"{path.relative_to(_ROOT)}:{node.lineno} {name}")
+    assert not unread, unread

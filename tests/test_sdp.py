@@ -283,6 +283,23 @@ class TestGridAndDemand:
         with pytest.raises(GridTooSmallError):
             solve_sdp(example4, grid=InventoryGrid(-10, 40, 1.0))
 
+    def test_default_grid_holds_unit_cost_reorder_point(self):
+        """With unit cost c the never-order band is about K/(b - c) deep:
+        here G(y) = 3 - 0.1 y below S = 3, so G(-47) = K + G(S) and the
+        reorder point sits at -47, far below K/b = 5."""
+        inst = make_instance(horizon=1, K=5, h=1, b=1, c=0.9, means=[3],
+                             std_devs=[0.0])
+        sol = solve_sdp(inst)
+        assert sol.policy.pair(1)[1] == 3.0
+        assert abs(sol.policy.pair(1)[0] - -47.0) <= sol.grid.step
+
+    def test_default_grid_solves_unit_cost_grid(self):
+        """Every 8-period grid instance at c = 4.0 solves on its default
+        grid."""
+        for instance in build_instances(BenchmarkConfig(horizon=8,
+                                                        unit_cost=4.0)):
+            solve_sdp(instance)
+
 
 class TestCostToGo:
     def test_off_grid_rejected(self, solved4):

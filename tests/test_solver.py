@@ -41,6 +41,15 @@ def _engine(model):
                            level_bounds(model.instance, model.big_m))
 
 
+def _first_cycles(engine) -> list:
+    """(cost, y_lo, y_hi) of each of an engine's first cycles 1..e, at
+    entry e: its record and its level bounds [inv_lo + D(1..e),
+    inv_hi + D(1..1)]."""
+    first = engine.records(1)
+    y_hi = engine.inv_hi + first[0][1]
+    return [None] + [(f, engine.inv_lo + mean, y_hi) for f, mean in first]
+
+
 def _own_segments(suffix, config):
     """The suffix's own segments at the heuristic config's partition."""
     return build_segments(suffix, segments=config.cells,
@@ -193,16 +202,17 @@ class TestConvexPWLMemo:
         else:
             assert math.isclose(got[0], ref, rel_tol=1e-12, abs_tol=1e-12)
 
-    def test_only_plus_affine_hands_the_sort_on(self):
-        """plus_affine sorts nothing; its result, when first read, takes
-        the sort of the cost it came from, through a chain of them."""
+    def test_sort_is_own_lazy_and_read_only(self):
+        """A cost sorts its own kinks when first read, and keeps the sort;
+        plus and shifted start unsorted, sharing no sort; the sort's arrays
+        refuse writes."""
         f = ConvexPWL(-2.0, 1.0, [3.0, 1.0, 3.0], [1.0, 0.0, 2.0])
-        g = f.plus_affine(0.5, 2.0)
-        h = g.plus_affine(-0.5, 0.0)
-        assert f._sorted is None and g._sorted is None
-        assert h._sort() is f._sorted and g._sort() is f._sorted
-        assert f.plus(g)._sorted is None and f.shifted(1.0)._sorted is None
-        kinks, rises = f._sorted
+        assert f._sorted is None
+        kinks, rises = f._sort()
+        assert f._sort() is f._sorted
+        assert kinks.tolist() == [1.0, 3.0, 3.0]
+        assert rises.tolist() == [0.0, 0.0, 1.0, 3.0]
+        assert f.plus(f)._sorted is None and f.shifted(1.0)._sorted is None
         assert not (kinks.flags.writeable or rises.flags.writeable)
 
 
@@ -230,7 +240,7 @@ class TestDotProducts:
         table = cycle_table(instance, config.heuristic_config())
         for k in range(1, instance.horizon + 1):
             engine = table.engine(k)
-            firsts = engine.relaxation.firsts
+            firsts = _first_cycles(engine)
             points = {x for f, lo, hi in firsts[1:]
                       for x in (lo, hi, f.argmin(), *f.kinks[::3].tolist())
                       if math.isfinite(x)}
@@ -513,7 +523,7 @@ class TestCycleTableArrays:
             assert _same_float(float(row.max()), float(row[-1])), j
             assert _same_float(float(row.min()), float(row[0])), j
         engine = CycleTable(inst, segs).engine(1)
-        f, y_lo, y_hi = engine.relaxation.firsts[T]
+        f, y_lo, y_hi = _first_cycles(engine)[T]
         for x in {y_lo, *f.kinks.tolist(), f.argmin()}:
             if not (math.isfinite(x) and y_lo <= x <= y_hi):
                 continue
@@ -548,10 +558,7 @@ class TestCycleTableArrays:
         monkeypatch.undo()
         bs_policy(inst, config, table=table)
         for k in range(1, inst.horizon + 1):
-            firsts = table.engine(k).relaxation.firsts
-            for e in range(1, inst.horizon - k + 2):
-                first = table.costs.start(k, True)[e - 1][0]
-                assert firsts[e][0] is first
+            assert table.engine(k).records(1) is table.costs.start(k, True)
             for first in (True, False):
                 assert all(f._sorted is None
                            for f, _ in table.costs.start(k, first)), k
@@ -928,7 +935,7 @@ def _assert_reads_match(view, extra=()):
     s_up = float(best[2][0])
     target = best[0] + view.instance.costs.fixed
     pins = {s_up, s_up - 1.0, 0.0, -7.25, -s_up - 40.0, *extra}
-    firsts = fast.relaxation.firsts
+    firsts = _first_cycles(fast)
     kinks = firsts[fast.T][0].kinks
     for e in range(1, fast.T + 1):
         # every first cycle's kinks are a prefix of the hinge's
@@ -1004,7 +1011,7 @@ def _first_row_pins(engine, extra=()) -> set:
     domain of every first cycle 1..e."""
     pins = set(extra)
     for e in range(1, engine.T + 1):
-        _, y_lo, y_hi = engine.relaxation.firsts[e]
+        _, y_lo, y_hi = _first_cycles(engine)[e]
         pins.update((y_lo - 1.0, y_lo - 1e-9, y_lo, 0.5 * (y_lo + y_hi),
                      y_hi, y_hi + 1e-9, y_hi + 1.0))
     return pins
@@ -1025,7 +1032,7 @@ def _assert_relaxation_matches_reference(engine, extra=()):
         arc, reach, end = relax.rows[j]
         assert _bits((arc, reach)) == _bits(ref.rows[j]), j
         assert end == ref.ends[j], j
-        assert _bits(relax.firsts[j]) == _bits(ref.firsts[j]), j
+        assert _bits(_first_cycles(engine)[j]) == _bits(ref.firsts[j]), j
     for j in range(1, T + 2):
         assert _bits(relax.cost_to_go[j]) == _bits(ref.cost_to_go[j]), j
     for j in range(2, T + 2):

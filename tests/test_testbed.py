@@ -14,8 +14,8 @@ from sspolicy.heuristics import bs_policy, mp_policy
 from sspolicy.sdp import solve_sdp
 from sspolicy.simulate import estimate_gap
 from sspolicy.testbed import (
-    _DEMAND_25_GENERATED, BenchmarkConfig, BenchmarkReport, InstanceResult,
-    build_instances, demand_means, generate_25, instance_id, instance_seed,
+    BenchmarkConfig, BenchmarkReport, InstanceResult,
+    build_instances, demand_means, instance_id, instance_seed,
     read_detail_csv, run_benchmark, run_instance, write_detail_csv,
     write_summary_csv,
 )
@@ -30,10 +30,6 @@ class TestDemandPatterns:
 
     def test_lcy1_peak(self):
         assert demand_means("LCY1", 25)[12] == 190
-
-    @pytest.mark.parametrize("pattern", ["LCY1", "LCY2", "SIN1", "SIN2", "STA"])
-    def test_regeneration_identity(self, pattern):
-        assert generate_25(pattern) == _DEMAND_25_GENERATED[pattern]
 
     def test_unknown_pattern(self):
         with pytest.raises(ValueError, match="unknown pattern"):
