@@ -165,7 +165,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sdp.add_argument("--out", metavar="CSV", help="write the policy as CSV")
     p_sdp.set_defaults(func=_cmd_sdp)
 
-    p_solve = sub.add_parser("solve", help="heuristic policy computation")
+    p_solve = sub.add_parser(
+        "solve", help="heuristic policy computation",
+        description="Heuristic (s_t, S_t) policy. linked_cost is K plus the "
+                    "suffix's optimal cost after ordering up to S_t, the unit "
+                    "cost charged from level 0, as sdp's reorder_cost.")
     p_solve.add_argument("instance")
     p_solve.add_argument("--method", choices=("mp", "bs"), required=True)
     p_solve.add_argument("--segments", type=int, default=11)

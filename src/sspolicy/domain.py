@@ -35,6 +35,13 @@ class CostParameters:
     holding: float = 1.0  # h > 0, per unit per period
     penalty: float = 10.0  # b > 0, per unit short per period
 
+    @property
+    def never_order_depth(self) -> float:
+        """K/(b - c): how far below zero a reorder point can sit. With no
+        demand left, level -x pays b x short without an order and K + c x
+        to order up to zero, equal at x = K/(b - c)."""
+        return self.fixed / (self.penalty - self.unit)
+
 
 @dataclass(frozen=True)
 class NormalDemand:

@@ -16,7 +16,10 @@ Both heuristics walk the suffix horizons k..T and extract the period-k
     exactly K.
 
 The solver takes the forced-order side from the no-order free minimum, so
-both heuristics get the same S_k and linked cost.
+both heuristics get the same S_k and linked cost. Its costs charge the
+unit cost from level 0, as the SDP oracle does: the no-order cost at y
+includes c y, so S_k minimizes the cost of ordering up to y, and the
+linked cost is the SDP's reorder cost, K + G_k(S_k).
 
 Each heuristic reads the instance's segments and cycle costs from one
 CycleTable (`cycle_table`). It builds its own unless given one by `table=`.
@@ -77,14 +80,14 @@ class HeuristicConfig:
     def lower_bound_for(self, instance: Instance) -> float:
         """A negative integer strictly below any reorder point.
 
-        The root can sit K/b below the lowest demand-driven level: with no
-        demand left it is exactly -K/b, where the cost only equals the
-        target, so the bound keeps one more unit below it.
+        The root can sit K/(b - c) below the lowest demand-driven level:
+        with no demand left it is exactly -K/(b - c), where the cost only
+        equals the target, so the bound keeps one more unit below it.
         """
         total_mean, total_var = instance.demand_totals
         total_sd = math.sqrt(total_var)
-        costs = instance.costs
-        reach = total_mean + 6.0 * total_sd + costs.fixed / costs.penalty
+        reach = (total_mean + 6.0 * total_sd
+                 + instance.costs.never_order_depth)
         return -float(math.ceil(reach) + 1)
 
 

@@ -380,12 +380,11 @@ def default_big_m(instance: Instance, fixed_i0: float | None = None) -> float:
 def level_bounds(instance: Instance, big_m: float) -> tuple[float, float]:
     """(lower, upper) bound of every inventory level of a submodel.
 
-    The reorder root can sit K/b below zero (the never-order band), and
-    closing levels run a full horizon of demand below the initial one.
+    The reorder root can sit K/(b - c) below zero (the never-order band),
+    and closing levels run a full horizon of demand below the initial one.
     """
-    costs = instance.costs
     total_mean = instance.demand_totals[0]
-    lower = -(big_m + costs.fixed / costs.penalty + total_mean + 10.0)
+    lower = -(big_m + instance.costs.never_order_depth + total_mean + 10.0)
     return lower, big_m + 10.0
 
 
@@ -451,7 +450,9 @@ def _add_submodel(em: _Emitter, instance: Instance, big_m: float, label: str,
                      back, P, equality=t < objective_from)
 
     if costs.unit:
-        unit_terms = [(I[0], -costs.unit, 3), (I[T], costs.unit, 4)]
+        # c (I_T + D(1..T)): the orders' unit cost plus c I0, charged from
+        # level zero as the SDP charges it
+        unit_terms = [(I[T], costs.unit, 3)]
         cost += unit_terms
         em.objective += unit_terms
         em.constant += costs.unit * instance.demand_totals[0]
@@ -557,7 +558,7 @@ def _stack_values(instance: Instance, segments: Segments, count: int) -> list:
     slopes, const = segments.slopes, segments.cuts
     costs = instance.costs
     # Python scalars negated as the emitter negates them, zeros' signs too
-    coefs = [costs.fixed, costs.holding, costs.penalty, -costs.unit, costs.unit]
+    coefs = [costs.fixed, costs.holding, costs.penalty, costs.unit]
     means = instance.means
     # suffix k's demand total as Instance.suffix(k).demand_totals sums it
     totals = [costs.unit * running_sums(means[o:])[-1] for o in range(count)]
@@ -626,7 +627,7 @@ class JointStack:
         rule_pieces = np.array(rule_pieces, dtype=np.intp)
         # the instance layout: section starts of _stack_values
         pieces = T * (T + 1) // 2
-        sections = np.cumsum([0, 5, 5, T, T, count] + [pieces * n_seg] * 2)
+        sections = np.cumsum([0, 4, 4, T, T, count] + [pieces * n_seg] * 2)
 
         def recorded(target: str) -> tuple:
             """The recorded slots and their sources in the instance layout."""

@@ -84,7 +84,7 @@ def default_grid(instance: Instance, step: float = 1.0) -> InventoryGrid:
     total_sd = math.sqrt(total_var)
     i0 = instance.initial_inventory
     c = instance.costs
-    slack = c.fixed / (c.penalty - c.unit) + 10.0 * step
+    slack = c.never_order_depth + 10.0 * step
     lower = min(0.0, i0) - total_mean - 4.0 * total_sd - slack
     upper = max(i0, total_mean + 4.0 * total_sd) + 10.0 * step
     lower = math.floor(lower / step) * step

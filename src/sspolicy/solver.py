@@ -80,19 +80,23 @@ models, and verifies it with one pass; a violation names its suffix and
 row.
 
 Cycle data lives in a CycleTable, one per instance: its model.Segments
-and, built on first use, one record per cycle (j, e) and `first` flag:
-(cost, mean), its priced convex cost and its mean demand D(j..e), kept per
-start j as the list of cycles j..T (_PricedCycles). The cycles of one start j come
+and, built on first use, one record per cycle (j, e): (cost, mean), its
+priced convex cost and its mean demand D(j..e), kept per start j as the
+list of cycles j..T (_PricedCycles). The unit cost c is charged from level
+zero, as the SDP oracle charges it (Scarf 1960): a pattern's orders sum to
+I_T - I_0 + D(1..T), so c (I_T + D(1..T)) is c times that sum plus c I_0,
+the cost of buying the start level. Its level term c y therefore sits on
+the horizon's last cycle alone, and the constant c D(1..j-1) on the pattern
+whose last cycle starts at j. The cycles of one start j come
 from one array pass: the breakpoints of rows (j, j..T) are
 flattened once into kinks, the slope steps tiled into deltas, and cycle
 (j, e) is a ConvexPWL over a read-only prefix of them, bit-equal to adding
-the pieces one at a time with ConvexPWL.plus, its slope carrying the unit
-cost's terms. The same pass sorts the start's kinks once: a prefix's
-stable order is the full one filtered to the prefix, so one masked running
-sum gives every record of both `first` lists its sorted running slopes,
-and each record memoizes its free minimizer and the minimum there,
-bit-equal to sorting its own kinks. A record sorts its own kinks only if
-left_crossing reads them.
+the pieces one at a time with ConvexPWL.plus. The same pass sorts the
+start's kinks once: a prefix's stable order is the full one filtered to
+the prefix, so one masked running sum gives every record its sorted
+running slopes, and each record memoizes its free minimizer and the
+minimum there, bit-equal to sorting its own kinks. A record sorts its own
+kinks only if left_crossing reads them.
 The heuristics solve every suffix
 k..T, its free minimum and every root-search step, from the one table
 through a SuffixView: the suffix's instance, and the offset k - 1 by
@@ -100,9 +104,7 @@ which its engine shifts local periods to read the table's cycles. Sharing is exa
 suffix k's (j, t) piece is the instance's (j + k - 1, t + k - 1) piece,
 the normal loss of the same demand slice summed in the same order, so a
 cycle's cost is the same function, built by the same operations,
-whichever suffix reads it. The unit cost's level terms depend only on
-whether the cycle opens the suffix (`first`) and whether it closes the
-horizon; without a unit cost both `first` keys hold one record. Level
+whichever suffix reads it. Level
 bounds differ per suffix and stay with its engine, which clamps the shared
 free minimizer to them with ConvexPWL.minimize. Each period's closing
 inventory I_t = y - D(j..t) must lie in [inv_lo, inv_hi]. Means are
@@ -288,32 +290,29 @@ class _PricedCycles:
     def __init__(self, instance, segments: Segments):
         self.instance = instance
         self.segments = segments
-        self._starts: dict = {}  # (j, first) -> records of cycles j..T
+        self._starts: dict = {}  # j -> records of cycles j..T
 
-    def start(self, j: int, first: bool) -> list:
+    def start(self, j: int) -> list:
         """The records (cost, mean) of cycles j..T, entry e - j being
         cycle j..e's. The cost is a ConvexPWL of the start-of-cycle level y
-        over read-only prefixes of start j's kink arrays, with the unit
-        ordering cost, which telescopes into the levels of a suffix's first
-        cycle (`first`) and of the horizon's last; the mean is D(j..e).
-        With no unit cost both `first` keys hold one record. Every cost's
-        free minimum is memoized when the start is built."""
-        hit = self._starts.get((j, first))
+        over read-only prefixes of start j's kink arrays, the horizon's
+        last cycle carrying the unit cost's c y; the mean is D(j..e).
+        Every cost's free minimum is memoized when the start is built."""
+        hit = self._starts.get(j)
         if hit is None:
-            self._build_start(j)
-            hit = self._starts[(j, first)]
+            hit = self._starts[j] = self._build_start(j)
         return hit
 
-    def _build_start(self, j: int) -> None:
-        """Every cycle (j, e), both `first` records, in one array pass.
+    def _build_start(self, j: int) -> list:
+        """Every cycle (j, e)'s record, in one array pass.
 
         Cycle (j, e) sums pieces (j, j..e): its kinks and deltas are a
         prefix of those rows' breakpoints and steps, and its slope and
         constant are running sums from 0.0, so the result is bit-equal to
         adding the pieces one at a time with ConvexPWL.plus. With a unit
-        cost c, a `first` record's slope adds -c, and then the horizon's
-        last cycle's adds +c in both lists. Every record's free minimum
-        comes from one stable sort of the start's kinks (_set_minima).
+        cost c, the horizon's last cycle's slope adds +c. Every record's
+        free minimum comes from one stable sort of the start's kinks
+        (_set_minima).
         """
         T = self.instance.horizon
         costs = self.instance.costs
@@ -328,33 +327,23 @@ class _PricedCycles:
         shifts = segs.means[rows].tolist()
         # b * B_t = b * (H_t - I_t) = b * (H_t - y + shift)
         slopes = list(accumulate([0.0 - b] * count, initial=0.0))[1:]
+        if c:
+            slopes[-1] += c  # c y for the horizon's last cycle
         consts = list(accumulate([hb * e + b * mean for e, mean in
                                   zip(segs.errors[rows].tolist(), shifts)],
                                  initial=0.0))[1:]
         ends = range(cells, cells * count + 1, cells)
-
-        def priced(slopes: list) -> list:
-            return [ConvexPWL(slope, const, kinks[:n], deltas[:n])
-                    for slope, const, n in zip(slopes, consts, ends)]
-
-        firsts = later = priced(slopes)
-        if c:
-            # -c y for the suffix's first cycle, +c y for the horizon's last
-            first_slopes = [slope + -c for slope in slopes]
-            first_slopes[-1] += c
-            firsts = priced(first_slopes)
-            later = priced(slopes[:-1] + [slopes[-1] + c])
-        _set_minima((firsts, later) if c else (firsts,), kinks, deltas, ends)
-        records = list(zip(firsts, shifts))
-        self._starts[(j, True)] = records
-        self._starts[(j, False)] = list(zip(later, shifts)) if c else records
+        priced = [ConvexPWL(slope, const, kinks[:n], deltas[:n])
+                  for slope, const, n in zip(slopes, consts, ends)]
+        _set_minima(priced, kinks, deltas, ends)
+        return list(zip(priced, shifts))
 
 
-def _set_minima(lists: tuple, kinks: np.ndarray, deltas: np.ndarray,
+def _set_minima(costs: list, kinks: np.ndarray, deltas: np.ndarray,
                 ends: range) -> None:
     """Memoize every cost's free (argmin, min) by _set_free, from one
-    stable sort of a start's kinks: each list holds one cost per cycle,
-    cost i over the prefix kinks[:ends[i]].
+    stable sort of a start's kinks: one cost per cycle, cost i over the
+    prefix kinks[:ends[i]].
 
     A prefix's stable order is the full one filtered to indices below its
     length. So row i of `rises`, the running sum of the sorted deltas with
@@ -365,10 +354,8 @@ def _set_minima(lists: tuple, kinks: np.ndarray, deltas: np.ndarray,
     steps = np.zeros((len(ends), len(kinks) + 1))
     steps[:, 1:] = np.where(order < np.array(ends)[:, None], deltas[order], 0.0)
     rises = steps.cumsum(axis=1)
-    slopes = np.array([[f.slope for f in costs] for costs in lists])
-    _set_free([f for costs in lists for f in costs],
-              (slopes[:, :, None] + rises).reshape(-1, rises.shape[1]),
-              kinks[order])
+    slopes = np.array([f.slope for f in costs])
+    _set_free(costs, slopes[:, None] + rises, kinks[order])
 
 
 def _set_free(costs: list, slopes: np.ndarray, kinks: np.ndarray) -> None:
@@ -504,7 +491,7 @@ class _SubmodelEngine:
     def records(self, j: int) -> list:
         """The table's records of local cycles j..T, entry e - j being
         cycle j..e's; local period 1 opens the suffix."""
-        return self.costs.start(j + self.offset, j == 1)
+        return self.costs.start(j + self.offset)
 
     @cached_property
     def relaxation(self) -> _Relaxation:

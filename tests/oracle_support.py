@@ -123,7 +123,9 @@ def brute_force_submodel(instance, segments, first_order: bool,
     """(best_cost, best_deltas) over all order patterns.
 
     first_order fixes delta_1; fixed_i0 pins the first cycle's level when
-    period 1 has no order.
+    period 1 has no order. The unit cost is charged from level zero,
+    c (I_T + D(1..T)): c y on the last cycle's level y and c times the
+    demand before that cycle.
     """
     segments = reference_pieces(instance, segments)
     T = instance.horizon
@@ -170,8 +172,6 @@ def brute_force_submodel(instance, segments, first_order: bool,
         prev_demand = 0.0
         for i, (j, e, orders) in enumerate(cycles):
             stage = _cycle_cost_fn(instance, segments, j, e)(grid)
-            if c and i == 0:
-                stage = stage - c * grid
             if c and i == m - 1:
                 stage = stage + c * grid
             if i == 0:
@@ -229,7 +229,7 @@ def engine_cycle(engine, j, e):
     smallest cumulative mean D(j..t), t = j..e, of the table's segment
     rows: every I_t = y - D(j..t) within [inv_lo, inv_hi]."""
     start = j + engine.offset
-    cost, mean_d = engine.costs.start(start, j == 1)[e - j]
+    cost, mean_d = engine.costs.start(start)[e - j]
     shifts = engine.costs.segments.means[
         pair_row(start, np.arange(start, start + e - j + 1))].tolist()
     return Cycle(j, e, cost, mean_d, engine.inv_lo + max(shifts),
@@ -846,18 +846,15 @@ def reference_cycle(instance, segments, j, e):
     return total, shifts[-1], max(shifts), min(shifts)
 
 
-def reference_priced(instance, segments, j, e, first):
-    """(cost, argmin, min): the cost of cycle j..e's `first` record, and its
-    argmin and the cost there (nan where the argmin is infinite), of a
-    segment dict."""
+def reference_priced(instance, segments, j, e):
+    """(cost, argmin, min): the cost of cycle j..e's record, and its argmin
+    and the cost there (nan where the argmin is infinite), of a segment
+    dict."""
     f = reference_cycle(instance, segments, j, e)[0]
     c = instance.costs.unit
     slope = f.slope
-    if c:
-        if first:
-            slope += -c
-        if e == instance.horizon:
-            slope += c
+    if c and e == instance.horizon:
+        slope += c
     f = ConvexPWL(slope, f.const, f.kinks, f.deltas)
     return (f, *reference_minimum(f))
 

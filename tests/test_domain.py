@@ -94,6 +94,15 @@ def test_unit_cost_at_penalty_rejected():
     assert validate(below) is below
 
 
+def test_never_order_depth():
+    """K/(b - c), the never-order band's depth that the SDP grid, the
+    model's level bounds and the bisection's bracket all read; at c = 0
+    it is K/b bit for bit."""
+    assert CostParameters(fixed=100.0, penalty=10.0).never_order_depth == 100.0 / 10.0
+    assert CostParameters(fixed=5.0, unit=0.9, penalty=1.0).never_order_depth \
+        == 5.0 / (1.0 - 0.9)
+
+
 def test_validate_idempotent():
     inst = example4()
     assert validate(validate(inst)) == inst

@@ -146,12 +146,15 @@ def test_exact_solver_matches_highs(case):
     "the joint MILP is free to pick any level I0_s <= I0_S whose s-side cost "
     "expression equals C_S, and its objective rewards some of them; "
     "solve_exact takes the largest root of the optimal no-order cost"))
-@pytest.mark.parametrize("K, c, means, cvs", [
-    (0.0, 0.0, [26.7, 2.0, 26.0], [0.3, 0.1, 0.0]),
-    (150.0, 1.5, [3.5, 22.8], [0.1, 0.3]),
+@pytest.mark.parametrize("K, h, b, c, means, cvs", [
+    (0.0, 1.73, 12.65, 0.0, [26.7, 2.0, 26.0], [0.3, 0.1, 0.0]),
+    (40.0, 1.0, 2.0, 1.5, [0.0], [0.0]),
 ])
-def test_joint_root_choice_differs_from_highs(K, c, means, cvs):
-    inst = make_instance(len(means), K=K, h=1.73, b=12.65, c=c, means=means,
+def test_joint_root_choice_differs_from_highs(K, h, b, c, means, cvs):
+    """At c > 0 the objective's c I_T term on the s side rewards a lower
+    I0_s, which a suboptimal S side with a higher C_S buys: HiGHS reads
+    -90.0 where solve_exact reads -80.0 in the one-period case."""
+    inst = make_instance(len(means), K=K, h=h, b=b, c=c, means=means,
                          std_devs=[m * v for m, v in zip(means, cvs)])
     model = build_joint(inst, build_segments(inst, segments=3))
     obj_ext, _ = solve_lp(render_lp(model))
@@ -167,8 +170,8 @@ GOLDEN_LP = {
     "example4 s I0=15": "04a9b71f8dfd1c91f783b7f9784bea54a28f8765b2a82cf5c54b48319f3a90c6",
     "example4 S": "630970868b0335379e60f38894ed46115fedacbcf7c5b5b6fdc8db04e8e11c79",
     "example4 joint": "a1b6f8c8e1f5dc6117e76d136c0dec3cb72ab01c75b2e7a0153c353f97e0c6d1",
-    "unit-cost s": "4d6466927e94afa3513ed9f5bd540234010e21d1bc59d63463a25ac323cb6fe2",
-    "unit-cost joint": "ca6d9d6b393d94807d8d7ffab06ac78895e129055d840b27d500e175bdeffd93",
+    "unit-cost s": "6d8775e8f390b46ecf2d3b81957434214efba8f05f8cffa050a7aeb6e4a9e3e4",
+    "unit-cost joint": "de3c3fc6ed2f737615c82ccb46ab2a3d3f21740369c19c8f3ecbafe9ba224109",
     "zero-sd joint": "e0ceec72aadaad9f35c2ac18c03ca0dd94e8a0a1be3d4f3715c99e2b052ea92d",
     "EMP2 k=1 s": "68bbddfd68748d45096c2bec5312af7133c99a600e2eb033e1976b9e15ec689e",
     "EMP2 k=1 joint": "4ff4fd57a50b61b606a6ac6c2554804ed96139f83cef2e40763621b758b8b630",

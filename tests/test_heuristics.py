@@ -14,7 +14,7 @@ from sspolicy.heuristics import (
     HeuristicConfig, bs_policy, cycle_table, mp_policy, read_policy_csv,
     write_policy_csv,
 )
-from sspolicy.model import build_segments
+from sspolicy.model import build_segments, default_big_m, level_bounds
 from sspolicy.sdp import solve_sdp
 from sspolicy.simulate import simulate_policy
 from sspolicy.solver import CycleTable, ExactBackend, SolverError, _SubmodelEngine
@@ -436,6 +436,61 @@ class TestStackedJointCheck:
         with pytest.raises(RuntimeError,
                            match="joint solve failed at suffix k=3: no root"):
             mp_policy(example4, table_config)
+
+
+@st.composite
+def _deterministic_instances(draw):
+    """Zero-sd instances with integer means and an integer initial level:
+    T = 1..6, K = 0..200, zero-mean periods, unit costs from 0 to just
+    below b, negative initial levels, 2..10 cells."""
+    T = draw(st.integers(1, 6))
+    b = draw(st.sampled_from([1.0, 2.0, 5.0, 10.0, 20.0]))
+    instance = make_instance(
+        T, K=float(draw(st.sampled_from([0, 5, 40, 200]) | st.integers(0, 200))),
+        h=draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0])), b=b,
+        c=b * draw(st.sampled_from([0.0, 0.1, 0.45, 0.75, 0.9, 0.99])),
+        std_devs=[0.0] * T,
+        means=draw(st.lists(st.just(0.0) | st.integers(0, 40).map(float),
+                            min_size=T, max_size=T)),
+        initial_inventory=float(draw(st.integers(-40, 40))))
+    return instance, HeuristicConfig(segments=draw(st.integers(3, 11)))
+
+
+class TestDeterministicOracle:
+    """With every std dev 0, integer means and an integer initial level,
+    the losses, the linearized model, the SDP's single demand atoms on its
+    step-1 grid and the simulated cost are exact, so both heuristics'
+    policies cost the SDP optimum. Costs are compared, not levels: ties
+    and flat stretches admit other optimal levels."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_deterministic_instances())
+    def test_policies_cost_the_optimum(self, case):
+        instance, config = case
+        optimum = solve_sdp(instance).expected_cost
+        table = cycle_table(instance, config)
+        for policy in (bs_policy(instance, config, table=table),
+                       mp_policy(instance, config, table=table)):
+            cost = simulate_policy(instance, policy, replications=2, seed=3).mean
+            assert cost == pytest.approx(optimum, rel=1e-9, abs=1e-9), policy
+
+    def test_never_order_band_at_unit_cost(self):
+        """One period, no demand uncertainty: ordering from level x costs
+        K + c (3 - x) and not ordering b (3 - x), so the never-order band
+        reaches K/(b - c) = 50 below the demand. The SDP keeps the tie at
+        -47 against ordering (s = -48); both heuristics find that root,
+        and their linked cost is the SDP's reorder cost K + c S."""
+        instance = make_instance(1, K=5, h=1, b=1, c=0.9, means=[3],
+                                 std_devs=[0])
+        assert instance.costs.never_order_depth == pytest.approx(50.0)
+        sdp = solve_sdp(instance).policy
+        assert sdp.pair(1) == (-48.0, 3.0)
+        assert HeuristicConfig().lower_bound_for(instance) < -47.0
+        assert level_bounds(instance, default_big_m(instance))[0] < -50.0
+        for policy in (bs_policy(instance), mp_policy(instance)):
+            assert policy.reorder_points[0] == pytest.approx(-47.0, abs=1e-9)
+            assert policy.order_up_to_levels == (3.0,)
+            assert policy.costs[0] == pytest.approx(sdp.costs[0], abs=1e-12)
 
 
 def test_order_up_to_levels_agree_on_tied_patterns():

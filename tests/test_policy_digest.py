@@ -39,12 +39,13 @@ def test_script_digest_matches_in_process():
 
 @pytest.mark.parametrize("horizon, unit_cost, every, sha256", [
     (8, 0.0, 1, "c7445335fadb56d134f775a4f50ad5d0acd45ddf2738f6da658f49aa208ab935"),
-    (8, 1.5, 1, "a0bca55d20f8248100b9cc04063ce4d1b17c56fb0ad1be09a4e54823fddda58b"),
+    (8, 1.5, 1, "940752fb5d8dbdfc7e532c1c1e9aeb3d91d68e07acd70b318b26461099411a90"),
     (25, 0.0, 10, "379c1277dccddf889d782746d45c2727afecc61b8f068e465339a1eb1a6ecccf"),
-], ids=["grid8", "grid8-c1.5", "grid25-every10"])
+    (25, 1.5, 10, "27d42353fe72bd708840060c9624c330bb8cbf5a3d926dca3ee922217205b656"),
+], ids=["grid8", "grid8-c1.5", "grid25-every10", "grid25-c1.5"])
 def test_grid_policy_bits(horizon, unit_cost, every, sha256):
     """The bs and mp policies and work counters of the full 8-period grid
-    at c = 0 and c = 1.5 and of every 10th 25-period instance, bit for
+    and of every 10th 25-period instance, at c = 0 and c = 1.5, bit for
     bit, as recorded with numpy 2.4.6 and scipy 1.17.1."""
     config = BenchmarkConfig(horizon=horizon, unit_cost=unit_cost)
     instances = build_instances(config)[::every]

@@ -309,13 +309,14 @@ class TestOracleEquivalence:
 
 @st.composite
 def _submodel_cases(draw):
-    """Small instances with the search's edge cases: T = 1, K = 0, c > 0,
-    zero-sd periods, and free, pinned (also negative) or forced levels."""
+    """Small instances with the search's edge cases: T = 1, K = 0, c > 0
+    up to just below b (so also above h), zero-sd periods, and free,
+    pinned (also negative) or forced levels."""
     T = draw(st.integers(1, 6))
     K = draw(st.sampled_from([0.0, 40.0, 150.0]))
     h = draw(st.floats(0.5, 2.0).map(lambda v: round(v, 2)))
     b = draw(st.floats(2.0, 15.0).map(lambda v: round(v, 2)))
-    c = draw(st.sampled_from([0.0, 0.0, 1.5]))
+    c = round(b * draw(st.sampled_from([0.0, 0.0, 0.1, 0.5, 0.99])), 2)
     means = draw(st.lists(st.floats(0, 30).map(lambda v: round(v, 1)),
                           min_size=T, max_size=T))
     cvs = draw(st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.4]),
@@ -431,7 +432,7 @@ def _assert_same_pwl(got, ref, where):
 
 
 def _assert_table_matches_reference(instance, segments):
-    """Both fields of both `first` records of every cycle of the table:
+    """Both fields of every cycle's record of the table:
     the priced cost against adding the cycle's pieces one at a time, its
     memoized argmin and min against that sum's own sort, the mean against
     the same sum's; the shared arrays refuse writes. The sum's largest
@@ -444,37 +445,35 @@ def _assert_table_matches_reference(instance, segments):
     for j in range(1, T + 1):
         for e in range(j, T + 1):
             _, mean, top, low = reference_cycle(instance, pieces, j, e)
-            for first in (True, False):
-                records = table.costs.start(j, first)
-                got = records[e - j]
-                cost, *ref = reference_priced(instance, pieces, j, e, first)
-                where = (j, e, first)
-                assert len(got) == 2, where
-                _assert_same_pwl(got[0], cost, where)
-                assert not (got[0].kinks.flags.writeable
-                            or got[0].deltas.flags.writeable)
-                # argmin and min (nan where the argmin is infinite), mean
-                fields = got[0].minimize(-math.inf, math.inf) + got[1:]
-                assert all(_same_float(a, b) for a, b in
-                           zip(fields, ref + [mean])), where
-                assert _same_float(top, got[1]), where
-                assert _same_float(low, records[0][1]), where
+            records = table.costs.start(j)
+            got = records[e - j]
+            cost, *ref = reference_priced(instance, pieces, j, e)
+            where = (j, e)
+            assert len(got) == 2, where
+            _assert_same_pwl(got[0], cost, where)
+            assert not (got[0].kinks.flags.writeable
+                        or got[0].deltas.flags.writeable)
+            # argmin and min (nan where the argmin is infinite), mean
+            fields = got[0].minimize(-math.inf, math.inf) + got[1:]
+            assert all(_same_float(a, b) for a, b in
+                       zip(fields, ref + [mean])), where
+            assert _same_float(top, got[1]), where
+            assert _same_float(low, records[0][1]), where
 
 
 def _assert_record_minima_match_reference(instance, segments):
-    """Every record of both `first` lists: the free (argmin, min) its start
-    memoized, then its own sort, against the per-cost references."""
+    """Every record: the free (argmin, min) its start memoized, then its
+    own sort, against the per-cost references."""
     costs = CycleTable(instance, segments).costs
     for j in range(1, instance.horizon + 1):
-        lists = [costs.start(j, first) for first in (True, False)]
-        assert all(f._sorted is None for f, _ in lists[0] + lists[1]), j
-        for first, records in zip((True, False), lists):
-            for e, (f, _) in enumerate(records, start=j):
-                where = (instance.name, j, e, first)
-                got, ref = f._free, reference_minimum(f)
-                assert all(_same_float(a, b) for a, b in zip(got, ref)), where
-                for a, b in zip(f._sort(), reference_sort(f)):
-                    assert a.tobytes() == b.tobytes(), where
+        records = costs.start(j)
+        assert all(f._sorted is None for f, _ in records), j
+        for e, (f, _) in enumerate(records, start=j):
+            where = (instance.name, j, e)
+            got, ref = f._free, reference_minimum(f)
+            assert all(_same_float(a, b) for a, b in zip(got, ref)), where
+            for a, b in zip(f._sort(), reference_sort(f)):
+                assert a.tobytes() == b.tobytes(), where
 
 
 class TestCycleTableArrays:
@@ -524,7 +523,7 @@ class TestCycleTableArrays:
             assert _same_float(float(row.min()), float(row[0])), j
         engine = CycleTable(inst, segs).engine(1)
         f, y_lo, y_hi = _first_cycles(engine)[T]
-        for x in {y_lo, *f.kinks.tolist(), f.argmin()}:
+        for x in {y_lo, *f.kinks.tolist(), float(f.argmin())}:
             if not (math.isfinite(x) and y_lo <= x <= y_hi):
                 continue
             cost, _ = engine.solve_pattern((0,) * T, x)
@@ -533,9 +532,8 @@ class TestCycleTableArrays:
     @pytest.mark.parametrize("c", [0.0, 1.5])
     def test_each_start_sorts_once(self, c, monkeypatch):
         """Building a start sorts its kinks once and memoizes the free
-        minimum of every record of both `first` lists; no record sorts its
-        own kinks then, nor in bs, whose suffix engines read the table's
-        first-cycle records. After mp, whose reorder roots read some, a
+        minimum of every record; no record sorts its own kinks then, nor in
+        bs, whose suffix engines read the table's records. After mp, whose reorder roots read some, a
         record's own sort is the start's stable order filtered to the
         record's prefix of kinks."""
         inst = make_instance(5, K=60, h=1, b=10, c=c,
@@ -550,29 +548,28 @@ class TestCycleTableArrays:
 
         monkeypatch.setattr(np, "argsort", argsort)
         for j in range(1, inst.horizon + 1):
-            lists = [table.costs.start(j, first) for first in (True, False)]
-            assert sorted_sizes == [lists[0][-1][0].kinks.size], j
+            records = table.costs.start(j)
+            assert sorted_sizes == [records[-1][0].kinks.size], j
             sorted_sizes.clear()
-            for f, _ in lists[0] + lists[1]:
+            for f, _ in records:
                 assert f._free is not None and f._sorted is None, j
         monkeypatch.undo()
         bs_policy(inst, config, table=table)
         for k in range(1, inst.horizon + 1):
-            assert table.engine(k).records(1) is table.costs.start(k, True)
-            for first in (True, False):
-                assert all(f._sorted is None
-                           for f, _ in table.costs.start(k, first)), k
+            records = table.costs.start(k)
+            assert table.engine(k).records(1) is records
+            assert table.engine(1).records(k) is records
+            assert all(f._sorted is None for f, _ in records), k
         mp_policy(inst, config, table=table)
         for j in range(1, inst.horizon + 1):
-            start = table.costs.start(j, True)[-1][0].kinks
+            start = table.costs.start(j)[-1][0].kinks
             order = np.argsort(start, kind="stable")
-            for first in (True, False):
-                for f, _ in table.costs.start(j, first):
-                    own = order[order < f.kinks.size]
-                    kinks, rises = f._sort()
-                    assert kinks.tobytes() == start[own].tobytes(), j
-                    assert rises.tobytes() == np.concatenate(
-                        ([0.0], np.cumsum(f.deltas[own]))).tobytes(), j
+            for f, _ in table.costs.start(j):
+                own = order[order < f.kinks.size]
+                kinks, rises = f._sort()
+                assert kinks.tobytes() == start[own].tobytes(), j
+                assert rises.tobytes() == np.concatenate(
+                    ([0.0], np.cumsum(f.deltas[own]))).tobytes(), j
 
     @settings(max_examples=40, deadline=None)
     @given(T=st.integers(1, 9), K=st.sampled_from([0.0, 40.0]),
@@ -609,18 +606,27 @@ class TestCycleTableArrays:
         for instance in build_instances(config):
             costs = cycle_table(instance, hc).costs
             for j in range(1, horizon + 1):
-                for first in (True, False):
-                    for f, *_ in costs.start(j, first):
-                        assert not np.signbit(f.kinks[f.kinks == 0.0]).any()
-                        assert not (f.const == 0.0 and math.copysign(1.0, f.const) < 0)
+                for f, *_ in costs.start(j):
+                    assert not np.signbit(f.kinks[f.kinks == 0.0]).any()
+                    assert not (f.const == 0.0 and math.copysign(1.0, f.const) < 0)
 
-    def test_no_unit_cost_prices_once(self, example4, segments4):
-        """With c = 0 both `first` keys hold one record."""
-        assert example4.costs.unit == 0.0
-        table = CycleTable(example4, segments4)
-        costs = table.costs
-        assert costs.start(2, True)[1] is costs.start(2, False)[1]
-        assert costs.start(1, True)[3] is costs.start(1, False)[3]
+
+@pytest.mark.parametrize("c", [1.5, 2.0, 4.9])
+def test_unit_cost_above_holding_keeps_the_bound_tight(c):
+    """Every record rises right of its kinks (slope h (e - j + 1), plus c
+    on the horizon's last cycle), so its relaxed arc is its own minimum,
+    not a clamp at the big-M level bound, even where c > h. Every suffix
+    free minimum of h25-LCY1-K500-b5-cv0.1 (h = 1) solves one pattern."""
+    config = BenchmarkConfig(horizon=25, unit_cost=c, patterns=("LCY1",),
+                             fixed_costs=(500.0,), penalty_costs=(5.0,),
+                             cvs=(0.1,))
+    (instance,) = build_instances(config)
+    assert instance.name == "h25-LCY1-K500-b5-cv0.1"
+    table = cycle_table(instance, config.heuristic_config())
+    for k in range(1, 26):
+        engine = table.engine(k)
+        engine.free_minimum()
+        assert engine.nodes == 1, k
 
 
 @pytest.mark.skipif(not os.environ.get("SSPOLICY_FULL_BENCHMARK"),
