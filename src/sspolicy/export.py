@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from .domain import running_sums
-from .model import INDICATOR, MilpModel, pair_row
+from .model import INDICATOR, MilpModel
 
 
 def _fmt(x: float) -> str:
@@ -99,7 +99,7 @@ class _LpWriter:
         segs = model.segments
         for (h, b, inv, period), rules in groups.items():
             label = pw.label[rules[0]]
-            at = [pair_row(int(pw.start[r]), period) for r in rules]
+            at = pw.piece[rules].tolist()
             z_cols = range(len(self.names), len(self.names) + segs.slopes.shape[1])
             self.names += [f"z_{label}_{period}_{i}" for i in range(len(z_cols))]
             self.add_row(f"z_assign_{label}_{period}",
@@ -157,7 +157,7 @@ class _LpWriter:
 
         out = io.StringIO()
         out.write(f"\\ sspolicy {model.kind} model, horizon "
-                  f"{model.instance.horizon}, segments {model.piecewise.slopes.shape[1]}\n")
+                  f"{model.instance.horizon}, segments {model.segments.slopes.shape[1]}\n")
         out.write("Minimize\n obj: ")
         if not obj_terms:
             out.write("0 ONE ")

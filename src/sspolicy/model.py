@@ -16,9 +16,10 @@ Three related models are built over a T-period instance:
 Loss terms appear only through piecewise segment data, one Segments
 record per instance (build_segments): one row per period/cycle pair
 (j, t), the convolved demand's breakpoints, mean and error bound, and the
-model-row arrays every builder slices; the expected overage H_t equals
-the upper-shifted piecewise function of the pre-demand level, and the
-expected backorder satisfies B_t = H_t - I_t identically.
+model-row arrays every builder slices; each piecewise rule points at its
+pair's row. The expected overage H_t equals the upper-shifted piecewise
+function of the pre-demand level, and the expected backorder satisfies
+B_t = H_t - I_t identically.
 
 Cycle bookkeeping uses binaries delta_t (an order is placed in t) and P_jt
 (the cycle covering t started in j). Period 1 always starts a cycle: the
@@ -30,7 +31,9 @@ later, lower-variance cycle start).
 Storage: a MilpModel is one table addressed by column index. Columns have
 names, bounds and a binary mask; the objective is a sparse vector plus a
 constant; every linear, cut and indicator row sits in one CSR matrix
-(RowTable, CsrMatrix) and the piecewise rules in parallel arrays (PiecewiseRules).
+(RowTable, CsrMatrix) and the piecewise rules in parallel arrays
+(PiecewiseRules), each rule's numbers read from the model's Segments at
+its row.
 Terms keep their emission order, which is the LP file's term order. Each
 submodel's column layout (Columns: I0, and per period I_t, H_t, B_t,
 delta_t and its first piecewise rule, whose selectors are the P_jt) is
@@ -45,21 +48,23 @@ Demand totals (big-M, level bounds, the unit-cost constants) are summed
 left to right from 0.0 by domain.running_sums, as the convolved demands
 are, so no bit depends on the interpreter's sum().
 
-The joint model's structure depends only on the horizon, the segment count
-and whether the unit cost is nonzero, and suffix k of an instance is again
+The joint model's structure depends only on the horizon and the segment
+count: the unit cost c is a number at every c, its terms emitted like K's,
+h's and b's (with weight 0 at c = 0). Suffix k of an instance is again
 an instance of T - k + 1 periods. _add_joint, the emitter below, is the
 model's only definition: each step that writes an instance number records
 its slot (a right-hand side, matrix entry or objective term) and source,
 an entry of the values _stack_values lays out for the instance. A
 JointStack emits the joint models of suffixes 1..count of a key once, as
 the diagonal blocks of one model, and composes each recorded source with
-its block's suffix; one fill then gathers the right-hand sides, the matrix
-data, the objective and the rules' piece data of every block, each from
-one vector of the instance's values, and scatters each block's level
-bounds. build_joint is the one-block stack; mp's per-instance check
-(solver.check_joint_answers) fills the stack of all T suffixes. Filled
+its block's suffix, and each rule points at the instance's row of its
+composed pair; one fill then gathers the right-hand sides, the matrix data
+and the objective of every block, each from one vector of the instance's
+values, and scatters each block's level bounds. build_joint is the
+one-block stack; mp's per-instance check (solver.check_joint_answers)
+fills the stack of all T suffixes. Filled
 models share the structural arrays (names, index, binary mask, row names,
-senses, kinds, conditions, CSR indices and indptr, rule index arrays,
+senses, kinds, conditions, CSR indices and indptr, the piecewise rules,
 column layouts) read-only, and the checks derived from them.
 """
 from __future__ import annotations
@@ -155,21 +160,21 @@ class RowTable:
 class PiecewiseRules:
     """selector = 1 implies holding = upper(inventory + shift) and
     backorder = holding - inventory, one rule per cycle pair (start, period)
-    of each submodel; upper is the maximum of the lines slopes * y +
-    intercepts (error bound included). equality marks rules whose holding
-    and backorder carry no objective weight, so LP export must encode the
-    equality explicitly instead of relying on minimization."""
+    of each submodel. `piece` is the rule's row of the model's Segments,
+    which holds its numbers: shift is the row's mean, and upper the maximum
+    of the row's lines slopes * y + lines (error bound included). equality
+    marks rules whose holding and backorder carry no objective weight, so
+    LP export must encode the equality explicitly instead of relying on
+    minimization."""
     selector: np.ndarray
     inventory: np.ndarray
     holding: np.ndarray
     backorder: np.ndarray
-    shift: np.ndarray
+    piece: np.ndarray
     start: np.ndarray
     period: np.ndarray
     label: np.ndarray
     equality: np.ndarray
-    slopes: np.ndarray       # (rule, segment)
-    intercepts: np.ndarray
 
     def __len__(self) -> int:
         return len(self.selector)
@@ -314,9 +319,10 @@ class Segments:
     instance: one row per pair, in the order of period t, then start j
     (pair_row). Row r is the convolved demand's loss.piecewise_loss:
     lower(y) = max(y - breakpoints[r], 0) @ steps, and upper(y) adds
-    errors[r]. The model-row arrays (`model_rows`) are what the builders
-    read: slopes, rule-line intercepts (error bound included), demand
-    shifts and cut coefficients slope * mean + intercept + e. Every array
+    errors[r]. `lines` holds the rule lines' intercepts (error bound
+    included), which a piecewise rule reads at its row. The model-row
+    arrays (`model_rows`) are what the emitter reads: the slopes and the
+    cut coefficients slope * mean + intercept + e. Every array
     is read-only; `partition` is the (cells, strategy) and `demands` the
     instance's demands the rows were built from."""
     partition: tuple
@@ -331,7 +337,7 @@ class Segments:
 
     @property
     def model_rows(self) -> tuple:
-        return self.slopes, self.lines, self.means, self.cuts
+        return self.slopes, self.cuts
 
     def check(self, instance: Instance) -> None:
         """ValueError unless the rows were built from `instance`'s demands."""
@@ -449,13 +455,12 @@ def _add_submodel(em: _Emitter, instance: Instance, big_m: float, label: str,
         _emit_pieces(em, label, t, tuple(a[rows] for a in pieces), I[t], hold,
                      back, P, equality=t < objective_from)
 
-    if costs.unit:
-        # c (I_T + D(1..T)): the orders' unit cost plus c I0, charged from
-        # level zero as the SDP charges it
-        unit_terms = [(I[T], costs.unit, 3)]
-        cost += unit_terms
-        em.objective += unit_terms
-        em.constant += costs.unit * instance.demand_totals[0]
+    # c (I_T + D(1..T)): the orders' unit cost plus c I0, charged from
+    # level zero as the SDP charges it
+    unit_terms = [(I[T], costs.unit, 3)]
+    cost += unit_terms
+    em.objective += unit_terms
+    em.constant += costs.unit * instance.demand_totals[0]
     arrays = [np.array(a, dtype=np.intp) for a in (I[1:], holds, backs, deltas, rules)]
     for a in arrays:
         a.flags.writeable = False
@@ -472,13 +477,14 @@ def _emit_pieces(em: _Emitter, label: str, t: int, pieces: tuple,
     and the same shifted by -I_t for B_t. Records the sources of the cut
     data that comes from the pieces: segment i of rule r is entry
     r * n_seg + i, which JointStack maps to rule r's piece."""
-    slopes, lines, means, const = pieces
+    slopes, const = pieces
     n_seg = slopes.shape[1]
     src = np.arange(t * n_seg).reshape(t, n_seg) + n_seg * len(em.rules["selector"])
     em.add_rules(selector=selectors, inventory=[inv] * t, holding=[hold] * t,
-                 backorder=[back] * t, shift=means, start=range(1, t + 1),
-                 period=[t] * t, label=[label] * t, equality=[equality] * t,
-                 slopes=slopes, intercepts=lines)
+                 backorder=[back] * t,
+                 piece=range(pair_row(1, t), pair_row(1, t + 1)),
+                 start=range(1, t + 1), period=[t] * t, label=[label] * t,
+                 equality=[equality] * t)
     cols = np.empty((2 * n_seg, t + 2), dtype=np.intp)
     cols[0::2, 0], cols[1::2, 0], cols[:, 1], cols[:, 2:] = hold, back, inv, selectors
     vals = np.empty(cols.shape)
@@ -569,7 +575,7 @@ def _stack_values(instance: Instance, segments: Segments, count: int) -> list:
 @dataclass(frozen=True)
 class JointStack:
     """The joint models of suffixes 1..count of a T-period instance with one
-    (segment count, c != 0) key, as the diagonal blocks of one model.
+    segment count, as the diagonal blocks of one model.
     Block b, suffix b + 1, is the (T - b)-period joint model; all blocks
     are emitted once per key, with zero numbers, by one emitter, so each
     block's columns, rows, matrix entries and rules follow the blocks
@@ -577,13 +583,14 @@ class JointStack:
     index and columns are block 0's. Each slot the emitter recorded for an
     instance number (a right-hand side, matrix entry or objective term)
     keeps its source, composed with its block's suffix into an entry of
-    the concatenated sections of _stack_values. Every array is read-only.
+    the concatenated sections of _stack_values, and each rule's piece is
+    the instance's row of its composed pair. Every array is read-only.
 
     A fill reads the instance's Segments, whose model rows have the layout
-    of the zero pieces its blocks are emitted from. build_joint is the one-block
-    stack; mp_policy fills the stack of all T suffixes once per instance
-    and checks all their answers with one verify_assignment pass
-    (JointStack.verify)."""
+    of the zero pieces its blocks are emitted from, and shares the rules.
+    build_joint is the one-block stack; mp_policy fills the stack of all T
+    suffixes once per instance and checks all their answers with one
+    verify_assignment pass (JointStack.verify)."""
     model: MilpModel
     columns: tuple            # block b's label -> Columns
     linked: np.ndarray        # block b's (C_S, G_s) columns, at row b
@@ -597,37 +604,37 @@ class JointStack:
     data_slots: np.ndarray    # matrix data entries likewise ...
     data_sources: np.ndarray  # ... and theirs
     objective_sources: np.ndarray  # every objective coefficient's source
-    rule_pieces: np.ndarray   # every rule's row of the Segments
 
     @staticmethod
     @functools.cache
-    def of(T: int, n_seg: int, unit: bool, count: int) -> "JointStack":
+    def of(T: int, n_seg: int, count: int) -> "JointStack":
         """The stack of a key, emitted on its first use."""
         em = _Emitter()
-        columns, linked, starts, rule_pieces = [], [], [], []
+        columns, linked, starts, pieces = [], [], [], []
         for b in range(count):
             n = T - b
             m = n * (n + 1) // 2
             starts.append((len(em.names), len(em.meta), len(em.rules["selector"])))
             em.block = b
-            _add_joint(em, Instance(CostParameters(fixed=0.0, unit=float(unit)),
+            _add_joint(em, Instance(CostParameters(fixed=0.0),
                                     (NormalDemand(0.0, 0.0),) * n),
-                       (np.zeros((m, n_seg)),) * 2 + (np.zeros(m), np.zeros((m, n_seg))))
+                       (np.zeros((m, n_seg)),) * 2)
             if b == 0:
                 index = MappingProxyType(dict(em.index))
             columns.append(MappingProxyType(dict(em.columns)))
             linked.append((em.index["C_S"], em.index["G_s"]))
             # local pair (j, t) is the instance's (j + b, t + b); both
             # sides read its row
-            rule_pieces += [pair_row(j + b, t + b)
-                            for t in range(1, n + 1) for j in range(1, t + 1)] * 2
+            pieces += [pair_row(j + b, t + b)
+                       for t in range(1, n + 1) for j in range(1, t + 1)] * 2
         model = em.model("joint", None, 0.0, None)
-        model = dataclasses.replace(model, names=tuple(model.names), index=index,
-                                    columns=columns[0])
-        rule_pieces = np.array(rule_pieces, dtype=np.intp)
+        pieces = np.array(pieces, dtype=np.intp)
+        model = dataclasses.replace(
+            model, names=tuple(model.names), index=index, columns=columns[0],
+            piecewise=dataclasses.replace(model.piecewise, piece=pieces))
         # the instance layout: section starts of _stack_values
-        pieces = T * (T + 1) // 2
-        sections = np.cumsum([0, 4, 4, T, T, count] + [pieces * n_seg] * 2)
+        pairs = T * (T + 1) // 2
+        sections = np.cumsum([0, 4, 4, T, T, count] + [pairs * n_seg] * 2)
 
         def recorded(target: str) -> tuple:
             """The recorded slots and their sources in the instance layout."""
@@ -636,7 +643,7 @@ class JointStack:
                 index = np.ravel(index)
                 if section >= _NEG_SLOPE:
                     rule, seg = np.divmod(index, n_seg)
-                    index = rule_pieces[rule] * n_seg + seg
+                    index = pieces[rule] * n_seg + seg
                 elif section in (_MEAN, _NEG_MEAN, _UNIT_TOTAL):
                     index = index + b
                 slots.append(np.ravel(slot))
@@ -650,8 +657,7 @@ class JointStack:
             *np.array(starts).T, np.concatenate(levels),
             np.repeat(np.arange(count), [2 * len(a) for a in levels[::2]]),
             *recorded("rhs"), *recorded("data"),
-            sections[_COEF] + np.array([tag for *_, tag in em.objective]),
-            rule_pieces)
+            sections[_COEF] + np.array([tag for *_, tag in em.objective]))
         matrix = model.rows.matrix
         for arr in (*vars(stack).values(), *vars(model.rows).values(),
                     *vars(model.piecewise).values(), model.lb, model.ub,
@@ -665,11 +671,11 @@ class JointStack:
              bounds: Sequence) -> MilpModel:
         """The stack of `instance`'s suffixes, from its Segments, with
         block b's levels bounded by bounds[b], a (lower, upper) pair: one
-        gather each for the right-hand sides, the matrix data, the
-        objective and the rules' piece data, one scatter of the level
-        bounds. The structural arrays and their checks are shared. Its
-        objective is the sum of the blocks' objectives, and its instance,
-        big_m and segments are block 0's."""
+        gather each for the right-hand sides, the matrix data and the
+        objective, one scatter of the level bounds. The structural arrays,
+        the piecewise rules and the checks are shared. Its objective is the
+        sum of the blocks' objectives, and its instance, big_m and segments
+        are block 0's."""
         segments.check(instance)
         model = self.model
         sections = _stack_values(instance, segments, len(self.columns))
@@ -684,20 +690,14 @@ class JointStack:
         data[self.data_slots] = values[self.data_sources]
         rows = dataclasses.replace(model.rows, rhs=rhs,
                                    matrix=dataclasses.replace(matrix, data=data))
-        at = self.rule_pieces
-        rules = dataclasses.replace(
-            model.piecewise, slopes=segments.slopes[at],
-            intercepts=segments.lines[at], shift=segments.means[at])
-        constant = 0.0
-        if instance.costs.unit:
-            constant = math.fsum(total + total for total in sections[_UNIT_TOTAL])
+        constant = math.fsum(total + total for total in sections[_UNIT_TOTAL])
         # the binaries' bounds are structural (fill changes level bounds
         # only), so free_binaries carries over
         return dataclasses.replace(
             model, instance=instance, big_m=default_big_m(instance),
             segments=segments, lb=lb, ub=ub,
             objective=(model.objective[0], values[self.objective_sources]),
-            objective_constant=constant, rows=rows, piecewise=rules)
+            objective_constant=constant, rows=rows)
 
     def verify(self, model: MilpModel, x: np.ndarray, tol: float = 1e-6) -> list:
         """verify_assignment of a filled stack's column vector, each name
@@ -713,8 +713,7 @@ def build_joint(instance: Instance, segments: Segments) -> MilpModel:
     key (see the module docstring); equal, array for array, to the joint
     model emitted row by row from the same model rows (_add_joint)."""
     validate(instance)
-    stack = JointStack.of(instance.horizon, segments.slopes.shape[1],
-                          bool(instance.costs.unit), 1)
+    stack = JointStack.of(instance.horizon, segments.slopes.shape[1], 1)
     bounds = level_bounds(instance, default_big_m(instance))
     return stack.fill(instance, segments, [bounds])
 
@@ -755,11 +754,12 @@ def _violations(model: MilpModel, x: np.ndarray, tol: float) -> list:
     over = np.where(checks.equality, np.abs(gap), checks.sign * gap)
     over[checks.indicators[np.round(x[checks.conditions]) != 0]] = 0.0
 
-    pw = model.piecewise
+    pw, segs = model.piecewise, model.segments
     chosen = np.flatnonzero(np.round(x[pw.selector]) == 1)
     level = x[pw.inventory[chosen]]
-    upper = ((level + pw.shift[chosen])[:, None] * pw.slopes[chosen]
-             + pw.intercepts[chosen]).max(axis=1)
+    at = pw.piece[chosen]
+    upper = ((level + segs.means[at])[:, None] * segs.slopes[at]
+             + segs.lines[at]).max(axis=1)
     miss = np.maximum(np.abs(x[pw.holding[chosen]] - upper),
                       np.abs(x[pw.backorder[chosen]] - (upper - level)))
     checked = (bound, fraction, over, miss)

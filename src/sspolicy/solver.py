@@ -69,10 +69,10 @@ column order. The model records where each submodel's variables sit
 (model.Columns), so the pattern, the levels and the selected cycle pairs
 go straight to their columns, every side in one array pass (_put_sides)
 that derives each period's cycle start and level from the pattern;
-H_t comes from the selected piecewise rule's lines, the max-of-lines form
-verify_assignment checks, and B_t = H_t - I_t. _self_check verifies that
-vector against the model on every solve, and names are built only for a
-failure. SolveResult keeps the vector with the model's name -> column
+H_t comes from the lines of the Segments row the selected piecewise rule
+points at, the max-of-lines form verify_assignment checks, and B_t = H_t -
+I_t. _self_check verifies that vector against the model on every solve,
+and names are built only for a failure. SolveResult keeps the vector with the model's name -> column
 index. mp_policy builds no model per suffix: check_joint_answers writes
 the joint answers of all suffixes of an instance into one vector of the
 instance's model.JointStack, whose diagonal blocks are the suffixes' joint
@@ -309,8 +309,8 @@ class _PricedCycles:
         Cycle (j, e) sums pieces (j, j..e): its kinks and deltas are a
         prefix of those rows' breakpoints and steps, and its slope and
         constant are running sums from 0.0, so the result is bit-equal to
-        adding the pieces one at a time with ConvexPWL.plus. With a unit
-        cost c, the horizon's last cycle's slope adds +c. Every record's
+        adding the pieces one at a time with ConvexPWL.plus. The horizon's
+        last cycle's slope adds the unit cost c. Every record's
         free minimum comes from one stable sort of the start's kinks
         (_set_minima).
         """
@@ -327,8 +327,7 @@ class _PricedCycles:
         shifts = segs.means[rows].tolist()
         # b * B_t = b * (H_t - I_t) = b * (H_t - y + shift)
         slopes = list(accumulate([0.0 - b] * count, initial=0.0))[1:]
-        if c:
-            slopes[-1] += c  # c y for the horizon's last cycle
+        slopes[-1] += c  # c y for the horizon's last cycle
         consts = list(accumulate([hb * e + b * mean for e, mean in
                                   zip(segs.errors[rows].tolist(), shifts)],
                                  initial=0.0))[1:]
@@ -377,7 +376,8 @@ def _set_free(costs: list, slopes: np.ndarray, kinks: np.ndarray) -> None:
         elif not first < -1e-11:
             x = -math.inf
         else:  # kinks[a - 1] ends the last falling piece
-            x = kinks[a - 1] if a == z else 0.5 * (kinks[a - 1] + kinks[z - 1])
+            x = float(kinks[a - 1] if a == z
+                      else 0.5 * (kinks[a - 1] + kinks[z - 1]))
         f._free = x, f(x) if math.isfinite(x) else math.nan
 
 
@@ -524,8 +524,7 @@ class _SubmodelEngine:
                 if j > 1:
                     value += K
                 arc.append(value)
-            if c:
-                arc[T] += c * (self.total_mean - records[-1][1])
+            arc[T] += c * (self.total_mean - records[-1][1])
             rows[j] = _, reach, end = self._row(j, arc, cost_to_go)
             cost_to_go[j] = reach[j + 1]
             if j > 1:
@@ -616,8 +615,7 @@ class _SubmodelEngine:
             cost += f(z)
         y_opt = z_opt - offsets
         cost += self.K * (m - 1)
-        if self.c:
-            cost += self.c * (self.total_mean - cycles[-1][1])
+        cost += self.c * (self.total_mean - cycles[-1][1])
         return float(cost), y_opt
 
     def _row(self, j: int, arc: list, cost_to_go: list) -> tuple:
@@ -903,12 +901,12 @@ def solve_exact(model: MilpModel) -> SolveResult:
     engine_cost = None
     if kind == "joint":
         index = model.index
-        _put_joint(x, model.piecewise, [model.columns],
+        _put_joint(x, model, [model.columns],
                    np.array([[index["C_S"], index["G_s"]]]), [joint_answer(engine)])
     else:
         if kind == "S":
             best = _forced(engine, best)
-        _put_sides(x, model.piecewise, [(model.columns[kind], *best[1:])])
+        _put_sides(x, model, [(model.columns[kind], *best[1:])])
         engine_cost = best[0]
     obj = model.objective_value(x)
     _self_check(model, x, obj, engine_cost)
@@ -916,14 +914,14 @@ def solve_exact(model: MilpModel) -> SolveResult:
                        time.perf_counter() - start)
 
 
-def _put_sides(x: np.ndarray, pw, sides: list) -> None:
+def _put_sides(x: np.ndarray, model: MilpModel, sides: list) -> None:
     """Write solved submodel sides into the column vector x, one array pass
     over the periods of all of them. A side is (Columns, deltas, y-levels)
     of its pattern, one level per cycle: a cycle opens at period 1 and at
     every order. Each period gets delta_t, the selector P_jt of its cycle
     (its other P stay 0), I0 and I_t = y - mean_t at its cycle's level y,
-    and H_t and B_t = H_t - I_t from the selected rule of `pw`, the
-    max-of-lines form that verify_assignment checks."""
+    and H_t and B_t = H_t - I_t from the model's Segments row of the
+    selected rule, the max-of-lines form that verify_assignment checks."""
     columns = [cols for cols, _, _ in sides]
     orders = [d for _, deltas, _ in sides for d in deltas]
     lengths = [len(deltas) for _, deltas, _ in sides]
@@ -939,11 +937,13 @@ def _put_sides(x: np.ndarray, pw, sides: list) -> None:
     def at(field: str) -> np.ndarray:
         return np.concatenate([getattr(c, field) for c in columns])
 
+    pw, segs = model.piecewise, model.segments
     rules = at("rules") + starts
-    shift = pw.shift[rules]
+    piece = pw.piece[rules]
+    shift = segs.means[piece]
     inv = levels - shift
-    hold = ((inv + shift)[:, None] * pw.slopes[rules]
-            + pw.intercepts[rules]).max(axis=1)
+    hold = ((inv + shift)[:, None] * segs.slopes[piece]
+            + segs.lines[piece]).max(axis=1)
     x[at("order")] = orders
     x[pw.selector[rules]] = 1.0
     # the first level doubles as the initial one
@@ -971,14 +971,14 @@ def joint_answer(engine: _SubmodelEngine) -> tuple:
     return forced, root, pinned
 
 
-def _put_joint(x: np.ndarray, pw, columns: Sequence, linked: np.ndarray,
-               answers: list) -> None:
+def _put_joint(x: np.ndarray, model: MilpModel, columns: Sequence,
+               linked: np.ndarray, answers: list) -> None:
     """Write joint answers into x: each with its (label -> Columns) and
     (C_S, G_s) columns. The no-order side's initial level is its root."""
     sides = []
     for cols, (forced, _, pinned) in zip(columns, answers):
         sides += [(cols["S"], *forced[1:]), (cols["s"], *pinned[1:])]
-    _put_sides(x, pw, sides)
+    _put_sides(x, model, sides)
     x[[cols["s"].initial for cols in columns]] = [root for _, root, _ in answers]
     x[linked] = [(forced[0], pinned[0]) for forced, _, pinned in answers]
 
@@ -990,13 +990,12 @@ def check_joint_answers(table: CycleTable, answers: list) -> None:
     block's levels bounded as its engine's, writes every answer into one
     column vector and verifies it; a violation names its suffix and row."""
     instance, segments = table.instance, table.segments
-    stack = JointStack.of(instance.horizon, segments.slopes.shape[1],
-                          bool(instance.costs.unit), len(answers))
+    stack = JointStack.of(instance.horizon, segments.slopes.shape[1], len(answers))
     engines = map(table.engine, range(1, len(answers) + 1))
     model = stack.fill(instance, segments,
                        [(e.inv_lo, e.inv_hi) for e in engines])
     x = np.zeros(len(model.names))
-    _put_joint(x, model.piecewise, stack.columns, stack.linked, answers)
+    _put_joint(x, model, stack.columns, stack.linked, answers)
     _self_check(model, x, None, None, stack)
 
 

@@ -499,7 +499,7 @@ def per_suffix_mp_policy(instance, config=None, table=None):
             suffix, segments=config.cells, strategy=config.strategy))
         index = model.index
         x = np.zeros(len(model.names))
-        _put_joint(x, model.piecewise, [model.columns],
+        _put_joint(x, model, [model.columns],
                    np.array([[index["C_S"], index["G_s"]]]), [answer])
         _self_check(model, x, None, None)
         ss.append(float(x[index["I0_s"]]))
@@ -536,9 +536,10 @@ def reference_verify_assignment(model, assignment, tol=1e-6):
     idle = (rows.kind == INDICATOR) & (np.round(x[rows.condition]) != 0)
     report(np.where(idle, 0.0, over), lambda i: str(rows.names[i]))
 
-    pw = model.piecewise
+    pw, segs = model.piecewise, model.segments
     level = x[pw.inventory]
-    upper = ((level + pw.shift)[:, None] * pw.slopes + pw.intercepts).max(axis=1)
+    upper = ((level + segs.means[pw.piece])[:, None] * segs.slopes[pw.piece]
+             + segs.lines[pw.piece]).max(axis=1)
     miss = np.maximum(np.abs(x[pw.holding] - upper),
                       np.abs(x[pw.backorder] - (upper - level)))
     report(np.where(np.round(x[pw.selector]) == 1, miss, 0.0),
@@ -882,7 +883,7 @@ def reference_minimum(f):
         return -math.inf, math.nan
     last_neg, first_pos = neg[-1], pos[0]
     left, right = kinks[last_neg], kinks[first_pos - 1]
-    x = left if first_pos == last_neg + 1 else 0.5 * (left + right)
+    x = float(left if first_pos == last_neg + 1 else 0.5 * (left + right))
     return x, reference_value(f, x)
 
 

@@ -60,7 +60,7 @@ def _assert_segments_match_reference(instance, cells, strategy):
         assert _hex(got.means[r]) == _hex(pw.mean), where
         assert _hex(got.errors[r]) == _hex(pw.error_bound), where
         assert _hex(got.steps) == _hex(np.diff(pw.slopes)), where
-        for a, b in zip(got.model_rows[:2] + (got.cuts,), reference_rows(pw)):
+        for a, b in zip((got.slopes, got.lines, got.cuts), reference_rows(pw)):
             assert _hex(a[r]) == _hex(b), where
 
 
@@ -92,7 +92,7 @@ class TestSegments:
         assert segs.means[pair_row(3, 4)] == 100.0
         assert segs.partition == (6, "equal-probability")
         for a in (segs.breakpoints, segs.means, segs.errors, segs.steps,
-                  *segs.model_rows):
+                  segs.slopes, segs.lines, segs.cuts):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
 
@@ -463,12 +463,14 @@ def _assert_suffixes_emitted(instance, segments):
 
 def test_joint_skeleton_matches_emitter_on_grid():
     """Every suffix of every 10th 8-period grid instance, from the
-    instance's segments."""
-    config = BenchmarkConfig(horizon=8)
-    hcfg = config.heuristic_config()
-    for inst in build_instances(config)[::10]:
-        _assert_suffixes_emitted(inst, build_segments(
-            inst, segments=hcfg.cells, strategy=hcfg.strategy))
+    instance's segments, at the grid's c = 0 and at c = 1.5: one skeleton
+    serves both costs."""
+    for config in (BenchmarkConfig(horizon=8),
+                   BenchmarkConfig(horizon=8, unit_cost=1.5)):
+        hcfg = config.heuristic_config()
+        for inst in build_instances(config)[::10]:
+            _assert_suffixes_emitted(inst, build_segments(
+                inst, segments=hcfg.cells, strategy=hcfg.strategy))
 
 
 @settings(max_examples=25, deadline=None)
@@ -492,7 +494,8 @@ def test_joint_skeleton_matches_emitter(T, K, c, n_seg, strategy, data):
 def _stack_block(stack, model, b):
     """Block b of a filled JointStack as the arrays of a model of its own:
     each cut to the block and moved back to the block's own columns, rows
-    and rules. The other fields are left to be taken from a reference."""
+    and rules. The rules' pieces stay the stack's rows of the instance's
+    Segments. The other fields are left to be taken from a reference."""
     ends = [(list(s) + [n])[b:b + 2] for s, n in (
         (stack.col_starts, len(model.names)), (stack.row_starts, len(model.rows)),
         (stack.rule_starts, len(model.piecewise)))]
@@ -537,7 +540,9 @@ def _stack_block(stack, model, b):
 def test_joint_stack_blocks_match_build_joint(T, K, c, n_seg, strategy, data):
     """Block k of one stacked fill equals build_joint of suffix k's own
     segments, array for array and in LP bytes, and so do its columns and
-    linked costs; the stack's objective constant is the blocks' sum."""
+    linked costs; each of its rules points at the instance's row holding
+    the means, slopes and lines of the suffix model's rule, byte for byte;
+    the stack's objective constant is the blocks' sum."""
     means = data.draw(st.lists(st.floats(0, 30).map(lambda v: round(v, 1)),
                                min_size=T, max_size=T))
     cvs = data.draw(st.lists(st.sampled_from([0.0, 0.1, 0.3]), min_size=T, max_size=T))
@@ -545,7 +550,7 @@ def test_joint_stack_blocks_match_build_joint(T, K, c, n_seg, strategy, data):
                          std_devs=[m * v for m, v in zip(means, cvs)])
     table = CycleTable(inst, build_segments(inst, segments=n_seg - 1,
                                             strategy=strategy))
-    stack = JointStack.of(T, n_seg, bool(c), T)
+    stack = JointStack.of(T, n_seg, T)
     bounds = [(e.inv_lo, e.inv_hi) for e in map(table.engine, range(1, T + 1))]
     model = stack.fill(inst, table.segments, bounds)
     refs = []
@@ -553,7 +558,14 @@ def test_joint_stack_blocks_match_build_joint(T, K, c, n_seg, strategy, data):
         suffix = inst.suffix(k)
         ref = build_joint(suffix, build_segments(
             suffix, segments=n_seg - 1, strategy=strategy))
-        got = dataclasses.replace(ref, **_stack_block(stack, model, k - 1))
+        block = _stack_block(stack, model, k - 1)
+        piece, ref_piece = block["piecewise"].piece, ref.piecewise.piece
+        for name in ("means", "slopes", "lines"):
+            assert (getattr(model.segments, name)[piece].tobytes()
+                    == getattr(ref.segments, name)[ref_piece].tobytes()), (k, name)
+        # the rows pointed at agree, so the block reads its own segments
+        block["piecewise"] = dataclasses.replace(block["piecewise"], piece=ref_piece)
+        got = dataclasses.replace(ref, **block)
         assert list(got.names) == list(ref.names)
         _assert_same_arrays(got, ref)
         assert render_lp(got) == render_lp(ref)
@@ -582,8 +594,7 @@ def test_row_product_matches_scipy_csr():
     for instance in instances:
         segments = build_segments(instance, segments=hc.cells,
                                   strategy=hc.strategy)
-        stack = JointStack.of(8, segments.slopes.shape[1],
-                              bool(instance.costs.unit), 8)
+        stack = JointStack.of(8, segments.slopes.shape[1], 8)
         model = stack.fill(instance, segments, [(-1e4, 1e4)] * 8)
         m = model.rows.matrix
         ref = sparse.csr_array((m.data, m.indices, m.indptr), shape=m.shape)
@@ -595,8 +606,8 @@ def test_row_product_matches_scipy_csr():
 
 
 def test_joint_skeleton_shares_structure_read_only(example4, segments4):
-    """Models of one key share their structural arrays, which refuse
-    writes; each owns its numeric arrays."""
+    """Models of one key share their structural arrays and their piecewise
+    rules, which refuse writes; each owns its numeric arrays."""
     a = build_joint(example4, segments4)
     b = build_joint(example4.suffix(1), build_segments(example4, segments=10))
     shared = [(a.rows.matrix.indices, b.rows.matrix.indices),
@@ -606,12 +617,13 @@ def test_joint_skeleton_shares_structure_read_only(example4, segments4):
               (a.binary, b.binary), (a.objective[0], b.objective[0])]
     shared += [(getattr(a.piecewise, f), getattr(b.piecewise, f))
                for f in ("selector", "inventory", "holding", "backorder",
-                         "start", "period", "label", "equality")]
+                         "piece", "start", "period", "label", "equality")]
     for x, y in shared:
         assert np.shares_memory(x, y)
         with pytest.raises(ValueError, match="read-only"):
             x[0] = x[1]
     assert a.names is b.names and a.index is b.index
+    assert a.piecewise is b.piecewise  # a fill gathers no rule data
     # every fill shares the skeleton's checks and free binaries
     assert a.rows.checks is b.rows.checks and a.free_binaries is b.free_binaries
     with pytest.raises(TypeError):
@@ -619,10 +631,7 @@ def test_joint_skeleton_shares_structure_read_only(example4, segments4):
     with pytest.raises(TypeError):
         a.index["renamed"] = 0
     owned = [(a.lb, b.lb), (a.ub, b.ub), (a.objective[1], b.objective[1]),
-             (a.rows.rhs, b.rows.rhs), (a.rows.matrix.data, b.rows.matrix.data),
-             (a.piecewise.shift, b.piecewise.shift),
-             (a.piecewise.slopes, b.piecewise.slopes),
-             (a.piecewise.intercepts, b.piecewise.intercepts)]
+             (a.rows.rhs, b.rows.rhs), (a.rows.matrix.data, b.rows.matrix.data)]
     for x, y in owned:
         assert x.flags.writeable and not np.shares_memory(x, y)
 
@@ -630,7 +639,7 @@ def test_joint_skeleton_shares_structure_read_only(example4, segments4):
 # every reader of a Segments record, each given an instance and segments
 segment_readers = pytest.mark.parametrize("reader", [
     CycleTable, build_minlp_s, build_minlp_S, build_joint,
-    lambda inst, segs: JointStack.of(inst.horizon, 7, False, 1).fill(
+    lambda inst, segs: JointStack.of(inst.horizon, 7, 1).fill(
         inst, segs, [level_bounds(inst, default_big_m(inst))])],
     ids=["CycleTable", "build_minlp_s", "build_minlp_S", "build_joint", "fill"])
 
@@ -684,9 +693,10 @@ def test_full_grid_segments_match_reference(horizon, cells, strategy):
 @pytest.mark.skipif(not os.environ.get("SSPOLICY_FULL_BENCHMARK"),
                     reason="every suffix of both 270-instance grids (minutes); "
                            "set SSPOLICY_FULL_BENCHMARK=1")
+@pytest.mark.parametrize("unit_cost", [0.0, 1.5], ids=["c=0", "c=1.5"])
 @pytest.mark.parametrize("horizon", [8, 25], ids=["8-period", "25-period"])
-def test_full_grid_joint_skeleton(horizon):
-    config = BenchmarkConfig(horizon=horizon)
+def test_full_grid_joint_skeleton(horizon, unit_cost):
+    config = BenchmarkConfig(horizon=horizon, unit_cost=unit_cost)
     hcfg = config.heuristic_config()
     for inst in build_instances(config):
         _assert_suffixes_emitted(inst, build_segments(

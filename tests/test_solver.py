@@ -75,6 +75,12 @@ class TestConvexPWL:
         assert f(2.0) == pytest.approx(1.0)
         x, v = f.minimize(-10, 10)
         assert (x, v) == (1.0, pytest.approx(-1.0))
+        # the minimizer is a Python float, finite (a kink, a flat piece's
+        # midpoint) or infinite (f never rises, f never falls)
+        for g, free in ((f, 1.0), (ConvexPWL(-1.0, 0.0, [0.0, 4.0], [1.0, 1.0]), 2.0),
+                        (ConvexPWL(-1.0), math.inf), (ConvexPWL(1.0), -math.inf)):
+            assert type(g.argmin()) is float and g.argmin() == free
+            assert type(g.minimize(-10.0, 10.0)[0]) is float
 
     def test_flat_minimum_returns_midpoint(self):
         # slope -1 until 0, flat to 4, then +1
