@@ -9,19 +9,36 @@ pass solves exactly.
 
 Patterns are searched by a depth-first branch and bound over delta_2..T,
 0 before 1, so leaves arrive in the lexicographic order of a full
-enumeration. The bound drops only the chain between cycles: each cycle
-(j, e) then costs K if it orders plus its own convex cost minimized alone
-over its level bounds (Wagner-Whitin 1958), and one backward shortest-path
-pass over these arcs gives the relaxed cost-to-go of every cycle start. A
-subtree's bound is its closed cycles plus the cheapest relaxed completion
-of its open cycle. The relaxed path's own pattern, solved exactly, is the
-starting incumbent. A subtree is pruned only when its bound exceeds the
-better of the incumbent and the best leaf by a relative margin of 1e-6,
-which covers the pool-adjacent pass's 1e-9 bound slack and rounding. Every
-pattern within that margin of the optimum is therefore solved, in the same
-order and with the same acceptance rule as a full enumeration, and those
-are the only patterns that can decide the winner: the winning pattern, its
-cost and its levels equal the full enumeration's.
+enumeration. The bound drops only the order-quantity link after a cycle:
+each cycle (j, e) then costs K if it orders plus its own convex cost
+minimized alone over its level bounds, and the horizon after it at least
+W(e + 1), the solved cost of the later suffix that starts at e + 1 (the
+tails below). A subtree's bound is its closed cycles plus the cheapest
+such completion of its open cycle. The first row's cheapest end,
+completed by its tail's answer, is the starting incumbent. A subtree is
+pruned only when its bound exceeds the better of the incumbent and the
+best leaf by a relative margin of 1e-6, which covers the pool-adjacent
+pass's 1e-9 bound slack and rounding. Every pattern within that margin of
+the optimum is therefore solved, in the same order and with the same
+acceptance rule as a full enumeration, and those are the only patterns
+that can decide the winner: the winning pattern, its cost and its levels
+equal the full enumeration's.
+
+Tails. Both heuristics solve every suffix, so each suffix engine reads the
+solved later suffixes, the Wagner-Whitin (1958) backward recursion over
+regeneration points. In suffix k, a first cycle 1..e < T is followed by
+suffix k + e. Its free optimum gives three things: W(e + 1), its cost plus
+K for its order plus c D(1..e), the unit cost's constant of a horizon
+whose last cycle starts after e (W(T + 1) = 0); the limit U_e = S +
+D(1..e), S being its first level (U_T = +inf); and the completion, cycle
+1..e followed by its pattern and levels. W is summed as the search's rows
+sum it: a tail whose free minimum was certified carries (its winning
+piece's minimum + K) + that piece's own W, one that fell back to the
+search K + its cost. Every engine of a table shares the table's level
+bounds, so a tail's optimum bounds the later cycles of an earlier suffix
+from below. (A tail's first level is also its initial level, at most
+inv_hi, where a later cycle's may reach inv_hi + D(j..j); no optimum sits
+near the big-M level bound.)
 
 Only the no-order submodel is searched. The forced-order model differs
 from it by the period-1 order alone, which adds K to every pattern and
@@ -32,33 +49,40 @@ level and, plus K, the linked cost; the reorder point is the largest root
 of its pinned cost curve equal to that cost at or below the order-up-to
 level (deterministic replacement for the solver's free root choice).
 
+The free minimum is one pass over the first-cycle pieces: piece e is
+record (1, e) minimized over [inv_lo + D(1..e), inv_hi], widened by
+solve_pattern's 1e-9 slack, plus W(e + 1). Dropping the link makes every
+piece a lower bound on the patterns whose first cycle ends at e. The
+answer is exact without a search when exactly one piece lies within 1e-9
+relative of the lowest, its minimizer is at most U_e (the completion then
+keeps the order chain) and its tail was itself exact: its pattern is then
+the only one within that margin, so the branch and bound would return it
+too. solve_pattern of that pattern, counted as one node, is the answer;
+otherwise the branch and bound searches, and the answer is not exact.
+
 The pinned cost g(x), the no-order optimum with the first level fixed at
 x, has one evaluation: the first cycle's arcs pinned at x (_first_arc),
 the arcs of the branch and bound's first row. Its arc[e] is the priced
-first cycle 1..e at x, so F_e(x) = arc[e] + V(e + 1), the cycle
-completed at the relaxed cost-to-go (V(T + 1) = 0), is a convex
-piecewise-linear function of x, and R(x) =
-min_e F_e(x), the pinned first row's reach[2], is an envelope that
-bounds g from below. End e carries a certificate limit
-U_e = y*_{e+1} + D(1..e), where y*_{e+1} is the first level of the
-relaxed shortest path from e + 1 and D(1..e) the first cycle's mean
-demand (U_T = +inf). If that path keeps its own order chain and clamps no
-level to a bound, the pattern "cycle 1..e, then that path" needs no merge
-in solve_pattern for x <= U_e and costs exactly F_e(x). So where an end
-attaining R(x) is certified, g(x) = R(x), and cost_at returns that
-pattern without a search, in one pass over the arcs; otherwise it forms
-the pinned first row from the same arcs (_first_row) and searches from
-it. The reorder root walks the certified sublevel set {x <= U_e : F_e(x)
-< target} leftward from the order-up-to level to the end x_C of its
-component, reading F_e from the arcs pinned at the walk's level and
-solving each crossing in closed form. Since g < target on (x_C, S], x_C
-is the largest root when g(x_C) meets the target. Otherwise the root
-falls back to a bisection below x_C; the engine counts such fallbacks and
-logs each at DEBUG level. Every cycle 1..e is a cycle of the suffix's
-first start, so its kinks are a prefix of cycle 1..T's (see CycleTable
-below): the pinned arcs form the hinge max(x - kink, 0) once over those
-kinks, and each arc dots its prefix of the hinge with the cycle's deltas,
-the same numbers summed in the same order as evaluating the cycle alone.
+first cycle 1..e at x, so F_e(x) = arc[e] + W(e + 1), the cycle
+completed by its tail, is a convex piecewise-linear function of x, and
+R(x) = min_e F_e(x), the pinned first row's reach[2], is an envelope that
+bounds g from below. For x <= U_e the completion of e keeps the order
+chain, so solve_pattern merges nothing and it costs exactly F_e(x). So
+where an end attaining R(x) has x <= U_e, g(x) = R(x), and cost_at
+returns that completion without a search, in one pass over the arcs;
+otherwise it forms the pinned first row from the same arcs (_first_row)
+and searches from it. The reorder root walks the certified sublevel set
+{x <= U_e : F_e(x) < target} leftward from the order-up-to level to the
+end x_C of its component, reading F_e from the arcs pinned at the walk's
+level and solving each crossing in closed form. Since g < target on
+(x_C, S], x_C is the largest root when g(x_C) meets the target. Otherwise
+the root falls back to a bisection below x_C; the engine counts such
+fallbacks and logs each at DEBUG level. Every cycle 1..e is a cycle of the
+suffix's first start, so its kinks are a prefix of cycle 1..T's (see
+CycleTable below): the pinned arcs form the hinge max(x - kink, 0) once
+over those kinks, and each arc dots its prefix of the hinge with the
+cycle's deltas, the same numbers summed in the same order as evaluating
+the cycle alone.
 
 An answer is (cost, pattern, levels): the order pattern delta_1..T and
 one level per cycle. The pattern implies the cycles, which open at period 1
@@ -105,8 +129,9 @@ suffix k's (j, t) piece is the instance's (j + k - 1, t + k - 1) piece,
 the normal loss of the same demand slice summed in the same order, so a
 cycle's cost is the same function, built by the same operations,
 whichever suffix reads it. Level
-bounds differ per suffix and stay with its engine, which clamps the shared
-free minimizer to them with ConvexPWL.minimize. Each period's closing
+bounds are the table's, one (inv_lo, inv_hi) pair for every suffix, and
+each engine clamps the shared free minimizer to them with
+ConvexPWL.minimize. Each period's closing
 inventory I_t = y - D(j..t) must lie in [inv_lo, inv_hi]. Means are
 non-negative and D(j..t) is a running sum from 0.0, which adding a
 non-negative double never lowers, so the binding periods are the last and
@@ -116,26 +141,23 @@ is also the initial inventory, within [inv_lo, inv_hi]: its upper bound is
 inv_hi, and its lower one is already above inv_lo.
 
 The table also owns one no-order engine per suffix (CycleTable.engine),
-built on first use at the suffix's default level bounds (those of
-build_minlp_s with a free initial level, which build_joint shares).
-ExactBackend.evaluator reads that engine, so the heuristics that run on
-one table search each suffix once: the engine memoizes its free minimum,
-and builds its relaxation whole on first use as flat lists, in one
-backward pass over the cycle starts that reads each start's records of
-the table: every start's relaxation row and cost-to-go and, for the
-relaxed path from the start, its first level and its `chained` flag (the
-start after its first cycle is one past the row's end); then the
-certificate limits from those values. Both are pure
-functions of the suffix and its bounds, so an answer does not depend on
-which caller filled them, and a build that raises stores nothing. A
-relaxed path's levels and pattern are built from those pointers when a
-search seeds from it or a certified answer returns it, and the engine
-keeps them. A cycle's level bounds are applied where its record is read.
-An engine holds the table's records, not the table, so a table and its
-engines are freed by reference counting. solve_exact solves every model
-with an engine of its own, over a table of the model's instance and
-segments at the model's level bounds, so its answer and node count depend
-on the model alone.
+built on first use at the table's level bounds: default_bounds of the
+instance (those of build_minlp_s with a free initial level, which
+build_joint shares) unless the table was given others. Engine k is built
+with the engines of suffixes k + 1..T, its tails, and solves their free
+minima from the last suffix back on first use, so the recursion stays
+shallow. ExactBackend.evaluator reads the table's engine, so the
+heuristics that run on one table solve each suffix once: the engine
+memoizes its free minimum and its tails' (W, U, completion) lists, and
+builds the branch and bound's rows of the later cycle starts only when a
+search runs. All are pure functions of the suffix, its tails and the
+bounds, so an answer does not depend on which caller filled them, and a
+build that raises stores nothing. A cycle's level bounds are applied
+where its record is read. An engine holds the table's records and its
+tails' engines, not the table, so a table and its engines are freed by
+reference counting. solve_exact solves every model with an engine of its
+own, over a table of the model's instance and segments at the model's
+level bounds, so its answer and node count depend on the model alone.
 """
 from __future__ import annotations
 
@@ -383,14 +405,15 @@ def _set_free(costs: list, slopes: np.ndarray, kinks: np.ndarray) -> None:
 
 class CycleTable:
     """Segment data and cycle costs of one instance, keyed by the instance's
-    own (1-based) periods, and one no-order engine per suffix; see the
-    module docstring. The cycles slice the Segments' rows, and a model or
-    stack reads its model rows."""
+    own (1-based) periods, its level bounds, and one no-order engine per
+    suffix; see the module docstring. The cycles slice the Segments' rows,
+    and a model or stack reads its model rows."""
 
-    def __init__(self, instance, segments: Segments):
+    def __init__(self, instance, segments: Segments, bounds=None):
         segments.check(instance)
         self.instance = instance
         self.segments = segments
+        self.bounds = default_bounds(instance) if bounds is None else bounds
         self.costs = _PricedCycles(instance, segments)
         self._engines: dict = {}  # suffix k -> its no-order engine
 
@@ -398,13 +421,18 @@ class CycleTable:
         return SuffixView(self, k)
 
     def engine(self, k: int) -> "_SubmodelEngine":
-        """Suffix k's no-order engine at its default level bounds, built on
-        first use and shared by every caller."""
+        """Suffix k's no-order engine at the table's level bounds, built on
+        first use with the engines of suffixes k + 1..T, and shared by
+        every caller."""
         hit = self._engines.get(k)
         if hit is None:
-            view = self.suffix(k)
-            hit = _SubmodelEngine(view, default_bounds(view.instance))
-            self._engines[k] = hit
+            T = self.instance.horizon
+            for j in range(T, k - 1, -1):
+                if j not in self._engines:
+                    later = [self._engines[i] for i in range(j + 1, T + 1)]
+                    self._engines[j] = _SubmodelEngine(self.suffix(j),
+                                                       self.bounds, later)
+            hit = self._engines[k]
         return hit
 
     def work(self) -> tuple:
@@ -429,52 +457,33 @@ class SuffixView:
         self.horizon = self.instance.horizon
 
 
-@dataclass
-class _Relaxation:
-    """A suffix's separable cycle relaxation as flat lists, built whole by
-    _SubmodelEngine.relaxation. Lists are indexed by the local cycle start
-    j (entry 0 unused). The relaxed path from j >= 2 is cycle j..end, row
-    j's end, then the path from end + 1; it is `chained` where every level
-    is its cycle's own minimizer within the level bounds and the levels
-    keep the order chain y_next >= y - D, so solve_pattern gives its
-    pattern exactly these levels and the relaxed cost. Its levels and
-    pattern are built from these pointers by _SubmodelEngine._path when an
-    answer reads them."""
-    rows: list           # (arc, reach, end): _SubmodelEngine._row
-    cost_to_go: list     # V(j) = reach[j + 1], and V(T + 1) = 0
-    levels: list         # j >= 2: the path's first level y*_j
-    chained: list        # j >= 2, and True at T + 1
-    limits: list         # by the first cycle's end e: U_e = y*_{e+1} +
-                         # D(1..e) where the path from e + 1 is chained,
-                         # -inf where it is not, +inf at e = T
-
-
 class _SubmodelEngine:
     """Order-pattern search for the no-order submodel of a suffix.
 
     `view` gives the suffix's instance and where its cycles sit in the
     table, `bounds` the (lower, upper) bound of every inventory level, the
-    initial one included (model.level_bounds). A fixed initial level is
-    passed to `enumerate`. `free_minimum` and `cost_at` are its optimum
-    with a free and a fixed initial level, `reorder_root` the largest level
-    at which the latter reaches a target; `nodes` counts the patterns they
-    solved, `certified` the `cost_at` answers read from the pinned first
-    cycle and `fallbacks` the roots that needed `_largest_root`. The free
-    minimum is searched once and memoized, its levels read-only. An
-    answer is (cost, deltas, levels): the pattern, deltas[t - 1] being
-    delta_t, and one level per cycle, the cycles starting at period 1 and
-    at every order. A solved pattern reads its cycles' costs and means
-    from the table's records, and their level bounds from those means and
-    `inv_lo` and `inv_hi`.
-    `relaxation` is built whole on first use, inside the first search's
-    call; a build that raises stores nothing. The relaxed paths are built
-    when an answer reads them, and kept.
+    initial one included (model.level_bounds), and `later` the engines of
+    the suffixes after it, later[e - 1] being the tail after a first cycle
+    1..e, all at the same bounds. A fixed initial level is passed to
+    `enumerate`. `free_minimum` and `cost_at` are its optimum with a free
+    and a fixed initial level, `reorder_root` the largest level at which
+    the latter reaches a target; `nodes` counts the patterns they solved,
+    `certified` the `cost_at` answers read from the pinned first cycle and
+    `fallbacks` the roots that needed `_largest_root`. The free minimum is
+    solved once and memoized, its levels read-only. An answer is (cost,
+    deltas, levels): the pattern, deltas[t - 1] being delta_t, and one
+    level per cycle, the cycles starting at period 1 and at every order. A
+    solved pattern reads its cycles' costs and means from the table's
+    records, and their level bounds from those means and `inv_lo` and
+    `inv_hi`. `tails` and the search's rows are built whole on first use;
+    a build that raises stores nothing.
     """
 
-    def __init__(self, view: SuffixView, bounds: tuple):
+    def __init__(self, view: SuffixView, bounds: tuple, later: list):
         inst = view.instance
         # the table's records, not the table: the table holds this engine
         self.costs, self.offset = view.table.costs, view.offset
+        self.later = later
         self.T = inst.horizon
         self.K, self.c = inst.costs.fixed, inst.costs.unit
         self.total_mean = inst.demand_totals[0]
@@ -485,8 +494,8 @@ class _SubmodelEngine:
         self.nodes = 0
         self.certified = 0
         self.fallbacks = 0
-        self._free: tuple | None = None   # (free optimum or None,), memoized
-        self._paths: dict = {}   # j -> (levels, pattern) of its path
+        # (free optimum or None, its cost as a tail's W sums it, exact)
+        self._free: tuple | None = None
 
     def records(self, j: int) -> list:
         """The table's records of local cycles j..T, entry e - j being
@@ -494,64 +503,52 @@ class _SubmodelEngine:
         return self.costs.start(j + self.offset)
 
     @cached_property
-    def relaxation(self) -> _Relaxation:
-        """One pass over the cycle starts j = T..1: start j's row and V(j)
-        and, for j >= 2, the relaxed path's first level and `chained` flag;
-        then the limits.
+    def tails(self) -> tuple:
+        """(W, limits, completions) from the later suffixes' free optima,
+        solved from the last suffix back: W[e + 1] the tail's cost after a
+        first cycle 1..e, limits[e] = U_e and completions[e] the (pattern,
+        levels) of that cycle followed by the tail's answer (W[T + 1] = 0,
+        U_T = +inf); inf, -inf and None after an infeasible tail."""
+        T, c = self.T, self.c
+        first = self.records(1)
+        W = [math.inf] * (T + 1) + [0.0]
+        limits = [-math.inf] * T + [math.inf]
+        completions = [None] * T + [((0,) * T, np.empty(0))]
+        for e in range(T - 1, 0, -1):
+            tail = self.later[e - 1]
+            best = tail.free_optimum()
+            if best is not None:
+                mean = first[e - 1][1]  # D(1..e)
+                W[e + 1] = tail._free[1] + c * mean
+                limits[e] = float(best[2][0]) + mean
+                completions[e] = (0,) * e + (1,) + best[1][1:], best[2]
+        return W, limits, completions
 
-        Arc e of row j is cycle j..e alone: K if it orders (j > 1), plus
-        its priced cost minimized over its level bounds widened by
-        solve_pattern's 1e-9 slack, plus the unit cost's constant if it
-        closes the horizon; math.inf where solve_pattern would find no
-        level for it."""
-        T, K, c = self.T, self.K, self.c
-        inv_lo, inv_hi = self.inv_lo, self.inv_hi
-        rows = [None] * (T + 1)
-        cost_to_go = [None] * (T + 1) + [0.0]
-        levels = [None] * (T + 2)
-        chained = [None] * (T + 1) + [True]
-        for j in range(T, 0, -1):
-            records = self.records(j)
-            # a free first level is the initial one, at most inv_hi
-            hi = inv_hi if j == 1 else inv_hi + records[0][1]
-            arc = [math.inf] * j
-            for cost, mean in records:
-                lo = inv_lo + mean
-                if lo > hi + 1e-9:
-                    arc.append(math.inf)
-                    continue
-                value = cost.minimize(lo - 1e-9, hi + 1e-9)[1]
-                if j > 1:
-                    value += K
-                arc.append(value)
-            arc[T] += c * (self.total_mean - records[-1][1])
-            rows[j] = _, reach, end = self._row(j, arc, cost_to_go)
-            cost_to_go[j] = reach[j + 1]
-            if j > 1:
-                cost, mean = records[end - j]
-                levels[j] = y = cost.argmin()
-                chained[j] = (chained[end + 1] and inv_lo + mean <= y <= hi
-                              and (end == T or levels[end + 1] >= y - mean))
-        limits = [None] + [levels[e + 1] + records[e - 1][1]
-                           if chained[e + 1] else -math.inf
-                           for e in range(1, T)] + [math.inf]
-        return _Relaxation(rows, cost_to_go, levels, chained, limits)
+    @cached_property
+    def _rows(self) -> list:
+        """The branch and bound's row of every cycle start j >= 2 (entries 0
+        and 1 unused), its arcs completed at the tails' W."""
+        W = self.tails[0]
+        return [None, None] + [self._row(j, self._arcs(j)[0], W)
+                               for j in range(2, self.T + 1)]
 
-    def _path(self, j: int) -> tuple:
-        """(levels, pattern) of the relaxed path from start j >= 2, empty
-        at j = T + 1, built from the relaxation's pointers on first use and
-        kept; its pattern orders at its starts."""
-        hit = self._paths.get(j)
-        if hit is None:
-            if j > self.T:
-                hit = [], (0,) * self.T
-            else:
-                relax = self.relaxation
-                levels, pattern = self._path(relax.rows[j][2] + 1)
-                hit = ([relax.levels[j]] + levels,
-                       pattern[:j - 1] + (1,) + pattern[j:])
-            self._paths[j] = hit
-        return hit
+    def _arcs(self, j: int) -> tuple:
+        """(arc, levels) of a cycle opened at j: arc[e] is cycle j..e alone,
+        K if it orders (j > 1), plus its priced cost minimized over its
+        level bounds widened by solve_pattern's 1e-9 slack, at levels[e],
+        plus the unit cost's constant if it closes the horizon; math.inf
+        and None where solve_pattern would find no level for it. A free
+        first level is the initial one, at most inv_hi."""
+        records = self.records(j)
+        hi = self.inv_hi if j == 1 else self.inv_hi + records[0][1]
+        arc, levels = [math.inf] * (self.T + 1), [None] * (self.T + 1)
+        for e, (cost, mean) in enumerate(records, start=j):
+            lo = self.inv_lo + mean
+            if lo <= hi + 1e-9:
+                levels[e], value = cost.minimize(lo - 1e-9, hi + 1e-9)
+                arc[e] = value + self.K if j > 1 else value
+        arc[self.T] += self.c * (self.total_mean - records[-1][1])
+        return arc, levels
 
     def solve_pattern(self, deltas: tuple, pinned_i0: float | None):
         """(cost, y-levels) for one order pattern, or None if infeasible.
@@ -618,16 +615,16 @@ class _SubmodelEngine:
         cost += self.c * (self.total_mean - cycles[-1][1])
         return float(cost), y_opt
 
-    def _row(self, j: int, arc: list, cost_to_go: list) -> tuple:
+    def _row(self, j: int, arc: list, W: list) -> tuple:
         """(arc, reach, end) for a cycle opened at j, arc[e] being the
         relaxed cost of cycle j..e: reach[t] is the cheapest relaxed cost
         of closing it at some e >= t - 1 and completing the horizon from
-        e + 1 at the cost-to-go V(e + 1) (so reach[j + 1] is V(j)), and
-        `end` the smallest e attaining reach[j + 1]."""
+        e + 1 at the tail's W(e + 1), and `end` the smallest e attaining
+        reach[j + 1]."""
         reach = [math.inf] * (self.T + 2)
         best = math.inf
         for e in range(self.T, j - 1, -1):
-            value = arc[e] + cost_to_go[e + 1]
+            value = arc[e] + W[e + 1]
             if value <= best:
                 end = e
                 if value < best:  # min(best, value), keeping best on a tie
@@ -638,7 +635,7 @@ class _SubmodelEngine:
     def _first_arc(self, x: float) -> list:
         """The arcs of the first cycle pinned at x: arc[e] is cycle 1..e's
         priced cost at x (inf outside its level bounds widened by
-        solve_pattern's 1e-9 slack). So arc[e] + V(e + 1) is the envelope's
+        solve_pattern's 1e-9 slack). So arc[e] + W(e + 1) is the envelope's
         piece F_e(x): the unit cost's constant, c times the mean demand
         before the horizon's last cycle, is 0 for the single cycle 1..T.
         Every cycle 1..e's kinks are a prefix of cycle 1..T's: the hinge
@@ -658,7 +655,7 @@ class _SubmodelEngine:
 
     def _first_row(self, x: float) -> tuple:
         """_row of the first cycle pinned at x: its reach[2] is R(x)."""
-        return self._row(1, self._first_arc(x), self.relaxation.cost_to_go)
+        return self._row(1, self._first_arc(x), self.tails[0])
 
     def enumerate(self, pinned_i0: float | None):
         """Global optimum over all order patterns, by the branch and bound
@@ -667,21 +664,20 @@ class _SubmodelEngine:
         nodes counting the distinct patterns passed to solve_pattern.
         """
         if pinned_i0 is None:
-            return self._search(self.relaxation.rows[1], None)
+            return self._search(self._row(1, self._arcs(1)[0], self.tails[0]), None)
         return self._search(self._first_row(pinned_i0), pinned_i0)
 
     def _search(self, first: tuple, pinned_i0: float | None):
         """enumerate from the (pinned) first row `first`: a depth-first walk
         with delta_t = 0 before 1, on an explicit stack."""
         T = self.T
-        rows = [None, first] + self.relaxation.rows[2:]
+        rows = [None, first] + self._rows[2:]
         _, reach, end = first
         if reach[2] == math.inf:
             return None, 0  # every pattern holds a cycle with no feasible level
 
-        # the relaxed shortest path's pattern seeds the incumbent: the first
-        # cycle's end from the first row, then the relaxed path
-        seed_pattern = self._path(end + 1)[1]
+        # the first row's end, completed by its tail, seeds the incumbent
+        seed_pattern = self.tails[2][end][0]
         seed = self.solve_pattern(seed_pattern, pinned_i0)
         seed_cost = math.inf if seed is None else seed[0]
         nodes = 1
@@ -715,14 +711,35 @@ class _SubmodelEngine:
 
     def free_optimum(self):
         """The free minimum (cost, deltas, y_levels), or None where
-        no pattern is feasible; searched on the first call only."""
+        no pattern is feasible; solved on the first call only."""
         if self._free is None:
-            best, nodes = self.enumerate(pinned_i0=None)
-            self.nodes += nodes
-            if best is not None:
-                best[2].flags.writeable = False
-            self._free = (best,)
+            self._free = self._solve_free()
+            if self._free[0] is not None:
+                self._free[0][2].flags.writeable = False
         return self._free[0]
+
+    def _solve_free(self) -> tuple:
+        """(free optimum or None, its cost as a tail's W sums it, exact):
+        the piece pass of the module docstring, or the branch and bound
+        where it is not exact."""
+        W, limits, completions = self.tails
+        arc, levels = self._arcs(1)
+        values = [a + w for a, w in zip(arc, W[1:])]  # piece e's at e
+        low = min(values[1:])
+        near = [e for e in range(1, self.T + 1)
+                if values[e] - low <= 1e-9 * max(1.0, abs(low))]
+        if low < math.inf and len(near) == 1:
+            e, = near
+            if levels[e] <= limits[e] and (e == self.T or self.later[e - 1]._free[2]):
+                pattern = completions[e][0]
+                solved = self.solve_pattern(pattern, None)
+                self.nodes += 1
+                if solved is not None:
+                    return ((solved[0], pattern, solved[1]),
+                            (arc[e] + self.K) + W[e + 1], True)
+        best, nodes = self.enumerate(pinned_i0=None)
+        self.nodes += nodes
+        return best, math.inf if best is None else self.K + best[0], False
 
     def free_minimum(self):
         best = self.free_optimum()
@@ -742,8 +759,7 @@ class _SubmodelEngine:
         if best is not None:
             self.certified += 1
             return best
-        best, nodes = self._search(
-            self._row(1, arc, self.relaxation.cost_to_go), x)
+        best, nodes = self._search(self._row(1, arc, self.tails[0]), x)
         self.nodes += nodes
         if best is None:
             raise SolverError(f"no feasible pattern at initial level {x}")
@@ -752,23 +768,22 @@ class _SubmodelEngine:
     def _certified(self, x: float, arc: list):
         """cost_at(x) from the first cycle's arcs at x, or None where no
         certified end attains R(x) = min_e F_e(x). End e is certified at
-        x <= U_e: its pattern then costs F_e(x) = arc[e] + V(e + 1) in
+        x <= U_e: its completion then costs F_e(x) = arc[e] + W(e + 1) in
         solve_pattern, so g(x) <= F_e(x) = R(x) <= g(x). The smallest such
         e answers. R(x) is the first row's reach[2]: the same running
         minimum from e = T down, so the same bits."""
-        relax = self.relaxation
-        cost_to_go, limits = relax.cost_to_go, relax.limits
+        W, limits, completions = self.tails
         low, chosen = math.inf, None
         for e in range(self.T, 0, -1):
-            value = arc[e] + cost_to_go[e + 1]
+            value = arc[e] + W[e + 1]
             if value < low:
                 low, chosen = value, e if x <= limits[e] else None
             elif value == low and x <= limits[e]:
                 chosen = e
         if chosen is None or low == math.inf:
             return None
-        levels, pattern = self._path(chosen + 1)
-        return float(low), pattern, np.array([x] + levels)
+        pattern, levels = completions[chosen]
+        return float(low), pattern, np.concatenate(([x], levels))
 
     def reorder_root(self, target: float, hi: float):
         """(x, cost_at(x)) for the largest x <= hi with cost_at(x) = target,
@@ -785,16 +800,16 @@ class _SubmodelEngine:
         best = self._answer(hi, arc)
         if abs(best[0] - target) <= 1e-9:
             return hi, best  # K = 0: the order-up-to level is the root
-        relax = self.relaxation
+        W, limits, _ = self.tails
         first = self.records(1)
         x = hi
         moved = True
         while moved:
             moved = False
             for e in range(1, self.T + 1):
-                const = relax.cost_to_go[e + 1]  # piece e's constant
+                const = W[e + 1]  # piece e's constant
                 value = arc[e] + const
-                if x <= relax.limits[e] and value < target:
+                if x <= limits[e] and value < target:
                     f, mean = first[e - 1]
                     left = max(f.left_crossing(target - const, x, value - const),
                                self.inv_lo + mean - 1e-9)
@@ -874,8 +889,8 @@ def default_bounds(instance) -> tuple:
 def _engine_for(model: MilpModel) -> _SubmodelEngine:
     """A private no-order engine over the model's instance, segments and
     level bounds."""
-    return _SubmodelEngine(CycleTable(model.instance, model.segments).suffix(1),
-                           level_bounds(model.instance, model.big_m))
+    return CycleTable(model.instance, model.segments,
+                      level_bounds(model.instance, model.big_m)).engine(1)
 
 
 def solve_exact(model: MilpModel) -> SolveResult:
@@ -986,14 +1001,13 @@ def _put_joint(x: np.ndarray, model: MilpModel, columns: Sequence,
 def check_joint_answers(table: CycleTable, answers: list) -> None:
     """Check the joint answers of suffixes 1..m of a table's instance at
     once: answers[k - 1] is joint_answer of table.engine(k). Fills the
-    instance's JointStack of m blocks from the table's segments, each
-    block's levels bounded as its engine's, writes every answer into one
-    column vector and verifies it; a violation names its suffix and row."""
+    instance's JointStack of m blocks from the table's segments, every
+    block's levels bounded as the table's engines', writes every answer
+    into one column vector and verifies it; a violation names its suffix
+    and row."""
     instance, segments = table.instance, table.segments
     stack = JointStack.of(instance.horizon, segments.slopes.shape[1], len(answers))
-    engines = map(table.engine, range(1, len(answers) + 1))
-    model = stack.fill(instance, segments,
-                       [(e.inv_lo, e.inv_hi) for e in engines])
+    model = stack.fill(instance, segments, [table.bounds] * len(answers))
     x = np.zeros(len(model.names))
     _put_joint(x, model, stack.columns, stack.linked, answers)
     _self_check(model, x, None, None, stack)
@@ -1058,11 +1072,12 @@ def import_solution(model: MilpModel, path) -> SolveResult:
 class ExactBackend:
     """Default backend: the in-repo branch-and-bound solver.
 
-    Order patterns are searched under the separable cycle relaxation
-    described in the module docstring; its bound is a true lower bound on
+    Each suffix reads the solved later suffixes, as the module docstring
+    describes: a free minimum is certified from its first-cycle pieces or
+    searched by the branch and bound, whose bound is a true lower bound on
     every pattern below it and prunes only past a margin above the
-    incumbent, so the optimum, its cost and its levels are those of a full
-    enumeration of the 2^(T-1) patterns.
+    incumbent. Either way the optimum, its cost and its levels are those
+    of a full enumeration of the 2^(T-1) patterns.
 
     The heuristics default to it, and bench/tracing.py, which wraps it to
     time solver spans through their `backend=` parameter, is its only

@@ -13,10 +13,11 @@ record of the engine's table and its level bounds from the engine's
 inventory bounds and the largest and smallest mean of the cycle's segment
 rows, not from the record; the references below read cycles only through
 it.
-EnumerationEngine is the solver engine with every certificate limit cut to
--inf: pinned costs come from the pattern search alone and reorder roots
-from bisection. reference_solve_pattern is solve_pattern's pool-adjacent
-pass as a scan that restarts from the left after every merge.
+EnumerationEngine is the solver engine with every certificate limit of its
+tails cut to -inf: free minima and pinned costs come from the pattern
+search alone and reorder roots from bisection. reference_solve_pattern is
+solve_pattern's pool-adjacent pass as a scan that restarts from the left
+after every merge.
 
 dense_sdp_tables is the SDP oracle's backward pass done the direct way: a
 dense levels x atoms stage-cost matrix and one shifted lookup of the next
@@ -45,19 +46,6 @@ priced cost's argmin and minimum from that sum's own sort
 (reference_sort, reference_minimum: the per-cost sort and minimum as
 ConvexPWL formed them for every record, evaluated with the `@` product).
 
-reference_relaxation is _SubmodelEngine.relaxation by the recursive
-definitions it replaced: each relaxation row built on demand through the
-cost-to-go recursion, each cycle's argmin from a fresh ConvexPWL of its
-arrays, each relaxed path's end by its own min over the row, the envelope
-piece by piece (_Piece: the priced first cycle, its constant, pin domain,
-certificate limit and pattern), and each pinned first row with each arc
-from ConvexPWL.__call__.
-
-PerPieceEngine is the solver engine reading reference_relaxation's
-envelope one piece at a time: every piece forms its own max(x - kink, 0)
-for each cost_at read and each step of the reorder-root walk, as
-ConvexPWL.__call__ does.
-
 reference_solution is solve_exact's answer built by name: each side's
 variables from the solved pattern (reference_assignment, H_t from the
 piece's own PiecewiseLoss.upper), as a name -> value dict.
@@ -81,7 +69,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from types import SimpleNamespace
 
 import numpy as np
 from scipy.special import ndtri
@@ -93,7 +80,7 @@ from sspolicy.model import (INDICATOR, _add_joint, _Emitter, build_joint,
                             build_segments, pair_row)
 from sspolicy.sdp import discretize_demand
 from sspolicy.simulate import SimulationResult
-from sspolicy.solver import (ConvexPWL, SolverError, _engine_for, _forced,
+from sspolicy.solver import (ConvexPWL, _engine_for, _forced,
                              _largest_root, _put_joint, _self_check,
                              _SubmodelEngine, joint_answer)
 
@@ -307,14 +294,14 @@ def reference_solve_pattern(engine, deltas, pinned_i0):
 
 
 class EnumerationEngine(_SubmodelEngine):
-    """The solver engine without its certificates: every cost_at is a
-    pattern search, and every reorder root bisects that search's cost
-    curve."""
+    """The solver engine without its certificates: every free minimum and
+    cost_at is a pattern search, and every reorder root bisects that
+    search's cost curve."""
 
     @cached_property
-    def relaxation(self):
-        relax = _SubmodelEngine.relaxation.func(self)
-        return dataclasses.replace(relax, limits=[-math.inf] * (self.T + 1))
+    def tails(self):
+        W, limits, completions = _SubmodelEngine.tails.func(self)
+        return W, [-math.inf] * len(limits), completions
 
     def reorder_root(self, target, hi):
         cache = {}
@@ -326,90 +313,6 @@ class EnumerationEngine(_SubmodelEngine):
             return hit[0]
 
         root, _ = _largest_root(g, target, hi, g(hi), self.pin_lower)
-        return root, cache[root] if root in cache else self.cost_at(root)
-
-
-@dataclass
-class _Piece:
-    """Piece e of the pinned-first-cycle envelope: the pattern that closes
-    the pinned first cycle at e and completes the horizon on the relaxed
-    shortest path from e + 1."""
-    end: int             # e
-    cost: ConvexPWL      # priced cycle 1..e of the pinned level
-    const: float         # V(e + 1), plus the unit-cost term when e = T
-    lo: float            # pin domain, with solve_pattern's 1e-9 slack
-    hi: float
-    limit: float         # certificate limit U_e; -inf where there is none
-    deltas: tuple        # the pattern
-    levels: list         # the relaxed tail's levels
-
-
-class PerPieceEngine(_SubmodelEngine):
-    """The solver engine reading reference_relaxation's envelope one piece
-    at a time, each piece evaluated on its own."""
-
-    @cached_property
-    def pieces(self) -> list:
-        return reference_relaxation(self).pieces
-
-    @staticmethod
-    def _value(piece, x):
-        return piece.cost(x) + piece.const if piece.lo <= x <= piece.hi else math.inf
-
-    def certified_at(self, x):
-        """cost_at(x) from the envelope, or None where no certified piece
-        attains its minimum at x."""
-        lowest = best = math.inf
-        chosen = None
-        for piece in self.pieces:
-            value = self._value(piece, x)
-            lowest = min(lowest, value)
-            if x <= piece.limit and value < best:
-                best, chosen = value, piece
-        if chosen is None or best > lowest:
-            return None
-        return float(best), chosen.deltas, np.array([x] + chosen.levels)
-
-    def cost_at(self, x):
-        best = self.certified_at(x)
-        if best is not None:
-            self.certified += 1
-            return best
-        best, nodes = self.enumerate(x)
-        self.nodes += nodes
-        if best is None:
-            raise SolverError(f"no feasible pattern at initial level {x}")
-        return best
-
-    def reorder_root(self, target, hi):
-        best = self.cost_at(hi)
-        if abs(best[0] - target) <= 1e-9:
-            return hi, best
-        x = hi
-        moved = True
-        while moved:
-            moved = False
-            for piece in self.pieces:
-                value = self._value(piece, x)
-                if x <= piece.limit and value < target:
-                    left = max(piece.cost.left_crossing(
-                        target - piece.const, x, value - piece.const), piece.lo)
-                    if left < x:
-                        x, moved = left, True
-        if x < hi:
-            best = self.cost_at(x)
-        if abs(best[0] - target) <= 1e-7:
-            return x, best
-        self.fallbacks += 1
-        cache = {x: best}
-
-        def g(v):
-            hit = cache.get(v)
-            if hit is None:
-                hit = cache[v] = self.cost_at(v)
-            return hit[0]
-
-        root, _ = _largest_root(g, target, x, best[0], self.pin_lower)
         return root, cache[root] if root in cache else self.cost_at(root)
 
 
@@ -893,118 +796,3 @@ def reference_value(f, x):
         return f.slope * x + f.const
     return (f.slope * x + f.const
             + float(np.maximum(x - f.kinks, 0.0) @ f.deltas))
-
-
-def fresh_argmin(f):
-    """f.argmin() from reference_minimum, so from f's own sort and not
-    from a memo f shares or was given."""
-    return reference_minimum(f)[0]
-
-
-def reference_relaxation(engine, pins=()) -> SimpleNamespace:
-    """An engine's relaxation by its recursive definitions, and its first
-    row pinned at each of `pins`:
-    - rows[j] = (arc, reach) and cost_to_go[j] = V(j) for every start j,
-      V(T + 1) = 0, each row built on first use through the recursion;
-    - ends[j], the first end attaining V(j): min(range(j, T + 1), key) over
-      the row, as the relaxed paths and enumerate's seed read it;
-    - paths[j] = (levels, chained, pattern), j = 2..T + 1;
-    - pieces, the envelope, built piece by piece;
-    - pinned[pin] = (arc, reach, first end) of the first row pinned at
-      `pin`, the first end being enumerate's seed end;
-    - firsts[e] = (cost, y_lo, y_hi) of the first cycle 1..e.
-    """
-    T, K, c = engine.T, engine.K, engine.c
-    cycles, rows = {}, {}
-
-    def cycle(j, e):
-        if (j, e) not in cycles:
-            cycles[(j, e)] = engine_cycle(engine, j, e)
-        return cycles[(j, e)]
-
-    def arc_of(j, e, pin):
-        cyc = cycle(j, e)
-        lo, hi = cyc.y_lo, cyc.y_hi
-        if j == 1:
-            lo, hi = max(lo, engine.inv_lo), min(hi, engine.inv_hi)
-        if pin is not None:
-            if not (cyc.y_lo - 1e-9 <= pin <= cyc.y_hi + 1e-9):
-                return math.inf
-            value = cyc.cost(pin)
-        elif lo > hi + 1e-9:
-            return math.inf
-        else:
-            value = cyc.cost(min(max(fresh_argmin(cyc.cost), lo - 1e-9),
-                                 hi + 1e-9))
-        if j > 1:
-            value += K
-        if e == T and c:
-            value += c * (engine.total_mean - cyc.mean_demand)
-        return value
-
-    def relaxation(j, pin=None):
-        hit = rows.get(j) if pin is None else None
-        if hit is not None:
-            return hit
-        arc = [math.inf] * (T + 1)
-        reach = [math.inf] * (T + 2)
-        best = math.inf
-        for e in range(T, j - 1, -1):
-            arc[e] = arc_of(j, e, pin)
-            best = min(best, arc[e] + cost_to_go(e + 1))
-            reach[e + 1] = best
-        if pin is None:
-            rows[j] = (arc, reach)
-        return arc, reach
-
-    def cost_to_go(i):
-        return 0.0 if i > T else relaxation(i)[1][i + 1]
-
-    def first_end(j, arc):
-        return min(range(j, T + 1), key=lambda e: arc[e] + cost_to_go(e + 1))
-
-    def pattern(starts):
-        deltas = [0] * T
-        for j in starts:
-            deltas[j - 1] = 1
-        return tuple(deltas)
-
-    # j -> (levels, cycles, chained) of the relaxed path from start j
-    tails = {T + 1: ([], [], True)}
-    for j in range(T, 1, -1):
-        e = first_end(j, relaxation(j)[0])
-        cyc = cycle(j, e)
-        levels, tail, chained = tails[e + 1]
-        y = fresh_argmin(cyc.cost)
-        chained = (chained and cyc.y_lo <= y <= cyc.y_hi
-                   and (not levels or levels[0] >= y - cyc.mean_demand))
-        tails[j] = ([y] + levels, [cyc] + tail, chained)
-    paths = {j: (levels, chained, pattern(cyc.start for cyc in tail))
-             for j, (levels, tail, chained) in tails.items()}
-
-    pieces = []
-    for e in range(1, T + 1):
-        cyc = cycle(1, e)
-        if e == T:
-            const = c * (engine.total_mean - cyc.mean_demand) if c else 0.0
-            limit, levels, deltas = math.inf, [], pattern([])
-        else:
-            const = cost_to_go(e + 1)
-            if const == math.inf:
-                continue
-            levels, chained, deltas = paths[e + 1]
-            limit = levels[0] + cyc.mean_demand if chained else -math.inf
-        pieces.append(_Piece(e, cyc.cost, const, cyc.y_lo - 1e-9,
-                             cyc.y_hi + 1e-9, limit, deltas, levels))
-
-    pinned = {}
-    for pin in pins:
-        arc, reach = relaxation(1, pin)
-        pinned[pin] = (arc, reach, first_end(1, arc))
-    return SimpleNamespace(
-        rows={j: relaxation(j) for j in range(1, T + 1)},
-        cost_to_go={j: cost_to_go(j) for j in range(1, T + 2)},
-        ends={j: first_end(j, relaxation(j)[0]) for j in range(1, T + 1)},
-        paths=paths, pieces=pieces, pinned=pinned,
-        firsts={e: (cycle(1, e).cost, cycle(1, e).y_lo, cycle(1, e).y_hi)
-                for e in range(1, T + 1)})

@@ -22,7 +22,7 @@ from sspolicy.model import (
     convolved_demand, default_big_m, level_bounds, pair_row, verify_assignment,
 )
 from sspolicy.sdp import default_grid
-from sspolicy.solver import CycleTable, solve_exact
+from sspolicy.solver import CycleTable, default_bounds, solve_exact
 from sspolicy.testbed import BenchmarkConfig, build_instances
 
 
@@ -551,7 +551,7 @@ def test_joint_stack_blocks_match_build_joint(T, K, c, n_seg, strategy, data):
     table = CycleTable(inst, build_segments(inst, segments=n_seg - 1,
                                             strategy=strategy))
     stack = JointStack.of(T, n_seg, T)
-    bounds = [(e.inv_lo, e.inv_hi) for e in map(table.engine, range(1, T + 1))]
+    bounds = [default_bounds(inst.suffix(k)) for k in range(1, T + 1)]
     model = stack.fill(inst, table.segments, bounds)
     refs = []
     for k in range(1, T + 1):

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import logging
 import math
@@ -13,11 +12,11 @@ from hypothesis import strategies as st
 import sspolicy.solver as solver_module
 from lp_support import solve_lp
 from oracle_support import (
-    EnumerationEngine, PerPieceEngine, brute_force_submodel, cycles_of,
-    engine_cycle, full_enumeration, reference_cycle, reference_pieces,
-    reference_minimum, reference_priced, reference_relaxation,
-    reference_solution, reference_solve_pattern, reference_sort,
-    reference_value, reference_verify_assignment, suffix_segments,
+    EnumerationEngine, brute_force_submodel, cycles_of, engine_cycle,
+    full_enumeration, reference_cycle, reference_pieces, reference_minimum,
+    reference_priced, reference_solution, reference_solve_pattern,
+    reference_sort, reference_value, reference_verify_assignment,
+    suffix_segments,
 )
 from sspolicy.domain import make_instance
 from sspolicy.export import render_lp
@@ -25,20 +24,19 @@ from sspolicy.heuristics import (
     HeuristicConfig, bs_policy, cycle_table, mp_policy,
 )
 from sspolicy.model import (
-    build_joint, build_minlp_s, build_minlp_S, build_segments, level_bounds,
+    build_joint, build_minlp_s, build_minlp_S, build_segments,
     pair_row, verify_assignment,
 )
 from sspolicy.solver import (
     ConvexPWL, CycleTable, ExactBackend, SolverError,
-    _SubmodelEngine, default_bounds, import_solution, solve_exact,
+    _SubmodelEngine, import_solution, solve_exact,
 )
 from sspolicy.testbed import BenchmarkConfig, build_instances
 
 
 def _engine(model):
     """The no-order engine solve_exact searches for a model."""
-    return _SubmodelEngine(CycleTable(model.instance, model.segments).suffix(1),
-                           level_bounds(model.instance, model.big_m))
+    return solver_module._engine_for(model)
 
 
 def _first_cycles(engine) -> list:
@@ -424,6 +422,72 @@ class TestSharedCycleTable:
             assert mp.costs[k - 1] == res.value("C_S")
 
 
+class TestFreeMinima:
+    """Free minima read from the solved later suffixes against the pattern
+    searches."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=_policy_cases(),
+           x0=st.floats(-60, 120).map(lambda v: round(v, 2)).filter(bool))
+    def test_match_full_enumeration(self, case, x0):
+        """Every suffix's free minimum, certified from its first-cycle
+        pieces or searched, is the full enumeration's, bit for bit: at the
+        default bounds and at a pinned s model's widened ones, which its
+        engine's tails share."""
+        inst, config = case
+        table = cycle_table(inst, config)
+        pinned = solver_module._engine_for(
+            build_minlp_s(inst, table.segments, initial_inventory=x0))
+        assert (pinned.inv_lo, pinned.inv_hi) != table.bounds
+        for k in range(1, inst.horizon + 1):
+            engine = table.engine(k)
+            assert _same_answer(engine.free_minimum(), full_enumeration(engine)), k
+        for engine in [pinned, *pinned.later]:
+            assert (engine.inv_lo, engine.inv_hi) == (pinned.inv_lo, pinned.inv_hi)
+            assert _same_answer(engine.free_minimum(), full_enumeration(engine))
+
+    def test_ties_fall_back(self):
+        """h25-STA-K500-b5-cv0.3 has suffixes whose pieces lie within 1e-9
+        relative of each other: at least one suffix searches (its answer is
+        not marked exact), and every free minimum is the branch and bound's
+        on a second table, bit for bit."""
+        config = BenchmarkConfig(horizon=25, patterns=("STA",),
+                                 fixed_costs=(500.0,), penalty_costs=(5.0,),
+                                 cvs=(0.3,))
+        (instance,) = build_instances(config)
+        assert instance.name == "h25-STA-K500-b5-cv0.3"
+        hc = config.heuristic_config()
+        table, other = cycle_table(instance, hc), cycle_table(instance, hc)
+        for k in range(1, 26):
+            best = table.engine(k).free_minimum()
+            assert _same_answer(best, other.engine(k).enumerate(None)[0]), k
+        assert not all(table.engine(k)._free[2] for k in range(1, 26))
+
+
+@pytest.mark.skipif(not os.environ.get("SSPOLICY_FULL_BENCHMARK"),
+                    reason="every suffix of three 270-instance grids "
+                           "(minutes); set SSPOLICY_FULL_BENCHMARK=1")
+@pytest.mark.parametrize("horizon, unit_cost", [(8, 0.0), (25, 0.0), (8, 1.5)],
+                         ids=["8-period", "25-period", "8-period-c1.5"])
+def test_full_grid_free_minima_match_search(horizon, unit_cost):
+    """Every suffix's free minimum is the branch and bound's on a second
+    table, bit for bit."""
+    config = BenchmarkConfig(horizon=horizon, unit_cost=unit_cost)
+    hc = config.heuristic_config()
+    instances = build_instances(config)
+    patterns = 0
+    for instance in instances:
+        table, other = cycle_table(instance, hc), cycle_table(instance, hc)
+        for k in range(1, horizon + 1):
+            best = table.engine(k).free_minimum()
+            assert _same_answer(best, other.engine(k).enumerate(None)[0]), \
+                (instance.name, k)
+        patterns += table.work()[0]
+    print(f"\n[solver] {horizon} periods, c = {unit_cost}: free minima equal "
+          f"to the search's on {len(instances)} instances, {patterns} "
+          f"patterns solved")
+
+
 def _same_float(got, ref):
     """Equal bits and equal type (a numpy scalar's repr names its type)."""
     return float(got).hex() == float(ref).hex() and repr(got) == repr(ref)
@@ -785,7 +849,7 @@ class TestEnvelope:
             (root, best), target, s_up = _reorder_root(engine, view.instance)
             assert best[0] == pytest.approx(target, abs=1e-7)
             pins = {s_up, root, root - 1.0, 0.0}
-            for limit in engine.relaxation.limits[1:]:
+            for limit in engine.tails[1][1:]:
                 if math.isfinite(limit):  # both sides of U_e
                     pins.update((limit - 0.5, limit, limit + 0.5))
             for x in sorted(pins):
@@ -799,11 +863,12 @@ class TestEnvelope:
                 assert np.allclose(levels, certified[2], rtol=0, atol=1e-9)
             for x in np.linspace(root, s_up, 6)[1:]:  # nothing larger
                 assert engine.enumerate(x)[0][0] < target + 1e-9
-            bounds = (engine.inv_lo, engine.inv_hi)
-            reference = _reorder_root(EnumerationEngine(view, bounds),
-                                      view.instance)[0]
+            reference = _reorder_root(
+                EnumerationEngine(view, table.bounds, engine.later),
+                view.instance)[0]
             _assert_same_root(engine, target, root, reference)
-            emptied = _uncertified(_SubmodelEngine(view, bounds))
+            emptied = _uncertified(
+                _SubmodelEngine(view, table.bounds, engine.later))
             fallback = _reorder_root(emptied, view.instance)[0]
             assert emptied.certified == 0
             _assert_same_root(engine, target, root, fallback)
@@ -900,9 +965,10 @@ def test_full_grid_envelope_matches_enumeration(horizon, monkeypatch):
 
 
 @st.composite
-def _envelope_cases(draw):
-    """Instances for the envelope reads and the relaxation: T = 1-8, K = 0,
-    c > 0, zero-sd and zero-mean periods."""
+def _pool_cases(draw):
+    """Instances for the pool pass: T = 1-8, K = 0, c > 0, zero-sd and
+    zero-mean periods, and a nonzero initial level an s model may pin,
+    which widens its level bounds."""
     T = draw(st.integers(1, 8))
     means = draw(st.lists(
         st.just(0.0) | st.floats(0, 30).map(lambda v: round(v, 1)),
@@ -915,12 +981,15 @@ def _envelope_cases(draw):
         b=draw(st.floats(2.0, 15.0).map(lambda v: round(v, 2))),
         c=draw(st.sampled_from([0.0, 1.5])), means=means,
         std_devs=[m * v for m, v in zip(means, cvs)])
-    return inst, HeuristicConfig(segments=draw(st.integers(3, 12)))
+    config = HeuristicConfig(segments=draw(st.integers(3, 12)))
+    x0 = draw(st.floats(-60, 120).map(lambda v: round(v, 2)).filter(bool))
+    return inst, config, x0
 
 
 def _uncertified(engine):
-    """`engine` with every certificate limit cut to -inf."""
-    engine.relaxation.limits = [-math.inf] * (engine.T + 1)
+    """`engine` with every certificate limit of its tails cut to -inf."""
+    limits = engine.tails[1]
+    limits[:] = [-math.inf] * len(limits)
     return engine
 
 
@@ -935,89 +1004,6 @@ def _same_answer(got, ref) -> bool:
             and got[2].tobytes() == ref[2].tobytes())
 
 
-def _assert_reads_match(view, extra=()):
-    """The engine's certified reads from its pinned first row, and its
-    reorder root, are hex-equal to PerPieceEngine's, at the suffix's
-    order-up-to level, around every certificate limit and pin-domain end,
-    at negative levels and at `extra`; the counters agree."""
-    bounds = default_bounds(view.instance)
-    fast, slow = _SubmodelEngine(view, bounds), PerPieceEngine(view, bounds)
-    best = fast.free_minimum()
-    assert _same_answer(best, slow.free_minimum())
-    s_up = float(best[2][0])
-    target = best[0] + view.instance.costs.fixed
-    pins = {s_up, s_up - 1.0, 0.0, -7.25, -s_up - 40.0, *extra}
-    firsts = _first_cycles(fast)
-    kinks = firsts[fast.T][0].kinks
-    for e in range(1, fast.T + 1):
-        # every first cycle's kinks are a prefix of the hinge's
-        first = firsts[e][0].kinks
-        assert np.shares_memory(first, kinks)
-        assert first.tobytes() == kinks[:len(first)].tobytes()
-    for piece in slow.pieces:
-        for v in (piece.limit, piece.lo, piece.hi):
-            if math.isfinite(v):
-                pins.update((v - 0.5, v, v + 0.5))
-    for x in sorted(pins):
-        assert _same_answer(fast._certified(x, fast._first_arc(x)),
-                            slow.certified_at(x)), x
-    root, answer = fast.reorder_root(target, s_up)
-    root_ref, answer_ref = slow.reorder_root(target, s_up)
-    assert _same_float(root, root_ref)
-    assert _same_answer(answer, answer_ref)
-    assert (fast.nodes, fast.certified, fast.fallbacks) == \
-        (slow.nodes, slow.certified, slow.fallbacks)
-
-
-class TestEnvelopeReads:
-    """One hinge per envelope read against each piece's own evaluation."""
-
-    @settings(max_examples=40, deadline=None)
-    @given(case=_envelope_cases())
-    def test_reads_match_per_piece(self, case):
-        inst, config = case
-        table = cycle_table(inst, config)
-        for k in range(1, inst.horizon + 1):
-            _assert_reads_match(table.suffix(k))
-
-    def test_grid_reads_match_per_piece(self, monkeypatch):
-        """Every 10th 8-period grid instance: every suffix's reads, and the
-        bs and mp policies, equal to the per-piece engine's."""
-        config = BenchmarkConfig(horizon=8)
-        hc = config.heuristic_config()
-        for instance in build_instances(config)[::10]:
-            table = cycle_table(instance, hc)
-            for k in range(1, instance.horizon + 1):
-                view = table.suffix(k)
-                _assert_reads_match(view, extra=(
-                    hc.lower_bound_for(view.instance),))
-            policies = bs_policy(instance, hc), mp_policy(instance, hc)
-            with monkeypatch.context() as patch:
-                patch.setattr(solver_module, "_SubmodelEngine", PerPieceEngine)
-                reference = bs_policy(instance, hc), mp_policy(instance, hc)
-            assert repr(policies) == repr(reference), instance.name
-
-
-def _bits(value):
-    """`value` with every float as its type and hex, every array as its
-    dtype, shape and bytes, and every ConvexPWL, dataclass, list, tuple
-    and dict taken apart, so that == means equal bits."""
-    if isinstance(value, float):
-        return type(value).__name__, value.hex()
-    if isinstance(value, np.ndarray):
-        return value.dtype.str, value.shape, value.tobytes()
-    if isinstance(value, ConvexPWL):
-        return _bits((value.slope, value.const, value.kinks, value.deltas))
-    if dataclasses.is_dataclass(value):
-        return type(value).__name__, _bits(
-            [getattr(value, f.name) for f in dataclasses.fields(value)])
-    if isinstance(value, dict):
-        return tuple((key, _bits(v)) for key, v in sorted(value.items()))
-    if isinstance(value, (list, tuple)):
-        return tuple(_bits(v) for v in value)
-    return type(value).__name__, value
-
-
 def _first_row_pins(engine, extra=()) -> set:
     """Pins inside, on the (slack-widened) edges of and outside the pin
     domain of every first cycle 1..e."""
@@ -1027,125 +1013,6 @@ def _first_row_pins(engine, extra=()) -> set:
         pins.update((y_lo - 1.0, y_lo - 1e-9, y_lo, 0.5 * (y_lo + y_hi),
                      y_hi, y_hi + 1e-9, y_hi + 1.0))
     return pins
-
-
-def _assert_relaxation_matches_reference(engine, extra=()):
-    """Every row, V(j), first end and relaxed path of the engine's
-    one-pass relaxation (its first level and chained flag, and the levels
-    and pattern built from them and the row's end), its first cycles' costs and
-    level bounds, its pinned first rows and arcs, and the certificate
-    limit and pattern of every envelope piece are hex-equal to the
-    recursive definitions'."""
-    relax = engine.relaxation
-    pins = sorted(_first_row_pins(engine, extra))
-    ref = reference_relaxation(engine, pins)
-    T = engine.T
-    for j in range(1, T + 1):
-        arc, reach, end = relax.rows[j]
-        assert _bits((arc, reach)) == _bits(ref.rows[j]), j
-        assert end == ref.ends[j], j
-        assert _bits(_first_cycles(engine)[j]) == _bits(ref.firsts[j]), j
-    for j in range(1, T + 2):
-        assert _bits(relax.cost_to_go[j]) == _bits(ref.cost_to_go[j]), j
-    for j in range(2, T + 2):
-        levels, pattern = engine._path(j)
-        assert _bits((levels, relax.chained[j], pattern)) == \
-            _bits(ref.paths[j]), j
-        if j <= T:
-            assert _bits(relax.levels[j]) == _bits(levels[0]), j
-    assert ref.pieces[-1].end == T
-    for piece in ref.pieces:
-        e = piece.end
-        assert _bits(relax.limits[e]) == _bits(piece.limit), e
-        assert engine._path(e + 1)[1] == piece.deltas, e
-    for pin in pins:
-        assert _bits(engine._first_row(pin)) == _bits(ref.pinned[pin]), pin
-        assert _bits(engine._first_arc(pin)) == _bits(ref.pinned[pin][0]), pin
-
-
-@st.composite
-def _relaxation_cases(draw):
-    """An envelope case and a nonzero initial level an s model may pin,
-    which widens its level bounds."""
-    inst, config = draw(_envelope_cases())
-    x0 = draw(st.floats(-60, 120).map(lambda v: round(v, 2)).filter(bool))
-    return inst, config, x0
-
-
-class TestRelaxation:
-    """The one-pass relaxation against its recursive definitions."""
-
-    @settings(max_examples=40, deadline=None)
-    @given(case=_relaxation_cases())
-    def test_matches_reference(self, case):
-        """At the default bounds and at a pinned s model's widened ones."""
-        inst, config, x0 = case
-        table = cycle_table(inst, config)
-        for k in range(1, inst.horizon + 1):
-            suffix = table.suffix(k).instance
-            _assert_relaxation_matches_reference(table.engine(k), extra=(x0,))
-            pinned = solver_module._engine_for(build_minlp_s(
-                suffix, _own_segments(suffix, config), initial_inventory=x0))
-            assert (pinned.inv_lo, pinned.inv_hi) != default_bounds(suffix)
-            _assert_relaxation_matches_reference(pinned, extra=(x0,))
-
-    def test_grid_matches_reference(self):
-        """Every suffix of every 10th 8-period grid instance."""
-        config = BenchmarkConfig(horizon=8)
-        hc = config.heuristic_config()
-        for instance in build_instances(config)[::10]:
-            table = cycle_table(instance, hc)
-            for k in range(1, instance.horizon + 1):
-                _assert_relaxation_matches_reference(table.engine(k), extra=(
-                    hc.lower_bound_for(table.suffix(k).instance),))
-
-    def test_paths_built_on_demand(self):
-        """On a fresh 8-period grid engine, a free minimum and a certified
-        cost_at build the relaxation and, of the relaxed paths, only those
-        the answers read: both close the first cycle at 4 and follow the
-        path from 5, built once (with the empty path after it) and kept."""
-        config = BenchmarkConfig(horizon=8)
-        hc = config.heuristic_config()
-        instance, = (i for i in build_instances(config)
-                     if i.name == "h8-EMP4-K200-b5-cv0.3")
-        engine = cycle_table(instance, hc).engine(1)
-        T = engine.T
-        assert "relaxation" not in vars(engine) and not engine._paths
-        free, nodes = engine.free_optimum(), engine.nodes
-        assert nodes == 1  # the seed, the relaxed path's own pattern
-        x = float(free[2][0]) - 1.0
-        answer = engine.cost_at(x)
-        assert engine.certified == 1 and engine.nodes == nodes
-        assert "relaxation" in vars(engine)
-        assert set(engine._paths) == {5, T + 1}
-        levels, pattern = engine._path(5)
-        assert engine._paths[5] is engine._path(5)
-        assert free[1] == answer[1] == pattern == (0, 0, 0, 0, 1, 0, 0, 0)
-        assert answer[2].tolist() == [x] + levels
-
-    def test_failed_build_stores_nothing(self, example4, segments4,
-                                         monkeypatch):
-        """A build that raises part way leaves the shared engine with no
-        relaxation; the next read builds it whole."""
-        table = CycleTable(example4, segments4)
-        row, calls = _SubmodelEngine._row, []
-
-        def failing(self, *args):
-            calls.append(args)
-            if len(calls) == 3:
-                raise RuntimeError("row 3 failed")
-            return row(self, *args)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(_SubmodelEngine, "_row", failing)
-            with pytest.raises(RuntimeError, match="row 3 failed"):
-                table.engine(1).free_minimum()
-        engine = table.engine(1)
-        assert "relaxation" not in vars(engine) and engine.nodes == 0
-        assert not engine._paths
-        fresh = _SubmodelEngine(table.suffix(1), default_bounds(example4))
-        assert _bits(engine.relaxation) == _bits(fresh.relaxation)
-        assert _same_answer(engine.free_minimum(), fresh.free_minimum())
 
 
 def _same_pattern_solve(got, ref) -> bool:
@@ -1162,7 +1029,7 @@ class TestPoolPass:
     """solve_pattern's stack pass against the restart scan it replaced."""
 
     @settings(max_examples=40, deadline=None)
-    @given(case=_relaxation_cases(), data=st.data())
+    @given(case=_pool_cases(), data=st.data())
     def test_matches_restart_scan(self, case, data):
         """Random patterns at the default bounds and a pinned s model's
         widened ones, free and pinned inside, on the slack edges of and
@@ -1170,14 +1037,12 @@ class TestPoolPass:
         upper bound and the first cycle's, where a merge is infeasible."""
         inst, config, x0 = case
         table = cycle_table(inst, config)
-        view = table.suffix(1)
         T = inst.horizon
         patterns = data.draw(st.lists(
             st.lists(st.integers(0, 1), min_size=T - 1, max_size=T - 1).map(
                 lambda tail: (0, *tail)), min_size=1, max_size=6))
-        for engine in (_SubmodelEngine(view, default_bounds(inst)),
-                       solver_module._engine_for(build_minlp_s(
-                           inst, table.segments, initial_inventory=x0))):
+        for engine in (table.engine(1), solver_module._engine_for(
+                build_minlp_s(inst, table.segments, initial_inventory=x0))):
             pins = _first_row_pins(engine, extra=(None, x0))
             pins.update(0.5 * (engine.inv_hi + engine_cycle(engine, j, e).y_hi)
                         for j in range(1, T + 1) for e in range(j, T + 1))
@@ -1194,9 +1059,7 @@ class TestPoolPass:
         inst = make_instance(6, K=40, h=1, b=10, c=0,
                              means=[5, 40, 0, 0, 5, 0],
                              std_devs=[0, 16, 0, 0, 0.5, 0])
-        engine = _SubmodelEngine(
-            cycle_table(inst, HeuristicConfig(segments=5)).suffix(1),
-            default_bounds(inst))
+        engine = cycle_table(inst, HeuristicConfig(segments=5)).engine(1)
         deltas = (0, 0, 1, 1, 0, 1)
         assert _same_pattern_solve(engine.solve_pattern(deltas, None),
                                    reference_solve_pattern(engine, deltas, None))
@@ -1205,8 +1068,7 @@ class TestPoolPass:
         """A pin above the engine's upper bound but within the first
         cycle's passes the first block's own check, and every pattern whose
         next cycle must merge with it is infeasible in both passes."""
-        engine = _SubmodelEngine(CycleTable(example4, segments4).suffix(1),
-                                 default_bounds(example4))
+        engine = CycleTable(example4, segments4).engine(1)
         infeasible = 0
         for tail in itertools.product((0, 1), repeat=engine.T - 1):
             deltas = (0, *tail)
@@ -1219,20 +1081,6 @@ class TestPoolPass:
                     got, reference_solve_pattern(engine, deltas, pin))
                 infeasible += got is None
         assert infeasible == 3 * (2 ** (engine.T - 1) - 1)
-
-
-@pytest.mark.skipif(not os.environ.get("SSPOLICY_FULL_BENCHMARK"),
-                    reason="every suffix of both 270-instance grids (minutes); "
-                           "set SSPOLICY_FULL_BENCHMARK=1")
-@pytest.mark.parametrize("horizon", [8, 25], ids=["8-period", "25-period"])
-def test_full_grid_relaxation_matches_reference(horizon):
-    config = BenchmarkConfig(horizon=horizon)
-    hc = config.heuristic_config()
-    for instance in build_instances(config):
-        table = cycle_table(instance, hc)
-        for k in range(1, instance.horizon + 1):
-            _assert_relaxation_matches_reference(table.engine(k), extra=(
-                hc.lower_bound_for(table.suffix(k).instance),))
 
 
 def _assert_column_space(model):

@@ -11,8 +11,8 @@ time.perf_counter:
 - `sdp`: solve_sdp, the oracle;
 - `cycle_table`: heuristics.cycle_table, the instance's segments (the
   cycle records are built on first use, in the next stage);
-- `free_minima`: table.engine(k).free_minimum() for every suffix k, which
-  includes each engine's relaxation build;
+- `free_minima`: table.engine(k).free_minimum() for every suffix k (the
+  first call solves every later suffix, which each suffix reads);
 - `bs` and `mp`: bs_policy and then mp_policy on that warm table;
 - `pricing`: simulate.estimate_gaps of both policies at the instance's
   seed.
