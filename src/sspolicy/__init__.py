@@ -27,9 +27,7 @@ from .sdp import (
 from .simulate import (
     GapEstimate, SimulationResult, estimate_gap, simulate_policy,
 )
-from .solver import (
-    ExactBackend, SolveResult, SolverError, import_solution, solve_exact,
-)
+from .solver import SolveResult, SolverError, import_solution, solve_exact
 from .testbed import (
     BenchmarkConfig, BenchmarkReport, build_instances, demand_means,
     run_benchmark,

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from .domain import (Instance, PolicyParameters, ValidationError, is_integer,
                      is_number, round_half_up, validate)
 from .model import build_segments
-from .solver import CycleTable, ExactBackend, check_joint_answers, joint_answer
+from .solver import CycleTable, check_joint_answers, joint_answer
 
 BS_TOLERANCE = 1e-4  # equality band of the binary search
 BS_STEP = 0.1        # default bisection step, at every suffix horizon
@@ -125,7 +125,7 @@ def _log_work(method: str, instance: Instance, table: CycleTable,
 
 
 def mp_policy(instance: Instance, config: HeuristicConfig | None = None,
-              backend=None, table: CycleTable | None = None) -> PolicyParameters:
+              table: CycleTable | None = None) -> PolicyParameters:
     """Joint-model heuristic: the joint model's answer on every suffix k..T.
 
     Each suffix's engine gives its order-up-to level, linked cost and
@@ -134,13 +134,12 @@ def mp_policy(instance: Instance, config: HeuristicConfig | None = None,
     """
     validate(instance)
     config = config or HeuristicConfig()
-    backend = backend or ExactBackend()
     table = _table_for(instance, config, table)
     before = table.work() if log.isEnabledFor(logging.DEBUG) else None
     answers = []
     for k in range(1, instance.horizon + 1):
         try:
-            answers.append(joint_answer(backend.evaluator(table.suffix(k))))
+            answers.append(joint_answer(table.engine(k)))
         except Exception as exc:
             raise RuntimeError(f"joint solve failed at suffix k={k}: {exc}") from exc
     check_joint_answers(table, answers)
@@ -152,7 +151,7 @@ def mp_policy(instance: Instance, config: HeuristicConfig | None = None,
 
 
 def bs_policy(instance: Instance, config: HeuristicConfig | None = None,
-              backend=None, table: CycleTable | None = None) -> PolicyParameters:
+              table: CycleTable | None = None) -> PolicyParameters:
     """Binary-search heuristic over no-first-order models.
 
     Per suffix: minimize with a free initial level to get the order-up-to
@@ -163,21 +162,19 @@ def bs_policy(instance: Instance, config: HeuristicConfig | None = None,
     Brackets that empty without hitting the band return their midpoint, a
     step from the root. A period is flagged only when no evaluated level
     cost more than the target, so the lower bound never bracketed the root.
-    No MilpModel is built: the evaluator reads the instance's cycle table.
+    No MilpModel is built: the engine reads the instance's cycle table.
     """
     validate(instance)
     config = config or HeuristicConfig()
-    backend = backend or ExactBackend()
     table = _table_for(instance, config, table)
     before = table.work() if log.isEnabledFor(logging.DEBUG) else None
     ss, SS, costs, flagged = [], [], [], []
     K = instance.costs.fixed
     step = config.bs_step_size
     for k in range(1, instance.horizon + 1):
-        view = table.suffix(k)
         try:
-            evaluator = backend.evaluator(view)
-            cost_up, _, y_levels = evaluator.free_minimum()
+            engine = table.engine(k)
+            cost_up, _, y_levels = engine.free_minimum()
         except Exception as exc:
             raise RuntimeError(f"suffix solve failed at k={k}: {exc}") from exc
         s_up = float(y_levels[0])
@@ -188,7 +185,7 @@ def bs_policy(instance: Instance, config: HeuristicConfig | None = None,
             ss.append(s_up)
             continue
 
-        low = config.lower_bound_for(view.instance)
+        low = config.lower_bound_for(instance.suffix(k))
         high = s_up
         found = None
         bracketed = False  # some evaluated level costs more than the target
@@ -201,7 +198,7 @@ def bs_policy(instance: Instance, config: HeuristicConfig | None = None,
                 # the bracket keeps shrinking geometrically
                 mid = low + max(1, round(span / (2.0 * step))) * step
             mid = min(max(mid, low), high)
-            gap = evaluator.cost_at(mid)[0] - target
+            gap = engine.cost_at(mid)[0] - target
             if abs(gap) <= BS_TOLERANCE:
                 found = mid
                 break

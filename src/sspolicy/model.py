@@ -81,8 +81,7 @@ import numpy as np
 
 from .domain import (CostParameters, Instance, NormalDemand, running_sums,
                      validate)
-# piecewise_loss stays importable here: bench/tracing.py patches this name
-from .loss import cached_partition, piecewise_loss  # noqa: F401
+from .loss import cached_partition
 
 ROW, CUT, INDICATOR = 0, 1, 2  # row kinds, in the order the LP file lists them
 # sections of an instance's values, in _stack_values' order; an emitter

@@ -123,8 +123,8 @@ minimum there, bit-equal to sorting its own kinks. A record sorts its own
 kinks only if left_crossing reads them.
 The heuristics solve every suffix
 k..T, its free minimum and every root-search step, from the one table
-through a SuffixView: the suffix's instance, and the offset k - 1 by
-which its engine shifts local periods to read the table's cycles. Sharing is exact:
+through its engine CycleTable.engine(k), which shifts local periods by
+k - 1 to read the table's cycles. Sharing is exact:
 suffix k's (j, t) piece is the instance's (j + k - 1, t + k - 1) piece,
 the normal loss of the same demand slice summed in the same order, so a
 cycle's cost is the same function, built by the same operations,
@@ -146,8 +146,8 @@ instance (those of build_minlp_s with a free initial level, which
 build_joint shares) unless the table was given others. Engine k is built
 with the engines of suffixes k + 1..T, its tails, and solves their free
 minima from the last suffix back on first use, so the recursion stays
-shallow. ExactBackend.evaluator reads the table's engine, so the
-heuristics that run on one table solve each suffix once: the engine
+shallow. The heuristics read each suffix's engine by its index k, so
+those that run on one table solve each suffix once: the engine
 memoizes its free minimum and its tails' (W, U, completion) lists, and
 builds the branch and bound's rows of the later cycle starts only when a
 search runs. All are pure functions of the suffix, its tails and the
@@ -417,23 +417,19 @@ class CycleTable:
         self.costs = _PricedCycles(instance, segments)
         self._engines: dict = {}  # suffix k -> its no-order engine
 
-    def suffix(self, k: int) -> "SuffixView":
-        return SuffixView(self, k)
-
     def engine(self, k: int) -> "_SubmodelEngine":
         """Suffix k's no-order engine at the table's level bounds, built on
         first use with the engines of suffixes k + 1..T, and shared by
-        every caller."""
-        hit = self._engines.get(k)
-        if hit is None:
-            T = self.instance.horizon
-            for j in range(T, k - 1, -1):
-                if j not in self._engines:
-                    later = [self._engines[i] for i in range(j + 1, T + 1)]
-                    self._engines[j] = _SubmodelEngine(self.suffix(j),
-                                                       self.bounds, later)
-            hit = self._engines[k]
-        return hit
+        every caller. ValueError unless 1 <= k <= T."""
+        T = self.instance.horizon
+        if not 1 <= k <= T:
+            raise ValueError(f"suffix index k={k!r} outside 1..{T}")
+        for j in range(T, k - 1, -1):
+            if j not in self._engines:
+                later = [self._engines[i] for i in range(j + 1, T + 1)]
+                self._engines[j] = _SubmodelEngine(self.costs, j, self.bounds,
+                                                   later)
+        return self._engines[k]
 
     def work(self) -> tuple:
         """(patterns solved, certified cost_at answers, root fallbacks),
@@ -443,28 +439,15 @@ class CycleTable:
                 sum(e.fallbacks for e in engines))
 
 
-class SuffixView:
-    """Periods k..T of a CycleTable in the suffix's local periods
-    1..T-k+1: the table, the suffix's instance and the offset k - 1 from
-    local to table periods. `horizon` is read only by bench/tracing.py,
-    which sizes its per-call pattern counts by it; ROADMAP item 2 deletes
-    it with ExactBackend."""
-
-    def __init__(self, table: CycleTable, k: int):
-        self.table = table
-        self.offset = k - 1
-        self.instance = table.instance if k == 1 else table.instance.suffix(k)
-        self.horizon = self.instance.horizon
-
-
 class _SubmodelEngine:
     """Order-pattern search for the no-order submodel of a suffix.
 
-    `view` gives the suffix's instance and where its cycles sit in the
-    table, `bounds` the (lower, upper) bound of every inventory level, the
-    initial one included (model.level_bounds), and `later` the engines of
-    the suffixes after it, later[e - 1] being the tail after a first cycle
-    1..e, all at the same bounds. A fixed initial level is passed to
+    `costs` holds the instance's cycle records and `k` opens the suffix,
+    local period t being the instance's t + k - 1; `bounds` gives the
+    (lower, upper) bound of every inventory level, the initial one
+    included (model.level_bounds), and `later` the engines of the suffixes
+    after it, later[e - 1] being the tail after a first cycle 1..e, all at
+    the same bounds. A fixed initial level is passed to
     `enumerate`. `free_minimum` and `cost_at` are its optimum with a free
     and a fixed initial level, `reorder_root` the largest level at which
     the latter reaches a target; `nodes` counts the patterns they solved,
@@ -479,10 +462,11 @@ class _SubmodelEngine:
     a build that raises stores nothing.
     """
 
-    def __init__(self, view: SuffixView, bounds: tuple, later: list):
-        inst = view.instance
+    def __init__(self, costs: _PricedCycles, k: int, bounds: tuple,
+                 later: list):
+        inst = costs.instance.suffix(k)
         # the table's records, not the table: the table holds this engine
-        self.costs, self.offset = view.table.costs, view.offset
+        self.costs, self.offset = costs, k - 1
         self.later = later
         self.T = inst.horizon
         self.K, self.c = inst.costs.fixed, inst.costs.unit
@@ -1067,24 +1051,3 @@ def import_solution(model: MilpModel, path) -> SolveResult:
     obj = model.objective_value(x)
     return SolveResult(obj, x, model.index, "optimal", 0,
                        time.perf_counter() - start)
-
-
-class ExactBackend:
-    """Default backend: the in-repo branch-and-bound solver.
-
-    Each suffix reads the solved later suffixes, as the module docstring
-    describes: a free minimum is certified from its first-cycle pieces or
-    searched by the branch and bound, whose bound is a true lower bound on
-    every pattern below it and prunes only past a margin above the
-    incumbent. Either way the optimum, its cost and its levels are those
-    of a full enumeration of the 2^(T-1) patterns.
-
-    The heuristics default to it, and bench/tracing.py, which wraps it to
-    time solver spans through their `backend=` parameter, is its only
-    remaining reader; ROADMAP item 2 deletes it with SuffixView.horizon.
-    """
-
-    def evaluator(self, view: SuffixView) -> _SubmodelEngine:
-        """The no-first-order model of a suffix, as build_minlp_s would
-        build it with a free initial level: its table's shared engine."""
-        return view.table.engine(view.offset + 1)

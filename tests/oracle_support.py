@@ -397,7 +397,7 @@ def per_suffix_mp_policy(instance, config=None, table=None):
             answer = joint_answer(table.engine(k))
         except Exception as exc:
             raise RuntimeError(f"joint solve failed at suffix k={k}: {exc}") from exc
-        suffix = table.suffix(k).instance
+        suffix = instance.suffix(k)
         model = build_joint(suffix, build_segments(
             suffix, segments=config.cells, strategy=config.strategy))
         index = model.index

@@ -17,7 +17,7 @@ from sspolicy.heuristics import (
 from sspolicy.model import build_segments, default_big_m, level_bounds
 from sspolicy.sdp import solve_sdp
 from sspolicy.simulate import simulate_policy
-from sspolicy.solver import CycleTable, ExactBackend, SolverError, _SubmodelEngine
+from sspolicy.solver import CycleTable, SolverError, _SubmodelEngine
 from sspolicy.testbed import BenchmarkConfig, build_instances
 
 TABLE_MP = {  # joint-model heuristic on the worked example
@@ -180,30 +180,23 @@ class TestBinarySearchHeuristic:
             for s, big_s in zip(pol.reorder_points, pol.order_up_to_levels):
                 assert s <= big_s + 1e-9
 
-    def test_evaluation_count_logarithmic(self, example4, table_config):
+    def test_evaluation_count_logarithmic(self, example4, table_config,
+                                          monkeypatch):
         """Per-period fixed-level solves stay within the bisection budget."""
-        counts = []
+        counts = [0] * (example4.horizon + 1)  # cost_at calls per suffix k
+        cost_at = _SubmodelEngine.cost_at
 
-        class CountingBackend(ExactBackend):
-            def evaluator(self, model):
-                ev = super().evaluator(model)
-                orig = ev.cost_at
-                counter = [0]
+        def counted(engine, x):
+            counts[engine.offset + 1] += 1
+            return cost_at(engine, x)
 
-                def counted(x):
-                    counter[0] += 1
-                    return orig(x)
-
-                ev.cost_at = counted
-                counts.append(counter)
-                return ev
-
-        policy = bs_policy(example4, table_config, backend=CountingBackend())
-        for k, counter in enumerate(counts, start=1):
+        monkeypatch.setattr(_SubmodelEngine, "cost_at", counted)
+        policy = bs_policy(example4, table_config)
+        for k in range(1, example4.horizon + 1):
             low = table_config.lower_bound_for(example4.suffix(k))
             span = policy.order_up_to_levels[k - 1] - low
             budget = math.ceil(math.log2(span / 0.01)) + 2
-            assert counter[0] <= budget, f"suffix {k}: {counter[0]} > {budget}"
+            assert counts[k] <= budget, f"suffix {k}: {counts[k]} > {budget}"
 
     def test_simulated_close_to_oracle(self, example4, bs4, mp4):
         """Both heuristics' period-1 pairs are near the exact benchmark and

@@ -28,7 +28,7 @@ from sspolicy.model import (
     pair_row, verify_assignment,
 )
 from sspolicy.solver import (
-    ConvexPWL, CycleTable, ExactBackend, SolverError,
+    ConvexPWL, CycleTable, SolverError,
     _SubmodelEngine, import_solution, solve_exact,
 )
 from sspolicy.testbed import BenchmarkConfig, build_instances
@@ -400,14 +400,13 @@ class TestSharedCycleTable:
         for k in range(1, inst.horizon + 1):
             suffix = inst.suffix(k)
             segs = build_segments(suffix, **partition)
-            view = table.suffix(k)
             # the premise: the instance's rows of the suffix's pairs agree
             shared_rows = suffix_segments(table.segments, inst.horizon, k)
             for name in ("breakpoints", "means", "errors", "steps", "slopes",
                          "lines", "cuts"):
                 assert (getattr(shared_rows, name).tobytes()
                         == getattr(segs, name).tobytes()), name
-            shared = ExactBackend().evaluator(view)
+            shared = table.engine(k)
             fresh = _engine(build_minlp_s(suffix, segs))
             best = shared.free_minimum()
             assert _same_solution(best, fresh.free_minimum())
@@ -778,13 +777,13 @@ class TestJointSolve:
 
     def test_shared_engine_counts_only_added_patterns(self, example4,
                                                      segments4):
-        """Every evaluator of one table suffix is the table's engine, whose
+        """Every read of one table suffix is the table's engine, whose
         free minimum is searched once. solve_exact builds its own engine,
         so it counts its own search and leaves the table's work alone."""
         fresh = solve_exact(build_joint(example4, segments4))
         table = CycleTable(example4, segments4)
-        engine = ExactBackend().evaluator(table.suffix(1))
-        assert ExactBackend().evaluator(table.suffix(1)) is engine
+        engine = table.engine(1)
+        assert table.engine(1) is engine
         free = engine.free_minimum()
         assert engine.free_minimum() is free
         assert engine.nodes > 0
@@ -793,6 +792,15 @@ class TestJointSolve:
         assert again.node_count == fresh.node_count > 0
         assert again.assignment == fresh.assignment
         assert table.work() == work
+
+    @pytest.mark.parametrize("k", [0, -1, 5])
+    def test_engine_index_outside_horizon(self, example4, segments4, k):
+        """A suffix index outside 1..T is rejected by name before any
+        engine is built."""
+        table = CycleTable(example4, segments4)
+        with pytest.raises(ValueError, match=rf"k={k}\b"):
+            table.engine(k)
+        assert table.work() == (0, 0, 0) and not table._engines
 
     def test_single_pattern_matches_subproblem(self, example4, segments4):
         """T=1 forced-order model has one pattern: the convex subproblem."""
@@ -844,9 +852,9 @@ class TestEnvelope:
         table = CycleTable(inst, build_segments(
             inst, segments=config.cells, strategy=config.strategy))
         for k in range(1, inst.horizon + 1):
-            view = table.suffix(k)
-            engine = ExactBackend().evaluator(view)
-            (root, best), target, s_up = _reorder_root(engine, view.instance)
+            suffix = inst.suffix(k)
+            engine = table.engine(k)
+            (root, best), target, s_up = _reorder_root(engine, suffix)
             assert best[0] == pytest.approx(target, abs=1e-7)
             pins = {s_up, root, root - 1.0, 0.0}
             for limit in engine.tails[1][1:]:
@@ -864,12 +872,12 @@ class TestEnvelope:
             for x in np.linspace(root, s_up, 6)[1:]:  # nothing larger
                 assert engine.enumerate(x)[0][0] < target + 1e-9
             reference = _reorder_root(
-                EnumerationEngine(view, table.bounds, engine.later),
-                view.instance)[0]
+                EnumerationEngine(table.costs, k, table.bounds, engine.later),
+                suffix)[0]
             _assert_same_root(engine, target, root, reference)
             emptied = _uncertified(
-                _SubmodelEngine(view, table.bounds, engine.later))
-            fallback = _reorder_root(emptied, view.instance)[0]
+                _SubmodelEngine(table.costs, k, table.bounds, engine.later))
+            fallback = _reorder_root(emptied, suffix)[0]
             assert emptied.certified == 0
             _assert_same_root(engine, target, root, fallback)
 
