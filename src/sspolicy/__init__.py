@@ -22,7 +22,7 @@ from .model import (
 )
 from .sdp import (
     GridTooSmallError, InventoryGrid, SdpSolution, check_k_convexity,
-    default_grid, extract_policy, cost_to_go, solve_sdp,
+    default_grid, cost_to_go, solve_sdp,
 )
 from .simulate import (
     GapEstimate, SimulationResult, estimate_gap, simulate_policy,

@@ -29,7 +29,6 @@ from .solver import SolverError
 from .testbed import BenchmarkConfig, mean_gap, run_benchmark, write_summary_csv
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_SOLVER = 4
 
@@ -69,18 +68,15 @@ def _cmd_solve(args) -> int:
     instance = read_instance(args.instance)
     config = HeuristicConfig(segments=args.segments, strategy=args.strategy,
                              bs_step_size=args.step)
-    if args.backend == "lp-export":
-        if not args.out_dir:
-            print("--backend lp-export requires --out-dir", file=sys.stderr)
-            return EXIT_USAGE
+    if args.lp_dir:
         import os
-        os.makedirs(args.out_dir, exist_ok=True)
+        os.makedirs(args.lp_dir, exist_ok=True)
         build = build_joint if args.method == "mp" else build_minlp_s
         for k in range(1, instance.horizon + 1):
             suffix = instance.suffix(k)
             model = build(suffix, build_segments(
                 suffix, segments=config.cells, strategy=config.strategy))
-            path = f"{args.out_dir}/suffix_{k:02d}_{model.kind}.lp"
+            path = f"{args.lp_dir}/suffix_{k:02d}_{model.kind}.lp"
             export_lp(model, path)
             print(f"wrote {path}")
         print("lp-export mode: no solving performed")
@@ -177,10 +173,10 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=STRATEGIES)
     p_solve.add_argument("--step", type=float, default=BS_STEP,
                          help=f"binary-search step size (default {BS_STEP})")
-    p_solve.add_argument("--backend", choices=("exact", "lp-export"),
-                         default="exact")
     p_solve.add_argument("--out", metavar="CSV")
-    p_solve.add_argument("--out-dir", help="target directory for lp-export")
+    p_solve.add_argument("--lp-dir", metavar="DIR",
+                         help="write each suffix's model as an LP file to "
+                              "DIR instead of solving")
     p_solve.set_defaults(func=_cmd_solve)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo policy pricing")

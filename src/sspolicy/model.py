@@ -60,7 +60,7 @@ the diagonal blocks of one model, and composes each recorded source with
 its block's suffix, and each rule points at the instance's row of its
 composed pair; one fill then gathers the right-hand sides, the matrix data
 and the objective of every block, each from one vector of the instance's
-values, and scatters each block's level bounds. build_joint is the
+values, and bounds every level by one pair. build_joint is the
 one-block stack; mp's per-instance check (solver.check_joint_answers)
 fills the stack of all T suffixes. Filled
 models share the structural arrays (names, index, binary mask, row names,
@@ -84,6 +84,7 @@ from .domain import (CostParameters, Instance, NormalDemand, running_sums,
 from .loss import cached_partition
 
 ROW, CUT, INDICATOR = 0, 1, 2  # row kinds, in the order the LP file lists them
+VERIFY_TOL = 1e-6  # violation that verify_assignment reports
 # sections of an instance's values, in _stack_values' order; an emitter
 # records each instance number's source as (section, index) in its block
 (_COEF, _NEG_COEF, _MEAN, _NEG_MEAN, _UNIT_TOTAL,
@@ -393,6 +394,12 @@ def level_bounds(instance: Instance, big_m: float) -> tuple[float, float]:
     return lower, big_m + 10.0
 
 
+def default_bounds(instance: Instance) -> tuple[float, float]:
+    """level_bounds at default_big_m: the level bounds of build_minlp_s
+    with a free initial level and of build_joint."""
+    return level_bounds(instance, default_big_m(instance))
+
+
 def _add_submodel(em: _Emitter, instance: Instance, big_m: float, label: str,
                   pieces: tuple, first_order: bool,
                   fixed_i0: float | None, objective_from: int) -> tuple:
@@ -596,8 +603,7 @@ class JointStack:
     col_starts: np.ndarray    # block b's first column, row and rule at
     row_starts: np.ndarray    # entry b
     rule_starts: np.ndarray
-    levels: np.ndarray        # level columns, bounded by level_bounds ...
-    level_blocks: np.ndarray  # ... of the suffix of their block
+    levels: np.ndarray        # level columns, bounded by fill's pair
     rhs_slots: np.ndarray     # rows with an instance number rhs ...
     rhs_sources: np.ndarray   # ... and its source
     data_slots: np.ndarray    # matrix data entries likewise ...
@@ -654,7 +660,6 @@ class JointStack:
         stack = JointStack(
             model, tuple(columns), np.array(linked, dtype=np.intp),
             *np.array(starts).T, np.concatenate(levels),
-            np.repeat(np.arange(count), [2 * len(a) for a in levels[::2]]),
             *recorded("rhs"), *recorded("data"),
             sections[_COEF] + np.array([tag for *_, tag in em.objective]))
         matrix = model.rows.matrix
@@ -667,11 +672,11 @@ class JointStack:
         return stack
 
     def fill(self, instance: Instance, segments: Segments,
-             bounds: Sequence) -> MilpModel:
+             bounds: tuple) -> MilpModel:
         """The stack of `instance`'s suffixes, from its Segments, with
-        block b's levels bounded by bounds[b], a (lower, upper) pair: one
-        gather each for the right-hand sides, the matrix data and the
-        objective, one scatter of the level bounds. The structural arrays,
+        every block's levels bounded by `bounds`, a (lower, upper) pair:
+        one gather each for the right-hand sides, the matrix data and the
+        objective. The structural arrays,
         the piecewise rules and the checks are shared. Its objective is the
         sum of the blocks' objectives, and its instance, big_m and segments
         are block 0's."""
@@ -679,9 +684,8 @@ class JointStack:
         model = self.model
         sections = _stack_values(instance, segments, len(self.columns))
         values = np.concatenate(sections)
-        lo, hi = np.array(bounds, dtype=float).T
         lb, ub = model.lb.copy(), model.ub.copy()
-        lb[self.levels], ub[self.levels] = lo[self.level_blocks], hi[self.level_blocks]
+        lb[self.levels], ub[self.levels] = bounds
         rhs = model.rows.rhs.copy()
         rhs[self.rhs_slots] = values[self.rhs_sources]
         matrix = model.rows.matrix
@@ -698,12 +702,12 @@ class JointStack:
             objective=(model.objective[0], values[self.objective_sources]),
             objective_constant=constant, rows=rows)
 
-    def verify(self, model: MilpModel, x: np.ndarray, tol: float = 1e-6) -> list:
+    def verify(self, model: MilpModel, x: np.ndarray) -> list:
         """verify_assignment of a filled stack's column vector, each name
         led by its block's suffix, "suffix k=3: link_cost"."""
         starts = (self.col_starts, self.row_starts, self.rule_starts)
         return [(f"suffix k={np.searchsorted(starts[axis], at, 'right')}: {name}",
-                 amount) for name, amount, axis, at in _violations(model, x, tol)]
+                 amount) for name, amount, axis, at in _violations(model, x)]
 
 
 def build_joint(instance: Instance, segments: Segments) -> MilpModel:
@@ -713,12 +717,11 @@ def build_joint(instance: Instance, segments: Segments) -> MilpModel:
     model emitted row by row from the same model rows (_add_joint)."""
     validate(instance)
     stack = JointStack.of(instance.horizon, segments.slopes.shape[1], 1)
-    bounds = level_bounds(instance, default_big_m(instance))
-    return stack.fill(instance, segments, [bounds])
+    return stack.fill(instance, segments, default_bounds(instance))
 
 
-def verify_assignment(model: MilpModel, assignment, tol: float = 1e-6) -> list:
-    """All violations beyond tol as (name, amount), worst first.
+def verify_assignment(model: MilpModel, assignment) -> list:
+    """All violations beyond VERIFY_TOL as (name, amount), worst first.
 
     `assignment` is a name -> value dict or a vector in column order (a
     solver's own answer is checked as its vector). A non-finite value is
@@ -732,10 +735,10 @@ def verify_assignment(model: MilpModel, assignment, tol: float = 1e-6) -> list:
     built only for the violations found.
     """
     return [(name, amount) for name, amount, _, _ in
-            _violations(model, model.vector(assignment), tol)]
+            _violations(model, model.vector(assignment))]
 
 
-def _violations(model: MilpModel, x: np.ndarray, tol: float) -> list:
+def _violations(model: MilpModel, x: np.ndarray) -> list:
     """verify_assignment's violations of a column vector x, each as (name,
     amount, axis, position): axis 0 for a column (bounds, integrality), 1
     for a row and 2 for a piecewise rule, at that position."""
@@ -762,7 +765,7 @@ def _violations(model: MilpModel, x: np.ndarray, tol: float) -> list:
     miss = np.maximum(np.abs(x[pw.holding[chosen]] - upper),
                       np.abs(x[pw.backorder[chosen]] - (upper - level)))
     checked = (bound, fraction, over, miss)
-    if not any((amounts > tol).any() for amounts in checked):
+    if not any((amounts > VERIFY_TOL).any() for amounts in checked):
         return []
 
     bad = []
@@ -772,7 +775,7 @@ def _violations(model: MilpModel, x: np.ndarray, tol: float) -> list:
             (over, None, 1, lambda i: str(rows.names[i])),
             (miss, chosen, 2,
              lambda i: f"loss_{pw.label[i]}_{pw.start[i]}_{pw.period[i]}")):
-        hits = np.flatnonzero(amounts > tol)
+        hits = np.flatnonzero(amounts > VERIFY_TOL)
         where = hits if at is None else at[hits]
         bad.extend((name(i), float(a), axis, int(i))
                    for i, a in zip(where, amounts[hits]))

@@ -148,7 +148,9 @@ class SdpSolution:
         return float(self.g_tables[t - 1].min())
 
     def reorder_cost(self, t: int) -> float:
-        """The indifference cost K + G_t(S_t) defining the reorder point."""
+        """K + min G_t, the indifference cost that defines the reorder
+        point. policy.costs[t - 1] is K + G_t(S_t), which may exceed it
+        within _policy_row's relative 1e-9 tie band."""
         return self.instance.costs.fixed + self.g_minimum(t)
 
 
@@ -246,11 +248,14 @@ def _snap(y: float, grid: InventoryGrid) -> float:
 
 
 _TIE_RTOL = 1e-9
+_K_CONVEXITY_TOL = 1e-7
 
 
 def _policy_row(t: int, g: np.ndarray, K: float,
                 levels: np.ndarray) -> tuple:
-    """(s_t, S_t, K + G_t(S_t)) from period t's row of G."""
+    """(s_t, S_t, K + G_t(S_t)) from period t's row of G: S_t minimizes
+    G_t on the grid, and s_t is the largest level below S_t at which
+    ordering is strictly better, G_t(y) > K + G_t(S_t)."""
     n = levels.size
     # Flat stretches of G (zero-demand periods, say) tie up to rounding,
     # so compare within a relative tolerance far above the rounding of
@@ -278,30 +283,9 @@ def _policy_row(t: int, g: np.ndarray, K: float,
     return small_s, big_s, threshold
 
 
-def _extract_policy_arrays(instance: Instance, grid: InventoryGrid,
-                           g_tables: np.ndarray) -> PolicyParameters:
-    levels = grid.levels()
-    ss, SS, costs = zip(*(
-        _policy_row(t, g_tables[t - 1], instance.costs.fixed, levels)
-        for t in range(1, instance.horizon + 1)))
-    return PolicyParameters(reorder_points=ss, order_up_to_levels=SS,
-                            costs=costs)
-
-
-def extract_policy(solution: SdpSolution) -> PolicyParameters:
-    """Re-derive (s_t, S_t) from the G tables.
-
-    S_t minimizes G_t on the grid; s_t is the largest grid level below S_t
-    at which ordering is still strictly better, i.e. G_t(y) > K + G_t(S_t).
-    Both comparisons treat values within a relative 1e-9 as ties.
-    """
-    return _extract_policy_arrays(solution.instance, solution.grid,
-                                  solution.g_tables)
-
-
-def check_k_convexity(g_values: np.ndarray, step: float, K: float,
-                      tol: float = 1e-7):
-    """Discrete K-convexity: K + G(y + D) >= G(y) + D * (G(y) - G(y-d))/d.
+def check_k_convexity(g_values: np.ndarray, step: float, K: float):
+    """Discrete K-convexity: K + G(y + D) >= G(y) + D * (G(y) - G(y-d))/d,
+    up to _K_CONVEXITY_TOL.
 
     Checked with d = one step exhaustively over all (y, D) pairs. Returns
     (True, None) or (False, (y-d_level_index, y_index, y+D_index, slack)).
@@ -313,7 +297,7 @@ def check_k_convexity(g_values: np.ndarray, step: float, K: float,
         j = np.arange(i + 1, n)
         lhs = K + g[j]
         rhs = g[i] + (j - i) * step * slopes[i - 1]
-        bad = lhs < rhs - tol
+        bad = lhs < rhs - _K_CONVEXITY_TOL
         if np.any(bad):
             k = int(j[np.argmax(bad)])
             return False, (i - 1, i, k, float((rhs - lhs)[np.argmax(bad)]))

@@ -172,7 +172,7 @@ from itertools import accumulate
 import numpy as np
 
 from .domain import running_sums
-from .model import (JointStack, MilpModel, Segments, default_big_m,
+from .model import (JointStack, MilpModel, Segments, default_bounds,
                     level_bounds, pair_row, verify_assignment)
 
 ROOT_TOLERANCE = 1e-4  # bracket width of the fallback root bisection
@@ -864,12 +864,6 @@ def _largest_root(g, target: float, hi: float, g_hi: float, lo_limit: float):
         width = max(width * 1e-4, 1e-9)
 
 
-def default_bounds(instance) -> tuple:
-    """model.level_bounds at model.default_big_m: the level bounds of
-    build_minlp_s with a free initial level and of build_joint."""
-    return level_bounds(instance, default_big_m(instance))
-
-
 def _engine_for(model: MilpModel) -> _SubmodelEngine:
     """A private no-order engine over the model's instance, segments and
     level bounds."""
@@ -991,7 +985,7 @@ def check_joint_answers(table: CycleTable, answers: list) -> None:
     and row."""
     instance, segments = table.instance, table.segments
     stack = JointStack.of(instance.horizon, segments.slopes.shape[1], len(answers))
-    model = stack.fill(instance, segments, [table.bounds] * len(answers))
+    model = stack.fill(instance, segments, table.bounds)
     x = np.zeros(len(model.names))
     _put_joint(x, model, stack.columns, stack.linked, answers)
     _self_check(model, x, None, None, stack)
@@ -1001,8 +995,8 @@ def _self_check(model: MilpModel, x: np.ndarray, obj: float | None,
                 engine_cost: float | None, stack: JointStack | None = None) -> None:
     """Verify a solve's own column vector against the model, a JointStack's
     filled `stack` by its suffixes; names are built only for a failure."""
-    bad = (verify_assignment(model, x, tol=1e-6) if stack is None
-           else stack.verify(model, x, tol=1e-6))
+    bad = (verify_assignment(model, x) if stack is None
+           else stack.verify(model, x))
     if bad:
         raise SolverError(f"internal solution fails verification: {bad[:3]}")
     if engine_cost is not None and abs(obj - engine_cost) > 1e-6 * max(1, abs(obj)):
@@ -1041,7 +1035,7 @@ def import_solution(model: MilpModel, path) -> SolveResult:
             if model.lb[col] != model.ub[col]:
                 raise SolverError(f"{path}: name mismatch: missing variable {name!r}")
             assignment[name] = float(model.lb[col])
-    bad = verify_assignment(model, assignment, tol=1e-6)
+    bad = verify_assignment(model, assignment)
     if bad:
         name, amount = bad[0]
         raise SolverError(

@@ -24,7 +24,9 @@ import os
 import re
 import zlib
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import repeat
 
 from .domain import (CostParameters, Instance, NormalDemand, ValidationError,
                      is_integer, is_number, running_sums)
@@ -271,10 +273,6 @@ def run_instance(config: BenchmarkConfig, instance: Instance) -> list:
     return [rows[method] for method in config.methods]
 
 
-def _run_instance_star(args):
-    return run_instance(*args)
-
-
 def mean_gap(values: list) -> float:
     """Mean of the gaps, summed left to right by domain.running_sums, so
     it does not depend on whether the interpreter's sum() compensates."""
@@ -404,15 +402,11 @@ def run_benchmark(config: BenchmarkConfig, jobs: int = 1,
     pending = [inst for inst in instances
                if any((inst.name, m) not in done for m in config.methods)]
     results = list(done.values())
-    if jobs > 1 and len(pending) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
-            for rows in pool.map(_run_instance_star,
-                                 [(config, inst) for inst in pending]):
-                results.extend(r for r in rows
-                               if (r.instance_id, r.method) not in done)
-    else:
-        for inst in pending:
-            rows = run_instance(config, inst)
+    parallel = jobs > 1 and len(pending) > 1
+    with (ProcessPoolExecutor(max_workers=min(jobs, len(pending))) if parallel
+          else nullcontext()) as pool:
+        mapped = pool.map if parallel else map
+        for rows in mapped(run_instance, repeat(config), pending):
             results.extend(r for r in rows
                            if (r.instance_id, r.method) not in done)
     report = BenchmarkReport(config=config, results=results)

@@ -23,6 +23,8 @@ dense_sdp_tables is the SDP oracle's backward pass done the direct way: a
 dense levels x atoms stage-cost matrix and one shifted lookup of the next
 period's cost per demand atom. stored_sdp_tables is solve_sdp's own pass
 as it was when it stored C_t for every period, not only C_{t+1}.
+policy_from_tables reads a policy from such G tables with solve_sdp's
+per-period rule (sdp._policy_row), periods 1..T in order.
 
 row_major_simulation is the Monte Carlo pricing loop done the direct way:
 replication-major demand blocks read column by column, with fresh arrays
@@ -78,7 +80,7 @@ from sspolicy.heuristics import HeuristicConfig, _table_for
 from sspolicy.loss import PiecewiseLoss, cached_partition
 from sspolicy.model import (INDICATOR, _add_joint, _Emitter, build_joint,
                             build_segments, pair_row)
-from sspolicy.sdp import discretize_demand
+from sspolicy.sdp import _policy_row, discretize_demand
 from sspolicy.simulate import SimulationResult
 from sspolicy.solver import (ConvexPWL, _engine_for, _forced,
                              _largest_root, _put_joint, _self_check,
@@ -525,6 +527,18 @@ def stored_sdp_tables(instance, grid, truncation):
         g_tables[t - 1] = g
         c_tables[t - 1] = np.minimum(g, K + best_up) - c * levels
     return g_tables, c_tables
+
+
+def policy_from_tables(instance, grid, g_tables):
+    """The (s_t, S_t) policy of G tables over the grid, by solve_sdp's
+    per-period rule; the first period whose row fails raises its
+    GridTooSmallError."""
+    levels = grid.levels()
+    ss, SS, costs = zip(*(
+        _policy_row(t, g_tables[t - 1], instance.costs.fixed, levels)
+        for t in range(1, instance.horizon + 1)))
+    return PolicyParameters(reorder_points=ss, order_up_to_levels=SS,
+                            costs=costs)
 
 
 def _demand_uniforms(seed: int, start: int, count: int, horizon: int) -> np.ndarray:

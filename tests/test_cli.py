@@ -79,7 +79,7 @@ def test_solve_unknown_method_usage_error(example4_file):
 def test_solve_lp_export_mode(example4_file, tmp_path, capsys):
     out_dir = tmp_path / "lp"
     rc = main(["solve", str(example4_file), "--method", "mp",
-               "--backend", "lp-export", "--out-dir", str(out_dir)])
+               "--lp-dir", str(out_dir)])
     out = capsys.readouterr().out
     assert rc == 0
     assert "no solving performed" in out
@@ -94,8 +94,7 @@ def test_lp_export_matches_per_suffix_segments(example4_file, tmp_path, capsys,
     models built from each suffix's own segments."""
     out_dir = tmp_path / "lp"
     rc = main(["solve", str(example4_file), "--method", method, "--segments", "7",
-               "--strategy", "minimax", "--backend", "lp-export",
-               "--out-dir", str(out_dir)])
+               "--strategy", "minimax", "--lp-dir", str(out_dir)])
     capsys.readouterr()
     assert rc == 0
     instance = read_instance(example4_file)
@@ -432,11 +431,10 @@ def test_out_dir_naming_a_file_is_data_error(example4_file, tmp_path, capsys,
     taken = tmp_path / "taken"
     taken.write_text("")
     if command == "benchmark":
-        args = ["benchmark", str(_bench_config(tmp_path))]
+        args = ["benchmark", str(_bench_config(tmp_path)), "--out-dir"]
     else:
-        args = ["solve", str(example4_file), "--method", "mp",
-                "--backend", "lp-export"]
-    rc = main([*args, "--out-dir", str(taken)])
+        args = ["solve", str(example4_file), "--method", "mp", "--lp-dir"]
+    rc = main([*args, str(taken)])
     err = capsys.readouterr().err
     assert rc == 3
     assert "File exists" in err and str(taken) in err

@@ -19,10 +19,11 @@ from sspolicy.heuristics import HeuristicConfig
 from sspolicy.model import (
     CUT, INDICATOR, CsrMatrix, JointStack, PiecewiseRules, RowChecks, RowTable,
     build_joint, build_minlp_s, build_minlp_S, build_segments,
-    convolved_demand, default_big_m, level_bounds, pair_row, verify_assignment,
+    convolved_demand, default_big_m, default_bounds, level_bounds, pair_row,
+    verify_assignment,
 )
 from sspolicy.sdp import default_grid
-from sspolicy.solver import CycleTable, default_bounds, solve_exact
+from sspolicy.solver import CycleTable, solve_exact
 from sspolicy.testbed import BenchmarkConfig, build_instances
 
 
@@ -539,7 +540,8 @@ def _stack_block(stack, model, b):
        data=st.data())
 def test_joint_stack_blocks_match_build_joint(T, K, c, n_seg, strategy, data):
     """Block k of one stacked fill equals build_joint of suffix k's own
-    segments, array for array and in LP bytes, and so do its columns and
+    segments with its level bounds set to the filled pair, array for array
+    and in LP bytes, and so do its columns and
     linked costs; each of its rules points at the instance's row holding
     the means, slopes and lines of the suffix model's rule, byte for byte;
     the stack's objective constant is the blocks' sum."""
@@ -551,13 +553,17 @@ def test_joint_stack_blocks_match_build_joint(T, K, c, n_seg, strategy, data):
     table = CycleTable(inst, build_segments(inst, segments=n_seg - 1,
                                             strategy=strategy))
     stack = JointStack.of(T, n_seg, T)
-    bounds = [default_bounds(inst.suffix(k)) for k in range(1, T + 1)]
+    bounds = default_bounds(inst)
     model = stack.fill(inst, table.segments, bounds)
     refs = []
     for k in range(1, T + 1):
         suffix = inst.suffix(k)
         ref = build_joint(suffix, build_segments(
             suffix, segments=n_seg - 1, strategy=strategy))
+        levels = [i for c in ref.columns.values() for i in (c.initial, *c.inventory)]
+        lb, ub = ref.lb.copy(), ref.ub.copy()
+        lb[levels], ub[levels] = bounds
+        ref = dataclasses.replace(ref, lb=lb, ub=ub)
         block = _stack_block(stack, model, k - 1)
         piece, ref_piece = block["piecewise"].piece, ref.piecewise.piece
         for name in ("means", "slopes", "lines"):
@@ -595,7 +601,7 @@ def test_row_product_matches_scipy_csr():
         segments = build_segments(instance, segments=hc.cells,
                                   strategy=hc.strategy)
         stack = JointStack.of(8, segments.slopes.shape[1], 8)
-        model = stack.fill(instance, segments, [(-1e4, 1e4)] * 8)
+        model = stack.fill(instance, segments, (-1e4, 1e4))
         m = model.rows.matrix
         ref = sparse.csr_array((m.data, m.indices, m.indptr), shape=m.shape)
         for x in [rng.normal(0, 50, m.shape[1]) for _ in range(5)] + [
@@ -640,7 +646,7 @@ def test_joint_skeleton_shares_structure_read_only(example4, segments4):
 segment_readers = pytest.mark.parametrize("reader", [
     CycleTable, build_minlp_s, build_minlp_S, build_joint,
     lambda inst, segs: JointStack.of(inst.horizon, 7, 1).fill(
-        inst, segs, [level_bounds(inst, default_big_m(inst))])],
+        inst, segs, level_bounds(inst, default_big_m(inst)))],
     ids=["CycleTable", "build_minlp_s", "build_minlp_S", "build_joint", "fill"])
 
 

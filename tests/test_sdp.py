@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_support import dense_sdp_tables, stored_sdp_tables
+from oracle_support import (dense_sdp_tables, policy_from_tables,
+                            stored_sdp_tables)
 from sspolicy.domain import ValidationError, make_instance
 from sspolicy.sdp import (
-    GridTooSmallError, InventoryGrid, SdpSolution, _extract_policy_arrays,
-    _snap, check_k_convexity, default_grid, discretize_demand, extract_policy,
-    cost_to_go, solve_sdp, write_g_curve,
+    GridTooSmallError, InventoryGrid, SdpSolution, _snap, check_k_convexity,
+    default_grid, discretize_demand, cost_to_go, solve_sdp, write_g_curve,
 )
 from sspolicy.testbed import BenchmarkConfig, build_instances
 
@@ -137,7 +137,7 @@ def _assert_matches_dense(solution, g_ref, c_ref):
     for got, ref in ((solution.g_tables, g_ref), (solution.c_tables, c_ref)):
         assert np.all(np.abs(got - ref)
                       <= 1e-12 * np.maximum(1, np.abs(ref))), name
-    policy = _extract_policy_arrays(solution.instance, solution.grid, g_ref)
+    policy = policy_from_tables(solution.instance, solution.grid, g_ref)
     assert solution.policy.reorder_points == policy.reorder_points, name
     assert (solution.policy.order_up_to_levels
             == policy.order_up_to_levels), name
@@ -156,7 +156,7 @@ class TestDensePassReference:
             solution = solve_sdp(inst, grid=grid)
         except GridTooSmallError:
             with pytest.raises(GridTooSmallError):
-                _extract_policy_arrays(inst, grid, g_ref)
+                policy_from_tables(inst, grid, g_ref)
             return
         _assert_matches_dense(solution, g_ref, c_ref)
         assert solution.demand_atoms == tuple(
@@ -192,13 +192,13 @@ class TestDerivedCTables:
             solution = solve_sdp(inst, grid=grid)
         except GridTooSmallError:
             with pytest.raises(GridTooSmallError):
-                _extract_policy_arrays(inst, grid, g_ref)
+                policy_from_tables(inst, grid, g_ref)
             return
         assert solution.g_tables.tobytes() == g_ref.tobytes()
         assert solution.c_tables.tobytes() == c_ref.tobytes()
         i0 = grid.index_of(_snap(inst.initial_inventory, grid))
         assert solution.expected_cost.hex() == float(c_ref[0][i0]).hex()
-        assert solution.policy == _extract_policy_arrays(inst, grid, g_ref)
+        assert solution.policy == policy_from_tables(inst, grid, g_ref)
 
     def test_not_stored(self, example4):
         solution = solve_sdp(example4)
@@ -323,7 +323,8 @@ class TestCostToGo:
             read(solved4, period)
 
     def test_extract_policy_matches_solution(self, solved4):
-        pol = extract_policy(solved4)
+        pol = policy_from_tables(solved4.instance, solved4.grid,
+                                 solved4.g_tables)
         assert pol.reorder_points == solved4.policy.reorder_points
         assert pol.order_up_to_levels == solved4.policy.order_up_to_levels
         assert all(s <= S for s, S in zip(pol.reorder_points,

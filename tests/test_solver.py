@@ -2,6 +2,7 @@ import itertools
 import logging
 import math
 import os
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -1247,6 +1248,54 @@ class TestLimitsAndErrors:
             solve_exact(model)
 
 
+class TestLargestRoot:
+    """_largest_root on a continuous piecewise-linear g with one kink at
+    its root r = -0.3, slope -steep to the left and -flat to the right,
+    searched for g = 0 from hi = 0; `calls` records every level read."""
+
+    R = -0.3
+
+    def _g(self, steep, flat):
+        calls = []
+
+        def g(x):
+            calls.append(x)
+            return -steep * (x - self.R) if x <= self.R else -flat * (x - self.R)
+        return g, calls
+
+    def test_g_above_target_at_hi(self):
+        g, calls = self._g(10.0, 1.0)
+        with pytest.raises(SolverError, match=r"requires g\(hi\) <= target"):
+            solver_module._largest_root(g, 0.0, -1.0, g(-1.0), -100.0)
+        assert calls == [-1.0]
+
+    def test_no_root_above_lower_limit(self):
+        g, calls = self._g(10.0, 1.0)
+        with pytest.raises(SolverError, match=re.escape(
+                "no root above the lower limit -0.25; bracket [-0.25, 0.0] "
+                f"has costs [{g(-0.25)!r}, {g(0.0)!r}]")):
+            solver_module._largest_root(g, 0.0, 0.0, g(0.0), -0.25)
+        assert min(calls) == -0.25
+
+    def test_narrowed_bracket_polishes(self):
+        """The secant across the kink misses at the 1e-4 bracket, so the
+        bracket narrows once more and the polish there meets ROOT_MATCH."""
+        g, calls = self._g(10.0, 1.0)
+        x, gx = solver_module._largest_root(g, 0.0, 0.0, g(0.0), -100.0)
+        assert gx == g(x) and abs(gx) <= solver_module.ROOT_MATCH
+        assert abs(x - self.R) <= solver_module.ROOT_MATCH
+        levels = np.unique(calls)
+        assert np.diff(levels).min() < 1e-6  # read inside a narrowed bracket
+
+    def test_kink_in_bracket_returns_bracket_end(self):
+        """Slopes so steep that no secant within 1e-9 of the kink meets
+        ROOT_MATCH: the bracket's left end is the root, within 1e-9."""
+        g, _ = self._g(1e10, 1e6)
+        x, gx = solver_module._largest_root(g, 0.0, 0.0, g(0.0), -100.0)
+        assert gx == g(x) and solver_module.ROOT_MATCH < gx <= 1e10 * 1e-9
+        assert self.R - 1e-9 <= x <= self.R
+
+
 class TestImportSolution:
     def _write(self, path, assignment):
         with open(path, "w") as fh:
@@ -1301,4 +1350,24 @@ class TestImportSolution:
         path = tmp_path / "alien.txt"
         self._write(path, {**res.assignment, "mystery_var": 1.0})
         with pytest.raises(SolverError, match="name mismatch"):
+            import_solution(model, path)
+
+    @pytest.mark.parametrize("line, message", [
+        ("I_s_2 1.0 2.0", "parse error on line 'I_s_2 1.0 2.0'"),
+        ("I_s_2", "parse error on line 'I_s_2'"),
+        ("I_s_2 ten", "bad value for I_s_2: 'ten'"),
+        (None, "name mismatch: missing variable 'I_s_2'"),
+    ], ids=["three-fields", "one-field", "non-numeric", "missing"])
+    def test_bad_line_named(self, tmp_path, example4, segments4, line, message):
+        """A malformed line, a value that is no number and an unfixed
+        column left out are each named with the file."""
+        model = build_minlp_s(example4, segments4)
+        assignment = dict(solve_exact(model).assignment)
+        del assignment["I_s_2"]
+        path = tmp_path / "bad.txt"
+        self._write(path, assignment)
+        if line is not None:
+            with open(path, "a") as fh:
+                fh.write(line + "\n")
+        with pytest.raises(SolverError, match=re.escape(f"{path}: {message}")):
             import_solution(model, path)

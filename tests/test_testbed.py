@@ -271,8 +271,8 @@ class TestBenchmarkRun:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                return map(fn, items)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(testbed_module, "ProcessPoolExecutor", Pool)
         cfg = BenchmarkConfig(patterns=("STA",), fixed_costs=(200.0,),
